@@ -8,13 +8,23 @@
     The weak/strong rule (§5.1) is enforced here: a document raises an
     alert only if at least one *strong* event was detected — otherwise
     every fetched page would raise [new]/[updated]/[unchanged] and
-    flood the processor. *)
+    flood the processor.
+
+    Pages that carry a stored tree go to the XML alerter, the others
+    to the HTML path, so an unchanged page the loader did not parse
+    again is read like any other.  The chain memoizes each URL's
+    current-content codes under the page's signature and a registry
+    epoch, which every content condition's registration or retirement
+    bumps: an unchanged fetch reuses them without walking the page
+    again.  URL conditions and change patterns are detected on every
+    fetch. *)
 
 type t
 
-(** Detection metrics (docs, alerts, weak-rule suppressions,
-    events-per-doc and detect-latency histograms) are registered
-    under the [alerters] stage of [obs] (default
+(** Detection metrics (docs, alerts, weak-rule suppressions, memo hits,
+    [memo_invalidated] for memoized pages re-read because the content
+    conditions changed, events-per-doc and detect-latency histograms)
+    are registered under the [alerters] stage of [obs] (default
     {!Xy_obs.Obs.default}). *)
 val create :
   ?extends_impl:Url_alerter.extends_impl ->
@@ -38,7 +48,7 @@ val process :
 
 (** [process_deleted t ~meta ~tree] handles a page that disappeared:
     [deleted self] plus element deletions from its last stored
-    version. *)
+    version.  The page's memo entry is dropped. *)
 val process_deleted :
   ?trace:Xy_trace.Trace.ctx ->
   t ->

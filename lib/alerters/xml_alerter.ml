@@ -286,6 +286,11 @@ let detect t ~result =
   detect_changes t result acc data;
   finish acc data
 
+let detect_delta t ~result =
+  let acc = ref [] and data = ref [] in
+  detect_changes t result acc data;
+  finish acc data
+
 let detect_tree t root =
   let acc = ref [] in
   detect_current t root acc;

@@ -34,6 +34,12 @@ type detection = {
     returns no events for HTML). *)
 val detect : t -> result:Xy_warehouse.Loader.result -> detection
 
+(** [detect_delta t ~result] is the change-pattern half of {!detect}:
+    the events raised by the loader's delta alone ([[]] for new,
+    unchanged and HTML pages).  With {!detect_tree} on the stripped
+    tree it makes up {!detect}. *)
+val detect_delta : t -> result:Xy_warehouse.Loader.result -> detection
+
 (** [detect_deleted t ~tree] raises the [deleted self\\tag] events for
     a document that disappeared ([tree] is its last stored version). *)
 val detect_deleted : t -> tree:Xy_xml.Xid.tree -> detection

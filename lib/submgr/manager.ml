@@ -60,6 +60,8 @@ type t = {
   reporter : Reporter.t;
   run_query : QAst.t -> T.node list;
   subscriptions : (string, installed) Hashtbl.t;
+  refreshing : (string, (string * float) list) Hashtbl.t;
+      (** the refresh statements of the subscriptions that have any *)
   dispatches : (int, dispatch) Hashtbl.t;
   mutable next_complex_id : int;
   metrics : metrics;
@@ -138,20 +140,33 @@ and materialize_operand strings matched = function
       [ T.Text (List.assoc name strings) ]
   | QAst.O_path (None, _) -> List.map (fun e -> T.Element e) matched
 
-let materialize select ~payload ~url =
+(* What an alert gives every notification it raises: the payload is
+   parsed, and its matched elements, pseudo-variables and default body
+   derived, once per alert however many subscriptions it matched. *)
+type alert_view = {
+  strings : (string * string) list;
+  matched : T.element list;
+  default : T.node list;  (** shared by the alert's notifications *)
+}
+
+let view_of_payload ~payload ~url =
   let payload_elem = parse_payload payload in
-  let matched =
-    match payload_elem with Some e -> matched_elements e | None -> []
-  in
-  let strings = pseudo_strings ~url payload_elem in
+  {
+    strings = pseudo_strings ~url payload_elem;
+    matched =
+      (match payload_elem with Some e -> matched_elements e | None -> []);
+    default = default_body ~url payload_elem;
+  }
+
+let materialize select view =
   match select with
-  | None -> default_body ~url payload_elem
+  | None -> view.default
   | Some (QAst.S_operand op) -> (
-      match materialize_operand strings matched op with
-      | [] -> default_body ~url payload_elem
+      match materialize_operand view.strings view.matched op with
+      | [] -> view.default
       | nodes -> nodes)
   | Some (QAst.S_construct construct) ->
-      materialize_construct strings matched construct
+      materialize_construct view.strings view.matched construct
 
 (* ------------------------------------------------------------------ *)
 
@@ -168,6 +183,7 @@ let create ?(policy = Compile.default_policy) ?persist ?(obs = Obs.default)
       reporter;
       run_query;
       subscriptions = Hashtbl.create 64;
+      refreshing = Hashtbl.create 16;
       dispatches = Hashtbl.create 256;
       next_complex_id = 0;
       metrics =
@@ -185,6 +201,9 @@ let create ?(policy = Compile.default_policy) ?persist ?(obs = Obs.default)
      matching several of them yields a single notification. *)
   Mqp.on_batch mqp (fun alert matched ->
       let seen = Hashtbl.create 4 in
+      let view =
+        lazy (view_of_payload ~payload:alert.Mqp.payload ~url:alert.Mqp.url)
+      in
       List.iter
         (fun complex_id ->
           match Hashtbl.find_opt t.dispatches complex_id with
@@ -193,10 +212,7 @@ let create ?(policy = Compile.default_policy) ?persist ?(obs = Obs.default)
               let key = (dispatch.d_subscription, dispatch.d_tag) in
               if not (Hashtbl.mem seen key) then begin
                 Hashtbl.replace seen key ();
-                let body =
-                  materialize dispatch.d_select ~payload:alert.Mqp.payload
-                    ~url:alert.Mqp.url
-                in
+                let body = materialize dispatch.d_select (Lazy.force view) in
                 Reporter.notify ?trace:alert.Mqp.trace t.reporter
                   ~subscription:dispatch.d_subscription
                   {
@@ -335,6 +351,13 @@ let subscribe_unmetered t ~owner ~text =
                     trigger_ids;
                     virtual_links;
                   };
+                (match ast.S.refresh with
+                | [] -> ()
+                | refresh ->
+                    Hashtbl.replace t.refreshing ast.S.name
+                      (List.map
+                         (fun r -> (r.S.r_url, S.seconds r.S.r_freq))
+                         refresh));
                 (match t.persist with
                 | Some log ->
                     Persist.append_insert log ~name:ast.S.name ~owner ~text
@@ -370,6 +393,7 @@ let unsubscribe t ~name =
         installed.virtual_links;
       Reporter.unregister t.reporter ~subscription:name;
       Hashtbl.remove t.subscriptions name;
+      Hashtbl.remove t.refreshing name;
       (match t.persist with
       | Some log -> Persist.append_delete log ~name
       | None -> ());
@@ -440,19 +464,11 @@ let subscription_count t = Hashtbl.length t.subscriptions
 
 let refresh_statements t =
   Hashtbl.fold
-    (fun _ installed acc ->
-      List.fold_left
-        (fun acc r -> (r.S.r_url, S.seconds r.S.r_freq) :: acc)
-        acc installed.ast.S.refresh)
-    t.subscriptions []
+    (fun _ statements acc -> List.rev_append statements acc)
+    t.refreshing []
 
 let subscription_refresh t ~name =
-  match Hashtbl.find_opt t.subscriptions name with
-  | None -> []
-  | Some installed ->
-      List.map
-        (fun r -> (r.S.r_url, S.seconds r.S.r_freq))
-        installed.ast.S.refresh
+  Option.value ~default:[] (Hashtbl.find_opt t.refreshing name)
 
 let complex_event_count t = Hashtbl.length t.dispatches
 

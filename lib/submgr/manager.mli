@@ -69,13 +69,15 @@ val subscription_count : t -> int
     subscriptions: [(url, period_seconds)], for the crawler.  "In our
     current implementation, subscriptions influence the refreshing of
     pages only by adding importance to the pages they explicitly
-    mention." *)
+    mention."  Only the subscriptions that have refresh clauses are
+    visited, so the cost follows the number of clauses, not the
+    population. *)
 val refresh_statements : t -> (string * float) list
 
 (** [subscription_refresh t ~name] is the refresh clauses
     [(url, period_seconds)] of one live subscription ([[]] when
-    unknown) — what an unsubscribe must subtract from the crawler's
-    refresh ceilings. *)
+    unknown) — what an unsubscribe or an update must subtract from
+    the crawler's refresh ceilings. *)
 val subscription_refresh : t -> name:string -> (string * float) list
 
 (** [complex_event_count t] is the number of live complex events

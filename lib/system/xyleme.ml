@@ -541,7 +541,13 @@ let restarts t = Obs.Counter.value t.m_restarts
 let durable_dir t = Option.map Durable.dir t.durable
 let report_ledger_path t = Option.map Durable.report_ledger_path t.durable
 
-let apply_refresh_statements t =
+(* Boosts only tighten a ceiling, so the ceilings of a departing or
+   replaced text ([withdrawn]) are lifted first; then every live
+   subscription re-asserts what it still demands. *)
+let apply_refresh_statements ?(withdrawn = []) t =
+  List.iter
+    (fun (url, _period) -> Xy_crawler.Fetch_queue.reset_ceiling t.queue ~url)
+    withdrawn;
   List.iter
     (fun (url, period) -> Xy_crawler.Fetch_queue.boost t.queue ~url ~period)
     (Manager.refresh_statements (manager t))
@@ -565,11 +571,7 @@ let unsubscribe t ~name =
   match Manager.unsubscribe (manager t) ~name with
   | Error _ as e -> e
   | Ok () ->
-      List.iter
-        (fun (url, _period) -> Xy_crawler.Fetch_queue.reset_ceiling t.queue ~url)
-        refresh;
-      (* remaining subscriptions re-assert what they still demand *)
-      apply_refresh_statements t;
+      apply_refresh_statements ~withdrawn:refresh t;
       commit_txn t;
       Ok ()
 
@@ -644,10 +646,12 @@ let create ?seed ?algorithm ?policy ?persist_path ?sink ?web ?obs ?tracer
   t
 
 let update t ~name ~owner ~text =
+  (* As in [unsubscribe], the replaced text's ceilings are withdrawn. *)
+  let refresh = Manager.subscription_refresh (manager t) ~name in
   let result = Manager.update (manager t) ~name ~owner ~text in
   (match result with
   | Ok () ->
-      apply_refresh_statements t;
+      apply_refresh_statements ~withdrawn:refresh t;
       commit_txn t
   | Error _ -> ());
   result

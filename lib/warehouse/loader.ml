@@ -14,6 +14,7 @@ type metrics = {
   m_new : Obs.Counter.t;
   m_updated : Obs.Counter.t;
   m_unchanged : Obs.Counter.t;
+  m_fast : Obs.Counter.t;
   m_deleted : Obs.Counter.t;
   m_rejected : Obs.Counter.t;
   m_load_latency : Obs.Histogram.t;
@@ -39,6 +40,7 @@ let create ?domains ?(obs = Obs.default) ~store ~clock () =
         m_new = Obs.counter obs ~stage "loaded_new";
         m_updated = Obs.counter obs ~stage "loaded_updated";
         m_unchanged = Obs.counter obs ~stage "loaded_unchanged";
+        m_fast = Obs.counter obs ~stage "unchanged_fast";
         m_deleted = Obs.counter obs ~stage "deleted";
         m_rejected = Obs.counter obs ~stage "rejected";
         m_load_latency = Obs.histogram obs ~stage "load_latency";
@@ -69,9 +71,26 @@ let parse_xml ~strict content =
           (Rejected (Printf.sprintf "line %d, column %d: %s" line column message))
       else None
 
-let load t ~url ~content ~kind =
-  Obs.Histogram.time t.metrics.m_load_latency @@ fun () ->
-  let now = Xy_util.Clock.now t.clock in
+(* Whether loading [content] as [kind] reads it the way the stored
+   entry with the same signature was read.  [Xml] and [Html] name the
+   stored kind outright.  [Auto] re-derives it from the content, except
+   for an XML-looking page stored as HTML: it may have failed to parse
+   or have been loaded as [Html], and only a parse can tell. *)
+let kind_agrees kind ~content (stored : Meta.kind) =
+  match (kind, stored) with
+  | Xml, Meta.Xml_doc | Html, Meta.Html_doc -> true
+  | Auto, Meta.Xml_doc -> looks_like_xml content
+  | Auto, Meta.Html_doc -> not (looks_like_xml content)
+  | Xml, Meta.Html_doc | Html, Meta.Xml_doc -> false
+
+(* Same content: refresh the access date only. *)
+let unchanged t old_entry ~now ~doc =
+  let meta = { old_entry.Store.meta with Meta.last_accessed = now } in
+  Store.put t.store { Store.meta; tree = old_entry.Store.tree } ~delta:[];
+  Obs.Counter.incr t.metrics.m_unchanged;
+  { meta; status = Unchanged; doc; tree = old_entry.Store.tree; delta = [] }
+
+let load_full t ~url ~content ~kind ~now ~signature ~previous =
   let doc =
     try
       match kind with
@@ -84,9 +103,7 @@ let load t ~url ~content ~kind =
       Obs.Counter.incr t.metrics.m_rejected;
       raise e
   in
-  let signature = Xy_util.Hashing.signature content in
   let docid = Store.allocate_docid t.store ~url in
-  let previous = Store.find t.store url in
   let dtd = Option.map (fun d -> Xy_xml.Dtd.identifier (Xy_xml.Dtd.of_doc d)) doc in
   let dtdid = Option.map (fun d -> Store.allocate_dtdid t.store ~dtd:d) dtd in
   let tags =
@@ -124,13 +141,8 @@ let load t ~url ~content ~kind =
       { meta; status = New; doc; tree; delta = [] }
   | Some old_entry ->
       let old_meta = old_entry.Store.meta in
-      if old_meta.Meta.signature = signature then begin
-        (* Same content: refresh the access date only. *)
-        let meta = { old_meta with Meta.last_accessed = now } in
-        Store.put t.store { Store.meta; tree = old_entry.Store.tree } ~delta:[];
-        Obs.Counter.incr t.metrics.m_unchanged;
-        { meta; status = Unchanged; doc; tree = old_entry.Store.tree; delta = [] }
-      end
+      if old_meta.Meta.signature = signature then
+        unchanged t old_entry ~now ~doc
       else begin
         let delta, tree =
           match doc, old_entry.Store.tree with
@@ -164,6 +176,23 @@ let load t ~url ~content ~kind =
         Obs.Counter.incr t.metrics.m_updated;
         { meta; status = Updated; doc; tree; delta }
       end
+
+(* The signature is compared before anything is parsed: an unchanged
+   page read as its stored kind already has its meta (DTD, DTDID,
+   domain) and tree in the store, so neither the parse nor their
+   derivation can change the outcome. *)
+let load t ~url ~content ~kind =
+  Obs.Histogram.time t.metrics.m_load_latency @@ fun () ->
+  let now = Xy_util.Clock.now t.clock in
+  let signature = Xy_util.Hashing.signature content in
+  let previous = Store.find t.store url in
+  match previous with
+  | Some old_entry
+    when String.equal old_entry.Store.meta.Meta.signature signature
+         && kind_agrees kind ~content old_entry.Store.meta.Meta.kind ->
+      Obs.Counter.incr t.metrics.m_fast;
+      unchanged t old_entry ~now ~doc:None
+  | _ -> load_full t ~url ~content ~kind ~now ~signature ~previous
 
 let validate result =
   match result.doc with

@@ -542,6 +542,85 @@ let test_chain_no_events_no_alert () =
   checkb "silent when nothing registered" true
     (Chain.process chain ~result:r ~content:"<c/>" = None)
 
+(* ------------------------------------------------------------------ *)
+(* Chain: memoized content detection *)
+
+module Obs = Xy_obs.Obs
+
+let counted_chain () =
+  let obs = Obs.create () in
+  let clock = Clock.create () in
+  let store = Store.create () in
+  let loader = Loader.create ~obs ~store ~clock () in
+  let registry = Registry.create () in
+  let chain = Chain.create ~obs registry in
+  (obs, loader, registry, chain)
+
+let alerters_count obs name =
+  Obs.Snapshot.counter_value (Obs.snapshot obs) ~stage:"alerters" name
+
+let events_of = function
+  | Some alert -> List.sort compare (Xy_events.Event_set.to_list alert.Alert.events)
+  | None -> []
+
+(* A memoized page still follows the content conditions: one added
+   while it sits in the memo fires on the next unchanged fetch, one
+   retired stops firing.  URL conditions never touch the memo. *)
+let test_chain_memo_follows_registry () =
+  List.iter
+    (fun (label, kind, content) ->
+      let obs, loader, registry, chain = counted_chain () in
+      let url = "http://shop.example/p" in
+      let site =
+        Registry.register registry (Atomic.Url_extends "http://shop.example/")
+      in
+      let fetch () =
+        let result = Loader.load loader ~url ~content ~kind in
+        events_of (Chain.process chain ~result ~content)
+      in
+      let hits () = alerters_count obs "memo_hits" in
+      check_codes (label ^ ": first read") [ site ] (fetch ());
+      check_codes (label ^ ": refetch") [ site ] (fetch ());
+      checki (label ^ ": memoized") 1 (hits ());
+      let camera = Atomic.Doc_contains "camera" in
+      let code = Registry.register registry camera in
+      check_codes (label ^ ": new word fires") [ site; code ] (fetch ());
+      checki (label ^ ": re-read once") 1 (alerters_count obs "memo_invalidated");
+      check_codes (label ^ ": from the memo") [ site; code ] (fetch ());
+      checki (label ^ ": memo hit") 2 (hits ());
+      ignore (Registry.release registry camera);
+      check_codes (label ^ ": retired word stops") [ site ] (fetch ());
+      let exact = Registry.register registry (Atomic.Url_equals url) in
+      check_codes (label ^ ": url condition") [ site; exact ] (fetch ());
+      checki (label ^ ": url conditions keep the memo") 3 (hits ()))
+    [
+      ("xml", Loader.Xml, "<c><p>camera</p></c>");
+      ("html", Loader.Html, "<html><body>camera</body></html>");
+    ]
+
+let test_chain_memo_dropped_on_delete () =
+  let obs, loader, registry, chain = counted_chain () in
+  let url = "http://a/p" in
+  ignore (Registry.register registry (Atomic.Url_extends "http://a/"));
+  ignore (Registry.register registry (Atomic.Has_tag "p"));
+  let content = "<c><p>x</p></c>" in
+  let fetch () =
+    let result = Loader.load loader ~url ~content ~kind:Loader.Xml in
+    ignore (Chain.process chain ~result ~content)
+  in
+  fetch ();
+  fetch ();
+  checki "memoized" 1 (alerters_count obs "memo_hits");
+  let tree =
+    Option.bind (Store.find (Loader.store loader) url) (fun e -> e.Store.tree)
+  in
+  let meta = Option.get (Loader.delete loader ~url) in
+  ignore (Chain.process_deleted chain ~meta ~tree);
+  fetch ();
+  checki "the page comes back: read again" 1 (alerters_count obs "memo_hits");
+  fetch ();
+  checki "then memoized again" 2 (alerters_count obs "memo_hits")
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   let per_impl name f =
@@ -580,5 +659,7 @@ let () =
           tc "deleted document" test_chain_deleted_document;
           tc "no events, no alert" test_chain_no_events_no_alert;
           tc "invariants (random)" test_chain_invariants_random;
+          tc "memo follows the registry" test_chain_memo_follows_registry;
+          tc "memo dropped on delete" test_chain_memo_dropped_on_delete;
         ] );
     ]

@@ -1113,6 +1113,57 @@ refresh "%s" %s|}
   checkb "no subscription left: ceiling fully lifted" true
     (ceiling () > 7. *. 86400.)
 
+(* An update withdraws the replaced text's refresh demand before the
+   new text (and every other survivor) re-asserts its own: dropping the
+   statement, or relaxing it, must lift the ceiling at once rather than
+   leave the old one in force until an unsubscribe. *)
+let test_update_resets_refresh_ceiling () =
+  let web = Web.generate ~seed:3 ~sites:2 ~pages_per_site:4 () in
+  let x = Xyleme.create ~seed:3 ~web () in
+  let url =
+    List.find
+      (fun u -> Web.kind_of web ~url:u = Some Web.Xml_page)
+      (Web.urls web)
+  in
+  let q = Xyleme.queue x in
+  let ceiling () =
+    match List.find_opt (fun v -> v.Queue.v_url = url) (Queue.view q) with
+    | Some v -> v.Queue.v_ceiling
+    | None -> Alcotest.fail "url not tracked by the queue"
+  in
+  let text name refresh =
+    Printf.sprintf
+      {|subscription %s
+monitoring
+select <UpdatedPage url=URL/>
+where URL extends "%s" and modified self
+report when immediate%s|}
+      name (String.sub url 0 24) refresh
+  in
+  let refresh freq = Printf.sprintf "\nrefresh \"%s\" %s" url freq in
+  let update name body =
+    match Xyleme.update x ~name ~owner:"o" ~text:(text name body) with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "update %s: %s" name (Manager.error_to_string e)
+  in
+  (match Xyleme.subscribe x ~owner:"o" ~text:(text "Watch" (refresh "hourly")) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "subscribe: %s" (Manager.error_to_string e));
+  Alcotest.(check (float 1.)) "hourly ceiling" 3600. (ceiling ());
+  update "Watch" (refresh "weekly");
+  Alcotest.(check (float 1.)) "relaxed to weekly" 604800. (ceiling ());
+  update "Watch" "";
+  checkb "statement dropped: ceiling fully lifted" true
+    (ceiling () > 7. *. 86400.);
+  update "Watch" (refresh "hourly");
+  Alcotest.(check (float 1.)) "tightened again" 3600. (ceiling ());
+  (match Xyleme.subscribe x ~owner:"o" ~text:(text "Daily" (refresh "daily")) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "subscribe: %s" (Manager.error_to_string e));
+  update "Watch" "";
+  Alcotest.(check (float 1.)) "the other subscription's demand survives" 86400.
+    (ceiling ())
+
 let gen_wal_op =
   QCheck.Gen.(
     map2
@@ -1957,6 +2008,8 @@ let () =
             test_directory_sink_idempotent_redelivery;
           tc "unsubscribe resets refresh ceiling"
             test_unsubscribe_resets_refresh_ceiling;
+          tc "update resets refresh ceiling"
+            test_update_resets_refresh_ceiling;
         ] );
       ( "compaction",
         [

@@ -951,6 +951,142 @@ let test_distributed_trace_propagation () =
         (List.mem_assoc tr.Trace.tr_root !sampled))
     traces
 
+(* ------------------------------------------------------------------ *)
+(* The alerter chain's memo of unchanged pages *)
+
+module Chain = Xy_alerters.Chain
+module Alert = Xy_alerters.Alert
+module Store = Xy_warehouse.Store
+
+let memo_subscription ~name where =
+  Printf.sprintf
+    "subscription %s\nmonitoring\nwhere %s and URL extends \"http://memo.example/\"\nreport when immediate"
+    name where
+
+(* Random interleavings of page edits, refetches, deletions,
+   subscriptions and unsubscriptions: on every load the system's chain,
+   with its memo, raises the alert that a chain created on the spot
+   (empty memo) raises on the same registry and load result. *)
+type memo_op =
+  | Edit of int * int  (** page, content variant *)
+  | Fetch of int
+  | Delete of int
+  | Subscribe of int  (** index into [memo_wheres] *)
+  | Unsubscribe of int  (** index into the live subscriptions *)
+
+let memo_pages =
+  [|
+    ("http://memo.example/a.xml", Loader.Xml);
+    ("http://memo.example/b.xml", Loader.Auto);
+    ("http://memo.example/n.html", Loader.Html);
+    ("http://memo.example/m.html", Loader.Auto);
+  |]
+
+let memo_words = [| "camera"; "radio"; "tv" |]
+
+(* Page 1's last variant is malformed XML, which [Auto] stores as
+   HTML. *)
+let memo_content page variant =
+  let w1 = memo_words.(variant mod 3) and w2 = memo_words.(variant / 2 mod 3) in
+  match page with
+  | 1 when variant = 3 -> Printf.sprintf "<c><p>%s</c>" w1
+  | 0 | 1 -> Printf.sprintf "<c><p>%s</p><q>%s</q></c>" w1 w2
+  | _ -> Printf.sprintf "<html><body><h1>%s</h1><p>%s</body></html>" w1 w2
+
+let memo_wheres =
+  [|
+    {|self contains "camera"|};
+    {|self\\p contains "radio"|};
+    {|self\\h1 contains "tv"|};
+    {|self\\q|};
+    {|new self\\p contains "tv"|};
+    {|updated self\\q|};
+    {|modified self|};
+  |]
+
+let memo_op_print = function
+  | Edit (p, v) -> Printf.sprintf "edit %d/%d" p v
+  | Fetch p -> Printf.sprintf "fetch %d" p
+  | Delete p -> Printf.sprintf "delete %d" p
+  | Subscribe w -> Printf.sprintf "subscribe %d" w
+  | Unsubscribe i -> Printf.sprintf "unsubscribe %d" i
+
+let memo_ops =
+  let page = QCheck.Gen.int_bound (Array.length memo_pages - 1) in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map2 (fun p v -> Edit (p, v)) page (int_bound 3));
+          (6, map (fun p -> Fetch p) page);
+          (1, map (fun p -> Delete p) page);
+          (2, map (fun w -> Subscribe w) (int_bound (Array.length memo_wheres - 1)));
+          (2, map (fun i -> Unsubscribe i) (int_bound 7));
+        ])
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map memo_op_print ops))
+    QCheck.Gen.(list_size (1 -- 60) op)
+
+let memo_equals_fresh_chain ops =
+  let t, _ = make () in
+  let registry = Xyleme.registry t
+  and loader = Xyleme.loader t
+  and chain = Xyleme.chain t in
+  let variants = Array.make (Array.length memo_pages) 0 in
+  let live = ref [] and next = ref 0 in
+  let fresh () = Chain.create ~obs:(Obs.create ()) registry in
+  let view =
+    Option.map (fun a ->
+        ( a.Alert.url,
+          Xy_events.Event_set.to_list a.Alert.events,
+          Alert.payload_string a ))
+  in
+  List.for_all
+    (fun op ->
+      match op with
+      | Edit (p, v) ->
+          variants.(p) <- v;
+          true
+      | Fetch p -> (
+          let url, kind = memo_pages.(p) in
+          let content = memo_content p variants.(p) in
+          match Loader.load loader ~url ~content ~kind with
+          | exception Loader.Rejected _ -> true
+          | result ->
+              view (Chain.process chain ~result ~content)
+              = view (Chain.process (fresh ()) ~result ~content))
+      | Delete p -> (
+          let url, _ = memo_pages.(p) in
+          let tree =
+            Option.bind (Store.find (Xyleme.store t) url) (fun e -> e.Store.tree)
+          in
+          match Loader.delete loader ~url with
+          | None -> true
+          | Some meta ->
+              view (Chain.process_deleted chain ~meta ~tree)
+              = view (Chain.process_deleted (fresh ()) ~meta ~tree))
+      | Subscribe w ->
+          let name = Printf.sprintf "M%d" !next in
+          incr next;
+          ignore
+            (subscribe_exn t ~owner:"o"
+               ~text:(memo_subscription ~name memo_wheres.(w)));
+          live := name :: !live;
+          true
+      | Unsubscribe i -> (
+          match !live with
+          | [] -> true
+          | names ->
+              let name = List.nth names (i mod List.length names) in
+              live := List.filter (fun n -> n <> name) names;
+              Result.is_ok (Xyleme.unsubscribe t ~name)))
+    ops
+
+let qcheck_memo_equals_fresh_chain =
+  QCheck.Test.make ~name:"memoized chain = fresh chain" ~count:150 memo_ops
+    memo_equals_fresh_chain
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "system"
@@ -978,6 +1114,7 @@ let () =
           tc "trace covers pipeline" test_trace_covers_pipeline;
           tc "self-monitor subscription" test_self_monitor_subscription_fires;
         ] );
+      ("memo", [ QCheck_alcotest.to_alcotest qcheck_memo_equals_fresh_chain ]);
       ( "freshness",
         [
           tc "monotonic wall" test_monotonic_wall;

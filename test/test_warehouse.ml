@@ -200,6 +200,138 @@ let test_delete () =
   checkb "double delete" true (Loader.delete loader ~url:"u" = None)
 
 (* ------------------------------------------------------------------ *)
+(* Loader: unchanged pages are not parsed again *)
+
+module Obs = Xy_obs.Obs
+
+let fresh_counted () =
+  let obs = Obs.create () in
+  let clock = Clock.create () in
+  let store = Store.create () in
+  let domains = Domains.create () in
+  Domains.register_keyword domains ~keyword:"product" ~domain:"commerce";
+  let loader = Loader.create ~domains ~obs ~store ~clock () in
+  (obs, clock, store, domains, loader)
+
+let fast_loads obs =
+  Obs.Snapshot.counter_value (Obs.snapshot obs) ~stage:"warehouse"
+    "unchanged_fast"
+
+let same_tree a b =
+  match (a, b) with
+  | Some a, Some b -> a == b
+  | None, None -> true
+  | _ -> false
+
+(* A full load of unchanged content keeps the stored metadata and
+   tree; only the access date moves.  The fast path must return
+   exactly that, and what a parse would have derived (kind, DTD,
+   domain, tree) must agree with it. *)
+let test_fast_path_matches_full_load () =
+  let cases =
+    [
+      ( "xml",
+        Loader.Xml,
+        {|<!DOCTYPE c SYSTEM "http://d/c.dtd"><c><product>tv</product></c>|} );
+      ("html", Loader.Html, "<html><body>Latest news</body></html>");
+      ("auto xml", Loader.Auto, "<c><product>radio</product></c>");
+      ("auto html", Loader.Auto, "<HTML><body>x</body></HTML>");
+    ]
+  in
+  List.iter
+    (fun (label, kind, content) ->
+      let obs, clock, store, domains, loader = fresh_counted () in
+      let url = "http://shop.example/p" in
+      let first = Loader.load loader ~url ~content ~kind in
+      Clock.advance clock 60.;
+      let again = Loader.load loader ~url ~content ~kind in
+      checki (label ^ ": served without a parse") 1 (fast_loads obs);
+      checkb (label ^ ": unchanged") true (again.Loader.status = Loader.Unchanged);
+      checkb (label ^ ": stored meta, fresh access date") true
+        (again.Loader.meta = { first.Loader.meta with Meta.last_accessed = 60. });
+      checkb (label ^ ": stored tree") true
+        (same_tree again.Loader.tree first.Loader.tree);
+      checkb (label ^ ": no delta") true (again.Loader.delta = []);
+      checkb (label ^ ": not parsed") true (again.Loader.doc = None);
+      (match Store.find store url with
+      | Some entry ->
+          checkb (label ^ ": store holds the result") true
+            (entry.Store.meta = again.Loader.meta
+            && same_tree entry.Store.tree again.Loader.tree)
+      | None -> Alcotest.failf "%s: entry missing" label);
+      (* What the skipped derivation would have produced. *)
+      match first.Loader.doc with
+      | None -> checkb (label ^ ": html kind") true (again.Loader.meta.Meta.kind = Meta.Html_doc)
+      | Some doc ->
+          let dtd = Some (Xy_xml.Dtd.identifier (Xy_xml.Dtd.of_doc doc)) in
+          check_so (label ^ ": dtd") dtd again.Loader.meta.Meta.dtd;
+          check_so (label ^ ": domain")
+            (Domains.classify domains ~url ~dtd ~tags:(T.tags doc.T.root))
+            again.Loader.meta.Meta.domain;
+          checkb (label ^ ": tree is the content") true
+            (T.equal_element
+               (Xy_xml.Xid.strip (Option.get again.Loader.tree))
+               (Xy_xml.Parser.parse content).T.root))
+    cases
+
+(* The same content under another kind is read the slow way: it is
+   parsed (or not) as asked, and stays unchanged with its stored
+   metadata. *)
+let test_fast_path_kind_change () =
+  let obs, _, _, _, loader = fresh_counted () in
+  let content = "<doc><x>1</x></doc>" in
+  let load url kind = Loader.load loader ~url ~content ~kind in
+  let html = load "h" Loader.Html in
+  let h_as_xml = load "h" Loader.Xml in
+  checkb "html then xml: parsed" true (h_as_xml.Loader.doc <> None);
+  checkb "html then xml: unchanged" true (h_as_xml.Loader.status = Loader.Unchanged);
+  checkb "html then xml: stored meta" true
+    (h_as_xml.Loader.meta.Meta.kind = Meta.Html_doc
+    && h_as_xml.Loader.meta.Meta.version = html.Loader.meta.Meta.version);
+  let h_as_auto = load "h" Loader.Auto in
+  checkb "xml-looking page stored as html, auto: parsed" true
+    (h_as_auto.Loader.doc <> None);
+  ignore (load "x" Loader.Xml);
+  let x_as_html = load "x" Loader.Html in
+  checkb "xml then html: unchanged" true (x_as_html.Loader.status = Loader.Unchanged);
+  checkb "xml then html: stored tree kept" true
+    (x_as_html.Loader.meta.Meta.kind = Meta.Xml_doc && x_as_html.Loader.tree <> None);
+  checki "no fast load" 0 (fast_loads obs);
+  ignore (load "x" Loader.Auto);
+  checki "xml then auto: fast" 1 (fast_loads obs)
+
+(* Fast loads leave the DOCID and DTDID tables and the version history
+   as full loads do: they allocate nothing. *)
+let test_fast_path_store_state () =
+  let obs, clock, store, _, loader = fresh_counted () in
+  let page dtd body =
+    Printf.sprintf {|<!DOCTYPE c SYSTEM "http://d/%s.dtd"><c>%s</c>|} dtd body
+  in
+  let a1 = Loader.load loader ~url:"a" ~content:(page "one" "1") ~kind:Loader.Xml in
+  let a2 = Loader.load loader ~url:"a" ~content:(page "one" "2") ~kind:Loader.Xml in
+  for i = 1 to 3 do
+    Clock.advance clock 10.;
+    let again =
+      Loader.load loader ~url:"a" ~content:(page "one" "2") ~kind:Loader.Xml
+    in
+    checkb (Printf.sprintf "refetch %d unchanged" i) true
+      (again.Loader.meta = { a2.Loader.meta with Meta.last_accessed = Clock.now clock })
+  done;
+  checki "three fast loads" 3 (fast_loads obs);
+  let b = Loader.load loader ~url:"b" ~content:(page "two" "1") ~kind:Loader.Xml in
+  Alcotest.(check (option int)) "a keeps dtdid 1" (Some 1) a2.Loader.meta.Meta.dtdid;
+  Alcotest.(check (option int)) "next dtd gets 2" (Some 2) b.Loader.meta.Meta.dtdid;
+  checki "dtd table: one" 1 (Store.allocate_dtdid store ~dtd:"http://d/one.dtd");
+  checki "docid stable" a1.Loader.meta.Meta.docid
+    (Store.allocate_docid store ~url:"a");
+  checki "next docid" (b.Loader.meta.Meta.docid + 1)
+    (Store.allocate_docid store ~url:"c");
+  checki "documents" 2 (Store.document_count store);
+  checkb "history: v1 reachable" true
+    (Store.reconstruct store ~url:"a" ~version:1 <> None);
+  checkb "history: no v3" true (Store.reconstruct store ~url:"a" ~version:3 = None)
+
+(* ------------------------------------------------------------------ *)
 (* Version reconstruction *)
 
 let test_reconstruct_versions () =
@@ -280,6 +412,12 @@ let () =
           tc "docids and dtdids" test_docids_stable_dtdids_shared;
           tc "dtd validation" test_loader_validate;
           tc "delete" test_delete;
+        ] );
+      ( "fast path",
+        [
+          tc "unchanged = full load" test_fast_path_matches_full_load;
+          tc "kind change takes the full path" test_fast_path_kind_change;
+          tc "store and dtdid state" test_fast_path_store_state;
         ] );
       ( "versions",
         [
