@@ -8,7 +8,7 @@
 open Harness
 module Xyleme = Xy_system.Xyleme
 module Parallel = Xy_system.Parallel
-module Distributed = Xy_system.Distributed
+module Partition = Xy_core.Partition
 module Web = Xy_crawler.Synthetic_web
 module Sink = Xy_reporter.Sink
 module Loader = Xy_warehouse.Loader
@@ -68,13 +68,7 @@ let run_config ~scale ~domains ~axis ~label =
   let web = Web.generate ~seed:5 ~sites ~pages_per_site:6 () in
   let sink, _ = Sink.counting () in
   let obs = Obs.create () in
-  let parallel =
-    { Parallel.default_config with
-      domains;
-      shards = max 1 domains;
-      axis;
-      steal = true }
-  in
+  let parallel = { Parallel.domains; shards = max 1 domains; axis } in
   let xyleme = Xyleme.create ~seed:9 ~sink ~web ~obs ~parallel () in
   let accepted = subscribe_all xyleme ~sites ~subscriptions in
   let urls = Array.of_list (Web.urls web) in
@@ -151,11 +145,11 @@ let tbl_par_e2e scale =
     List.map
       (fun (domains, axis, label) -> run_config ~scale ~domains ~axis ~label)
       [
-        (1, Distributed.Split_documents, "domains=1");
-        (2, Distributed.Split_documents, "domains=2");
-        (4, Distributed.Split_documents, "domains=4");
-        (8, Distributed.Split_documents, "domains=8");
-        (4, Distributed.Split_subscriptions, "subs/domains=4");
+        (1, Partition.By_documents, "domains=1");
+        (2, Partition.By_documents, "domains=2");
+        (4, Partition.By_documents, "domains=4");
+        (8, Partition.By_documents, "domains=8");
+        (4, Partition.By_subscriptions, "subs/domains=4");
       ]
   in
   print_table ~title:"batched pipeline rate vs loader domains (shards = domains)"

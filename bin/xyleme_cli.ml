@@ -197,6 +197,12 @@ let run_simulation ?(trace_every = 0) ?algorithm ?fault_plan
     ?(checkpoint_every = 0) ?kill_after ?(restore = false) ?sync_every
     ?segment_bytes ?slos ?telemetry_port ?serve_port ?(linger = 0.) ?parallel
     ~sites ~days ~subscriptions ~seed () =
+  (* A configuration the system refuses, such as the counting matcher
+     at --domains > 1, is a usage error, not a crash. *)
+  let usage_error msg =
+    Printf.eprintf "xyleme: %s\nTry 'xyleme simulate --help'.\n" msg;
+    exit 2
+  in
   let web = Xy_crawler.Synthetic_web.generate ~seed ~sites ~pages_per_site:8 () in
   let counting_sink, delivered = Xy_reporter.Sink.counting () in
   (* A durable run also writes every delivery into the directory's
@@ -219,6 +225,7 @@ let run_simulation ?(trace_every = 0) ?algorithm ?fault_plan
         Xy_system.Xyleme.restore ~seed ?algorithm ?fault_plan ~sink ~web
           ?slos ?parallel ?serve_port ?sync_every ?segment_bytes ~dir ()
       with
+      | exception Invalid_argument msg -> usage_error msg
       | Error e ->
           Printf.eprintf "restore failed: %s\n" e;
           exit 1
@@ -240,8 +247,10 @@ let run_simulation ?(trace_every = 0) ?algorithm ?fault_plan
           xyleme
     end
     else
-      Xy_system.Xyleme.create ~seed ?algorithm ?fault_plan ~sink ~web ?slos
-        ?parallel ?serve_port ?durable_dir ?sync_every ?segment_bytes ()
+      try
+        Xy_system.Xyleme.create ~seed ?algorithm ?fault_plan ~sink ~web ?slos
+          ?parallel ?serve_port ?durable_dir ?sync_every ?segment_bytes ()
+      with Invalid_argument msg -> usage_error msg
   in
   (* Stderr, not stdout: convergence checks diff the stats lines of a
      served run against a plain one. *)
@@ -577,45 +586,37 @@ let axis_arg =
     & opt
         (enum
            [
-             ("docs", Xy_system.Distributed.Split_documents);
-             ("subs", Xy_system.Distributed.Split_subscriptions);
+             ("docs", Xy_core.Partition.By_documents);
+             ("subs", Xy_core.Partition.By_subscriptions);
            ])
-        Xy_system.Distributed.Split_documents
+        Xy_core.Partition.By_documents
     & info [ "axis" ] ~docv:"AXIS"
         ~doc:
           "Distribution axis for the MQP shards (paper §4.2): $(b,docs) \
            routes each alert to one shard holding all subscriptions, \
            $(b,subs) spreads the subscriptions and broadcasts each alert")
 
-let no_steal_arg =
-  Arg.(
-    value & flag
-    & info [ "no-steal" ]
-        ~doc:"Disable work stealing between skewed MQP shards")
-
-let parallel_of ~domains ~shards ~axis ~no_steal =
+let parallel_of ~domains ~shards ~axis =
   if domains <= 1 then None
   else
     Some
       {
-        Xy_system.Parallel.default_config with
         Xy_system.Parallel.domains;
         shards = Option.value ~default:domains shards;
         axis;
-        steal = not no_steal;
       }
 
 let simulate_cmd =
   let run sites days subscriptions seed algorithm fault_plan verbose
       stats_flag trace_every durable_dir checkpoint_every kill_after restore
       sync_every segment_kib slos telemetry_port serve_port linger domains
-      shards axis no_steal =
+      shards axis =
     if verbose then begin
       Logs.set_reporter (Logs.format_reporter ());
       Logs.set_level (Some Logs.Info)
     end;
     let trace_every = Option.value ~default:0 trace_every in
-    let parallel = parallel_of ~domains ~shards ~axis ~no_steal in
+    let parallel = parallel_of ~domains ~shards ~axis in
     let xyleme, accepted, delivered =
       run_simulation ~trace_every ~algorithm ?fault_plan ?durable_dir
         ~checkpoint_every ?kill_after ~restore ~sync_every
@@ -666,8 +667,7 @@ let simulate_cmd =
       $ algorithm_arg $ faults_arg $ verbose $ stats_flag $ trace_every
       $ durable_arg $ checkpoint_every_arg $ kill_after_arg $ restore_flag
       $ sync_every_arg $ segment_kib_arg $ slo_arg $ telemetry_arg
-      $ serve_port_arg $ linger_arg $ domains_arg $ shards_arg $ axis_arg
-      $ no_steal_arg)
+      $ serve_port_arg $ linger_arg $ domains_arg $ shards_arg $ axis_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve — run the monitor as a long-lived wire-protocol server *)

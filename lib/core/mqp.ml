@@ -111,23 +111,45 @@ let iter_complex t f =
   M.iter m f
 
 (* Bare matching against the structure: no metrics, no stats, no
-   listeners.  This is the shard-side half of {!process} — safe to
-   call from several domains at once as long as no concurrent
-   subscribe/unsubscribe runs AND the algorithm's [match_set] is
-   read-only (aes, aes-compact, naive; NOT counting, whose scratch
-   counters are part of the structure — the parallel pipeline gives
-   counting shards full replicas instead).  The matchers' internal
-   probe counters are plain fields, so concurrent readers may
-   undercount probes; they never corrupt the structure. *)
+   listeners.  Safe to call from several domains at once as long as no
+   concurrent subscribe/unsubscribe runs AND the algorithm's
+   [match_set] is read-only (aes, aes-compact, naive; NOT counting,
+   whose scratch counters are part of the structure, so the system
+   keeps counting serial).  The matchers' internal probe counters are
+   plain fields, so concurrent readers may undercount probes; they
+   never corrupt the structure. *)
 let match_readonly t events =
   let (Packed ((module M), m)) = t.matcher in
   M.match_set m events
 
+(* The matching half of {!process}: the bare match timed, under an
+   [mqp/match] span when the alert is traced.  Touches no metrics, so
+   it runs on the owning domain or on a shard domain alike. *)
+let match_alert t alert =
+  let span =
+    Option.map
+      (fun ctx -> Xy_trace.Trace.begin_span ctx ~stage:"mqp" ~name:"match")
+      alert.trace
+  in
+  let t0 = Obs.now () in
+  let matched = match_readonly t alert.events in
+  let latency = Obs.now () -. t0 in
+  (match span with
+  | None -> ()
+  | Some span ->
+      Xy_trace.Trace.end_span
+        ~attrs:
+          [
+            ("events", string_of_int (Xy_events.Event_set.cardinal alert.events));
+            ("matched", string_of_int (List.length matched));
+          ]
+        span);
+  (matched, latency)
+
 (* The dispatch half of {!process}: per-alert instruments, lifetime
-   stats, notification and batch listeners, for a match produced
-   elsewhere (inline just below, or on a shard domain with the latency
-   measured there).  Single-threaded: only the owning/drainer domain
-   may call this. *)
+   stats, notification and batch listeners, for a match produced by
+   {!match_alert}, possibly on a shard domain.  Single-threaded: only
+   the owning/drainer domain may call this. *)
 let dispatch_matched t alert ~matched ~latency =
   Obs.Histogram.observe t.metrics.m_match_latency latency;
   Obs.Counter.incr t.metrics.m_alerts;
@@ -149,22 +171,7 @@ let dispatch_matched t alert ~matched ~latency =
   matched
 
 let process t alert =
-  let span =
-    Option.map
-      (fun ctx -> Xy_trace.Trace.begin_span ctx ~stage:"mqp" ~name:"match")
-      alert.trace
-  in
-  let t0 = Obs.now () in
-  let matched = match_readonly t alert.events in
-  let latency = Obs.now () -. t0 in
-  Option.iter
-    (Xy_trace.Trace.end_span
-       ~attrs:
-         [
-           ("events", string_of_int (Xy_events.Event_set.cardinal alert.events));
-           ("matched", string_of_int (List.length matched));
-         ])
-    span;
+  let matched, latency = match_alert t alert in
   dispatch_matched t alert ~matched ~latency
 
 let on_notify t listener = t.listeners <- listener :: t.listeners

@@ -73,25 +73,32 @@ val process : t -> alert -> int list
 
 (** {2 Split matching — the parallel pipeline's surface}
 
-    {!process} = {!match_readonly} + {!dispatch_matched}.  The sharded
+    {!process} = {!match_alert} + {!dispatch_matched}.  The sharded
     crawl pipeline matches on shard domains and dispatches at its
     single drainer, so instruments, stats and listeners fire exactly
     once per alert, in document order, on one domain — identical to
     the serial totals. *)
 
 (** [match_readonly t events] is the bare sorted match list: no
-    metrics, no stats, no listeners.  Safe to call concurrently from
-    several domains provided no subscribe/unsubscribe runs meanwhile
-    and the algorithm's matcher is read-only under [match_set] (aes,
-    aes-compact and naive are; counting is not — its per-call scratch
-    counters live in the structure, so give each concurrent reader its
-    own replica). *)
+    metrics, no stats, no listeners, no span.  Safe to call
+    concurrently from several domains provided no
+    subscribe/unsubscribe runs meanwhile and the algorithm's matcher
+    is read-only under [match_set]: aes, aes-compact and naive are;
+    counting is not (its per-call scratch counters live in the
+    structure), so counting never runs on more than one domain. *)
 val match_readonly : t -> Xy_events.Event_set.t -> int list
+
+(** [match_alert t alert] is [(matched, latency)]: {!match_readonly}
+    on the alert's events, timed, and recorded as an [mqp/match] span
+    on the alert's trace when it has one.  Touches no metrics, stats
+    or listeners, so the concurrency contract of {!match_readonly}
+    applies. *)
+val match_alert : t -> alert -> int list * float
 
 (** [dispatch_matched t alert ~matched ~latency] records the per-alert
     instruments (with [latency] as the match-latency sample), updates
     the lifetime stats and fires the notification/batch listeners for
-    an externally produced match — then returns [matched].
+    a match produced by {!match_alert} — then returns [matched].
     Single-threaded: owner/drainer domain only. *)
 val dispatch_matched :
   t -> alert -> matched:int list -> latency:float -> int list

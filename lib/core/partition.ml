@@ -1,10 +1,10 @@
 type axis = By_documents | By_subscriptions
 
 (* The two placement functions of §4.2, shared by every sharded
-   consumer (this in-process router, [Distributed], and the system's
-   parallel crawl pipeline): documents spread by URL hash, complex
-   events by id.  Both are pure so that any routing decision can be
-   re-derived identically on any domain. *)
+   consumer (this in-process router and the system's parallel crawl
+   pipeline): documents spread by URL hash, complex events by id.
+   Both are pure so that any routing decision can be re-derived
+   identically on any domain. *)
 let slot_of_url ~partitions url =
   if partitions <= 0 then invalid_arg "Partition.slot_of_url: partitions <= 0";
   Int64.to_int

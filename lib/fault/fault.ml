@@ -8,7 +8,7 @@ let points =
     ("short_write", "persist: an append is cut short but the log lives on");
     ("bus_stall", "bus: a push stalls briefly before enqueueing");
     ("bus_drop", "bus: a push silently loses its message");
-    ("worker", "distributed: a worker domain dies before processing an alert");
+    ("worker", "parallel: an MQP shard domain dies before matching an alert");
     ("crash", "system: the process dies at a stage boundary (durability testing)");
     ("conn_drop", "wire: the connection is torn down abruptly mid-operation");
     ("partial_write", "wire: a write delivers only a prefix before the connection dies");

@@ -91,27 +91,30 @@ let push t message =
     Thread.delay (0.0002 +. (0.0008 *. Fault.draw_float t.faults "bus_stall"));
   if Fault.fire t.faults "bus_drop" then () else push_message t message
 
+(* Queue wait is recorded retroactively on the consumer side — the
+   producer may live on another domain, so only the enqueue instant
+   travels with the message.  Called after the lock is released. *)
+let record_wait t (message, enqueued_at) =
+  match Option.bind t.trace_of (fun f -> f message) with
+  | Some ctx ->
+      Trace.record ctx ~stage ~name:"wait"
+        ~attrs:[ ("bus", t.name) ]
+        ~start_wall:enqueued_at
+        ~dur_wall:(Trace.now () -. enqueued_at)
+        ()
+  | None -> ()
+
 let pop t =
   Mutex.lock t.mutex;
   let rec wait () =
     if not (Queue.is_empty t.queue) then begin
-      let message, enqueued_at = Queue.pop t.queue in
+      let entry = Queue.pop t.queue in
       Obs.Counter.incr t.metrics.m_popped;
       Obs.Gauge.set_int t.metrics.m_depth (Queue.length t.queue);
       Condition.signal t.not_full;
       Mutex.unlock t.mutex;
-      (* Queue wait is recorded retroactively on the consumer side —
-         the producer may live on another domain, so only the enqueue
-         instant travels with the message. *)
-      (match Option.bind t.trace_of (fun f -> f message) with
-      | Some ctx ->
-          Trace.record ctx ~stage ~name:"wait"
-            ~attrs:[ ("bus", t.name) ]
-            ~start_wall:enqueued_at
-            ~dur_wall:(Trace.now () -. enqueued_at)
-            ()
-      | None -> ());
-      Some message
+      record_wait t entry;
+      Some (fst entry)
     end
     else if t.closed then begin
       Mutex.unlock t.mutex;
@@ -131,20 +134,13 @@ let try_pop t =
     None
   end
   else begin
-    let message, enqueued_at = Queue.pop t.queue in
+    let entry = Queue.pop t.queue in
     Obs.Counter.incr t.metrics.m_popped;
     Obs.Gauge.set_int t.metrics.m_depth (Queue.length t.queue);
     Condition.signal t.not_full;
     Mutex.unlock t.mutex;
-    (match Option.bind t.trace_of (fun f -> f message) with
-    | Some ctx ->
-        Trace.record ctx ~stage ~name:"wait"
-          ~attrs:[ ("bus", t.name) ]
-          ~start_wall:enqueued_at
-          ~dur_wall:(Trace.now () -. enqueued_at)
-          ()
-    | None -> ());
-    Some message
+    record_wait t entry;
+    Some (fst entry)
   end
 
 (* Work stealing: an idle shard takes the back half of a loaded
@@ -164,15 +160,15 @@ let steal_half t =
     for _ = 1 to keep do
       Queue.push (Queue.pop t.queue) kept
     done;
-    let stolen = ref [] in
-    Queue.iter (fun (message, _) -> stolen := message :: !stolen) t.queue;
+    let stolen = List.of_seq (Queue.to_seq t.queue) in
     Queue.clear t.queue;
     Queue.transfer kept t.queue;
     Obs.Counter.add t.metrics.m_popped (n - keep);
     Obs.Gauge.set_int t.metrics.m_depth keep;
     Condition.broadcast t.not_full;
     Mutex.unlock t.mutex;
-    List.rev !stolen
+    List.iter (record_wait t) stolen;
+    List.map fst stolen
   end
 
 let drained t =

@@ -3,7 +3,7 @@
     The paper's modules run on a cluster and communicate through Corba
     (§2.1); here the same dataflow decoupling is provided by bounded
     blocking queues safe across OCaml domains, so the pipeline stages
-    of {!Distributed} can run on separate cores with the same
+    of {!Parallel} can run on separate cores with the same
     producer/consumer contract a remote transport would give. *)
 
 type 'a t
@@ -48,9 +48,8 @@ val try_pop : 'a t -> 'a option
     (⌈n/2⌉ messages, in order) in one locked sweep — the work-stealing
     primitive: the victim keeps the front half so its local order is
     preserved.  Empty list when fewer than 2 messages are queued.
-    Stolen messages count as popped; their queue-wait trace spans are
-    not recorded (they re-queue on the thief conceptually, but we hand
-    them straight to its loop). *)
+    Stolen messages count as popped, and each traced one gets its
+    [bus/wait] span exactly as {!pop} records it. *)
 val steal_half : 'a t -> 'a list
 
 (** [drained t] — closed and empty: no message will ever arrive. *)

@@ -5,14 +5,13 @@ module Obs = Xy_obs.Obs
 type config = {
   domains : int;  (** loader workers *)
   shards : int;  (** monitoring-query-processor shards *)
-  axis : Distributed.axis;
-  steal : bool;
-  capacity : int;  (** per-stage bus capacity (backpressure) *)
+  axis : Partition.axis;
 }
 
-let default_config =
-  { domains = 1; shards = 1; axis = Distributed.Split_documents; steal = true;
-    capacity = 64 }
+let default_config = { domains = 1; shards = 1; axis = Partition.By_documents }
+
+(* Loader and shard inbox capacity: per-stage backpressure. *)
+let capacity = 64
 
 type stats = {
   p_deaths : int;
@@ -22,7 +21,7 @@ type stats = {
 }
 
 (* One copy of an alert bound for a shard.  [s_slot] is the shard the
-   router *destined* it for: under [Split_subscriptions] the matcher
+   router *destined* it for: under [By_subscriptions] the matcher
    subset is the destination's, even when a thief executes the match.
    [s_kill] arms the worker-death failure point — pre-drawn serially
    on the main domain (the fault journal is not multi-domain safe), it
@@ -42,7 +41,7 @@ type 'r result_msg =
 
 (* Reorder-buffer cell: a document is complete once its load outcome
    has arrived and, if it alerted, all its match partials did too
-   (1 under [Split_documents], [shards] under [Split_subscriptions]). *)
+   (1 under [By_documents], [shards] under [By_subscriptions]). *)
 type 'r cell = {
   mutable c_outcome : 'r option;
   mutable c_has_alert : bool;
@@ -55,7 +54,7 @@ let stage = "bus"
 
 let run config ?(obs = Obs.default) ~docs ~kill ~url_of ~worker ~shard_match
     ~drain () =
-  let { domains; shards; axis; steal; capacity } = config in
+  let { domains; shards; axis } = config in
   if domains <= 0 then invalid_arg "Parallel.run: domains <= 0";
   if shards <= 0 then invalid_arg "Parallel.run: shards <= 0";
   let len = Array.length docs in
@@ -78,7 +77,7 @@ let run config ?(obs = Obs.default) ~docs ~kill ~url_of ~worker ~shard_match
           ())
   in
   let results : 'r result_msg Bus.t =
-    Bus.create ~capacity:(max capacity 256) ~obs ~name:"results" ()
+    Bus.create ~capacity:256 ~obs ~name:"results" ()
   in
   let steal_ops = Pad.create shards in
   let steal_items = Pad.create shards in
@@ -112,7 +111,7 @@ let run config ?(obs = Obs.default) ~docs ~kill ~url_of ~worker ~shard_match
                   | None -> ()
                   | Some (alert : Mqp.alert) -> (
                       match axis with
-                      | Distributed.Split_documents ->
+                      | Partition.By_documents ->
                           let dest =
                             Partition.slot_of_url ~partitions:shards
                               alert.Mqp.url
@@ -120,7 +119,7 @@ let run config ?(obs = Obs.default) ~docs ~kill ~url_of ~worker ~shard_match
                           Bus.push shard_inboxes.(dest)
                             { s_idx = idx; s_slot = dest; s_alert = alert;
                               s_kill = kill.(idx) }
-                      | Distributed.Split_subscriptions ->
+                      | Partition.By_subscriptions ->
                           (* Broadcast; the kill flag rides exactly one
                              copy so a fault draw costs one death. *)
                           for dest = 0 to shards - 1 do
@@ -136,17 +135,15 @@ let run config ?(obs = Obs.default) ~docs ~kill ~url_of ~worker ~shard_match
   in
   (* Shard workers.  [pending] holds locally dequeued items (a stolen
      batch); a death therefore carries the whole remainder back to the
-     supervisor, so stolen work is never lost.  With stealing on, a
-     worker never blocks on its own inbox: it polls, robs the longest
-     sibling when idle, and exits only once every shard inbox is
-     closed and empty (the tail-steal phase — late skew drains onto
-     whichever workers are still hungry). *)
+     supervisor, so stolen work is never lost.  A worker never blocks
+     on its own inbox: it polls, robs the longest sibling when idle,
+     and exits only once every shard inbox is closed and empty (the
+     tail-steal phase — late skew drains onto whichever workers are
+     still hungry). *)
   let spawn_shard slot ~carried =
     Domain.spawn (fun () ->
         let process item =
-          let t0 = Obs.now () in
-          let matched = shard_match ~slot ~dest:item.s_slot item.s_alert in
-          let latency = Obs.now () -. t0 in
+          let matched, latency = shard_match ~dest:item.s_slot item.s_alert in
           Bus.push results (Matched (item.s_idx, matched, latency))
         in
         let steal_once () =
@@ -187,23 +184,18 @@ let run config ?(obs = Obs.default) ~docs ~kill ~url_of ~worker ~shard_match
           | [] -> (
               match Bus.try_pop shard_inboxes.(slot) with
               | Some item -> loop [ item ]
-              | None ->
-                  if not steal then (
-                    match Bus.pop shard_inboxes.(slot) with
-                    | Some item -> loop [ item ]
-                    | None -> ())
-                  else
-                    match steal_once () with
-                    | _ :: _ as stolen -> loop stolen
-                    | [] ->
-                        if Array.for_all Bus.drained shard_inboxes then ()
-                        else begin
-                          (* Nothing to do anywhere yet: brief sleep
-                             rather than a hot spin, so single-core
-                             hosts still make progress elsewhere. *)
-                          Unix.sleepf 2e-5;
-                          loop []
-                        end)
+              | None -> (
+                  match steal_once () with
+                  | _ :: _ as stolen -> loop stolen
+                  | [] ->
+                      if Array.for_all Bus.drained shard_inboxes then ()
+                      else begin
+                        (* Nothing to do anywhere yet: brief sleep
+                           rather than a hot spin, so single-core
+                           hosts still make progress elsewhere. *)
+                        Unix.sleepf 2e-5;
+                        loop []
+                      end))
         in
         loop carried)
   in
@@ -219,9 +211,8 @@ let run config ?(obs = Obs.default) ~docs ~kill ~url_of ~worker ~shard_match
         { c_outcome = None; c_has_alert = false; c_partials = [];
           c_partial_count = 0; c_latency = 0. })
   in
-  let needed = match axis with
-    | Distributed.Split_documents -> 1
-    | Distributed.Split_subscriptions -> shards
+  let needed =
+    match axis with Partition.By_documents -> 1 | Partition.By_subscriptions -> shards
   in
   let complete c =
     c.c_outcome <> None && ((not c.c_has_alert) || c.c_partial_count >= needed)

@@ -14,12 +14,14 @@
                                                journal/report, in order
     v}
 
-    Both of the paper's §4.2 distribution axes apply to the shard
-    stage: [Split_documents] routes each alert to one shard (every
-    shard holds the full subscription set), [Split_subscriptions]
-    broadcasts each alert to all shards and the drainer merges the
-    partial matches.  Documents route to loaders by URL hash, so one
-    URL's version chain is always built in order by one worker.
+    Both of the paper's §4.2 distribution axes
+    ({!Xy_core.Partition.axis}) apply to the shard stage:
+    [By_documents] routes each alert to one shard (every shard holds
+    the full subscription set), [By_subscriptions] broadcasts each
+    alert to all shards and the drainer merges the partial matches.
+    Idle shards steal half of the longest sibling inbox.  Documents
+    route to loaders by URL hash, so one URL's version chain is always
+    built in order by one worker.
 
     The drainer is the single owner of all serial state (journal,
     reporter, trigger): results apply strictly in batch order, so a
@@ -28,9 +30,7 @@
 type config = {
   domains : int;  (** loader workers (the crawl/warehouse stage) *)
   shards : int;  (** monitoring-query-processor shards *)
-  axis : Distributed.axis;
-  steal : bool;  (** idle shards steal half the longest sibling inbox *)
-  capacity : int;  (** per-stage bus capacity (backpressure) *)
+  axis : Xy_core.Partition.axis;
 }
 
 (** [domains = 1]: callers treat a single domain as "stay serial". *)
@@ -56,12 +56,12 @@ type stats = {
       raise, and must touch only per-slot or internally synchronized
       state.  Returns the outcome handed to [drain] plus the alert to
       match, if any.
-    - [shard_match ~slot ~dest alert] runs on shard domain [slot];
-      [dest] is the shard the alert was routed to, which differs from
-      [slot] when the work was stolen.  Subscription-axis callers must
-      select the [dest] subset; document-axis callers use [slot]'s
-      (interchangeable) matcher so stealing stays safe even for
-      matchers that are not concurrent-read-safe.
+    - [shard_match ~dest alert] runs on any shard domain and returns
+      the match list and its latency; [dest] is the shard the alert
+      was routed to, which differs from the running shard when the
+      work was stolen.  Subscription-axis callers must select the
+      [dest] subset.  Several shards call it at once, so the matchers
+      it reads must be safe for concurrent readers.
     - [drain idx outcome matched] runs on the caller's domain, in
       strictly increasing [idx] order; [matched] is the merged match
       list and summed match latency when the document alerted.  If it
@@ -79,7 +79,7 @@ val run :
   kill:bool array ->
   url_of:('d -> string) ->
   worker:(slot:int -> 'd -> 'r * Xy_core.Mqp.alert option) ->
-  shard_match:(slot:int -> dest:int -> Xy_core.Mqp.alert -> int list) ->
+  shard_match:(dest:int -> Xy_core.Mqp.alert -> int list * float) ->
   drain:(int -> 'r -> (int list * float) option -> unit) ->
   unit ->
   stats

@@ -14,10 +14,10 @@ let monotonic =
   fun () -> ratchet (Unix.gettimeofday ())
 
 (* [Obs.set_timer]/[Trace.set_timer] mutate process-global state;
-   installing them from every [Distributed.run] or system [make] was a
+   installing them from every [Parallel.run] or system [make] was a
    data race against concurrently running pipelines.  One atomic flag
    makes installation happen exactly once per process, no matter how
-   many systems or distributed runs start. *)
+   many systems or parallel runs start. *)
 let installed = Atomic.make false
 
 let install_timers () =

@@ -4,7 +4,7 @@
     wants wall time, monotonic under NTP steps.  Both [set_timer]
     calls mutate process-global state, so installation lives here and
     runs exactly once per process — every entry point
-    ({!Xyleme.create}, {!Distributed.run}, benches) calls
+    ({!Xyleme.create}, {!Parallel.run}, benches) calls
     {!install_timers} idempotently instead of re-installing. *)
 
 (** Wall-clock seconds, ratcheted so it never retreats (CAS on the

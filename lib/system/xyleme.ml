@@ -8,6 +8,7 @@ module Store = Xy_warehouse.Store
 module Chain = Xy_alerters.Chain
 module Alert = Xy_alerters.Alert
 module Mqp = Xy_core.Mqp
+module Partition = Xy_core.Partition
 module Manager = Xy_submgr.Manager
 module Obs = Xy_obs.Obs
 module Trace = Xy_trace.Trace
@@ -19,9 +20,9 @@ module Sink = Xy_reporter.Sink
 module Slo = Xy_slo.Slo
 module Serve = Xy_serve.Serve
 
-(* The never-retreating wall timer now lives in {!Wall} (it is
-   process-global, shared with [Distributed] and [Parallel]); the
-   alias keeps this module's historical surface. *)
+(* The never-retreating wall timer lives in {!Wall} (it is
+   process-global, shared with [Parallel]); the alias keeps this
+   module's historical surface. *)
 let monotonic_wall = Wall.monotonic
 
 (* The background maintenance task in flight, advanced a bounded
@@ -39,12 +40,9 @@ type maintenance_task =
    short-lived domains collide on a stripe). *)
 type worker_ctx = { wc_obs : Obs.t; wc_loader : Loader.t; wc_chain : Chain.t }
 
-(* Derived per-shard matchers (subscription-axis subsets, or full
-   replicas for the one algorithm whose matcher is not
-   concurrent-read-safe), cached across batches and invalidated by the
-   MQP's subscribe/unsubscribe epoch. *)
+(* Subscription-axis shard subsets, cached across batches and
+   invalidated by the MQP's subscribe/unsubscribe epoch. *)
 type shard_cache = {
-  sc_axis : Distributed.axis;
   sc_shards : int;
   sc_epoch : int;
   sc_mqps : Mqp.t array;
@@ -517,8 +515,18 @@ let durable_config ?sync_every ?segment_bytes () =
     segment_bytes = Option.value ~default:d.Durable.segment_bytes segment_bytes;
   }
 
+(* The counting matcher writes its per-call counters into the
+   structure, so it cannot match on several domains at once. *)
+let check_parallel ?(algorithm = Mqp.Use_aes)
+    ?(parallel = Parallel.default_config) () =
+  if algorithm = Mqp.Use_counting && parallel.Parallel.domains > 1 then
+    invalid_arg "the counting matcher runs serially only (parallel domains > 1)"
+
 let parallel_config t = t.parallel
-let set_parallel t config = t.parallel <- config
+
+let set_parallel t config =
+  check_parallel ~algorithm:t.algorithm ~parallel:config ();
+  t.parallel <- config
 
 let obs t = t.obs
 let tracer t = t.tracer
@@ -628,6 +636,7 @@ let stop_serve ?drain t = Option.iter (Serve.stop ?drain) !(t.serve_cell)
 let create ?seed ?algorithm ?policy ?persist_path ?sink ?web ?obs ?tracer
     ?self_monitor_period ?fault_plan ?retry ?slos ?parallel ?serve_port
     ?serve_config ?durable_dir ?sync_every ?segment_bytes () =
+  check_parallel ?algorithm ?parallel ();
   let serve_config =
     match (serve_config, serve_port) with
     | (Some _ as c), _ -> c
@@ -672,79 +681,21 @@ let kind_of_tag = function
   | 2 -> Loader.Auto
   | n -> raise (Codec.Malformed (Printf.sprintf "unknown content kind %d" n))
 
-let ingest ?trace ?birth t ~url ~content ~kind =
-  Obs.Counter.incr t.m_ingested;
-  Obs.Histogram.time t.m_ingest_latency @@ fun () ->
-  let result =
-    Trace.wrap trace ~stage:"warehouse" ~name:"load" @@ fun () ->
-    Loader.load t.loader ~url ~content ~kind
-  in
-  (* Journal the load before the alerter chain runs: replay re-applies
-     it through the Loader alone — notifications and reports are
-     replayed from their own journaled ops, never re-derived, so a
-     restore cannot double-notify. *)
-  journal_op t ~stage:"warehouse" (fun buf ->
-      Codec.string buf "L";
-      Codec.string buf url;
-      Codec.int buf (kind_tag kind);
-      Codec.string buf content;
-      Codec.float buf (Xy_util.Clock.now t.clock));
-  match Chain.process ?trace t.chain ~result ~content with
-  | None -> { status = result.Loader.status; alerted = false; matched = [] }
-  | Some alert ->
-      t.alerts_sent <- t.alerts_sent + 1;
-      let matched =
-        Mqp.process t.mqp
-          {
-            Mqp.url = alert.Alert.url;
-            events = alert.Alert.events;
-            payload = Alert.payload_string alert;
-            trace;
-            birth;
-          }
-      in
-      journal_counters t;
-      if matched <> [] then
-        Log.debug (fun m ->
-            m "%s matched %d complex event(s)" url (List.length matched));
-      { status = result.Loader.status; alerted = true; matched }
-
-let ingest_missing ?trace t ~url =
-  let tree =
-    Option.bind (Store.find t.store url) (fun entry -> entry.Store.tree)
-  in
-  match Loader.delete t.loader ~url with
-  | None -> ()
-  | Some meta -> (
-      journal_op t ~stage:"warehouse" (fun buf ->
-          Codec.string buf "X";
-          Codec.string buf url;
-          Codec.float buf (Xy_util.Clock.now t.clock));
-      match Chain.process_deleted ?trace t.chain ~meta ~tree with
-      | None -> ()
-      | Some alert ->
-          t.alerts_sent <- t.alerts_sent + 1;
-          ignore
-            (Mqp.process t.mqp
-               {
-                 Mqp.url = alert.Alert.url;
-                 events = alert.Alert.events;
-                 payload = Alert.payload_string alert;
-                 trace;
-                 birth = None;
-               });
-          journal_counters t)
-
 (* ------------------------------------------------------------------ *)
-(* Batch ingestion: the sharded crawl → match → report pipeline.
+(* The per-document path.  Every document, whether it comes through
+   [ingest], [ingest_missing], the serial batch loop or the parallel
+   engine, takes the same two steps around its match:
 
-   One crawl step's fetches are processed as a batch.  With
-   [parallel.domains <= 1] the batch runs through the historical
-   serial loop; otherwise it fans out over {!Parallel}: loader domains
-   parse/warehouse/diff/detect, MQP shards match, and this domain —
-   the single owner of journal, reporter and trigger state — drains
-   the results strictly in batch order, so both modes emit the same
-   notifications in the same order and journal the same ops. *)
+   - [load_doc]: [Loader.load] (or [Loader.delete] for a page that
+     disappeared), then the alerter chain.  It touches only the
+     (internally locked) store and the loader and chain it is handed,
+     so it runs on the system's own pair or on a loader domain's.
+   - [apply_doc]: every effect on serial state (the warehouse journal
+     op, the [system] counters, quarantine, MQP dispatch, the
+     crawler's [conclude]), on the system's own domain.
+
+   The match in between ([Mqp.match_alert]) runs inline or on a shard
+   domain. *)
 
 type batch_doc = {
   bd_url : string;
@@ -754,12 +705,140 @@ type batch_doc = {
   bd_birth : float option;
 }
 
-(* What a loader domain hands to the drainer, alongside the alert the
-   engine routes to the shards. *)
-type batch_outcome =
-  | B_loaded of Loader.status * Mqp.alert option * float  (** load span *)
-  | B_quarantined of string
-  | B_missing of bool * Mqp.alert option  (** was warehoused? *)
+type loaded =
+  | Loaded of Loader.status * Mqp.alert option
+  | Deleted of Mqp.alert option  (** a warehoused page disappeared *)
+  | Absent  (** a page disappeared that was never warehoused *)
+  | Quarantined of string  (** the loader rejected the content *)
+
+let alert_of = function
+  | Loaded (_, alert) | Deleted alert -> alert
+  | Absent | Quarantined _ -> None
+
+let mqp_alert_of (alert : Alert.t) ~trace ~birth =
+  {
+    Mqp.url = alert.Alert.url;
+    events = alert.Alert.events;
+    payload = Alert.payload_string alert;
+    trace;
+    birth;
+  }
+
+(* Also returns the seconds spent loading and detecting.  Never raises
+   [Loader.Rejected]: a rejection is the [Quarantined] outcome. *)
+let load_doc t ~loader ~chain d =
+  let t0 = Obs.now () in
+  let loaded =
+    match d.bd_content with
+    | None -> (
+        let tree =
+          Option.bind (Store.find t.store d.bd_url) (fun e -> e.Store.tree)
+        in
+        match Loader.delete loader ~url:d.bd_url with
+        | None -> Absent
+        | Some meta ->
+            Deleted
+              (Option.map
+                 (mqp_alert_of ~trace:d.bd_trace ~birth:None)
+                 (Chain.process_deleted ?trace:d.bd_trace chain ~meta ~tree)))
+    | Some content -> (
+        match
+          Trace.wrap d.bd_trace ~stage:"warehouse" ~name:"load" @@ fun () ->
+          Loader.load loader ~url:d.bd_url ~content ~kind:d.bd_kind
+        with
+        | exception Loader.Rejected reason -> Quarantined reason
+        | result ->
+            Loaded
+              ( result.Loader.status,
+                Option.map
+                  (mqp_alert_of ~trace:d.bd_trace ~birth:d.bd_birth)
+                  (Chain.process ?trace:d.bd_trace chain ~result ~content) ))
+  in
+  (loaded, Obs.now () -. t0)
+
+(* [matched] is the match and its latency when [loaded] carries an
+   alert.  The load op is journaled before the dispatch's reporter
+   ops: replay re-applies it through the Loader alone, and
+   notifications and reports replay from their own journaled ops,
+   never re-derived, so a restore cannot double-notify. *)
+let apply_doc t ~conclude d loaded ~busy matched =
+  let dispatch alert =
+    match (alert, matched) with
+    | Some alert, Some (ids, latency) ->
+        t.alerts_sent <- t.alerts_sent + 1;
+        ignore (Mqp.dispatch_matched t.mqp alert ~matched:ids ~latency);
+        journal_counters t;
+        if ids <> [] then
+          Log.debug (fun m ->
+              m "%s matched %d complex event(s)" d.bd_url (List.length ids))
+    | _ -> ()
+  in
+  let conclude_fetch ~changed =
+    if conclude then Xy_crawler.Crawler.conclude t.crawler ~url:d.bd_url ~changed
+  in
+  match loaded with
+  | Absent -> ()
+  | Deleted alert ->
+      journal_op t ~stage:"warehouse" (fun buf ->
+          Codec.string buf "X";
+          Codec.string buf d.bd_url;
+          Codec.float buf (Xy_util.Clock.now t.clock));
+      dispatch alert
+  | Quarantined reason ->
+      (* Unparseable documents are quarantined, not fatal: the
+         rejection is counted, logged and the crawl goes on, so a
+         corrupted page cannot take the pipeline down. *)
+      Obs.Counter.incr t.m_quarantined;
+      Log.warn (fun m -> m "quarantined %s: %s" d.bd_url reason);
+      conclude_fetch ~changed:true
+  | Loaded (status, alert) ->
+      Obs.Counter.incr t.m_ingested;
+      Obs.Histogram.observe t.m_ingest_latency
+        (busy +. match matched with Some (_, latency) -> latency | None -> 0.);
+      journal_op t ~stage:"warehouse" (fun buf ->
+          Codec.string buf "L";
+          Codec.string buf d.bd_url;
+          Codec.int buf (kind_tag d.bd_kind);
+          Codec.string buf (Option.get d.bd_content);
+          Codec.float buf (Xy_util.Clock.now t.clock));
+      dispatch alert;
+      conclude_fetch ~changed:(status <> Loader.Unchanged)
+
+(* One document on the system's own loader, chain and matcher. *)
+let ingest_doc t ~conclude d =
+  let loaded, busy = load_doc t ~loader:t.loader ~chain:t.chain d in
+  let matched = Option.map (Mqp.match_alert t.mqp) (alert_of loaded) in
+  apply_doc t ~conclude d loaded ~busy matched;
+  (loaded, matched)
+
+let ingest ?trace ?birth t ~url ~content ~kind =
+  match
+    ingest_doc t ~conclude:false
+      { bd_url = url; bd_content = Some content; bd_kind = kind;
+        bd_trace = trace; bd_birth = birth }
+  with
+  | Loaded (status, alert), matched ->
+      { status; alerted = alert <> None;
+        matched = Option.fold ~none:[] ~some:fst matched }
+  | Quarantined reason, _ -> raise (Loader.Rejected reason)
+  | (Deleted _ | Absent), _ -> assert false (* the page has content *)
+
+let ingest_missing ?trace t ~url =
+  ignore
+    (ingest_doc t ~conclude:false
+       { bd_url = url; bd_content = None; bd_kind = Loader.Auto;
+         bd_trace = trace; bd_birth = None })
+
+(* ------------------------------------------------------------------ *)
+(* Batch ingestion: the sharded crawl → match → report pipeline.
+
+   One crawl step's fetches are processed as a batch.  With
+   [parallel.domains <= 1] the batch runs through [ingest_doc] one
+   document at a time; otherwise it fans out over {!Parallel}: loader
+   domains run [load_doc], MQP shards match, and this domain — the
+   single owner of journal, reporter and trigger state — runs
+   [apply_doc] strictly in batch order, so both modes emit the same
+   notifications in the same order and journal the same ops. *)
 
 let worker_ctxs t ~domains =
   if Array.length t.worker_ctxs <> domains then
@@ -779,40 +858,27 @@ let worker_ctxs t ~domains =
           });
   t.worker_ctxs
 
-(* Derived per-shard matchers, cached until the subscription set
-   changes.  [Split_subscriptions]: each shard holds its id-modulo
-   subset.  [Split_documents] normally shares [t.mqp] read-only across
-   shard domains and needs nothing here; the counting algorithm is the
-   exception (its match scratch lives in the structure), so it gets a
-   full replica per shard — which also keeps work stealing valid,
-   replicas being interchangeable. *)
-let derived_shard_mqps t ~axis ~shards =
+(* The subscription axis's per-shard subsets (id modulo the shard
+   count), cached until the shard count or the subscription set
+   changes. *)
+let subscription_subsets t ~shards =
   let epoch = Mqp.mutations t.mqp in
   match t.shard_cache with
-  | Some c when c.sc_axis = axis && c.sc_shards = shards && c.sc_epoch = epoch
-    ->
-      c.sc_mqps
+  | Some c when c.sc_shards = shards && c.sc_epoch = epoch -> c.sc_mqps
   | _ ->
-      (* Scratch registry: shard-replica instruments must not shadow
-         the real processor's metrics. *)
+      (* Scratch registry: subset instruments must not shadow the real
+         processor's metrics. *)
       let scratch = Obs.create () in
       let mqps =
-        Array.init shards (fun slot ->
-            let m = Mqp.create ~algorithm:t.algorithm ~obs:scratch () in
-            Mqp.iter_complex t.mqp (fun ~id events ->
-                match axis with
-                | Distributed.Split_documents -> Mqp.subscribe m ~id events
-                | Distributed.Split_subscriptions ->
-                    if
-                      Xy_core.Partition.slot_of_subscription ~partitions:shards
-                        id
-                      = slot
-                    then Mqp.subscribe m ~id events);
-            Mqp.freeze m;
-            m)
+        Array.init shards (fun _ ->
+            Mqp.create ~algorithm:t.algorithm ~obs:scratch ())
       in
-      t.shard_cache <-
-        Some { sc_axis = axis; sc_shards = shards; sc_epoch = epoch; sc_mqps = mqps };
+      Mqp.iter_complex t.mqp (fun ~id events ->
+          Mqp.subscribe
+            mqps.(Partition.slot_of_subscription ~partitions:shards id)
+            ~id events);
+      Array.iter Mqp.freeze mqps;
+      t.shard_cache <- Some { sc_shards = shards; sc_epoch = epoch; sc_mqps = mqps };
       mqps
 
 (* Fold a worker's private registry into the system one: counters add,
@@ -844,45 +910,9 @@ let absorb_worker_obs t ctxs =
       Obs.reset ctx.wc_obs)
     ctxs
 
-let mqp_alert_of (alert : Alert.t) ~trace ~birth =
-  {
-    Mqp.url = alert.Alert.url;
-    events = alert.Alert.events;
-    payload = Alert.payload_string alert;
-    trace;
-    birth;
-  }
-
-(* The serial member of the pair: byte-for-byte the historical
-   [crawl_step] per-document body. *)
-let process_one_serial t ~conclude d =
-  crash_point t ("ingest:" ^ d.bd_url);
-  (match d.bd_content with
-  | None -> ingest_missing ?trace:d.bd_trace t ~url:d.bd_url
-  | Some content ->
-      (* Unparseable documents are quarantined, not fatal: the
-         rejection is counted, logged and the crawl goes on, so a
-         corrupted page cannot take the pipeline down. *)
-      let outcome =
-        match
-          ingest ?trace:d.bd_trace ?birth:d.bd_birth t ~url:d.bd_url ~content
-            ~kind:d.bd_kind
-        with
-        | outcome -> Some outcome
-        | exception Loader.Rejected reason ->
-            Obs.Counter.incr t.m_quarantined;
-            Log.warn (fun m -> m "quarantined %s: %s" d.bd_url reason);
-            None
-      in
-      let changed =
-        match outcome with
-        | Some { status = Loader.Unchanged; _ } -> false
-        | Some _ | None -> true
-      in
-      if conclude then
-        Xy_crawler.Crawler.conclude t.crawler ~url:d.bd_url ~changed);
-  (* The document's synchronous journey ends here; reports held
-     back by buffering fire from [tick] without attribution. *)
+(* A document's synchronous journey ends with its transaction; reports
+   held back by buffering fire from [tick] without attribution. *)
+let finish_doc t d =
   Option.iter Trace.finish d.bd_trace;
   commit_txn t
 
@@ -905,7 +935,12 @@ let process_batch t ~conclude docs =
   commit_txn t;
   let config = t.parallel in
   if config.Parallel.domains <= 1 || docs = [] then
-    List.iter (process_one_serial t ~conclude) docs
+    List.iter
+      (fun d ->
+        crash_point t ("ingest:" ^ d.bd_url);
+        ignore (ingest_doc t ~conclude d);
+        finish_doc t d)
+      docs
   else begin
     let docs = Array.of_list docs in
     (* Worker-death draws happen here, serially: [Fault.fire] counts
@@ -913,117 +948,27 @@ let process_batch t ~conclude docs =
        The kill flag rides the doc's shard message instead. *)
     let kill = Array.map (fun _ -> Fault.fire t.faults "worker") docs in
     let ctxs = worker_ctxs t ~domains:config.Parallel.domains in
-    let counting = t.algorithm = Mqp.Use_counting in
-    let shard_match, steal_ok =
+    let shard_match =
       match config.Parallel.axis with
-      | Distributed.Split_documents when not counting ->
-          (* one frozen structure, read-only from every shard domain *)
-          ( (fun ~slot:_ ~dest:_ (a : Mqp.alert) ->
-              Mqp.match_readonly t.mqp a.Mqp.events),
-            true )
-      | Distributed.Split_documents ->
-          let replicas =
-            derived_shard_mqps t ~axis:Distributed.Split_documents
-              ~shards:config.Parallel.shards
-          in
-          ( (fun ~slot ~dest:_ (a : Mqp.alert) ->
-              Mqp.match_readonly replicas.(slot) a.Mqp.events),
-            true )
-      | Distributed.Split_subscriptions ->
-          let subsets =
-            derived_shard_mqps t ~axis:Distributed.Split_subscriptions
-              ~shards:config.Parallel.shards
-          in
-          (* The subset identity travels with the message ([dest]), so
-             stolen work still matches the right subscriptions — but a
-             thief then reads the victim's structure concurrently,
-             which the counting matcher cannot tolerate. *)
-          ( (fun ~slot:_ ~dest (a : Mqp.alert) ->
-              Mqp.match_readonly subsets.(dest) a.Mqp.events),
-            not counting )
-    in
-    let config =
-      { config with Parallel.steal = config.Parallel.steal && steal_ok }
+      | Partition.By_documents ->
+          (* one structure, read-only from every shard domain *)
+          fun ~dest:_ alert -> Mqp.match_alert t.mqp alert
+      | Partition.By_subscriptions ->
+          (* the subset identity travels with the message ([dest]), so
+             stolen work still matches the right subscriptions *)
+          let subsets = subscription_subsets t ~shards:config.Parallel.shards in
+          fun ~dest alert -> Mqp.match_alert subsets.(dest) alert
     in
     let worker ~slot d =
       let ctx = ctxs.(slot) in
-      match d.bd_content with
-      | None -> (
-          let tree =
-            Option.bind (Store.find t.store d.bd_url) (fun e -> e.Store.tree)
-          in
-          match Loader.delete ctx.wc_loader ~url:d.bd_url with
-          | None -> (B_missing (false, None), None)
-          | Some meta ->
-              let alert =
-                Option.map
-                  (mqp_alert_of ~trace:d.bd_trace ~birth:None)
-                  (Chain.process_deleted ?trace:d.bd_trace ctx.wc_chain ~meta
-                     ~tree)
-              in
-              (B_missing (true, alert), alert))
-      | Some content -> (
-          let t0 = Obs.now () in
-          match
-            Trace.wrap d.bd_trace ~stage:"warehouse" ~name:"load" @@ fun () ->
-            Loader.load ctx.wc_loader ~url:d.bd_url ~content ~kind:d.bd_kind
-          with
-          | exception Loader.Rejected reason -> (B_quarantined reason, None)
-          | result ->
-              let alert =
-                Option.map
-                  (mqp_alert_of ~trace:d.bd_trace ~birth:d.bd_birth)
-                  (Chain.process ?trace:d.bd_trace ctx.wc_chain ~result
-                     ~content)
-              in
-              ( B_loaded (result.Loader.status, alert, Obs.now () -. t0),
-                alert ))
+      let loaded, busy = load_doc t ~loader:ctx.wc_loader ~chain:ctx.wc_chain d in
+      ((loaded, busy), alert_of loaded)
     in
-    (* Drainer: mirrors [process_one_serial]'s per-document effects —
-       same journal ops, same counters, same listener dispatch — just
-       with the load and the match already done elsewhere. *)
-    let dispatch alert matched =
-      match (alert, matched) with
-      | Some alert, Some (ids, latency) ->
-          t.alerts_sent <- t.alerts_sent + 1;
-          ignore (Mqp.dispatch_matched t.mqp alert ~matched:ids ~latency);
-          journal_counters t
-      | _ -> ()
-    in
-    let drain idx outcome matched =
+    let drain idx (loaded, busy) matched =
       let d = docs.(idx) in
       crash_point t ("ingest:" ^ d.bd_url);
-      (match outcome with
-      | B_missing (deleted, alert) ->
-          if deleted then begin
-            journal_op t ~stage:"warehouse" (fun buf ->
-                Codec.string buf "X";
-                Codec.string buf d.bd_url;
-                Codec.float buf (Xy_util.Clock.now t.clock));
-            dispatch alert matched
-          end
-      | B_quarantined reason ->
-          Obs.Counter.incr t.m_quarantined;
-          Log.warn (fun m -> m "quarantined %s: %s" d.bd_url reason);
-          if conclude then
-            Xy_crawler.Crawler.conclude t.crawler ~url:d.bd_url ~changed:true
-      | B_loaded (status, alert, span) ->
-          Obs.Counter.incr t.m_ingested;
-          Obs.Histogram.observe t.m_ingest_latency
-            (span
-            +. match matched with Some (_, latency) -> latency | None -> 0.);
-          journal_op t ~stage:"warehouse" (fun buf ->
-              Codec.string buf "L";
-              Codec.string buf d.bd_url;
-              Codec.int buf (kind_tag d.bd_kind);
-              Codec.string buf (Option.get d.bd_content);
-              Codec.float buf (Xy_util.Clock.now t.clock));
-          dispatch alert matched;
-          if conclude then
-            Xy_crawler.Crawler.conclude t.crawler ~url:d.bd_url
-              ~changed:(status <> Loader.Unchanged));
-      Option.iter Trace.finish d.bd_trace;
-      commit_txn t
+      apply_doc t ~conclude d loaded ~busy matched;
+      finish_doc t d
     in
     let finish_batch () = absorb_worker_obs t ctxs in
     match
@@ -1387,6 +1332,7 @@ type restore_info = {
 let restore ?seed ?algorithm ?policy ?sink ?web ?obs ?tracer
     ?self_monitor_period ?fault_plan ?retry ?slos ?parallel ?serve_port
     ?serve_config ?sync_every ?segment_bytes ~dir () =
+  check_parallel ?algorithm ?parallel ();
   let serve_config =
     match (serve_config, serve_port) with
     | (Some _ as c), _ -> c

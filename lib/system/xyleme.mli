@@ -59,11 +59,13 @@ val monotonic_wall : unit -> float
     [parallel] selects the sharded crawl → match → report pipeline
     ({!Parallel}): with [domains > 1], each crawl step's fetches fan
     out over that many loader domains and [shards] MQP shards along
-    the chosen §4.2 [axis], with work stealing between skewed shards
-    ([steal]) and per-stage backpressure ([capacity]).  The default
-    ({!Parallel.default_config}) stays serial.  Either way the
-    observable behaviour is identical — notifications, reports and
-    journal ops come out in the serial order.
+    the chosen §4.2 [axis], with work stealing between skewed shards.
+    The default ({!Parallel.default_config}) stays serial.  Either way
+    the observable behaviour is identical — notifications, reports and
+    journal ops come out in the serial order.  Only matchers that are
+    read-only while matching run on several domains: [create] raises
+    [Invalid_argument] for {!Xy_core.Mqp.Use_counting} with
+    [domains > 1].
 
     [sync_every] sets the WAL group-commit batch size (transactions
     per fsync, default 32; [1] syncs every commit) and
@@ -101,7 +103,9 @@ val create :
   t
 
 (** [parallel_config t] is the pipeline configuration in force;
-    [set_parallel] replaces it (takes effect at the next batch). *)
+    [set_parallel] replaces it (takes effect at the next batch), and
+    raises [Invalid_argument], keeping the old one, for a counting
+    system at [domains > 1]. *)
 val parallel_config : t -> Parallel.config
 
 val set_parallel : t -> Parallel.config -> unit
@@ -218,7 +222,12 @@ type ingest_outcome = {
     the oldest change this content carries
     ({!Xy_crawler.Crawler.fetch.birth}): it rides the alert to the
     reporter, which records the end-to-end notification lag when the
-    resulting report fires. *)
+    resulting report fires.
+
+    An unparseable page raises {!Xy_warehouse.Loader.Rejected}: it is
+    counted under [fault/quarantined] and logged, not counted under
+    [system/ingested].  [system/ingest_latency] samples the load,
+    detection and match time of each ingested page. *)
 val ingest :
   ?trace:Xy_trace.Trace.ctx ->
   ?birth:float ->
@@ -356,8 +365,9 @@ type restore_info = {
     committed transactions, re-arms in-flight fetches, checkpoints
     into a fresh generation, and re-delivers unacked reports.  The
     configuration arguments must match the original [create] call
-    (they are not persisted).  [Error _] when [dir] holds no durable
-    run or its state is damaged beyond the WAL's torn tail. *)
+    (they are not persisted) and are checked as [create] checks them.
+    [Error _] when [dir] holds no durable run or its state is damaged
+    beyond the WAL's torn tail. *)
 val restore :
   ?seed:int ->
   ?algorithm:Xy_core.Mqp.algorithm ->

@@ -6,8 +6,8 @@
     fetch time; the context propagates with the document through
     crawler → loader → alerters → MQP → trigger engine → reporter,
     and rides messages across {!Xy_system.Bus} queues and the
-    distributed runner, so cross-domain queue wait is attributed to a
-    [bus.wait] span of the same trace.
+    parallel pipeline's domains, so cross-domain queue wait is
+    attributed to a [bus.wait] span of the same trace.
 
     Sampling is deterministic (1-in-N via {!Xy_util.Prng}), so a
     simulation replayed from the same seed samples the same documents.

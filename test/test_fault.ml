@@ -1,13 +1,12 @@
 (* Tests for the fault-injection substrate and the pipeline's recovery
    behaviour: spec parsing, per-point deterministic schedules, crawler
    retry/backoff, persist crash recovery (exhaustive truncation +
-   corruption), bus drop/stall, distributed worker respawn, and
-   end-to-end determinism of faulted runs. *)
+   corruption), bus drop/stall, worker respawn in the multi-domain
+   engine, and end-to-end determinism of faulted runs. *)
 
 module Fault = Xy_fault.Fault
 module Persist = Xy_submgr.Persist
 module Bus = Xy_system.Bus
-module Distributed = Xy_system.Distributed
 module Xyleme = Xy_system.Xyleme
 module Queue = Xy_crawler.Fetch_queue
 module Crawler = Xy_crawler.Crawler
@@ -17,9 +16,11 @@ module Obs = Xy_obs.Obs
 module Sink = Xy_reporter.Sink
 module Printer = Xy_xml.Printer
 module Parser = Xy_xml.Parser
-module Workload = Xy_core.Workload
-module Mqp = Xy_core.Mqp
 module Manager = Xy_submgr.Manager
+module Parallel = Xy_system.Parallel
+module Partition = Xy_core.Partition
+module Loader = Xy_warehouse.Loader
+module Mqp = Xy_core.Mqp
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -513,55 +514,89 @@ let test_bus_stall_delays_not_loses () =
   checki "every push stalled" 3 (Fault.injected faults "bus_stall")
 
 (* ------------------------------------------------------------------ *)
-(* Distributed worker respawn *)
+(* Worker respawn in the multi-domain engine *)
 
-let make_distributed_workload () =
-  let workload = { Workload.card_a = 300; card_c = 400; b = 3; s = 20 } in
-  let subscriptions =
-    Array.to_list
-      (Array.mapi
-         (fun id events -> (id, events))
-         (Workload.complex_events workload ~seed:8))
+(* Every page lies under a watched URL prefix, so every ingested page
+   raises an alert and every [worker] draw kills a shard.  Returns the
+   notification multiset (sorted), the pages ingested, the stats, the
+   injection count of the [worker] point and the metrics snapshot. *)
+let respawn_run ?fault_plan () =
+  let sites = 3 in
+  let web = Web.generate ~seed:8 ~sites ~pages_per_site:5 () in
+  let obs = Obs.create () in
+  let xyleme =
+    Xyleme.create ~seed:21 ?fault_plan ~web ~obs
+      ~parallel:
+        { Parallel.domains = 2; shards = 3; axis = Partition.By_documents }
+      ()
   in
-  let alerts =
-    Array.to_list
-      (Array.mapi
-         (fun i events ->
-           {
-             Mqp.url = Printf.sprintf "http://doc%d/" i;
-             events;
-             payload = "";
-             trace = None;
-             birth = None;
-           })
-         (Workload.document_sets workload ~seed:9 ~count:200))
-  in
-  (subscriptions, alerts)
+  for i = 0 to 8 do
+    let text =
+      Printf.sprintf
+        {|subscription R%d
+monitoring
+select <UpdatedPage url=URL/>
+where URL extends "http://site%d.example.org/" and modified self
+report when immediate|}
+        i (i mod sites)
+    in
+    match Xyleme.subscribe xyleme ~owner:(Printf.sprintf "u%d" i) ~text with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail (Manager.error_to_string e)
+  done;
+  let notifs = ref [] in
+  Mqp.on_notify (Xyleme.mqp xyleme) (fun n ->
+      notifs :=
+        Printf.sprintf "%d|%s|%s" n.Mqp.complex_id n.Mqp.url n.Mqp.payload
+        :: !notifs);
+  let ingested = ref 0 in
+  for _round = 1 to 4 do
+    let docs =
+      List.filter_map
+        (fun url ->
+          match Web.fetch web ~url with
+          | Some content ->
+              let kind =
+                match Web.kind_of web ~url with
+                | Some Web.Xml_page -> Loader.Xml
+                | Some Web.Html_page -> Loader.Html
+                | None -> Loader.Auto
+              in
+              Some
+                { Xyleme.bd_url = url; bd_content = Some content;
+                  bd_kind = kind; bd_trace = None; bd_birth = None }
+          | None -> None)
+        (Web.urls web)
+    in
+    ingested := !ingested + List.length docs;
+    Xyleme.ingest_batch xyleme docs;
+    Clock.advance (Xyleme.clock xyleme) 3600.;
+    ignore (Web.evolve web ~elapsed:3600.)
+  done;
+  ( List.sort compare !notifs,
+    !ingested,
+    Xyleme.stats xyleme,
+    Fault.injected (Xyleme.faults xyleme) "worker",
+    Obs.snapshot obs )
 
 let test_distributed_worker_respawn () =
-  let subscriptions, alerts = make_distributed_workload () in
-  let baseline =
-    Distributed.run ~axis:Distributed.Split_documents ~partitions:3
-      ~subscriptions ~alerts ()
+  let base_notifs, _, base_stats, _, _ = respawn_run () in
+  let notifs, ingested, stats, injected, snap =
+    respawn_run ~fault_plan:[ ("worker", 0.15) ] ()
   in
-  let faults =
-    Fault.create ~obs:(Obs.create ()) ~seed:21 [ ("worker", 0.15) ]
+  let fault_counter name =
+    Obs.Snapshot.counter_value snap ~stage:"fault" name
   in
-  let faulted =
-    Distributed.run ~axis:Distributed.Split_documents ~partitions:3 ~faults
-      ~capacity:1024 ~subscriptions ~alerts ()
-  in
-  checkb "workers actually died" true (faulted.Distributed.worker_deaths > 0);
-  checki "every death respawned" faulted.Distributed.worker_deaths
-    faulted.Distributed.worker_respawns;
-  checki "deaths match the injection count"
-    (Fault.injected faults "worker") faulted.Distributed.worker_deaths;
-  checki "no alert lost or duplicated"
-    baseline.Distributed.alerts_processed faulted.Distributed.alerts_processed;
-  Alcotest.(check (list (pair string int)))
-    "notification multiset matches the fault-free run"
-    (List.sort compare baseline.Distributed.notifications)
-    (List.sort compare faulted.Distributed.notifications)
+  let deaths = fault_counter "worker_deaths" in
+  checki "every page raised an alert" ingested stats.Xyleme.alerts_sent;
+  checkb "workers actually died" true (deaths > 0);
+  checki "every death respawned" deaths (fault_counter "worker_respawns");
+  checki "deaths match the injection count" injected deaths;
+  checki "no alert lost or duplicated" base_stats.Xyleme.alerts_sent
+    stats.Xyleme.alerts_sent;
+  checkb "notifications produced at all" true (base_notifs <> []);
+  Alcotest.(check (list string))
+    "notification multiset matches the fault-free run" base_notifs notifs
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end determinism (the tentpole acceptance property) *)

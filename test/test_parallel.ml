@@ -1,13 +1,13 @@
 (* The sharded pipeline must be observationally identical to the
    serial loop: same notification multiset, same stats, same
    per-stage counter totals — on both distribution axes, with and
-   without work stealing and worker-death faults.  Plus unit tests
-   for the work-stealing bus primitives, the padded counters and the
+   without worker-death faults — and a sampled document's trace must
+   stay connected across its domains.  Plus unit tests for the
+   work-stealing bus primitives, the padded counters and the
    idempotent wall-clock installation. *)
 
 module Xyleme = Xy_system.Xyleme
 module Parallel = Xy_system.Parallel
-module Distributed = Xy_system.Distributed
 module Bus = Xy_system.Bus
 module Pad = Xy_system.Pad
 module Wall = Xy_system.Wall
@@ -17,6 +17,7 @@ module Loader = Xy_warehouse.Loader
 module Mqp = Xy_core.Mqp
 module Partition = Xy_core.Partition
 module Obs = Xy_obs.Obs
+module Trace = Xy_trace.Trace
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -50,6 +51,29 @@ let test_bus_steal_half () =
   Bus.push bus 9;
   Alcotest.(check (list int)) "single item not stolen" [] (Bus.steal_half bus);
   checkb "item still there" true (Bus.try_pop bus = Some 9)
+
+(* A stolen message's queue wait lands on its trace, as a popped
+   one's does. *)
+let test_bus_steal_half_traced () =
+  let tracer = Trace.create ~seed:1 () in
+  let bus = Bus.create ~capacity:16 ~obs:(Obs.create ()) ~trace_of:snd () in
+  for i = 1 to 6 do
+    Bus.push bus (i, Some (Trace.start_always tracer ~root:(string_of_int i)))
+  done;
+  let stolen = Bus.steal_half bus in
+  checki "stolen" 3 (List.length stolen);
+  List.iter (fun (_, ctx) -> Option.iter Trace.finish ctx) stolen;
+  let traces = Trace.traces tracer in
+  checki "stolen traces completed" 3 (List.length traces);
+  List.iter
+    (fun tr ->
+      checkb
+        (Printf.sprintf "message %s: bus/wait span" tr.Trace.tr_root)
+        true
+        (List.exists
+           (fun sp -> sp.Trace.sp_stage = "bus" && sp.Trace.sp_name = "wait")
+           tr.Trace.tr_spans))
+    traces
 
 (* ------------------------------------------------------------------ *)
 (* Padded counters *)
@@ -109,16 +133,17 @@ report when count > 5 atmost weekly|}
         site
 
 (* One deterministic workload: a small synthetic web evolved over
-   [rounds] batches through [ingest_batch].  Returns the notification
+   [rounds] batches through [ingest_batch], each batch with one
+   unparseable page the loader quarantines.  Returns the notification
    multiset (sorted), the delivery count, the headline stats and the
    metrics snapshot. *)
-let run_workload ?fault_plan ?parallel ?algorithm ~rounds () =
+let run_workload ?fault_plan ?parallel ~rounds () =
   let sites = 6 in
   let web = Web.generate ~seed:5 ~sites ~pages_per_site:4 () in
   let sink, deliveries = Sink.memory () in
   let obs = Obs.create () in
   let t =
-    Xyleme.create ~seed:11 ?algorithm ~sink ~web ~obs ?fault_plan ?parallel ()
+    Xyleme.create ~seed:11 ~sink ~web ~obs ?fault_plan ?parallel ()
   in
   for i = 0 to 17 do
     match Xyleme.subscribe t ~owner:(Printf.sprintf "u%d" i)
@@ -150,7 +175,12 @@ let run_workload ?fault_plan ?parallel ?algorithm ~rounds () =
           | None -> None)
         (Web.urls web)
     in
-    Xyleme.ingest_batch t docs;
+    let broken =
+      { Xyleme.bd_url = "http://site0.example.org/broken.xml";
+        bd_content = Some "<a><b>"; bd_kind = Loader.Xml; bd_trace = None;
+        bd_birth = None }
+    in
+    Xyleme.ingest_batch t (broken :: docs);
     Xy_util.Clock.advance (Xyleme.clock t) 3600.;
     ignore (Web.evolve web ~elapsed:3600.)
   done;
@@ -185,6 +215,11 @@ let check_equiv ~label (serial : _ * _ * Xyleme.stats * _) parallel_run =
   checki (label ^ ": stored") s_stats.Xyleme.documents_stored
     p_stats.Xyleme.documents_stored;
   checki (label ^ ": reports") s_stats.Xyleme.reports p_stats.Xyleme.reports;
+  let quarantined snap =
+    Obs.Snapshot.counter_value snap ~stage:"fault" "quarantined"
+  in
+  checkb (label ^ ": pages quarantined") true (quarantined s_snap > 0);
+  checki (label ^ ": quarantined") (quarantined s_snap) (quarantined p_snap);
   List.iter2
     (fun (st, n, sv) (pt, pn, pv) ->
       Alcotest.(check string) (label ^ ": counter name") (st ^ "/" ^ n)
@@ -193,104 +228,102 @@ let check_equiv ~label (serial : _ * _ * Xyleme.stats * _) parallel_run =
     (pipeline_counters s_snap)
     (pipeline_counters p_snap)
 
-let parallel ?(steal = true) ~domains ~shards axis =
-  { Parallel.default_config with domains; shards; axis; steal }
+let parallel ~domains ~shards axis = { Parallel.domains; shards; axis }
 
 let serial_baseline = lazy (run_workload ~rounds:3 ())
 
 let test_equiv_docs_axis () =
   let serial = Lazy.force serial_baseline in
-  check_equiv ~label:"docs/steal" serial
-    (run_workload ~rounds:3
-       ~parallel:(parallel ~domains:3 ~shards:2 Distributed.Split_documents)
-       ());
-  check_equiv ~label:"docs/no-steal" serial
-    (run_workload ~rounds:3
-       ~parallel:
-         (parallel ~steal:false ~domains:2 ~shards:3
-            Distributed.Split_documents)
-       ())
+  List.iter
+    (fun (domains, shards) ->
+      check_equiv
+        ~label:(Printf.sprintf "docs/%dx%d" domains shards)
+        serial
+        (run_workload ~rounds:3
+           ~parallel:(parallel ~domains ~shards Partition.By_documents)
+           ()))
+    [ (3, 2); (2, 3) ]
 
 let test_equiv_subs_axis () =
   let serial = Lazy.force serial_baseline in
-  check_equiv ~label:"subs/steal" serial
-    (run_workload ~rounds:3
-       ~parallel:(parallel ~domains:2 ~shards:3 Distributed.Split_subscriptions)
-       ());
-  check_equiv ~label:"subs/no-steal" serial
-    (run_workload ~rounds:3
-       ~parallel:
-         (parallel ~steal:false ~domains:3 ~shards:2
-            Distributed.Split_subscriptions)
-       ())
+  List.iter
+    (fun (domains, shards) ->
+      check_equiv
+        ~label:(Printf.sprintf "subs/%dx%d" domains shards)
+        serial
+        (run_workload ~rounds:3
+           ~parallel:(parallel ~domains ~shards Partition.By_subscriptions)
+           ()))
+    [ (2, 3); (3, 2) ]
 
-(* The counting matcher is not concurrent-read-safe: the document
-   axis runs per-shard replicas, the subscription axis owns disjoint
-   subsets (stealing internally disabled).  Both must still agree
-   with the serial counting run. *)
+(* The counting matcher writes per-call counters into its structure,
+   so it never matches on more than one domain: a system refuses a
+   parallel configuration for it, at creation and later. *)
 let test_equiv_counting () =
-  let serial = run_workload ~algorithm:Mqp.Use_counting ~rounds:2 () in
-  check_equiv ~label:"counting/docs" serial
-    (run_workload ~algorithm:Mqp.Use_counting ~rounds:2
-       ~parallel:(parallel ~domains:2 ~shards:2 Distributed.Split_documents)
-       ());
-  check_equiv ~label:"counting/subs" serial
-    (run_workload ~algorithm:Mqp.Use_counting ~rounds:2
-       ~parallel:(parallel ~domains:2 ~shards:2 Distributed.Split_subscriptions)
-       ())
+  let refused label f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.fail (label ^ ": counting accepted at domains > 1")
+  in
+  let config = parallel ~domains:2 ~shards:2 Partition.By_documents in
+  refused "create" (fun () ->
+      Xyleme.create ~algorithm:Mqp.Use_counting ~obs:(Obs.create ())
+        ~parallel:config ());
+  let t = Xyleme.create ~algorithm:Mqp.Use_counting ~obs:(Obs.create ()) () in
+  refused "set_parallel" (fun () -> Xyleme.set_parallel t config);
+  checki "the refused config did not take" 1
+    (Xyleme.parallel_config t).Parallel.domains
 
 (* Worker-death faults: shards die holding work, the supervisor
-   respawns them with that work carried over — the output must not
-   change.  The serial baseline runs without the fault plan (the
+   respawns each of them with that work carried over — the output must
+   not change.  The serial baseline runs without the fault plan (the
    [worker] point only exists in the parallel engine). *)
 let test_equiv_worker_deaths () =
   let serial = Lazy.force serial_baseline in
-  let deaths_of (_, _, _, snap) =
-    Obs.Snapshot.counter_value snap ~stage:"fault" "worker_deaths"
+  let fault_counter (_, _, _, snap) name =
+    Obs.Snapshot.counter_value snap ~stage:"fault" name
   in
-  let docs =
-    run_workload ~rounds:3
-      ~fault_plan:[ ("worker", 0.5) ]
-      ~parallel:(parallel ~domains:3 ~shards:2 Distributed.Split_documents)
-      ()
-  in
-  checkb "docs axis: deaths occurred" true (deaths_of docs > 0);
-  check_equiv ~label:"docs/deaths" serial docs;
-  let subs =
-    run_workload ~rounds:3
-      ~fault_plan:[ ("worker", 0.5) ]
-      ~parallel:(parallel ~domains:2 ~shards:3 Distributed.Split_subscriptions)
-      ()
-  in
-  checkb "subs axis: deaths occurred" true (deaths_of subs > 0);
-  check_equiv ~label:"subs/deaths" serial subs
+  List.iter
+    (fun (label, config) ->
+      let run =
+        run_workload ~rounds:3 ~fault_plan:[ ("worker", 0.5) ] ~parallel:config
+          ()
+      in
+      let deaths = fault_counter run "worker_deaths" in
+      checkb (label ^ ": deaths occurred") true (deaths > 0);
+      checki (label ^ ": every death respawned") deaths
+        (fault_counter run "worker_respawns");
+      check_equiv ~label serial run)
+    [
+      ("docs/deaths", parallel ~domains:3 ~shards:2 Partition.By_documents);
+      ("subs/deaths", parallel ~domains:2 ~shards:3 Partition.By_subscriptions);
+    ]
 
 (* Randomized sweep over the configuration space: any (domains,
-   shards, axis, steal, faults) must reproduce the serial multiset. *)
+   shards, axis, faults) must reproduce the serial multiset. *)
 let qcheck_equiv =
   let gen =
     QCheck.make
-      ~print:(fun (d, s, ax, steal, fault) ->
-        Printf.sprintf "domains=%d shards=%d axis=%s steal=%b fault=%b" d s
+      ~print:(fun (d, s, ax, fault) ->
+        Printf.sprintf "domains=%d shards=%d axis=%s fault=%b" d s
           (match ax with
-          | Distributed.Split_documents -> "docs"
-          | Distributed.Split_subscriptions -> "subs")
-          steal fault)
+          | Partition.By_documents -> "docs"
+          | Partition.By_subscriptions -> "subs")
+          fault)
       QCheck.Gen.(
         let* d = int_range 2 4 in
         let* s = int_range 1 4 in
-        let* ax = oneofl [ Distributed.Split_documents; Distributed.Split_subscriptions ] in
-        let* steal = bool in
+        let* ax = oneofl [ Partition.By_documents; Partition.By_subscriptions ] in
         let* fault = bool in
-        return (d, s, ax, steal, fault))
+        return (d, s, ax, fault))
   in
   QCheck.Test.make ~name:"parallel = serial for any configuration" ~count:8 gen
-    (fun (domains, shards, axis, steal, fault) ->
+    (fun (domains, shards, axis, fault) ->
       let s_notifs, s_deliv, _, _ = Lazy.force serial_baseline in
       let p_notifs, p_deliv, _, _ =
         run_workload ~rounds:3
           ?fault_plan:(if fault then Some [ ("worker", 0.3) ] else None)
-          ~parallel:(parallel ~steal ~domains ~shards axis)
+          ~parallel:(parallel ~domains ~shards axis)
           ()
       in
       s_notifs = p_notifs && s_deliv = p_deliv)
@@ -318,8 +351,7 @@ let test_steal_under_skew () =
     let obs = Obs.create () in
     let t =
       Xyleme.create ~seed:3 ~sink ~obs
-        ~parallel:
-          (parallel ~domains:2 ~shards:2 Distributed.Split_documents)
+        ~parallel:(parallel ~domains:2 ~shards:2 Partition.By_documents)
         ()
     in
     (match
@@ -352,6 +384,78 @@ report when count > 500 atmost weekly|}
   checkb "idle shard stole from the skewed one" true (try_n 3 > 0)
 
 (* ------------------------------------------------------------------ *)
+(* Trace propagation *)
+
+(* A sampled document's trace context rides the document through the
+   loader domain and its alert across the shard inboxes; the spans
+   recorded there (bus queue wait, MQP match) must land in that
+   document's own trace — one connected trace per sampled document,
+   no orphaned spans and no stray traces. *)
+let test_trace_propagation () =
+  let sink, _ = Sink.memory () in
+  let t =
+    Xyleme.create ~seed:5 ~sink ~obs:(Obs.create ())
+      ~parallel:(parallel ~domains:2 ~shards:3 Partition.By_documents)
+      ()
+  in
+  (match
+     Xyleme.subscribe t ~owner:"trace"
+       ~text:
+         {|subscription Traced
+monitoring
+where self contains "payload" and URL extends "http://trace.example.org/"
+report when immediate|}
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (Xy_submgr.Manager.error_to_string e));
+  let tracer = Xyleme.tracer t in
+  let sampled = ref [] in
+  let docs =
+    List.init 30 (fun i ->
+        let url = Printf.sprintf "http://trace.example.org/page-%d.xml" i in
+        let trace =
+          if i mod 3 = 0 then begin
+            let ctx = Trace.start_always tracer ~root:url in
+            sampled := (url, ctx) :: !sampled;
+            Some ctx
+          end
+          else None
+        in
+        { Xyleme.bd_url = url;
+          bd_content = Some (Printf.sprintf "<page><p>payload %d</p></page>" i);
+          bd_kind = Loader.Xml; bd_trace = trace; bd_birth = None })
+  in
+  Xyleme.ingest_batch t docs;
+  checki "every sampled document started a trace" (List.length !sampled)
+    (Trace.started tracer);
+  checki "every started trace completed, no orphans" (List.length !sampled)
+    (Trace.completed tracer);
+  let traces = Trace.traces tracer in
+  Alcotest.(check (list int)) "trace ids are exactly the sampled ones"
+    (List.sort compare (List.map (fun (_, ctx) -> Trace.trace_id ctx) !sampled))
+    (List.sort compare (List.map (fun tr -> tr.Trace.tr_id) traces));
+  List.iter
+    (fun tr ->
+      let has stage name =
+        List.exists
+          (fun sp -> sp.Trace.sp_stage = stage && sp.Trace.sp_name = name)
+          tr.Trace.tr_spans
+      in
+      checkb
+        (Printf.sprintf "%s: queue wait attributed across domains"
+           tr.Trace.tr_root)
+        true (has "bus" "wait");
+      checkb
+        (Printf.sprintf "%s: match span recorded on a shard domain"
+           tr.Trace.tr_root)
+        true (has "mqp" "match");
+      checkb
+        (Printf.sprintf "%s: root is the sampled document" tr.Trace.tr_root)
+        true
+        (List.mem_assoc tr.Trace.tr_root !sampled))
+    traces
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "parallel"
@@ -360,6 +464,8 @@ let () =
         [
           Alcotest.test_case "bus try_pop/drained" `Quick test_bus_try_pop;
           Alcotest.test_case "bus steal_half" `Quick test_bus_steal_half;
+          Alcotest.test_case "bus steal_half traces" `Quick
+            test_bus_steal_half_traced;
           Alcotest.test_case "padded counters" `Quick test_pad;
           Alcotest.test_case "wall timers idempotent" `Quick test_wall_idempotent;
         ] );
@@ -373,4 +479,6 @@ let () =
         ] );
       ( "stealing",
         [ Alcotest.test_case "forced skew" `Quick test_steal_under_skew ] );
+      ( "tracing",
+        [ Alcotest.test_case "trace propagation" `Quick test_trace_propagation ] );
     ]

@@ -751,12 +751,9 @@ report when count > 2 atmost daily|});
       checkb "still counting" true (after > carried)
 
 (* ------------------------------------------------------------------ *)
-(* Bus and the distributed pipeline *)
+(* Bus *)
 
 module Bus = Xy_system.Bus
-module Distributed = Xy_system.Distributed
-module Mqp = Xy_core.Mqp
-module Workload = Xy_core.Workload
 
 let test_bus_fifo () =
   let bus = Bus.create () in
@@ -832,124 +829,6 @@ let test_bus_close_push_race () =
   | () -> Alcotest.fail "push after close must fail");
   checki "immediate rejection adds no stall sample" 1
     (Xy_obs.Obs.Histogram.count blocked)
-
-let distributed_reference subscriptions alerts =
-  let mqp = Mqp.create () in
-  List.iter (fun (id, events) -> Mqp.subscribe mqp ~id events) subscriptions;
-  List.concat_map
-    (fun (alert : Mqp.alert) ->
-      List.map (fun id -> (alert.Mqp.url, id)) (Mqp.process mqp alert))
-    alerts
-
-let make_distributed_workload () =
-  let workload = { Workload.card_a = 300; card_c = 400; b = 3; s = 20 } in
-  let subscriptions =
-    Array.to_list
-      (Array.mapi (fun id events -> (id, events)) (Workload.complex_events workload ~seed:8))
-  in
-  let alerts =
-    Array.to_list
-      (Array.mapi
-         (fun i events ->
-           { Mqp.url = Printf.sprintf "http://doc%d/" i; events; payload = ""; trace = None; birth = None })
-         (Workload.document_sets workload ~seed:9 ~count:200))
-  in
-  (subscriptions, alerts)
-
-let test_distributed_matches_sequential () =
-  let subscriptions, alerts = make_distributed_workload () in
-  let expected = List.sort compare (distributed_reference subscriptions alerts) in
-  List.iter
-    (fun axis ->
-      List.iter
-        (fun partitions ->
-          let result =
-            Distributed.run ~axis ~partitions ~subscriptions ~alerts ()
-          in
-          Alcotest.(check (list (pair string int)))
-            (Printf.sprintf "p=%d" partitions)
-            expected
-            (List.sort compare result.Distributed.notifications))
-        [ 1; 2; 4 ])
-    [ Distributed.Split_documents; Distributed.Split_subscriptions ]
-
-let test_distributed_alert_accounting () =
-  let subscriptions, alerts = make_distributed_workload () in
-  let docs_result =
-    Distributed.run ~axis:Distributed.Split_documents ~partitions:4
-      ~subscriptions ~alerts ()
-  in
-  checki "documents axis: each alert visits one partition"
-    (List.length alerts) docs_result.Distributed.alerts_processed;
-  let subs_result =
-    Distributed.run ~axis:Distributed.Split_subscriptions ~partitions:4
-      ~subscriptions ~alerts ()
-  in
-  checki "subscriptions axis: each alert visits all partitions"
-    (4 * List.length alerts)
-    subs_result.Distributed.alerts_processed
-
-(* A sampled document's trace context rides the alert across the
-   inbox buses into worker domains; the spans recorded there (bus
-   queue wait, MQP match) must land in that document's own trace —
-   one connected trace per sampled alert, no orphaned spans and no
-   stray traces. *)
-let test_distributed_trace_propagation () =
-  let module Trace = Xy_trace.Trace in
-  let subscriptions, alerts = make_distributed_workload () in
-  let tracer = Trace.create ~capacity:64 ~seed:5 () in
-  let sampled = ref [] in
-  let alerts =
-    List.mapi
-      (fun i (alert : Mqp.alert) ->
-        if i mod 10 = 0 then begin
-          let ctx = Trace.start_always tracer ~root:alert.Mqp.url in
-          sampled := (alert.Mqp.url, ctx) :: !sampled;
-          { alert with Mqp.trace = Some ctx }
-        end
-        else alert)
-      alerts
-  in
-  let _ =
-    Distributed.run ~axis:Distributed.Split_documents ~partitions:3
-      ~subscriptions ~alerts ()
-  in
-  List.iter (fun (_, ctx) -> Trace.finish ctx) !sampled;
-  checki "every sampled alert started a trace" (List.length !sampled)
-    (Trace.started tracer);
-  checki "every started trace completed, no orphans" (List.length !sampled)
-    (Trace.completed tracer);
-  let traces = Trace.traces tracer in
-  checki "completed ring holds them all" (List.length !sampled)
-    (List.length traces);
-  let expected_ids =
-    List.sort compare (List.map (fun (_, ctx) -> Trace.trace_id ctx) !sampled)
-  in
-  let got_ids =
-    List.sort compare (List.map (fun tr -> tr.Trace.tr_id) traces)
-  in
-  Alcotest.(check (list int)) "trace ids are exactly the sampled ones"
-    expected_ids got_ids;
-  List.iter
-    (fun tr ->
-      let has stage name =
-        List.exists
-          (fun sp -> sp.Trace.sp_stage = stage && sp.Trace.sp_name = name)
-          tr.Trace.tr_spans
-      in
-      checkb
-        (Printf.sprintf "%s: queue wait attributed across domains"
-           tr.Trace.tr_root)
-        true (has "bus" "wait");
-      checkb
-        (Printf.sprintf "%s: match span recorded on worker domain"
-           tr.Trace.tr_root)
-        true (has "mqp" "match");
-      checkb
-        (Printf.sprintf "%s: root is the sampled document" tr.Trace.tr_root)
-        true
-        (List.mem_assoc tr.Trace.tr_root !sampled))
-    traces
 
 (* ------------------------------------------------------------------ *)
 (* The alerter chain's memo of unchanged pages *)
@@ -1128,11 +1007,5 @@ let () =
           tc "close semantics" test_bus_close_semantics;
           tc "cross-domain" test_bus_cross_domain;
           tc "close/push race" test_bus_close_push_race;
-        ] );
-      ( "distributed",
-        [
-          tc "matches sequential" test_distributed_matches_sequential;
-          tc "alert accounting" test_distributed_alert_accounting;
-          tc "trace propagation" test_distributed_trace_propagation;
         ] );
     ]
