@@ -21,19 +21,20 @@
 open Harness
 module Serve = Xy_serve.Serve
 module Frame = Xy_serve.Frame
+module Record_log = Xy_durable.Record_log
 module Obs = Xy_obs.Obs
 
 let connections = function Quick -> 100 | Default -> 1000 | Paper -> 2000
 let reports_each = function Quick -> 8 | Default -> 8 | Paper -> 16
 
-type client = { fd : Unix.file_descr; dec : Frame.decoder }
+type client = { fd : Unix.file_descr; dec : Record_log.decoder }
 
 let connect port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   Unix.setsockopt fd Unix.TCP_NODELAY true;
   Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
-  { fd; dec = Frame.decoder () }
+  { fd; dec = Record_log.decoder () }
 
 let send c req =
   let frame = Frame.encode_request req in
@@ -44,20 +45,17 @@ let send c req =
   push 0
 
 let next_event c =
-  let buf = Bytes.create 8192 in
   let rec go () =
-    match Frame.next c.dec with
-    | Error e -> failwith (Frame.error_to_string e)
+    match Record_log.next c.dec with
+    | Error e -> failwith (Record_log.error_to_string e)
     | Ok (Some payload) -> (
         match Frame.decode_event payload with
         | Ok ev -> ev
         | Error m -> failwith m)
     | Ok None -> (
-        match Unix.read c.fd buf 0 (Bytes.length buf) with
+        match Record_log.fill c.dec (Unix.read c.fd) with
         | 0 -> failwith "server closed the connection"
-        | n ->
-            Frame.feed c.dec (Bytes.sub_string buf 0 n);
-            go ())
+        | _ -> go ())
   in
   go ()
 

@@ -2,6 +2,7 @@ let log = Logs.Src.create "xy.durable" ~doc:"checkpoint + WAL durability"
 
 module Log = (val Logs.src_log log : Logs.LOG)
 module Obs = Xy_obs.Obs
+module Codec = Xy_util.Codec
 
 (* Durability timings, registered under the [durable] stage once a
    caller hands over a registry ({!set_obs}): checkpoint pauses and
@@ -14,72 +15,41 @@ type metrics = {
 }
 
 type op = { stage : string; payload : string }
-type tail = Clean | Torn | Corrupt
+type tail = Record_log.tail = Clean | Torn | Corrupt
 
 type config = { sync_every : int; segment_bytes : int; fsync : bool }
 
 let default_config =
   { sync_every = 32; segment_bytes = 4 * 1024 * 1024; fsync = true }
 
-let checksum payload = Xy_util.Hashing.signature payload
-
-(* Recovery-path readers must not be lenient: a damaged length field
-   shaped like "0x10" or "1_0" would otherwise parse as valid. *)
+(* Generation numbers in file names are parsed strictly: "gen-0x1.snap"
+   is not a generation file. *)
 let decimal = Xy_util.Parse.decimal_int
 
-(* {2 The sync helper}
+(* Decode one record payload completely, or raise [Codec.Malformed]. *)
+let decoding f payload =
+  let r = Codec.reader payload in
+  let v = f r in
+  Codec.expect_end r;
+  v
 
-   Everything that claims durability funnels through these two
-   functions: an atomic temp+rename survives a process kill but not a
-   power loss unless the file's bytes were fsynced before the rename
-   and the directory entry after it.  [fsync:false] (tests, benches
-   that only model kills) degrades both to plain flushes. *)
-
-let sync_channel ?(fsync = true) oc =
-  flush oc;
-  if fsync then Unix.fsync (Unix.descr_of_out_channel oc)
-
-let sync_dir ?(fsync = true) dir =
-  if fsync then
-    match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-    | exception Unix.Unix_error _ -> ()
-    | fd ->
-        (try Unix.fsync fd with Unix.Unix_error _ -> ());
-        Unix.close fd
-
-(* A transaction's payload: each op framed as
-     <stage> <payload_len>\n<payload bytes>
-   concatenated.  Stage names contain no spaces or newlines. *)
+(* A transaction is one record: the list of its (stage, payload)
+   ops. *)
 let encode_ops ops =
   let buf = Buffer.create 256 in
-  List.iter
-    (fun { stage; payload } ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s %d\n" stage (String.length payload));
-      Buffer.add_string buf payload)
+  Codec.list buf
+    (fun buf { stage; payload } ->
+      Codec.string buf stage;
+      Codec.string buf payload)
     ops;
   Buffer.contents buf
 
-let decode_ops payload =
-  let len = String.length payload in
-  let rec go pos acc =
-    if pos >= len then Some (List.rev acc)
-    else
-      match String.index_from_opt payload pos '\n' with
-      | None -> None
-      | Some nl -> (
-          match
-            String.split_on_char ' ' (String.sub payload pos (nl - pos))
-          with
-          | [ stage; op_len ] -> (
-              match decimal op_len with
-              | Some op_len when nl + 1 + op_len <= len ->
-                  let op_payload = String.sub payload (nl + 1) op_len in
-                  go (nl + 1 + op_len) ({ stage; payload = op_payload } :: acc)
-              | _ -> None)
-          | _ -> None)
-  in
-  go 0 []
+let decode_ops =
+  decoding @@ fun r ->
+  Codec.read_list r (fun r ->
+      let stage = Codec.read_string r in
+      let payload = Codec.read_string r in
+      { stage; payload })
 
 (* {2 Paths} *)
 
@@ -96,56 +66,13 @@ let segment_path dir gen seg =
   else Filename.concat dir (Printf.sprintf "gen-%d.wal.%d" gen seg)
 
 module Wal = struct
-  (* Record framing, mirroring Persist:
-       T <payload_len> <checksum>\n<payload>\n *)
-  let encode_txn ops =
-    let payload = encode_ops ops in
-    Printf.sprintf "T %d %s\n%s\n" (String.length payload) (checksum payload)
-      payload
+  let encode_txn ops = Record_log.encode (encode_ops ops)
 
   let append_txn ?(sync = true) oc ops =
     output_string oc (encode_txn ops);
-    if sync then sync_channel oc else flush oc
+    Record_log.sync ~fsync:sync oc
 
-  let scan path =
-    match open_in_bin path with
-    | exception Sys_error _ -> ([], Clean)
-    | ic ->
-        let txns = ref [] in
-        let tail = ref Clean in
-        let at_eof () = pos_in ic >= in_channel_length ic in
-        let rec go () =
-          match input_line ic with
-          | exception End_of_file -> ()
-          | header -> (
-              match String.split_on_char ' ' header with
-              | [ "T"; payload_len; crc ] -> (
-                  match decimal payload_len with
-                  | None -> tail := Corrupt
-                  | Some payload_len -> (
-                      (* a short read can only be the final record cut
-                         mid-write: that is the torn-tail crash case *)
-                      match really_input_string ic (payload_len + 1) with
-                      | exception End_of_file -> tail := Torn
-                      | payload ->
-                          if payload.[payload_len] <> '\n' then tail := Corrupt
-                          else
-                            let payload = String.sub payload 0 payload_len in
-                            if checksum payload <> crc then
-                              (* full-length record failing its checksum:
-                                 damaged in place, not torn *)
-                              tail := Corrupt
-                            else (
-                              match decode_ops payload with
-                              | None -> tail := Corrupt
-                              | Some ops ->
-                                  txns := ops :: !txns;
-                                  go ())))
-              | _ -> tail := if at_eof () then Torn else Corrupt)
-        in
-        go ();
-        close_in ic;
-        (List.rev !txns, !tail)
+  let scan path = Record_log.read path ~decode:decode_ops
 
   (* Scan a whole generation across its segments, stopping at the
      first damage.  A torn tail is only a crash shape in the *final*
@@ -179,73 +106,47 @@ end
 type section = Inline of string | From of int | Delta of int
 
 module Snapshot = struct
-  (* Section framing:
-       S <stage> <payload_len> <checksum>\n<payload>\n   (inline)
-       F <stage> <from-gen>\n                            (carried)
-       D <stage> <base-gen>\n                            (delta) *)
-  let write ?(fsync = true) path sections =
-    let temp = path ^ ".tmp" in
-    let oc =
-      open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644
-        temp
-    in
-    (try
-       List.iter
-         (fun (stage, section) ->
-           match section with
-           | Inline payload ->
-               Printf.fprintf oc "S %s %d %s\n%s\n" stage
-                 (String.length payload) (checksum payload) payload
-           | From gen -> Printf.fprintf oc "F %s %d\n" stage gen
-           | Delta gen -> Printf.fprintf oc "D %s %d\n" stage gen)
-         sections;
-       sync_channel ~fsync oc;
-       close_out oc
-     with e ->
-       (try close_out oc with Sys_error _ -> ());
-       (try Sys.remove temp with Sys_error _ -> ());
-       raise e);
-    Sys.rename temp path;
-    sync_dir ~fsync (Filename.dirname path)
+  (* One record per section: (stage, kind, body) with kind [S]
+     (inline: the payload), [F] (carried) or [D] (delta), whose body
+     is a generation.  An inline payload is written as a part of its
+     own, after the Codec prefix that frames it, so it is never
+     copied. *)
+  let parts (stage, section) =
+    let buf = Buffer.create 32 in
+    Codec.string buf stage;
+    match section with
+    | Inline payload ->
+        Codec.string buf "S";
+        Codec.int buf (String.length payload);
+        [ Buffer.contents buf; payload ]
+    | From gen ->
+        Codec.string buf "F";
+        Codec.int buf gen;
+        [ Buffer.contents buf ]
+    | Delta gen ->
+        Codec.string buf "D";
+        Codec.int buf gen;
+        [ Buffer.contents buf ]
+
+  let decode_section =
+    decoding @@ fun r ->
+    let stage = Codec.read_string r in
+    match Codec.read_string r with
+    | "S" -> (stage, Inline (Codec.read_string r))
+    | "F" -> (stage, From (Codec.read_int r))
+    | "D" -> (stage, Delta (Codec.read_int r))
+    | kind -> raise (Codec.Malformed ("unknown section kind " ^ kind))
+
+  let write ?fsync path sections =
+    Record_log.write_file ?fsync path (List.map parts sections)
 
   let load path =
-    match open_in_bin path with
-    | exception Sys_error e -> Error e
-    | ic ->
-        let result =
-          let rec go acc =
-            match input_line ic with
-            | exception End_of_file -> Ok (List.rev acc)
-            | header -> (
-                match String.split_on_char ' ' header with
-                | [ "S"; stage; payload_len; crc ] -> (
-                    match decimal payload_len with
-                    | None -> Error "bad section length"
-                    | Some payload_len -> (
-                        match really_input_string ic (payload_len + 1) with
-                        | exception End_of_file -> Error "truncated section"
-                        | payload ->
-                            if payload.[payload_len] <> '\n' then
-                              Error "unterminated section"
-                            else
-                              let payload = String.sub payload 0 payload_len in
-                              if checksum payload <> crc then
-                                Error ("checksum mismatch in section " ^ stage)
-                              else go ((stage, Inline payload) :: acc)))
-                | [ "F"; stage; from_gen ] -> (
-                    match decimal from_gen with
-                    | None -> Error "bad carried-section generation"
-                    | Some gen -> go ((stage, From gen) :: acc))
-                | [ "D"; stage; base_gen ] -> (
-                    match decimal base_gen with
-                    | None -> Error "bad delta-section generation"
-                    | Some gen -> go ((stage, Delta gen) :: acc))
-                | _ -> Error "bad section header")
-          in
-          go []
-        in
-        close_in ic;
-        result
+    if not (Sys.file_exists path) then Error (path ^ ": no such snapshot")
+    else
+      match Record_log.read path ~decode:decode_section with
+      | sections, Clean -> Ok sections
+      | _, Torn -> Error "truncated section"
+      | _, Corrupt -> Error "damaged section"
 end
 
 type t = {
@@ -302,31 +203,18 @@ let set_obs t obs =
 let observe_time t select f =
   match t.metrics with None -> f () | Some m -> Obs.Histogram.time (select m) f
 
+(* The MANIFEST is a one-record file: the committed generation. *)
 let read_manifest dir =
-  match open_in_bin (manifest_path dir) with
-  | exception Sys_error _ -> None
-  | ic ->
-      let gen =
-        match input_line ic with
-        | exception End_of_file -> None
-        | line -> (
-            match String.split_on_char ' ' line with
-            | [ "xyleme-durable"; "1"; "gen"; n ] -> decimal n
-            | _ -> None)
-      in
-      close_in ic;
-      gen
+  match
+    Record_log.read (manifest_path dir) ~decode:(decoding Codec.read_int)
+  with
+  | [ gen ], Clean -> Some gen
+  | _ -> None
 
-let write_manifest ?(fsync = true) dir gen =
-  let temp = manifest_path dir ^ ".tmp" in
-  let oc =
-    open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 temp
-  in
-  Printf.fprintf oc "xyleme-durable 1 gen %d\n" gen;
-  sync_channel ~fsync oc;
-  close_out oc;
-  Sys.rename temp (manifest_path dir);
-  sync_dir ~fsync dir
+let write_manifest ?fsync dir gen =
+  let buf = Buffer.create 16 in
+  Codec.int buf gen;
+  Record_log.write_file ?fsync (manifest_path dir) [ [ Buffer.contents buf ] ]
 
 let ensure_dir dir = if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
 
@@ -457,7 +345,7 @@ let sync_pending t =
         Buffer.output_buffer oc t.pending;
         Buffer.clear t.pending;
         t.pending_txns <- 0;
-        sync_channel ~fsync:t.config.fsync oc;
+        Record_log.sync ~fsync:t.config.fsync oc;
         t.bytes <- t.bytes + len;
         t.sync_count <- t.sync_count + 1;
         if pos_out oc > t.config.segment_bytes then begin
@@ -468,7 +356,7 @@ let sync_pending t =
           close_out oc;
           t.seg <- t.seg + 1;
           t.wal <- Some (open_segment t.dir t.gen t.seg);
-          sync_dir ~fsync:t.config.fsync t.dir
+          Record_log.sync_dir ~fsync:t.config.fsync t.dir
         end
 
 let barrier t = sync_pending t
@@ -593,7 +481,7 @@ let checkpoint ?(force_full = false) t ~snapshot =
   (match t.wal with Some oc -> close_out oc | None -> ());
   t.wal <- Some (open_segment t.dir next 0);
   t.seg <- 0;
-  sync_dir ~fsync:t.config.fsync t.dir;
+  Record_log.sync_dir ~fsync:t.config.fsync t.dir;
   fire_fuse t "wal-created";
   write_manifest ~fsync:t.config.fsync t.dir next;
   fire_fuse t "manifest-committed";
@@ -718,25 +606,30 @@ let seed_delta_bytes t txns =
     txns
 
 let load_latest t =
+  let ( let* ) = Result.bind in
   let snap = snap_path t.dir t.gen in
-  match Snapshot.load snap with
-  | Error _ when not (Sys.file_exists snap) ->
+  let* resolved, old_txns =
+    if Sys.file_exists snap then
+      Result.map_error (fun e -> "snapshot unreadable: " ^ e)
+      @@
+      let* sections = Snapshot.load snap in
+      let* resolved, deltas = resolve_sections t sections in
+      let* old_txns = collect_delta_txns t deltas in
+      Ok (resolved, old_txns)
+    else if t.gen = 0 then
       (* generation 0 of a run that never checkpointed: empty snapshot *)
-      let txns, tail = Wal.scan_generation ~dir:t.dir ~gen:t.gen in
-      seed_delta_bytes t txns;
-      Ok ([], txns, tail)
-  | Error e -> Error e
-  | Ok sections -> (
-      match resolve_sections t sections with
-      | Error e -> Error e
-      | Ok (resolved, deltas) -> (
-          match collect_delta_txns t deltas with
-          | Error e -> Error e
-          | Ok old_txns ->
-              let txns, tail = Wal.scan_generation ~dir:t.dir ~gen:t.gen in
-              let txns = old_txns @ txns in
-              seed_delta_bytes t txns;
-              Ok (resolved, txns, tail)))
+      Ok ([], [])
+    else
+      (* every generation past 0 wrote its snapshot before the
+         MANIFEST named it *)
+      Error
+        (Printf.sprintf "damaged MANIFEST: generation %d has no snapshot"
+           t.gen)
+  in
+  let txns, tail = Wal.scan_generation ~dir:t.dir ~gen:t.gen in
+  let txns = old_txns @ txns in
+  seed_delta_bytes t txns;
+  Ok (resolved, txns, tail)
 
 let txns_committed t = t.txns
 let wal_bytes t = t.bytes

@@ -6,23 +6,22 @@
     property for {e every} stateful stage, stdlib-only.  A durable
     directory holds:
 
-    - [MANIFEST] — the committed generation number, updated by an
-      atomic temp+rename; it is the single commit point of a
-      checkpoint.  The bytes it references are fsynced before the
-      rename and the directory entry after it, so the commit point
-      survives power loss, not just a process kill.
-    - [gen-N.snap] — the generation's snapshot: one section per
-      stage, either an inline payload or a [From] reference to the
+    - [MANIFEST] — a one-record file holding the committed generation
+      number, updated by an atomic temp+rename; it is the single
+      commit point of a checkpoint.  The bytes it references are
+      fsynced before the rename and the directory entry after it, so
+      the commit point survives power loss, not just a process kill.
+    - [gen-N.snap] — the generation's snapshot: one record per stage,
+      either an inline payload or a [From] reference to the
       earlier generation whose snapshot last wrote the stage inline
       (stages not mutated since are carried forward by reference
       instead of being re-encoded inside the checkpoint pause).
     - [gen-N.wal], [gen-N.wal.1], ... — the write-ahead log of
       operations since generation [N]'s snapshot, as bounded segments
       rotated at [config.segment_bytes].  Operations are buffered
-      into {e transactions} and appended as single checksummed
-      records, so a torn tail drops whole transactions, never half of
-      one — that is what keeps cross-stage state mutually consistent
-      after a kill.
+      into {e transactions} and appended as single records, so a torn
+      tail drops whole transactions, never half of one — that is what
+      keeps cross-stage state mutually consistent after a kill.
     - [subscriptions.log] — the {!Xy_submgr.Persist} subscription log.
     - [reports.log] — the append-only delivery ledger written by
       {!Xy_reporter.Sink.ledger}.
@@ -34,12 +33,11 @@
     that acknowledge work externally (report delivery) must
     {!barrier} before acknowledging, which preserves at-least-once.
 
-    The framing mirrors {!Xy_submgr.Persist}: a space-separated header
-    line carrying lengths and an FNV-1a checksum, then the payload.
-    {!Wal.scan} distinguishes a torn tail (expected after a crash)
-    from mid-log corruption, exactly like [Persist.scan].  Header
-    integers are parsed strictly ({!Xy_util.Parse.decimal_int}), so
-    damaged bytes cannot masquerade as valid framing.
+    Every file here is a sequence of {!Record_log} records, with each
+    stored field (stage names, section kinds, generations) inside the
+    record's checksum.  {!Wal.scan} distinguishes a torn tail
+    (expected after a crash) from mid-log corruption with
+    {!Record_log.read}.
 
     Stages plug in through a [Durable.S]-style contract — they encode
     snapshots and operations as strings (via {!Xy_util.Codec}) and
@@ -48,11 +46,8 @@
 (** One operation: which stage owns it, and its opaque payload. *)
 type op = { stage : string; payload : string }
 
-(** Verdict about the end of a scanned log.  [Torn] is the expected
-    crash shape (final record cut short mid-write); [Corrupt] means
-    bytes were altered in place and recovery must not trust the
-    file. *)
-type tail = Clean | Torn | Corrupt
+(** Verdict about the end of a scanned log (see {!Record_log.tail}). *)
+type tail = Record_log.tail = Clean | Torn | Corrupt
 
 type config = {
   sync_every : int;
@@ -78,14 +73,13 @@ val default_config : config
     so restore chases at most one indirection per stage. *)
 type section = Inline of string | From of int | Delta of int
 
-(** {2 Low-level framing} (exposed for the crash-matrix tests) *)
+(** {2 Low-level files} (exposed for the crash-matrix tests) *)
 
 module Wal : sig
   val append_txn : ?sync:bool -> out_channel -> op list -> unit
   (** Append one transaction record; [sync] (default true) flushes
-      and fsyncs.  Framing: [T <payload_len> <checksum>\n<payload>\n],
-      the payload being each op as [<stage> <len>\n<payload bytes>]
-      concatenated. *)
+      and fsyncs.  The record's payload is the {!Xy_util.Codec} list
+      of the ops' (stage, payload) pairs. *)
 
   val scan : string -> op list list * tail
   (** Read back every intact transaction of one segment, in order,
@@ -102,13 +96,14 @@ end
 module Snapshot : sig
   val write : ?fsync:bool -> string -> (string * section) list -> unit
   (** Write sections to [path] atomically (temp file, fsync, rename,
-      directory fsync).  Inline framing:
-      [S <stage> <payload_len> <checksum>\n<payload>\n]; carried:
-      [F <stage> <from-gen>\n]. *)
+      directory fsync), one record per section: the {!Xy_util.Codec}
+      fields (stage, [S], payload) inline, (stage, [F], generation)
+      carried, (stage, [D], generation) delta. *)
 
   val load : string -> ((string * section) list, string) result
-  (** Read sections back, verifying each inline checksum.  Carried
-      sections are returned unresolved. *)
+  (** Read sections back, verifying every record.  A missing file,
+      a torn or a damaged record is an error.  Carried sections are
+      returned unresolved. *)
 end
 
 type t
@@ -121,7 +116,7 @@ val open_fresh : ?config:config -> string -> t
 
 val open_existing : ?config:config -> string -> t option
 (** Attach to a durable directory left by a previous run.  [None] if
-    there is no readable manifest.  The WAL is {e not} opened for
+    the manifest is missing or damaged.  The WAL is {e not} opened for
     appending — its tail may be torn; restore must end with a
     {!checkpoint}, which starts the next generation. *)
 
@@ -218,7 +213,8 @@ val load_latest :
     transactions: the delta stages' ops from the retained WAL
     generations first, then the current generation's WAL segments,
     with the current tail verdict.  A brand-new generation 0 with no
-    snapshot file is [Ok ([], txns, tail)]. *)
+    snapshot file is [Ok ([], txns, tail)]; any later generation
+    without one means the manifest is damaged, an error. *)
 
 val txns_committed : t -> int
 (** Transactions committed to the current WAL (diagnostics). *)

@@ -99,14 +99,15 @@ let directory ~root ?written () =
   in
   { deliver }
 
-(* {2 The delivery ledger} — an append-only, checksummed record of
-   every delivery, mirroring the Persist framing:
-     E <seq> <at> <recipient_len> <subscription_len> <report_len> <crc>\n
-     <recipient><subscription><report>\n
-   The ledger is observational: it is how a killed-and-restarted run
-   and an uninterrupted one are diffed report-for-report.  Duplicate
-   seq numbers in the ledger are exactly the at-least-once
-   re-deliveries; consumers dedup by seq. *)
+(* {2 The delivery ledger} — one {!Xy_durable.Record_log} record per
+   delivery, every field inside the record's checksum.  The ledger is
+   observational: it is how a killed-and-restarted run and an
+   uninterrupted one are diffed report-for-report.  Duplicate seq
+   numbers in the ledger are exactly the at-least-once re-deliveries;
+   consumers dedup by seq. *)
+
+module Codec = Xy_util.Codec
+module Record_log = Xy_durable.Record_log
 
 type ledger_entry = {
   l_seq : int;
@@ -116,224 +117,35 @@ type ledger_entry = {
   l_report : string;
 }
 
-let ledger_checksum recipient subscription report =
-  Xy_util.Hashing.signature
-    (recipient ^ "\x00" ^ subscription ^ "\x00" ^ report)
-
+(* Each delivery opens, appends and closes: the system compacts the
+   ledger by path between deliveries. *)
 let ledger ~path () =
+  let log = Record_log.by_path path in
   let deliver d =
     let report = Xy_xml.Printer.element_to_string ~indent:2 d.report in
-    let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path in
-    Printf.fprintf oc "E %d %h %d %d %d %s\n%s%s%s\n" d.seq d.at
-      (String.length d.recipient)
-      (String.length d.subscription)
-      (String.length report)
-      (ledger_checksum d.recipient d.subscription report)
-      d.recipient d.subscription report;
-    close_out oc
+    let buf = Buffer.create (String.length report + 64) in
+    Codec.int buf d.seq;
+    Codec.float buf d.at;
+    Codec.string buf d.recipient;
+    Codec.string buf d.subscription;
+    Codec.string buf report;
+    Record_log.append log (Buffer.contents buf)
   in
   { deliver }
 
-type ledger_tail = Ledger_clean | Ledger_torn | Ledger_corrupt
+let decode_entry payload =
+  let r = Codec.reader payload in
+  let l_seq = Codec.read_int r in
+  let l_at = Codec.read_float r in
+  let l_recipient = Codec.read_string r in
+  let l_subscription = Codec.read_string r in
+  let l_report = Codec.read_string r in
+  Codec.expect_end r;
+  { l_seq; l_at; l_recipient; l_subscription; l_report }
 
-(* Integer header fields are parsed strictly (decimal digits only):
-   damaged bytes shaped like "0x10" must read as corruption, not as a
-   valid frame.  [at] is a float field and keeps the float parser. *)
-let decimal = Xy_util.Parse.decimal_int
+let read_ledger path = Record_log.read path ~decode:decode_entry
 
-type ledger_read =
-  | Ledger_rec of { entry : ledger_entry; raw : string }
-  | Ledger_end
-  | Ledger_damage of ledger_tail
-
-let read_ledger_entry ic =
-  let at_eof () = pos_in ic >= in_channel_length ic in
-  match input_line ic with
-  | exception End_of_file -> Ledger_end
-  | header -> (
-      match String.split_on_char ' ' header with
-      | [ "E"; seq; at; rec_len; sub_len; rep_len; crc ] -> (
-          match
-            ( decimal seq,
-              float_of_string_opt at,
-              decimal rec_len,
-              decimal sub_len,
-              decimal rep_len )
-          with
-          | Some seq, Some at, Some rec_len, Some sub_len, Some rep_len -> (
-              let payload_len = rec_len + sub_len + rep_len in
-              match really_input_string ic (payload_len + 1) with
-              | exception End_of_file -> Ledger_damage Ledger_torn
-              | payload ->
-                  if payload.[payload_len] <> '\n' then
-                    Ledger_damage Ledger_corrupt
-                  else
-                    let recipient = String.sub payload 0 rec_len in
-                    let subscription = String.sub payload rec_len sub_len in
-                    let report =
-                      String.sub payload (rec_len + sub_len) rep_len
-                    in
-                    if ledger_checksum recipient subscription report <> crc
-                    then Ledger_damage Ledger_corrupt
-                    else
-                      Ledger_rec
-                        {
-                          entry =
-                            {
-                              l_seq = seq;
-                              l_at = at;
-                              l_recipient = recipient;
-                              l_subscription = subscription;
-                              l_report = report;
-                            };
-                          raw = header ^ "\n" ^ payload;
-                        })
-          | _ -> Ledger_damage Ledger_corrupt)
-      | _ ->
-          Ledger_damage (if at_eof () then Ledger_torn else Ledger_corrupt))
-
-let read_ledger path =
-  match open_in_bin path with
-  | exception Sys_error _ -> ([], Ledger_clean)
-  | ic ->
-      let entries = ref [] in
-      let tail = ref Ledger_clean in
-      let rec go () =
-        match read_ledger_entry ic with
-        | Ledger_end -> ()
-        | Ledger_damage d -> tail := d
-        | Ledger_rec { entry; _ } ->
-            entries := entry :: !entries;
-            go ()
-      in
-      go ();
-      close_in ic;
-      (List.rev !entries, !tail)
-
-(* {2 Incremental ledger compaction}
-
-   Duplicate seq numbers in the ledger are at-least-once re-deliveries
-   with identical content; consumers dedup by seq, so keeping one
-   entry per seq preserves everything observable.  Same step-bounded
-   three-phase shape as {!Xy_submgr.Persist.Compaction} — index last
-   occurrences, stream survivors to a temp, then capture the appends
-   that landed meanwhile and atomically swap.  The ledger has no live
-   channel (each delivery opens/closes the file), so the swap needs no
-   reopen. *)
-module Ledger_compaction = struct
-  type phase = Indexing | Writing of out_channel
-
-  type task = {
-    path : string;
-    temp : string;
-    ic : in_channel;
-    last : (int, int) Hashtbl.t;  (** seq -> ordinal of last entry *)
-    mutable ordinal : int;
-    mutable total : int;
-    mutable kept : int;
-    mutable limit : int;
-    mutable phase : phase;
-  }
-
-  type progress = Running | Finished of int | Abandoned
-
-  let start path =
-    match open_in_bin path with
-    | exception Sys_error _ -> None
-    | ic ->
-        let temp = path ^ ".compact" in
-        (try if Sys.file_exists temp then Sys.remove temp
-         with Sys_error _ -> ());
-        Some
-          {
-            path;
-            temp;
-            ic;
-            last = Hashtbl.create 1024;
-            ordinal = 0;
-            total = 0;
-            kept = 0;
-            limit = 0;
-            phase = Indexing;
-          }
-
-  let abandon task =
-    (try close_in task.ic with Sys_error _ -> ());
-    (match task.phase with
-    | Writing oc -> ( try close_out oc with Sys_error _ -> ())
-    | Indexing -> ());
-    (try if Sys.file_exists task.temp then Sys.remove task.temp
-     with Sys_error _ -> ());
-    Abandoned
-
-  let sync_dir dir =
-    match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-    | exception Unix.Unix_error _ -> ()
-    | fd ->
-        (try Unix.fsync fd with Unix.Unix_error _ -> ());
-        Unix.close fd
-
-  let finish task oc =
-    seek_in task.ic task.limit;
-    let buf = Bytes.create 65536 in
-    let rec copy () =
-      let n = input task.ic buf 0 (Bytes.length buf) in
-      if n > 0 then begin
-        output oc buf 0 n;
-        copy ()
-      end
-    in
-    copy ();
-    close_in task.ic;
-    flush oc;
-    (try Unix.fsync (Unix.descr_of_out_channel oc)
-     with Unix.Unix_error _ -> ());
-    close_out oc;
-    Sys.rename task.temp task.path;
-    sync_dir (Filename.dirname task.path);
-    Finished (task.total - task.kept)
-
-  let step task ~budget =
-    match task.phase with
-    | Indexing ->
-        let rec go n =
-          if n = 0 then Running
-          else
-            match read_ledger_entry task.ic with
-            | Ledger_damage _ -> abandon task
-            | Ledger_end ->
-                task.limit <- pos_in task.ic;
-                seek_in task.ic 0;
-                let oc =
-                  open_out_gen
-                    [ Open_wronly; Open_creat; Open_trunc; Open_binary ]
-                    0o644 task.temp
-                in
-                task.phase <- Writing oc;
-                task.ordinal <- 0;
-                Running
-            | Ledger_rec { entry; _ } ->
-                Hashtbl.replace task.last entry.l_seq task.ordinal;
-                task.ordinal <- task.ordinal + 1;
-                task.total <- task.total + 1;
-                go (n - 1)
-        in
-        go budget
-    | Writing oc ->
-        let rec go n =
-          if task.ordinal >= task.total then finish task oc
-          else if n = 0 then Running
-          else
-            match read_ledger_entry task.ic with
-            | Ledger_damage _ | Ledger_end -> abandon task
-            | Ledger_rec { entry; raw } ->
-                if Hashtbl.find_opt task.last entry.l_seq = Some task.ordinal
-                then begin
-                  output_string oc raw;
-                  task.kept <- task.kept + 1
-                end;
-                task.ordinal <- task.ordinal + 1;
-                go (n - 1)
-        in
-        go budget
-end
+(* Re-deliveries of one seq carry identical content, so the last one
+   stands for all of them. *)
+let ledger_key payload =
+  (string_of_int (Codec.read_int (Codec.reader payload)), true)

@@ -62,10 +62,11 @@ val directory : root:string -> ?written:int ref -> unit -> t
 
 (** {2 The delivery ledger}
 
-    An append-only, checksummed file recording every delivery —
-    the evidence a crash-restart run is diffed against an
-    uninterrupted one with.  Duplicate [seq] numbers are exactly the
-    at-least-once re-deliveries; consumers dedup by [seq]. *)
+    One {!Xy_durable.Record_log} record per delivery, every field
+    inside the record's checksum — the evidence a crash-restart run is
+    diffed against an uninterrupted one with.  Duplicate [seq] numbers
+    are exactly the at-least-once re-deliveries; consumers dedup by
+    [seq]. *)
 
 type ledger_entry = {
   l_seq : int;
@@ -75,37 +76,18 @@ type ledger_entry = {
   l_report : string;  (** the report element, rendered *)
 }
 
-(** [ledger ~path ()] appends one checksummed entry per delivery
-    (framing mirrors {!Xy_submgr.Persist}). *)
+(** [ledger ~path ()] appends one entry per delivery, opening and
+    closing the file each time so the ledger can be compacted by path
+    between deliveries. *)
 val ledger : path:string -> unit -> t
-
-type ledger_tail = Ledger_clean | Ledger_torn | Ledger_corrupt
 
 (** [read_ledger path] scans the ledger, stopping at damage: a torn
     final entry is the expected post-crash state, mid-log damage is
-    corruption.  A missing file is [([], Ledger_clean)]. *)
-val read_ledger : string -> ledger_entry list * ledger_tail
+    corruption.  A missing file is [([], Clean)]. *)
+val read_ledger : string -> ledger_entry list * Xy_durable.Record_log.tail
 
-(** Incremental ledger compaction: drops duplicate [seq] entries (the
-    at-least-once re-deliveries carry identical content, so one entry
-    per [seq] preserves everything observable) a bounded number of
-    records at a time, then atomically swaps the compacted file into
-    place.  Deliveries appended while the task runs are carried over
-    verbatim. *)
-module Ledger_compaction : sig
-  type task
-
-  type progress =
-    | Running  (** call {!step} again *)
-    | Finished of int  (** compacted; the count of entries dropped *)
-    | Abandoned  (** damage mid-ledger; the file is left untouched *)
-
-  (** [start path] begins a compaction; [None] when the ledger cannot
-      be opened.  A stale temp from an earlier crashed task is removed
-      first. *)
-  val start : string -> task option
-
-  (** [step task ~budget] processes up to [budget] entries; the
-      finishing step fsyncs, renames and fsyncs the directory. *)
-  val step : task -> budget:int -> progress
-end
+(** [ledger_key payload] is an entry's compaction key for
+    {!Xy_durable.Record_log.Compaction}: its [seq].  Re-deliveries
+    carry identical content, so one entry per [seq] preserves
+    everything observable. *)
+val ledger_key : string -> string * bool

@@ -14,6 +14,7 @@ let log_src = Logs.Src.create "xy.serve.client" ~doc:"Supervised wire client"
 
 module Log = (val Logs.src_log log_src)
 module Prng = Xy_util.Prng
+module Record_log = Xy_durable.Record_log
 
 type config = {
   host : string;
@@ -30,7 +31,7 @@ type config = {
 
 let config ?(host = "127.0.0.1") ?(backoff_initial = 0.05) ?(backoff_max = 2.)
     ?(jitter = 0.25) ?(ping_interval = 5.) ?(pong_deadline = 10.)
-    ?(max_frame = Frame.default_max_frame) ?(seed = 42) ~port ~id () =
+    ?(max_frame = Record_log.default_max_frame) ?(seed = 42) ~port ~id () =
   {
     host;
     port;
@@ -199,11 +200,10 @@ let dial t =
     (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
     Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.05;
     write_all fd (Frame.encode_request (Frame.Hello t.cfg.id));
-    let dec = Frame.decoder ~max_frame:t.cfg.max_frame () in
-    let buf = Bytes.create 4096 in
+    let dec = Record_log.decoder ~max_frame:t.cfg.max_frame () in
     let deadline = Unix.gettimeofday () +. 5. in
     let rec await () =
-      match Frame.next dec with
+      match Record_log.next dec with
       | Ok (Some payload) -> (
           match Frame.decode_event payload with
           | Ok (Frame.Welcome pending) -> `Connected pending
@@ -223,7 +223,7 @@ let dial t =
       | Ok None ->
           if Unix.gettimeofday () >= deadline then `Failed "handshake timeout"
           else (
-            match Unix.read fd buf 0 (Bytes.length buf) with
+            match Record_log.fill dec (Unix.read fd) with
             | exception
                 Unix.Unix_error
                   ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
@@ -231,10 +231,8 @@ let dial t =
             | exception Unix.Unix_error (e, _, _) ->
                 `Failed (Unix.error_message e)
             | 0 -> `Failed "closed during handshake"
-            | n ->
-                Frame.feed dec (Bytes.sub_string buf 0 n);
-                await ())
-      | Error e -> `Failed (Frame.error_to_string e)
+            | _ -> await ())
+      | Error e -> `Failed (Record_log.error_to_string e)
     in
     match await () with
     | `Connected pending ->
@@ -294,7 +292,6 @@ let session t fd dec =
       Queue.transfer t.inflight replay;
       Queue.transfer t.pending replay;
       Queue.transfer replay t.pending);
-  let buf = Bytes.create 8192 in
   let last_ping = ref (Unix.gettimeofday ()) in
   let awaiting_pong = ref None in
   let flush_pending () =
@@ -333,7 +330,7 @@ let session t fd dec =
     end
   in
   let rec drain () =
-    match Frame.next dec with
+    match Record_log.next dec with
     | Ok None -> ()
     | Ok (Some payload) -> (
         match Frame.decode_event payload with
@@ -344,14 +341,14 @@ let session t fd dec =
             handle_event t fd ev;
             drain ()
         | Error msg -> raise (Link_down ("malformed event: " ^ msg)))
-    | Error e -> raise (Link_down (Frame.error_to_string e))
+    | Error e -> raise (Link_down (Record_log.error_to_string e))
   in
   let rec loop () =
     if t.stopped then ()
     else begin
       flush_pending ();
       maybe_ping ();
-      (match Unix.read fd buf 0 (Bytes.length buf) with
+      (match Record_log.fill dec (Unix.read fd) with
       | exception
           Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
         ->
@@ -359,9 +356,7 @@ let session t fd dec =
       | exception Unix.Unix_error (e, _, _) ->
           raise (Link_down (Unix.error_message e))
       | 0 -> raise (Link_down "connection closed by server")
-      | n ->
-          Frame.feed dec (Bytes.sub_string buf 0 n);
-          drain ());
+      | _ -> drain ());
       loop ()
     end
   in

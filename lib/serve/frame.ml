@@ -1,74 +1,4 @@
 module Codec = Xy_util.Codec
-module Parse = Xy_util.Parse
-
-let checksum = Xy_util.Hashing.signature
-let default_max_frame = 16 * 1024 * 1024
-
-(* "X " + decimal length + " " + 16 hex digits.  A header that grows
-   past this without a newline cannot become valid. *)
-let header_max = 2 + 19 + 1 + 16
-
-let encode payload =
-  Printf.sprintf "X %d %s\n%s\n" (String.length payload) (checksum payload)
-    payload
-
-type error = Bad_header of string | Oversize of int | Bad_crc
-
-let error_to_string = function
-  | Bad_header h -> Printf.sprintf "bad frame header %S" h
-  | Oversize n -> Printf.sprintf "frame length %d exceeds maximum" n
-  | Bad_crc -> "frame checksum mismatch"
-
-type decoder = {
-  mutable pending : string;
-  max_frame : int;
-  mutable poisoned : error option;
-}
-
-let decoder ?(max_frame = default_max_frame) () =
-  { pending = ""; max_frame; poisoned = None }
-
-let feed d chunk =
-  if chunk <> "" then
-    d.pending <- (if d.pending = "" then chunk else d.pending ^ chunk)
-
-let buffered d = String.length d.pending
-
-let fail d e =
-  d.poisoned <- Some e;
-  Error e
-
-let next d =
-  match d.poisoned with
-  | Some e -> Error e
-  | None -> (
-      match String.index_opt d.pending '\n' with
-      | None ->
-          if String.length d.pending > header_max then
-            fail d (Bad_header d.pending)
-          else Ok None
-      | Some nl -> (
-          let header = String.sub d.pending 0 nl in
-          match String.split_on_char ' ' header with
-          | [ "X"; len_s; crc ] when String.length crc = 16 -> (
-              match Parse.decimal_int len_s with
-              | None -> fail d (Bad_header header)
-              | Some len when len > d.max_frame -> fail d (Oversize len)
-              | Some len ->
-                  if String.length d.pending < nl + 1 + len + 1 then Ok None
-                  else if d.pending.[nl + 1 + len] <> '\n' then fail d Bad_crc
-                  else
-                    let payload = String.sub d.pending (nl + 1) len in
-                    if not (String.equal (checksum payload) crc) then
-                      fail d Bad_crc
-                    else begin
-                      let consumed = nl + 1 + len + 1 in
-                      d.pending <-
-                        String.sub d.pending consumed
-                          (String.length d.pending - consumed);
-                      Ok (Some payload)
-                    end)
-          | _ -> fail d (Bad_header header)))
 
 type request =
   | Hello of string
@@ -92,7 +22,7 @@ let payload_of fill =
   Buffer.contents buf
 
 let encode_request r =
-  encode
+  Xy_durable.Record_log.encode
   @@ payload_of (fun buf ->
          match r with
          | Hello id ->
@@ -114,7 +44,7 @@ let encode_request r =
              Codec.string buf token)
 
 let encode_event e =
-  encode
+  Xy_durable.Record_log.encode
   @@ payload_of (fun buf ->
          match e with
          | Welcome pending ->

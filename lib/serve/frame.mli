@@ -1,55 +1,11 @@
-(** Wire framing for the serving surface.
+(** The serving surface's protocol verbs.
 
-    One frame on the wire is
-
-    {v X <payload_len> <crc>\n<payload>\n v}
-
-    — the same framing discipline as the WAL ({!Xy_durable}): an
-    ASCII header with a strict decimal length and a 16-hex-digit
-    FNV-1a checksum ({!Xy_util.Hashing.signature}) over the payload,
-    then the raw payload bytes and a trailing newline.  Anything
-    else — a malformed header, a length beyond the negotiated
-    maximum, a checksum mismatch, a missing trailer — is a protocol
-    error and the peer closes the connection.
-
-    The payload itself is a sequence of {!Xy_util.Codec} fields
+    One frame on the wire is one {!Xy_durable.Record_log} record — the
+    same format as every durable file: anything that fails to frame
+    is a protocol error and the peer closes the connection.  The
+    record's payload is a sequence of {!Xy_util.Codec} fields
     beginning with a verb string; {!decode_request} and
     {!decode_event} map payloads to the typed protocol messages. *)
-
-(** {2 Byte-level framing} *)
-
-(** [checksum payload] is the 16-hex-digit signature carried in the
-    frame header. *)
-val checksum : string -> string
-
-(** Largest payload either side accepts by default: 16 MiB. *)
-val default_max_frame : int
-
-(** [encode payload] wraps raw payload bytes into a complete frame. *)
-val encode : string -> string
-
-type error =
-  | Bad_header of string  (** header line is not [X <len> <crc>] *)
-  | Oversize of int  (** declared length exceeds the maximum *)
-  | Bad_crc  (** checksum mismatch or missing trailer *)
-
-val error_to_string : error -> string
-
-(** Incremental decoder: feed raw socket bytes in, pop whole payloads
-    out.  After the first error the decoder is poisoned and keeps
-    returning that error. *)
-type decoder
-
-val decoder : ?max_frame:int -> unit -> decoder
-val feed : decoder -> string -> unit
-
-(** [next d] is [Ok (Some payload)] when a whole frame is buffered,
-    [Ok None] when more bytes are needed, [Error _] on a framing
-    violation. *)
-val next : decoder -> (string option, error) result
-
-(** Bytes buffered but not yet consumed (for tests). *)
-val buffered : decoder -> int
 
 (** {2 Protocol messages} *)
 
@@ -74,7 +30,7 @@ val encode_request : request -> string
 
 val encode_event : event -> string
 
-(** Decoders take a frame payload (from {!next}). *)
+(** Decoders take a frame payload (from {!Xy_durable.Record_log.next}). *)
 val decode_request : string -> (request, string) result
 
 val decode_event : string -> (event, string) result

@@ -4,6 +4,7 @@ module Log = (val Logs.src_log log_src)
 module Obs = Xy_obs.Obs
 module Codec = Xy_util.Codec
 module Imap = Map.Make (Int)
+module Record_log = Xy_durable.Record_log
 
 type config = {
   host : string;
@@ -19,7 +20,7 @@ type config = {
 }
 
 let config ?(host = "127.0.0.1") ?(backlog = 128) ?(outbox = 64)
-    ?(max_frame = Frame.default_max_frame) ?(max_connections = 0)
+    ?(max_frame = Record_log.default_max_frame) ?(max_connections = 0)
     ?(retry_after = 1.) ?(idle_deadline = 300.) ?(read_deadline = 30.)
     ?(drain = 0.5) ~port () =
   {
@@ -380,8 +381,7 @@ let handle_request t ss req =
       | Some id -> locked t (fun () -> Queue.push (C_ack (id, seq)) t.commands))
 
 let reader_loop t ss =
-  let buf = Bytes.create 8192 in
-  let dec = Frame.decoder ~max_frame:t.cfg.max_frame () in
+  let dec = Record_log.decoder ~max_frame:t.cfg.max_frame () in
   (* The liveness deadlines ride the receive timeout: the blocking
      read returns EAGAIN every tick, and the tick handler decides
      whether the peer is merely quiet or dead. *)
@@ -391,7 +391,7 @@ let reader_loop t ss =
       with Unix.Unix_error _ -> ())
   | None -> ());
   let rec drain () =
-    match Frame.next dec with
+    match Record_log.next dec with
     | Ok None -> true
     | Ok (Some payload) -> (
         match Frame.decode_request payload with
@@ -402,12 +402,12 @@ let reader_loop t ss =
             poison t ss ("malformed request: " ^ msg);
             false)
     | Error e ->
-        poison t ss (Frame.error_to_string e);
+        poison t ss (Record_log.error_to_string e);
         false
   in
   let overdue deadline since = deadline > 0. && Unix.gettimeofday () -. since > deadline in
   let rec loop () =
-    match Chaos.read t.chaos ss.s_fd buf 0 (Bytes.length buf) with
+    match Record_log.fill dec (Chaos.read t.chaos ss.s_fd) with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> (
         (* receive-timeout tick: enforce the liveness deadlines *)
@@ -429,11 +429,10 @@ let reader_loop t ss =
             else loop ())
     | exception _ -> locked t (fun () -> close_session t ss)
     | 0 -> locked t (fun () -> close_session t ss)
-    | n ->
+    | _ ->
         ss.s_last_read <- Unix.gettimeofday ();
-        Frame.feed dec (Bytes.sub_string buf 0 n);
         if drain () then begin
-          (if Frame.buffered dec = 0 then ss.s_partial_since <- None
+          (if Record_log.buffered dec = 0 then ss.s_partial_since <- None
            else
              match ss.s_partial_since with
              | None -> ss.s_partial_since <- Some ss.s_last_read

@@ -52,7 +52,7 @@ type metrics = {
 
 type t = {
   policy : Compile.policy;
-  mutable persist : Persist.t option;
+  mutable persist : Xy_durable.Record_log.t option;
   clock : Xy_util.Clock.t;
   registry : Registry.t;
   mqp : Mqp.t;
@@ -471,14 +471,3 @@ let subscription_refresh t ~name =
   Option.value ~default:[] (Hashtbl.find_opt t.refreshing name)
 
 let complex_event_count t = Hashtbl.length t.dispatches
-
-let compact_persist t =
-  match t.persist with Some log -> Persist.compact_live log | None -> 0
-
-let persist_size t =
-  match t.persist with Some log -> Persist.log_size log | None -> 0
-
-let compaction_start t =
-  match t.persist with Some log -> Persist.Compaction.start log | None -> None
-
-let compaction_step task ~budget = Persist.Compaction.step task ~budget

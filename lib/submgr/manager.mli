@@ -27,7 +27,7 @@ val error_to_string : error -> string
     [submgr] stage of [obs] (default {!Xy_obs.Obs.default}). *)
 val create :
   ?policy:Xy_sublang.S_compile.policy ->
-  ?persist:Persist.t ->
+  ?persist:Xy_durable.Record_log.t ->
   ?obs:Xy_obs.Obs.t ->
   clock:Xy_util.Clock.t ->
   registry:Xy_events.Registry.t ->
@@ -83,24 +83,3 @@ val subscription_refresh : t -> name:string -> (string * float) list
 (** [complex_event_count t] is the number of live complex events
     (Card(C) from this manager). *)
 val complex_event_count : t -> int
-
-(** {2 Durability} *)
-
-(** [compact_persist t] compacts the attached subscription log in
-    place (see {!Persist.compact_live}); [0] without one.  Called from
-    checkpoints so the log stays proportional to the live
-    subscription set. *)
-val compact_persist : t -> int
-
-(** [persist_size t] is the attached log's size in bytes ([0] without
-    one). *)
-val persist_size : t -> int
-
-(** [compaction_start t] begins an incremental compaction of the
-    attached subscription log (see {!Persist.Compaction}); [None]
-    without a log, or when the log is dead/unreadable. *)
-val compaction_start : t -> Persist.Compaction.task option
-
-(** [compaction_step task ~budget] advances an incremental compaction
-    by up to [budget] records. *)
-val compaction_step : Persist.Compaction.task -> budget:int -> Persist.Compaction.progress

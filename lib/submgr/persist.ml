@@ -1,144 +1,58 @@
-module Fault = Xy_fault.Fault
-
-type t = {
-  path : string;
-  mutable channel : out_channel;
-  faults : Fault.t;
-  mutable dead : bool;  (** a torn write "crashed" this log *)
-}
-
-(* Record framing:
-     R <kind> <name_len> <owner_len> <text_len> <checksum>\n
-     <name bytes><owner bytes><text bytes>\n
-   The checksum covers the three payload fields. *)
-
-let open_log ?(faults = Fault.none) path =
-  {
-    path;
-    channel = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path;
-    faults;
-    dead = false;
-  }
-
-let is_dead t = t.dead
-
-let checksum name owner text =
-  Xy_util.Hashing.signature (name ^ "\x00" ^ owner ^ "\x00" ^ text)
-
-let append t ~kind ~name ~owner ~text =
-  if not t.dead then begin
-    let record =
-      Printf.sprintf "R %c %d %d %d %s\n%s%s%s\n" kind (String.length name)
-        (String.length owner) (String.length text)
-        (checksum name owner text) name owner text
-    in
-    let record =
-      (* Two distinct failure shapes: [torn_write] is a crash — a
-         strict prefix lands and nothing is ever appended again (the
-         expected Torn tail); [short_write] damages one record but the
-         log lives on, leaving mid-log corruption for {!scan} to
-         diagnose as Corrupt. *)
-      if Fault.fire t.faults "torn_write" then begin
-        t.dead <- true;
-        String.sub record 0
-          (Fault.draw_int t.faults "torn_write" ~bound:(String.length record))
-      end
-      else if Fault.fire t.faults "short_write" then
-        String.sub record 0
-          (Fault.draw_int t.faults "short_write" ~bound:(String.length record))
-      else record
-    in
-    output_string t.channel record;
-    flush t.channel
-  end
-
-let append_insert t ~name ~owner ~text = append t ~kind:'I' ~name ~owner ~text
-let append_delete t ~name = append t ~kind:'D' ~name ~owner:"" ~text:""
-let close t = close_out t.channel
+module Codec = Xy_util.Codec
+module Record_log = Xy_durable.Record_log
 
 type record =
   | Insert of { name : string; owner : string; text : string }
   | Delete of string
 
-type tail = Clean | Torn | Corrupt
+type tail = Record_log.tail = Clean | Torn | Corrupt
 
-(* Header integers are parsed strictly: a damaged length shaped like
-   "0x10" or "1_0" must read as corruption, not as a valid frame. *)
-let decimal = Xy_util.Parse.decimal_int
+let encode record =
+  let buf = Buffer.create 128 in
+  (match record with
+  | Insert { name; owner; text } ->
+      Codec.string buf "I";
+      Codec.string buf name;
+      Codec.string buf owner;
+      Codec.string buf text
+  | Delete name ->
+      Codec.string buf "D";
+      Codec.string buf name);
+  Buffer.contents buf
 
-(* Read one record at the channel position.  [raw] is the record's
-   exact on-disk bytes, so compaction can copy survivors without
-   re-encoding them. *)
-type read_result =
-  | Rec of { record : record; raw : string }
-  | End
-  | Damage of tail
+let decode payload =
+  let r = Codec.reader payload in
+  let record =
+    match Codec.read_string r with
+    | "I" ->
+        let name = Codec.read_string r in
+        let owner = Codec.read_string r in
+        let text = Codec.read_string r in
+        Insert { name; owner; text }
+    | "D" -> Delete (Codec.read_string r)
+    | kind -> raise (Codec.Malformed ("unknown subscription record " ^ kind))
+  in
+  Codec.expect_end r;
+  record
 
-let read_record ic =
-  let at_eof () = pos_in ic >= in_channel_length ic in
-  match input_line ic with
-  | exception End_of_file -> End
-  | header -> (
-      match String.split_on_char ' ' header with
-      | [ "R"; kind; name_len; owner_len; text_len; crc ] -> (
-          match (decimal name_len, decimal owner_len, decimal text_len) with
-          | Some name_len, Some owner_len, Some text_len -> (
-              let payload_len = name_len + owner_len + text_len in
-              (* [really_input_string] raises [End_of_file] on a short
-                 read, so the torn-tail case must be caught here: fewer
-                 bytes than the header promised can only mean the final
-                 record was cut mid-write. *)
-              match really_input_string ic (payload_len + 1) with
-              | exception End_of_file -> Damage Torn
-              | payload ->
-                  if payload.[payload_len] <> '\n' then Damage Corrupt
-                  else
-                    let name = String.sub payload 0 name_len in
-                    let owner = String.sub payload name_len owner_len in
-                    let text =
-                      String.sub payload (name_len + owner_len) text_len
-                    in
-                    if checksum name owner text <> crc then
-                      (* full-length record failing its checksum: bytes
-                         were damaged in place, not torn *)
-                      Damage Corrupt
-                    else
-                      let raw = header ^ "\n" ^ payload in
-                      (match kind with
-                      | "I" -> Rec { record = Insert { name; owner; text }; raw }
-                      | "D" -> Rec { record = Delete name; raw }
-                      | _ -> Damage Corrupt))
-          | _ -> Damage Corrupt)
-      | _ ->
-          (* an unframed header line: at end-of-file it is a torn
-             write, mid-log it is corruption *)
-          Damage (if at_eof () then Torn else Corrupt))
+let append_insert log ~name ~owner ~text =
+  Record_log.append log (encode (Insert { name; owner; text }))
 
-let scan path =
-  match open_in_bin path with
-  | exception Sys_error _ -> ([], Clean)
-  | ic ->
-      let records = ref [] in
-      let tail = ref Clean in
-      let rec go () =
-        match read_record ic with
-        | End -> ()
-        | Damage d -> tail := d
-        | Rec { record; _ } ->
-            records := record :: !records;
-            go ()
-      in
-      go ();
-      close_in ic;
-      (List.rev !records, !tail)
+let append_delete log ~name = Record_log.append log (encode (Delete name))
 
+let key payload =
+  match decode payload with
+  | Insert { name; _ } -> (name, true)
+  | Delete name -> (name, false)
+
+let scan path = Record_log.read path ~decode
 let read_all path = fst (scan path)
 
 (* Drop inserts cancelled by a later delete or superseded by a later
    re-insert (and the deletes themselves): only each name's last
    record matters, and it survives iff it is an insert.  One indexed
-   pass instead of a rescan-the-tail per record — recovery and
-   compaction are hot at 10^5 subscriptions. *)
+   pass instead of a rescan-the-tail per record — recovery is hot at
+   10^5 subscriptions. *)
 let survivors records =
   let last = Hashtbl.create 1024 in
   List.iteri
@@ -155,215 +69,3 @@ let survivors records =
     records
 
 let replay path = survivors (read_all path)
-
-let compact path =
-  let all = read_all path in
-  let surviving = survivors all in
-  let temp = path ^ ".compact" in
-  (match
-     (* Truncate: a compaction that crashed before its rename leaves a
-        stale temp behind, and appending to it would duplicate
-        records. *)
-     let channel =
-       open_out_gen
-         [ Open_wronly; Open_creat; Open_trunc; Open_binary ]
-         0o644 temp
-     in
-     let log = { path = temp; channel; faults = Fault.none; dead = false } in
-     (try
-        List.iter
-          (fun record ->
-            match record with
-            | Insert { name; owner; text } -> append_insert log ~name ~owner ~text
-            | Delete _ -> ())
-          surviving;
-        close log
-      with e ->
-        (try close log with Sys_error _ -> ());
-        raise e);
-     Sys.rename temp path
-   with
-  | () -> ()
-  | exception e ->
-      (* a failed compaction must not leave its temp file behind *)
-      (try if Sys.file_exists temp then Sys.remove temp with Sys_error _ -> ());
-      raise e);
-  List.length all - List.length surviving
-
-(* Compacting a live log: the open channel holds a stale descriptor
-   once the compacted file is renamed into place, so close around the
-   rewrite and reopen for append after.  A dead (torn) log stays
-   closed — compacting it would resurrect a log that is supposed to
-   have crashed. *)
-let compact_live t =
-  if t.dead then 0
-  else begin
-    close_out t.channel;
-    let dropped =
-      match compact t.path with
-      | dropped -> dropped
-      | exception e ->
-          t.channel <-
-            open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 t.path;
-          raise e
-    in
-    t.channel <-
-      open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 t.path;
-    dropped
-  end
-
-let log_size t = if t.dead then 0 else out_channel_length t.channel
-
-(* {2 Incremental compaction}
-
-   [compact_live] rewrites the whole log inside one call — at 10^5
-   subscriptions that is a multi-hundred-millisecond stall on the
-   checkpoint path.  This task does the same rewrite a bounded number
-   of records at a time, interleaved with normal appends:
-
-   - phase 1 indexes each name's last record (like {!survivors}),
-     noting the byte offset where indexing stopped;
-   - phase 2 streams the surviving records into a [.compact] temp,
-     copying their raw bytes;
-   - the finishing step captures everything appended past the phase-1
-     offset verbatim (appends during the task are newer than anything
-     indexed, so keeping them preserves last-record-wins), fsyncs,
-     renames the temp into place, and reopens the live channel.
-
-   Any damage found while reading abandons the task and leaves the
-   log untouched. *)
-module Compaction = struct
-  type phase = Indexing | Writing of out_channel
-
-  type task = {
-    log : t;
-    temp : string;
-    ic : in_channel;
-    last : (string, int) Hashtbl.t;  (** name -> ordinal of last record *)
-    mutable ordinal : int;
-    mutable total : int;  (** records indexed by phase 1 *)
-    mutable kept : int;
-    mutable limit : int;  (** byte offset where indexing stopped *)
-    mutable phase : phase;
-  }
-
-  type progress = Running | Finished of int | Abandoned
-
-  let start log =
-    if log.dead then None
-    else
-      match open_in_bin log.path with
-      | exception Sys_error _ -> None
-      | ic ->
-          let temp = log.path ^ ".compact" in
-          (* a compaction that crashed or abandoned leaves a stale
-             temp; it must not leak into this run's output *)
-          (try if Sys.file_exists temp then Sys.remove temp
-           with Sys_error _ -> ());
-          Some
-            {
-              log;
-              temp;
-              ic;
-              last = Hashtbl.create 1024;
-              ordinal = 0;
-              total = 0;
-              kept = 0;
-              limit = 0;
-              phase = Indexing;
-            }
-
-  let abandon task =
-    (try close_in task.ic with Sys_error _ -> ());
-    (match task.phase with
-    | Writing oc -> ( try close_out oc with Sys_error _ -> ())
-    | Indexing -> ());
-    (try if Sys.file_exists task.temp then Sys.remove task.temp
-     with Sys_error _ -> ());
-    Abandoned
-
-  let sync_dir dir =
-    match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-    | exception Unix.Unix_error _ -> ()
-    | fd ->
-        (try Unix.fsync fd with Unix.Unix_error _ -> ());
-        Unix.close fd
-
-  let finish task oc =
-    (* Park the live channel: it holds the old inode, and an append
-       landing between the suffix copy and the reopen would be lost. *)
-    flush task.log.channel;
-    close_out task.log.channel;
-    (* Records appended since indexing stopped are newer than every
-       survivor; copy them verbatim. *)
-    seek_in task.ic task.limit;
-    let buf = Bytes.create 65536 in
-    let rec copy () =
-      let n = input task.ic buf 0 (Bytes.length buf) in
-      if n > 0 then begin
-        output oc buf 0 n;
-        copy ()
-      end
-    in
-    copy ();
-    close_in task.ic;
-    flush oc;
-    (try Unix.fsync (Unix.descr_of_out_channel oc)
-     with Unix.Unix_error _ -> ());
-    close_out oc;
-    Sys.rename task.temp task.log.path;
-    sync_dir (Filename.dirname task.log.path);
-    task.log.channel <-
-      open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 task.log.path;
-    Finished (task.total - task.kept)
-
-  let step task ~budget =
-    if task.log.dead then abandon task
-    else
-      match task.phase with
-      | Indexing ->
-          let rec go n =
-            if n = 0 then Running
-            else
-              match read_record task.ic with
-              | Damage _ -> abandon task
-              | End ->
-                  task.limit <- pos_in task.ic;
-                  seek_in task.ic 0;
-                  let oc =
-                    open_out_gen
-                      [ Open_wronly; Open_creat; Open_trunc; Open_binary ]
-                      0o644 task.temp
-                  in
-                  task.phase <- Writing oc;
-                  task.ordinal <- 0;
-                  Running
-              | Rec { record; _ } ->
-                  (match record with
-                  | Insert { name; _ } ->
-                      Hashtbl.replace task.last name task.ordinal
-                  | Delete name -> Hashtbl.remove task.last name);
-                  task.ordinal <- task.ordinal + 1;
-                  task.total <- task.total + 1;
-                  go (n - 1)
-          in
-          go budget
-      | Writing oc ->
-          let rec go n =
-            if task.ordinal >= task.total then finish task oc
-            else if n = 0 then Running
-            else
-              match read_record task.ic with
-              | Damage _ | End -> abandon task
-              | Rec { record; raw } ->
-                  (match record with
-                  | Insert { name; _ }
-                    when Hashtbl.find_opt task.last name = Some task.ordinal ->
-                      output_string oc raw;
-                      task.kept <- task.kept + 1
-                  | Insert _ | Delete _ -> ());
-                  task.ordinal <- task.ordinal + 1;
-                  go (n - 1)
-          in
-          go budget
-end

@@ -2,31 +2,25 @@
 
     The paper's Subscription Manager keeps subscriptions in a MySQL
     database "for recovery"; this module provides the same contract
-    with an append-only, checksummed log: every accepted subscription
-    (as source text) and every deletion is appended, and recovery
-    replays the log.  A truncated or corrupted tail (torn write at
-    crash) is detected by checksum and ignored. *)
+    with a {!Xy_durable.Record_log}: every accepted subscription (as
+    source text) and every deletion is appended as one record, and
+    recovery replays the log.  A torn or damaged tail is detected by
+    the record log and ignored.  The log is compacted with
+    {!Xy_durable.Record_log.Compaction} and {!key}. *)
 
-type t
+type record =
+  | Insert of { name : string; owner : string; text : string }
+  | Delete of string
 
-(** [open_log path] opens (or creates) the log for appending.
+val append_insert :
+  Xy_durable.Record_log.t -> name:string -> owner:string -> text:string -> unit
 
-    [faults] (default {!Xy_fault.Fault.none}) arms two failure
-    points: [torn_write] cuts an append short and kills the log — the
-    crash shape, every later append is silently dropped and {!scan}
-    diagnoses the tail as [Torn]; [short_write] cuts one append short
-    but lets the log live on, leaving mid-log damage {!scan}
-    diagnoses as [Corrupt]. *)
-val open_log : ?faults:Xy_fault.Fault.t -> string -> t
+val append_delete : Xy_durable.Record_log.t -> name:string -> unit
 
-(** [is_dead t] — a [torn_write] fault has "crashed" this log. *)
-val is_dead : t -> bool
-
-val append_insert : t -> name:string -> owner:string -> text:string -> unit
-val append_delete : t -> name:string -> unit
-val close : t -> unit
-
-type record = Insert of { name : string; owner : string; text : string } | Delete of string
+(** [key payload] is a record's compaction key: its subscription
+    name, and whether the record survives when it is the name's last
+    (an insert does, a delete does not). *)
+val key : string -> string * bool
 
 (** [replay path] reads the log and returns the surviving records in
     order (an [Insert] cancelled by a later [Delete] is dropped).
@@ -38,62 +32,8 @@ val replay : string -> record list
 val read_all : string -> record list
 
 (** How the log ended. *)
-type tail =
-  | Clean  (** every byte accounted for *)
-  | Torn
-      (** the final record is shorter than its header promises — the
-          expected shape of a crash mid-append; replay up to it is
-          safe *)
-  | Corrupt
-      (** a full-length record failed its checksum or framing mid-log
-          — bytes were damaged in place; records after it are lost *)
+type tail = Xy_durable.Record_log.tail = Clean | Torn | Corrupt
 
 (** [scan path] is {!read_all} plus the tail diagnosis, so recovery
     can tell an ordinary torn tail from in-place damage. *)
 val scan : string -> record list * tail
-
-(** [compact path] rewrites the log keeping only the surviving
-    records (atomically: writes a temp file, then renames).  A stale
-    temp from an earlier crashed compaction is truncated, and a failed
-    compaction removes its temp instead of leaving it behind.  Returns
-    the number of records dropped.  The log must not be open. *)
-val compact : string -> int
-
-(** [compact_live t] compacts an *open* log in place: the channel is
-    closed around the atomic rewrite and reopened for append after
-    (also when the rewrite fails).  Bounds log growth at checkpoints —
-    without it the log retains every superseded insert forever.  A
-    dead (torn) log is left untouched and [0] is returned. *)
-val compact_live : t -> int
-
-(** [log_size t] is the current size in bytes of an open log
-    ([0] when dead). *)
-val log_size : t -> int
-
-(** Incremental compaction: the same rewrite as {!compact_live}, but a
-    bounded number of records at a time so it can interleave with
-    normal operation instead of stalling a checkpoint.  Appends issued
-    while a task runs are safe: everything written past the point
-    indexing stopped is carried into the compacted log verbatim, and
-    last-record-wins keeps the semantics unchanged. *)
-module Compaction : sig
-  type task
-
-  type progress =
-    | Running  (** call {!step} again *)
-    | Finished of int  (** compacted; the count of records dropped *)
-    | Abandoned
-        (** damage was found mid-log, or the log died; the log is
-            left exactly as it was *)
-
-  (** [start log] begins a compaction of an open, live log.  [None]
-      when the log is dead or unreadable.  A stale temp from an
-      earlier crashed task is removed first. *)
-  val start : t -> task option
-
-  (** [step task ~budget] processes up to [budget] records.  The
-      finishing step additionally swaps the compacted file into place
-      (fsync, atomic rename, directory fsync) and reopens the live
-      channel.  After [Finished] or [Abandoned] the task is spent. *)
-  val step : task -> budget:int -> progress
-end

@@ -16,6 +16,7 @@ module Fault = Xy_fault.Fault
 module Durable = Xy_durable.Durable
 module Codec = Xy_util.Codec
 module Persist = Xy_submgr.Persist
+module Record_log = Xy_durable.Record_log
 module Sink = Xy_reporter.Sink
 module Slo = Xy_slo.Slo
 module Serve = Xy_serve.Serve
@@ -25,12 +26,22 @@ module Serve = Xy_serve.Serve
    module's historical surface. *)
 let monotonic_wall = Wall.monotonic
 
+(* A log the system compacts in the background, keyed by [key]; the
+   next compaction starts once the log doubles past [floor], its size
+   after the last attempt. *)
+type compactable = {
+  log : Record_log.t;
+  key : string -> string * bool;
+  mutable floor : int;
+}
+
 (* The background maintenance task in flight, advanced a bounded
    number of records per crawl step — log compaction used to run
    wholesale inside [checkpoint] and dominated its pause. *)
-type maintenance_task =
-  | Subscription_compaction of Persist.Compaction.task
-  | Ledger_compaction of Sink.Ledger_compaction.task
+type maintenance_task = {
+  target : compactable;
+  task : Record_log.Compaction.task;
+}
 
 (* Per-loader-domain pipeline stage: a private Loader + alerter Chain
    over the shared (internally locked) store and registry, plus a
@@ -72,12 +83,10 @@ type t = {
   mutable self_monitor_deadline : float option;
   mutable alerts_sent : int;
   durable : Durable.t option;
+  compactable : compactable list;
+      (** the subscription log and the report ledger of a durable run *)
   mutable maintenance : maintenance_task option;
   mutable compacted_since_checkpoint : int;
-  mutable persist_floor : int;
-      (** subscription-log size right after its last compaction — the
-          next one starts when the log doubles past this *)
-  mutable ledger_floor : int;
   mutable steps_done : int;
   mutable mid_step : bool;
       (** an [advance] has committed since the last completed
@@ -439,6 +448,27 @@ let make ?(seed = 1) ?algorithm ?policy ?persist_path ?sink ?web ?obs ?tracer
   let crawler =
     Xy_crawler.Crawler.create ~obs ~tracer ~faults ~clock ?retry ~web ~queue ()
   in
+  (* The durable directory owns the subscription log. *)
+  let persist =
+    Option.map
+      (Record_log.open_log ~faults)
+      (match durable with
+      | Some d -> Some (Durable.subscription_log_path d)
+      | None -> persist_path)
+  in
+  let compactable =
+    match (durable, persist) with
+    | Some d, Some log ->
+        [
+          { log; key = Persist.key; floor = 0 };
+          {
+            log = Record_log.by_path (Durable.report_ledger_path d);
+            key = Sink.ledger_key;
+            floor = 0;
+          };
+        ]
+    | _ -> []
+  in
   let t =
     {
       obs;
@@ -463,10 +493,9 @@ let make ?(seed = 1) ?algorithm ?policy ?persist_path ?sink ?web ?obs ?tracer
         Option.map (fun p -> Xy_util.Clock.now clock +. p) self_monitor_period;
       alerts_sent = 0;
       durable;
+      compactable;
       maintenance = None;
       compacted_since_checkpoint = 0;
-      persist_floor = 0;
-      ledger_floor = 0;
       steps_done = 0;
       mid_step = false;
       m_ingested = Obs.counter obs ~stage:"system" "ingested";
@@ -488,15 +517,6 @@ let make ?(seed = 1) ?algorithm ?policy ?persist_path ?sink ?web ?obs ?tracer
   (* Durability timings (checkpoint pause, fsync batches, rotations)
      land in the same registry as the pipeline stages. *)
   Option.iter (fun d -> Durable.set_obs d obs) durable;
-  (* The durable directory owns the subscription log. *)
-  let persist_path =
-    match durable with
-    | Some d -> Some (Durable.subscription_log_path d)
-    | None -> persist_path
-  in
-  let persist =
-    Option.map (Xy_submgr.Persist.open_log ~faults) persist_path
-  in
   let run_query query =
     Xy_query.Eval.eval query (Xy_query.Eval.env (warehouse_view t))
   in
@@ -1059,51 +1079,35 @@ let discover t = Xy_crawler.Crawler.discover t.crawler
 let maintenance_budget = 2048
 let compaction_min_bytes = 64 * 1024
 
-let file_size path =
-  match Unix.stat path with
-  | { Unix.st_size; _ } -> st_size
-  | exception Unix.Unix_error _ -> 0
-
+(* A task that finishes or gives up sets its log's floor, so the next
+   attempt waits until the log doubles again. *)
 let maintenance_step t =
-  if t.durable <> None then
-    match t.maintenance with
-    | Some (Subscription_compaction task) -> (
-        match Manager.compaction_step task ~budget:maintenance_budget with
-        | Persist.Compaction.Running -> ()
-        | Persist.Compaction.Finished dropped ->
-            t.compacted_since_checkpoint <-
-              t.compacted_since_checkpoint + dropped;
-            t.persist_floor <- Manager.persist_size (manager t);
-            t.maintenance <- None
-        | Persist.Compaction.Abandoned -> t.maintenance <- None)
-    | Some (Ledger_compaction task) -> (
-        match Sink.Ledger_compaction.step task ~budget:maintenance_budget with
-        | Sink.Ledger_compaction.Running -> ()
-        | Sink.Ledger_compaction.Finished dropped ->
-            t.compacted_since_checkpoint <-
-              t.compacted_since_checkpoint + dropped;
-            t.ledger_floor <-
-              Option.fold ~none:0 ~some:file_size (report_ledger_path t);
-            t.maintenance <- None
-        | Sink.Ledger_compaction.Abandoned -> t.maintenance <- None)
-    | None -> (
-        (* start a task only once a log both exceeds the floor size
-           and has doubled since its last compaction *)
-        let due size floor = size >= compaction_min_bytes && size >= 2 * floor in
-        let persist_size = Manager.persist_size (manager t) in
-        if due persist_size t.persist_floor then
-          t.maintenance <-
-            Option.map
-              (fun task -> Subscription_compaction task)
-              (Manager.compaction_start (manager t))
-        else
-          match report_ledger_path t with
-          | Some path when due (file_size path) t.ledger_floor ->
-              t.maintenance <-
-                Option.map
-                  (fun task -> Ledger_compaction task)
-                  (Sink.Ledger_compaction.start path)
-          | Some _ | None -> ())
+  let settle target = target.floor <- Record_log.size target.log in
+  match t.maintenance with
+  | Some { target; task } -> (
+      match Record_log.Compaction.step task ~budget:maintenance_budget with
+      | Record_log.Compaction.Running -> ()
+      | Record_log.Compaction.Finished dropped ->
+          t.compacted_since_checkpoint <-
+            t.compacted_since_checkpoint + dropped;
+          settle target;
+          t.maintenance <- None
+      | Record_log.Compaction.Abandoned ->
+          settle target;
+          t.maintenance <- None)
+  | None -> (
+      (* start a task only once a log both exceeds the floor size and
+         has doubled since its last compaction *)
+      let due { log; floor; _ } =
+        let size = Record_log.size log in
+        size >= compaction_min_bytes && size >= 2 * floor
+      in
+      match List.find_opt due t.compactable with
+      | None -> ()
+      | Some target -> (
+          match Record_log.Compaction.start ~key:target.key target.log with
+          | Some task -> t.maintenance <- Some { target; task }
+          | None -> settle target))
 
 (* One crawl step, decomposed into transactions so that a kill at any
    boundary loses at most the unit in progress:
@@ -1341,6 +1345,8 @@ let restore ?seed ?algorithm ?policy ?sink ?web ?obs ?tracer
   in
   let config = durable_config ?sync_every ?segment_bytes () in
   match Durable.open_existing ~config dir with
+  | None when Sys.file_exists (Filename.concat dir "MANIFEST") ->
+      Error (Printf.sprintf "damaged MANIFEST in %s" dir)
   | None -> Error (Printf.sprintf "no durable run in %s (missing MANIFEST)" dir)
   | Some d -> (
       (* before the closing checkpoint below: delta-eligible stages
@@ -1348,7 +1354,7 @@ let restore ?seed ?algorithm ?policy ?sink ?web ?obs ?tracer
          re-encoding them *)
       Durable.set_wal_carried d wal_carried_stages;
       match Durable.load_latest d with
-      | Error e -> Error ("snapshot unreadable: " ^ e)
+      | Error e -> Error e
       | Ok (sections, txns, wal_tail) -> (
           let t =
             make ?seed ?algorithm ?policy ?sink ?web ?obs ?tracer

@@ -13,8 +13,8 @@ let fnv_prime = 0x100000001b3L
 
    Every intermediate fits a 63-bit native int: lo * 0x1b3 < 2^41 and
    hi * 0x1b3 + carry + ((lo land 0xffffff) lsl 8) < 2^42. *)
-let fnv1a64 s =
-  let lo = ref 0x84222325 and hi = ref 0xcbf29ce4 in
+let fnv_fold (hi, lo) s =
+  let lo = ref lo and hi = ref hi in
   for i = 0 to String.length s - 1 do
     let l = !lo lxor Char.code (String.unsafe_get s i) in
     let ll = l * 0x1b3 in
@@ -22,9 +22,14 @@ let fnv1a64 s =
     lo := ll land 0xffffffff;
     hi := hh land 0xffffffff
   done;
-  Int64.logor
-    (Int64.shift_left (Int64.of_int !hi) 32)
-    (Int64.of_int !lo)
+  (!hi, !lo)
+
+let fnv_init = (0xcbf29ce4, 0x84222325)
+
+let to_int64 (hi, lo) =
+  Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)
+
+let fnv1a64 s = to_int64 (fnv_fold fnv_init s)
 
 (* Reference implementation, kept for the equivalence property test. *)
 let fnv1a64_boxed s =
@@ -37,6 +42,11 @@ let fnv1a64_boxed s =
   !h
 
 let signature s = Printf.sprintf "%016Lx" (fnv1a64 s)
+
+(* FNV-1a is a left fold over bytes, so hashing the parts in turn
+   equals hashing their concatenation — without building it. *)
+let signature_parts parts =
+  Printf.sprintf "%016Lx" (to_int64 (List.fold_left fnv_fold fnv_init parts))
 
 let combine h1 h2 =
   Int64.mul (Int64.logxor h1 (Int64.add h2 0x9e3779b97f4a7c15L)) fnv_prime

@@ -16,5 +16,9 @@ val fnv1a64_boxed : string -> int64
 (** [signature s] renders the hash as 16 lowercase hex digits. *)
 val signature : string -> string
 
+(** [signature_parts parts] is [signature (String.concat "" parts)],
+    computed without the concatenation. *)
+val signature_parts : string list -> string
+
 (** [combine h1 h2] mixes two hashes (for incremental signatures). *)
 val combine : int64 -> int64 -> int64

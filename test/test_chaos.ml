@@ -7,6 +7,7 @@
    seeded network fault plan. *)
 
 module Frame = Xy_serve.Frame
+module Record_log = Xy_durable.Record_log
 module Serve = Xy_serve.Serve
 module Chaos = Xy_serve.Chaos
 module Client = Xy_serve.Client
@@ -27,13 +28,13 @@ let checks = Alcotest.(check string)
 
 type reply = Event of Frame.event | Closed | Timeout
 
-type client = { c_fd : Unix.file_descr; c_dec : Frame.decoder }
+type client = { c_fd : Unix.file_descr; c_dec : Record_log.decoder }
 
 let connect port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.05;
-  { c_fd = fd; c_dec = Frame.decoder () }
+  { c_fd = fd; c_dec = Record_log.decoder () }
 
 let close_client c = try Unix.close c.c_fd with Unix.Unix_error _ -> ()
 
@@ -50,8 +51,9 @@ let recv ?(timeout = 5.) c =
   let deadline = Unix.gettimeofday () +. timeout in
   let buf = Bytes.create 4096 in
   let rec go () =
-    match Frame.next c.c_dec with
-    | Error e -> Alcotest.failf "client framing: %s" (Frame.error_to_string e)
+    match Record_log.next c.c_dec with
+    | Error e ->
+        Alcotest.failf "client framing: %s" (Record_log.error_to_string e)
     | Ok (Some payload) -> (
         match Frame.decode_event payload with
         | Ok ev -> Event ev
@@ -62,7 +64,7 @@ let recv ?(timeout = 5.) c =
           match Unix.read c.c_fd buf 0 (Bytes.length buf) with
           | 0 -> Closed
           | n ->
-              Frame.feed c.c_dec (Bytes.sub_string buf 0 n);
+              Record_log.feed c.c_dec (Bytes.sub_string buf 0 n);
               go ()
           | exception
               Unix.Unix_error
@@ -192,12 +194,12 @@ let test_chaos_mangle_is_caught () =
   checki "whole frame written" (String.length frame) n;
   let buf = Bytes.create 1024 in
   let got = Unix.read b buf 0 1024 in
-  let d = Frame.decoder () in
-  Frame.feed d (Bytes.sub_string buf 0 got);
+  let d = Record_log.decoder () in
+  Record_log.feed d (Bytes.sub_string buf 0 got);
   (* one byte was flipped somewhere: the header grammar or the CRC
      must refuse the frame (or leave it forever incomplete) — a
      mangled frame never decodes as a valid one *)
-  match Frame.next d with
+  match Record_log.next d with
   | Error _ -> ()
   | Ok None -> ()
   | Ok (Some _) -> Alcotest.fail "mangled frame slipped past the checksum"

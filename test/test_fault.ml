@@ -6,6 +6,7 @@
 
 module Fault = Xy_fault.Fault
 module Persist = Xy_submgr.Persist
+module Record_log = Xy_durable.Record_log
 module Bus = Xy_system.Bus
 module Xyleme = Xy_system.Xyleme
 module Queue = Xy_crawler.Fetch_queue
@@ -279,7 +280,7 @@ let sample_records =
    (the valid truncation boundaries). *)
 let build_log path records =
   (try Sys.remove path with Sys_error _ -> ());
-  let log = Persist.open_log path in
+  let log = Record_log.open_log path in
   let size () =
     let ic = open_in_bin path in
     let n = in_channel_length ic in
@@ -296,7 +297,7 @@ let build_log path records =
         size ())
       records
   in
-  Persist.close log;
+  Record_log.close log;
   bounds
 
 let write_bytes path bytes =
@@ -362,15 +363,15 @@ let test_torn_write_fault_point () =
   with_temp @@ fun path ->
   (try Sys.remove path with Sys_error _ -> ());
   let faults = Fault.create ~obs:(Obs.create ()) ~seed:11 [ ("torn_write", 0.) ] in
-  let log = Persist.open_log ~faults path in
+  let log = Record_log.open_log ~faults path in
   Persist.append_insert log ~name:"a" ~owner:"o" ~text:"first";
-  checkb "alive before the fault" false (Persist.is_dead log);
+  checkb "alive before the fault" false (Record_log.is_dead log);
   Fault.set_rate faults "torn_write" 1.;
   Persist.append_insert log ~name:"b" ~owner:"o" ~text:"second";
-  checkb "torn write kills the log" true (Persist.is_dead log);
+  checkb "torn write kills the log" true (Record_log.is_dead log);
   (* a dead log drops every later append, like a crashed process *)
   Persist.append_insert log ~name:"c" ~owner:"o" ~text:"third";
-  Persist.close log;
+  Record_log.close log;
   let records, tail = Persist.scan path in
   checki "only the pre-crash record survives" 1 (List.length records);
   checkb "first record intact" true
@@ -382,14 +383,14 @@ let test_short_write_fault_point () =
   with_temp @@ fun path ->
   (try Sys.remove path with Sys_error _ -> ());
   let faults = Fault.create ~obs:(Obs.create ()) ~seed:12 [ ("short_write", 0.) ] in
-  let log = Persist.open_log ~faults path in
+  let log = Record_log.open_log ~faults path in
   Persist.append_insert log ~name:"a" ~owner:"o" ~text:"first";
   Fault.set_rate faults "short_write" 1.;
   Persist.append_insert log ~name:"b" ~owner:"o" ~text:"second";
   Fault.set_rate faults "short_write" 0.;
-  checkb "short write leaves the log alive" false (Persist.is_dead log);
+  checkb "short write leaves the log alive" false (Record_log.is_dead log);
   Persist.append_insert log ~name:"c" ~owner:"o" ~text:"third";
-  Persist.close log;
+  Record_log.close log;
   let records, tail = Persist.scan path in
   (* the damaged record sits mid-log: everything from it on is lost,
      and (unless the cut erased the record entirely) the tail is
@@ -805,7 +806,7 @@ let crash_matrix ?sync_every ?segment_bytes ?(checkpoint_every = 2)
   let fp0 = store_fingerprint x0 in
   let subs0 = subscription_set x0 in
   let led0, _, tail0 = dedup_ledger base_dir in
-  checkb "baseline ledger clean" true (tail0 = Sink.Ledger_clean);
+  checkb "baseline ledger clean" true (tail0 = Record_log.Clean);
   checkb "baseline produced reports" true (led0 <> []);
   let stats0 = Xyleme.stats x0 in
   let crash_labels = ref [] in
@@ -843,7 +844,7 @@ let crash_matrix ?sync_every ?segment_bytes ?(checkpoint_every = 2)
                 let led, _raw, tail = dedup_ledger dir in
                 checkb
                   (Printf.sprintf "K=%d: ledger tail clean" !k)
-                  true (tail = Sink.Ledger_clean);
+                  true (tail = Record_log.Clean);
                 checkb
                   (Printf.sprintf "K=%d: reports equivalent after dedup" !k)
                   true (led = led0);
@@ -1009,7 +1010,7 @@ let test_wal_truncation_restore_no_loss () =
               let _, _, tail = dedup_ledger dir in
               checkb
                 (Printf.sprintf "truncate@%d: ledger readable" len)
-                true (tail <> Sink.Ledger_corrupt)))
+                true (tail <> Record_log.Corrupt)))
     !offsets
 
 (* Restoring a *cleanly finished* durable run is a no-op resume. *)
@@ -1832,7 +1833,7 @@ let test_acked_reports_in_synced_wal () =
 
 let test_persist_compaction_incremental () =
   with_temp @@ fun path ->
-  let log = Persist.open_log path in
+  let log = Record_log.open_log path in
   for i = 0 to 199 do
     Persist.append_insert log
       ~name:(Printf.sprintf "s%d" (i mod 20))
@@ -1840,7 +1841,7 @@ let test_persist_compaction_incremental () =
       ~text:(Printf.sprintf "text %d" i)
   done;
   Persist.append_delete log ~name:"s0";
-  match Persist.Compaction.start log with
+  match Record_log.Compaction.start ~key:Persist.key log with
   | None -> Alcotest.fail "start refused a live log"
   | Some task ->
       let steps = ref 0 in
@@ -1854,10 +1855,11 @@ let test_persist_compaction_incremental () =
           raced := true;
           Persist.append_insert log ~name:"late" ~owner:"o" ~text:"late text"
         end;
-        match Persist.Compaction.step task ~budget:16 with
-        | Persist.Compaction.Running -> ()
-        | Persist.Compaction.Finished n -> dropped := n
-        | Persist.Compaction.Abandoned -> Alcotest.fail "abandoned a clean log"
+        match Record_log.Compaction.step task ~budget:16 with
+        | Record_log.Compaction.Running -> ()
+        | Record_log.Compaction.Finished n -> dropped := n
+        | Record_log.Compaction.Abandoned ->
+            Alcotest.fail "abandoned a clean log"
       done;
       checkb "took several bounded steps" true (!steps > 5);
       checkb "dropped the superseded records" true (!dropped > 150);
@@ -1881,11 +1883,11 @@ let test_persist_compaction_incremental () =
         (List.exists
            (function Persist.Insert { name = "after"; _ } -> true | _ -> false)
            (Persist.replay path));
-      Persist.close log
+      Record_log.close log
 
 let test_persist_compaction_damage () =
   with_temp @@ fun path ->
-  let log = Persist.open_log path in
+  let log = Record_log.open_log path in
   for i = 0 to 49 do
     Persist.append_insert log
       ~name:(Printf.sprintf "s%d" (i mod 5))
@@ -1896,22 +1898,22 @@ let test_persist_compaction_damage () =
   let pos = Bytes.length b / 2 in
   Bytes.set b pos (if Bytes.get b pos = 'x' then 'y' else 'x');
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
-  (match Persist.Compaction.start log with
+  (match Record_log.Compaction.start ~key:Persist.key log with
   | None -> Alcotest.fail "start refused"
   | Some task ->
       let rec drive () =
-        match Persist.Compaction.step task ~budget:8 with
-        | Persist.Compaction.Running -> drive ()
+        match Record_log.Compaction.step task ~budget:8 with
+        | Record_log.Compaction.Running -> drive ()
         | p -> p
       in
       (match drive () with
-      | Persist.Compaction.Abandoned -> ()
+      | Record_log.Compaction.Abandoned -> ()
       | _ -> Alcotest.fail "compaction must abandon a damaged log"));
   checks "damaged log left exactly as it was" (Bytes.to_string b)
     (In_channel.with_open_bin path In_channel.input_all);
   checkb "no temp left behind" true
     (not (Sys.file_exists (path ^ ".compact")));
-  Persist.close log
+  Record_log.close log
 
 let test_ledger_compaction () =
   with_temp @@ fun path ->
@@ -1922,20 +1924,23 @@ let test_ledger_compaction () =
   in
   (* seqs 1 and 2 re-delivered: at-least-once duplicates to fold *)
   List.iter sink.Sink.deliver [ d 1; d 2; d 3; d 1; d 2; d 4 ];
-  (match Sink.Ledger_compaction.start path with
+  (match
+     Record_log.Compaction.start ~key:Sink.ledger_key
+       (Record_log.by_path path)
+   with
   | None -> Alcotest.fail "start refused"
   | Some task ->
       let rec drive steps =
-        match Sink.Ledger_compaction.step task ~budget:2 with
-        | Sink.Ledger_compaction.Running -> drive (steps + 1)
-        | Sink.Ledger_compaction.Finished n -> (steps, n)
-        | Sink.Ledger_compaction.Abandoned -> Alcotest.fail "abandoned"
+        match Record_log.Compaction.step task ~budget:2 with
+        | Record_log.Compaction.Running -> drive (steps + 1)
+        | Record_log.Compaction.Finished n -> (steps, n)
+        | Record_log.Compaction.Abandoned -> Alcotest.fail "abandoned"
       in
       let steps, dropped = drive 1 in
       checkb "incremental" true (steps > 1);
       checki "both duplicates folded" 2 dropped);
   let entries, tail = Sink.read_ledger path in
-  checkb "compacted ledger clean" true (tail = Sink.Ledger_clean);
+  checkb "compacted ledger clean" true (tail = Record_log.Clean);
   checki "one entry per distinct seq" 4 (List.length entries);
   checkb "every seq still present" true
     (List.sort compare (List.map (fun e -> e.Sink.l_seq) entries)
@@ -1946,19 +1951,186 @@ let test_ledger_compaction () =
   let pos = Bytes.length b / 2 in
   Bytes.set b pos (if Bytes.get b pos = 'x' then 'y' else 'x');
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
-  (match Sink.Ledger_compaction.start path with
+  (match
+     Record_log.Compaction.start ~key:Sink.ledger_key
+       (Record_log.by_path path)
+   with
   | None -> Alcotest.fail "start refused damaged"
   | Some task ->
       let rec drive () =
-        match Sink.Ledger_compaction.step task ~budget:8 with
-        | Sink.Ledger_compaction.Running -> drive ()
+        match Record_log.Compaction.step task ~budget:8 with
+        | Record_log.Compaction.Running -> drive ()
         | p -> p
       in
       (match drive () with
-      | Sink.Ledger_compaction.Abandoned -> ()
+      | Record_log.Compaction.Abandoned -> ()
       | _ -> Alcotest.fail "must abandon a damaged ledger"));
   checks "damaged ledger left exactly as it was" (Bytes.to_string b)
     (In_channel.with_open_bin path In_channel.input_all)
+
+(* A compaction that cannot write its temp (here a directory squats
+   on it; a full disk takes the same path) is abandoned in the
+   background: crawling goes on and the log stays whole and
+   appendable. *)
+let test_compaction_failure_spares_the_crawl () =
+  with_temp_dir @@ fun dir ->
+  let x =
+    Xyleme.create ~seed:d_seed ~web:(d_web ()) ~sink:(d_ledger_sink dir)
+      ~durable_dir:dir ()
+  in
+  Unix.mkdir (Filename.concat dir "subscriptions.log.compact") 0o755;
+  let subscribe i =
+    let text =
+      Printf.sprintf
+        {|subscription C%d
+monitoring
+select <UpdatedPage url=URL/>
+where URL extends "http://site%d.example.org/" and modified self|}
+        i (i mod d_sites)
+    in
+    match Xyleme.subscribe x ~owner:"u" ~text with
+    | Ok _ -> ()
+    | Error e ->
+        Alcotest.failf "subscribe C%d: %s" i (Manager.error_to_string e)
+  in
+  for i = 0 to 599 do
+    subscribe i
+  done;
+  let log = Filename.concat dir "subscriptions.log" in
+  checkb "log past the compaction threshold" true
+    ((Unix.stat log).Unix.st_size > 64 * 1024);
+  for _ = 1 to 3 do
+    ignore (Xyleme.crawl_step x ~limit:20)
+  done;
+  subscribe 600;
+  checki "log whole and appendable" 601 (List.length (Persist.replay log))
+
+(* Flip the low bit of each byte of [path] in turn, calling [check]
+   on every damaged copy; the file is restored afterwards. *)
+let flip_every_byte path check =
+  let full = In_channel.with_open_bin path In_channel.input_all in
+  String.iteri
+    (fun pos c ->
+      let bytes = Bytes.of_string full in
+      Bytes.set bytes pos (Char.chr (Char.code c lxor 0x01));
+      write_bytes path (Bytes.to_string bytes);
+      check pos)
+    full;
+  write_bytes path full
+
+let is_prefix got written =
+  List.length got <= List.length written
+  && got = firstn (List.length got) written
+
+(* One bit flipped anywhere in a durable file never yields an altered
+   record: the logs read back a prefix of what was written, snapshots
+   and the MANIFEST refuse to load. *)
+let test_flip_subscription_log () =
+  with_temp @@ fun path ->
+  ignore (build_log path sample_records);
+  flip_every_byte path (fun pos ->
+      if not (is_prefix (fst (Persist.scan path)) sample_records) then
+        Alcotest.failf "byte %d: altered subscription record read" pos)
+
+let test_flip_ledger () =
+  with_temp @@ fun path ->
+  let sink = Sink.ledger ~path () in
+  let report = Xy_xml.Types.(element "Report" [ el "Body" [] ]) in
+  List.iter
+    (fun seq ->
+      sink.Sink.deliver
+        { Sink.seq; recipient = "r"; subscription = "S"; report; at = 1.5 })
+    [ 1; 2; 10 ];
+  let written, _ = Sink.read_ledger path in
+  checki "ledger written" 3 (List.length written);
+  flip_every_byte path (fun pos ->
+      if not (is_prefix (fst (Sink.read_ledger path)) written) then
+        Alcotest.failf "byte %d: altered ledger entry read" pos)
+
+let test_flip_wal () =
+  with_temp @@ fun path ->
+  let txns =
+    [
+      [ { Durable.stage = "queue"; payload = "op 1" } ];
+      [
+        { Durable.stage = "warehouse"; payload = "D\n3\nabc" };
+        { Durable.stage = "system"; payload = "" };
+      ];
+    ]
+  in
+  Out_channel.with_open_bin path (fun oc ->
+      List.iter (Durable.Wal.append_txn ~sync:false oc) txns);
+  flip_every_byte path (fun pos ->
+      if not (is_prefix (fst (Durable.Wal.scan path)) txns) then
+        Alcotest.failf "byte %d: altered transaction read" pos)
+
+let test_flip_snapshot () =
+  with_temp @@ fun path ->
+  let sections =
+    [
+      ("system", Durable.Inline "state\n");
+      ("warehouse", Durable.From 3);
+      ("queue", Durable.Delta 2);
+    ]
+  in
+  Durable.Snapshot.write ~fsync:false path sections;
+  checkb "snapshot roundtrip" true (Durable.Snapshot.load path = Ok sections);
+  flip_every_byte path (fun pos ->
+      match Durable.Snapshot.load path with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "byte %d: damaged snapshot loaded" pos)
+
+let test_flip_manifest () =
+  with_temp_dir @@ fun dir ->
+  let config = d_config () in
+  let t = Durable.open_fresh ~config dir in
+  for _ = 1 to 7 do
+    Durable.checkpoint t ~snapshot:[ ("a", fun () -> "av") ]
+  done;
+  flip_every_byte (Filename.concat dir "MANIFEST") (fun pos ->
+      match Durable.open_existing ~config dir with
+      | None -> ()
+      | Some t' ->
+          Alcotest.failf "byte %d: damaged MANIFEST read as generation %d" pos
+            (Durable.generation t'))
+
+(* A checkpointed run whose newest snapshot or MANIFEST is damaged:
+   restore must refuse it, not start from an empty state. *)
+let damaged_checkpointed_run damage =
+  with_temp_dir @@ fun dir ->
+  let x =
+    Xyleme.create ~seed:d_seed ~web:(d_web ()) ~sink:(d_ledger_sink dir)
+      ~durable_dir:dir ()
+  in
+  d_subscribe x;
+  d_run x;
+  let info = Xyleme.checkpoint x in
+  damage dir
+    (Filename.concat dir
+       (Printf.sprintf "gen-%d.snap" info.Xyleme.generation));
+  Xyleme.restore ~seed:d_seed ~web:(d_web ()) ~dir ()
+
+let test_restore_refuses_damaged_stage_name () =
+  match
+    damaged_checkpointed_run (fun _ snap ->
+        let bytes = In_channel.with_open_bin snap In_channel.input_all in
+        let rec find i =
+          if String.sub bytes i 6 = "system" then i else find (i + 1)
+        in
+        let b = Bytes.of_string bytes in
+        let i = find 0 in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x01));
+        write_bytes snap (Bytes.to_string b))
+  with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "restored past a damaged stage name"
+
+let test_restore_refuses_manifest_without_snapshot () =
+  match damaged_checkpointed_run (fun _ snap -> Sys.remove snap) with
+  | Error e ->
+      checkb "the error names the MANIFEST" true
+        (String.length e >= 16 && String.sub e 0 16 = "damaged MANIFEST")
+  | Ok _ -> Alcotest.fail "restored a generation without its snapshot"
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -2037,6 +2209,10 @@ let () =
           tc "snapshot sections roundtrip" test_snapshot_sections_roundtrip;
           tc "restore completed run" test_restore_completed_run;
           tc "restore refuses garbage" test_restore_refuses_garbage;
+          tc "restore refuses a damaged stage name"
+            test_restore_refuses_damaged_stage_name;
+          tc "restore refuses a MANIFEST naming a missing generation"
+            test_restore_refuses_manifest_without_snapshot;
           tc "reporter re-delivers unacked intents"
             test_reporter_redelivers_unacked;
           tc "directory sink idempotent re-delivery"
@@ -2054,6 +2230,16 @@ let () =
             test_persist_compaction_damage;
           tc "ledger: folds duplicates, abandons on damage"
             test_ledger_compaction;
+          tc "a failing compaction spares the crawl"
+            test_compaction_failure_spares_the_crawl;
+        ] );
+      ( "bit flips",
+        [
+          tc "subscription log" test_flip_subscription_log;
+          tc "ledger" test_flip_ledger;
+          tc "wal" test_flip_wal;
+          tc "snapshot" test_flip_snapshot;
+          tc "manifest" test_flip_manifest;
         ] );
       ( "crash",
         [

@@ -7,6 +7,7 @@
    discipline. *)
 
 module Frame = Xy_serve.Frame
+module Record_log = Xy_durable.Record_log
 module Serve = Xy_serve.Serve
 module Listener = Xy_serve.Listener
 module Telemetry = Xy_telemetry.Telemetry
@@ -27,13 +28,13 @@ let checks = Alcotest.(check string)
 
 type reply = Event of Frame.event | Closed | Timeout
 
-type client = { c_fd : Unix.file_descr; c_dec : Frame.decoder }
+type client = { c_fd : Unix.file_descr; c_dec : Record_log.decoder }
 
 let connect port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.05;
-  { c_fd = fd; c_dec = Frame.decoder () }
+  { c_fd = fd; c_dec = Record_log.decoder () }
 
 let close_client c = try Unix.close c.c_fd with Unix.Unix_error _ -> ()
 
@@ -52,8 +53,9 @@ let recv ?(timeout = 5.) c =
   let deadline = Unix.gettimeofday () +. timeout in
   let buf = Bytes.create 4096 in
   let rec go () =
-    match Frame.next c.c_dec with
-    | Error e -> Alcotest.failf "client framing: %s" (Frame.error_to_string e)
+    match Record_log.next c.c_dec with
+    | Error e ->
+        Alcotest.failf "client framing: %s" (Record_log.error_to_string e)
     | Ok (Some payload) -> (
         match Frame.decode_event payload with
         | Ok ev -> Event ev
@@ -64,7 +66,7 @@ let recv ?(timeout = 5.) c =
           match Unix.read c.c_fd buf 0 (Bytes.length buf) with
           | 0 -> Closed
           | n ->
-              Frame.feed c.c_dec (Bytes.sub_string buf 0 n);
+              Record_log.feed c.c_dec (Bytes.sub_string buf 0 n);
               go ()
           | exception
               Unix.Unix_error
@@ -176,9 +178,9 @@ let sample_events =
   ]
 
 let decode_one ?max_frame frame =
-  let d = Frame.decoder ?max_frame () in
-  Frame.feed d frame;
-  Frame.next d
+  let d = Record_log.decoder ?max_frame () in
+  Record_log.feed d frame;
+  Record_log.next d
 
 let test_frame_roundtrip () =
   List.iter
@@ -201,30 +203,31 @@ let test_frame_byte_at_a_time () =
     String.concat ""
       (List.map Frame.encode_request [ Frame.Hello "u0"; Frame.Ping "p" ])
   in
-  let d = Frame.decoder () in
+  let d = Record_log.decoder () in
   let got = ref [] in
   String.iter
     (fun ch ->
-      Frame.feed d (String.make 1 ch);
-      match Frame.next d with
+      Record_log.feed d (String.make 1 ch);
+      match Record_log.next d with
       | Ok (Some payload) -> got := payload :: !got
       | Ok None -> ()
-      | Error e -> Alcotest.failf "split feed: %s" (Frame.error_to_string e))
+      | Error e ->
+          Alcotest.failf "split feed: %s" (Record_log.error_to_string e))
     frames;
   checki "both frames decoded from 1-byte feeds" 2 (List.length !got);
-  checki "nothing left buffered" 0 (Frame.buffered d)
+  checki "nothing left buffered" 0 (Record_log.buffered d)
 
 let test_frame_truncated_is_incomplete () =
   let frame = Frame.encode_request (Frame.Hello "u0") in
   for cut = 0 to String.length frame - 1 do
-    let d = Frame.decoder () in
-    Frame.feed d (String.sub frame 0 cut);
-    match Frame.next d with
+    let d = Record_log.decoder () in
+    Record_log.feed d (String.sub frame 0 cut);
+    match Record_log.next d with
     | Ok None -> ()
     | Ok (Some _) -> Alcotest.failf "cut %d: decoded a truncated frame" cut
     | Error e ->
         Alcotest.failf "cut %d: truncation misdiagnosed: %s" cut
-          (Frame.error_to_string e)
+          (Record_log.error_to_string e)
   done
 
 let test_frame_bad_crc_poisons () =
@@ -234,41 +237,42 @@ let test_frame_bad_crc_poisons () =
   let header_end = String.index frame '\n' in
   Bytes.set bytes (header_end + 1)
     (Char.chr (Char.code (Bytes.get bytes (header_end + 1)) lxor 0x01));
-  let d = Frame.decoder () in
-  Frame.feed d (Bytes.to_string bytes);
-  (match Frame.next d with
-  | Error Frame.Bad_crc -> ()
+  let d = Record_log.decoder () in
+  Record_log.feed d (Bytes.to_string bytes);
+  (match Record_log.next d with
+  | Error Record_log.Bad_crc -> ()
   | _ -> Alcotest.fail "corrupted payload not diagnosed Bad_crc");
   (* poisoned: even a subsequent valid frame is refused *)
-  Frame.feed d (Frame.encode_request Frame.Status);
-  match Frame.next d with
-  | Error Frame.Bad_crc -> ()
+  Record_log.feed d (Frame.encode_request Frame.Status);
+  match Record_log.next d with
+  | Error Record_log.Bad_crc -> ()
   | _ -> Alcotest.fail "decoder not poisoned after Bad_crc"
 
 let test_frame_missing_trailer () =
   let payload = "p" in
   let frame =
     Printf.sprintf "X %d %s\n%sX" (String.length payload)
-      (Frame.checksum payload) payload
+      (Record_log.checksum payload) payload
   in
   match decode_one frame with
-  | Error Frame.Bad_crc -> ()
+  | Error Record_log.Bad_crc -> ()
   | _ -> Alcotest.fail "missing trailer newline not diagnosed"
 
 let test_frame_oversize () =
   (match decode_one "X 99999999999 0123456789abcdef\n" with
-  | Error (Frame.Oversize n) -> checkb "declared length" true (n = 99999999999)
+  | Error (Record_log.Oversize n) ->
+      checkb "declared length" true (n = 99999999999)
   | _ -> Alcotest.fail "oversize declaration accepted");
   (* a legitimate frame above a negotiated smaller maximum *)
   let frame = Frame.encode_request (Frame.Hello (String.make 64 'x')) in
   match decode_one ~max_frame:16 frame with
-  | Error (Frame.Oversize _) -> ()
+  | Error (Record_log.Oversize _) -> ()
   | _ -> Alcotest.fail "per-connection maximum not enforced"
 
 let test_frame_bad_headers () =
   let bad h =
     match decode_one h with
-    | Error (Frame.Bad_header _) -> ()
+    | Error (Record_log.Bad_header _) -> ()
     | _ -> Alcotest.failf "header %S accepted" h
   in
   bad "Y 3 0123456789abcdef\n";
@@ -280,10 +284,10 @@ let test_frame_bad_headers () =
   bad "X -1 0123456789abcdef\n";
   (* a header that can no longer become valid is rejected even
      without a newline *)
-  let d = Frame.decoder () in
-  Frame.feed d (String.make 64 'x');
-  match Frame.next d with
-  | Error (Frame.Bad_header _) -> ()
+  let d = Record_log.decoder () in
+  Record_log.feed d (String.make 64 'x');
+  match Record_log.next d with
+  | Error (Record_log.Bad_header _) -> ()
   | _ -> Alcotest.fail "runaway header not rejected"
 
 let gen_wire_string =
@@ -307,10 +311,10 @@ let qcheck_frame_request_roundtrip =
   QCheck.Test.make ~name:"random requests round-trip the wire" ~count:200
     QCheck.(make Gen.(list_size (0 -- 6) gen_request))
     (fun reqs ->
-      let d = Frame.decoder () in
-      Frame.feed d (String.concat "" (List.map Frame.encode_request reqs));
+      let d = Record_log.decoder () in
+      Record_log.feed d (String.concat "" (List.map Frame.encode_request reqs));
       let rec pop acc =
-        match Frame.next d with
+        match Record_log.next d with
         | Ok (Some payload) -> (
             match Frame.decode_request payload with
             | Ok r -> pop (r :: acc)
@@ -324,12 +328,12 @@ let qcheck_frame_garbage_never_raises =
     QCheck.(
       make Gen.(string_size ~gen:(map Char.chr (0 -- 255)) (0 -- 120)))
     (fun bytes ->
-      let d = Frame.decoder () in
-      Frame.feed d bytes;
+      let d = Record_log.decoder () in
+      Record_log.feed d bytes;
       let rec drain n =
         if n = 0 then true
         else
-          match Frame.next d with
+          match Record_log.next d with
           | Ok (Some _) -> drain (n - 1)
           | Ok None | Error _ -> true
       in
@@ -472,7 +476,7 @@ let test_adversarial_unknown_verb () =
   let c = connect port in
   let buf = Buffer.create 16 in
   Xy_util.Codec.string buf "BOGUS";
-  send_raw c (Frame.encode (Buffer.contents buf));
+  send_raw c (Record_log.encode (Buffer.contents buf));
   expect_err_close c;
   close_client c
 
@@ -561,6 +565,17 @@ let test_deliver_and_ack () =
   Serve.deliver s ~seq:1 ~recipient:"u0" ~subscription:"S" ~at:2.5 ~body:"<r/>";
   checki "acked seq stays retired" 0 (Serve.pending_total s);
   checki "enqueued once" 1 (serve_counter obs "reports_enqueued");
+  (* the writer thread counts a report only after its write returns,
+     which can be after the client already holds the frame *)
+  let deadline = Unix.gettimeofday () +. 10. in
+  while
+    serve_counter obs "reports_sent" < 1
+    || serve_histogram_count obs "send_lag_seconds" < 1
+  do
+    if Unix.gettimeofday () > deadline then
+      Alcotest.fail "report send never counted";
+    Thread.delay 0.005
+  done;
   checki "sent once" 1 (serve_counter obs "reports_sent");
   checki "acked once" 1 (serve_counter obs "acks");
   checki "send lag observed" 1 (serve_histogram_count obs "send_lag_seconds");

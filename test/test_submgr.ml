@@ -3,6 +3,7 @@
    reports, virtuals, teardown). *)
 
 module Persist = Xy_submgr.Persist
+module Record_log = Xy_durable.Record_log
 module Manager = Xy_submgr.Manager
 module Registry = Xy_events.Registry
 module Mqp = Xy_core.Mqp
@@ -25,11 +26,11 @@ let temp_path () = Filename.temp_file "xyleme" ".log"
 
 let test_persist_roundtrip () =
   let path = temp_path () in
-  let log = Persist.open_log path in
+  let log = Record_log.open_log path in
   Persist.append_insert log ~name:"A" ~owner:"alice" ~text:"subscription A\n...";
   Persist.append_insert log ~name:"B" ~owner:"bob" ~text:"text with\nnewlines % and comments";
   Persist.append_delete log ~name:"A";
-  Persist.close log;
+  Record_log.close log;
   (match Persist.replay path with
   | [ Persist.Insert { name = "B"; owner = "bob"; text } ] ->
       checks "text preserved" "text with\nnewlines % and comments" text
@@ -39,11 +40,11 @@ let test_persist_roundtrip () =
 
 let test_persist_reinsert_supersedes () =
   let path = temp_path () in
-  let log = Persist.open_log path in
+  let log = Record_log.open_log path in
   Persist.append_insert log ~name:"A" ~owner:"alice" ~text:"v1";
   Persist.append_delete log ~name:"A";
   Persist.append_insert log ~name:"A" ~owner:"alice" ~text:"v2";
-  Persist.close log;
+  Record_log.close log;
   (match Persist.replay path with
   | [ Persist.Insert { name = "A"; text = "v2"; _ } ] -> ()
   | _ -> Alcotest.fail "latest insert must survive");
@@ -54,9 +55,9 @@ let test_persist_missing_file () =
 
 let test_persist_torn_tail_ignored () =
   let path = temp_path () in
-  let log = Persist.open_log path in
+  let log = Record_log.open_log path in
   Persist.append_insert log ~name:"A" ~owner:"alice" ~text:"good";
-  Persist.close log;
+  Record_log.close log;
   (* Simulate a torn write: append garbage. *)
   let oc = open_out_gen [ Open_append ] 0o644 path in
   output_string oc "R I 5 3 10 deadbeef\ntrunc";
@@ -66,16 +67,34 @@ let test_persist_torn_tail_ignored () =
   | _ -> Alcotest.fail "torn tail must be ignored");
   Sys.remove path
 
+(* Drive an incremental compaction of a subscription log to its end,
+   one record per step. *)
+let compact log =
+  match Record_log.Compaction.start ~key:Persist.key log with
+  | None -> Alcotest.fail "compaction did not start"
+  | Some task ->
+      let rec drive () =
+        match Record_log.Compaction.step task ~budget:1 with
+        | Record_log.Compaction.Running -> drive ()
+        | progress -> progress
+      in
+      drive ()
+
+let compact_path path =
+  match compact (Record_log.by_path path) with
+  | Record_log.Compaction.Finished dropped -> dropped
+  | _ -> Alcotest.fail "compaction abandoned a clean log"
+
 let test_persist_compact () =
   let path = temp_path () in
-  let log = Persist.open_log path in
+  let log = Record_log.open_log path in
   Persist.append_insert log ~name:"A" ~owner:"a" ~text:"v1";
   Persist.append_insert log ~name:"B" ~owner:"b" ~text:"keep";
   Persist.append_delete log ~name:"A";
   Persist.append_insert log ~name:"A" ~owner:"a" ~text:"v2";
-  Persist.close log;
+  Record_log.close log;
   let size_before = (Unix.stat path).Unix.st_size in
-  let dropped = Persist.compact path in
+  let dropped = compact_path path in
   checki "dropped superseded records" 2 dropped;
   checkb "smaller" true ((Unix.stat path).Unix.st_size < size_before);
   (* Survivors unchanged, order preserved. *)
@@ -85,11 +104,11 @@ let test_persist_compact () =
       ()
   | _ -> Alcotest.fail "compacted replay");
   (* Compacting twice is a no-op. *)
-  checki "idempotent" 0 (Persist.compact path);
+  checki "idempotent" 0 (compact_path path);
   (* The compacted log remains appendable. *)
-  let log = Persist.open_log path in
+  let log = Record_log.open_log path in
   Persist.append_insert log ~name:"C" ~owner:"c" ~text:"new";
-  Persist.close log;
+  Record_log.close log;
   checki "three after append" 3 (List.length (Persist.replay path));
   Sys.remove path
 
@@ -97,7 +116,7 @@ let test_persist_truncation_fuzz () =
   (* Crash injection: whatever byte the log is cut at, replay must
      never raise and must recover a prefix of the intact records. *)
   let path = temp_path () in
-  let log = Persist.open_log path in
+  let log = Record_log.open_log path in
   let full =
     List.init 10 (fun i ->
         let name = Printf.sprintf "S%d" i in
@@ -105,7 +124,7 @@ let test_persist_truncation_fuzz () =
         Persist.append_insert log ~name ~owner:"o" ~text;
         Persist.Insert { name; owner = "o"; text })
   in
-  Persist.close log;
+  Record_log.close log;
   let content = In_channel.with_open_bin path In_channel.input_all in
   let total = String.length content in
   let is_prefix shorter longer =
@@ -128,10 +147,10 @@ let test_persist_truncation_fuzz () =
 
 let test_persist_corrupted_record_stops_replay () =
   let path = temp_path () in
-  let log = Persist.open_log path in
+  let log = Record_log.open_log path in
   Persist.append_insert log ~name:"A" ~owner:"o" ~text:"first";
   Persist.append_insert log ~name:"B" ~owner:"o" ~text:"second";
-  Persist.close log;
+  Record_log.close log;
   (* Flip a byte inside the second record's payload. *)
   let content = In_channel.with_open_bin path In_channel.input_all in
   let index = String.rindex content 's' in
@@ -147,10 +166,10 @@ let test_persist_corrupted_record_stops_replay () =
 
 let test_persist_scan_tail_diagnosis () =
   let path = temp_path () in
-  let log = Persist.open_log path in
+  let log = Record_log.open_log path in
   Persist.append_insert log ~name:"A" ~owner:"o" ~text:"first";
   Persist.append_insert log ~name:"B" ~owner:"o" ~text:"second";
-  Persist.close log;
+  Record_log.close log;
   let content = In_channel.with_open_bin path In_channel.input_all in
   (match Persist.scan path with
   | [ _; _ ], Persist.Clean -> ()
@@ -175,16 +194,16 @@ let test_persist_scan_tail_diagnosis () =
 
 let test_persist_compact_truncates_stale_temp () =
   let path = temp_path () in
-  let log = Persist.open_log path in
+  let log = Record_log.open_log path in
   Persist.append_insert log ~name:"A" ~owner:"o" ~text:"keep";
-  Persist.close log;
+  Record_log.close log;
   (* A compaction that crashed before its rename leaves a valid temp
      behind; appending to it would duplicate its records into the
      compacted log. *)
-  let stale = Persist.open_log (path ^ ".compact") in
+  let stale = Record_log.open_log (path ^ ".compact") in
   Persist.append_insert stale ~name:"GHOST" ~owner:"crashed" ~text:"stale";
-  Persist.close stale;
-  checki "nothing to drop" 0 (Persist.compact path);
+  Record_log.close stale;
+  checki "nothing to drop" 0 (compact_path path);
   (match Persist.replay path with
   | [ Persist.Insert { name = "A"; _ } ] -> ()
   | records ->
@@ -195,18 +214,20 @@ let test_persist_compact_truncates_stale_temp () =
 
 let test_persist_compact_failure_leaves_log_intact () =
   let path = temp_path () in
-  let log = Persist.open_log path in
+  let log = Record_log.open_log path in
   Persist.append_insert log ~name:"A" ~owner:"o" ~text:"keep";
-  Persist.close log;
   let temp = path ^ ".compact" in
   (* A directory at the temp path makes the compaction fail before it
      can write anything. *)
   Unix.mkdir temp 0o755;
-  (match Persist.compact path with
-  | _ -> Alcotest.fail "compact must fail when it cannot write its temp"
-  | exception Sys_error _ -> ());
+  (match compact log with
+  | Record_log.Compaction.Abandoned -> ()
+  | _ -> Alcotest.fail "compaction must abandon when it cannot write its temp");
+  (* the live log is intact and still takes appends *)
+  Persist.append_insert log ~name:"B" ~owner:"o" ~text:"after";
+  Record_log.close log;
   (match Persist.replay path with
-  | [ Persist.Insert { name = "A"; _ } ] -> ()
+  | [ Persist.Insert { name = "A"; _ }; Persist.Insert { name = "B"; _ } ] -> ()
   | _ -> Alcotest.fail "failed compaction must leave the log intact");
   Unix.rmdir temp;
   Sys.remove path
@@ -529,7 +550,7 @@ let test_update_rejects_bad_replacement () =
 
 let test_recovery () =
   let path = temp_path () in
-  let log = Persist.open_log path in
+  let log = Record_log.open_log path in
   let env = make_env ~persist:log () in
   ignore (Manager.subscribe env.manager ~owner:"alice" ~text:simple_subscription);
   ignore
@@ -540,7 +561,7 @@ monitoring
 where URL extends "http://other.example.org/"
 report when immediate|});
   ignore (Manager.unsubscribe env.manager ~name:"Second");
-  Persist.close log;
+  Record_log.close log;
   (* Fresh system, replay. *)
   let env2 = make_env () in
   let restored = Manager.recover env2.manager path in
