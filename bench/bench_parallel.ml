@@ -1,9 +1,10 @@
-(* Sharded-pipeline scaling: the same end-to-end workload as tbl-e2e,
-   batched through [Xyleme.ingest_batch] at 1/2/4/8 loader domains.
-   The interesting column is docs/sec versus the domains=1 (serial
-   path) row; steals shows how much skew the work-stealing shards
-   absorbed.  On a single-core host the rows still record — the CI
-   speedup assertion is the consumer that checks core count first. *)
+(* Parallel-pipeline scaling: the same end-to-end workload as tbl-e2e,
+   batched through [Xyleme.ingest_batch] at 1/2/4/8 domains.  The
+   interesting column is docs/sec versus the domains=1 (serial path)
+   row; the worker pool caps every row above it at one fewer worker
+   than the host has cores.  On a single-core host the rows still
+   record — the CI speedup assertion is the consumer that checks core
+   count first. *)
 
 open Harness
 module Xyleme = Xy_system.Xyleme
@@ -115,32 +116,32 @@ let run_config ~scale ~domains ~axis ~label =
   in
   Gc.compact ();
   let heap_after = (Gc.stat ()).Gc.live_words in
-  let steals = Obs.Counter.value (Obs.counter obs ~stage:"bus" "steals") in
   let stats = Xyleme.stats xyleme in
   let per_doc = wall /. float_of_int !processed in
   let docs_per_sec = 1. /. per_doc in
   record_mqp ~name:(Printf.sprintf "tbl-par-e2e/%s" label) ~docs_per_sec
     ~memory_words:(max 0 (heap_after - heap_before))
-    ~steals ();
+    ();
   [
     label;
     string_of_int accepted;
     string_of_int !processed;
     Printf.sprintf "%.0f" (microseconds per_doc);
     Printf.sprintf "%.0f" docs_per_sec;
-    string_of_int steals;
     string_of_int stats.Xyleme.alerts_sent;
     string_of_int stats.Xyleme.notifications;
   ]
 
 let tbl_par_e2e scale =
-  section "tbl-par-e2e — sharded pipeline scaling";
+  section "tbl-par-e2e — parallel pipeline scaling";
   note
-    "end-to-end batches through the Parallel engine: N loader domains, N \
-     MQP shards, work stealing on; the domains=1 row is the serial path. \
-     Wall-clock speedup needs real cores (this host: %d); notification \
-     counts must be identical down the column."
-    (Domain.recommended_domain_count ());
+    "end-to-end batches through the Parallel engine's worker pool: up to N \
+     workers (this host: %d cores, so at most %d), N subscription subsets \
+     on the subs axis; the domains=1 row is the serial path.  Wall-clock \
+     speedup needs real cores; notification counts must be identical down \
+     the column."
+    (Domain.recommended_domain_count ())
+    Parallel.pool_size;
   let rows =
     List.map
       (fun (domains, axis, label) -> run_config ~scale ~domains ~axis ~label)
@@ -152,7 +153,7 @@ let tbl_par_e2e scale =
         (4, Partition.By_subscriptions, "subs/domains=4");
       ]
   in
-  print_table ~title:"batched pipeline rate vs loader domains (shards = domains)"
+  print_table ~title:"batched pipeline rate vs domains (shards = domains)"
     ~header:
       [
         "config";
@@ -160,7 +161,6 @@ let tbl_par_e2e scale =
         "docs";
         "us/doc";
         "docs/sec";
-        "steals";
         "alerts";
         "notifications";
       ]

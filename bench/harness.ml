@@ -156,17 +156,15 @@ type mqp_row = {
   docs_per_sec : float;
   memory_words : int;
   probes_per_doc : float option;
-  steals : int option;
   p99_lag_ms : float option;
 }
 
 let mqp_rows : mqp_row list ref = ref []
 
-let record_mqp ?probes_per_doc ?steals ?p99_lag_ms ~name ~docs_per_sec
+let record_mqp ?probes_per_doc ?p99_lag_ms ~name ~docs_per_sec
     ~memory_words () =
   mqp_rows :=
-    { row_name = name; docs_per_sec; memory_words; probes_per_doc; steals;
-      p99_lag_ms }
+    { row_name = name; docs_per_sec; memory_words; probes_per_doc; p99_lag_ms }
     :: !mqp_rows
 
 let bench_json_path = ref "BENCH_mqp.json"
@@ -204,9 +202,6 @@ let write_mqp_json ~scale =
             ((match r.probes_per_doc with
              | None -> ""
              | Some p -> Printf.sprintf ", \"probes_per_doc\": %.1f" p)
-            ^ (match r.steals with
-              | None -> ""
-              | Some s -> Printf.sprintf ", \"steals\": %d" s)
             ^
             match r.p99_lag_ms with
             | None -> ""

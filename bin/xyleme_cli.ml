@@ -403,7 +403,7 @@ let faults_arg =
            point=RATE(,point=RATE)*, e.g. $(b,fetch=0.05,malformed=0.01). \
            The schedule is drawn from $(b,--seed), so the same seed and \
            spec reproduce the same failures.  Points: fetch, malformed, \
-           torn_write, short_write, bus_stall, bus_drop, worker; wire \
+           torn_write, short_write, worker; wire \
            (require $(b,--serve)): conn_drop, partial_write, net_delay, \
            net_mangle")
 
@@ -566,9 +566,10 @@ let domains_arg =
     value & opt int 1
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "Run each crawl step's fetches through $(docv) parallel loader \
-           domains (the sharded crawl → match → report pipeline); 1 keeps \
-           the historical serial loop.  Notifications and reports are \
+          "Run each crawl step's fetches through up to $(docv) pool \
+           workers (load, detect and match; capped at one fewer than the \
+           host's cores) while this domain reports in batch order; 1 \
+           keeps the serial loop.  Notifications and reports are \
            identical either way")
 
 let shards_arg =
@@ -577,8 +578,9 @@ let shards_arg =
     & opt (some int) None
     & info [ "shards" ] ~docv:"M"
         ~doc:
-          "Number of Monitoring Query Processor shards in the parallel \
-           pipeline (defaults to $(b,--domains))")
+          "Number of subscription subsets each alert is matched against \
+           under $(b,--axis subs) (defaults to $(b,--domains)); unused \
+           under $(b,--axis docs)")
 
 let axis_arg =
   Arg.(
@@ -592,9 +594,11 @@ let axis_arg =
         Xy_core.Partition.By_documents
     & info [ "axis" ] ~docv:"AXIS"
         ~doc:
-          "Distribution axis for the MQP shards (paper §4.2): $(b,docs) \
-           routes each alert to one shard holding all subscriptions, \
-           $(b,subs) spreads the subscriptions and broadcasts each alert")
+          "Distribution axis of the parallel pipeline (paper §4.2): \
+           $(b,docs) splits the document flow over the workers, each \
+           matching against all subscriptions; $(b,subs) also splits the \
+           subscriptions into $(b,--shards) subsets and merges their \
+           matches")
 
 let parallel_of ~domains ~shards ~axis =
   if domains <= 1 then None

@@ -6,9 +6,7 @@ let points =
     ("malformed", "crawler: fetched content is mangled before the alerters");
     ("torn_write", "persist: an append is cut short and the log goes dead (crash)");
     ("short_write", "persist: an append is cut short but the log lives on");
-    ("bus_stall", "bus: a push stalls briefly before enqueueing");
-    ("bus_drop", "bus: a push silently loses its message");
-    ("worker", "parallel: an MQP shard domain dies before matching an alert");
+    ("worker", "parallel: a pool worker domain dies before handling a document");
     ("crash", "system: the process dies at a stage boundary (durability testing)");
     ("conn_drop", "wire: the connection is torn down abruptly mid-operation");
     ("partial_write", "wire: a write delivers only a prefix before the connection dies");

@@ -8,9 +8,9 @@
     failure schedule is a pure function of [(seed, spec)] and of how
     many times each point is consulted — two runs with the same seed
     and spec inject exactly the same faults, independent of wall
-    clock.  Draws are mutex-protected, so points shared across OCaml
-    domains (bus, workers) stay safe; determinism then holds per
-    point, not across concurrently-drawing domains.
+    clock.  Draws are mutex-protected, so a point shared across OCaml
+    domains stays safe; determinism then holds per point, not across
+    concurrently-drawing domains.
 
     Stdlib-only (plus the zero-dependency [xy_obs]): every injected
     fault is counted in the [fault] stage of the metrics registry as

@@ -1,19 +1,47 @@
 (* Metric accumulation stripes every instrument's state over
-   per-domain cells (indexed by domain id) merged only when a snapshot
-   is taken.  Distinct domains own distinct stripes (up to [stripes]
-   live domains), so the hot path needs neither atomic RMW nor
+   per-domain cells merged only when a snapshot is taken.  A domain
+   takes a stripe from a free list on its first write and returns it
+   when it exits, so distinct live domains own distinct stripes (up to
+   [stripes] of them) and the hot path needs neither atomic RMW nor
    allocation: a plain word-sized load/store pair on a domain-private
-   slot.  Word accesses cannot tear under the OCaml memory model; a
-   stripe collision beyond 64 domains can lose an increment, never
-   corrupt.  Snapshot readers may observe slightly stale stripe values
-   — the usual statistical-counter contract. *)
+   slot.  Domain ids are never reused, so striping by id instead would
+   make the 64th domain a process spawns share the main domain's
+   stripe.  Word accesses cannot tear under the OCaml memory model;
+   only beyond [stripes] live domains do stripes collide, which can
+   lose an increment, never corrupt.  Snapshot readers may observe
+   slightly stale stripe values — the usual statistical-counter
+   contract. *)
 
 let now_fn : (unit -> float) ref = ref Sys.time
 let set_timer f = now_fn := f
 let now () = !now_fn ()
 
 let stripes = 64 (* power of two *)
-let stripe () = (Domain.self () :> int) land (stripes - 1)
+
+let free_stripes = ref (List.init stripes Fun.id)
+let free_lock = Mutex.create ()
+let stripe_key = Domain.DLS.new_key (fun () -> -1)
+
+let acquire_stripe () =
+  Mutex.lock free_lock;
+  let s =
+    match !free_stripes with
+    | s :: rest ->
+        free_stripes := rest;
+        Domain.at_exit (fun () ->
+            Mutex.lock free_lock;
+            free_stripes := s :: !free_stripes;
+            Mutex.unlock free_lock);
+        s
+    | [] -> (Domain.self () :> int) land (stripes - 1)
+  in
+  Mutex.unlock free_lock;
+  Domain.DLS.set stripe_key s;
+  s
+
+let stripe () =
+  let s = Domain.DLS.get stripe_key in
+  if s >= 0 then s else acquire_stripe ()
 
 (* ------------------------------------------------------------------ *)
 (* Cells: padded so each stripe's live slot sits on its own cache line
@@ -104,15 +132,15 @@ module Histogram = struct
         observe t (Float.max 0. (now () -. start));
         Printexc.raise_with_backtrace e bt
 
-  (* Warm-restart carry: fold previously captured totals back in
-     (stripe 0).  Meant for single-threaded restore, before worker
-     domains touch the instrument. *)
+  (* Warm-restart carry: fold previously captured totals back into the
+     calling domain's stripe.  Meant for single-threaded restore. *)
   let inject t ~counts ~sum ~max_value =
-    let mine = t.counts.(0) in
+    let s = stripe () in
+    let mine = t.counts.(s) in
     if Array.length counts <> Array.length mine then
       invalid_arg "Obs.Histogram.inject: bucket layouts differ";
     Array.iteri (fun i c -> mine.(i) <- mine.(i) + c) counts;
-    let acc = t.accs.(0) in
+    let acc = t.accs.(s) in
     acc.(0) <- acc.(0) +. sum;
     if max_value > acc.(1) then acc.(1) <- max_value
 
@@ -406,8 +434,7 @@ let snapshot t =
    live instruments (created on demand), so series like [/metrics]
    counters keep climbing across a restore instead of resetting to
    zero.  Counters add, gauges set, histograms add bucket counts
-   verbatim.  Single-threaded restore only — histogram injection
-   writes stripe 0 unsynchronised. *)
+   verbatim.  Single-threaded restore only. *)
 let absorb t (s : Snapshot.t) =
   List.iter
     (fun e ->

@@ -7,10 +7,11 @@
     fixed-bucket latency histograms keyed by [(stage, name)].
 
     The accumulation path is lock-free and safe across OCaml domains:
-    each metric keeps an array of per-domain cells (striped by domain
-    id) that are only merged when a {!Snapshot} is taken.  Metric
-    *creation* takes a lock; pipeline stages create their metrics once
-    at construction time and only touch cells afterwards.
+    each metric keeps an array of per-domain cells (each live domain
+    owns one stripe, up to 64 of them) that are only merged when a
+    {!Snapshot} is taken.  Metric *creation* takes a lock; pipeline
+    stages create their metrics once at construction time and only
+    touch cells afterwards.
 
     The library depends on nothing but the standard library.  Wall
     clocks are injected: callers that link [unix] should install

@@ -1,276 +1,217 @@
-module Mqp = Xy_core.Mqp
 module Partition = Xy_core.Partition
 module Obs = Xy_obs.Obs
+module Trace = Xy_trace.Trace
 
 type config = {
-  domains : int;  (** loader workers *)
-  shards : int;  (** monitoring-query-processor shards *)
+  domains : int;  (** an upper bound on the pool workers a batch uses *)
+  shards : int;  (** subscription subsets under [By_subscriptions] *)
   axis : Partition.axis;
 }
 
 let default_config = { domains = 1; shards = 1; axis = Partition.By_documents }
 
-(* Loader and shard inbox capacity: per-stage backpressure. *)
-let capacity = 64
+let pool_size = max 1 (Domain.recommended_domain_count () - 1)
+let workers (config : config) = min config.domains pool_size
 
-type stats = {
-  p_deaths : int;
-  p_respawns : int;
-  p_steals : int;
-  p_stolen : int;
+(* The process-wide pool: per process, not per system, because a
+   process may create hundreds of systems and OCaml caps live domains.
+   A worker runs the batch body [job] for its slot once per
+   [generation]; [job] returns [false] when the worker must die (the
+   [worker] fault). *)
+type pool = {
+  owner : Mutex.t;  (** held by the running batch's caller *)
+  lock : Mutex.t;
+  work : Condition.t;  (** workers wait here between batches *)
+  mutable generation : int;
+  mutable job : int -> bool;
+  mutable wanted : int;  (** slots the running batch uses *)
+  domains : unit Domain.t option array;
+  (* The caller's wake-up: a worker published, died or finished.
+     Workers only take [signal] while the caller is blocked. *)
+  signal : Mutex.t;
+  signalled : Condition.t;
+  waiting : bool Atomic.t;
 }
 
-(* One copy of an alert bound for a shard.  [s_slot] is the shard the
-   router *destined* it for: under [By_subscriptions] the matcher
-   subset is the destination's, even when a thief executes the match.
-   [s_kill] arms the worker-death failure point — pre-drawn serially
-   on the main domain (the fault journal is not multi-domain safe), it
-   rides the message and fires in whichever shard dequeues it. *)
-type shard_item = {
-  s_idx : int;
-  s_slot : int;
-  s_alert : Mqp.alert;
-  s_kill : bool;
-}
+let idle _ = true
 
-type 'r result_msg =
-  | Worked of int * 'r * bool  (** doc index, outcome, has-alert *)
-  | Matched of int * int list * float  (** doc index, partial match, seconds *)
-  | Shard_died of int * shard_item list
-      (** slot, items the dead worker held (kill cleared on the head) *)
+let pool =
+  {
+    owner = Mutex.create ();
+    lock = Mutex.create ();
+    work = Condition.create ();
+    generation = 0;
+    job = idle;
+    wanted = 0;
+    domains = Array.make pool_size None;
+    signal = Mutex.create ();
+    signalled = Condition.create ();
+    waiting = Atomic.make false;
+  }
 
-(* Reorder-buffer cell: a document is complete once its load outcome
-   has arrived and, if it alerted, all its match partials did too
-   (1 under [By_documents], [shards] under [By_subscriptions]). *)
-type 'r cell = {
-  mutable c_outcome : 'r option;
-  mutable c_has_alert : bool;
-  mutable c_partials : int list list;
-  mutable c_partial_count : int;
-  mutable c_latency : float;
-}
+let rec serve slot ~seen =
+  Mutex.lock pool.lock;
+  while pool.generation = seen do
+    Condition.wait pool.work pool.lock
+  done;
+  let generation = pool.generation and job = pool.job in
+  let mine = slot < pool.wanted in
+  Mutex.unlock pool.lock;
+  if (not mine) || job slot then serve slot ~seen:generation
 
-let stage = "bus"
+(* Called by a worker after any change the caller may be waiting for.
+   The caller raises [waiting] under [signal] before its last check of
+   the condition, so either it sees the change or this sees the flag. *)
+let notify () =
+  if Atomic.get pool.waiting then begin
+    Mutex.lock pool.signal;
+    Condition.broadcast pool.signalled;
+    Mutex.unlock pool.signal
+  end
 
-let run config ?(obs = Obs.default) ~docs ~kill ~url_of ~worker ~shard_match
-    ~drain () =
-  let { domains; shards; axis } = config in
-  if domains <= 0 then invalid_arg "Parallel.run: domains <= 0";
-  if shards <= 0 then invalid_arg "Parallel.run: shards <= 0";
+(* A document's wait is short next to the work it waits for, so the
+   caller spins briefly before blocking. *)
+let spins = 1000
+
+let await ready =
+  let rec spin n =
+    if ready () then ()
+    else if n > 0 then begin
+      Domain.cpu_relax ();
+      spin (n - 1)
+    end
+    else begin
+      Mutex.lock pool.signal;
+      Atomic.set pool.waiting true;
+      while not (ready ()) do
+        Condition.wait pool.signalled pool.signal
+      done;
+      Atomic.set pool.waiting false;
+      Mutex.unlock pool.signal
+    end
+  in
+  spin spins
+
+let run (config : config) ?(obs = Obs.default) ~docs ~kill ~url_of ~trace_of
+    ~worker ~drain () =
+  if config.domains <= 0 then invalid_arg "Parallel.run: domains <= 0";
   let len = Array.length docs in
   if Array.length kill <> len then invalid_arg "Parallel.run: kill length";
   Wall.install_timers ();
-  let m_steals = Obs.counter obs ~stage "steals" in
-  let m_stolen = Obs.counter obs ~stage "stolen_items" in
+  (* registered here, on the caller's domain *)
   let m_deaths = Obs.counter obs ~stage:"fault" "worker_deaths" in
   let m_respawns = Obs.counter obs ~stage:"fault" "worker_respawns" in
-  (* All buses and counters are registered here, on the caller's
-     domain, before anything spawns. *)
-  let doc_inboxes : (int * 'd) Bus.t array =
-    Array.init domains (fun _ ->
-        Bus.create ~capacity ~obs ~name:"loader_inbox" ())
+  let k = workers config in
+  let slot_of =
+    Array.map (fun d -> Partition.slot_of_url ~partitions:k (url_of d)) docs
   in
-  let shard_inboxes : shard_item Bus.t array =
-    Array.init shards (fun _ ->
-        Bus.create ~capacity ~obs ~name:"shard_inbox"
-          ~trace_of:(fun item -> item.s_alert.Mqp.trace)
-          ())
+  let cells = Array.init len (fun _ -> Atomic.make None) in
+  (* Per slot: the next document index the slot's worker looks at.
+     Only that worker writes it; a replacement reads it after the dead
+     worker has been joined. *)
+  let cursor = Array.make k 0 in
+  let dead = Array.init k (fun _ -> Atomic.make false) in
+  let busy = Atomic.make k in
+  let failure = Atomic.make None in
+  let fail e = ignore (Atomic.compare_and_set failure None (Some e)) in
+  let failed () = Option.is_some (Atomic.get failure) in
+  let handed_at = Trace.now () in
+  let rec walk slot =
+    let idx = cursor.(slot) in
+    if idx >= len || failed () then true
+    else if slot_of.(idx) <> slot then begin
+      cursor.(slot) <- idx + 1;
+      walk slot
+    end
+    else if kill.(idx) then begin
+      kill.(idx) <- false;
+      Obs.Counter.incr m_deaths;
+      Atomic.set dead.(slot) true;
+      notify ();
+      false
+    end
+    else begin
+      let doc = docs.(idx) in
+      Option.iter
+        (fun ctx ->
+          Trace.record ctx ~stage:"bus" ~name:"wait"
+            ~attrs:[ ("bus", "handoff") ]
+            ~start_wall:handed_at
+            ~dur_wall:(Trace.now () -. handed_at)
+            ())
+        (trace_of doc);
+      Atomic.set cells.(idx) (Some (worker ~slot doc));
+      cursor.(slot) <- idx + 1;
+      notify ();
+      walk slot
+    end
   in
-  let results : 'r result_msg Bus.t =
-    Bus.create ~capacity:256 ~obs ~name:"results" ()
-  in
-  let steal_ops = Pad.create shards in
-  let steal_items = Pad.create shards in
-  (* Feeder: its own domain, so the caller's domain is free to drain
-     results while the batch is still streaming in under bounded
-     capacities.  Same-URL documents hash to the same loader, so a
-     URL's version chain is built in feed order by a single worker. *)
-  let feeder =
-    Domain.spawn (fun () ->
-        Array.iteri
-          (fun idx doc ->
-            let slot = Partition.slot_of_url ~partitions:domains (url_of doc) in
-            Bus.push doc_inboxes.(slot) (idx, doc))
-          docs;
-        Array.iter Bus.close doc_inboxes)
-  in
-  (* Loaders: parse/warehouse/diff/detect via the caller's [worker],
-     then announce the outcome and route the alert (if any) to its
-     shard(s).  The last loader to finish closes the shard inboxes. *)
-  let live_loaders = Atomic.make domains in
-  let loaders =
-    Array.init domains (fun slot ->
-        Domain.spawn (fun () ->
-            let rec loop () =
-              match Bus.pop doc_inboxes.(slot) with
-              | None -> ()
-              | Some (idx, doc) ->
-                  let outcome, alert = worker ~slot doc in
-                  Bus.push results (Worked (idx, outcome, alert <> None));
-                  (match alert with
-                  | None -> ()
-                  | Some (alert : Mqp.alert) -> (
-                      match axis with
-                      | Partition.By_documents ->
-                          let dest =
-                            Partition.slot_of_url ~partitions:shards
-                              alert.Mqp.url
-                          in
-                          Bus.push shard_inboxes.(dest)
-                            { s_idx = idx; s_slot = dest; s_alert = alert;
-                              s_kill = kill.(idx) }
-                      | Partition.By_subscriptions ->
-                          (* Broadcast; the kill flag rides exactly one
-                             copy so a fault draw costs one death. *)
-                          for dest = 0 to shards - 1 do
-                            Bus.push shard_inboxes.(dest)
-                              { s_idx = idx; s_slot = dest; s_alert = alert;
-                                s_kill = kill.(idx) && dest = 0 }
-                          done));
-                  loop ()
-            in
-            loop ();
-            if Atomic.fetch_and_add live_loaders (-1) = 1 then
-              Array.iter Bus.close shard_inboxes))
-  in
-  (* Shard workers.  [pending] holds locally dequeued items (a stolen
-     batch); a death therefore carries the whole remainder back to the
-     supervisor, so stolen work is never lost.  A worker never blocks
-     on its own inbox: it polls, robs the longest sibling when idle,
-     and exits only once every shard inbox is closed and empty (the
-     tail-steal phase — late skew drains onto whichever workers are
-     still hungry). *)
-  let spawn_shard slot ~carried =
-    Domain.spawn (fun () ->
-        let process item =
-          let matched, latency = shard_match ~dest:item.s_slot item.s_alert in
-          Bus.push results (Matched (item.s_idx, matched, latency))
-        in
-        let steal_once () =
-          let victim = ref (-1) and longest = ref 1 in
-          Array.iteri
-            (fun v inbox ->
-              if v <> slot then begin
-                let n = Bus.length inbox in
-                if n > !longest then begin
-                  victim := v;
-                  longest := n
-                end
-              end)
-            shard_inboxes;
-          if !victim < 0 then []
-          else
-            match Bus.steal_half shard_inboxes.(!victim) with
-            | [] -> []
-            | stolen ->
-                Pad.incr steal_ops slot;
-                Pad.add steal_items slot (List.length stolen);
-                Obs.Counter.incr m_steals;
-                Obs.Counter.add m_stolen (List.length stolen);
-                stolen
-        in
-        let rec loop pending =
-          match pending with
-          | item :: rest ->
-              if item.s_kill then begin
-                Obs.Counter.incr m_deaths;
-                Bus.push results
-                  (Shard_died (slot, { item with s_kill = false } :: rest))
-              end
-              else begin
-                process item;
-                loop rest
-              end
-          | [] -> (
-              match Bus.try_pop shard_inboxes.(slot) with
-              | Some item -> loop [ item ]
-              | None -> (
-                  match steal_once () with
-                  | _ :: _ as stolen -> loop stolen
-                  | [] ->
-                      if Array.for_all Bus.drained shard_inboxes then ()
-                      else begin
-                        (* Nothing to do anywhere yet: brief sleep
-                           rather than a hot spin, so single-core
-                           hosts still make progress elsewhere. *)
-                        Unix.sleepf 2e-5;
-                        loop []
-                      end))
-        in
-        loop carried)
-  in
-  let shard_domains = Array.init shards (fun slot -> spawn_shard slot ~carried:[]) in
-  (* Drainer — the caller's own domain.  Applies per-document results
-     strictly in batch order through [drain] (the single serial owner
-     of journal, reporter and trigger state), supervises shard deaths,
-     and on a [drain] exception keeps consuming (so every stage can
-     finish and be joined) but applies nothing further — matching what
-     a serial kill leaves behind. *)
-  let cells =
-    Array.init len (fun _ ->
-        { c_outcome = None; c_has_alert = false; c_partials = [];
-          c_partial_count = 0; c_latency = 0. })
-  in
-  let needed =
-    match axis with Partition.By_documents -> 1 | Partition.By_subscriptions -> shards
-  in
-  let complete c =
-    c.c_outcome <> None && ((not c.c_has_alert) || c.c_partial_count >= needed)
-  in
-  let deaths = ref 0 and respawns = ref 0 in
-  let failure = ref None in
-  let next = ref 0 in
-  let apply idx =
-    let c = cells.(idx) in
-    let outcome = Option.get c.c_outcome in
-    let matched =
-      if not c.c_has_alert then None
-      else
-        match c.c_partials with
-        | [ one ] -> Some (one, c.c_latency)
-        | many ->
-            (* Subscription-axis merge: partials are disjoint but
-               unordered across shards. *)
-            Some (List.sort_uniq Int.compare (List.concat many), c.c_latency)
+  let job slot =
+    let alive =
+      try walk slot
+      with e ->
+        fail e;
+        true
     in
-    match !failure with
-    | Some _ -> ()
-    | None -> ( try drain idx outcome matched with e -> failure := Some e)
+    if alive then begin
+      Atomic.decr busy;
+      notify ()
+    end;
+    alive
   in
-  let advance () =
-    while !next < len && complete cells.(!next) do
-      apply !next;
-      incr next
-    done
-  in
-  while !next < len do
-    match Bus.pop results with
-    | None -> assert false (* the results bus is never closed *)
-    | Some (Worked (idx, outcome, has_alert)) ->
-        let c = cells.(idx) in
-        c.c_outcome <- Some outcome;
-        c.c_has_alert <- has_alert;
-        advance ()
-    | Some (Matched (idx, partial, latency)) ->
-        let c = cells.(idx) in
-        c.c_partials <- partial :: c.c_partials;
-        c.c_partial_count <- c.c_partial_count + 1;
-        c.c_latency <- c.c_latency +. latency;
-        advance ()
-    | Some (Shard_died (slot, carried)) ->
-        incr deaths;
-        incr respawns;
-        Obs.Counter.incr m_respawns;
-        Domain.join shard_domains.(slot);
-        shard_domains.(slot) <- spawn_shard slot ~carried
+  Mutex.lock pool.owner;
+  Fun.protect
+    ~finally:(fun () ->
+      (* the idle pool must not keep the batch, and the system its
+         closures reach, alive *)
+      Mutex.lock pool.lock;
+      pool.job <- idle;
+      Mutex.unlock pool.lock;
+      Mutex.unlock pool.owner)
+  @@ fun () ->
+  for slot = 0 to k - 1 do
+    if Option.is_none pool.domains.(slot) then begin
+      let seen = pool.generation in
+      pool.domains.(slot) <- Some (Domain.spawn (fun () -> serve slot ~seen))
+    end
   done;
-  Domain.join feeder;
-  Array.iter Domain.join loaders;
-  Array.iter Domain.join shard_domains;
-  (match !failure with Some e -> raise e | None -> ());
-  {
-    p_deaths = !deaths;
-    p_respawns = !respawns;
-    p_steals = Pad.total steal_ops;
-    p_stolen = Pad.total steal_items;
-  }
+  Mutex.lock pool.lock;
+  pool.job <- job;
+  pool.wanted <- k;
+  pool.generation <- pool.generation + 1;
+  let generation = pool.generation in
+  Condition.broadcast pool.work;
+  Mutex.unlock pool.lock;
+  (* A dead worker's domain has exited: join it, then start a
+     replacement that carries the batch over from the dead one's
+     cursor, so the pool never exceeds its size. *)
+  let any_dead () = Array.exists Atomic.get dead in
+  let rec wait_for ready =
+    await (fun () -> ready () || any_dead ());
+    if any_dead () then begin
+      Array.iteri
+        (fun slot flag ->
+          if Atomic.get flag then begin
+            Atomic.set flag false;
+            Option.iter Domain.join pool.domains.(slot);
+            Obs.Counter.incr m_respawns;
+            pool.domains.(slot) <-
+              Some
+                (Domain.spawn (fun () ->
+                     if job slot then serve slot ~seen:generation))
+          end)
+        dead;
+      wait_for ready
+    end
+  in
+  let next = ref 0 in
+  while !next < len && not (failed ()) do
+    wait_for (fun () -> Option.is_some (Atomic.get cells.(!next)) || failed ());
+    match Atomic.get cells.(!next) with
+    | Some result ->
+        (try drain !next result with e -> fail e);
+        incr next
+    | None -> ()
+  done;
+  wait_for (fun () -> Atomic.get busy = 0);
+  Option.iter raise (Atomic.get failure)

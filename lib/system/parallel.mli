@@ -1,85 +1,83 @@
-(** The sharded crawl → match → report pipeline.
+(** The parallel ingest engine: a persistent worker pool.
 
-    One batch of fetched documents saturates the cores in three
-    stages, wired with bounded {!Bus} queues (per-stage backpressure):
+    One process-wide pool of at most {!pool_size} worker domains serves
+    every batch of every system.  The workers start on first use and
+    wait on a condition variable between batches, so a batch spawns a
+    domain only to replace a worker that died.  The caller's own domain
+    feeds and drains:
 
     {v
-      feeder ─▶ loader inboxes ─▶ loaders (×domains)
-                                     │ parse/warehouse/diff/detect
+      caller: route by URL hash ─▶ workers (×min domains pool_size)
+                                     │ load, detect, match inline;
+                                     │ publish into the document's cell
                                      ▼
-                            shard inboxes ─▶ MQP shards (×shards)
-                                     │ match (+ work stealing)
-                                     ▼
-                               results bus ─▶ drainer (caller's domain)
-                                               journal/report, in order
+      caller: drain the cells in batch order
+              (journal, reporter, trigger)
     v}
 
-    Both of the paper's §4.2 distribution axes
-    ({!Xy_core.Partition.axis}) apply to the shard stage:
-    [By_documents] routes each alert to one shard (every shard holds
-    the full subscription set), [By_subscriptions] broadcasts each
-    alert to all shards and the drainer merges the partial matches.
-    Idle shards steal half of the longest sibling inbox.  Documents
-    route to loaders by URL hash, so one URL's version chain is always
-    built in order by one worker.
+    Documents go to workers by URL hash, so one URL's versions are
+    always loaded in order, by one worker.  The drainer is the single
+    owner of all serial state (journal, reporter, trigger): results
+    apply strictly in batch order, so a parallel run is
+    observationally identical to the serial loop.
 
-    The drainer is the single owner of all serial state (journal,
-    reporter, trigger): results apply strictly in batch order, so a
-    parallel run is observationally identical to the serial loop. *)
+    Both of the paper's §4.2 distribution axes
+    ({!Xy_core.Partition.axis}) are the caller's matching choice:
+    [By_documents] matches each alert against the one shared
+    subscription set, [By_subscriptions] against [shards] disjoint
+    subsets in turn, merging the partial matches. *)
 
 type config = {
-  domains : int;  (** loader workers (the crawl/warehouse stage) *)
-  shards : int;  (** monitoring-query-processor shards *)
+  domains : int;  (** an upper bound on the pool workers a batch uses *)
+  shards : int;
+      (** subscription subsets under [By_subscriptions]; unused under
+          [By_documents] *)
   axis : Xy_core.Partition.axis;
 }
 
 (** [domains = 1]: callers treat a single domain as "stay serial". *)
 val default_config : config
 
-type stats = {
-  p_deaths : int;  (** shard workers killed by the [worker] fault point *)
-  p_respawns : int;
-  p_steals : int;  (** successful steal operations *)
-  p_stolen : int;  (** items moved by stealing *)
-}
+(** [max 1 (Domain.recommended_domain_count () - 1)]: with the caller's
+    domain, the engine never runs more domains than the host has
+    cores (and at least two). *)
+val pool_size : int
 
-(** [run config ~docs ~kill ~url_of ~worker ~shard_match ~drain ()]
+(** [workers config] — [min config.domains pool_size]: the workers a
+    batch under [config] uses, numbered [0 .. workers config - 1]. *)
+val workers : config -> int
+
+(** [run config ~docs ~kill ~url_of ~trace_of ~worker ~drain ()]
     processes one batch and returns once every document has been
-    drained and every spawned domain joined.
+    drained and the batch's workers are idle again.
 
-    - [kill.(i)] arms the worker-death fault on document [i]'s alert
+    - [worker ~slot doc] runs on pool worker [slot] (the URL hash of
+      [doc] modulo {!workers}); it must touch only per-slot or
+      internally synchronized state.  A traced document ([trace_of])
+      first records its hand-off wait as a [bus/wait] span.
+    - [drain idx result] runs on the caller's domain, in strictly
+      increasing [idx] order.
+    - [kill.(i)] arms the worker-death fault on document [i]
       (pre-drawn serially by the caller — fault accounting is not
-      multi-domain safe); the shard that dequeues it dies holding its
-      work, and the supervisor respawns it with that work carried
-      over, so deaths redistribute rather than lose messages.
-    - [worker ~slot doc] runs on loader domain [slot]: it must not
-      raise, and must touch only per-slot or internally synchronized
-      state.  Returns the outcome handed to [drain] plus the alert to
-      match, if any.
-    - [shard_match ~dest alert] runs on any shard domain and returns
-      the match list and its latency; [dest] is the shard the alert
-      was routed to, which differs from the running shard when the
-      work was stolen.  Subscription-axis callers must select the
-      [dest] subset.  Several shards call it at once, so the matchers
-      it reads must be safe for concurrent readers.
-    - [drain idx outcome matched] runs on the caller's domain, in
-      strictly increasing [idx] order; [matched] is the merged match
-      list and summed match latency when the document alerted.  If it
-      raises, no later document is drained, every stage is still run
-      to completion and joined, and the exception is re-raised — the
-      crash leaves exactly what a serial crash would.
+      multi-domain safe): the worker that takes it clears the flag and
+      dies holding its unfinished documents, and the caller starts a
+      replacement that carries them over, so deaths never lose or
+      repeat a document.
+      Deaths and respawns count under [fault/worker_deaths] and
+      [fault/worker_respawns] in [obs].
 
-    Steal/death telemetry goes to [obs] ([bus/steals],
-    [bus/stolen_items], [fault/worker_deaths], [fault/worker_respawns])
-    and comes back in {!stats}. *)
+    If [worker] or [drain] raises, no later document is drained, the
+    workers stop at their next document, and the first exception is
+    re-raised once they are idle.  The pool stays usable.  Calls are
+    serialized: a second caller waits for the pool. *)
 val run :
   config ->
   ?obs:Xy_obs.Obs.t ->
   docs:'d array ->
   kill:bool array ->
   url_of:('d -> string) ->
-  worker:(slot:int -> 'd -> 'r * Xy_core.Mqp.alert option) ->
-  shard_match:(dest:int -> Xy_core.Mqp.alert -> int list * float) ->
-  drain:(int -> 'r -> (int list * float) option -> unit) ->
+  trace_of:('d -> Xy_trace.Trace.ctx option) ->
+  worker:(slot:int -> 'd -> 'r) ->
+  drain:(int -> 'r -> unit) ->
   unit ->
-  stats
+  unit

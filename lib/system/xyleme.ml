@@ -43,13 +43,11 @@ type maintenance_task = {
   task : Record_log.Compaction.task;
 }
 
-(* Per-loader-domain pipeline stage: a private Loader + alerter Chain
-   over the shared (internally locked) store and registry, plus a
-   private metrics registry — loader/alerter counters are folded into
-   the system registry after each batch, so totals stay exact (the
-   striped cells of a shared registry can drop increments when many
-   short-lived domains collide on a stripe). *)
-type worker_ctx = { wc_obs : Obs.t; wc_loader : Loader.t; wc_chain : Chain.t }
+(* Per-pool-worker pipeline stage: a private Loader + alerter Chain
+   over the shared (internally locked) store and registry.  Their
+   instruments are the system registry's own: each live domain writes
+   its own stripe of them. *)
+type worker_ctx = { wc_loader : Loader.t; wc_chain : Chain.t }
 
 (* Subscription-axis shard subsets, cached across batches and
    invalidated by the MQP's subscribe/unsubscribe epoch. *)
@@ -714,8 +712,8 @@ let kind_of_tag = function
      op, the [system] counters, quarantine, MQP dispatch, the
      crawler's [conclude]), on the system's own domain.
 
-   The match in between ([Mqp.match_alert]) runs inline or on a shard
-   domain. *)
+   The match in between ([Mqp.match_alert]) runs inline or on a pool
+   worker. *)
 
 type batch_doc = {
   bd_url : string;
@@ -850,31 +848,30 @@ let ingest_missing ?trace t ~url =
          bd_trace = trace; bd_birth = None })
 
 (* ------------------------------------------------------------------ *)
-(* Batch ingestion: the sharded crawl → match → report pipeline.
+(* Batch ingestion: the crawl → match → report pipeline.
 
    One crawl step's fetches are processed as a batch.  With
    [parallel.domains <= 1] the batch runs through [ingest_doc] one
-   document at a time; otherwise it fans out over {!Parallel}: loader
-   domains run [load_doc], MQP shards match, and this domain — the
-   single owner of journal, reporter and trigger state — runs
-   [apply_doc] strictly in batch order, so both modes emit the same
-   notifications in the same order and journal the same ops. *)
+   document at a time; otherwise it fans out over {!Parallel}: pool
+   workers run [load_doc] and the match, and this domain — the single
+   owner of journal, reporter and trigger state — runs [apply_doc]
+   strictly in batch order, so both modes emit the same notifications
+   in the same order and journal the same ops. *)
 
-let worker_ctxs t ~domains =
-  if Array.length t.worker_ctxs <> domains then
+let worker_ctxs t ~workers =
+  if Array.length t.worker_ctxs <> workers then
     (* Built on this domain: [Chain.create] registers registry
-       listeners, and the registry is not thread-safe.  Rebuilt only
-       when the domain count changes (stale ctx chains stay registered
-       as listeners — idle, they just track subscription changes). *)
+       listeners and instruments, and neither registry is thread-safe
+       for that.  Rebuilt only when the worker count changes (stale
+       ctx chains stay registered as listeners — idle, they just track
+       subscription changes). *)
     t.worker_ctxs <-
-      Array.init domains (fun _ ->
-          let wc_obs = Obs.create () in
+      Array.init workers (fun _ ->
           {
-            wc_obs;
             wc_loader =
-              Loader.create ~domains:t.domains ~obs:wc_obs ~store:t.store
+              Loader.create ~domains:t.domains ~obs:t.obs ~store:t.store
                 ~clock:t.clock ();
-            wc_chain = Chain.create ~obs:wc_obs t.registry;
+            wc_chain = Chain.create ~obs:t.obs t.registry;
           });
   t.worker_ctxs
 
@@ -900,35 +897,6 @@ let subscription_subsets t ~shards =
       Array.iter Mqp.freeze mqps;
       t.shard_cache <- Some { sc_shards = shards; sc_epoch = epoch; sc_mqps = mqps };
       mqps
-
-(* Fold a worker's private registry into the system one: counters add,
-   histograms add pointwise, then the worker registry resets so the
-   next batch folds only its delta.  Gauges are skipped — they are
-   last-value instruments owned by the serial pipeline. *)
-let absorb_worker_obs t ctxs =
-  Array.iter
-    (fun ctx ->
-      let s = Obs.snapshot ctx.wc_obs in
-      List.iter
-        (fun (e : Obs.Snapshot.entry) ->
-          match e.Obs.Snapshot.value with
-          | Obs.Snapshot.Counter 0 -> ()
-          | Obs.Snapshot.Counter n ->
-              Obs.Counter.add
-                (Obs.counter t.obs ~stage:e.Obs.Snapshot.stage
-                   e.Obs.Snapshot.name)
-                n
-          | Obs.Snapshot.Gauge _ -> ()
-          | Obs.Snapshot.Histogram h ->
-              if h.Obs.Snapshot.count > 0 then
-                Obs.Histogram.inject
-                  (Obs.histogram ~buckets:h.Obs.Snapshot.bounds t.obs
-                     ~stage:e.Obs.Snapshot.stage e.Obs.Snapshot.name)
-                  ~counts:h.Obs.Snapshot.counts ~sum:h.Obs.Snapshot.sum
-                  ~max_value:h.Obs.Snapshot.max_value)
-        s.Obs.Snapshot.entries;
-      Obs.reset ctx.wc_obs)
-    ctxs
 
 (* A document's synchronous journey ends with its transaction; reports
    held back by buffering fire from [tick] without attribution. *)
@@ -965,50 +933,44 @@ let process_batch t ~conclude docs =
     let docs = Array.of_list docs in
     (* Worker-death draws happen here, serially: [Fault.fire] counts
        and journals at draw time and neither is multi-domain safe.
-       The kill flag rides the doc's shard message instead. *)
+       The kill flag rides the document to its worker instead. *)
     let kill = Array.map (fun _ -> Fault.fire t.faults "worker") docs in
-    let ctxs = worker_ctxs t ~domains:config.Parallel.domains in
-    let shard_match =
+    let ctxs = worker_ctxs t ~workers:(Parallel.workers config) in
+    (* Read-only from every worker: the one subscription set, or the
+       subscription axis's subsets, matched in turn and merged. *)
+    let matchers =
       match config.Parallel.axis with
-      | Partition.By_documents ->
-          (* one structure, read-only from every shard domain *)
-          fun ~dest:_ alert -> Mqp.match_alert t.mqp alert
+      | Partition.By_documents -> [| t.mqp |]
       | Partition.By_subscriptions ->
-          (* the subset identity travels with the message ([dest]), so
-             stolen work still matches the right subscriptions *)
-          let subsets = subscription_subsets t ~shards:config.Parallel.shards in
-          fun ~dest alert -> Mqp.match_alert subsets.(dest) alert
+          subscription_subsets t ~shards:config.Parallel.shards
+    in
+    let match_alert alert =
+      let partials, latency =
+        Array.fold_left
+          (fun (partials, latency) mqp ->
+            let ids, l = Mqp.match_alert mqp alert in
+            (ids :: partials, latency +. l))
+          ([], 0.) matchers
+      in
+      match partials with
+      | [ ids ] -> (ids, latency)
+      | partials -> (List.sort_uniq Int.compare (List.concat partials), latency)
     in
     let worker ~slot d =
       let ctx = ctxs.(slot) in
       let loaded, busy = load_doc t ~loader:ctx.wc_loader ~chain:ctx.wc_chain d in
-      ((loaded, busy), alert_of loaded)
+      (loaded, busy, Option.map match_alert (alert_of loaded))
     in
-    let drain idx (loaded, busy) matched =
+    let drain idx (loaded, busy, matched) =
       let d = docs.(idx) in
       crash_point t ("ingest:" ^ d.bd_url);
       apply_doc t ~conclude d loaded ~busy matched;
       finish_doc t d
     in
-    let finish_batch () = absorb_worker_obs t ctxs in
-    match
-      Parallel.run config ~obs:t.obs ~docs ~kill
-        ~url_of:(fun d -> d.bd_url)
-        ~worker ~shard_match ~drain ()
-    with
-    | stats ->
-        finish_batch ();
-        if stats.Parallel.p_deaths > 0 || stats.Parallel.p_steals > 0 then
-          Log.debug (fun m ->
-              m "parallel batch: %d death(s), %d steal(s) moving %d item(s)"
-                stats.Parallel.p_deaths stats.Parallel.p_steals
-                stats.Parallel.p_stolen)
-    | exception e ->
-        (* a [crash_point] fired in the drainer: every domain has
-           still been joined — account the workers' metrics before
-           the crash propagates *)
-        finish_batch ();
-        raise e
+    Parallel.run config ~obs:t.obs ~docs ~kill
+      ~url_of:(fun d -> d.bd_url)
+      ~trace_of:(fun d -> d.bd_trace)
+      ~worker ~drain ()
   end
 
 (* Public batch entry (bench, tests): the crawler is not involved, so

@@ -18,7 +18,7 @@ val monotonic_wall : unit -> float
 (** [create ()] wires a fresh registry into every stage: all pipeline
     metrics (crawler, warehouse, alerters, mqp, trigger, reporter,
     submgr, system) land in [obs] (a private {!Xy_obs.Obs.create}d
-    registry by default — pass one to share it, e.g. with a {!Bus}).
+    registry by default — pass one to share it).
     The {!monotonic_wall} timer is installed into xy_obs and xy_trace
     as a side effect.
 
@@ -56,11 +56,12 @@ val monotonic_wall : unit -> float
     [xyleme://self/slo/<name>.xml] — subscriptions on that prefix do
     the actual alerting through the unmodified pipeline.
 
-    [parallel] selects the sharded crawl → match → report pipeline
+    [parallel] selects the parallel crawl → match → report pipeline
     ({!Parallel}): with [domains > 1], each crawl step's fetches fan
-    out over that many loader domains and [shards] MQP shards along
-    the chosen §4.2 [axis], with work stealing between skewed shards.
-    The default ({!Parallel.default_config}) stays serial.  Either way
+    out over up to that many pool workers, which load, detect and
+    match along the chosen §4.2 [axis] ([shards] subscription subsets
+    under [By_subscriptions]).  The default
+    ({!Parallel.default_config}) stays serial.  Either way
     the observable behaviour is identical — notifications, reports and
     journal ops come out in the serial order.  Only matchers that are
     read-only while matching run on several domains: [create] raises
@@ -240,7 +241,7 @@ val ingest :
 (** [ingest_missing t ~url] handles a page that disappeared. *)
 val ingest_missing : ?trace:Xy_trace.Trace.ctx -> t -> url:string -> unit
 
-(** {2 Batch ingestion — the sharded pipeline}
+(** {2 Batch ingestion — the parallel pipeline}
 
     One crawl step's fetches form a batch.  With a [parallel]
     configuration of [domains > 1], {!ingest_batch} (and {!crawl_step},
@@ -249,7 +250,7 @@ val ingest_missing : ?trace:Xy_trace.Trace.ctx -> t -> url:string -> unit
     serial path one by one.  Both modes first pre-allocate (and, when
     durable, journal) DOCIDs for fresh URLs in batch order, so document
     numbering — which is embedded in alert payloads — never depends on
-    which loader domain finishes first. *)
+    which pool worker finishes first. *)
 
 type batch_doc = {
   bd_url : string;
@@ -260,7 +261,7 @@ type batch_doc = {
 }
 
 (** [ingest_batch t docs] processes one batch end to end (loader →
-    alerters → MQP shards → reporter/trigger), honouring the system's
+    alerters → MQP → reporter/trigger), honouring the system's
     parallel configuration.  Notifications, reports and journal ops
     are emitted in batch order regardless of the configuration. *)
 val ingest_batch : t -> batch_doc list -> unit

@@ -1,13 +1,12 @@
 (* Tests for the fault-injection substrate and the pipeline's recovery
    behaviour: spec parsing, per-point deterministic schedules, crawler
    retry/backoff, persist crash recovery (exhaustive truncation +
-   corruption), bus drop/stall, worker respawn in the multi-domain
-   engine, and end-to-end determinism of faulted runs. *)
+   corruption), worker respawn in the multi-domain engine, and
+   end-to-end determinism of faulted runs. *)
 
 module Fault = Xy_fault.Fault
 module Persist = Xy_submgr.Persist
 module Record_log = Xy_durable.Record_log
-module Bus = Xy_system.Bus
 module Xyleme = Xy_system.Xyleme
 module Queue = Xy_crawler.Fetch_queue
 module Crawler = Xy_crawler.Crawler
@@ -64,7 +63,7 @@ let test_spec_parse_errors () =
   rejected "fetch=0.1,fetch=0.2"
 
 let test_spec_roundtrip () =
-  let spec = [ ("fetch", 0.05); ("bus_drop", 0.5) ] in
+  let spec = [ ("fetch", 0.05); ("malformed", 0.5) ] in
   match Fault.parse_spec (Fault.spec_to_string spec) with
   | Ok spec' -> checkb "roundtrip" true (spec = spec')
   | Error e -> Alcotest.failf "roundtrip failed: %s" e
@@ -103,16 +102,16 @@ let test_per_point_streams_independent () =
   let alone = schedule ~n:200 ~seed:9 ~rate:0.4 "fetch" in
   let t =
     Fault.create ~obs:(Obs.create ()) ~seed:9
-      [ ("fetch", 0.4); ("bus_drop", 0.7) ]
+      [ ("fetch", 0.4); ("malformed", 0.7) ]
   in
   let interleaved =
     List.init 200 (fun _ ->
-        ignore (Fault.fire t "bus_drop");
+        ignore (Fault.fire t "malformed");
         let fired = Fault.fire t "fetch" in
-        ignore (Fault.draw_float t "bus_drop");
+        ignore (Fault.draw_float t "malformed");
         fired)
   in
-  checkb "fetch schedule unmoved by bus_drop draws" true (alone = interleaved)
+  checkb "fetch schedule unmoved by malformed draws" true (alone = interleaved)
 
 let test_set_rate_keeps_stream_position () =
   (* A point consulted at rate 0 still draws, so retuning mid-run
@@ -137,7 +136,7 @@ let test_set_rate_validation () =
   (match Fault.set_rate t "fetch" 1.5 with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "rate above 1 accepted");
-  match Fault.set_rate t "bus_drop" 0.5 with
+  match Fault.set_rate t "malformed" 0.5 with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "point outside the spec accepted"
 
@@ -469,58 +468,13 @@ let qcheck_persist_truncation =
       tail <> Persist.Corrupt && scanned = firstn complete records)
 
 (* ------------------------------------------------------------------ *)
-(* Bus *)
-
-let test_bus_drop_all () =
-  let faults = Fault.create ~obs:(Obs.create ()) ~seed:7 [ ("bus_drop", 1.) ] in
-  let bus = Bus.create ~obs:(Obs.create ()) ~faults () in
-  for i = 1 to 5 do
-    Bus.push bus i
-  done;
-  Bus.close bus;
-  checkb "every message dropped" true (Bus.pop bus = None);
-  checki "all drops counted" 5 (Fault.injected faults "bus_drop")
-
-let test_bus_drop_partial_deterministic () =
-  let drain_count seed =
-    let faults = Fault.create ~obs:(Obs.create ()) ~seed [ ("bus_drop", 0.5) ] in
-    let bus = Bus.create ~obs:(Obs.create ()) ~capacity:512 ~faults () in
-    for i = 1 to 200 do
-      Bus.push bus i
-    done;
-    Bus.close bus;
-    let rec drain acc =
-      match Bus.pop bus with None -> acc | Some _ -> drain (acc + 1)
-    in
-    let drained = drain 0 in
-    checki "drops + deliveries = pushes" 200
-      (drained + Fault.injected faults "bus_drop");
-    drained
-  in
-  checki "same seed, same survivors" (drain_count 13) (drain_count 13);
-  checkb "a 50% drop rate loses messages" true (drain_count 13 < 200)
-
-let test_bus_stall_delays_not_loses () =
-  let faults = Fault.create ~obs:(Obs.create ()) ~seed:8 [ ("bus_stall", 1.) ] in
-  let bus = Bus.create ~obs:(Obs.create ()) ~faults () in
-  for i = 1 to 3 do
-    Bus.push bus i
-  done;
-  Bus.close bus;
-  let rec drain acc =
-    match Bus.pop bus with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  Alcotest.(check (list int)) "stalled messages all arrive in order" [ 1; 2; 3 ]
-    (drain []);
-  checki "every push stalled" 3 (Fault.injected faults "bus_stall")
-
-(* ------------------------------------------------------------------ *)
 (* Worker respawn in the multi-domain engine *)
 
 (* Every page lies under a watched URL prefix, so every ingested page
-   raises an alert and every [worker] draw kills a shard.  Returns the
-   notification multiset (sorted), the pages ingested, the stats, the
-   injection count of the [worker] point and the metrics snapshot. *)
+   raises an alert and every [worker] draw kills a pool worker.
+   Returns the notification multiset (sorted), the pages ingested, the
+   stats, the injection count of the [worker] point and the metrics
+   snapshot. *)
 let respawn_run ?fault_plan () =
   let sites = 3 in
   let web = Web.generate ~seed:8 ~sites ~pages_per_site:5 () in
@@ -2168,12 +2122,6 @@ let () =
           tc "short_write fault point" test_short_write_fault_point;
           QCheck_alcotest.to_alcotest qcheck_persist_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_persist_truncation;
-        ] );
-      ( "bus",
-        [
-          tc "drop all" test_bus_drop_all;
-          tc "partial drop deterministic" test_bus_drop_partial_deterministic;
-          tc "stall delays, never loses" test_bus_stall_delays_not_loses;
         ] );
       ("distributed", [ tc "worker respawn" test_distributed_worker_respawn ]);
       ( "e2e",

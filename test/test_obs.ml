@@ -251,6 +251,41 @@ let test_parallel_domains_exact () =
   checki "no lost observations" (domains * per_domain) (Obs.Histogram.count h);
   checkf "sum exact" (float_of_int (domains * per_domain)) (Obs.Histogram.sum h)
 
+(* Domain ids are never reused, so a process that has spawned 64
+   domains has one whose id equals the main domain's modulo 64.  Both
+   adding to one counter at once must still lose nothing: live domains
+   own distinct stripes whatever their ids. *)
+let test_colliding_domain_ids_exact () =
+  let c = Obs.counter (Obs.create ()) ~stage:"par" "n" in
+  let n = 1_000_000 in
+  let main_id = (Domain.self () :> int) in
+  let add () =
+    for _ = 1 to n do
+      Obs.Counter.incr c
+    done
+  in
+  (* 0: undecided, 1: the ids collide (both add now), 2: they do not *)
+  let rec attempt () =
+    let state = Atomic.make 0 in
+    let d =
+      Domain.spawn (fun () ->
+          if ((Domain.self () :> int) - main_id) land 63 <> 0 then
+            Atomic.set state 2
+          else begin
+            Atomic.set state 1;
+            add ()
+          end)
+    in
+    while Atomic.get state = 0 do
+      Domain.cpu_relax ()
+    done;
+    if Atomic.get state = 1 then add ();
+    Domain.join d;
+    if Atomic.get state = 2 then attempt ()
+  in
+  attempt ();
+  checki "no lost increments" (2 * n) (Obs.Counter.value c)
+
 let test_partitioned_snapshots_merge () =
   (* The distributed runner's pattern: each partition accumulates into
      its own registry; the coordinator merges the snapshots.  The fold
@@ -356,6 +391,7 @@ let () =
       ( "domains",
         [
           tc "exact under parallelism" test_parallel_domains_exact;
+          tc "exact when domain ids collide" test_colliding_domain_ids_exact;
           tc "partitioned snapshots merge" test_partitioned_snapshots_merge;
           QCheck_alcotest.to_alcotest qcheck_partitioned_merge_exact;
         ] );

@@ -1,15 +1,13 @@
-(* The sharded pipeline must be observationally identical to the
+(* The parallel engine must be observationally identical to the
    serial loop: same notification multiset, same stats, same
    per-stage counter totals — on both distribution axes, with and
    without worker-death faults — and a sampled document's trace must
-   stay connected across its domains.  Plus unit tests for the
-   work-stealing bus primitives, the padded counters and the
+   stay connected across its domains.  Plus the worker pool's own
+   contract (a raising worker, domains spawned once) and the
    idempotent wall-clock installation. *)
 
 module Xyleme = Xy_system.Xyleme
 module Parallel = Xy_system.Parallel
-module Bus = Xy_system.Bus
-module Pad = Xy_system.Pad
 module Wall = Xy_system.Wall
 module Web = Xy_crawler.Synthetic_web
 module Sink = Xy_reporter.Sink
@@ -21,72 +19,6 @@ module Trace = Xy_trace.Trace
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
-
-(* ------------------------------------------------------------------ *)
-(* Bus primitives *)
-
-let test_bus_try_pop () =
-  let bus = Bus.create ~capacity:8 ~obs:(Obs.create ()) () in
-  checkb "empty" true (Bus.try_pop bus = None);
-  Bus.push bus 1;
-  Bus.push bus 2;
-  checkb "fifo" true (Bus.try_pop bus = Some 1);
-  checkb "fifo 2" true (Bus.try_pop bus = Some 2);
-  checkb "drained needs close" false (Bus.drained bus);
-  Bus.close bus;
-  checkb "drained" true (Bus.drained bus);
-  checkb "closed try_pop" true (Bus.try_pop bus = None)
-
-let test_bus_steal_half () =
-  let obs = Obs.create () in
-  let bus = Bus.create ~capacity:16 ~obs () in
-  List.iter (Bus.push bus) [ 1; 2; 3; 4; 5; 6; 7 ];
-  (* ceil(7/2) = 4 stolen from the back, in order; victim keeps the
-     front 3 so its local order is preserved. *)
-  Alcotest.(check (list int)) "stolen back half" [ 4; 5; 6; 7 ] (Bus.steal_half bus);
-  checki "victim keeps front" 3 (Bus.length bus);
-  Alcotest.(check (list int)) "front order intact" [ 1; 2; 3 ]
-    (List.filter_map (fun _ -> Bus.try_pop bus) [ (); (); () ]);
-  (* Under 2 queued: nothing to steal. *)
-  Bus.push bus 9;
-  Alcotest.(check (list int)) "single item not stolen" [] (Bus.steal_half bus);
-  checkb "item still there" true (Bus.try_pop bus = Some 9)
-
-(* A stolen message's queue wait lands on its trace, as a popped
-   one's does. *)
-let test_bus_steal_half_traced () =
-  let tracer = Trace.create ~seed:1 () in
-  let bus = Bus.create ~capacity:16 ~obs:(Obs.create ()) ~trace_of:snd () in
-  for i = 1 to 6 do
-    Bus.push bus (i, Some (Trace.start_always tracer ~root:(string_of_int i)))
-  done;
-  let stolen = Bus.steal_half bus in
-  checki "stolen" 3 (List.length stolen);
-  List.iter (fun (_, ctx) -> Option.iter Trace.finish ctx) stolen;
-  let traces = Trace.traces tracer in
-  checki "stolen traces completed" 3 (List.length traces);
-  List.iter
-    (fun tr ->
-      checkb
-        (Printf.sprintf "message %s: bus/wait span" tr.Trace.tr_root)
-        true
-        (List.exists
-           (fun sp -> sp.Trace.sp_stage = "bus" && sp.Trace.sp_name = "wait")
-           tr.Trace.tr_spans))
-    traces
-
-(* ------------------------------------------------------------------ *)
-(* Padded counters *)
-
-let test_pad () =
-  let pad = Pad.create 4 in
-  Pad.incr pad 0;
-  Pad.incr pad 0;
-  Pad.add pad 3 40;
-  checki "slot 0" 2 (Pad.get pad 0);
-  checki "slot 1" 0 (Pad.get pad 1);
-  checki "slot 3" 40 (Pad.get pad 3);
-  checki "total" 42 (Pad.total pad)
 
 (* ------------------------------------------------------------------ *)
 (* Wall clock *)
@@ -190,8 +122,8 @@ let run_workload ?fault_plan ?parallel ~rounds () =
     Obs.snapshot obs )
 
 (* Counter totals per stage, excluding the stages that legitimately
-   differ between modes: [bus] (queues and steals exist only in
-   parallel runs) and [fault] (deaths/respawns likewise). *)
+   differ between modes: [bus] (the parallel engine's hand-off stage)
+   and [fault] (deaths/respawns exist only in parallel runs). *)
 let pipeline_counters (snap : Obs.Snapshot.t) =
   List.filter_map
     (fun e ->
@@ -329,68 +261,78 @@ let qcheck_equiv =
       s_notifs = p_notifs && s_deliv = p_deliv)
 
 (* ------------------------------------------------------------------ *)
-(* Work stealing under forced skew *)
+(* The worker pool *)
 
-(* Every document is crafted to hash to shard 0 of 2, so shard 1 gets
-   work only by stealing; with hundreds of queued items the idle
-   shard's poll loop must rob the victim at least once. *)
-let test_steal_under_skew () =
-  let skewed_urls =
-    let rec collect i acc n =
-      if n = 0 then List.rev acc
-      else
-        let url = Printf.sprintf "http://skew.example.org/page-%d.xml" i in
-        if Partition.slot_of_url ~partitions:2 url = 0 then
-          collect (i + 1) (url :: acc) (n - 1)
-        else collect (i + 1) acc n
+(* A worker that raises hands its exception back to the caller, which
+   re-raises it once the batch's workers are idle; no later document
+   is drained, and the next batch runs on the same pool. *)
+let test_worker_exception () =
+  let docs = Array.init 8 (Printf.sprintf "http://pool.example.org/%d.xml") in
+  let run ?fail_on () =
+    let drained = ref [] in
+    let outcome =
+      match
+        Parallel.run
+          (parallel ~domains:2 ~shards:1 Partition.By_documents)
+          ~obs:(Obs.create ()) ~docs ~kill:(Array.make 8 false) ~url_of:Fun.id
+          ~trace_of:(fun _ -> None)
+          ~worker:(fun ~slot:_ url ->
+            if Some url = Option.map (Array.get docs) fail_on then
+              failwith "worker failed"
+            else String.length url)
+          ~drain:(fun idx _ -> drained := idx :: !drained)
+          ()
+      with
+      | () -> Ok ()
+      | exception e -> Error e
     in
-    collect 0 [] 300
+    (outcome, List.rev !drained)
   in
-  let attempt () =
-    let sink, _ = Sink.memory () in
-    let obs = Obs.create () in
-    let t =
-      Xyleme.create ~seed:3 ~sink ~obs
-        ~parallel:(parallel ~domains:2 ~shards:2 Partition.By_documents)
-        ()
-    in
-    (match
-       Xyleme.subscribe t ~owner:"skew"
-         ~text:
-           {|subscription Skew
-monitoring
-where self contains "payload" and URL extends "http://skew.example.org/"
-report when count > 500 atmost weekly|}
-     with
-    | Ok _ -> ()
-    | Error e -> Alcotest.fail (Xy_submgr.Manager.error_to_string e));
-    let docs =
-      List.map
-        (fun url ->
-          { Xyleme.bd_url = url;
-            bd_content = Some "<page><p>payload one</p></page>";
-            bd_kind = Loader.Xml; bd_trace = None; bd_birth = None })
-        skewed_urls
-    in
-    Xyleme.ingest_batch t docs;
-    Obs.Counter.value (Obs.counter obs ~stage:"bus" "steals")
+  let outcome, drained = run ~fail_on:3 () in
+  checkb "the worker's exception comes back" true
+    (outcome = Error (Failure "worker failed"));
+  checkb "nothing drained past the failed document" true
+    (List.for_all (fun idx -> idx < 3) drained);
+  let outcome, drained = run () in
+  checkb "the pool runs the next batch" true (outcome = Ok ());
+  Alcotest.(check (list int)) "every document drained, in order"
+    (List.init 8 Fun.id) drained
+
+(* The pool's domains are spawned once per process, not per batch: a
+   probe domain's id (ids are never reused) moves by at most the pool
+   size plus the probe itself across 20 batches. *)
+let test_domains_spawned_once () =
+  let probe () = Domain.join (Domain.spawn (fun () -> (Domain.self () :> int))) in
+  let sink, _ = Sink.memory () in
+  let t =
+    Xyleme.create ~seed:3 ~sink ~obs:(Obs.create ())
+      ~parallel:(parallel ~domains:2 ~shards:2 Partition.By_documents)
+      ()
   in
-  (* Stealing is real but scheduling-dependent; retry a couple of
-     times before calling it broken. *)
-  let rec try_n n =
-    let steals = attempt () in
-    if steals > 0 then steals else if n > 1 then try_n (n - 1) else steals
+  let batch round =
+    List.init 8 (fun i ->
+        { Xyleme.bd_url = Printf.sprintf "http://pool.example.org/%d.xml" i;
+          bd_content = Some (Printf.sprintf "<page><p>v%d</p></page>" round);
+          bd_kind = Loader.Xml; bd_trace = None; bd_birth = None })
   in
-  checkb "idle shard stole from the skewed one" true (try_n 3 > 0)
+  let before = probe () in
+  for round = 1 to 20 do
+    Xyleme.ingest_batch t (batch round)
+  done;
+  let spawned = probe () - before in
+  checkb
+    (Printf.sprintf "%d domain(s) spawned for 20 batches (pool size %d)"
+       spawned Parallel.pool_size)
+    true
+    (spawned <= Parallel.pool_size + 1)
 
 (* ------------------------------------------------------------------ *)
 (* Trace propagation *)
 
-(* A sampled document's trace context rides the document through the
-   loader domain and its alert across the shard inboxes; the spans
-   recorded there (bus queue wait, MQP match) must land in that
-   document's own trace — one connected trace per sampled document,
-   no orphaned spans and no stray traces. *)
+(* A sampled document's trace context rides the document to its pool
+   worker; the spans recorded there (hand-off wait, MQP match) must
+   land in that document's own trace — one connected trace per sampled
+   document, no orphaned spans and no stray traces. *)
 let test_trace_propagation () =
   let sink, _ = Sink.memory () in
   let t =
@@ -462,11 +404,6 @@ let () =
     [
       ( "primitives",
         [
-          Alcotest.test_case "bus try_pop/drained" `Quick test_bus_try_pop;
-          Alcotest.test_case "bus steal_half" `Quick test_bus_steal_half;
-          Alcotest.test_case "bus steal_half traces" `Quick
-            test_bus_steal_half_traced;
-          Alcotest.test_case "padded counters" `Quick test_pad;
           Alcotest.test_case "wall timers idempotent" `Quick test_wall_idempotent;
         ] );
       ( "equivalence",
@@ -477,8 +414,12 @@ let () =
           Alcotest.test_case "worker deaths" `Quick test_equiv_worker_deaths;
           QCheck_alcotest.to_alcotest qcheck_equiv;
         ] );
-      ( "stealing",
-        [ Alcotest.test_case "forced skew" `Quick test_steal_under_skew ] );
+      ( "pool",
+        [
+          Alcotest.test_case "worker exception" `Quick test_worker_exception;
+          Alcotest.test_case "domains spawned once" `Quick
+            test_domains_spawned_once;
+        ] );
       ( "tracing",
         [ Alcotest.test_case "trace propagation" `Quick test_trace_propagation ] );
     ]

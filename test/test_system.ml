@@ -751,86 +751,6 @@ report when count > 2 atmost daily|});
       checkb "still counting" true (after > carried)
 
 (* ------------------------------------------------------------------ *)
-(* Bus *)
-
-module Bus = Xy_system.Bus
-
-let test_bus_fifo () =
-  let bus = Bus.create () in
-  List.iter (Bus.push bus) [ 1; 2; 3 ];
-  checki "length" 3 (Bus.length bus);
-  Alcotest.(check (list int)) "fifo order" [ 1; 2; 3 ]
-    (List.filter_map (fun () -> Bus.pop bus) [ (); (); () ]);
-  Bus.close bus;
-  checkb "drained then none" true (Bus.pop bus = None)
-
-let test_bus_close_semantics () =
-  let bus = Bus.create () in
-  Bus.push bus "x";
-  Bus.close bus;
-  Bus.close bus;
-  (* idempotent *)
-  checkb "drain after close" true (Bus.pop bus = Some "x");
-  checkb "then end of stream" true (Bus.pop bus = None);
-  match Bus.push bus "y" with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "push after close must fail"
-
-let test_bus_cross_domain () =
-  let bus = Bus.create ~capacity:8 () in
-  let n = 1000 in
-  let producer =
-    Domain.spawn (fun () ->
-        for i = 1 to n do
-          Bus.push bus i
-        done;
-        Bus.close bus)
-  in
-  let rec consume acc =
-    match Bus.pop bus with None -> List.rev acc | Some x -> consume (x :: acc)
-  in
-  let received = consume [] in
-  Domain.join producer;
-  checki "all messages" n (List.length received);
-  Alcotest.(check (list int)) "in order" (List.init n (fun i -> i + 1)) received
-
-(* Regression: a producer blocked on a full bus that loses to a
-   concurrent [close] must raise — not deadlock or silently drop the
-   message — and must still record its blocked-duration sample (the
-   close path used to raise before observing it, so stalls that ended
-   in shutdown vanished from the histogram). *)
-let test_bus_close_push_race () =
-  let obs = Xy_obs.Obs.create () in
-  let bus = Bus.create ~capacity:1 ~obs ~name:"race" () in
-  let blocked = Xy_obs.Obs.histogram obs ~stage:"bus" "race_blocked" in
-  Bus.push bus 0;
-  (* capacity reached: the next push must block *)
-  let attempted = Atomic.make false in
-  let producer =
-    Domain.spawn (fun () ->
-        Atomic.set attempted true;
-        match Bus.push bus 1 with
-        | () -> `Pushed
-        | exception Invalid_argument _ -> `Raised)
-  in
-  while not (Atomic.get attempted) do
-    Domain.cpu_relax ()
-  done;
-  (* Let the producer park on the not-full condition, then close
-     underneath it. *)
-  Unix.sleepf 0.05;
-  Bus.close bus;
-  checkb "blocked push raises on close" true (Domain.join producer = `Raised);
-  checki "blocked stall recorded" 1 (Xy_obs.Obs.Histogram.count blocked);
-  (* A push that finds the bus already closed raises immediately and
-     contributes no stall sample — it never blocked. *)
-  (match Bus.push bus 2 with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "push after close must fail");
-  checki "immediate rejection adds no stall sample" 1
-    (Xy_obs.Obs.Histogram.count blocked)
-
-(* ------------------------------------------------------------------ *)
 (* The alerter chain's memo of unchanged pages *)
 
 module Chain = Xy_alerters.Chain
@@ -1000,12 +920,5 @@ let () =
           tc "staleness accounting" test_staleness_accounting;
           tc "slo breach fires report" test_slo_breach_fires_report;
           tc "restore carries metrics" test_restore_carries_metrics;
-        ] );
-      ( "bus",
-        [
-          tc "fifo" test_bus_fifo;
-          tc "close semantics" test_bus_close_semantics;
-          tc "cross-domain" test_bus_cross_domain;
-          tc "close/push race" test_bus_close_push_race;
         ] );
     ]
