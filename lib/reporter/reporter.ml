@@ -2,6 +2,7 @@ module S = Xy_sublang.S_ast
 module T = Xy_xml.Types
 module Obs = Xy_obs.Obs
 module Codec = Xy_util.Codec
+module Names = Set.Make (String)
 
 type metrics = {
   m_notifications : Obs.Counter.t;
@@ -27,13 +28,12 @@ type subscription_state = {
   mutable pending_rate_limited : bool;
       (** the when-condition fired but atmost-frequency held it back *)
   mutable archive : (float * T.element) list;  (** (sent_at, report) *)
+  mutable is_timed : bool;  (** a member of the reporter's [timed] set *)
   mutable frame : string option;
       (** cached snapshot-section bytes for this subscription,
           invalidated by every state mutation — at 10^5 subscriptions
           only the handful touched since the last checkpoint re-encode *)
 }
-
-let touch state = state.frame <- None
 
 (* A durable delivery intent: journaled and committed *before* the
    sink is invoked, acknowledged after.  A crash in the window leaves
@@ -58,6 +58,10 @@ type t = {
   mutable next_seq : int;
       (** global delivery sequence — every sink delivery gets a fresh
           number, stable across a warm restart *)
+  mutable timed : Names.t;
+      (** the subscriptions with timed state — a periodic deadline, a
+          report held back by atmost-frequency, or a non-empty archive:
+          the only ones {!tick} can act on *)
   pending : (int, intent) Hashtbl.t;  (** journaled but unacked *)
   mutable outbox : Sink.delivery list;
       (** deliveries whose intents are journaled in the current (still
@@ -79,6 +83,7 @@ let create ?(obs = Obs.default) ~clock ~sink () =
     dropped_by_atmost = 0;
     total_buffered = 0;
     next_seq = 1;
+    timed = Names.empty;
     pending = Hashtbl.create 4;
     outbox = [];
     metrics =
@@ -97,6 +102,22 @@ let create ?(obs = Obs.default) ~clock ~sink () =
     journal = None;
     commit = None;
   }
+
+(* Every mutation of a subscription's state ends here: it drops the
+   cached snapshot frame and keeps [t.timed] exact.  The flag turns the
+   common case, a buffered notification, into a comparison rather than
+   a set operation. *)
+let touch t name state =
+  state.frame <- None;
+  let timed =
+    state.periodic_deadline <> None || state.pending_rate_limited
+    || state.archive <> []
+  in
+  if timed <> state.is_timed then begin
+    state.is_timed <- timed;
+    t.timed <-
+      (if timed then Names.add name t.timed else Names.remove name t.timed)
+  end
 
 let set_persistence t ~journal ~commit =
   t.journal <- journal;
@@ -183,39 +204,46 @@ let journal_deadline t subscription state =
       | None -> Codec.bool buf false)
 
 let register t ~subscription ~recipient spec =
-  (match Hashtbl.find_opt t.subscriptions subscription with
-  | Some state ->
-      state.spec <- spec;
-      if not (List.mem recipient state.recipients) then
-        state.recipients <- recipient :: state.recipients;
-      state.periodic_deadline <-
-        Option.map
-          (fun s -> Xy_util.Clock.now t.clock +. s)
-          (shortest_frequency spec);
-      touch state
-  | None ->
-      Hashtbl.replace t.subscriptions subscription
-        {
-          spec;
-          recipients = [ recipient ];
-          buffer = [];
-          buffered = 0;
-          tag_counts = [];
-          last_report_at = None;
-          periodic_deadline =
-            Option.map
-              (fun s -> Xy_util.Clock.now t.clock +. s)
-              (shortest_frequency spec);
-          pending_rate_limited = false;
-          archive = [];
-          frame = None;
-        });
+  let deadline =
+    Option.map
+      (fun s -> Xy_util.Clock.now t.clock +. s)
+      (shortest_frequency spec)
+  in
+  let state, previous =
+    match Hashtbl.find_opt t.subscriptions subscription with
+    | Some state ->
+        let previous = state.periodic_deadline in
+        state.spec <- spec;
+        if not (List.mem recipient state.recipients) then
+          state.recipients <- recipient :: state.recipients;
+        state.periodic_deadline <- deadline;
+        (state, previous)
+    | None ->
+        let state =
+          {
+            spec;
+            recipients = [ recipient ];
+            buffer = [];
+            buffered = 0;
+            tag_counts = [];
+            last_report_at = None;
+            periodic_deadline = deadline;
+            pending_rate_limited = false;
+            archive = [];
+            is_timed = false;
+            frame = None;
+          }
+        in
+        Hashtbl.replace t.subscriptions subscription state;
+        (state, None)
+  in
+  touch t subscription state;
   (* Log recovery re-registers at the recovery clock; journaling the
-     authentic deadline lets replay correct it. *)
-  match Hashtbl.find_opt t.subscriptions subscription with
-  | Some state when state.periodic_deadline <> None ->
-      journal_deadline t subscription state
-  | Some _ | None -> ()
+     authentic deadline lets replay correct it.  A cleared deadline is
+     journaled too: replay must not restore a deadline the new spec
+     has no period for. *)
+  if deadline <> None || previous <> None then
+    journal_deadline t subscription state
 
 let add_recipient t ~subscription ~recipient =
   match Hashtbl.find_opt t.subscriptions subscription with
@@ -234,7 +262,8 @@ let unregister t ~subscription =
   (match Hashtbl.find_opt t.subscriptions subscription with
   | Some state -> set_buffered t state 0
   | None -> ());
-  Hashtbl.remove t.subscriptions subscription
+  Hashtbl.remove t.subscriptions subscription;
+  t.timed <- Names.remove subscription t.timed
 
 let tag_count state tag =
   match List.assoc_opt tag state.tag_counts with Some n -> n | None -> 0
@@ -264,8 +293,7 @@ let rate_allows state ~now =
 (* Apply the state effects of sending a report: the buffer empties,
    the rate-limit clock restarts, the archive grows.  Shared between
    the live [fire] path and WAL replay. *)
-let apply_fire_state t state ~now ~report =
-  touch state;
+let apply_fire_state t subscription state ~now ~report =
   state.buffer <- [];
   set_buffered t state 0;
   state.tag_counts <- [];
@@ -274,6 +302,7 @@ let apply_fire_state t state ~now ~report =
   (match state.spec.S.r_archive with
   | Some _ -> state.archive <- (now, report) :: state.archive
   | None -> ());
+  touch t subscription state;
   t.reports_sent <- t.reports_sent + 1;
   Obs.Counter.incr t.metrics.m_reports
 
@@ -351,7 +380,7 @@ let fire ?trace t subscription state =
       Codec.string buf subscription;
       Codec.float buf now;
       Codec.string buf rendered);
-  apply_fire_state t state ~now ~report;
+  apply_fire_state t subscription state ~now ~report;
   (* Intents: one per recipient, each with a fresh global seq. *)
   let targets =
     List.map
@@ -393,7 +422,7 @@ let maybe_fire ?trace t subscription state =
     if rate_allows state ~now then fire ?trace t subscription state
     else if not state.pending_rate_limited then begin
       state.pending_rate_limited <- true;
-      touch state;
+      touch t subscription state;
       emit_op t (fun buf ->
           Codec.string buf "l";
           Codec.string buf subscription)
@@ -428,7 +457,7 @@ let notify ?trace t ~subscription notification =
          state.buffer <- notification :: state.buffer;
          set_buffered t state (state.buffered + 1);
          bump_tag state notification.Notification.tag;
-         touch state;
+         touch t subscription state;
          emit_op t (fun buf ->
              Codec.string buf "n";
              Codec.string buf subscription;
@@ -441,7 +470,7 @@ let gc_archive t subscription state =
     let before = List.length state.archive in
     state.archive <- List.filter (fun (at, _) -> at >= horizon) state.archive;
     if List.length state.archive <> before then begin
-      touch state;
+      touch t subscription state;
       emit_op t (fun buf ->
           Codec.string buf "g";
           Codec.string buf subscription;
@@ -452,35 +481,40 @@ let gc_archive t subscription state =
   | None -> trim infinity
   | Some f -> trim (Xy_util.Clock.now t.clock -. S.seconds f)
 
-(* Subscriptions in a deterministic order: firing order assigns the
-   global delivery seq (and some sinks advance the clock per mail), so
-   it must be a function of the subscription *set*, not of hashtable
-   internals that differ after a warm restart. *)
-let sorted_subscriptions t =
-  List.sort compare
-    (Hashtbl.fold (fun name state acc -> (name, state) :: acc) t.subscriptions [])
-
+(* Only subscriptions with timed state can fire or expire here, so the
+   walk covers [t.timed] as it stood when the tick began.  Its name
+   order is the firing order, which assigns the global delivery seq
+   (and some sinks advance the clock per mail): a function of the
+   subscription *set*, not of hashtable internals that differ after a
+   warm restart. *)
 let tick t =
   let now = Xy_util.Clock.now t.clock in
-  List.iter
-    (fun (subscription, state) ->
-      (* Periodic disjuncts. *)
-      (match state.periodic_deadline with
-      | Some deadline when now >= deadline ->
-          (* Catch up missed periods without emitting a burst. *)
-          let period = Option.get (shortest_frequency state.spec) in
-          let rec advance d = if d <= now then advance (d +. period) else d in
-          state.periodic_deadline <- Some (advance deadline);
-          touch state;
-          journal_deadline t subscription state;
-          if state.buffered > 0 && rate_allows state ~now then
-            fire t subscription state
-      | Some _ | None -> ());
-      (* A count condition held back by atmost-frequency. *)
-      if state.pending_rate_limited && rate_allows state ~now && state.buffered > 0
-      then fire t subscription state;
-      gc_archive t subscription state)
-    (sorted_subscriptions t)
+  Names.iter
+    (fun subscription ->
+      match Hashtbl.find_opt t.subscriptions subscription with
+      | None -> ()
+      | Some state ->
+          (* Periodic disjuncts. *)
+          (match state.periodic_deadline with
+          | Some deadline when now >= deadline ->
+              (* Catch up missed periods without emitting a burst. *)
+              let period = Option.get (shortest_frequency state.spec) in
+              let rec advance d =
+                if d <= now then advance (d +. period) else d
+              in
+              state.periodic_deadline <- Some (advance deadline);
+              touch t subscription state;
+              journal_deadline t subscription state;
+              if state.buffered > 0 && rate_allows state ~now then
+                fire t subscription state
+          | Some _ | None -> ());
+          (* A count condition held back by atmost-frequency. *)
+          if
+            state.pending_rate_limited && rate_allows state ~now
+            && state.buffered > 0
+          then fire t subscription state;
+          gc_archive t subscription state)
+    t.timed
 
 let buffered_count t ~subscription =
   match Hashtbl.find_opt t.subscriptions subscription with
@@ -557,6 +591,11 @@ let state_frame (name, state) =
       let s = Buffer.contents buf in
       state.frame <- Some s;
       s
+
+(* By name, so that equal reporters encode to equal bytes. *)
+let sorted_subscriptions t =
+  List.sort compare
+    (Hashtbl.fold (fun name state acc -> (name, state) :: acc) t.subscriptions [])
 
 let encode_snapshot t =
   let buf = Buffer.create 1024 in
@@ -643,7 +682,7 @@ let decode_snapshot t payload =
           state.periodic_deadline <- deadline;
           state.pending_rate_limited <- limited;
           state.archive <- List.rev archive;
-          touch state)
+          touch t name state)
     states
 
 (* Replay applies the journaled effects directly — no conditions are
@@ -668,7 +707,7 @@ let apply_op t payload =
           state.buffer <- notification :: state.buffer;
           set_buffered t state (state.buffered + 1);
           bump_tag state notification.Notification.tag;
-          touch state)
+          touch t name state)
   | "x" ->
       let _name = Codec.read_string r in
       t.notifications_received <- t.notifications_received + 1;
@@ -680,7 +719,7 @@ let apply_op t payload =
       let now = Codec.read_float r in
       let report = Xy_xml.Parser.parse_element (Codec.read_string r) in
       if Hashtbl.mem t.subscriptions name then
-        with_state name (fun state -> apply_fire_state t state ~now ~report)
+        with_state name (fun state -> apply_fire_state t name state ~now ~report)
       else begin
         (* the subscription is gone, but the report was sent *)
         t.reports_sent <- t.reports_sent + 1;
@@ -704,18 +743,19 @@ let apply_op t payload =
       in
       with_state name (fun state ->
           state.periodic_deadline <- deadline;
-          touch state)
+          touch t name state)
   | "l" ->
-      with_state (Codec.read_string r) (fun state ->
+      let name = Codec.read_string r in
+      with_state name (fun state ->
           state.pending_rate_limited <- true;
-          touch state)
+          touch t name state)
   | "g" ->
       let name = Codec.read_string r in
       let horizon = Codec.read_float r in
       with_state name (fun state ->
           state.archive <-
             List.filter (fun (at, _) -> at >= horizon) state.archive;
-          touch state)
+          touch t name state)
   | tag -> raise (Codec.Malformed ("unknown reporter op " ^ tag)));
   Codec.expect_end r
 

@@ -48,7 +48,13 @@ val notify :
 
 (** [tick t] evaluates time-based report conditions (periodic [when]
     disjuncts, [atmost] rate release) and garbage-collects expired
-    archives.  Call it whenever the virtual clock advanced. *)
+    archives.  Call it whenever the virtual clock advanced.
+
+    It visits only the subscriptions with timed state — a periodic
+    deadline, a report held back by [atmost], or a non-empty archive —
+    in name order, the order that assigns delivery sequence numbers.
+    Its cost follows the subscriptions that can fire or expire, not
+    the number registered. *)
 val tick : t -> unit
 
 (** [buffered_count t ~subscription] is the current buffer size

@@ -105,6 +105,9 @@ type t = {
   mutable parallel : Parallel.config;
   mutable worker_ctxs : worker_ctx array;
   mutable shard_cache : shard_cache option;
+  mutable view : (int * T.element) option;
+      (** the warehouse view and the store mutation count it was built
+          at: the continuous queries due in one tick share one build *)
   serve_cell : Serve.t option ref;
       (** a cell, not a plain field: the wire sink closes over it
           before the system record exists *)
@@ -120,36 +123,50 @@ let default_domains () =
   Xy_warehouse.Domains.register_keyword domains ~keyword:"Member" ~domain:"people";
   domains
 
-let warehouse_view t =
-  let by_domain : (string, T.node list ref) Hashtbl.t = Hashtbl.create 8 in
-  let push domain nodes =
-    match Hashtbl.find_opt by_domain domain with
-    | Some existing -> existing := !existing @ nodes
-    | None -> Hashtbl.replace by_domain domain (ref nodes)
-  in
+(* Domains in name order, each holding its documents in URL order: the
+   view is a function of the store's contents, not of its hashtable
+   order, which differs after a warm restart. *)
+let build_warehouse_view store =
+  let docs = ref [] in
   Store.iter
     (fun entry ->
       match entry.Store.tree with
       | None -> ()
       | Some tree ->
-          let root = Xy_xml.Xid.strip tree in
+          let meta = entry.Store.meta in
           let domain =
-            Option.value ~default:"unclassified"
-              entry.Store.meta.Xy_warehouse.Meta.domain
+            Option.value ~default:"unclassified" meta.Xy_warehouse.Meta.domain
           in
-          (* Splice when the document root already carries the domain
-             name, so that [culture/museum] resolves. *)
-          if root.T.tag = domain then push domain root.T.children
-          else push domain [ T.Element root ])
-    t.store;
-  let children =
-    Hashtbl.fold
-      (fun domain nodes acc -> (domain, T.el domain !nodes) :: acc)
-      by_domain []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-    |> List.map snd
+          docs := ((domain, meta.Xy_warehouse.Meta.url), tree) :: !docs)
+    store;
+  let nodes domain tree =
+    let root = Xy_xml.Xid.strip tree in
+    (* Splice when the document root already carries the domain name,
+       so that [culture/museum] resolves. *)
+    if root.T.tag = domain then root.T.children else [ T.Element root ]
   in
-  T.element "warehouse" children
+  (* Walk the documents last to first, prepending. *)
+  List.sort (fun (a, _) (b, _) -> compare b a) !docs
+  |> List.fold_left
+       (fun groups ((domain, _), tree) ->
+         match groups with
+         | (d, children) :: rest when d = domain ->
+             (d, nodes domain tree @ children) :: rest
+         | _ -> (domain, nodes domain tree) :: groups)
+       []
+  |> List.map (fun (domain, children) -> T.el domain children)
+  |> T.element "warehouse"
+
+(* The trees are immutable, so every query until the next store
+   mutation can share one view. *)
+let warehouse_view t =
+  let count = Store.mutations t.store in
+  match t.view with
+  | Some (built_at, view) when built_at = count -> view
+  | Some _ | None ->
+      let view = build_warehouse_view t.store in
+      t.view <- Some (count, view);
+      view
 
 (* ------------------------------------------------------------------ *)
 (* Durable plumbing.  All stage journaling goes through per-stage
@@ -509,6 +526,7 @@ let make ?(seed = 1) ?algorithm ?policy ?persist_path ?sink ?web ?obs ?tracer
       parallel = Option.value ~default:Parallel.default_config parallel;
       worker_ctxs = [||];
       shard_cache = None;
+      view = None;
       serve_cell;
     }
   in

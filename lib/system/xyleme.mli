@@ -396,7 +396,11 @@ val restore :
     over: a [<warehouse>] element with one child per semantic domain
     (documents whose root tag equals the domain name are spliced, so
     the paper's [culture/museum] paths resolve), plus
-    [<unclassified>]. *)
+    [<unclassified>].  Domains appear in name order and, within each,
+    documents in URL order, so a restored system answers continuous
+    queries in the same order as an uninterrupted one.  The view is
+    built once per {!Xy_warehouse.Store.mutations} count and shared by
+    every query until the store changes again. *)
 val warehouse_view : t -> Xy_xml.Types.element
 
 type stats = {

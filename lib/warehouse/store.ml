@@ -16,6 +16,7 @@ type t = {
   dtdids : (string, int) Hashtbl.t;
   mutable next_docid : int;
   mutable next_dtdid : int;
+  mutable mutations : int;  (** puts, removes and snapshot decodes *)
   lock : Mutex.t;
       (* The parallel crawl pipeline loads disjoint URLs from several
          domains at once; the lock keeps the shared tables (and the id
@@ -34,6 +35,7 @@ let create ?(keep_versions = 10) () =
     dtdids = Hashtbl.create 64;
     next_docid = 1;
     next_dtdid = 1;
+    mutations = 0;
     lock = Mutex.create ();
   }
 
@@ -58,6 +60,7 @@ let find_by_docid t docid =
 
 let mem t url = locked t (fun () -> Hashtbl.mem t.by_url url)
 let document_count t = locked t (fun () -> Hashtbl.length t.by_url)
+let mutations t = locked t (fun () -> t.mutations)
 
 let record t url =
   match Hashtbl.find_opt t.by_url url with
@@ -95,6 +98,7 @@ let put t entry ~delta =
   locked t @@ fun () ->
   let url = entry.meta.Meta.url in
   let r = record t url in
+  t.mutations <- t.mutations + 1;
   r.entry <- entry;
   Hashtbl.replace t.by_docid entry.meta.Meta.docid url;
   if not (Xy_diff.Delta.is_empty delta) || entry.meta.Meta.version = 1 then begin
@@ -112,6 +116,7 @@ let remove t ~url =
   match Hashtbl.find_opt t.by_url url with
   | None -> ()
   | Some r ->
+      t.mutations <- t.mutations + 1;
       Hashtbl.remove t.by_docid r.entry.meta.Meta.docid;
       Hashtbl.remove t.by_url url
 
@@ -283,6 +288,7 @@ let decode_snapshot t payload =
           tree ))
   in
   Codec.expect_end r;
+  t.mutations <- t.mutations + 1;
   Hashtbl.reset t.by_url;
   Hashtbl.reset t.by_docid;
   Hashtbl.reset t.docids;

@@ -30,6 +30,12 @@ val find_by_docid : t -> int -> entry option
 val mem : t -> string -> bool
 val document_count : t -> int
 
+(** [mutations t] counts the calls that changed the current documents —
+    {!put}, {!remove} of a stored URL and {!decode_snapshot} — over the
+    store's lifetime.  Equal counts mean equal contents, so a view
+    derived from the store can be reused until the count moves. *)
+val mutations : t -> int
+
 (** [gen t ~url] is the XID generator of the document's lineage
     (creating it on first use) — the Loader labels new versions with
     it. *)
@@ -61,7 +67,8 @@ val allocate_dtdid : t -> dtd:string -> int
     fell off the retained window or the document is unknown/HTML. *)
 val reconstruct : t -> url:string -> version:int -> Xy_xml.Types.element option
 
-(** [iter f t] iterates over current entries. *)
+(** [iter f t] iterates over current entries, in no fixed order: a
+    restored store visits them in another order than the live one. *)
 val iter : (entry -> unit) -> t -> unit
 
 (** {2 Durability}

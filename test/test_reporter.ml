@@ -348,6 +348,174 @@ let test_directory_sink_linear_writes () =
     true
     (w200 < 3 * w100)
 
+(* {2 The timed set}
+
+   [tick] visits only the subscriptions with a periodic deadline, a
+   report held back by atmost, or an archive.  These checks hold it to
+   what a walk over every subscription does. *)
+
+let idle_spec = spec [ S.R_count 100 ]
+let daily_spec = spec [ S.R_count 100; S.R_frequency S.Daily ]
+let held_spec = spec ~atmost:(S.At_frequency S.Daily) [ S.R_immediate ]
+let archive_spec = spec ~archive:S.Weekly [ S.R_immediate ]
+let hour = 3600.
+
+(* (seq, recipient, subscription, at, printed report), oldest first *)
+let delivered ?(after = 0) deliveries =
+  List.rev !deliveries
+  |> List.filteri (fun i _ -> i >= after)
+  |> List.map (fun (d : Sink.delivery) ->
+         ( d.Sink.seq,
+           d.Sink.recipient,
+           d.Sink.subscription,
+           d.Sink.at,
+           Xy_xml.Printer.element_to_string d.Sink.report ))
+
+let subscriptions_of ds = List.map (fun (_, _, s, _, _) -> s) ds
+
+let test_tick_visits_timed_state () =
+  let clock = Clock.create () in
+  let sink, deliveries = Sink.memory () in
+  let live = Reporter.create ~clock ~sink () in
+  let ops = ref [] in
+  Reporter.set_persistence live
+    ~journal:(Some (fun op -> ops := op :: !ops))
+    ~commit:None;
+  let register r (name, spec) =
+    Reporter.register r ~subscription:name ~recipient:"user@example.org" spec
+  in
+  let notify r name =
+    Reporter.notify r ~subscription:name
+      (notification ~body:[ T.text name ] clock)
+  in
+  let fired_by_tick f =
+    let before = List.length !deliveries in
+    f ();
+    subscriptions_of (delivered ~after:before deliveries)
+  in
+  (* Registered out of name order; every one gets a notification. *)
+  let initial =
+    [
+      ("z-idle", idle_spec);
+      ("x-daily", daily_spec);
+      ("m-idle", idle_spec);
+      ("h-held", held_spec);
+      ("c-archive", archive_spec);
+      ("b-daily", daily_spec);
+      ("a-idle", idle_spec);
+    ]
+  in
+  List.iter (register live) initial;
+  List.iter (fun (name, _) -> notify live name) initial;
+  checkb "h-held and c-archive fired at once" true
+    (subscriptions_of (delivered deliveries) = [ "h-held"; "c-archive" ]);
+  Clock.advance clock hour;
+  notify live "h-held";
+  notify live "c-archive";
+  Clock.advance clock (23. *. hour);
+  checkb "one tick fires in name order" true
+    (fired_by_tick (fun () -> Reporter.tick live)
+    = [ "b-daily"; "h-held"; "x-daily" ]);
+  let seqs = List.map (fun (seq, _, _, _, _) -> seq) (delivered deliveries) in
+  checkb "seqs follow firing order" true (seqs = List.sort compare seqs);
+  checki "c-archive archived two" 2
+    (List.length (Reporter.archived live ~subscription:"c-archive"));
+  Clock.advance clock (7. *. Clock.day);
+  checkb "nothing due a week later" true
+    (fired_by_tick (fun () -> Reporter.tick live) = []);
+  checki "the archive expired" 0
+    (List.length (Reporter.archived live ~subscription:"c-archive"));
+  (* Membership follows re-registration and unregistration. *)
+  register live ("m-idle", daily_spec);
+  register live ("x-daily", idle_spec);
+  notify live "x-daily";
+  notify live "b-daily";
+  Reporter.unregister live ~subscription:"b-daily";
+  notify live "h-held";
+  notify live "h-held";
+  notify live "c-archive";
+  Clock.advance clock Clock.day;
+  checkb "re-registered daily fires; count-only and unregistered do not" true
+    (fired_by_tick (fun () -> Reporter.tick live) = [ "h-held"; "m-idle" ]);
+  (* The state to rebuild from: a deadline off the registration clock,
+     a held-back report and a non-empty archive. *)
+  Clock.advance clock (5. *. hour);
+  notify live "h-held";
+  notify live "m-idle";
+  (* The subscriptions as they stand now, registered in name order. *)
+  let final =
+    [
+      ("a-idle", idle_spec);
+      ("c-archive", archive_spec);
+      ("h-held", held_spec);
+      ("m-idle", daily_spec);
+      ("x-daily", idle_spec);
+      ("z-idle", idle_spec);
+    ]
+  in
+  let rebuilt () =
+    let sink, deliveries = Sink.memory () in
+    let r = Reporter.create ~clock ~sink () in
+    List.iter (register r) final;
+    (r, deliveries)
+  in
+  let from_snapshot, snapshot_deliveries = rebuilt () in
+  Reporter.decode_snapshot from_snapshot (Reporter.encode_snapshot live);
+  let from_replay, replay_deliveries = rebuilt () in
+  List.iter (Reporter.apply_op from_replay) (List.rev !ops);
+  let rebuilt_at = List.length !deliveries in
+  let all = [ live; from_snapshot; from_replay ] in
+  let same_as_live label =
+    let expected = delivered ~after:rebuilt_at deliveries in
+    List.iter
+      (fun (name, ds) ->
+        checkb (Printf.sprintf "%s: %s deliveries" label name) true
+          (delivered ds = expected))
+      [ ("snapshot", snapshot_deliveries); ("replay", replay_deliveries) ];
+    List.iter
+      (fun (subscription, _) ->
+        let archive r =
+          List.map Xy_xml.Printer.element_to_string
+            (Reporter.archived r ~subscription)
+        in
+        List.iter
+          (fun r ->
+            checkb
+              (Printf.sprintf "%s: %s archive" label subscription)
+              true
+              (archive r = archive live))
+          all)
+      final;
+    List.iter
+      (fun r ->
+        checkb (label ^ ": stats") true
+          (Reporter.stats r = Reporter.stats live))
+      all
+  in
+  Clock.advance clock (20. *. hour);
+  List.iter Reporter.tick all;
+  checkb "the rebuilt state fires on the live deadline" true
+    (subscriptions_of (delivered ~after:rebuilt_at deliveries)
+    = [ "h-held"; "m-idle" ]);
+  same_as_live "held and periodic";
+  List.iter (fun r -> notify r "c-archive") all;
+  Clock.advance clock (7. *. Clock.day);
+  List.iter Reporter.tick all;
+  checki "one report left in the archive" 1
+    (List.length (Reporter.archived live ~subscription:"c-archive"));
+  same_as_live "archive trimmed";
+  Clock.advance clock Clock.day;
+  List.iter Reporter.tick all;
+  checki "archive emptied" 0
+    (List.length (Reporter.archived live ~subscription:"c-archive"));
+  same_as_live "archive emptied";
+  let fired = subscriptions_of (delivered deliveries) in
+  let reports s = List.length (List.filter (String.equal s) fired) in
+  checki "a-idle never fired" 0 (reports "a-idle");
+  checki "z-idle never fired" 0 (reports "z-idle");
+  checki "x-daily fired only while daily" 1 (reports "x-daily");
+  checki "b-daily fired only while registered" 1 (reports "b-daily")
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "reporter"
@@ -377,6 +545,8 @@ let () =
           tc "retention and gc" test_archive_retention_and_gc;
           tc "no clause" test_no_archive_clause_keeps_nothing;
         ] );
+      ( "tick",
+        [ tc "visits only timed state" test_tick_visits_timed_state ] );
       ( "delivery",
         [
           tc "multiple recipients" test_multiple_recipients;

@@ -886,6 +886,83 @@ let qcheck_memo_equals_fresh_chain =
   QCheck.Test.make ~name:"memoized chain = fresh chain" ~count:150 memo_ops
     memo_equals_fresh_chain
 
+(* ------------------------------------------------------------------ *)
+(* The warehouse view, shared by the continuous queries run between
+   two store mutations *)
+
+(* A restored store iterates its documents in another order than the
+   live one did; the view must not. *)
+let test_restored_view_order () =
+  with_temp_dir @@ fun dir ->
+  let web () = Web.generate ~seed:11 ~sites:40 ~pages_per_site:6 () in
+  let sink, _ = Sink.memory () in
+  let x = Xyleme.create ~seed:11 ~sink ~web:(web ()) ~durable_dir:dir () in
+  for _ = 1 to 6 do
+    Xyleme.advance x ~seconds:3600.;
+    ignore (Xyleme.crawl_step x ~limit:64)
+  done;
+  ignore (Xyleme.checkpoint x);
+  let printed t = Xy_xml.Printer.element_to_string (Xyleme.warehouse_view t) in
+  let live = printed x in
+  let sink', _ = Sink.memory () in
+  match Xyleme.restore ~seed:11 ~web:(web ()) ~sink:sink' ~dir () with
+  | Error e -> Alcotest.failf "restore failed: %s" e
+  | Ok (x', _) -> checks "restored view = live view" live (printed x')
+
+let museums =
+  {|subscription Museums
+continuous AmsterdamPaintings
+select p/title
+from culture/museum m, m/painting p
+where m/address contains "Amsterdam"
+try daily
+report when immediate|}
+
+let museum title =
+  Printf.sprintf
+    "<culture><museum><address>Amsterdam</address><painting><title>%s</title></painting></museum></culture>"
+    title
+
+(* The titles in the newest report. *)
+let reported_titles deliveries =
+  match !deliveries with
+  | d :: _ ->
+      List.concat_map
+        (fun answer -> List.map T.text_content (T.children_elements answer))
+        (T.children_elements d.Sink.report)
+  | [] -> Alcotest.fail "expected a report"
+
+let test_view_drops_removed_page () =
+  let t, deliveries = make () in
+  let ams = "http://museums.example.org/ams.xml"
+  and rijks = "http://museums.example.org/rijks.xml" in
+  ignore (Xyleme.ingest t ~url:ams ~content:(museum "Nightwatch") ~kind:Loader.Xml);
+  ignore (Xyleme.ingest t ~url:rijks ~content:(museum "Milkmaid") ~kind:Loader.Xml);
+  ignore (subscribe_exn t ~owner:"curator" ~text:museums);
+  Xyleme.advance t ~seconds:(Clock.day +. 1.);
+  checkb "both pages answer, in URL order" true
+    (reported_titles deliveries = [ "Nightwatch"; "Milkmaid" ]);
+  Xyleme.ingest_missing t ~url:rijks;
+  Xyleme.advance t ~seconds:Clock.day;
+  checkb "the removed page no longer answers" true
+    (reported_titles deliveries = [ "Nightwatch" ])
+
+let test_view_follows_store_snapshot () =
+  let source, _ = make () in
+  ignore
+    (Xyleme.ingest source ~url:"http://museums.example.org/ams.xml"
+       ~content:(museum "Nightwatch") ~kind:Loader.Xml);
+  let snapshot = Store.encode_snapshot (Xyleme.store source) in
+  let t, deliveries = make () in
+  ignore (subscribe_exn t ~owner:"curator" ~text:museums);
+  Xyleme.advance t ~seconds:(Clock.day +. 1.);
+  checkb "an empty warehouse answers nothing" true
+    (reported_titles deliveries = []);
+  Store.decode_snapshot (Xyleme.store t) snapshot;
+  Xyleme.advance t ~seconds:Clock.day;
+  checkb "the next run sees the restored documents" true
+    (reported_titles deliveries = [ "Nightwatch" ])
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "system"
@@ -914,6 +991,12 @@ let () =
           tc "self-monitor subscription" test_self_monitor_subscription_fires;
         ] );
       ("memo", [ QCheck_alcotest.to_alcotest qcheck_memo_equals_fresh_chain ]);
+      ( "warehouse view",
+        [
+          tc "restore keeps document order" test_restored_view_order;
+          tc "removed page leaves the view" test_view_drops_removed_page;
+          tc "store snapshot refreshes the view" test_view_follows_store_snapshot;
+        ] );
       ( "freshness",
         [
           tc "monotonic wall" test_monotonic_wall;
