@@ -67,8 +67,8 @@ let tbl_durable scale =
      gen-N.wal files; the first checkpoint snapshots every stage (cold, \
      full), later ones only the stages dirtied since the previous \
      generation (steady, incremental — clean sections carried forward \
-     by reference) while subscription-log and report-ledger compaction \
-     run incrementally inside the crawl loop; restore replays \
+     by reference) while subscription-log compaction runs \
+     incrementally inside the crawl loop; restore replays \
      subscriptions + snapshot + WAL and re-arms in-flight work";
   let sites = 8 in
   let step = 6. *. 3600. in

@@ -205,14 +205,12 @@ let run_simulation ?(trace_every = 0) ?algorithm ?fault_plan
   in
   let web = Xy_crawler.Synthetic_web.generate ~seed ~sites ~pages_per_site:8 () in
   let counting_sink, delivered = Xy_reporter.Sink.counting () in
-  (* A durable run also writes every delivery into the directory's
-     report ledger — the artifact two runs are diffed by. *)
+  (* A durable run also writes every delivery into the report ledger
+     it keeps in its directory — the artifact two runs are diffed by. *)
+  let ledger = Option.map (fun dir -> Filename.concat dir "reports.log") durable_dir in
   let sink =
-    match durable_dir with
-    | None -> counting_sink
-    | Some dir ->
-        Xy_reporter.Sink.tee counting_sink
-          (Xy_reporter.Sink.ledger ~path:(Filename.concat dir "reports.log") ())
+    Option.fold ledger ~none:counting_sink ~some:(fun path ->
+        Xy_reporter.Sink.tee counting_sink (Xy_reporter.Sink.ledger ~path ()))
   in
   let xyleme =
     if restore then begin
@@ -247,10 +245,15 @@ let run_simulation ?(trace_every = 0) ?algorithm ?fault_plan
           xyleme
     end
     else
-      try
+      match
         Xy_system.Xyleme.create ~seed ?algorithm ?fault_plan ~sink ~web ?slos
           ?parallel ?serve_port ?durable_dir ?sync_every ?segment_bytes ()
-      with Invalid_argument msg -> usage_error msg
+      with
+      | exception Invalid_argument msg -> usage_error msg
+      | xyleme ->
+          (* the ledger is this command's file: a fresh run clears it *)
+          Option.iter (fun p -> if Sys.file_exists p then Sys.remove p) ledger;
+          xyleme
   in
   (* Stderr, not stdout: convergence checks diff the stats lines of a
      served run against a plain one. *)

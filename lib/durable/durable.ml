@@ -187,7 +187,6 @@ type t = {
 let dir t = t.dir
 let generation t = t.gen
 let subscription_log_path t = Filename.concat t.dir "subscriptions.log"
-let report_ledger_path t = Filename.concat t.dir "reports.log"
 let set_fuse t f = t.fuse <- Some f
 let fire_fuse t label = match t.fuse with Some f -> f label | None -> ()
 
@@ -280,8 +279,6 @@ let open_fresh ?(config = default_config) dir =
       let matches =
         name = "MANIFEST" || name = "MANIFEST.tmp" || name = "subscriptions.log"
         || name = "subscriptions.log.compact"
-        || name = "reports.log"
-        || name = "reports.log.compact"
         || parse_gen_file name <> None
       in
       if matches then remove_if (Filename.concat dir name))

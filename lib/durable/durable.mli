@@ -23,8 +23,10 @@
       tail drops whole transactions, never half of one — that is what
       keeps cross-stage state mutually consistent after a kill.
     - [subscriptions.log] — the {!Xy_submgr.Persist} subscription log.
-    - [reports.log] — the append-only delivery ledger written by
-      {!Xy_reporter.Sink.ledger}.
+
+    Any other file belongs to the caller: the CLI, for one, keeps its
+    {!Xy_reporter.Sink.ledger} at [reports.log] beside them, and
+    clears it itself on a fresh run.
 
     Transactions are {e group-committed}: {!commit} seals the record
     into an in-memory batch, and the batch is written + fsynced once
@@ -111,8 +113,9 @@ type t
 val open_fresh : ?config:config -> string -> t
 (** Create (or reset) a durable directory for a fresh run: any
     previous manifest, snapshots, WAL segments (including orphans a
-    killed checkpoint left behind), compaction temps and stage logs
-    are removed, and generation 0 starts with an empty WAL. *)
+    killed checkpoint left behind), the subscription log and its
+    compaction temp are removed, and generation 0 starts with an empty
+    WAL.  Files of the caller's are left alone. *)
 
 val open_existing : ?config:config -> string -> t option
 (** Attach to a durable directory left by a previous run.  [None] if
@@ -125,9 +128,6 @@ val generation : t -> int
 
 val subscription_log_path : t -> string
 (** Where the subscription log lives inside a durable directory. *)
-
-val report_ledger_path : t -> string
-(** Where the delivery ledger lives inside a durable directory. *)
 
 val journal : t -> stage:string -> string -> unit
 (** Add an op to the transaction in progress and mark [stage] dirty

@@ -175,7 +175,7 @@ let read path ~decode =
 
 type t = {
   path : string;
-  mutable channel : out_channel option;  (** [None] for {!by_path} *)
+  mutable channel : out_channel;
   faults : Fault.t;
   mutable dead : bool;  (** a torn write "crashed" this handle *)
 }
@@ -184,9 +184,8 @@ let open_append path =
   open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path
 
 let open_log ?(faults = Fault.none) path =
-  { path; channel = Some (open_append path); faults; dead = false }
+  { path; channel = open_append path; faults; dead = false }
 
-let by_path path = { path; channel = None; faults = Fault.none; dead = false }
 let is_dead t = t.dead
 
 let append t payload =
@@ -207,27 +206,13 @@ let append t payload =
           (Fault.draw_int t.faults "short_write" ~bound:(String.length record))
       else record
     in
-    match t.channel with
-    | Some oc ->
-        output_string oc record;
-        flush oc
-    | None ->
-        let oc = open_append t.path in
-        output_string oc record;
-        close_out oc
+    output_string t.channel record;
+    flush t.channel
   end
 
-let close t = Option.iter close_out t.channel
+let close t = close_out t.channel
 
-let size t =
-  if t.dead then 0
-  else
-    match t.channel with
-    | Some oc -> out_channel_length oc
-    | None -> (
-        match Unix.stat t.path with
-        | { Unix.st_size; _ } -> st_size
-        | exception Unix.Unix_error _ -> 0)
+let size t = if t.dead then 0 else out_channel_length t.channel
 
 let remove_quietly path =
   try if Sys.file_exists path then Sys.remove path with Sys_error _ -> ()
@@ -319,7 +304,7 @@ module Compaction = struct
   let finish task oc =
     (* Records appended since indexing stopped are newer than every
        survivor; copy them verbatim. *)
-    Option.iter flush task.log.channel;
+    flush task.log.channel;
     seek_in task.ic task.limit;
     let buf = Bytes.create 65536 in
     let rec copy () =
@@ -336,11 +321,9 @@ module Compaction = struct
     Sys.rename task.temp task.log.path;
     sync_dir (Filename.dirname task.log.path);
     (* the live channel still points at the replaced file *)
-    Option.iter
-      (fun old ->
-        task.log.channel <- Some (open_append task.log.path);
-        close_out_noerr old)
-      task.log.channel;
+    let old = task.log.channel in
+    task.log.channel <- open_append task.log.path;
+    close_out_noerr old;
     Finished (task.total - task.kept)
 
   let rec index task n =

@@ -105,11 +105,6 @@ type t
     diagnoses as [Corrupt]. *)
 val open_log : ?faults:Xy_fault.Fault.t -> string -> t
 
-(** [by_path path] is a handle that opens, appends to and closes
-    [path] for every record — for a file another party may compact
-    between appends. *)
-val by_path : string -> t
-
 (** [append t payload] writes one record (no-op once dead). *)
 val append : t -> string -> unit
 
@@ -118,8 +113,7 @@ val close : t -> unit
 (** [is_dead t] — a [torn_write] fault has "crashed" this handle. *)
 val is_dead : t -> bool
 
-(** [size t] is the file's current size in bytes ([0] when dead or
-    missing). *)
+(** [size t] is the file's current size in bytes ([0] when dead). *)
 val size : t -> int
 
 (** [sync ?fsync oc] flushes [oc] and fsyncs its file (only flushes

@@ -117,10 +117,10 @@ type ledger_entry = {
   l_report : string;
 }
 
-(* Each delivery opens, appends and closes: the system compacts the
-   ledger by path between deliveries. *)
+(* The file opens at the first delivery, so [path]'s directory need
+   not exist before then, and stays open: a sink has no close. *)
 let ledger ~path () =
-  let log = Record_log.by_path path in
+  let log = lazy (Record_log.open_log path) in
   let deliver d =
     let report = Xy_xml.Printer.element_to_string ~indent:2 d.report in
     let buf = Buffer.create (String.length report + 64) in
@@ -129,7 +129,7 @@ let ledger ~path () =
     Codec.string buf d.recipient;
     Codec.string buf d.subscription;
     Codec.string buf report;
-    Record_log.append log (Buffer.contents buf)
+    Record_log.append (Lazy.force log) (Buffer.contents buf)
   in
   { deliver }
 
@@ -145,7 +145,3 @@ let decode_entry payload =
 
 let read_ledger path = Record_log.read path ~decode:decode_entry
 
-(* Re-deliveries of one seq carry identical content, so the last one
-   stands for all of them. *)
-let ledger_key payload =
-  (string_of_int (Codec.read_int (Codec.reader payload)), true)

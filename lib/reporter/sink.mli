@@ -76,18 +76,12 @@ type ledger_entry = {
   l_report : string;  (** the report element, rendered *)
 }
 
-(** [ledger ~path ()] appends one entry per delivery, opening and
-    closing the file each time so the ledger can be compacted by path
-    between deliveries. *)
+(** [ledger ~path ()] appends one entry per delivery.  The file opens
+    at the first delivery and stays open (a sink has no close).  It
+    is the caller's file: nothing compacts or clears it. *)
 val ledger : path:string -> unit -> t
 
 (** [read_ledger path] scans the ledger, stopping at damage: a torn
     final entry is the expected post-crash state, mid-log damage is
     corruption.  A missing file is [([], Clean)]. *)
 val read_ledger : string -> ledger_entry list * Xy_durable.Record_log.tail
-
-(** [ledger_key payload] is an entry's compaction key for
-    {!Xy_durable.Record_log.Compaction}: its [seq].  Re-deliveries
-    carry identical content, so one entry per [seq] preserves
-    everything observable. *)
-val ledger_key : string -> string * bool

@@ -10,6 +10,7 @@ module Notification = Xy_reporter.Notification
 module T = Xy_xml.Types
 module QAst = Xy_query.Ast
 module Obs = Xy_obs.Obs
+module Log = (val Logs.src_log (Logs.Src.create "xyleme.submgr") : Logs.LOG)
 
 type error =
   | Parse_error of string
@@ -31,7 +32,6 @@ type installed = {
   complex_ids : int list;
   conditions : Atomic.t list;  (** to release, with multiplicity *)
   trigger_ids : string list;
-  virtual_links : (string * string) list;  (** (target subscription, recipient) *)
 }
 
 (* Per complex event: how to turn a processor notification into a
@@ -62,6 +62,9 @@ type t = {
   subscriptions : (string, installed) Hashtbl.t;
   refreshing : (string, (string * float) list) Hashtbl.t;
       (** the refresh statements of the subscriptions that have any *)
+  linking : (string, (string * string) list) Hashtbl.t;
+      (** the virtual links (target subscription, recipient) of the
+          subscriptions that have any *)
   dispatches : (int, dispatch) Hashtbl.t;
   mutable next_complex_id : int;
   metrics : metrics;
@@ -184,6 +187,7 @@ let create ?(policy = Compile.default_policy) ?persist ?(obs = Obs.default)
       run_query;
       subscriptions = Hashtbl.create 64;
       refreshing = Hashtbl.create 16;
+      linking = Hashtbl.create 16;
       dispatches = Hashtbl.create 256;
       next_complex_id = 0;
       metrics =
@@ -333,14 +337,16 @@ let subscribe_unmetered t ~owner ~text =
                     ast.S.continuous
                 in
                 (* 4. Virtual registrations. *)
-                let virtual_links =
-                  List.map
-                    (fun (target, _query) ->
-                      Reporter.add_recipient t.reporter ~subscription:target
-                        ~recipient:owner;
-                      (target, owner))
-                    ast.S.virtuals
-                in
+                (match ast.S.virtuals with
+                | [] -> ()
+                | virtuals ->
+                    Hashtbl.replace t.linking ast.S.name
+                      (List.map
+                         (fun (target, _query) ->
+                           Reporter.add_recipient t.reporter
+                             ~subscription:target ~recipient:owner;
+                           (target, owner))
+                         virtuals));
                 Hashtbl.replace t.subscriptions ast.S.name
                   {
                     owner;
@@ -349,7 +355,6 @@ let subscribe_unmetered t ~owner ~text =
                     complex_ids;
                     conditions = !conditions;
                     trigger_ids;
-                    virtual_links;
                   };
                 (match ast.S.refresh with
                 | [] -> ()
@@ -390,10 +395,11 @@ let unsubscribe t ~name =
       List.iter
         (fun (target, recipient) ->
           Reporter.remove_recipient t.reporter ~subscription:target ~recipient)
-        installed.virtual_links;
+        (Option.value ~default:[] (Hashtbl.find_opt t.linking name));
       Reporter.unregister t.reporter ~subscription:name;
       Hashtbl.remove t.subscriptions name;
       Hashtbl.remove t.refreshing name;
+      Hashtbl.remove t.linking name;
       (match t.persist with
       | Some log -> Persist.append_delete log ~name
       | None -> ());
@@ -426,36 +432,59 @@ let update t ~name ~owner ~text =
                     ast.S.virtuals
                 with
                 | Some (target, _) -> Error (Unknown target)
-                | None -> (
-                match unsubscribe t ~name with
-                | Error _ as e -> e
-                | Ok () -> (
-                    match subscribe t ~owner ~text with
-                    | Ok _ -> Ok ()
-                    | Error _ as e ->
-                        (* cannot happen: the text validated and the
-                           name was just freed; still, surface it *)
-                        e)))))
+                | None ->
+                    (* neither step can fail (the name is installed, the
+                       text validated); still, surface an error *)
+                    Result.bind (unsubscribe t ~name) @@ fun () ->
+                    Result.map
+                      (fun _ ->
+                        (* the teardown dropped the recipients its
+                           virtual dependents had added *)
+                        Hashtbl.iter
+                          (fun _ ->
+                            List.iter (fun (target, recipient) ->
+                                if target = name then
+                                  Reporter.add_recipient t.reporter
+                                    ~subscription:name ~recipient))
+                          t.linking)
+                      (subscribe t ~owner ~text))))
 
 let recover t path =
-  let records = Persist.replay path in
   (* Replayed inserts must not be re-appended to the log. *)
   let saved_persist = t.persist in
   t.persist <- None;
-  let restored =
-    List.fold_left
-      (fun restored record ->
-        match record with
-        | Persist.Delete _ -> restored
-        | Persist.Insert { name = _; owner; text } -> (
-            match subscribe t ~owner ~text with
-            | Ok _ -> restored + 1
-            | Error _ -> restored))
-      0 records
+  let restored = ref 0 in
+  let skip name e =
+    Log.warn (fun m -> m "recovery skips %s: %s" name (error_to_string e))
   in
+  (* A subscription the log lists before its virtual target (the
+     target was updated since) fails with [Unknown]: those are retried
+     after the others, until a pass installs none. *)
+  let rec pass records =
+    let before = !restored in
+    let waiting =
+      List.filter_map
+        (function
+          | Persist.Delete _ -> None
+          | Persist.Insert { name; owner; text } as record -> (
+              match subscribe t ~owner ~text with
+              | Ok _ ->
+                  incr restored;
+                  None
+              | Error (Unknown _ as e) -> Some (record, name, e)
+              | Error e ->
+                  skip name e;
+                  None))
+        records
+    in
+    if waiting <> [] && !restored > before then
+      pass (List.map (fun (record, _, _) -> record) waiting)
+    else List.iter (fun (_, name, e) -> skip name e) waiting
+  in
+  pass (Persist.replay path);
   t.persist <- saved_persist;
-  Obs.Counter.add t.metrics.m_recovered restored;
-  restored
+  Obs.Counter.add t.metrics.m_recovered !restored;
+  !restored
 
 let subscription_names t =
   List.sort compare (List.of_seq (Hashtbl.to_seq_keys t.subscriptions))

@@ -54,12 +54,15 @@ val unsubscribe : t -> name:string -> (unit, error) result
     modification of existing ones", §3): the new text is validated
     first — on any error the old subscription stays installed — then
     the old one is torn down and the new one installed.  The new text
-    must declare the same subscription name. *)
+    must declare the same subscription name.  The owners of the
+    virtual subscriptions targeting it stay among its recipients. *)
 val update : t -> name:string -> owner:string -> text:string -> (unit, error) result
 
 (** [recover t path] replays a persisted log (use on an empty
-    manager).  Returns the number of subscriptions restored; entries
-    that no longer validate are skipped. *)
+    manager).  Returns the number of subscriptions restored.  A
+    subscription listed before its virtual target (the target was
+    updated since) is installed once the target is; entries that no
+    longer validate are skipped with a warning. *)
 val recover : t -> string -> int
 
 val subscription_names : t -> string list

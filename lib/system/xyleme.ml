@@ -26,21 +26,24 @@ module Serve = Xy_serve.Serve
    module's historical surface. *)
 let monotonic_wall = Wall.monotonic
 
-(* A log the system compacts in the background, keyed by [key]; the
-   next compaction starts once the log doubles past [floor], its size
-   after the last attempt. *)
-type compactable = {
+(* A durable run's subscription log and its background compaction
+   (see [maintenance_step]). *)
+type compaction = {
   log : Record_log.t;
-  key : string -> string * bool;
   mutable floor : int;
+  mutable task : Record_log.Compaction.task option;  (** in flight *)
 }
 
-(* The background maintenance task in flight, advanced a bounded
-   number of records per crawl step — log compaction used to run
-   wholesale inside [checkpoint] and dominated its pause. *)
-type maintenance_task = {
-  target : compactable;
-  task : Record_log.Compaction.task;
+(* One durable stage: its checkpoint section (encoded by a thunk,
+   which [Durable.checkpoint] runs only for a stage journaled since
+   the last checkpoint) and its journaled ops. *)
+type stage = {
+  name : string;
+  encode : unit -> string;
+  decode : string -> unit;
+  apply_op : (string -> unit) option;  (** [None]: journals no ops *)
+  attach : (string -> unit) -> unit;  (** hands the stage its journal *)
+  wal_carried : bool;  (** see {!Durable.set_wal_carried} *)
 }
 
 (* Per-pool-worker pipeline stage: a private Loader + alerter Chain
@@ -81,9 +84,8 @@ type t = {
   mutable self_monitor_deadline : float option;
   mutable alerts_sent : int;
   durable : Durable.t option;
-  compactable : compactable list;
-      (** the subscription log and the report ledger of a durable run *)
-  mutable maintenance : maintenance_task option;
+  mutable stages : stage list;  (** set right after creation *)
+  compaction : compaction option;  (** present when durable *)
   mutable compacted_since_checkpoint : int;
   mutable steps_done : int;
   mutable mid_step : bool;
@@ -169,10 +171,14 @@ let warehouse_view t =
       view
 
 (* ------------------------------------------------------------------ *)
-(* Durable plumbing.  All stage journaling goes through per-stage
-   hooks installed by [attach_hooks]; the system's own state (clock,
-   step counter, warehouse loads) journals here under the [system] and
-   [warehouse] stage tags. *)
+(* Durable plumbing.  Every durable stage is declared once, in
+   [stage_table], which checkpoint sections, restore's decode, WAL
+   replay and the journal hooks walk.  This module journals the
+   system's own state (clock, step counter, warehouse loads). *)
+
+let system_stage = "system"
+let warehouse_stage = "warehouse"
+let serve_stage = "serve" (* replay drops its ops when not serving *)
 
 let journal_op t ~stage encode =
   match t.durable with
@@ -211,7 +217,7 @@ let crash_point t label =
   end
 
 let journal_counters t =
-  journal_op t ~stage:"system" (fun buf ->
+  journal_op t ~stage:system_stage (fun buf ->
       let ms = Mqp.stats t.mqp in
       Codec.string buf "c";
       Codec.int buf t.alerts_sent;
@@ -219,7 +225,7 @@ let journal_counters t =
       Codec.int buf ms.Mqp.notifications_emitted)
 
 let journal_self_monitor_deadline t =
-  journal_op t ~stage:"system" (fun buf ->
+  journal_op t ~stage:system_stage (fun buf ->
       Codec.string buf "M";
       match t.self_monitor_deadline with
       | Some d ->
@@ -255,6 +261,64 @@ let decode_system t payload =
   let notifications_emitted = Codec.read_int r in
   Codec.expect_end r;
   Mqp.restore_counters t.mqp ~alerts_processed ~notifications_emitted
+
+let apply_system_op t payload =
+  let r = Codec.reader payload in
+  (match Codec.read_string r with
+  | "A" ->
+      let seconds = Codec.read_float r in
+      Xy_util.Clock.advance t.clock seconds;
+      ignore (Xy_crawler.Synthetic_web.evolve t.web ~elapsed:seconds);
+      t.mid_step <- true
+  | "S" ->
+      t.steps_done <- Codec.read_int r;
+      Xy_util.Clock.set t.clock (Codec.read_float r);
+      t.mid_step <- false
+  | "c" ->
+      t.alerts_sent <- Codec.read_int r;
+      let alerts_processed = Codec.read_int r in
+      let notifications_emitted = Codec.read_int r in
+      Mqp.restore_counters t.mqp ~alerts_processed ~notifications_emitted
+  | "M" ->
+      t.self_monitor_deadline <-
+        (if Codec.read_bool r then Some (Codec.read_float r) else None)
+  | tag -> raise (Codec.Malformed ("unknown system op " ^ tag)));
+  Codec.expect_end r
+
+let kind_tag = function Loader.Xml -> 0 | Loader.Html -> 1 | Loader.Auto -> 2
+
+let kind_of_tag = function
+  | 0 -> Loader.Xml
+  | 1 -> Loader.Html
+  | 2 -> Loader.Auto
+  | n -> raise (Codec.Malformed (Printf.sprintf "unknown content kind %d" n))
+
+(* Warehouse ops replay through the Loader alone — no alerter chain,
+   no MQP, no reporter: those stages replay their own journaled ops,
+   so the restored pipeline cannot double-notify. *)
+let apply_warehouse_op t payload =
+  let r = Codec.reader payload in
+  (match Codec.read_string r with
+  | "L" ->
+      let url = Codec.read_string r in
+      let kind = kind_of_tag (Codec.read_int r) in
+      let content = Codec.read_string r in
+      let at = Codec.read_float r in
+      Xy_util.Clock.set t.clock at;
+      (try ignore (Loader.load t.loader ~url ~content ~kind)
+       with Loader.Rejected _ -> ())
+  | "X" ->
+      let url = Codec.read_string r in
+      let at = Codec.read_float r in
+      Xy_util.Clock.set t.clock at;
+      ignore (Loader.delete t.loader ~url)
+  | "D" ->
+      (* batch DOCID pre-allocation: replay in journal order keeps the
+         numbering identical to the run that wrote it *)
+      let url = Codec.read_string r in
+      ignore (Store.allocate_docid t.store ~url)
+  | tag -> raise (Codec.Malformed ("unknown warehouse op " ^ tag)));
+  Codec.expect_end r
 
 (* The metrics themselves are durable state: the cumulative counters
    and histograms ride the checkpoint, so a warm restart's [/metrics]
@@ -309,69 +373,89 @@ let decode_obs t payload =
   Codec.expect_end r;
   Obs.absorb t.obs { Obs.Snapshot.at = neg_infinity; entries }
 
-(* Thunks, not payloads: [Durable.checkpoint] only runs the encoder of
-   stages journaled since the last checkpoint and carries the rest
-   forward by reference. *)
-let snapshot_sections t =
+(* What a stage module offers to be journaled through a hook. *)
+module type Journaled = sig
+  type t
+  val encode_snapshot : t -> string
+  val decode_snapshot : t -> string -> unit
+  val apply_op : t -> string -> unit
+  val set_journal : t -> (string -> unit) option -> unit
+end
+
+(* The durable stages in snapshot order, which restore also decodes
+   in.  A stage without [apply_op] (the web, re-evolved by the
+   journaled advance; the metrics, which move under every transaction)
+   is marked dirty by hand at each [advance].
+
+   Only the reporter is WAL-carried: it is the one stage whose payload
+   grows with the subscription population (per-sub report frames),
+   whose re-encoding would stall checkpoints at 10^5 subs.  The web
+   must not be (it moves without ops), nor the queue (restore's
+   re-arming mutates it outside the journal). *)
+let stage_table t =
+  let stage ?apply_op ?(attach = ignore) ?(wal_carried = false) name encode
+      decode =
+    { name; encode; decode; apply_op; attach; wal_carried }
+  in
+  let journaled (type a) name (module M : Journaled with type t = a) (x : a) =
+    stage name
+      (fun () -> M.encode_snapshot x)
+      (M.decode_snapshot x) ~apply_op:(M.apply_op x)
+      ~attach:(fun j -> M.set_journal x (Some j))
+  in
+  let module Web = Xy_crawler.Synthetic_web in
+  let module Reporter = Xy_reporter.Reporter in
   [
-    ("system", fun () -> encode_system t);
-    ("obs", fun () -> encode_obs t);
-    ("fault", fun () -> Fault.encode_snapshot t.faults);
-    ("web", fun () -> Xy_crawler.Synthetic_web.encode_snapshot t.web);
-    ("warehouse", fun () -> Store.encode_snapshot t.store);
-    ("queue", fun () -> Xy_crawler.Fetch_queue.encode_snapshot t.queue);
-    ("crawler", fun () -> Xy_crawler.Crawler.encode_snapshot t.crawler);
-    ("trigger", fun () -> Xy_trigger.Trigger_engine.encode_snapshot t.trigger);
-    ("reporter", fun () -> Xy_reporter.Reporter.encode_snapshot t.reporter);
+    stage system_stage
+      (fun () -> encode_system t)
+      (decode_system t) ~apply_op:(apply_system_op t);
+    stage "obs" (fun () -> encode_obs t) (decode_obs t);
+    journaled "fault" (module Fault) t.faults;
+    stage "web" (fun () -> Web.encode_snapshot t.web) (Web.decode_snapshot t.web);
+    stage warehouse_stage
+      (fun () -> Store.encode_snapshot t.store)
+      (Store.decode_snapshot t.store) ~apply_op:(apply_warehouse_op t);
+    journaled "queue" (module Xy_crawler.Fetch_queue) t.queue;
+    journaled "crawler" (module Xy_crawler.Crawler) t.crawler;
+    journaled "trigger" (module Xy_trigger.Trigger_engine) t.trigger;
+    (* The reporter acknowledges deliveries externally, so its commit
+       must also be a sync barrier: a group-commit batch lost at a
+       kill may never contain a delivery intent whose report was sent.
+       The fire path itself defers sink invocation to [commit_txn]'s
+       flush; this hook only serves [redeliver_pending] during
+       restore. *)
+    stage "reporter" ~wal_carried:true
+      (fun () -> Reporter.encode_snapshot t.reporter)
+      (Reporter.decode_snapshot t.reporter)
+      ~apply_op:(Reporter.apply_op t.reporter)
+      ~attach:(fun j ->
+        Reporter.set_persistence t.reporter ~journal:(Some j)
+          ~commit:
+            (Option.map
+               (fun d () ->
+                 Durable.commit d;
+                 Durable.barrier d)
+               t.durable));
   ]
   @
+  (* the wire pending store: report enqueues and client acks journal
+     as ops *)
   match !(t.serve_cell) with
-  | Some s -> [ ("serve", fun () -> Serve.encode_snapshot s) ]
   | None -> []
+  | Some s -> [ journaled serve_stage (module Serve) s ]
 
-(* Stages whose every mutation is journaled as an op, so their state
-   is exactly base-snapshot + WAL replay: these may checkpoint as
-   delta sections instead of re-encoding.  The reporter is the one
-   stage whose payload grows with the subscription population (per-sub
-   report frames), which is what made checkpoints stall at 10^5 subs.
-   The web must NOT be listed (it re-evolves via [mark_dirty], not
-   ops), nor the queue (restore's re-arming mutates it outside the
-   journal). *)
-let wal_carried_stages = [ "reporter" ]
+let snapshot_sections t = List.map (fun s -> (s.name, s.encode)) t.stages
 
-let attach_hooks t d =
-  let j stage = Some (fun payload -> Durable.journal d ~stage payload) in
-  Durable.set_wal_carried d wal_carried_stages;
-  Xy_crawler.Fetch_queue.set_journal t.queue (j "queue");
-  Xy_crawler.Crawler.set_journal t.crawler (j "crawler");
-  Xy_trigger.Trigger_engine.set_journal t.trigger (j "trigger");
-  Fault.set_journal t.faults (j "fault");
-  (* the wire pending store is a durable stage too: report enqueues
-     and client acks journal as ops, and its delivery boundaries are
-     crash windows the matrix tests can kill inside *)
-  (match !(t.serve_cell) with
-  | Some s ->
-      Serve.set_journal s (j "serve");
-      Serve.set_fuse s (Some (fun label -> crash_point t ("serve:" ^ label)))
-  | None -> ());
-  (* every checkpoint/rotation boundary is a crash window the matrix
-     tests can kill inside *)
-  Durable.set_fuse d (fun label -> crash_point t ("durable:" ^ label));
-  (* The reporter acknowledges deliveries externally, so its commit
-     must also be a sync barrier: a group-commit batch lost at a kill
-     may never contain a delivery intent whose report was sent.  The
-     fire path itself defers sink invocation to [commit_txn]'s flush;
-     this hook only serves [redeliver_pending] during restore. *)
-  Xy_reporter.Reporter.set_persistence t.reporter ~journal:(j "reporter")
-    ~commit:
-      (Some
-         (fun () ->
-           Durable.commit d;
-           Durable.barrier d))
+let apply_replay_op t { Durable.stage; payload } =
+  match List.find_opt (fun s -> s.name = stage) t.stages with
+  | Some { apply_op = Some apply; _ } -> apply payload
+  | None when stage = serve_stage -> () (* restored without a serving surface *)
+  | Some { apply_op = None; _ } | None ->
+      raise (Codec.Malformed ("no ops expected from stage " ^ stage))
 
 (* ------------------------------------------------------------------ *)
 
-let make ?(seed = 1) ?algorithm ?policy ?persist_path ?sink ?web ?obs ?tracer
+let make ?(seed = 1) ?algorithm ?policy ?sink ?web ?obs ?tracer
     ?self_monitor_period ?fault_plan ?retry ?slos ?parallel ?serve_config
     ~durable () =
   (* Wall-clock latencies: xy_obs itself is zero-dependency, so the
@@ -466,23 +550,8 @@ let make ?(seed = 1) ?algorithm ?policy ?persist_path ?sink ?web ?obs ?tracer
   (* The durable directory owns the subscription log. *)
   let persist =
     Option.map
-      (Record_log.open_log ~faults)
-      (match durable with
-      | Some d -> Some (Durable.subscription_log_path d)
-      | None -> persist_path)
-  in
-  let compactable =
-    match (durable, persist) with
-    | Some d, Some log ->
-        [
-          { log; key = Persist.key; floor = 0 };
-          {
-            log = Record_log.by_path (Durable.report_ledger_path d);
-            key = Sink.ledger_key;
-            floor = 0;
-          };
-        ]
-    | _ -> []
+      (fun d -> Record_log.open_log ~faults (Durable.subscription_log_path d))
+      durable
   in
   let t =
     {
@@ -508,8 +577,8 @@ let make ?(seed = 1) ?algorithm ?policy ?persist_path ?sink ?web ?obs ?tracer
         Option.map (fun p -> Xy_util.Clock.now clock +. p) self_monitor_period;
       alerts_sent = 0;
       durable;
-      compactable;
-      maintenance = None;
+      stages = [];
+      compaction = Option.map (fun log -> { log; floor = 0; task = None }) persist;
       compacted_since_checkpoint = 0;
       steps_done = 0;
       mid_step = false;
@@ -530,9 +599,18 @@ let make ?(seed = 1) ?algorithm ?policy ?persist_path ?sink ?web ?obs ?tracer
       serve_cell;
     }
   in
-  (* Durability timings (checkpoint pause, fsync batches, rotations)
-     land in the same registry as the pipeline stages. *)
-  Option.iter (fun d -> Durable.set_obs d obs) durable;
+  t.stages <- stage_table t;
+  (* Durability timings land in the same registry as the pipeline
+     stages; restore's closing checkpoint keeps the WAL chains of the
+     WAL-carried stages. *)
+  Option.iter
+    (fun d ->
+      Durable.set_obs d obs;
+      Durable.set_wal_carried d
+        (List.filter_map
+           (fun s -> if s.wal_carried then Some s.name else None)
+           t.stages))
+    durable;
   let run_query query =
     Xy_query.Eval.eval query (Xy_query.Eval.env (warehouse_view t))
   in
@@ -543,20 +621,27 @@ let make ?(seed = 1) ?algorithm ?policy ?persist_path ?sink ?web ?obs ?tracer
   t.manager <- Some manager;
   t
 
-let durable_config ?sync_every ?segment_bytes () =
-  let d = Durable.default_config in
-  {
-    d with
-    Durable.sync_every = Option.value ~default:d.Durable.sync_every sync_every;
-    segment_bytes = Option.value ~default:d.Durable.segment_bytes segment_bytes;
-  }
-
 (* The counting matcher writes its per-call counters into the
    structure, so it cannot match on several domains at once. *)
 let check_parallel ?(algorithm = Mqp.Use_aes)
     ?(parallel = Parallel.default_config) () =
   if algorithm = Mqp.Use_counting && parallel.Parallel.domains > 1 then
     invalid_arg "the counting matcher runs serially only (parallel domains > 1)"
+
+(* The checks and configurations [create] and [restore] share, before
+   either touches the directory. *)
+let prepare ?algorithm ?parallel ?serve_port ?serve_config ?sync_every
+    ?segment_bytes () =
+  check_parallel ?algorithm ?parallel ();
+  let d = Durable.default_config in
+  ( (match serve_port with
+    | Some port when Option.is_none serve_config -> Some (Serve.config ~port ())
+    | _ -> serve_config),
+    {
+      d with
+      Durable.sync_every = Option.value ~default:d.Durable.sync_every sync_every;
+      segment_bytes = Option.value ~default:d.Durable.segment_bytes segment_bytes;
+    } )
 
 let parallel_config t = t.parallel
 
@@ -583,7 +668,6 @@ let queue t = t.queue
 let steps_done t = t.steps_done
 let restarts t = Obs.Counter.value t.m_restarts
 let durable_dir t = Option.map Durable.dir t.durable
-let report_ledger_path t = Option.map Durable.report_ledger_path t.durable
 
 (* Boosts only tighten a ceiling, so the ceilings of a departing or
    replaced text ([withdrawn]) are lifted first; then every live
@@ -669,25 +753,39 @@ let serve_pump t =
 
 let stop_serve ?drain t = Option.iter (Serve.stop ?drain) !(t.serve_cell)
 
-let create ?seed ?algorithm ?policy ?persist_path ?sink ?web ?obs ?tracer
-    ?self_monitor_period ?fault_plan ?retry ?slos ?parallel ?serve_port
-    ?serve_config ?durable_dir ?sync_every ?segment_bytes () =
-  check_parallel ?algorithm ?parallel ();
-  let serve_config =
-    match (serve_config, serve_port) with
-    | (Some _ as c), _ -> c
-    | None, Some port -> Some (Serve.config ~port ())
-    | None, None -> None
+(* The last steps of [create] and [restore]: the journal hooks go on,
+   committed but unacked delivery intents are re-sent, at least once
+   (the wire's pending store, restored already, dedups them by seq),
+   and only then does the socket open.  Returns the number re-sent. *)
+let start t =
+  Option.iter
+    (fun d ->
+      List.iter (fun s -> s.attach (Durable.journal d ~stage:s.name)) t.stages;
+      (* every checkpoint/rotation boundary and every wire delivery
+         boundary is a crash window the matrix tests can kill inside *)
+      Durable.set_fuse d (fun label -> crash_point t ("durable:" ^ label));
+      Option.iter
+        (fun s ->
+          Serve.set_fuse s (Some (fun label -> crash_point t ("serve:" ^ label))))
+        !(t.serve_cell))
+    t.durable;
+  let redelivered = Xy_reporter.Reporter.redeliver_pending t.reporter in
+  serve_listen t;
+  redelivered
+
+let create ?seed ?algorithm ?policy ?sink ?web ?obs ?tracer ?self_monitor_period
+    ?fault_plan ?retry ?slos ?parallel ?serve_port ?serve_config ?durable_dir
+    ?sync_every ?segment_bytes () =
+  let serve_config, config =
+    prepare ?algorithm ?parallel ?serve_port ?serve_config ?sync_every
+      ?segment_bytes ()
   in
-  let config = durable_config ?sync_every ?segment_bytes () in
   let durable = Option.map (Durable.open_fresh ~config) durable_dir in
   let t =
-    make ?seed ?algorithm ?policy ?persist_path ?sink ?web ?obs ?tracer
-      ?self_monitor_period ?fault_plan ?retry ?slos ?parallel ?serve_config
-      ~durable ()
+    make ?seed ?algorithm ?policy ?sink ?web ?obs ?tracer ?self_monitor_period
+      ?fault_plan ?retry ?slos ?parallel ?serve_config ~durable ()
   in
-  Option.iter (attach_hooks t) durable;
-  serve_listen t;
+  ignore (start t);
   t
 
 let update t ~name ~owner ~text =
@@ -701,21 +799,11 @@ let update t ~name ~owner ~text =
   | Error _ -> ());
   result
 
-let recover t path = Manager.recover (manager t) path
-
 type ingest_outcome = {
   status : Loader.status;
   alerted : bool;
   matched : int list;
 }
-
-let kind_tag = function Loader.Xml -> 0 | Loader.Html -> 1 | Loader.Auto -> 2
-
-let kind_of_tag = function
-  | 0 -> Loader.Xml
-  | 1 -> Loader.Html
-  | 2 -> Loader.Auto
-  | n -> raise (Codec.Malformed (Printf.sprintf "unknown content kind %d" n))
 
 (* ------------------------------------------------------------------ *)
 (* The per-document path.  Every document, whether it comes through
@@ -815,7 +903,7 @@ let apply_doc t ~conclude d loaded ~busy matched =
   match loaded with
   | Absent -> ()
   | Deleted alert ->
-      journal_op t ~stage:"warehouse" (fun buf ->
+      journal_op t ~stage:warehouse_stage (fun buf ->
           Codec.string buf "X";
           Codec.string buf d.bd_url;
           Codec.float buf (Xy_util.Clock.now t.clock));
@@ -831,7 +919,7 @@ let apply_doc t ~conclude d loaded ~busy matched =
       Obs.Counter.incr t.m_ingested;
       Obs.Histogram.observe t.m_ingest_latency
         (busy +. match matched with Some (_, latency) -> latency | None -> 0.);
-      journal_op t ~stage:"warehouse" (fun buf ->
+      journal_op t ~stage:warehouse_stage (fun buf ->
           Codec.string buf "L";
           Codec.string buf d.bd_url;
           Codec.int buf (kind_tag d.bd_kind);
@@ -847,7 +935,10 @@ let ingest_doc t ~conclude d =
   apply_doc t ~conclude d loaded ~busy matched;
   (loaded, matched)
 
-let ingest ?trace ?birth t ~url ~content ~kind =
+(* [ingest] inside the caller's transaction: [advance] injects its
+   documents this way, so it stays one transaction (replay relies on
+   its leading [A] op). *)
+let ingest_in_txn ?trace ?birth t ~url ~content ~kind =
   match
     ingest_doc t ~conclude:false
       { bd_url = url; bd_content = Some content; bd_kind = kind;
@@ -859,11 +950,19 @@ let ingest ?trace ?birth t ~url ~content ~kind =
   | Quarantined reason, _ -> raise (Loader.Rejected reason)
   | (Deleted _ | Absent), _ -> assert false (* the page has content *)
 
+(* The public entries commit, as [subscribe] does: an immediate
+   report leaves the outbox before the call returns. *)
+let ingest ?trace ?birth t ~url ~content ~kind =
+  let outcome = ingest_in_txn ?trace ?birth t ~url ~content ~kind in
+  commit_txn t;
+  outcome
+
 let ingest_missing ?trace t ~url =
   ignore
     (ingest_doc t ~conclude:false
        { bd_url = url; bd_content = None; bd_kind = Loader.Auto;
-         bd_trace = trace; bd_birth = None })
+         bd_trace = trace; bd_birth = None });
+  commit_txn t
 
 (* ------------------------------------------------------------------ *)
 (* Batch ingestion: the crawl → match → report pipeline.
@@ -933,7 +1032,7 @@ let process_batch t ~conclude docs =
       match d.bd_content with
       | Some _ when not (Store.has_docid t.store ~url:d.bd_url) ->
           ignore (Store.allocate_docid t.store ~url:d.bd_url);
-          journal_op t ~stage:"warehouse" (fun buf ->
+          journal_op t ~stage:warehouse_stage (fun buf ->
               Codec.string buf "D";
               Codec.string buf d.bd_url)
       | _ -> ())
@@ -999,19 +1098,24 @@ let ingest_batch t docs = process_batch t ~conclude:false docs
    trace summary as XML and push them through the ordinary ingest
    path, as if fetched from [xyleme://self/].  Health subscriptions
    then ride the unmodified language/alerters/MQP/reporter. *)
-let inject_self_monitor t =
+let inject_self_monitor_in_txn t =
   let snapshot = Obs.snapshot t.obs in
   let health =
-    ingest t ~url:Self_monitor.health_url
+    ingest_in_txn t ~url:Self_monitor.health_url
       ~content:(Self_monitor.health_content ~snapshot)
       ~kind:Loader.Xml
   in
   let traces =
-    ingest t ~url:Self_monitor.traces_url
+    ingest_in_txn t ~url:Self_monitor.traces_url
       ~content:(Self_monitor.traces_content t.tracer)
       ~kind:Loader.Xml
   in
   (health, traces)
+
+let inject_self_monitor t =
+  let outcomes = inject_self_monitor_in_txn t in
+  commit_txn t;
+  outcomes
 
 (* Evaluate the SLO objectives against the live metrics and ingest an
    SLO document for every objective whose status flipped (first
@@ -1038,7 +1142,7 @@ let evaluate_slos t =
                     r.Slo.r_fast_burn r.Slo.r_slow_burn)
             else Log.info (fun m -> m "SLO %s ok" name);
             ignore
-              (ingest t ~url:(Self_monitor.slo_url name)
+              (ingest_in_txn t ~url:(Self_monitor.slo_url name)
                  ~content:(Self_monitor.slo_content r)
                  ~kind:Loader.Xml)
           end)
@@ -1050,44 +1154,39 @@ let slo_reports t =
 let discover t = Xy_crawler.Crawler.discover t.crawler
 
 (* ------------------------------------------------------------------ *)
-(* Background log compaction.  The subscription log and the report
-   ledger used to be compacted wholesale inside [checkpoint] — a
-   multi-hundred-millisecond stall at 10^5 subscriptions.  Instead, a
-   bounded slice of the rewrite runs at the end of every crawl step,
-   one task at a time. *)
+(* Background compaction of the subscription log: a bounded slice of
+   the rewrite runs at the end of every crawl step (wholesale
+   compaction inside [checkpoint] would dominate its pause).  A task
+   starts once the log both exceeds the floor size and has doubled
+   since its last compaction; finishing or giving up sets the floor,
+   so the next attempt waits until the log doubles again. *)
 
 let maintenance_budget = 2048
 let compaction_min_bytes = 64 * 1024
 
-(* A task that finishes or gives up sets its log's floor, so the next
-   attempt waits until the log doubles again. *)
 let maintenance_step t =
-  let settle target = target.floor <- Record_log.size target.log in
-  match t.maintenance with
-  | Some { target; task } -> (
-      match Record_log.Compaction.step task ~budget:maintenance_budget with
-      | Record_log.Compaction.Running -> ()
-      | Record_log.Compaction.Finished dropped ->
-          t.compacted_since_checkpoint <-
-            t.compacted_since_checkpoint + dropped;
-          settle target;
-          t.maintenance <- None
-      | Record_log.Compaction.Abandoned ->
-          settle target;
-          t.maintenance <- None)
-  | None -> (
-      (* start a task only once a log both exceeds the floor size and
-         has doubled since its last compaction *)
-      let due { log; floor; _ } =
-        let size = Record_log.size log in
-        size >= compaction_min_bytes && size >= 2 * floor
+  match t.compaction with
+  | None -> ()
+  | Some c -> (
+      let settle () =
+        c.floor <- Record_log.size c.log;
+        c.task <- None
       in
-      match List.find_opt due t.compactable with
-      | None -> ()
-      | Some target -> (
-          match Record_log.Compaction.start ~key:target.key target.log with
-          | Some task -> t.maintenance <- Some { target; task }
-          | None -> settle target))
+      match c.task with
+      | Some task -> (
+          match Record_log.Compaction.step task ~budget:maintenance_budget with
+          | Record_log.Compaction.Running -> ()
+          | Record_log.Compaction.Finished dropped ->
+              t.compacted_since_checkpoint <-
+                t.compacted_since_checkpoint + dropped;
+              settle ()
+          | Record_log.Compaction.Abandoned -> settle ())
+      | None ->
+          let size = Record_log.size c.log in
+          if size >= compaction_min_bytes && size >= 2 * c.floor then (
+            match Record_log.Compaction.start ~key:Persist.key c.log with
+            | Some _ as task -> c.task <- task
+            | None -> settle ()))
 
 (* One crawl step, decomposed into transactions so that a kill at any
    boundary loses at most the unit in progress:
@@ -1135,7 +1234,7 @@ let crawl_step t ~limit =
   Xy_crawler.Crawler.update_watermark t.crawler;
   t.steps_done <- t.steps_done + 1;
   t.mid_step <- false;
-  journal_op t ~stage:"system" (fun buf ->
+  journal_op t ~stage:system_stage (fun buf ->
       Codec.string buf "S";
       Codec.int buf t.steps_done;
       Codec.float buf (Xy_util.Clock.now t.clock));
@@ -1156,19 +1255,20 @@ let advance t ~seconds =
      re-evolves the web (its PRNG stream position is part of the
      snapshot, so the draws repeat exactly) before applying the tick
      effects journaled after it. *)
-  journal_op t ~stage:"system" (fun buf ->
+  journal_op t ~stage:system_stage (fun buf ->
       Codec.string buf "A";
       Codec.float buf seconds);
   Xy_util.Clock.advance t.clock seconds;
-  (* the evolve mutates web state under a *system* op (replay re-draws
-     it from the journaled advance), so the web stage must be marked
-     dirty by hand or checkpoints would carry a stale section forward;
-     the metrics mutate under every transaction, so the carried [obs]
-     section is always re-encoded at the next checkpoint *)
+  (* the stages that journal no ops are marked dirty by hand, or
+     checkpoints would carry a stale section forward: the evolve
+     mutates the web under a *system* op (replay re-draws it from the
+     journaled advance), and the metrics mutate under every
+     transaction *)
   Option.iter
     (fun d ->
-      Durable.mark_dirty d "web";
-      Durable.mark_dirty d "obs")
+      List.iter
+        (fun s -> if Option.is_none s.apply_op then Durable.mark_dirty d s.name)
+        t.stages)
     t.durable;
   ignore (Xy_crawler.Synthetic_web.evolve t.web ~elapsed:seconds);
   (* newly born pages become crawlable *)
@@ -1187,7 +1287,7 @@ let advance t ~seconds =
         let rec next d = if d <= now then next (d +. period) else d in
         t.self_monitor_deadline <- Some (next deadline);
         journal_self_monitor_deadline t;
-        ignore (inject_self_monitor t)
+        ignore (inject_self_monitor_in_txn t)
       end
   | _ -> ());
   evaluate_slos t;
@@ -1239,71 +1339,6 @@ let run_resumable ?(checkpoint_every = 0) t ~days ~step ~fetch_limit =
   done;
   Option.iter Durable.barrier t.durable
 
-let apply_system_op t payload =
-  let r = Codec.reader payload in
-  (match Codec.read_string r with
-  | "A" ->
-      let seconds = Codec.read_float r in
-      Xy_util.Clock.advance t.clock seconds;
-      ignore (Xy_crawler.Synthetic_web.evolve t.web ~elapsed:seconds);
-      t.mid_step <- true
-  | "S" ->
-      t.steps_done <- Codec.read_int r;
-      Xy_util.Clock.set t.clock (Codec.read_float r);
-      t.mid_step <- false
-  | "c" ->
-      t.alerts_sent <- Codec.read_int r;
-      let alerts_processed = Codec.read_int r in
-      let notifications_emitted = Codec.read_int r in
-      Mqp.restore_counters t.mqp ~alerts_processed ~notifications_emitted
-  | "M" ->
-      t.self_monitor_deadline <-
-        (if Codec.read_bool r then Some (Codec.read_float r) else None)
-  | tag -> raise (Codec.Malformed ("unknown system op " ^ tag)));
-  Codec.expect_end r
-
-(* Warehouse ops replay through the Loader alone — no alerter chain,
-   no MQP, no reporter: those stages replay their own journaled ops,
-   so the restored pipeline cannot double-notify. *)
-let apply_warehouse_op t payload =
-  let r = Codec.reader payload in
-  (match Codec.read_string r with
-  | "L" ->
-      let url = Codec.read_string r in
-      let kind = kind_of_tag (Codec.read_int r) in
-      let content = Codec.read_string r in
-      let at = Codec.read_float r in
-      Xy_util.Clock.set t.clock at;
-      (try ignore (Loader.load t.loader ~url ~content ~kind)
-       with Loader.Rejected _ -> ())
-  | "X" ->
-      let url = Codec.read_string r in
-      let at = Codec.read_float r in
-      Xy_util.Clock.set t.clock at;
-      ignore (Loader.delete t.loader ~url)
-  | "D" ->
-      (* batch DOCID pre-allocation: replay in journal order keeps the
-         numbering identical to the run that wrote it *)
-      let url = Codec.read_string r in
-      ignore (Store.allocate_docid t.store ~url)
-  | tag -> raise (Codec.Malformed ("unknown warehouse op " ^ tag)));
-  Codec.expect_end r
-
-let apply_replay_op t { Durable.stage; payload } =
-  match stage with
-  | "queue" -> Xy_crawler.Fetch_queue.apply_op t.queue payload
-  | "crawler" -> Xy_crawler.Crawler.apply_op t.crawler payload
-  | "trigger" -> Xy_trigger.Trigger_engine.apply_op t.trigger payload
-  | "reporter" -> Xy_reporter.Reporter.apply_op t.reporter payload
-  | "fault" -> Fault.apply_op t.faults payload
-  | "warehouse" -> apply_warehouse_op t payload
-  | "system" -> apply_system_op t payload
-  | "serve" -> (
-      match !(t.serve_cell) with
-      | Some s -> Serve.apply_op s payload
-      | None -> () (* restored without a serving surface: drop *))
-  | other -> raise (Codec.Malformed ("unknown stage " ^ other))
-
 type restore_info = {
   generation : int;
   subscriptions_recovered : int;
@@ -1316,23 +1351,15 @@ type restore_info = {
 let restore ?seed ?algorithm ?policy ?sink ?web ?obs ?tracer
     ?self_monitor_period ?fault_plan ?retry ?slos ?parallel ?serve_port
     ?serve_config ?sync_every ?segment_bytes ~dir () =
-  check_parallel ?algorithm ?parallel ();
-  let serve_config =
-    match (serve_config, serve_port) with
-    | (Some _ as c), _ -> c
-    | None, Some port -> Some (Serve.config ~port ())
-    | None, None -> None
+  let serve_config, config =
+    prepare ?algorithm ?parallel ?serve_port ?serve_config ?sync_every
+      ?segment_bytes ()
   in
-  let config = durable_config ?sync_every ?segment_bytes () in
   match Durable.open_existing ~config dir with
   | None when Sys.file_exists (Filename.concat dir "MANIFEST") ->
       Error (Printf.sprintf "damaged MANIFEST in %s" dir)
   | None -> Error (Printf.sprintf "no durable run in %s (missing MANIFEST)" dir)
   | Some d -> (
-      (* before the closing checkpoint below: delta-eligible stages
-         must be known for it to keep their WAL chains instead of
-         re-encoding them *)
-      Durable.set_wal_carried d wal_carried_stages;
       match Durable.load_latest d with
       | Error e -> Error e
       | Ok (sections, txns, wal_tail) -> (
@@ -1351,23 +1378,10 @@ let restore ?seed ?algorithm ?policy ?sink ?web ?obs ?tracer
           match
             (* 2. State: the snapshot's sections, then 3. the WAL's
                committed transactions, in commit order. *)
-            let apply name f =
-              match List.assoc_opt name sections with
-              | Some payload -> f payload
-              | None -> ()
-            in
-            apply "system" (decode_system t);
-            apply "obs" (decode_obs t);
-            apply "fault" (Fault.decode_snapshot t.faults);
-            apply "web" (Xy_crawler.Synthetic_web.decode_snapshot t.web);
-            apply "warehouse" (Store.decode_snapshot t.store);
-            apply "queue" (Xy_crawler.Fetch_queue.decode_snapshot t.queue);
-            apply "crawler" (Xy_crawler.Crawler.decode_snapshot t.crawler);
-            apply "trigger" (Xy_trigger.Trigger_engine.decode_snapshot t.trigger);
-            apply "reporter" (Xy_reporter.Reporter.decode_snapshot t.reporter);
-            (match !(t.serve_cell) with
-            | Some s -> apply "serve" (Serve.decode_snapshot s)
-            | None -> ());
+            List.iter
+              (fun s ->
+                Option.iter s.decode (List.assoc_opt s.name sections))
+              t.stages;
             List.iter (List.iter (apply_replay_op t)) txns
           with
           | exception Codec.Malformed m ->
@@ -1394,35 +1408,25 @@ let restore ?seed ?algorithm ?policy ?sink ?web ?obs ?tracer
                  to re-encode the largest stage. *)
               Durable.checkpoint ~force_full:true d
                 ~snapshot:(snapshot_sections t);
-              attach_hooks t d;
-              (* 6. At-least-once: re-send committed, unacked delivery
-                 intents (consumers dedup by seq). *)
-              (* Committed wire deliveries are already back in the
-                 pending store (snapshot + replay); the reporter's
-                 redelivery below re-offers the rest through the tee,
-                 where the store dedups by seq.  Only then open the
-                 socket. *)
-              let redelivered_reports =
-                Xy_reporter.Reporter.redeliver_pending t.reporter
+              (* 6. Hooks, re-sends, socket. *)
+              let info =
+                {
+                  generation = Durable.generation d;
+                  subscriptions_recovered;
+                  txns_replayed = List.length txns;
+                  wal_tail;
+                  requeued_fetches;
+                  redelivered_reports = start t;
+                }
               in
-              serve_listen t;
               Log.info (fun m ->
                   m
                     "restored %s: generation %d, %d subscription(s), %d \
                      txn(s) replayed, %d fetch(es) re-queued, %d report(s) \
                      re-delivered"
-                    dir (Durable.generation d) subscriptions_recovered
-                    (List.length txns) requeued_fetches redelivered_reports);
-              Ok
-                ( t,
-                  {
-                    generation = Durable.generation d;
-                    subscriptions_recovered;
-                    txns_replayed = List.length txns;
-                    wal_tail;
-                    requeued_fetches;
-                    redelivered_reports;
-                  } )))
+                    dir info.generation subscriptions_recovered
+                    info.txns_replayed requeued_fetches info.redelivered_reports);
+              Ok (t, info)))
 
 type stats = {
   documents_fetched : int;

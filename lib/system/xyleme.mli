@@ -44,11 +44,11 @@ val monotonic_wall : unit -> float
 
     [durable_dir] makes the whole system durable: the directory is
     (re)initialised ({!Xy_durable.Durable.open_fresh}), the
-    subscription log lives inside it (overriding [persist_path]), and
-    every state change is journaled to a write-ahead log so that
-    {!restore} can warm-restart the system after a crash.  Checkpoint
-    with {!checkpoint}; a durable system always carries a real fault
-    injector so the [crash] point can be armed.
+    subscription log lives inside it, and every state change is
+    journaled to a write-ahead log so that {!restore} can warm-restart
+    the system after a crash.  Checkpoint with {!checkpoint}; a
+    durable system always carries a real fault injector so the
+    [crash] point can be armed.
 
     [slos] arms freshness objectives ({!Xy_slo.Slo}): each {!advance}
     evaluates them against the live metrics, and an objective whose
@@ -85,7 +85,6 @@ val create :
   ?seed:int ->
   ?algorithm:Xy_core.Mqp.algorithm ->
   ?policy:Xy_sublang.S_compile.policy ->
-  ?persist_path:string ->
   ?sink:Xy_reporter.Sink.t ->
   ?web:Xy_crawler.Synthetic_web.t ->
   ?obs:Xy_obs.Obs.t ->
@@ -188,11 +187,6 @@ val slo_reports : t -> Xy_slo.Slo.report list
 (** [durable_dir t] is the durable directory, when the system has one. *)
 val durable_dir : t -> string option
 
-(** [report_ledger_path t] is the durable report ledger's path (see
-    {!Xy_reporter.Sink.ledger}); the file exists only once a ledger
-    sink has delivered to it. *)
-val report_ledger_path : t -> string option
-
 (** {2 Subscriptions} *)
 
 val subscribe :
@@ -204,9 +198,6 @@ val unsubscribe : t -> name:string -> (unit, Xy_submgr.Manager.error) result
     the old one survives any validation failure. *)
 val update :
   t -> name:string -> owner:string -> text:string -> (unit, Xy_submgr.Manager.error) result
-
-(** [recover t path] replays a persisted subscription log. *)
-val recover : t -> string -> int
 
 (** {2 Document flow} *)
 
@@ -228,7 +219,10 @@ type ingest_outcome = {
     An unparseable page raises {!Xy_warehouse.Loader.Rejected}: it is
     counted under [fault/quarantined] and logged, not counted under
     [system/ingested].  [system/ingest_latency] samples the load,
-    detection and match time of each ingested page. *)
+    detection and match time of each ingested page.
+
+    Like {!subscribe}, it commits its transaction on a durable system,
+    so the reports it fires are delivered before it returns. *)
 val ingest :
   ?trace:Xy_trace.Trace.ctx ->
   ?birth:float ->
@@ -338,8 +332,8 @@ val run_resumable :
 type checkpoint_info = {
   generation : int;  (** the new current generation *)
   compacted_records : int;
-      (** log records dropped by background compaction since the
-          previous checkpoint (subscription log + report ledger) *)
+      (** subscription-log records dropped by background compaction
+          since the previous checkpoint *)
 }
 
 (** [checkpoint t] snapshots the stages mutated since the last

@@ -262,6 +262,19 @@ let with_temp f =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
 
+let with_temp_dir f =
+  let dir = Filename.temp_file "xy_durable" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let rec rm p =
+    if Sys.is_directory p then begin
+      Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
+      Sys.rmdir p
+    end
+    else Sys.remove p
+  in
+  Fun.protect ~finally:(fun () -> try rm dir with Sys_error _ -> ()) (fun () -> f dir)
+
 let sample_records =
   [
     Persist.Insert
@@ -565,10 +578,11 @@ where URL extends "http://site%d.example.org/" and modified self
 report when count > 2 atmost daily|}
     i (i mod sites)
 
-(* One faulted end-to-end run; returns the rendered report stream, the
-   fault-stage counters and the subscription survival facts. *)
-let faulted_run ~seed ~persist_path () =
-  (try Sys.remove persist_path with Sys_error _ -> ());
+(* One faulted end-to-end run in a fresh durable directory; returns
+   the rendered report stream, the fault-stage counters and the
+   subscription survival facts. *)
+let faulted_run ~seed () =
+  with_temp_dir @@ fun dir ->
   let sites = 4 in
   let web = Web.generate ~seed ~sites ~pages_per_site:5 () in
   let sink, deliveries = Sink.memory () in
@@ -576,7 +590,7 @@ let faulted_run ~seed ~persist_path () =
   let xyleme =
     Xyleme.create ~seed
       ~fault_plan:[ ("fetch", 0.1); ("malformed", 0.2) ]
-      ~persist_path ~sink ~web ~obs ()
+      ~durable_dir:dir ~sink ~web ~obs ()
   in
   let accepted = ref 0 in
   for i = 0 to 19 do
@@ -611,16 +625,14 @@ let faulted_run ~seed ~persist_path () =
     fault_counters,
     !accepted,
     Manager.subscription_count manager,
-    List.length (Persist.replay persist_path) )
+    List.length (Persist.replay (Filename.concat dir "subscriptions.log")) )
 
 let test_e2e_deterministic_and_lossless () =
-  with_temp @@ fun persist_a ->
-  with_temp @@ fun persist_b ->
   let reports_a, faults_a, accepted_a, live_a, persisted_a =
-    faulted_run ~seed:5 ~persist_path:persist_a ()
+    faulted_run ~seed:5 ()
   in
   let reports_b, faults_b, accepted_b, live_b, persisted_b =
-    faulted_run ~seed:5 ~persist_path:persist_b ()
+    faulted_run ~seed:5 ()
   in
   (* same seed + same spec: byte-identical reports, equal counters *)
   checki "same number of reports" (List.length reports_a) (List.length reports_b);
@@ -639,10 +651,8 @@ let test_e2e_deterministic_and_lossless () =
   checkb "reports were produced at all" true (reports_a <> [])
 
 let test_e2e_seed_changes_schedule () =
-  with_temp @@ fun persist_a ->
-  with_temp @@ fun persist_b ->
-  let reports_a, faults_a, _, _, _ = faulted_run ~seed:5 ~persist_path:persist_a () in
-  let reports_b, faults_b, _, _, _ = faulted_run ~seed:6 ~persist_path:persist_b () in
+  let reports_a, faults_a, _, _, _ = faulted_run ~seed:5 () in
+  let reports_b, faults_b, _, _, _ = faulted_run ~seed:6 () in
   checkb "different seed, different run" true
     (reports_a <> reports_b || faults_a <> faults_b)
 
@@ -656,19 +666,6 @@ let test_e2e_seed_changes_schedule () =
 module Durable = Xy_durable.Durable
 module Codec = Xy_util.Codec
 module Reporter = Xy_reporter.Reporter
-
-let with_temp_dir f =
-  let dir = Filename.temp_file "xy_durable" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  let rec rm p =
-    if Sys.is_directory p then begin
-      Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
-      Sys.rmdir p
-    end
-    else Sys.remove p
-  in
-  Fun.protect ~finally:(fun () -> try rm dir with Sys_error _ -> ()) (fun () -> f dir)
 
 let d_seed = 11
 let d_sites = 4
@@ -1455,7 +1452,6 @@ let test_open_fresh_wipes_orphans () =
     [
       "gen-3.wal"; "gen-3.wal.7"; "gen-5.snap"; "gen-6.snap.tmp";
       "MANIFEST.tmp"; "subscriptions.log"; "subscriptions.log.compact";
-      "reports.log"; "reports.log.compact";
     ];
   let t = Durable.open_fresh ~config dir in
   checki "generation reset" 0 (Durable.generation t);
@@ -1869,59 +1865,6 @@ let test_persist_compaction_damage () =
     (not (Sys.file_exists (path ^ ".compact")));
   Record_log.close log
 
-let test_ledger_compaction () =
-  with_temp @@ fun path ->
-  let sink = Sink.ledger ~path () in
-  let report = Xy_xml.Types.(element "Report" [ el "Body" [] ]) in
-  let d seq =
-    { Sink.seq; recipient = "r"; subscription = "S"; report; at = 1. }
-  in
-  (* seqs 1 and 2 re-delivered: at-least-once duplicates to fold *)
-  List.iter sink.Sink.deliver [ d 1; d 2; d 3; d 1; d 2; d 4 ];
-  (match
-     Record_log.Compaction.start ~key:Sink.ledger_key
-       (Record_log.by_path path)
-   with
-  | None -> Alcotest.fail "start refused"
-  | Some task ->
-      let rec drive steps =
-        match Record_log.Compaction.step task ~budget:2 with
-        | Record_log.Compaction.Running -> drive (steps + 1)
-        | Record_log.Compaction.Finished n -> (steps, n)
-        | Record_log.Compaction.Abandoned -> Alcotest.fail "abandoned"
-      in
-      let steps, dropped = drive 1 in
-      checkb "incremental" true (steps > 1);
-      checki "both duplicates folded" 2 dropped);
-  let entries, tail = Sink.read_ledger path in
-  checkb "compacted ledger clean" true (tail = Record_log.Clean);
-  checki "one entry per distinct seq" 4 (List.length entries);
-  checkb "every seq still present" true
-    (List.sort compare (List.map (fun e -> e.Sink.l_seq) entries)
-    = [ 1; 2; 3; 4 ]);
-  (* damage mid-ledger: abandoned, file untouched *)
-  let original = In_channel.with_open_bin path In_channel.input_all in
-  let b = Bytes.of_string original in
-  let pos = Bytes.length b / 2 in
-  Bytes.set b pos (if Bytes.get b pos = 'x' then 'y' else 'x');
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
-  (match
-     Record_log.Compaction.start ~key:Sink.ledger_key
-       (Record_log.by_path path)
-   with
-  | None -> Alcotest.fail "start refused damaged"
-  | Some task ->
-      let rec drive () =
-        match Record_log.Compaction.step task ~budget:8 with
-        | Record_log.Compaction.Running -> drive ()
-        | p -> p
-      in
-      (match drive () with
-      | Record_log.Compaction.Abandoned -> ()
-      | _ -> Alcotest.fail "must abandon a damaged ledger"));
-  checks "damaged ledger left exactly as it was" (Bytes.to_string b)
-    (In_channel.with_open_bin path In_channel.input_all)
-
 (* A compaction that cannot write its temp (here a directory squats
    on it; a full disk takes the same path) is abandoned in the
    background: crawling goes on and the log stays whole and
@@ -2176,8 +2119,6 @@ let () =
             test_persist_compaction_incremental;
           tc "subscription log: abandons on damage"
             test_persist_compaction_damage;
-          tc "ledger: folds duplicates, abandons on damage"
-            test_ledger_compaction;
           tc "a failing compaction spares the crawl"
             test_compaction_failure_spares_the_crawl;
         ] );

@@ -30,10 +30,12 @@ type reply = Event of Frame.event | Closed | Timeout
 
 type client = { c_fd : Unix.file_descr; c_dec : Record_log.decoder }
 
+(* No Nagle delay, as on the server's side of the socket: an ACK sent
+   right after another must not wait for the peer's delayed ACK. *)
 let connect port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.05;
+  Unix.setsockopt fd Unix.TCP_NODELAY true;
   { c_fd = fd; c_dec = Record_log.decoder () }
 
 let close_client c = try Unix.close c.c_fd with Unix.Unix_error _ -> ()
@@ -61,18 +63,20 @@ let recv ?(timeout = 5.) c =
         | Ok ev -> Event ev
         | Error m -> Alcotest.failf "client decode: %s" m)
     | Ok None -> (
-        if Unix.gettimeofday () > deadline then Timeout
+        (* wait for bytes no longer than the time left *)
+        let left = deadline -. Unix.gettimeofday () in
+        if left <= 0. then Timeout
         else
-          match Unix.read c.c_fd buf 0 (Bytes.length buf) with
-          | 0 -> Closed
-          | n ->
-              Record_log.feed c.c_dec (Bytes.sub_string buf 0 n);
-              go ()
-          | exception
-              Unix.Unix_error
-                ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-              go ()
-          | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> Closed)
+          match Unix.select [ c.c_fd ] [] [] left with
+          | [], _, _ -> go ()
+          | _ -> (
+              match Unix.read c.c_fd buf 0 (Bytes.length buf) with
+              | 0 -> Closed
+              | n ->
+                  Record_log.feed c.c_dec (Bytes.sub_string buf 0 n);
+                  go ()
+              | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> Closed)
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ())
   in
   go ()
 
@@ -731,7 +735,7 @@ let drain_reports ?(timeout = 30.) ~pump serve c received =
       Alcotest.failf "drain timed out with %d report(s) pending"
         (Serve.pending_total serve)
     else
-      match recv ~timeout:0.05 c with
+      match recv ~timeout:0.002 c with
       | Event (Frame.Report { seq; subscription; at = _; body }) ->
           Hashtbl.replace received seq (subscription, body);
           send c (Frame.Ack seq);

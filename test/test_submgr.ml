@@ -81,7 +81,9 @@ let compact log =
       drive ()
 
 let compact_path path =
-  match compact (Record_log.by_path path) with
+  let log = Record_log.open_log path in
+  Fun.protect ~finally:(fun () -> Record_log.close log) @@ fun () ->
+  match compact log with
   | Record_log.Compaction.Finished dropped -> dropped
   | _ -> Alcotest.fail "compaction abandoned a clean log"
 
@@ -472,6 +474,29 @@ virtual Simple.UpdatedPage|}
   checkb "both got the report" true
     (List.mem "alice" recipients && List.mem "bob" recipients)
 
+(* [update] tears the target down and installs it afresh; the virtual
+   subscription's owner must still be among its recipients. *)
+let test_update_keeps_virtual_recipient () =
+  let env = make_env () in
+  ignore (Manager.subscribe env.manager ~owner:"alice" ~text:simple_subscription);
+  ignore
+    (Manager.subscribe env.manager ~owner:"bob"
+       ~text:{|subscription MyVirtual
+virtual Simple.UpdatedPage|});
+  (match
+     Manager.update env.manager ~name:"Simple" ~owner:"alice"
+       ~text:simple_subscription
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Manager.error_to_string e));
+  let codes = ref [] in
+  Registry.iter (fun code _ -> codes := code :: !codes) env.registry;
+  fire_alert env ~url:"http://inria.fr/Xy/x" ~events:(Event_set.of_list !codes)
+    ~payload:{|<doc url="u" status="updated"/>|};
+  Alcotest.(check (list string))
+    "both got the report" [ "alice"; "bob" ]
+    (List.sort compare (List.map (fun d -> d.Sink.recipient) !(env.deliveries)))
+
 let test_virtual_requires_target () =
   let env = make_env () in
   match
@@ -616,6 +641,8 @@ let () =
         [
           tc "shared reports" test_virtual_subscription;
           tc "target must exist" test_virtual_requires_target;
+          tc "update keeps the virtual recipient"
+            test_update_keeps_virtual_recipient;
         ] );
       ("refresh", [ tc "statements" test_refresh_statements ]);
       ("recovery", [ tc "replay" test_recovery ]);

@@ -23,6 +23,21 @@ let subscribe_exn t ~owner ~text =
   | Ok name -> name
   | Error e -> Alcotest.fail (Xy_submgr.Manager.error_to_string e)
 
+let rm_rf path =
+  let rec go p =
+    if Sys.is_directory p then (
+      Array.iter (fun e -> go (Filename.concat p e)) (Sys.readdir p);
+      Sys.rmdir p)
+    else Sys.remove p
+  in
+  if Sys.file_exists path then go path
+
+let with_temp_dir f =
+  let dir = Filename.temp_file "xy_system_obs" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
 (* ------------------------------------------------------------------ *)
 
 let test_ingest_updated_page_report () =
@@ -421,27 +436,66 @@ let test_warehouse_view_shape () =
   let path = Xy_xml.Path.parse "culture/museum" in
   checki "culture/museum" 1 (List.length (Xy_xml.Path.select path view))
 
-let test_persistence_roundtrip () =
-  let path = Filename.temp_file "xyleme_system" ".log" in
-  Sys.remove path;
-  let sink, _ = Sink.memory () in
-  let t = Xyleme.create ~seed:1 ~sink ~persist_path:path () in
-  ignore
-    (subscribe_exn t ~owner:"alice"
-       ~text:
-         {|subscription Persisted
+let persisted =
+  {|subscription Persisted
 monitoring
 where modified self and URL extends "http://inria.fr/Xy/"
-report when immediate|});
-  (* New system recovers from the log. *)
-  let sink2, deliveries2 = Sink.memory () in
-  let t2 = Xyleme.create ~seed:1 ~sink:sink2 () in
-  checki "recovered" 1 (Xyleme.recover t2 path);
+report when immediate|}
+
+(* Two versions of one page: the second raises [modified self]. *)
+let fetch_twice t =
   let url = "http://inria.fr/Xy/p.xml" in
-  ignore (Xyleme.ingest t2 ~url ~content:"<a>1</a>" ~kind:Loader.Xml);
-  ignore (Xyleme.ingest t2 ~url ~content:"<a>2</a>" ~kind:Loader.Xml);
-  checki "functional after recovery" 1 (List.length !deliveries2);
-  Sys.remove path
+  ignore (Xyleme.ingest t ~url ~content:"<a>1</a>" ~kind:Loader.Xml);
+  ignore (Xyleme.ingest t ~url ~content:"<a>2</a>" ~kind:Loader.Xml)
+
+let restore_exn ~sink dir =
+  match Xyleme.restore ~seed:1 ~sink ~dir () with
+  | Ok (t, info) -> (t, info)
+  | Error e -> Alcotest.failf "restore failed: %s" e
+
+let test_persistence_roundtrip () =
+  with_temp_dir @@ fun dir ->
+  let sink, _ = Sink.memory () in
+  let t = Xyleme.create ~seed:1 ~sink ~durable_dir:dir () in
+  ignore (subscribe_exn t ~owner:"alice" ~text:persisted);
+  (* New system recovers from the directory's subscription log. *)
+  let sink2, deliveries2 = Sink.memory () in
+  let t2, info = restore_exn ~sink:sink2 dir in
+  checki "recovered" 1 info.Xyleme.subscriptions_recovered;
+  fetch_twice t2;
+  checki "functional after recovery" 1 (List.length !deliveries2)
+
+(* [ingest] ends its transaction, so on a durable system too an
+   immediate report leaves before the call returns. *)
+let test_durable_ingest_delivers () =
+  with_temp_dir @@ fun dir ->
+  let sink, deliveries = Sink.memory () in
+  let t = Xyleme.create ~seed:1 ~sink ~durable_dir:dir () in
+  ignore (subscribe_exn t ~owner:"alice" ~text:persisted);
+  fetch_twice t;
+  checki "delivered when ingest returns" 1 (List.length !deliveries)
+
+(* The update re-inserts [Persisted] after its virtual dependent in
+   the subscription log; restore must still install both, and the
+   dependent's owner must still receive the target's reports. *)
+let test_restore_keeps_virtual_dependent () =
+  with_temp_dir @@ fun dir ->
+  let sink, _ = Sink.memory () in
+  let t = Xyleme.create ~seed:1 ~sink ~durable_dir:dir () in
+  ignore (subscribe_exn t ~owner:"alice" ~text:persisted);
+  ignore
+    (subscribe_exn t ~owner:"bob"
+       ~text:"subscription MyVirtual\nvirtual Persisted.UpdatedPage");
+  (match Xyleme.update t ~name:"Persisted" ~owner:"alice" ~text:persisted with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Xy_submgr.Manager.error_to_string e));
+  let sink2, deliveries2 = Sink.memory () in
+  let t2, info = restore_exn ~sink:sink2 dir in
+  checki "both subscriptions recovered" 2 info.Xyleme.subscriptions_recovered;
+  fetch_twice t2;
+  Alcotest.(check (list string))
+    "the report reaches both owners" [ "alice"; "bob" ]
+    (List.sort compare (List.map (fun d -> d.Sink.recipient) !deliveries2))
 
 let test_stats_consistency () =
   let t, _ = make () in
@@ -689,21 +743,6 @@ report when immediate|});
           | None -> Alcotest.fail "alert lacks url")
       | [] -> Alcotest.fail "empty SloWatch report")
     fired
-
-let rm_rf path =
-  let rec go p =
-    if Sys.is_directory p then (
-      Array.iter (fun e -> go (Filename.concat p e)) (Sys.readdir p);
-      Sys.rmdir p)
-    else Sys.remove p
-  in
-  if Sys.file_exists path then go path
-
-let with_temp_dir f =
-  let dir = Filename.temp_file "xy_system_obs" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
 let test_restore_carries_metrics () =
   (* Warm restart must not zero the observability story: cumulative
@@ -986,6 +1025,9 @@ let () =
           tc "update replaces subscription" test_update_subscription_system;
           tc "warehouse view" test_warehouse_view_shape;
           tc "persistence roundtrip" test_persistence_roundtrip;
+          tc "durable ingest delivers" test_durable_ingest_delivers;
+          tc "restore keeps a virtual dependent"
+            test_restore_keeps_virtual_dependent;
           tc "stats" test_stats_consistency;
           tc "trace covers pipeline" test_trace_covers_pipeline;
           tc "self-monitor subscription" test_self_monitor_subscription_fires;
