@@ -108,25 +108,24 @@ type section = Inline of string | From of int | Delta of int
 module Snapshot = struct
   (* One record per section: (stage, kind, body) with kind [S]
      (inline: the payload), [F] (carried) or [D] (delta), whose body
-     is a generation.  An inline payload is written as a part of its
-     own, after the Codec prefix that frames it, so it is never
-     copied. *)
-  let parts (stage, section) =
+     is a generation.  An inline payload's pieces are written as parts
+     of their own, after the Codec prefix that frames their
+     concatenation, so they are never joined or copied. *)
+  let prefix stage kind n =
     let buf = Buffer.create 32 in
     Codec.string buf stage;
+    Codec.string buf kind;
+    Codec.int buf n;
+    Buffer.contents buf
+
+  let inline_parts stage ~len pieces = prefix stage "S" len :: pieces
+
+  let parts (stage, section) =
     match section with
     | Inline payload ->
-        Codec.string buf "S";
-        Codec.int buf (String.length payload);
-        [ Buffer.contents buf; payload ]
-    | From gen ->
-        Codec.string buf "F";
-        Codec.int buf gen;
-        [ Buffer.contents buf ]
-    | Delta gen ->
-        Codec.string buf "D";
-        Codec.int buf gen;
-        [ Buffer.contents buf ]
+        inline_parts stage ~len:(String.length payload) [ payload ]
+    | From gen -> [ prefix stage "F" gen ]
+    | Delta gen -> [ prefix stage "D" gen ]
 
   let decode_section =
     decoding @@ fun r ->
@@ -430,14 +429,19 @@ let checkpoint ?(force_full = false) t ~snapshot =
      journaled) but keeps deltas: a delta stage's every mutation is
      journaled by contract, so its WAL chain stays exact even across
      a restore. *)
+  (* Each section: its stage, the generation holding its payload
+     inline, and its record's parts. *)
   let sections =
     List.map
       (fun (stage, encode) ->
         let inline () =
-          let payload = encode () in
-          Hashtbl.replace t.base_bytes stage (String.length payload);
+          let pieces = encode () in
+          let len =
+            List.fold_left (fun n piece -> n + String.length piece) 0 pieces
+          in
+          Hashtbl.replace t.base_bytes stage len;
           Hashtbl.remove t.delta_bytes stage;
-          (stage, Inline payload)
+          (stage, next, Snapshot.inline_parts stage ~len pieces)
         in
         match Hashtbl.find_opt t.section_gens stage with
         | None -> inline ()
@@ -446,14 +450,14 @@ let checkpoint ?(force_full = false) t ~snapshot =
               Option.value (Hashtbl.find_opt t.delta_bytes stage) ~default:0
             in
             if (not force_full) && delta = 0 && not (Hashtbl.mem t.dirty stage)
-            then (stage, From base)
+            then (stage, base, Snapshot.parts (stage, From base))
             else if
               Hashtbl.mem t.wal_carried stage
               && delta
                  < Option.value
                      (Hashtbl.find_opt t.base_bytes stage)
                      ~default:0
-            then (stage, Delta base)
+            then (stage, base, Snapshot.parts (stage, Delta base))
             else inline ())
       snapshot
   in
@@ -462,12 +466,10 @@ let checkpoint ?(force_full = false) t ~snapshot =
      captured sections and must re-mark its stage for the next
      generation. *)
   Hashtbl.reset t.dirty;
-  if
-    List.exists
-      (function _, (From _ | Delta _) -> true | _, Inline _ -> false)
-      sections
-  then fire_fuse t "carry-forward";
-  Snapshot.write ~fsync:t.config.fsync (snap_path t.dir next) sections;
+  if List.exists (fun (_, gen, _) -> gen <> next) sections then
+    fire_fuse t "carry-forward";
+  Record_log.write_file ~fsync:t.config.fsync (snap_path t.dir next)
+    (List.map (fun (_, _, parts) -> parts) sections);
   fire_fuse t "snapshot-written";
   (* Create the next generation's WAL *before* the manifest names the
      generation: a manifest pointing at generation N+1 must never
@@ -484,9 +486,7 @@ let checkpoint ?(force_full = false) t ~snapshot =
   fire_fuse t "manifest-committed";
   t.gen <- next;
   List.iter
-    (fun (stage, s) ->
-      Hashtbl.replace t.section_gens stage
-        (match s with Inline _ -> next | From g | Delta g -> g))
+    (fun (stage, gen, _) -> Hashtbl.replace t.section_gens stage gen)
     sections;
   cleanup t;
   Log.debug (fun m -> m "checkpoint: generation %d committed in %s" next t.dir)

@@ -189,13 +189,17 @@ val set_obs : t -> Xy_obs.Obs.t -> unit
     [wal_rotations] counter. *)
 
 val checkpoint :
-  ?force_full:bool -> t -> snapshot:(string * (unit -> string)) list -> unit
+  ?force_full:bool -> t -> snapshot:(string * (unit -> string list)) list -> unit
 (** Commit + barrier, then write snapshot [gen+1]: stages dirty since
     the last checkpoint have their thunk run and the payload written
     inline — except WAL-carried stages, which write a [Delta]
     reference while their op bytes stay under the base payload's size
     — and clean stages are carried forward by reference to the
-    generation that last wrote them inline.  [force_full] distrusts
+    generation that last wrote them inline.  A thunk returns its
+    payload as pieces, written in order under the section's one
+    checksum and never joined, so a stage can hand over cached
+    encodings; a single-string stage returns one piece.  A loaded
+    section is one string ({!Inline}).  [force_full] distrusts
     [From] references (restore's re-arming mutations are not
     journaled) but keeps deltas, whose WAL chains are exact by the
     {!set_wal_carried} contract.  Then a fresh WAL for [gen+1] is

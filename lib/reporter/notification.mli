@@ -18,9 +18,11 @@ type t = {
           notification (staleness accounting); [None] for continuous
           queries and self-monitor documents *)
   mutable rendered : string option;
-      (** memoized printed body — notifications are immutable once
-          buffered, and each is re-encoded at every snapshot it sits
-          in a buffer for; construct with [None] *)
+      (** memoized codec encoding of the whole notification, built the
+          first time the reporter journals or snapshots it (or kept
+          from the bytes it was decoded from); its [n] op copies it and
+          every snapshot frame that holds the notification writes it;
+          construct with [None] *)
 }
 
 (** [to_xml t] renders the notification as it appears inside a

@@ -29,10 +29,12 @@ type subscription_state = {
       (** the when-condition fired but atmost-frequency held it back *)
   mutable archive : (float * T.element) list;  (** (sent_at, report) *)
   mutable is_timed : bool;  (** a member of the reporter's [timed] set *)
-  mutable frame : string option;
-      (** cached snapshot-section bytes for this subscription,
+  mutable frame : string list option;
+      (** cached snapshot-section pieces for this subscription,
           invalidated by every state mutation — at 10^5 subscriptions
-          only the handful touched since the last checkpoint re-encode *)
+          only the handful touched since the last checkpoint re-encode,
+          and those refer to their notifications' cached encodings
+          rather than copy them *)
 }
 
 (* A durable delivery intent: journaled and committed *before* the
@@ -62,6 +64,9 @@ type t = {
       (** the subscriptions with timed state — a periodic deadline, a
           report held back by atmost-frequency, or a non-empty archive:
           the only ones {!tick} can act on *)
+  mutable by_name : (string * subscription_state) array option;
+      (** every subscription in name order, the snapshot's order;
+          rebuilt only after the subscription set changed *)
   pending : (int, intent) Hashtbl.t;  (** journaled but unacked *)
   mutable outbox : Sink.delivery list;
       (** deliveries whose intents are journaled in the current (still
@@ -84,6 +89,7 @@ let create ?(obs = Obs.default) ~clock ~sink () =
     total_buffered = 0;
     next_seq = 1;
     timed = Names.empty;
+    by_name = None;
     pending = Hashtbl.create 4;
     outbox = [];
     metrics =
@@ -141,33 +147,37 @@ let encode_body body =
 let decode_body s = (Xy_xml.Parser.parse_element s).T.children
 
 (* Notifications are immutable once buffered and may sit in a buffer
-   across many checkpoints: print the body once and keep it. *)
-let rendered_body (n : Notification.t) =
+   across many checkpoints: encode one once, the first time its [n] op
+   or a snapshot frame needs it, and reuse those bytes from then on. *)
+let encoded (n : Notification.t) =
   match n.Notification.rendered with
   | Some s -> s
   | None ->
-      let s = encode_body n.Notification.body in
+      let buf = Buffer.create 256 in
+      Codec.bool buf (n.Notification.source = Notification.Monitoring);
+      Codec.string buf n.Notification.tag;
+      Codec.float buf n.Notification.at;
+      (match n.Notification.birth with
+      | Some birth ->
+          Codec.bool buf true;
+          Codec.float buf birth
+      | None -> Codec.bool buf false);
+      Codec.string buf (encode_body n.Notification.body);
+      let s = Buffer.contents buf in
       n.Notification.rendered <- Some s;
       s
 
-let encode_notification buf (n : Notification.t) =
-  Codec.bool buf (n.Notification.source = Notification.Monitoring);
-  Codec.string buf n.Notification.tag;
-  Codec.float buf n.Notification.at;
-  (match n.Notification.birth with
-  | Some birth ->
-      Codec.bool buf true;
-      Codec.float buf birth
-  | None -> Codec.bool buf false);
-  Codec.string buf (rendered_body n)
-
+(* A decoded notification keeps the bytes it was decoded from as its
+   encoding. *)
 let decode_notification r =
-  let monitoring = Codec.read_bool r in
-  let tag = Codec.read_string r in
-  let at = Codec.read_float r in
-  let birth = if Codec.read_bool r then Some (Codec.read_float r) else None in
-  let body_str = Codec.read_string r in
-  let body = decode_body body_str in
+  let (monitoring, tag, at, birth, body), bytes =
+    Codec.read_span r @@ fun r ->
+    let monitoring = Codec.read_bool r in
+    let tag = Codec.read_string r in
+    let at = Codec.read_float r in
+    let birth = if Codec.read_bool r then Some (Codec.read_float r) else None in
+    (monitoring, tag, at, birth, decode_body (Codec.read_string r))
+  in
   {
     Notification.source =
       (if monitoring then Notification.Monitoring else Notification.Continuous);
@@ -175,7 +185,7 @@ let decode_notification r =
     body;
     at;
     birth;
-    rendered = Some body_str;
+    rendered = Some bytes;
   }
 
 let set_buffered t state n =
@@ -235,6 +245,7 @@ let register t ~subscription ~recipient spec =
           }
         in
         Hashtbl.replace t.subscriptions subscription state;
+        t.by_name <- None;
         (state, None)
   in
   touch t subscription state;
@@ -259,11 +270,13 @@ let remove_recipient t ~subscription ~recipient =
   | None -> ()
 
 let unregister t ~subscription =
-  (match Hashtbl.find_opt t.subscriptions subscription with
-  | Some state -> set_buffered t state 0
-  | None -> ());
-  Hashtbl.remove t.subscriptions subscription;
-  t.timed <- Names.remove subscription t.timed
+  match Hashtbl.find_opt t.subscriptions subscription with
+  | Some state ->
+      set_buffered t state 0;
+      Hashtbl.remove t.subscriptions subscription;
+      t.by_name <- None;
+      t.timed <- Names.remove subscription t.timed
+  | None -> ()
 
 let tag_count state tag =
   match List.assoc_opt tag state.tag_counts with Some n -> n | None -> 0
@@ -374,12 +387,13 @@ let fire ?trace t subscription state =
   let report = T.element "Report" report_body in
   Obs.Histogram.observe t.metrics.m_report_size
     (float_of_int (List.length notifications));
-  let rendered = Xy_xml.Printer.element_to_string report in
+  (* printed only for the journal's [f] and [F] ops *)
+  let rendered = lazy (Xy_xml.Printer.element_to_string report) in
   emit_op t (fun buf ->
       Codec.string buf "f";
       Codec.string buf subscription;
       Codec.float buf now;
-      Codec.string buf rendered);
+      Codec.string buf (Lazy.force rendered));
   apply_fire_state t subscription state ~now ~report;
   (* Intents: one per recipient, each with a fresh global seq. *)
   let targets =
@@ -396,7 +410,7 @@ let fire ?trace t subscription state =
             Codec.string buf recipient;
             Codec.string buf subscription;
             Codec.float buf now;
-            Codec.string buf rendered);
+            Codec.string buf (Lazy.force rendered));
         (seq, recipient))
       state.recipients
   in
@@ -461,7 +475,7 @@ let notify ?trace t ~subscription notification =
          emit_op t (fun buf ->
              Codec.string buf "n";
              Codec.string buf subscription;
-             encode_notification buf notification)
+             Buffer.add_string buf (encoded notification))
        end);
       maybe_fire ?trace t subscription state
 
@@ -553,9 +567,14 @@ let redeliver_pending t =
   if intents <> [] then commit_now t;
   List.length intents
 
-let encode_state buf (name, state) =
-  Codec.string buf name;
-  Codec.list buf encode_notification (List.rev state.buffer);
+(* A subscription's frame: its name and buffer length, one piece per
+   buffered notification (its cached encoding, oldest first), then the
+   rest of its state. *)
+let encode_frame (name, state) =
+  let head = Buffer.create 32 in
+  Codec.string head name;
+  Codec.int head (List.length state.buffer);
+  let buf = Buffer.create 64 in
   Codec.list buf
     (fun buf (tag, n) ->
       Codec.string buf tag;
@@ -576,28 +595,37 @@ let encode_state buf (name, state) =
     (fun buf (at, report) ->
       Codec.float buf at;
       Codec.string buf (Xy_xml.Printer.element_to_string report))
-    (List.rev state.archive)
+    (List.rev state.archive);
+  Buffer.contents head
+  :: List.fold_left
+       (fun pieces n -> encoded n :: pieces)
+       [ Buffer.contents buf ] state.buffer
 
-(* The per-subscription section bytes, cached until the next mutation:
-   this is what keeps the checkpoint pause bounded — re-encoding all
-   10^5 states dominates the stall otherwise, while only the ones
-   touched since the last checkpoint actually changed. *)
-let state_frame (name, state) =
+(* The per-subscription section pieces, cached until the next
+   mutation: this is what keeps the checkpoint pause bounded —
+   re-encoding all 10^5 states dominates the stall otherwise, while
+   only the ones touched since the last checkpoint actually changed. *)
+let state_frame ((_, state) as sub) =
   match state.frame with
-  | Some s -> s
+  | Some pieces -> pieces
   | None ->
-      let buf = Buffer.create 512 in
-      encode_state buf (name, state);
-      let s = Buffer.contents buf in
-      state.frame <- Some s;
-      s
+      let pieces = encode_frame sub in
+      state.frame <- Some pieces;
+      pieces
 
 (* By name, so that equal reporters encode to equal bytes. *)
-let sorted_subscriptions t =
-  List.sort compare
-    (Hashtbl.fold (fun name state acc -> (name, state) :: acc) t.subscriptions [])
+let by_name t =
+  match t.by_name with
+  | Some subs -> subs
+  | None ->
+      let subs = Array.of_seq (Hashtbl.to_seq t.subscriptions) in
+      Array.sort (fun (a, _) (b, _) -> String.compare a b) subs;
+      t.by_name <- Some subs;
+      subs
 
-let encode_snapshot t =
+(* The section as a header piece followed by each subscription's
+   cached frame pieces, written in order without being joined. *)
+let snapshot_pieces t =
   let buf = Buffer.create 1024 in
   Codec.int buf t.next_seq;
   Codec.int buf t.notifications_received;
@@ -612,10 +640,24 @@ let encode_snapshot t =
       Codec.string buf (Xy_xml.Printer.element_to_string i.i_report))
     (List.sort compare
        (Hashtbl.fold (fun seq i acc -> (seq, i) :: acc) t.pending []));
-  let subs = sorted_subscriptions t in
-  Codec.int buf (List.length subs);
-  List.iter (fun sub -> Buffer.add_string buf (state_frame sub)) subs;
+  let subs = by_name t in
+  Codec.int buf (Array.length subs);
   Buffer.contents buf
+  :: Array.fold_right (fun sub pieces -> state_frame sub @ pieces) subs []
+
+let encode_snapshot t = String.concat "" (snapshot_pieces t)
+
+(* A deadline is only ever state of a spec with a frequency disjunct.
+   Restore registers a subscription's latest spec before it applies
+   the snapshot and the WAL, whose deadline may belong to the spec an
+   update replaced: a deadline the registered spec has no period for
+   is dropped, and a spec with a period keeps the one registration
+   gave it. *)
+let reconcile_deadline state deadline =
+  match (shortest_frequency state.spec, deadline) with
+  | None, _ -> None
+  | Some _, None -> state.periodic_deadline
+  | Some _, Some _ -> deadline
 
 (* The snapshot restores *state*, not structure: specs and recipients
    come from subscription-log recovery, which runs first.  Dynamic
@@ -679,7 +721,7 @@ let decode_snapshot t payload =
           set_buffered t state (List.length buffer);
           state.tag_counts <- tag_counts;
           state.last_report_at <- last;
-          state.periodic_deadline <- deadline;
+          state.periodic_deadline <- reconcile_deadline state deadline;
           state.pending_rate_limited <- limited;
           state.archive <- List.rev archive;
           touch t name state)
@@ -742,7 +784,7 @@ let apply_op t payload =
         if Codec.read_bool r then Some (Codec.read_float r) else None
       in
       with_state name (fun state ->
-          state.periodic_deadline <- deadline;
+          state.periodic_deadline <- reconcile_deadline state deadline;
           touch t name state)
   | "l" ->
       let name = Codec.read_string r in

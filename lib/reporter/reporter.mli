@@ -70,16 +70,25 @@ val archived : t -> subscription:string -> Xy_xml.Types.element list
     Every delivery carries a global, monotonically increasing sequence
     number that survives a warm restart.  The fire path journals one
     delivery *intent* per recipient into the enclosing transaction and
-    parks the delivery in an outbox; the durable host commits and
-    syncs the transaction, calls {!flush_outbox} (which runs the sink
-    and journals the acknowledgements), and commits again.  A crash in
+    parks the delivery in an outbox; the durable host commits the
+    transaction, syncs the WAL, calls {!flush_outbox} (which runs the
+    sink and journals the acknowledgements), and commits again.  A
+    crawl batch commits one transaction per document and syncs once,
+    after its last document, so the outbox collects the whole batch's
+    reports and the sink sees them when the batch ends.  A crash in
     the window leaves committed, unacked intents that
     {!redeliver_pending} re-sends with the same sequence numbers —
     at-least-once delivery, deduplicated by seq.  Deferring the sink
     this way keeps every transaction atomic on disk: the pre-delivery
     sync can never persist half of the transaction a report fired
     inside.  Without a commit hook the outbox is flushed inline and
-    delivery stays synchronous. *)
+    delivery stays synchronous.
+
+    Journaling costs each notification one encoding: its {!Notification.t}
+    [rendered] field keeps the bytes, built for its [n] op (or kept
+    from the bytes it was decoded from), and every snapshot frame that
+    holds the notification writes them.  A report is printed only for
+    the journal. *)
 
 (** [set_persistence t ~journal ~commit] attaches the durable hooks:
     [journal] buffers an op into the current transaction, [commit]
@@ -92,8 +101,9 @@ val set_persistence :
 (** [flush_outbox t] invokes the sink for every parked delivery (in
     sequence order), journals their acknowledgements into the current
     transaction, and returns how many were delivered.  The durable
-    host must call it only after the transaction carrying the
-    delivery intents is committed and synced. *)
+    host must call it only after every transaction carrying the
+    delivery intents is committed and synced: once per crawl batch,
+    and once per single-call entry (ingest, subscribe, advance...). *)
 val flush_outbox : t -> int
 
 (** [outbox_size t] is the number of deliveries awaiting
@@ -110,13 +120,25 @@ val pending_count : t -> int
 
 val encode_snapshot : t -> string
 
+(** [snapshot_pieces t] is {!encode_snapshot}'s bytes in pieces, to be
+    written in order: a header, then one frame per subscription in name
+    order.  A frame is the subscription's fields around one piece per
+    buffered notification, its cached encoding, shared rather than
+    copied.  A frame is cached until its subscription's next mutation,
+    and the name order until the subscription set changes. *)
+val snapshot_pieces : t -> string list
+
 (** [decode_snapshot t payload] restores global counters, the delivery
     sequence, unacked intents and per-subscription dynamic state
     (buffers, tag counts, rate-limit clocks, periodic deadlines,
     archives).  Specs and recipients are *not* in the snapshot — they
     come from subscription-log recovery, which must run first; state
-    for subscriptions the log no longer knows is dropped.  Raises
-    {!Xy_util.Codec.Malformed} on damage. *)
+    for subscriptions the log no longer knows is dropped, and so is a
+    periodic deadline the registered spec has no frequency for (the
+    state of a spec an update replaced); a spec with a frequency keeps
+    its registered deadline if the snapshot holds none.  The [p] op
+    replays under the same rule.  Raises {!Xy_util.Codec.Malformed} on
+    damage. *)
 val decode_snapshot : t -> string -> unit
 
 (** [apply_op t payload] replays one journaled effect.  Replay applies

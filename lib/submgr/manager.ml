@@ -53,6 +53,9 @@ type metrics = {
 type t = {
   policy : Compile.policy;
   mutable persist : Xy_durable.Record_log.t option;
+  mutable superseded : int;
+      (** records of the persisted log a compaction would drop, over
+          its lifetime *)
   clock : Xy_util.Clock.t;
   registry : Registry.t;
   mqp : Mqp.t;
@@ -179,6 +182,7 @@ let create ?(policy = Compile.default_policy) ?persist ?(obs = Obs.default)
     {
       policy;
       persist;
+      superseded = 0;
       clock;
       registry;
       mqp;
@@ -401,7 +405,10 @@ let unsubscribe t ~name =
       Hashtbl.remove t.refreshing name;
       Hashtbl.remove t.linking name;
       (match t.persist with
-      | Some log -> Persist.append_delete log ~name
+      | Some log ->
+          Persist.append_delete log ~name;
+          (* the delete and the insert it cancels *)
+          t.superseded <- t.superseded + 2
       | None -> ());
       Obs.Counter.incr t.metrics.m_unsubscribed;
       Obs.Gauge.set_int t.metrics.m_live (Hashtbl.length t.subscriptions);
@@ -481,7 +488,9 @@ let recover t path =
       pass (List.map (fun (record, _, _) -> record) waiting)
     else List.iter (fun (_, name, e) -> skip name e) waiting
   in
-  pass (Persist.replay path);
+  let live, superseded = Persist.replay_counting path in
+  t.superseded <- t.superseded + superseded;
+  pass live;
   t.persist <- saved_persist;
   Obs.Counter.add t.metrics.m_recovered !restored;
   !restored
@@ -490,6 +499,7 @@ let subscription_names t =
   List.sort compare (List.of_seq (Hashtbl.to_seq_keys t.subscriptions))
 
 let subscription_count t = Hashtbl.length t.subscriptions
+let superseded_records t = t.superseded
 
 let refresh_statements t =
   Hashtbl.fold

@@ -68,6 +68,13 @@ val recover : t -> string -> int
 val subscription_names : t -> string list
 val subscription_count : t -> int
 
+(** [superseded_records t] counts, over the manager's lifetime, the
+    records of its persisted log that a compaction would drop: those
+    {!recover}'s replay dropped, and two per persisted unsubscribe
+    since (the delete and the insert it cancels; an {!update} is one
+    of these). *)
+val superseded_records : t -> int
+
 (** [refresh_statements t] aggregates the refresh clauses of all live
     subscriptions: [(url, period_seconds)], for the crawler.  "In our
     current implementation, subscriptions influence the refreshing of

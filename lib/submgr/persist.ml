@@ -68,4 +68,9 @@ let survivors records =
       | Delete _ -> false)
     records
 
-let replay path = survivors (read_all path)
+let replay_counting path =
+  let records = read_all path in
+  let live = survivors records in
+  (live, List.length records - List.length live)
+
+let replay path = fst (replay_counting path)

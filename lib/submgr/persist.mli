@@ -27,6 +27,10 @@ val key : string -> string * bool
     Returns [[]] for a missing file. *)
 val replay : string -> record list
 
+(** [replay_counting path] is [replay path] and the number of records
+    it dropped: the superseded records a compaction would remove. *)
+val replay_counting : string -> record list * int
+
 (** [read_all path] returns every raw record, including superseded
     ones (for inspection/tests). *)
 val read_all : string -> record list

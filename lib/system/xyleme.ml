@@ -31,15 +31,17 @@ let monotonic_wall = Wall.monotonic
 type compaction = {
   log : Record_log.t;
   mutable floor : int;
+  mutable dropped : int;  (** records dropped by its compactions so far *)
   mutable task : Record_log.Compaction.task option;  (** in flight *)
 }
 
 (* One durable stage: its checkpoint section (encoded by a thunk,
    which [Durable.checkpoint] runs only for a stage journaled since
-   the last checkpoint) and its journaled ops. *)
+   the last checkpoint, into pieces it writes in order) and its
+   journaled ops. *)
 type stage = {
   name : string;
-  encode : unit -> string;
+  encode : unit -> string list;
   decode : string -> unit;
   apply_op : (string -> unit) option;  (** [None]: journals no ops *)
   attach : (string -> unit) -> unit;  (** hands the stage its journal *)
@@ -188,13 +190,15 @@ let journal_op t ~stage encode =
       encode buf;
       Durable.journal d ~stage (Buffer.contents buf)
 
-(* Commit the open transaction; when it carried report-delivery
-   intents, sync the WAL *before* invoking the sinks (at-least-once:
-   an intent is durable before its report leaves the system) and
-   commit the acknowledgements right after.  The sink runs only once
-   the whole transaction is on disk, so a group-commit batch lost at a
-   kill can only ever drop *whole* transactions — never the tail of an
-   ingest whose report barrier persisted the head. *)
+(* Commit the open transaction; when the outbox holds reports (from
+   this transaction or from the sealed ones before it), sync the WAL
+   *before* invoking the sinks (at-least-once: an intent is durable
+   before its report leaves the system) and commit the
+   acknowledgements right after.  A crawl batch calls it once, after
+   its last document; the single-call entries once per call.  The sink
+   runs only once every transaction carrying an intent is on disk, so
+   a group-commit batch lost at a kill can only ever drop *whole*
+   transactions, whose reports were never sent. *)
 let commit_txn t =
   match t.durable with
   | None -> ()
@@ -399,7 +403,7 @@ let stage_table t =
   in
   let journaled (type a) name (module M : Journaled with type t = a) (x : a) =
     stage name
-      (fun () -> M.encode_snapshot x)
+      (fun () -> [ M.encode_snapshot x ])
       (M.decode_snapshot x) ~apply_op:(M.apply_op x)
       ~attach:(fun j -> M.set_journal x (Some j))
   in
@@ -407,13 +411,17 @@ let stage_table t =
   let module Reporter = Xy_reporter.Reporter in
   [
     stage system_stage
-      (fun () -> encode_system t)
+      (fun () -> [ encode_system t ])
       (decode_system t) ~apply_op:(apply_system_op t);
-    stage "obs" (fun () -> encode_obs t) (decode_obs t);
+    stage "obs" (fun () -> [ encode_obs t ]) (decode_obs t);
     journaled "fault" (module Fault) t.faults;
-    stage "web" (fun () -> Web.encode_snapshot t.web) (Web.decode_snapshot t.web);
+    stage "web"
+      (fun () -> [ Web.encode_snapshot t.web ])
+      (Web.decode_snapshot t.web);
+    (* The warehouse and the reporter hand over cached pieces:
+       per-document fields and prints, per-subscription frames. *)
     stage warehouse_stage
-      (fun () -> Store.encode_snapshot t.store)
+      (fun () -> Store.snapshot_pieces t.store)
       (Store.decode_snapshot t.store) ~apply_op:(apply_warehouse_op t);
     journaled "queue" (module Xy_crawler.Fetch_queue) t.queue;
     journaled "crawler" (module Xy_crawler.Crawler) t.crawler;
@@ -425,7 +433,7 @@ let stage_table t =
        flush; this hook only serves [redeliver_pending] during
        restore. *)
     stage "reporter" ~wal_carried:true
-      (fun () -> Reporter.encode_snapshot t.reporter)
+      (fun () -> Reporter.snapshot_pieces t.reporter)
       (Reporter.decode_snapshot t.reporter)
       ~apply_op:(Reporter.apply_op t.reporter)
       ~attach:(fun j ->
@@ -578,7 +586,8 @@ let make ?(seed = 1) ?algorithm ?policy ?sink ?web ?obs ?tracer
       alerts_sent = 0;
       durable;
       stages = [];
-      compaction = Option.map (fun log -> { log; floor = 0; task = None }) persist;
+      compaction =
+        Option.map (fun log -> { log; floor = 0; dropped = 0; task = None }) persist;
       compacted_since_checkpoint = 0;
       steps_done = 0;
       mid_step = false;
@@ -1015,11 +1024,14 @@ let subscription_subsets t ~shards =
       t.shard_cache <- Some { sc_shards = shards; sc_epoch = epoch; sc_mqps = mqps };
       mqps
 
-(* A document's synchronous journey ends with its transaction; reports
-   held back by buffering fire from [tick] without attribution. *)
+(* A document's synchronous journey ends with its transaction, sealed
+   into the group-commit batch without a sync: the reports it fired
+   wait in the outbox for the batch's one barrier in [process_batch].
+   Reports held back by buffering fire from [tick] without
+   attribution. *)
 let finish_doc t d =
   Option.iter Trace.finish d.bd_trace;
-  commit_txn t
+  Option.iter Durable.commit t.durable
 
 let process_batch t ~conclude docs =
   (* DOCID pre-pass, in batch order on this domain: numbering must not
@@ -1088,7 +1100,10 @@ let process_batch t ~conclude docs =
       ~url_of:(fun d -> d.bd_url)
       ~trace_of:(fun d -> d.bd_trace)
       ~worker ~drain ()
-  end
+  end;
+  (* the batch's one barrier: every document's transaction is synced
+     before any of the batch's reports reaches a sink *)
+  commit_txn t
 
 (* Public batch entry (bench, tests): the crawler is not involved, so
    fetched-state bookkeeping ([conclude]) is skipped. *)
@@ -1157,9 +1172,11 @@ let discover t = Xy_crawler.Crawler.discover t.crawler
 (* Background compaction of the subscription log: a bounded slice of
    the rewrite runs at the end of every crawl step (wholesale
    compaction inside [checkpoint] would dominate its pause).  A task
-   starts once the log both exceeds the floor size and has doubled
-   since its last compaction; finishing or giving up sets the floor,
-   so the next attempt waits until the log doubles again. *)
+   starts once the log holds superseded records, exceeds the floor
+   size and has doubled since its last compaction; finishing or giving
+   up sets the floor, so the next attempt waits until the log doubles
+   again.  An insert-only log is never rewritten: there is nothing to
+   drop. *)
 
 let maintenance_budget = 2048
 let compaction_min_bytes = 64 * 1024
@@ -1179,26 +1196,35 @@ let maintenance_step t =
           | Record_log.Compaction.Finished dropped ->
               t.compacted_since_checkpoint <-
                 t.compacted_since_checkpoint + dropped;
+              c.dropped <- c.dropped + dropped;
               settle ()
           | Record_log.Compaction.Abandoned -> settle ())
       | None ->
           let size = Record_log.size c.log in
-          if size >= compaction_min_bytes && size >= 2 * c.floor then (
+          if
+            Manager.superseded_records (manager t) > c.dropped
+            && size >= compaction_min_bytes
+            && size >= 2 * c.floor
+          then (
             match Record_log.Compaction.start ~key:Persist.key c.log with
             | Some _ as task -> c.task <- task
             | None -> settle ()))
 
 (* One crawl step, decomposed into transactions so that a kill at any
-   boundary loses at most the unit in progress:
+   boundary loses at most the unit in progress and the unsynced
+   group-commit batch, whole transactions either way:
 
    - the pop is one transaction (a batch marked in-flight atomically);
    - each fetch is one transaction (failure handling included);
    - each ingest (load + notifications + conclude) is one transaction;
+     the batch syncs once, after its last document, and only then
+     hands its reports to the sinks;
    - the closing step marker is one transaction.
 
-   Documents fetched but not yet ingested at the kill are re-queued by
-   restore at their original deadline ([rearm_in_flight]) — a crash
-   can delay a page's processing, never lose it. *)
+   Documents fetched but not yet ingested at the kill, or ingested in
+   a transaction the kill lost, are re-queued by restore at their
+   original deadline ([rearm_in_flight]) — a crash can delay a page's
+   processing, never lose it. *)
 let crawl_step t ~limit =
   crash_point t "crawl-start";
   let urls = Xy_crawler.Fetch_queue.pop_due t.queue ~limit in

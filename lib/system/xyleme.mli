@@ -257,7 +257,10 @@ type batch_doc = {
 (** [ingest_batch t docs] processes one batch end to end (loader →
     alerters → MQP → reporter/trigger), honouring the system's
     parallel configuration.  Notifications, reports and journal ops
-    are emitted in batch order regardless of the configuration. *)
+    are emitted in batch order regardless of the configuration.  On a
+    durable system each document commits its own transaction and the
+    batch syncs the WAL once, after its last document; only then do
+    the batch's reports reach the sinks. *)
 val ingest_batch : t -> batch_doc list -> unit
 
 (** [inject_self_monitor t] renders the current metrics snapshot and
@@ -273,8 +276,8 @@ val inject_self_monitor : t -> ingest_outcome * ingest_outcome
     current URLs. *)
 val discover : t -> unit
 
-(** [crawl_step t ~limit] fetches and ingests up to [limit] due pages;
-    returns the number fetched. *)
+(** [crawl_step t ~limit] fetches and ingests up to [limit] due pages
+    as one {!ingest_batch}; returns the number fetched. *)
 val crawl_step : t -> limit:int -> int
 
 (** [advance t ~seconds] moves virtual time: the web evolves, the

@@ -65,5 +65,10 @@ let read_list r item =
   let n = read_int r in
   if n < 0 then fail "bad list length" else List.init n (fun _ -> item r)
 
+let read_span r f =
+  let start = r.pos in
+  let v = f r in
+  (v, String.sub r.data start (r.pos - start))
+
 let at_end r = r.pos >= String.length r.data
 let expect_end r = if not (at_end r) then fail "trailing bytes"

@@ -39,6 +39,11 @@ val read_string : reader -> string
 
 val read_list : reader -> (reader -> 'a) -> 'a list
 
+(** [read_span r f] runs [f r] and also returns the bytes it consumed,
+    so a decoder can keep a value's encoding instead of rebuilding
+    it. *)
+val read_span : reader -> (reader -> 'a) -> 'a * string
+
 (** [at_end r] is true when every byte has been consumed. *)
 val at_end : reader -> bool
 

@@ -6,6 +6,14 @@ type record = {
   (* Deltas leading *to* each version: (v, delta from v-1 to v),
      newest first. *)
   mutable history : (int * Xy_diff.Delta.t) list;
+  mutable printed : (Xy_xml.Xid.tree * string) option;
+      (* the snapshot's print of [entry.tree], valid while the stored
+         tree is physically this one: an unchanged load keeps its old
+         tree, so most documents print once, not at every checkpoint *)
+  mutable fields : (entry * string) option;
+      (* the snapshot's bytes for [entry] up to the print, valid while
+         the stored entry is physically this one: a document not
+         loaded since the last checkpoint costs no encoding *)
 }
 
 type t = {
@@ -87,6 +95,8 @@ let record t url =
             };
           gen = Xy_xml.Xid.gen ();
           history = [];
+          printed = None;
+          fields = None;
         }
       in
       Hashtbl.replace t.by_url url r;
@@ -203,10 +213,48 @@ let encode_opt_int buf = function
 let decode_opt_int r =
   if Codec.read_bool r then Some (Codec.read_int r) else None
 
+(* By key: each key is bound once. *)
 let sorted_bindings table =
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [])
+  List.sort
+    (fun (a, _) (b, _) -> String.compare a b)
+    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [])
 
-let encode_snapshot t =
+let printed r tree =
+  match r.printed with
+  | Some (printed_tree, s) when printed_tree == tree -> s
+  | Some _ | None ->
+      let s = Xy_xml.Printer.element_to_string (Xy_xml.Xid.strip tree) in
+      r.printed <- Some (tree, s);
+      s
+
+let fields url r =
+  match r.fields with
+  | Some (entry, s) when entry == r.entry -> s
+  | Some _ | None ->
+      let m = r.entry.meta in
+      let buf = Buffer.create 256 in
+      Codec.string buf url;
+      Codec.int buf m.Meta.docid;
+      Codec.bool buf (m.Meta.kind = Meta.Xml_doc);
+      encode_opt_string buf m.Meta.domain;
+      encode_opt_string buf m.Meta.dtd;
+      encode_opt_int buf m.Meta.dtdid;
+      Codec.string buf m.Meta.signature;
+      Codec.float buf m.Meta.last_accessed;
+      Codec.float buf m.Meta.last_updated;
+      Codec.int buf m.Meta.version;
+      (match r.entry.tree with
+      | None -> Codec.bool buf false
+      | Some tree ->
+          Codec.bool buf true;
+          Codec.int buf (String.length (printed r tree)));
+      let s = Buffer.contents buf in
+      r.fields <- Some (r.entry, s);
+      s
+
+(* A header, then each document's cached fields and cached print as
+   pieces of their own, never joined. *)
+let snapshot_pieces t =
   locked t @@ fun () ->
   let buf = Buffer.create 4096 in
   Codec.int buf t.next_docid;
@@ -221,26 +269,16 @@ let encode_snapshot t =
       Codec.string buf dtd;
       Codec.int buf id)
     (sorted_bindings t.dtdids);
-  Codec.list buf
-    (fun buf (url, r) ->
-      let m = r.entry.meta in
-      Codec.string buf url;
-      Codec.int buf m.Meta.docid;
-      Codec.bool buf (m.Meta.kind = Meta.Xml_doc);
-      encode_opt_string buf m.Meta.domain;
-      encode_opt_string buf m.Meta.dtd;
-      encode_opt_int buf m.Meta.dtdid;
-      Codec.string buf m.Meta.signature;
-      Codec.float buf m.Meta.last_accessed;
-      Codec.float buf m.Meta.last_updated;
-      Codec.int buf m.Meta.version;
-      encode_opt_string buf
-        (Option.map
-           (fun tree ->
-             Xy_xml.Printer.element_to_string (Xy_xml.Xid.strip tree))
-           r.entry.tree))
-    (sorted_bindings t.by_url);
+  let documents = sorted_bindings t.by_url in
+  Codec.int buf (List.length documents);
   Buffer.contents buf
+  :: List.concat_map
+       (fun (url, r) ->
+         fields url r
+         :: (match r.entry.tree with Some tree -> [ printed r tree ] | None -> []))
+       documents
+
+let encode_snapshot t = String.concat "" (snapshot_pieces t)
 
 let decode_snapshot t payload =
   locked t @@ fun () ->
@@ -300,13 +338,17 @@ let decode_snapshot t payload =
   List.iter
     (fun (url, meta, tree) ->
       let rec' = record t url in
-      let tree =
-        Option.map
-          (fun printed ->
-            Xy_xml.Xid.label rec'.gen (Xy_xml.Parser.parse_element printed))
-          tree
+      let tree, printed =
+        match tree with
+        | None -> (None, None)
+        | Some printed ->
+            let tree =
+              Xy_xml.Xid.label rec'.gen (Xy_xml.Parser.parse_element printed)
+            in
+            (Some tree, Some (tree, printed))
       in
       rec'.entry <- { meta; tree };
       rec'.history <- [];
+      rec'.printed <- printed;
       Hashtbl.replace t.by_docid meta.Meta.docid url)
     records

@@ -82,6 +82,12 @@ val iter : (entry -> unit) -> t -> unit
 
 val encode_snapshot : t -> string
 
+(** [snapshot_pieces t] is {!encode_snapshot}'s bytes in pieces, to be
+    written in order: each document's printed tree is a piece of its
+    own, printed once and reused while the stored tree is physically
+    the same value (an unchanged load keeps the old tree). *)
+val snapshot_pieces : t -> string list
+
 (** Replaces the store contents wholesale.  Raises
     {!Xy_util.Codec.Malformed} on damage. *)
 val decode_snapshot : t -> string -> unit

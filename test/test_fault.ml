@@ -1356,7 +1356,7 @@ let test_carry_forward_depth1 () =
   with_temp_dir @@ fun dir ->
   let config = d_config () in
   let t = Durable.open_fresh ~config dir in
-  let snapshot = [ ("a", fun () -> "av"); ("b", fun () -> "bv") ] in
+  let snapshot = [ ("a", fun () -> [ "av" ]); ("b", fun () -> [ "bv" ]) ] in
   Durable.journal t ~stage:"a" "x";
   Durable.journal t ~stage:"b" "x";
   Durable.commit t;
@@ -1399,8 +1399,8 @@ let test_kill_in_checkpoint_windows () =
       Hashtbl.replace model "a" "a1";
       Hashtbl.replace model "b" "b1";
       let snapshot =
-        [ ("a", fun () -> Hashtbl.find model "a");
-          ("b", fun () -> Hashtbl.find model "b") ]
+        [ ("a", fun () -> [ Hashtbl.find model "a" ]);
+          ("b", fun () -> [ Hashtbl.find model "b" ]) ]
       in
       Durable.journal t ~stage:"a" "a1";
       Durable.journal t ~stage:"b" "b1";
@@ -1482,7 +1482,7 @@ let qcheck_incremental_equals_full =
         let model = Hashtbl.create 8 in
         List.iter (fun s -> Hashtbl.replace model s "initial") cf_stages;
         let snapshot =
-          List.map (fun s -> (s, fun () -> Hashtbl.find model s)) cf_stages
+          List.map (fun s -> (s, fun () -> [ Hashtbl.find model s ])) cf_stages
         in
         List.iter
           (fun muts ->
@@ -1521,7 +1521,7 @@ let test_delta_section_lifecycle () =
   Durable.set_wal_carried t [ "big" ];
   let base = String.make 256 'B' in
   let model = ref base in
-  let snapshot = [ ("big", fun () -> !model); ("small", fun () -> "sv") ] in
+  let snapshot = [ ("big", fun () -> [ !model ]); ("small", fun () -> [ "sv" ]) ] in
   Durable.journal t ~stage:"big" "seed";
   Durable.journal t ~stage:"small" "seed";
   Durable.commit t;
@@ -1599,7 +1599,7 @@ let test_delta_kill_windows () =
       Durable.set_wal_carried t [ "big" ];
       let base = String.make 128 'B' in
       let snapshot =
-        [ ("big", fun () -> base); ("small", fun () -> "sv") ]
+        [ ("big", fun () -> [ base ]); ("small", fun () -> [ "sv" ]) ]
       in
       Durable.journal t ~stage:"big" "seed";
       Durable.journal t ~stage:"small" "seed";
@@ -1649,7 +1649,7 @@ let test_delta_closing_checkpoint () =
   let base = String.make 128 'B' in
   Durable.journal t ~stage:"big" "seed";
   Durable.commit t;
-  Durable.checkpoint t ~snapshot:[ ("big", fun () -> base) ];
+  Durable.checkpoint t ~snapshot:[ ("big", fun () -> [ base ]) ];
   Durable.journal t ~stage:"big" "d1";
   Durable.commit t;
   Durable.barrier t;
@@ -1702,7 +1702,7 @@ let qcheck_delta_equals_full =
         let model = Hashtbl.create 8 in
         List.iter (fun s -> Hashtbl.replace model s "initial") cf_stages;
         let snapshot =
-          List.map (fun s -> (s, fun () -> Hashtbl.find model s)) cf_stages
+          List.map (fun s -> (s, fun () -> [ Hashtbl.find model s ])) cf_stages
         in
         List.iter
           (fun muts ->
@@ -1865,6 +1865,28 @@ let test_persist_compaction_damage () =
     (not (Sys.file_exists (path ^ ".compact")));
   Record_log.close log
 
+(* Subscription [C<i>] of the compaction tests: 600 of them take the
+   log past the compaction threshold. *)
+let compaction_text i =
+  Printf.sprintf
+    {|subscription C%d
+monitoring
+select <UpdatedPage url=URL/>
+where URL extends "http://site%d.example.org/" and modified self|}
+    i (i mod d_sites)
+
+let compaction_subscribe x i =
+  match Xyleme.subscribe x ~owner:"u" ~text:(compaction_text i) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "subscribe C%d: %s" i (Manager.error_to_string e)
+
+let compaction_update x i =
+  match Xyleme.update x ~name:(Printf.sprintf "C%d" i) ~owner:"u"
+          ~text:(compaction_text i)
+  with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "update C%d: %s" i (Manager.error_to_string e)
+
 (* A compaction that cannot write its temp (here a directory squats
    on it; a full disk takes the same path) is abandoned in the
    background: crawling goes on and the log stays whole and
@@ -1876,31 +1898,53 @@ let test_compaction_failure_spares_the_crawl () =
       ~durable_dir:dir ()
   in
   Unix.mkdir (Filename.concat dir "subscriptions.log.compact") 0o755;
-  let subscribe i =
-    let text =
-      Printf.sprintf
-        {|subscription C%d
-monitoring
-select <UpdatedPage url=URL/>
-where URL extends "http://site%d.example.org/" and modified self|}
-        i (i mod d_sites)
-    in
-    match Xyleme.subscribe x ~owner:"u" ~text with
-    | Ok _ -> ()
-    | Error e ->
-        Alcotest.failf "subscribe C%d: %s" i (Manager.error_to_string e)
-  in
   for i = 0 to 599 do
-    subscribe i
+    compaction_subscribe x i
   done;
   let log = Filename.concat dir "subscriptions.log" in
   checkb "log past the compaction threshold" true
     ((Unix.stat log).Unix.st_size > 64 * 1024);
+  (* superseded records, so that a compaction starts *)
+  compaction_update x 0;
   for _ = 1 to 3 do
     ignore (Xyleme.crawl_step x ~limit:20)
   done;
-  subscribe 600;
+  compaction_subscribe x 600;
   checki "log whole and appendable" 601 (List.length (Persist.replay log))
+
+(* An insert-only log has nothing to drop: however far past the
+   threshold, no compaction starts and the log is never rewritten.
+   One update leaves two superseded records, and the compaction that
+   then runs drops exactly those. *)
+let test_compaction_needs_superseded_records () =
+  with_temp_dir @@ fun dir ->
+  let x =
+    Xyleme.create ~seed:d_seed ~web:(d_web ()) ~sink:(d_ledger_sink dir)
+      ~durable_dir:dir ()
+  in
+  for i = 0 to 599 do
+    compaction_subscribe x i
+  done;
+  let log = Filename.concat dir "subscriptions.log" in
+  let inode () = (Unix.stat log).Unix.st_ino in
+  checkb "log past the compaction threshold" true
+    ((Unix.stat log).Unix.st_size > 64 * 1024);
+  let before = inode () in
+  for _ = 1 to 4 do
+    ignore (Xyleme.crawl_step x ~limit:20);
+    checkb "no compaction temp" false (Sys.file_exists (log ^ ".compact"))
+  done;
+  checkb "the log was not rewritten" true (inode () = before);
+  checki "nothing compacted" 0 (Xyleme.checkpoint x).Xyleme.compacted_records;
+  compaction_update x 0;
+  for _ = 1 to 4 do
+    ignore (Xyleme.crawl_step x ~limit:20)
+  done;
+  checkb "the log was rewritten" true (inode () <> before);
+  checki "the update's two records dropped" 2
+    (Xyleme.checkpoint x).Xyleme.compacted_records;
+  checki "one record per subscription left" 600
+    (List.length (Persist.read_all log))
 
 (* Flip the low bit of each byte of [path] in turn, calling [check]
    on every damaged copy; the file is restored afterwards. *)
@@ -1982,7 +2026,7 @@ let test_flip_manifest () =
   let config = d_config () in
   let t = Durable.open_fresh ~config dir in
   for _ = 1 to 7 do
-    Durable.checkpoint t ~snapshot:[ ("a", fun () -> "av") ]
+    Durable.checkpoint t ~snapshot:[ ("a", fun () -> [ "av" ]) ]
   done;
   flip_every_byte (Filename.concat dir "MANIFEST") (fun pos ->
       match Durable.open_existing ~config dir with
@@ -2121,6 +2165,8 @@ let () =
             test_persist_compaction_damage;
           tc "a failing compaction spares the crawl"
             test_compaction_failure_spares_the_crawl;
+          tc "only superseded records start a compaction"
+            test_compaction_needs_superseded_records;
         ] );
       ( "bit flips",
         [

@@ -516,6 +516,173 @@ let test_tick_visits_timed_state () =
   checki "x-daily fired only while daily" 1 (reports "x-daily");
   checki "b-daily fired only while registered" 1 (reports "b-daily")
 
+(* {2 Cached encodings}
+
+   A checkpoint writes the reporter's section from cached frames and
+   notification encodings.  Over random histories with a journal
+   attached, that section must equal what a freshly decoded reporter,
+   with no frame cached, encodes, and must hold the same buffers and
+   archives; and the notification bytes of each [n] op must be the
+   ones the subscription's frame holds. *)
+
+type cache_op =
+  | C_register of int * int  (** name, spec *)
+  | C_notify of int * int  (** name, body *)
+  | C_tick of int  (** hours *)
+  | C_unregister of int
+  | C_decode
+
+let cache_names = [| "a"; "b"; "c" |]
+
+let cache_specs =
+  [|
+    idle_spec;
+    daily_spec;
+    held_spec;
+    archive_spec;
+    spec [ S.R_count 1 ];
+    spec ~atmost:(S.At_count 2) [ S.R_count 3 ];
+  |]
+
+let print_cache_op = function
+  | C_register (n, s) -> Printf.sprintf "register %s/%d" cache_names.(n) s
+  | C_notify (n, b) -> Printf.sprintf "notify %s/%d" cache_names.(n) b
+  | C_tick h -> Printf.sprintf "tick +%dh" h
+  | C_unregister n -> "unregister " ^ cache_names.(n)
+  | C_decode -> "decode"
+
+let cache_body b =
+  match b mod 3 with
+  | 0 -> []
+  | 1 -> [ T.text (Printf.sprintf "v%d" b) ]
+  | _ -> [ T.el "P" [ T.text (Printf.sprintf "<%d>" b) ] ]
+
+let codec_string s =
+  let buf = Buffer.create 16 in
+  Xy_util.Codec.string buf s;
+  Buffer.contents buf
+
+let cached_snapshot_equals_fresh ops =
+  let clock = Clock.create () in
+  let sink, _ = Sink.memory () in
+  let journal = ref [] in
+  let attach r =
+    Reporter.set_persistence r
+      ~journal:(Some (fun op -> journal := op :: !journal))
+      ~commit:None
+  in
+  let registered = Hashtbl.create 4 in
+  let decoded r =
+    let fresh = Reporter.create ~clock ~sink () in
+    Hashtbl.iter
+      (fun name spec ->
+        Reporter.register fresh ~subscription:name ~recipient:"u" spec)
+      registered;
+    Reporter.decode_snapshot fresh (Reporter.encode_snapshot r);
+    fresh
+  in
+  let agrees r =
+    let fresh = decoded r in
+    Reporter.encode_snapshot r = Reporter.encode_snapshot fresh
+    && Hashtbl.fold
+         (fun subscription _ ok ->
+           let archive r =
+             List.map Xy_xml.Printer.element_to_string
+               (Reporter.archived r ~subscription)
+           in
+           ok
+           && Reporter.buffered_count r ~subscription
+              = Reporter.buffered_count fresh ~subscription
+           && archive r = archive fresh)
+         registered true
+  in
+  (* The notification bytes of a buffered [n] op are the last of the
+     frame's notification pieces, which follow the frame's head: the
+     name and the buffer length. *)
+  let in_frame r name emitted =
+    let op_prefix = codec_string "n" ^ codec_string name in
+    let buffered = Reporter.buffered_count r ~subscription:name in
+    let head = codec_string name ^ string_of_int buffered ^ "\n" in
+    let rec newest = function
+      | piece :: rest when piece = head -> List.nth_opt rest (buffered - 1)
+      | _ :: rest -> newest rest
+      | [] -> None
+    in
+    match
+      List.filter (fun op -> String.starts_with ~prefix:op_prefix op) emitted
+    with
+    | [ op ] ->
+        let skip = String.length op_prefix in
+        newest (List.tl (Reporter.snapshot_pieces r))
+        = Some (String.sub op skip (String.length op - skip))
+    | _ -> false
+  in
+  let live = ref (Reporter.create ~clock ~sink ()) in
+  attach !live;
+  List.for_all
+    (fun op ->
+      (match op with
+      | C_register (n, s) ->
+          let name = cache_names.(n) in
+          Reporter.register !live ~subscription:name ~recipient:"u"
+            cache_specs.(s);
+          Hashtbl.replace registered name cache_specs.(s)
+      | C_notify (n, b) ->
+          let name = cache_names.(n) in
+          let before = List.length !journal in
+          let buffered = Reporter.buffered_count !live ~subscription:name in
+          Reporter.notify !live ~subscription:name
+            {
+              Notification.source =
+                (if b mod 2 = 0 then Notification.Monitoring
+                 else Notification.Continuous);
+              tag = (if b mod 4 < 2 then "UpdatedPage" else "Member");
+              body = cache_body b;
+              at = Clock.now clock;
+              birth =
+                (if b mod 5 = 0 then None
+                 else Some (Clock.now clock -. float_of_int b));
+              rendered = None;
+            };
+          let fresh_ops = List.length !journal - before in
+          let emitted = List.filteri (fun i _ -> i < fresh_ops) !journal in
+          if
+            Reporter.buffered_count !live ~subscription:name = buffered + 1
+            && not (in_frame !live name emitted)
+          then Alcotest.failf "%s: the n op's bytes are not in the frame" name
+      | C_tick h ->
+          Clock.advance clock (float_of_int h *. hour);
+          Reporter.tick !live
+      | C_unregister n ->
+          let name = cache_names.(n) in
+          Reporter.unregister !live ~subscription:name;
+          Hashtbl.remove registered name
+      | C_decode ->
+          live := decoded !live;
+          attach !live);
+      agrees !live)
+    ops
+
+let qcheck_cached_snapshot =
+  let gen =
+    QCheck.make
+      ~print:(fun ops -> String.concat "; " (List.map print_cache_op ops))
+      QCheck.Gen.(
+        let name = int_bound (Array.length cache_names - 1) in
+        list_size (1 -- 40)
+          (frequency
+             [
+               (2, map2 (fun n s -> C_register (n, s)) name
+                     (int_bound (Array.length cache_specs - 1)));
+               (6, map2 (fun n b -> C_notify (n, b)) name (int_bound 20));
+               (2, map (fun h -> C_tick h) (1 -- 48));
+               (1, map (fun n -> C_unregister n) name);
+               (1, return C_decode);
+             ]))
+  in
+  QCheck.Test.make ~name:"cached snapshot = freshly decoded snapshot"
+    ~count:300 gen cached_snapshot_equals_fresh
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "reporter"
@@ -547,6 +714,7 @@ let () =
         ] );
       ( "tick",
         [ tc "visits only timed state" test_tick_visits_timed_state ] );
+      ("snapshot", [ QCheck_alcotest.to_alcotest qcheck_cached_snapshot ]);
       ( "delivery",
         [
           tc "multiple recipients" test_multiple_recipients;

@@ -789,6 +789,77 @@ report when count > 2 atmost daily|});
       in
       checkb "still counting" true (after > carried)
 
+(* The reproduction of a restore that handed a replaced subscription
+   its predecessor's periodic deadline: the update since the last
+   checkpoint is in the subscription log, its reporter op is not
+   synced, and the first due [tick] used to raise from the count
+   spec's missing period. *)
+let test_restore_drops_replaced_deadline () =
+  with_temp_dir @@ fun dir ->
+  let fresh_web () = Web.generate ~seed:7 ~sites:3 ~pages_per_site:4 () in
+  let text report =
+    Printf.sprintf
+      {|subscription D
+monitoring
+where modified self and URL extends "http://site"
+report when %s|}
+      report
+  in
+  let sink, _ = Sink.memory () in
+  let x =
+    Xyleme.create ~seed:7 ~sink ~web:(fresh_web ()) ~durable_dir:dir ()
+  in
+  ignore (subscribe_exn x ~owner:"alice" ~text:(text "daily"));
+  Xyleme.run_resumable x ~days:2. ~step:Clock.day ~fetch_limit:50;
+  ignore (Xyleme.checkpoint x);
+  (match Xyleme.update x ~name:"D" ~owner:"alice" ~text:(text "count > 2") with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Xy_submgr.Manager.error_to_string e));
+  Xyleme.advance x ~seconds:3600.;
+  let sink2, _ = Sink.memory () in
+  match Xyleme.restore ~seed:7 ~web:(fresh_web ()) ~sink:sink2 ~dir () with
+  | Error e -> Alcotest.failf "restore failed: %s" e
+  | Ok (x', _) ->
+      Xyleme.run_resumable x' ~days:5. ~step:Clock.day ~fetch_limit:50;
+      checki "the restored run finished" 5 (Xyleme.steps_done x')
+
+(* A crawl batch syncs the WAL once, after its last document, however
+   many of its documents fire reports: with group commit out of the
+   way, each crawl step adds one [fsync_batch] observation when it
+   delivered reports and none otherwise. *)
+let test_crawl_batch_syncs_once () =
+  with_temp_dir @@ fun dir ->
+  let obs = Obs.create () in
+  let sink, deliveries = Sink.memory () in
+  let x =
+    Xyleme.create ~seed:7 ~sink ~obs
+      ~web:(Web.generate ~seed:7 ~sites:3 ~pages_per_site:4 ())
+      ~durable_dir:dir ~sync_every:1000 ()
+  in
+  ignore
+    (subscribe_exn x ~owner:"alice"
+       ~text:
+         {|subscription Each
+monitoring
+where modified self and URL extends "http://site"
+report when immediate|});
+  let fsyncs () =
+    Obs.Histogram.count (Obs.histogram obs ~stage:"durable" "fsync_batch")
+  in
+  Xyleme.discover x;
+  let most = ref 0 in
+  for _ = 1 to 6 do
+    Xyleme.advance x ~seconds:Clock.day;
+    let syncs = fsyncs () and delivered = List.length !deliveries in
+    ignore (Xyleme.crawl_step x ~limit:50);
+    let reports = List.length !deliveries - delivered in
+    most := max !most reports;
+    checki "one barrier per reporting batch"
+      (if reports > 0 then 1 else 0)
+      (fsyncs () - syncs)
+  done;
+  checkb "some batch fired reports on several documents" true (!most >= 2)
+
 (* ------------------------------------------------------------------ *)
 (* The alerter chain's memo of unchanged pages *)
 
@@ -1045,5 +1116,11 @@ let () =
           tc "staleness accounting" test_staleness_accounting;
           tc "slo breach fires report" test_slo_breach_fires_report;
           tc "restore carries metrics" test_restore_carries_metrics;
+        ] );
+      ( "durability",
+        [
+          tc "restore drops a replaced subscription's deadline"
+            test_restore_drops_replaced_deadline;
+          tc "a crawl batch syncs once" test_crawl_batch_syncs_once;
         ] );
     ]

@@ -387,6 +387,54 @@ let test_unchanged_fetch_keeps_history () =
   done;
   checkb "v1 still reachable" true (Store.reconstruct store ~url:"u" ~version:1 <> None)
 
+(* ------------------------------------------------------------------ *)
+(* Snapshot pieces *)
+
+(* A checkpoint writes the store's section from pieces that reuse each
+   document's fields while its entry is physically the same, and its
+   print while its tree is.  Across loads that keep the tree and loads
+   that replace it, the joined pieces must equal what a store decoded
+   from them encodes, and that store must hold the same metadata and
+   trees. *)
+let test_snapshot_pieces () =
+  let clock, store, _, loader = fresh () in
+  let load url content kind = ignore (Loader.load loader ~url ~content ~kind) in
+  let printed s url =
+    Option.map
+      (fun e ->
+        Option.map
+          (fun tree -> Xy_xml.Printer.element_to_string (Xy_xml.Xid.strip tree))
+          e.Store.tree)
+      (Store.find s url)
+  in
+  let check label =
+    let joined = String.concat "" (Store.snapshot_pieces store) in
+    let decoded = Store.create () in
+    Store.decode_snapshot decoded joined;
+    checks (label ^ ": pieces = decoded encoding")
+      (Store.encode_snapshot decoded) joined;
+    List.iter
+      (fun url ->
+        let meta s = Option.map (fun e -> e.Store.meta) (Store.find s url) in
+        checkb (label ^ ": meta of " ^ url) true (meta store = meta decoded);
+        Alcotest.(check (option (option string)))
+          (label ^ ": tree of " ^ url) (printed store url) (printed decoded url))
+      [ "a"; "b"; "h" ]
+  in
+  load "a" "<a>1</a>" Loader.Xml;
+  load "b" "<b><c/></b>" Loader.Xml;
+  load "h" "<html><body>page</body></html>" Loader.Html;
+  check "first loads";
+  Clock.advance clock 10.;
+  load "a" "<a>1</a>" Loader.Xml;
+  check "a load that keeps the tree";
+  load "b" "<b><c/><d>new</d></b>" Loader.Xml;
+  check "a load that replaces the tree";
+  Clock.advance clock 10.;
+  load "a" "<a>2</a>" Loader.Xml;
+  load "b" "<b><c/><d>new</d></b>" Loader.Xml;
+  check "both kinds again"
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "warehouse"
@@ -425,4 +473,5 @@ let () =
           tc "window bounded" test_reconstruct_window_bounded;
           tc "unchanged keeps history" test_unchanged_fetch_keeps_history;
         ] );
+      ("snapshot", [ tc "pieces equal the decoded encoding" test_snapshot_pieces ]);
     ]
