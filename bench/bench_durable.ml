@@ -3,11 +3,10 @@
    unattended against the web for months, so the numbers that matter
    are (a) how long a checkpoint stalls the pipeline — separated into
    the *cold* first checkpoint (a full snapshot of every stage) and
-   the *steady-state* pause (incremental: only stages dirtied since
-   the previous generation are re-encoded, the rest carried forward
-   by reference, log compaction amortised into the crawl loop) — and
-   (b) how long a warm restart takes before the crawler is fetching
-   again. *)
+   the *steady-state* pause (every stage re-encoded except the
+   WAL-carried reporter, written as a delta on its base payload; log
+   compaction amortised into the crawl loop) — and (b) how long a
+   warm restart takes before the crawler is fetching again. *)
 
 open Harness
 module Xyleme = Xy_system.Xyleme
@@ -65,9 +64,9 @@ let tbl_durable scale =
   note
     "a durable run group-commits journalled txns into segmented \
      gen-N.wal files; the first checkpoint snapshots every stage (cold, \
-     full), later ones only the stages dirtied since the previous \
-     generation (steady, incremental — clean sections carried forward \
-     by reference) while subscription-log compaction runs \
+     full), later ones re-encode every stage except the WAL-carried \
+     reporter, written as a delta on its base payload while its ops \
+     stay smaller (steady), while subscription-log compaction runs \
      incrementally inside the crawl loop; restore replays \
      subscriptions + snapshot + WAL and re-arms in-flight work";
   let sites = 8 in
@@ -105,15 +104,15 @@ let tbl_durable scale =
                leaves a realistic WAL for the checkpoint to retire. *)
             Xyleme.run_resumable xyleme ~days:1. ~step ~fetch_limit:400;
             let wal_bytes = wal_size dir ~gen:0 in
-            (* Cold: the first checkpoint has no previous generation to
-               carry sections from — every stage snapshots inline. *)
+            (* Cold: the first checkpoint has no base for a delta —
+               every stage snapshots inline. *)
             let _, ckpt_cold =
               time_once (fun () -> Xyleme.checkpoint xyleme)
             in
             (* Steady state: crawl one more step (days is cumulative),
-               checkpoint again.  Only the stages that step dirtied
-               are re-encoded; this pause is what the pipeline
-               actually feels per checkpoint while running. *)
+               checkpoint again.  Every stage but the reporter is
+               re-encoded; this pause is what the pipeline actually
+               feels per checkpoint while running. *)
             Xyleme.run_resumable xyleme ~days:1.25 ~step ~fetch_limit:400;
             let info, ckpt_steady =
               time_once (fun () -> Xyleme.checkpoint xyleme)

@@ -7,7 +7,6 @@ type alert = {
   trace : Xy_trace.Trace.ctx option;
   birth : float option;
 }
-type notification = { complex_id : int; url : string; payload : string }
 type algorithm = Use_aes | Use_aes_compact | Use_naive | Use_counting
 
 let algorithm_name_of = function
@@ -39,7 +38,6 @@ type t = {
       (** the same instance as [matcher] when the algorithm is
           {!Use_aes_compact}; gives the freeze/compact-stats surface
           without breaking the packed abstraction *)
-  mutable listeners : (notification -> unit) list;
   mutable batch_listeners : (alert -> int list -> unit) list;
   mutable alerts_processed : int;
   mutable notifications_emitted : int;
@@ -67,7 +65,6 @@ let create ?(algorithm = Use_aes) ?(obs = Obs.default) () =
   {
     matcher;
     compact;
-    listeners = [];
     batch_listeners = [];
     alerts_processed = 0;
     notifications_emitted = 0;
@@ -147,7 +144,7 @@ let match_alert t alert =
   (matched, latency)
 
 (* The dispatch half of {!process}: per-alert instruments, lifetime
-   stats, notification and batch listeners, for a match produced by
+   stats and batch listeners, for a match produced by
    {!match_alert}, possibly on a shard domain.  Single-threaded: only
    the owning/drainer domain may call this. *)
 let dispatch_matched t alert ~matched ~latency =
@@ -159,12 +156,6 @@ let dispatch_matched t alert ~matched ~latency =
     (float_of_int (List.length matched));
   Obs.Counter.add t.metrics.m_notifications (List.length matched);
   t.alerts_processed <- t.alerts_processed + 1;
-  if t.listeners <> [] then
-    List.iter
-      (fun complex_id ->
-        let notification = { complex_id; url = alert.url; payload = alert.payload } in
-        List.iter (fun listener -> listener notification) t.listeners)
-      matched;
   t.notifications_emitted <- t.notifications_emitted + List.length matched;
   if matched <> [] then
     List.iter (fun listener -> listener alert matched) t.batch_listeners;
@@ -174,7 +165,6 @@ let process t alert =
   let matched, latency = match_alert t alert in
   dispatch_matched t alert ~matched ~latency
 
-let on_notify t listener = t.listeners <- listener :: t.listeners
 let on_batch t listener = t.batch_listeners <- listener :: t.batch_listeners
 
 let complex_count t =

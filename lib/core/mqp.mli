@@ -23,12 +23,6 @@ type alert = {
           (staleness accounting); opaque to the processor *)
 }
 
-type notification = {
-  complex_id : int;
-  url : string;
-  payload : string;
-}
-
 type algorithm = Use_aes | Use_aes_compact | Use_naive | Use_counting
 
 (** [algorithm_of_name "aes-compact"] etc. — the inverse of each
@@ -68,7 +62,7 @@ val unsubscribe : t -> id:int -> unit
 
 (** [process t alert] matches the alert and returns the batch of
     matched complex-event ids (sorted); listeners installed with
-    {!on_notify} receive one notification per match. *)
+    {!on_batch} receive it when it is not empty. *)
 val process : t -> alert -> int list
 
 (** {2 Split matching — the parallel pipeline's surface}
@@ -97,8 +91,8 @@ val match_alert : t -> alert -> int list * float
 
 (** [dispatch_matched t alert ~matched ~latency] records the per-alert
     instruments (with [latency] as the match-latency sample), updates
-    the lifetime stats and fires the notification/batch listeners for
-    a match produced by {!match_alert} — then returns [matched].
+    the lifetime stats and fires the batch listeners for a match
+    produced by {!match_alert} — then returns [matched].
     Single-threaded: owner/drainer domain only. *)
 val dispatch_matched :
   t -> alert -> matched:int list -> latency:float -> int list
@@ -112,10 +106,6 @@ val iter_complex : t -> (id:int -> Xy_events.Event_set.t -> unit) -> unit
     lifetime — a cheap epoch for invalidating matchers derived with
     {!iter_complex}. *)
 val mutations : t -> int
-
-(** [on_notify t f] installs a notification listener (the Reporter
-    and the Trigger Engine). *)
-val on_notify : t -> (notification -> unit) -> unit
 
 (** [on_batch t f] installs a batch listener: [f alert matched] is
     called once per processed alert with the full (sorted) match list

@@ -96,19 +96,18 @@ module Wal = struct
     go 0 []
 end
 
-(* A snapshot section is the stage's payload inline, a reference to
-   the generation whose snapshot holds it (unchanged since then), or a
-   delta: the payload at a base generation plus the stage's journaled
-   operations in the retained WALs of generations base..current.
-   References never chain: a carried or delta section always points at
-   the generation that wrote the payload inline, so restore chases at
-   most one indirection per stage. *)
-type section = Inline of string | From of int | Delta of int
+(* A snapshot section is the stage's payload inline, or a delta: the
+   payload at a base generation plus the stage's journaled operations
+   in the retained WALs of generations base..current.  A delta always
+   points at the generation that wrote the payload inline, never at
+   another delta, so restore chases at most one reference per
+   stage. *)
+type section = Inline of string | Delta of int
 
 module Snapshot = struct
   (* One record per section: (stage, kind, body) with kind [S]
-     (inline: the payload), [F] (carried) or [D] (delta), whose body
-     is a generation.  An inline payload's pieces are written as parts
+     (inline: the payload) or [D] (delta), whose body is the base
+     generation.  An inline payload's pieces are written as parts
      of their own, after the Codec prefix that frames their
      concatenation, so they are never joined or copied. *)
   let prefix stage kind n =
@@ -124,7 +123,6 @@ module Snapshot = struct
     match section with
     | Inline payload ->
         inline_parts stage ~len:(String.length payload) [ payload ]
-    | From gen -> [ prefix stage "F" gen ]
     | Delta gen -> [ prefix stage "D" gen ]
 
   let decode_section =
@@ -132,7 +130,6 @@ module Snapshot = struct
     let stage = Codec.read_string r in
     match Codec.read_string r with
     | "S" -> (stage, Inline (Codec.read_string r))
-    | "F" -> (stage, From (Codec.read_int r))
     | "D" -> (stage, Delta (Codec.read_int r))
     | kind -> raise (Codec.Malformed ("unknown section kind " ^ kind))
 
@@ -148,6 +145,12 @@ module Snapshot = struct
       | _, Corrupt -> Error "damaged section"
 end
 
+(* A WAL-carried stage's delta chain: the generation whose snapshot
+   holds its last inline payload, that payload's size, and the op
+   bytes journaled since — the chain ends once they outgrow the
+   payload. *)
+type chain = { base : int; base_bytes : int; mutable op_bytes : int }
+
 type t = {
   dir : string;
   config : config;
@@ -159,26 +162,13 @@ type t = {
       (** committed transactions not yet synced (the group-commit
           batch) — a kill loses these, exactly like OS buffers *)
   mutable pending_txns : int;
-  mutable replay : bool;
-  mutable txns : int;
-  mutable bytes : int;
   mutable sync_count : int;
-  dirty : (string, unit) Hashtbl.t;
-      (** stages journaled (or explicitly marked) since the last
-          checkpoint — only these need fresh snapshot sections *)
-  section_gens : (string, int) Hashtbl.t;
-      (** stage -> generation whose snapshot holds its payload inline *)
   wal_carried : (string, unit) Hashtbl.t;
       (** stages whose every mutation is journaled, eligible for
           delta sections (base payload + retained WAL replay) *)
-  delta_bytes : (string, int) Hashtbl.t;
-      (** stage -> op bytes journaled since its last inline payload;
-          positive means the inline payload alone is stale and the
-          stage's section must be [Delta] or a fresh [Inline] *)
-  base_bytes : (string, int) Hashtbl.t;
-      (** stage -> size of its last inline payload — the threshold at
-          which accumulating deltas stops being cheaper than
-          re-encoding *)
+  chains : (string, chain) Hashtbl.t;
+      (** WAL-carried stage -> its delta chain, once a snapshot holds
+          its payload inline *)
   mutable fuse : (string -> unit) option;
   mutable metrics : metrics option;
 }
@@ -255,15 +245,9 @@ let make ~dir ~config ~gen ~wal =
     txn = [];
     pending = Buffer.create 4096;
     pending_txns = 0;
-    replay = false;
-    txns = 0;
-    bytes = 0;
     sync_count = 0;
-    dirty = Hashtbl.create 16;
-    section_gens = Hashtbl.create 16;
     wal_carried = Hashtbl.create 4;
-    delta_bytes = Hashtbl.create 4;
-    base_bytes = Hashtbl.create 16;
+    chains = Hashtbl.create 4;
     fuse = None;
     metrics = None;
   }
@@ -298,20 +282,15 @@ let set_wal_carried t stages =
   Hashtbl.reset t.wal_carried;
   List.iter (fun s -> Hashtbl.replace t.wal_carried s ()) stages
 
-let bump_delta t stage n =
-  if Hashtbl.mem t.wal_carried stage then
-    Hashtbl.replace t.delta_bytes stage
-      (n + Option.value (Hashtbl.find_opt t.delta_bytes stage) ~default:0)
+let count_op t { stage; payload } =
+  match Hashtbl.find_opt t.chains stage with
+  | Some c -> c.op_bytes <- c.op_bytes + String.length payload
+  | None -> ()
 
 let journal t ~stage payload =
-  if not t.replay then begin
-    t.txn <- { stage; payload } :: t.txn;
-    Hashtbl.replace t.dirty stage ();
-    bump_delta t stage (String.length payload)
-  end
-
-let mark_dirty t stage = Hashtbl.replace t.dirty stage ()
-let dirty_stages t = Hashtbl.fold (fun s () acc -> s :: acc) t.dirty []
+  let op = { stage; payload } in
+  t.txn <- op :: t.txn;
+  count_op t op
 
 let discard t =
   (* A simulated kill: the transaction in progress and the un-synced
@@ -320,12 +299,6 @@ let discard t =
   t.txn <- [];
   Buffer.clear t.pending;
   t.pending_txns <- 0
-
-let replaying t = t.replay
-
-let with_replay t f =
-  t.replay <- true;
-  Fun.protect ~finally:(fun () -> t.replay <- false) f
 
 (* Drain the group-commit batch to the current segment and sync it,
    rotating to a fresh segment when this one outgrew its bound.
@@ -337,12 +310,10 @@ let sync_pending t =
   | Some oc ->
       if Buffer.length t.pending > 0 then
         observe_time t (fun m -> m.m_fsync_batch) @@ fun () ->
-        let len = Buffer.length t.pending in
         Buffer.output_buffer oc t.pending;
         Buffer.clear t.pending;
         t.pending_txns <- 0;
         Record_log.sync ~fsync:t.config.fsync oc;
-        t.bytes <- t.bytes + len;
         t.sync_count <- t.sync_count + 1;
         if pos_out oc > t.config.segment_bytes then begin
           fire_fuse t "rotate";
@@ -371,102 +342,82 @@ let commit t =
              the old generation's (possibly torn) log *)
           invalid_arg "Durable.commit: no open WAL (restore not finished?)");
       Buffer.add_string t.pending (Wal.encode_txn ops);
-      t.txns <- t.txns + 1;
       t.pending_txns <- t.pending_txns + 1;
       if t.pending_txns >= t.config.sync_every then sync_pending t
 
 (* The eldest WAL generation a delta section still replays from: a
-   carried stage with journaled-but-not-inlined ops needs every WAL
-   from its base generation onward. *)
+   chain with journaled ops needs every WAL from its base generation
+   onward. *)
 let wal_floor t =
   Hashtbl.fold
-    (fun stage bytes floor ->
-      if bytes > 0 then
-        match Hashtbl.find_opt t.section_gens stage with
-        | Some base -> min base floor
-        | None -> floor
-      else floor)
-    t.delta_bytes t.gen
+    (fun _ c floor -> if c.op_bytes > 0 then min c.base floor else floor)
+    t.chains t.gen
 
-(* Remove files no longer reachable: snapshots of generations nothing
-   references, WAL segments no delta section replays from, stale
-   snapshot temps.  Runs after the manifest flip, so a kill anywhere
-   in here only leaves garbage a later cleanup (or [open_fresh])
-   retires. *)
+(* Remove files no longer reachable: snapshots other than the current
+   generation's and the delta bases, WAL segments no delta section
+   replays from, stale snapshot temps.  Runs after the manifest flip,
+   so a kill anywhere in here only leaves garbage a later cleanup (or
+   [open_fresh]) retires. *)
 let cleanup t =
-  let keep = Hashtbl.create 8 in
-  Hashtbl.replace keep t.gen ();
-  Hashtbl.iter (fun _ g -> Hashtbl.replace keep g ()) t.section_gens;
+  let keep g =
+    g = t.gen
+    || Hashtbl.fold (fun _ c kept -> kept || c.base = g) t.chains false
+  in
   let floor = wal_floor t in
   Array.iter
     (fun name ->
       let path = Filename.concat t.dir name in
       match parse_gen_file name with
-      | Some (g, `Snap) when not (Hashtbl.mem keep g) -> remove_if path
+      | Some (g, `Snap) when not (keep g) -> remove_if path
       | Some (g, `Wal) when g < floor || g > t.gen -> remove_if path
       | Some (g, `Temp) when g <> t.gen + 1 -> remove_if path
       | _ -> ())
     (try Sys.readdir t.dir with Sys_error _ -> [||])
 
-let checkpoint ?(force_full = false) t ~snapshot =
+let checkpoint t ~snapshot =
   observe_time t (fun m -> m.m_checkpoint_pause) @@ fun () ->
   commit t;
   barrier t;
   fire_fuse t "checkpoint-begin";
   let next = t.gen + 1 in
-  (* Only stages journaled since the last checkpoint encode a fresh
-     payload; clean stages are carried forward by reference, and dirty
-     WAL-carried stages become deltas — their base payload plus the
-     retained WALs reconstruct them, so the checkpoint pause never
-     pays for re-encoding a large mutated stage.  A delta chain ends
-     (fresh inline payload) once its op bytes outgrow the base
-     payload, bounding both restore replay and WAL retention at about
-     twice the stage's churn.  References and deltas point at the
-     generation that wrote the payload inline, never at another
-     reference, so indirection depth stays 1 no matter how many
-     checkpoints a stage sleeps through.  [force_full] distrusts
-     references (used by restore, whose re-arming mutations are not
-     journaled) but keeps deltas: a delta stage's every mutation is
-     journaled by contract, so its WAL chain stays exact even across
-     a restore. *)
-  (* Each section: its stage, the generation holding its payload
-     inline, and its record's parts. *)
+  (* Every stage encodes a fresh payload, except a WAL-carried stage
+     whose chain's op bytes are still under its base payload: it
+     writes a delta, whose base payload plus the retained WALs
+     reconstruct it, so the checkpoint pause does not pay for
+     re-encoding it.  A chain ends (fresh inline payload) once its op
+     bytes outgrow the base payload, bounding both restore replay and
+     WAL retention at about twice the stage's churn.  Each section:
+     its stage, its chain after this checkpoint, and its record's
+     parts. *)
   let sections =
     List.map
       (fun (stage, encode) ->
-        let inline () =
-          let pieces = encode () in
-          let len =
-            List.fold_left (fun n piece -> n + String.length piece) 0 pieces
-          in
-          Hashtbl.replace t.base_bytes stage len;
-          Hashtbl.remove t.delta_bytes stage;
-          (stage, next, Snapshot.inline_parts stage ~len pieces)
-        in
-        match Hashtbl.find_opt t.section_gens stage with
-        | None -> inline ()
-        | Some base ->
-            let delta =
-              Option.value (Hashtbl.find_opt t.delta_bytes stage) ~default:0
+        let wal_carried = Hashtbl.mem t.wal_carried stage in
+        match Hashtbl.find_opt t.chains stage with
+        | Some c when wal_carried && c.op_bytes < c.base_bytes ->
+            (stage, Some c, Snapshot.parts (stage, Delta c.base))
+        | _ ->
+            let pieces = encode () in
+            let len =
+              List.fold_left (fun n piece -> n + String.length piece) 0 pieces
             in
-            if (not force_full) && delta = 0 && not (Hashtbl.mem t.dirty stage)
-            then (stage, base, Snapshot.parts (stage, From base))
-            else if
-              Hashtbl.mem t.wal_carried stage
-              && delta
-                 < Option.value
-                     (Hashtbl.find_opt t.base_bytes stage)
-                     ~default:0
-            then (stage, base, Snapshot.parts (stage, Delta base))
-            else inline ())
+            let chain =
+              if wal_carried then
+                Some { base = next; base_bytes = len; op_bytes = 0 }
+              else None
+            in
+            (stage, chain, Snapshot.inline_parts stage ~len pieces))
       snapshot
   in
-  (* Anything journaled from here on (the fuse below consults the
-     crash fault point, whose draw is itself journaled) is not in the
-     captured sections and must re-mark its stage for the next
-     generation. *)
-  Hashtbl.reset t.dirty;
-  if List.exists (fun (_, gen, _) -> gen <> next) sections then
+  (* Ops journaled from here on (the fuses below consult the crash
+     fault point, whose draw is itself journaled) land in the next
+     generation's WAL and count against the new chains. *)
+  Hashtbl.reset t.chains;
+  List.iter
+    (fun (stage, chain, _) ->
+      Option.iter (Hashtbl.replace t.chains stage) chain)
+    sections;
+  if Hashtbl.fold (fun _ c delta -> delta || c.base <> next) t.chains false then
     fire_fuse t "carry-forward";
   Record_log.write_file ~fsync:t.config.fsync (snap_path t.dir next)
     (List.map (fun (_, _, parts) -> parts) sections);
@@ -485,18 +436,16 @@ let checkpoint ?(force_full = false) t ~snapshot =
   write_manifest ~fsync:t.config.fsync t.dir next;
   fire_fuse t "manifest-committed";
   t.gen <- next;
-  List.iter
-    (fun (stage, gen, _) -> Hashtbl.replace t.section_gens stage gen)
-    sections;
   cleanup t;
   Log.debug (fun m -> m "checkpoint: generation %d committed in %s" next t.dir)
 
-(* Resolve carried and delta sections against the snapshots they
-   reference; each referenced generation loads once.  Also seeds
-   [section_gens] and [base_bytes] so the next checkpoint's
-   carry-forward chain stays depth-1 and the delta policy keeps its
-   threshold.  Returns the resolved payloads plus the delta stages
-   with their base generations. *)
+(* Resolve delta sections against the snapshots holding their base
+   payloads; each base generation loads once.  Also seeds [chains]
+   with every section's base generation and payload size, so the next
+   checkpoint's delta policy keeps its threshold ([load_latest] adds
+   the replayed op bytes; the checkpoint drops the chains of stages
+   that are not WAL-carried).  Returns the resolved payloads plus the
+   delta stages with their base generations. *)
 let resolve_sections t sections =
   let cache = Hashtbl.create 4 in
   let load_gen g =
@@ -507,44 +456,38 @@ let resolve_sections t sections =
         Hashtbl.replace cache g r;
         r
   in
-  let referenced stage g =
+  let base_payload stage g =
     match load_gen g with
     | Error e ->
         Error
-          (Printf.sprintf "carried section %s: generation %d unreadable: %s"
-             stage g e)
-    | Ok carried -> (
-        match List.assoc_opt stage carried with
+          (Printf.sprintf "delta section %s: generation %d unreadable: %s" stage
+             g e)
+    | Ok base -> (
+        match List.assoc_opt stage base with
         | Some (Inline payload) -> Ok payload
-        | Some (From _ | Delta _) ->
+        | Some (Delta _) ->
             Error
               (Printf.sprintf
-                 "carried section %s: generation %d is itself a reference" stage
-                 g)
+                 "delta section %s: generation %d is itself a delta" stage g)
         | None ->
             Error
-              (Printf.sprintf "carried section %s missing from generation %d"
+              (Printf.sprintf "delta section %s missing from generation %d"
                  stage g))
+  in
+  let seed stage base payload =
+    Hashtbl.replace t.chains stage
+      { base; base_bytes = String.length payload; op_bytes = 0 }
   in
   let rec go acc deltas = function
     | [] -> Ok (List.rev acc, List.rev deltas)
     | (stage, Inline payload) :: rest ->
-        Hashtbl.replace t.section_gens stage t.gen;
-        Hashtbl.replace t.base_bytes stage (String.length payload);
+        seed stage t.gen payload;
         go ((stage, payload) :: acc) deltas rest
-    | (stage, From g) :: rest -> (
-        match referenced stage g with
-        | Error e -> Error e
-        | Ok payload ->
-            Hashtbl.replace t.section_gens stage g;
-            Hashtbl.replace t.base_bytes stage (String.length payload);
-            go ((stage, payload) :: acc) deltas rest)
     | (stage, Delta g) :: rest -> (
-        match referenced stage g with
+        match base_payload stage g with
         | Error e -> Error e
         | Ok payload ->
-            Hashtbl.replace t.section_gens stage g;
-            Hashtbl.replace t.base_bytes stage (String.length payload);
+            seed stage g payload;
             go ((stage, payload) :: acc) ((stage, g) :: deltas) rest)
   in
   go [] [] sections
@@ -589,19 +532,6 @@ let collect_delta_txns t deltas =
       in
       go floor []
 
-(* Seed the delta accounting from what restore just replayed: every
-   op byte applied since a stage's base payload counts, so the
-   closing checkpoint (and every one after) inlines exactly when the
-   policy says the chain outgrew its base. *)
-let seed_delta_bytes t txns =
-  Hashtbl.reset t.delta_bytes;
-  List.iter
-    (List.iter (fun { stage; payload } ->
-         Hashtbl.replace t.delta_bytes stage
-           (String.length payload
-           + Option.value (Hashtbl.find_opt t.delta_bytes stage) ~default:0)))
-    txns
-
 let load_latest t =
   let ( let* ) = Result.bind in
   let snap = snap_path t.dir t.gen in
@@ -625,10 +555,11 @@ let load_latest t =
   in
   let txns, tail = Wal.scan_generation ~dir:t.dir ~gen:t.gen in
   let txns = old_txns @ txns in
-  seed_delta_bytes t txns;
+  (* every op byte applied since a chain's base payload counts, so
+     the closing checkpoint (and every one after) inlines exactly when
+     the policy says the chain outgrew its base *)
+  List.iter (List.iter (count_op t)) txns;
   Ok (resolved, txns, tail)
 
-let txns_committed t = t.txns
-let wal_bytes t = t.bytes
 let wal_segments t = t.seg + 1
 let syncs t = t.sync_count

@@ -1,5 +1,5 @@
-(** Whole-system durability: incremental checkpoints + a segmented,
-    group-committed write-ahead log.
+(** Whole-system durability: checkpoints + a segmented, group-committed
+    write-ahead log.
 
     The paper's Subscription Manager keeps its state in MySQL "for
     recovery" (§3.3); this module gives the reproduction the same
@@ -12,10 +12,10 @@
       fsynced before the rename and the directory entry after it, so
       the commit point survives power loss, not just a process kill.
     - [gen-N.snap] — the generation's snapshot: one record per stage,
-      either an inline payload or a [From] reference to the
-      earlier generation whose snapshot last wrote the stage inline
-      (stages not mutated since are carried forward by reference
-      instead of being re-encoded inside the checkpoint pause).
+      its payload inline, except that a stage whose every mutation is
+      journaled ({!set_wal_carried}) may be a [Delta] reference to the
+      earlier generation whose snapshot last wrote it inline, plus the
+      WALs retained since.
     - [gen-N.wal], [gen-N.wal.1], ... — the write-ahead log of
       operations since generation [N]'s snapshot, as bounded segments
       rotated at [config.segment_bytes].  Operations are buffered
@@ -66,14 +66,13 @@ type config = {
 val default_config : config
 (** [{ sync_every = 32; segment_bytes = 4 MiB; fsync = true }] *)
 
-(** A snapshot section: the stage's payload inline, a reference to
-    the earlier generation whose snapshot holds it inline, or a delta
-    — the payload at a base generation plus the stage's journaled ops
-    in the retained WALs of generations base..current (see
-    {!set_wal_carried}).  References never chain — a carried or delta
-    section always points at the generation that wrote the payload,
-    so restore chases at most one indirection per stage. *)
-type section = Inline of string | From of int | Delta of int
+(** A snapshot section: the stage's payload inline, or a delta — the
+    payload at a base generation plus the stage's journaled ops in the
+    retained WALs of generations base..current (see
+    {!set_wal_carried}).  A delta always points at the generation that
+    wrote the payload inline, never at another delta, so restore
+    chases at most one reference per stage. *)
+type section = Inline of string | Delta of int
 
 (** {2 Low-level files} (exposed for the crash-matrix tests) *)
 
@@ -99,12 +98,12 @@ module Snapshot : sig
   val write : ?fsync:bool -> string -> (string * section) list -> unit
   (** Write sections to [path] atomically (temp file, fsync, rename,
       directory fsync), one record per section: the {!Xy_util.Codec}
-      fields (stage, [S], payload) inline, (stage, [F], generation)
-      carried, (stage, [D], generation) delta. *)
+      fields (stage, [S], payload) inline, (stage, [D], generation)
+      delta. *)
 
   val load : string -> ((string * section) list, string) result
   (** Read sections back, verifying every record.  A missing file,
-      a torn or a damaged record is an error.  Carried sections are
+      a torn or a damaged record is an error.  Delta sections are
       returned unresolved. *)
 end
 
@@ -130,8 +129,8 @@ val subscription_log_path : t -> string
 (** Where the subscription log lives inside a durable directory. *)
 
 val journal : t -> stage:string -> string -> unit
-(** Add an op to the transaction in progress and mark [stage] dirty
-    for the next checkpoint.  No-op while {!replaying}. *)
+(** Add an op to the transaction in progress.  A WAL-carried stage's
+    op bytes count toward its delta chain. *)
 
 val commit : t -> unit
 (** Seal the transaction in progress into the group-commit batch; the
@@ -148,83 +147,57 @@ val discard : t -> unit
 (** Drop the transaction in progress {e and} the un-synced
     group-commit batch — models a kill, used by fault injection. *)
 
-val mark_dirty : t -> string -> unit
-(** Mark a stage mutated for carry-forward purposes without
-    journalling an op (for mutations that replay reconstructs by
-    other means, e.g. the deterministic web re-evolved by the "A"
-    system op). *)
-
 val set_wal_carried : t -> string list -> unit
 (** Declare the stages whose {e every} mutation is journaled as an
-    op (never {!mark_dirty} alone).  A dirty WAL-carried stage
-    checkpoints as a [Delta] section — base payload by reference plus
-    the retained WALs since — instead of re-encoding, so the
-    checkpoint pause stays independent of the stage's size.  The
-    chain self-bounds: once the accumulated op bytes outgrow the base
-    payload, the next checkpoint writes a fresh inline payload and
-    the retained WALs are released.  Stages that mix journaled ops
-    with un-journaled mutations must not be declared here — their
-    delta replay would silently miss the un-journaled part. *)
-
-val dirty_stages : t -> string list
-(** Stages marked dirty since the last checkpoint (unordered;
-    diagnostics and tests). *)
-
-val replaying : t -> bool
-(** True while inside {!with_replay} — stages use it to skip
-    re-journalling mutations that are themselves being replayed. *)
-
-val with_replay : t -> (unit -> 'a) -> 'a
+    op.  Once a snapshot holds such a stage's payload inline (its
+    base), later checkpoints write it as a [Delta] section — base
+    payload by reference plus the retained WALs since — instead of
+    re-encoding it, so the checkpoint pause does not pay for the
+    stage's size.  The chain self-bounds: once the op bytes journaled
+    since the base outgrow the base payload, the next checkpoint
+    writes a fresh inline payload and the retained WALs are released.
+    Stages that mutate without journaling an op must not be declared
+    here — their delta replay would silently miss those mutations. *)
 
 val set_fuse : t -> (string -> unit) -> unit
 (** Install a hook consulted at checkpoint and rotation boundaries
-    with a label: ["checkpoint-begin"], ["carry-forward"],
-    ["snapshot-written"], ["wal-created"], ["manifest-committed"],
-    ["rotate"].  Fault injection uses this to kill the process inside
-    every crash window. *)
+    with a label: ["checkpoint-begin"], ["carry-forward"] (only when
+    the checkpoint writes a [Delta] section), ["snapshot-written"],
+    ["wal-created"], ["manifest-committed"], ["rotate"].  Fault
+    injection uses this to kill the process inside every crash
+    window. *)
 
 val set_obs : t -> Xy_obs.Obs.t -> unit
 (** Register durability timings in [obs] under the [durable] stage:
     [checkpoint_pause] and [fsync_batch] wall-clock histograms, and a
     [wal_rotations] counter. *)
 
-val checkpoint :
-  ?force_full:bool -> t -> snapshot:(string * (unit -> string list)) list -> unit
-(** Commit + barrier, then write snapshot [gen+1]: stages dirty since
-    the last checkpoint have their thunk run and the payload written
-    inline — except WAL-carried stages, which write a [Delta]
-    reference while their op bytes stay under the base payload's size
-    — and clean stages are carried forward by reference to the
-    generation that last wrote them inline.  A thunk returns its
-    payload as pieces, written in order under the section's one
-    checksum and never joined, so a stage can hand over cached
-    encodings; a single-string stage returns one piece.  A loaded
-    section is one string ({!Inline}).  [force_full] distrusts
-    [From] references (restore's re-arming mutations are not
-    journaled) but keeps deltas, whose WAL chains are exact by the
-    {!set_wal_carried} contract.  Then a fresh WAL for [gen+1] is
-    created and the directory fsynced, the MANIFEST flips to [gen+1]
-    (the single commit point), and only then are unreferenced older
-    files removed (WAL generations a delta still replays from are
-    retained) — so a kill anywhere in the sequence leaves a directory
-    that restores to a consistent state. *)
+val checkpoint : t -> snapshot:(string * (unit -> string list)) list -> unit
+(** Commit + barrier, then write snapshot [gen+1]: every stage has its
+    thunk run and its payload written inline — except a WAL-carried
+    stage with a base whose op bytes since are still under the base
+    payload's size, which writes a [Delta] reference to its base
+    generation.  A thunk returns its payload as pieces, written in
+    order under the section's one checksum and never joined, so a
+    stage can hand over cached encodings; a single-string stage
+    returns one piece.  A loaded section is one string ({!Inline}).
+    Then a fresh WAL for [gen+1] is created and the directory
+    fsynced, the MANIFEST flips to [gen+1] (the single commit point),
+    and only then are older files removed, except the delta bases'
+    snapshots and the WAL generations a delta still replays from — so
+    a kill anywhere in the sequence leaves a directory that restores
+    to a consistent state. *)
 
 val load_latest :
   t -> ((string * string) list * op list list * tail, string) result
-(** Load the committed generation's snapshot with carried and delta
-    sections resolved (each chases exactly one reference; a delta
-    stage's payload is its base generation's), plus the replayable
-    transactions: the delta stages' ops from the retained WAL
-    generations first, then the current generation's WAL segments,
-    with the current tail verdict.  A brand-new generation 0 with no
-    snapshot file is [Ok ([], txns, tail)]; any later generation
-    without one means the manifest is damaged, an error. *)
-
-val txns_committed : t -> int
-(** Transactions committed to the current WAL (diagnostics). *)
-
-val wal_bytes : t -> int
-(** Bytes synced to the current generation's WAL (diagnostics). *)
+(** Load the committed generation's snapshot with delta sections
+    resolved (each chases exactly one reference: its payload is its
+    base generation's), plus the replayable transactions: the delta
+    stages' ops from the retained WAL generations first, then the
+    current generation's WAL segments, with the current tail verdict.
+    A brand-new generation 0 with no snapshot file is
+    [Ok ([], txns, tail)]; any later generation without one means the
+    manifest is damaged, an error. *)
 
 val wal_segments : t -> int
 (** Segments in the current generation's WAL so far. *)

@@ -36,8 +36,8 @@ type compaction = {
 }
 
 (* One durable stage: its checkpoint section (encoded by a thunk,
-   which [Durable.checkpoint] runs only for a stage journaled since
-   the last checkpoint, into pieces it writes in order) and its
+   which [Durable.checkpoint] runs unless the stage is WAL-carried and
+   written as a delta, into pieces it writes in order) and its
    journaled ops. *)
 type stage = {
   name : string;
@@ -82,8 +82,6 @@ type t = {
   queue : Xy_crawler.Fetch_queue.t;
   crawler : Xy_crawler.Crawler.t;
   mutable manager : Manager.t option;  (** set right after creation *)
-  self_monitor_period : float option;
-  mutable self_monitor_deadline : float option;
   mutable alerts_sent : int;
   durable : Durable.t option;
   mutable stages : stage list;  (** set right after creation *)
@@ -228,26 +226,12 @@ let journal_counters t =
       Codec.int buf ms.Mqp.alerts_processed;
       Codec.int buf ms.Mqp.notifications_emitted)
 
-let journal_self_monitor_deadline t =
-  journal_op t ~stage:system_stage (fun buf ->
-      Codec.string buf "M";
-      match t.self_monitor_deadline with
-      | Some d ->
-          Codec.bool buf true;
-          Codec.float buf d
-      | None -> Codec.bool buf false)
-
 let encode_system t =
   let buf = Buffer.create 64 in
   Codec.float buf (Xy_util.Clock.now t.clock);
   Codec.int buf t.steps_done;
   Codec.bool buf t.mid_step;
   Codec.int buf t.alerts_sent;
-  (match t.self_monitor_deadline with
-  | Some d ->
-      Codec.bool buf true;
-      Codec.float buf d
-  | None -> Codec.bool buf false);
   let ms = Mqp.stats t.mqp in
   Codec.int buf ms.Mqp.alerts_processed;
   Codec.int buf ms.Mqp.notifications_emitted;
@@ -259,8 +243,6 @@ let decode_system t payload =
   t.steps_done <- Codec.read_int r;
   t.mid_step <- Codec.read_bool r;
   t.alerts_sent <- Codec.read_int r;
-  t.self_monitor_deadline <-
-    (if Codec.read_bool r then Some (Codec.read_float r) else None);
   let alerts_processed = Codec.read_int r in
   let notifications_emitted = Codec.read_int r in
   Codec.expect_end r;
@@ -283,9 +265,6 @@ let apply_system_op t payload =
       let alerts_processed = Codec.read_int r in
       let notifications_emitted = Codec.read_int r in
       Mqp.restore_counters t.mqp ~alerts_processed ~notifications_emitted
-  | "M" ->
-      t.self_monitor_deadline <-
-        (if Codec.read_bool r then Some (Codec.read_float r) else None)
   | tag -> raise (Codec.Malformed ("unknown system op " ^ tag)));
   Codec.expect_end r
 
@@ -389,7 +368,7 @@ end
 (* The durable stages in snapshot order, which restore also decodes
    in.  A stage without [apply_op] (the web, re-evolved by the
    journaled advance; the metrics, which move under every transaction)
-   is marked dirty by hand at each [advance].
+   journals nothing; every checkpoint re-encodes it.
 
    Only the reporter is WAL-carried: it is the one stage whose payload
    grows with the subscription population (per-sub report frames),
@@ -463,9 +442,8 @@ let apply_replay_op t { Durable.stage; payload } =
 
 (* ------------------------------------------------------------------ *)
 
-let make ?(seed = 1) ?algorithm ?policy ?sink ?web ?obs ?tracer
-    ?self_monitor_period ?fault_plan ?retry ?slos ?parallel ?serve_config
-    ~durable () =
+let make ?(seed = 1) ?algorithm ?sink ?web ?obs ?tracer ?fault_plan ?slos
+    ?parallel ?serve_config ~durable () =
   (* Wall-clock latencies: xy_obs itself is zero-dependency, so the
      high-resolution (and never-retreating) timer is installed here,
      where unix is linked — once per process, whatever creates first. *)
@@ -553,7 +531,7 @@ let make ?(seed = 1) ?algorithm ?policy ?sink ?web ?obs ?tracer
   in
   let queue = Xy_crawler.Fetch_queue.create ~obs ~clock () in
   let crawler =
-    Xy_crawler.Crawler.create ~obs ~tracer ~faults ~clock ?retry ~web ~queue ()
+    Xy_crawler.Crawler.create ~obs ~tracer ~faults ~clock ~web ~queue ()
   in
   (* The durable directory owns the subscription log. *)
   let persist =
@@ -580,9 +558,6 @@ let make ?(seed = 1) ?algorithm ?policy ?sink ?web ?obs ?tracer
       queue;
       crawler;
       manager = None;
-      self_monitor_period;
-      self_monitor_deadline =
-        Option.map (fun p -> Xy_util.Clock.now clock +. p) self_monitor_period;
       alerts_sent = 0;
       durable;
       stages = [];
@@ -624,7 +599,7 @@ let make ?(seed = 1) ?algorithm ?policy ?sink ?web ?obs ?tracer
     Xy_query.Eval.eval query (Xy_query.Eval.env (warehouse_view t))
   in
   let manager =
-    Manager.create ?policy ?persist ~obs ~clock ~registry ~mqp ~trigger
+    Manager.create ?persist ~obs ~clock ~registry ~mqp ~trigger
       ~reporter ~run_query ()
   in
   t.manager <- Some manager;
@@ -782,17 +757,16 @@ let start t =
   serve_listen t;
   redelivered
 
-let create ?seed ?algorithm ?policy ?sink ?web ?obs ?tracer ?self_monitor_period
-    ?fault_plan ?retry ?slos ?parallel ?serve_port ?serve_config ?durable_dir
-    ?sync_every ?segment_bytes () =
+let create ?seed ?algorithm ?sink ?web ?obs ?tracer ?fault_plan ?slos ?parallel
+    ?serve_port ?serve_config ?durable_dir ?sync_every ?segment_bytes () =
   let serve_config, config =
     prepare ?algorithm ?parallel ?serve_port ?serve_config ?sync_every
       ?segment_bytes ()
   in
   let durable = Option.map (Durable.open_fresh ~config) durable_dir in
   let t =
-    make ?seed ?algorithm ?policy ?sink ?web ?obs ?tracer ?self_monitor_period
-      ?fault_plan ?retry ?slos ?parallel ?serve_config ~durable ()
+    make ?seed ?algorithm ?sink ?web ?obs ?tracer ?fault_plan ?slos ?parallel
+      ?serve_config ~durable ()
   in
   ignore (start t);
   t
@@ -1285,17 +1259,6 @@ let advance t ~seconds =
       Codec.string buf "A";
       Codec.float buf seconds);
   Xy_util.Clock.advance t.clock seconds;
-  (* the stages that journal no ops are marked dirty by hand, or
-     checkpoints would carry a stale section forward: the evolve
-     mutates the web under a *system* op (replay re-draws it from the
-     journaled advance), and the metrics mutate under every
-     transaction *)
-  Option.iter
-    (fun d ->
-      List.iter
-        (fun s -> if Option.is_none s.apply_op then Durable.mark_dirty d s.name)
-        t.stages)
-    t.durable;
   ignore (Xy_crawler.Synthetic_web.evolve t.web ~elapsed:seconds);
   (* newly born pages become crawlable *)
   discover t;
@@ -1303,19 +1266,6 @@ let advance t ~seconds =
   Xy_crawler.Crawler.update_watermark t.crawler;
   Xy_trigger.Trigger_engine.tick t.trigger;
   Xy_reporter.Reporter.tick t.reporter;
-  (match t.self_monitor_period, t.self_monitor_deadline with
-  | Some period, Some deadline ->
-      let now = Xy_util.Clock.now t.clock in
-      if now >= deadline then begin
-        (* One injection per advance even after a long jump — health
-           documents describe the present, there is no backlog to
-           replay. *)
-        let rec next d = if d <= now then next (d +. period) else d in
-        t.self_monitor_deadline <- Some (next deadline);
-        journal_self_monitor_deadline t;
-        ignore (inject_self_monitor_in_txn t)
-      end
-  | _ -> ());
   evaluate_slos t;
   t.mid_step <- true;
   commit_txn t
@@ -1337,11 +1287,11 @@ let run t ~days ~step ~fetch_limit =
 
 type checkpoint_info = { generation : int; compacted_records : int }
 
-let checkpoint ?force_full t =
+let checkpoint t =
   match t.durable with
   | None -> invalid_arg "Xyleme.checkpoint: created without ~durable_dir"
   | Some d ->
-      Durable.checkpoint ?force_full d ~snapshot:(snapshot_sections t);
+      Durable.checkpoint d ~snapshot:(snapshot_sections t);
       let compacted_records = t.compacted_since_checkpoint in
       t.compacted_since_checkpoint <- 0;
       { generation = Durable.generation d; compacted_records }
@@ -1374,9 +1324,8 @@ type restore_info = {
   redelivered_reports : int;
 }
 
-let restore ?seed ?algorithm ?policy ?sink ?web ?obs ?tracer
-    ?self_monitor_period ?fault_plan ?retry ?slos ?parallel ?serve_port
-    ?serve_config ?sync_every ?segment_bytes ~dir () =
+let restore ?seed ?algorithm ?sink ?web ?obs ?tracer ?fault_plan ?slos
+    ?parallel ?serve_port ?serve_config ?sync_every ?segment_bytes ~dir () =
   let serve_config, config =
     prepare ?algorithm ?parallel ?serve_port ?serve_config ?sync_every
       ?segment_bytes ()
@@ -1390,9 +1339,8 @@ let restore ?seed ?algorithm ?policy ?sink ?web ?obs ?tracer
       | Error e -> Error e
       | Ok (sections, txns, wal_tail) -> (
           let t =
-            make ?seed ?algorithm ?policy ?sink ?web ?obs ?tracer
-              ?self_monitor_period ?fault_plan ?retry ?slos ?parallel
-              ?serve_config ~durable:(Some d) ()
+            make ?seed ?algorithm ?sink ?web ?obs ?tracer ?fault_plan ?slos
+              ?parallel ?serve_config ~durable:(Some d) ()
           in
           (* 1. Structure: replay the subscription log.  This rebuilds
              specs, recipients, triggers, atomic/complex events — at
@@ -1425,15 +1373,10 @@ let restore ?seed ?algorithm ?policy ?sink ?web ?obs ?tracer
               (* 5. Checkpoint immediately: the old generation's WAL
                  may end torn, and nothing must ever append after a
                  torn record.  This also opens the new generation's
-                 WAL, which journaling needs.  Forced full: recovery
-                 mutations (replay, re-arming) are not journaled, so
-                 no carried-forward reference can be trusted here —
-                 delta sections are the exception, their stages'
-                 mutations are journaled by contract, so the closing
-                 checkpoint keeps their WAL chains instead of paying
-                 to re-encode the largest stage. *)
-              Durable.checkpoint ~force_full:true d
-                ~snapshot:(snapshot_sections t);
+                 WAL, which journaling needs.  It re-encodes the
+                 queue the re-arming just mutated; the reporter keeps
+                 its delta chain. *)
+              Durable.checkpoint d ~snapshot:(snapshot_sections t);
               (* 6. Hooks, re-sends, socket. *)
               let info =
                 {

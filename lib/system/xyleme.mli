@@ -27,17 +27,14 @@ val monotonic_wall : unit -> float
     with {!Xy_trace.Trace.set_sampling} on {!tracer}).  Its virtual
     clock is bound to this system's simulation clock.
 
-    [self_monitor_period] (virtual seconds) makes {!advance} inject
-    the {!Self_monitor} health documents periodically.
-
     [fault_plan] arms {!Xy_fault.Fault} failure points across the
     pipeline (fetch failures, malformed documents, torn persist
     writes, ...), seeded from [seed]: the same [(seed, fault_plan)]
     pair reproduces the exact same failure schedule, so a faulted run
-    is as replayable as a clean one.  [retry] tunes the crawler's
-    retry/backoff response to those failures
-    ({!Xy_crawler.Crawler.retry_policy}, default
-    {!Xy_crawler.Crawler.default_retry}).  Documents the loader
+    is as replayable as a clean one.  The crawler answers those
+    failures with {!Xy_crawler.Crawler.default_retry}, and the
+    Subscription Manager validates subscriptions against
+    {!Xy_sublang.S_compile.default_policy}.  Documents the loader
     rejects as unparseable (e.g. the [malformed] point fired) are
     quarantined: counted under [fault/quarantined], logged, and
     skipped — never fatal.
@@ -84,14 +81,11 @@ val monotonic_wall : unit -> float
 val create :
   ?seed:int ->
   ?algorithm:Xy_core.Mqp.algorithm ->
-  ?policy:Xy_sublang.S_compile.policy ->
   ?sink:Xy_reporter.Sink.t ->
   ?web:Xy_crawler.Synthetic_web.t ->
   ?obs:Xy_obs.Obs.t ->
   ?tracer:Xy_trace.Trace.t ->
-  ?self_monitor_period:float ->
   ?fault_plan:Xy_fault.Fault.spec ->
-  ?retry:Xy_crawler.Crawler.retry_policy ->
   ?slos:Xy_slo.Slo.objective list ->
   ?parallel:Parallel.config ->
   ?serve_port:int ->
@@ -339,14 +333,14 @@ type checkpoint_info = {
           since the previous checkpoint *)
 }
 
-(** [checkpoint t] snapshots the stages mutated since the last
-    checkpoint into the next generation (unchanged stages are carried
-    forward by reference — the pause is proportional to what actually
-    changed) and starts a fresh WAL.  [force_full] re-encodes every
-    stage inline.  Log compaction does NOT run here: it proceeds in
-    the background, a bounded slice per crawl step.  Raises
-    [Invalid_argument] on a non-durable system. *)
-val checkpoint : ?force_full:bool -> t -> checkpoint_info
+(** [checkpoint t] snapshots every stage into the next generation and
+    starts a fresh WAL.  Each stage is re-encoded, except the
+    reporter, which is written as a delta on its last inline payload
+    while the ops it journaled since are smaller than that payload
+    ({!Xy_durable.Durable.set_wal_carried}).  Log compaction does NOT
+    run here: it proceeds in the background, a bounded slice per crawl
+    step.  Raises [Invalid_argument] on a non-durable system. *)
+val checkpoint : t -> checkpoint_info
 
 type restore_info = {
   generation : int;  (** generation after the post-restore checkpoint *)
@@ -369,14 +363,11 @@ type restore_info = {
 val restore :
   ?seed:int ->
   ?algorithm:Xy_core.Mqp.algorithm ->
-  ?policy:Xy_sublang.S_compile.policy ->
   ?sink:Xy_reporter.Sink.t ->
   ?web:Xy_crawler.Synthetic_web.t ->
   ?obs:Xy_obs.Obs.t ->
   ?tracer:Xy_trace.Trace.t ->
-  ?self_monitor_period:float ->
   ?fault_plan:Xy_fault.Fault.spec ->
-  ?retry:Xy_crawler.Crawler.retry_policy ->
   ?slos:Xy_slo.Slo.objective list ->
   ?parallel:Parallel.config ->
   ?serve_port:int ->

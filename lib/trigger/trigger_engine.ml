@@ -54,7 +54,10 @@ let create ?(obs = Obs.default) ~clock () =
 (* Durability: deadlines are the only periodic state that cannot be
    rebuilt from the subscription log (recovery re-installs triggers
    at [now + period], not at their pre-crash position), so every
-   deadline movement journals (id, deadline) and the run counters. *)
+   deadline movement journals (id, deadline) and the run counters.
+   A cancellation journals nothing: recovery installs exactly the
+   live triggers, so a replayed cancel could only remove a trigger a
+   later registration of the same id installed. *)
 module Codec = Xy_util.Codec
 
 let set_journal t emit = t.journal <- emit
@@ -72,11 +75,6 @@ let journal_deadline t p =
       Codec.string buf "d";
       Codec.string buf p.p_id;
       Codec.float buf p.deadline)
-
-let journal_cancel t id =
-  emit_op t (fun buf ->
-      Codec.string buf "c";
-      Codec.string buf id)
 
 let journal_runs t =
   emit_op t (fun buf ->
@@ -114,8 +112,7 @@ let cancel t ~id =
       (* drop emptied keys: dangling (subscription, tag) entries would
          otherwise accumulate across unsubscribes forever *)
       if !actions = [] then None else Some actions)
-    t.notification_triggers;
-  journal_cancel t id
+    t.notification_triggers
 
 let notify ?trace t ~subscription ~tag =
   match Hashtbl.find_opt t.notification_triggers (subscription, tag) with
@@ -221,7 +218,6 @@ let apply_op t payload =
       let id = Codec.read_string reader in
       let at = Codec.read_float reader in
       ignore (override_deadline t ~id ~at)
-  | "c" -> cancel t ~id:(Codec.read_string reader)
   | "r" ->
       t.periodic_runs <- Codec.read_int reader;
       t.notification_runs <- Codec.read_int reader

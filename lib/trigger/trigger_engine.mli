@@ -62,8 +62,9 @@ val override_deadline : t -> id:string -> at:float -> bool
     deadline), sorted by id. *)
 val deadlines : t -> (string * float) list
 
-(** [set_journal t (Some emit)] journals every deadline movement,
-    cancellation, and run-counter change. *)
+(** [set_journal t (Some emit)] journals every deadline movement and
+    run-counter change.  Cancellations are not journaled: restore
+    installs the live triggers from the subscription log. *)
 val set_journal : t -> (string -> unit) option -> unit
 
 val encode_snapshot : t -> string

@@ -509,7 +509,8 @@ let test_mqp_notifications () =
   Mqp.subscribe mqp ~id:1 (Event_set.of_list [ 10; 20 ]);
   Mqp.subscribe mqp ~id:2 (Event_set.of_list [ 20 ]);
   let received = ref [] in
-  Mqp.on_notify mqp (fun n -> received := n :: !received);
+  Mqp.on_batch mqp (fun alert matched ->
+      List.iter (fun _ -> received := alert :: !received) matched);
   let matched =
     Mqp.process mqp
       { Mqp.url = "http://inria.fr/Xy/"; events = Event_set.of_list [ 10; 20; 30 ];

@@ -513,10 +513,13 @@ report when immediate|}
     | Error e -> Alcotest.fail (Manager.error_to_string e)
   done;
   let notifs = ref [] in
-  Mqp.on_notify (Xyleme.mqp xyleme) (fun n ->
-      notifs :=
-        Printf.sprintf "%d|%s|%s" n.Mqp.complex_id n.Mqp.url n.Mqp.payload
-        :: !notifs);
+  Mqp.on_batch (Xyleme.mqp xyleme) (fun alert matched ->
+      List.iter
+        (fun id ->
+          notifs :=
+            Printf.sprintf "%d|%s|%s" id alert.Mqp.url alert.Mqp.payload
+            :: !notifs)
+        matched);
   let ingested = ref 0 in
   for _round = 1 to 4 do
     let docs =
@@ -1352,40 +1355,6 @@ let test_kill_at_rotation () =
   checkb "clean tail" true (tail = Durable.Clean);
   checki "every synced txn recovered" !killed_at (List.length txns)
 
-let test_carry_forward_depth1 () =
-  with_temp_dir @@ fun dir ->
-  let config = d_config () in
-  let t = Durable.open_fresh ~config dir in
-  let snapshot = [ ("a", fun () -> [ "av" ]); ("b", fun () -> [ "bv" ]) ] in
-  Durable.journal t ~stage:"a" "x";
-  Durable.journal t ~stage:"b" "x";
-  Durable.commit t;
-  Durable.checkpoint t ~snapshot;
-  (* gen 1: both inline *)
-  Durable.journal t ~stage:"a" "x";
-  Durable.commit t;
-  Durable.checkpoint t ~snapshot;
-  (* gen 2: a inline, b carried from 1 *)
-  Durable.checkpoint t ~snapshot;
-  (* gen 3: nothing dirty — both carried, each pointing at the
-     generation that wrote it inline, never at another reference *)
-  (match Durable.Snapshot.load (Filename.concat dir "gen-3.snap") with
-  | Error e -> Alcotest.fail e
-  | Ok sections ->
-      checkb "a points at gen 2" true
-        (List.assoc "a" sections = Durable.From 2);
-      checkb "b points at gen 1, not gen 2" true
-        (List.assoc "b" sections = Durable.From 1));
-  match Durable.open_existing ~config dir with
-  | None -> Alcotest.fail "manifest unreadable"
-  | Some t' -> (
-      match Durable.load_latest t' with
-      | Ok (resolved, [], Durable.Clean) ->
-          checkb "one-hop resolution yields the payloads" true
-            (List.sort compare resolved = [ ("a", "av"); ("b", "bv") ])
-      | Ok _ -> Alcotest.fail "unexpected WAL content"
-      | Error e -> Alcotest.fail e)
-
 (* Kill inside every window of the checkpoint commit sequence; each
    must leave a directory that restores to the pre-kill state (the
    manifest names whichever generation is complete). *)
@@ -1435,9 +1404,38 @@ let test_kill_in_checkpoint_windows () =
               checks (kill_label ^ ": b recovered") "b1"
                 (Hashtbl.find state "b")))
     [
-      "checkpoint-begin"; "carry-forward"; "snapshot-written"; "wal-created";
+      "checkpoint-begin"; "snapshot-written"; "wal-created";
       "manifest-committed";
     ]
+
+(* A stage can change without journaling an op (the web evolves
+   under the system stage's advance op, the metrics move under every
+   transaction): every checkpoint re-encodes it, so a restore never
+   reads an older checkpoint's payload. *)
+let test_unjournaled_change_reencoded () =
+  with_temp_dir @@ fun dir ->
+  let config = d_config () in
+  let t = Durable.open_fresh ~config dir in
+  let model = Hashtbl.create 2 in
+  Hashtbl.replace model "a" "a1";
+  Hashtbl.replace model "b" "b1";
+  let snapshot =
+    [ ("a", fun () -> [ Hashtbl.find model "a" ]);
+      ("b", fun () -> [ Hashtbl.find model "b" ]) ]
+  in
+  Durable.journal t ~stage:"a" "a1";
+  Durable.commit t;
+  Durable.checkpoint t ~snapshot;
+  Hashtbl.replace model "b" "b2";
+  Durable.checkpoint t ~snapshot;
+  match Durable.open_existing ~config dir with
+  | None -> Alcotest.fail "no manifest"
+  | Some t' -> (
+      match Durable.load_latest t' with
+      | Error e -> Alcotest.fail e
+      | Ok (sections, _, _) ->
+          checks "a unchanged" "a1" (List.assoc "a" sections);
+          checks "b re-encoded" "b2" (List.assoc "b" sections))
 
 let test_open_fresh_wipes_orphans () =
   with_temp_dir @@ fun dir ->
@@ -1459,10 +1457,8 @@ let test_open_fresh_wipes_orphans () =
   checkb "only the manifest and the fresh WAL remain" true
     (left = [ "MANIFEST"; "gen-0.wal" ])
 
-(* The incremental-checkpoint correctness property: over ANY
-   interleaving of dirty stages across K checkpoints, restoring from
-   the final incremental snapshot equals restoring from a forced full
-   snapshot (and both equal the mutation model). *)
+(* Random dirty interleavings: each plan is a list of checkpoints, each
+   preceded by a few (stage, new payload) mutations. *)
 let cf_stages = [ "alpha"; "beta"; "gamma"; "delta" ]
 
 let gen_dirty_plan =
@@ -1470,41 +1466,6 @@ let gen_dirty_plan =
     list_size (1 -- 6)
       (list_size (0 -- 4)
          (pair (oneofl cf_stages) (string_size ~gen:(char_range 'a' 'z') (1 -- 12)))))
-
-let qcheck_incremental_equals_full =
-  QCheck.Test.make
-    ~name:"any dirty interleaving: incremental restore = full restore"
-    ~count:60 (QCheck.make gen_dirty_plan)
-    (fun plan ->
-      let run ~force_full dir =
-        let config = d_config () in
-        let t = Durable.open_fresh ~config dir in
-        let model = Hashtbl.create 8 in
-        List.iter (fun s -> Hashtbl.replace model s "initial") cf_stages;
-        let snapshot =
-          List.map (fun s -> (s, fun () -> [ Hashtbl.find model s ])) cf_stages
-        in
-        List.iter
-          (fun muts ->
-            List.iter
-              (fun (s, v) ->
-                Hashtbl.replace model s v;
-                Durable.journal t ~stage:s v)
-              muts;
-            Durable.commit t;
-            Durable.checkpoint ~force_full t ~snapshot)
-          plan;
-        let t' = Option.get (Durable.open_existing ~config dir) in
-        match Durable.load_latest t' with
-        | Ok (sections, [], Durable.Clean) -> List.sort compare sections
-        | Ok _ -> failwith "unexpected WAL content after checkpoint"
-        | Error e -> failwith e
-      in
-      with_temp_dir @@ fun d1 ->
-      with_temp_dir @@ fun d2 ->
-      let incremental = run ~force_full:false d1 in
-      let full = run ~force_full:true d2 in
-      incremental = full && List.length incremental = List.length cf_stages)
 
 (* ------------------------------------------------------------------ *)
 (* WAL-carried delta sections *)
@@ -1531,14 +1492,14 @@ let test_delta_section_lifecycle () =
   Durable.commit t;
   model := !model ^ "d1";
   Durable.checkpoint t ~snapshot;
-  (* gen 2: big is dirty but WAL-carried → delta; small clean → From *)
+  (* gen 2: big is WAL-carried with a base → delta; small inline *)
   (match Durable.Snapshot.load (Filename.concat dir "gen-2.snap") with
   | Error e -> Alcotest.fail e
   | Ok sections ->
       checkb "big is a delta on its gen-1 base" true
         (List.assoc "big" sections = Durable.Delta 1);
-      checkb "small carried from gen 1" true
-        (List.assoc "small" sections = Durable.From 1));
+      checkb "small written inline" true
+        (List.assoc "small" sections = Durable.Inline "sv"));
   checkb "gen-1 WAL retained for the delta chain" true
     (Sys.file_exists (Filename.concat dir "gen-1.wal"));
   Durable.journal t ~stage:"big" "d2";
@@ -1563,7 +1524,7 @@ let test_delta_section_lifecycle () =
           checkb "tail clean" true (tail = Durable.Clean);
           checks "big resolves to its base payload" base
             (List.assoc "big" sections);
-          checks "small resolves through its From" "sv"
+          checks "small resolves inline" "sv"
             (List.assoc "small" sections);
           let ops =
             List.concat txns
@@ -1584,8 +1545,8 @@ let test_delta_section_lifecycle () =
   checkb "retired chain WALs released" true
     (not (Sys.file_exists (Filename.concat dir "gen-1.wal"))
     && not (Sys.file_exists (Filename.concat dir "gen-2.wal")));
-  checkb "gen-1 snapshot still held for small's From" true
-    (Sys.file_exists (Filename.concat dir "gen-1.snap"))
+  checkb "gen-1 snapshot released with the chain" true
+    (not (Sys.file_exists (Filename.concat dir "gen-1.snap")))
 
 (* Kill inside every checkpoint window while a delta section is being
    written: whichever side of the manifest flip the kill lands on,
@@ -1638,9 +1599,9 @@ let test_delta_kill_windows () =
       "manifest-committed";
     ]
 
-(* Restore's closing checkpoint ([force_full]) must keep delta
-   sections — their WAL chains are exact by the set_wal_carried
-   contract — and must not run the stage's encode thunk. *)
+(* Restore's closing checkpoint must keep delta sections — their WAL
+   chains are exact by the set_wal_carried contract — and must not
+   run the stage's encode thunk. *)
 let test_delta_closing_checkpoint () =
   with_temp_dir @@ fun dir ->
   let config = d_config () in
@@ -1663,7 +1624,7 @@ let test_delta_closing_checkpoint () =
       checkb "pending op replayed" true
         (List.concat txns
         |> List.exists (fun o -> o.Durable.payload = "d1")));
-  Durable.checkpoint ~force_full:true t'
+  Durable.checkpoint t'
     ~snapshot:
       [ ("big", fun () -> Alcotest.fail "closing checkpoint ran the encode") ];
   (match Durable.Snapshot.load (Filename.concat dir "gen-2.snap") with
@@ -2010,7 +1971,6 @@ let test_flip_snapshot () =
   let sections =
     [
       ("system", Durable.Inline "state\n");
-      ("warehouse", Durable.From 3);
       ("queue", Durable.Delta 2);
     ]
   in
@@ -2129,12 +2089,12 @@ let () =
             test_segment_damage_classification;
           tc "kill at rotation: synced txns all recovered"
             test_kill_at_rotation;
-          tc "carry-forward references stay depth-1" test_carry_forward_depth1;
           tc "kill inside every checkpoint window"
             test_kill_in_checkpoint_windows;
+          tc "a stage changed without an op is re-encoded"
+            test_unjournaled_change_reencoded;
           tc "open_fresh wipes orphaned generation files"
             test_open_fresh_wipes_orphans;
-          QCheck_alcotest.to_alcotest qcheck_incremental_equals_full;
           tc "delta section lifecycle" test_delta_section_lifecycle;
           tc "delta: kill inside every checkpoint window"
             test_delta_kill_windows;

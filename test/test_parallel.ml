@@ -85,10 +85,13 @@ let run_workload ?fault_plan ?parallel ~rounds () =
     | Error e -> Alcotest.fail (Xy_submgr.Manager.error_to_string e)
   done;
   let notifs = ref [] in
-  Mqp.on_notify (Xyleme.mqp t) (fun n ->
-      notifs :=
-        Printf.sprintf "%d|%s|%s" n.Mqp.complex_id n.Mqp.url n.Mqp.payload
-        :: !notifs);
+  Mqp.on_batch (Xyleme.mqp t) (fun alert matched ->
+      List.iter
+        (fun id ->
+          notifs :=
+            Printf.sprintf "%d|%s|%s" id alert.Mqp.url alert.Mqp.payload
+            :: !notifs)
+        matched);
   for _round = 1 to rounds do
     let docs =
       List.filter_map

@@ -860,6 +860,91 @@ report when immediate|});
   done;
   checkb "some batch fired reports on several documents" true (!most >= 2)
 
+(* The metrics journal no ops, so only a checkpoint that re-encodes
+   them keeps them current: ingests without an [advance] in between
+   must still reach the restored counters. *)
+let test_restore_keeps_unadvanced_metrics () =
+  with_temp_dir @@ fun dir ->
+  let sink, _ = Sink.memory () in
+  let x = Xyleme.create ~seed:1 ~sink ~durable_dir:dir () in
+  let ingest first last =
+    for i = first to last do
+      ignore
+        (Xyleme.ingest x
+           ~url:(Printf.sprintf "http://inria.fr/Xy/%d.xml" i)
+           ~content:(Printf.sprintf "<a>%d</a>" i)
+           ~kind:Loader.Xml)
+    done
+  in
+  let ingested obs =
+    Obs.Snapshot.counter_value (Obs.snapshot obs) ~stage:"system" "ingested"
+  in
+  ingest 1 3;
+  ignore (Xyleme.checkpoint x);
+  ingest 4 9;
+  ignore (Xyleme.checkpoint x);
+  checki "live system/ingested" 9 (ingested (Xyleme.obs x));
+  let sink2, _ = Sink.memory () in
+  match Xyleme.restore ~seed:1 ~sink:sink2 ~obs:(Obs.create ()) ~dir () with
+  | Error e -> Alcotest.failf "restore failed: %s" e
+  | Ok (x', _) -> checki "restored system/ingested" 9 (ingested (Xyleme.obs x'))
+
+(* An [update] since the last checkpoint re-installs the continuous
+   query's trigger under the same id.  Restore installs it from the
+   subscription log, and replaying the WAL must not cancel it: the
+   restored run keeps evaluating the query as an uninterrupted one
+   does. *)
+let test_restore_after_update_keeps_trigger () =
+  let text =
+    {|subscription Museums
+continuous AmsterdamPaintings
+select p/title
+from culture/museum m, m/painting p
+where m/address contains "Amsterdam"
+try daily
+report when immediate|}
+  in
+  let module Trigger = Xy_trigger.Trigger_engine in
+  let runs x = (Trigger.stats (Xyleme.trigger x)).Trigger.periodic_runs in
+  let fresh_web () = Web.generate ~seed:7 ~sites:3 ~pages_per_site:4 () in
+  (* up to the update and one hour past it; returns the live system *)
+  let prefix dir =
+    let sink, _ = Sink.memory () in
+    let x =
+      Xyleme.create ~seed:7 ~sink ~web:(fresh_web ()) ~durable_dir:dir
+        ~sync_every:1 ()
+    in
+    ignore (subscribe_exn x ~owner:"curator" ~text);
+    Xyleme.run_resumable x ~days:1. ~step:Clock.day ~fetch_limit:50;
+    ignore (Xyleme.checkpoint x);
+    (match Xyleme.update x ~name:"Museums" ~owner:"curator" ~text with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail (Xy_submgr.Manager.error_to_string e));
+    Xyleme.advance x ~seconds:3600.;
+    x
+  in
+  let uninterrupted =
+    with_temp_dir @@ fun dir ->
+    let x = prefix dir in
+    let before = runs x in
+    Xyleme.run_resumable x ~days:6. ~step:Clock.day ~fetch_limit:50;
+    runs x - before
+  in
+  checkb "the uninterrupted run evaluates the query" true (uninterrupted > 0);
+  with_temp_dir @@ fun dir ->
+  ignore (prefix dir);
+  let sink2, _ = Sink.memory () in
+  match
+    Xyleme.restore ~seed:7 ~web:(fresh_web ()) ~sink:sink2 ~sync_every:1 ~dir ()
+  with
+  | Error e -> Alcotest.failf "restore failed: %s" e
+  | Ok (x', _) ->
+      checki "the trigger survives the restore" 1
+        (List.length (Trigger.deadlines (Xyleme.trigger x')));
+      let before = runs x' in
+      Xyleme.run_resumable x' ~days:6. ~step:Clock.day ~fetch_limit:50;
+      checki "periodic runs after the restore" uninterrupted (runs x' - before)
+
 (* ------------------------------------------------------------------ *)
 (* The alerter chain's memo of unchanged pages *)
 
@@ -1122,5 +1207,9 @@ let () =
           tc "restore drops a replaced subscription's deadline"
             test_restore_drops_replaced_deadline;
           tc "a crawl batch syncs once" test_crawl_batch_syncs_once;
+          tc "restore keeps metrics checkpointed without an advance"
+            test_restore_keeps_unadvanced_metrics;
+          tc "restore after update keeps a continuous query"
+            test_restore_after_update_keeps_trigger;
         ] );
     ]
