@@ -7,7 +7,6 @@ module Workload = Xy_core.Workload
 module Mqp = Xy_core.Mqp
 module Aes = Xy_core.Aes
 module Aes_compact = Xy_core.Aes_compact
-module Partition = Xy_core.Partition
 module Event_set = Xy_events.Event_set
 
 let docs_for_timing = 200
@@ -349,46 +348,53 @@ let tbl_dist scale =
         { Mqp.url = Printf.sprintf "http://doc%d/" i; events; payload = ""; trace = None; birth = None })
       docs
   in
-  let time_partition part =
-    (* Wall time to push every alert through its route; for the
-       document axis this is the aggregate work, which distribution
-       divides across machines. *)
+  let full = Mqp.create () in
+  Array.iteri (fun id set -> Mqp.subscribe full ~id set) events;
+  (* Wall time to push every alert through [match_alert]: the
+     aggregate work, which distribution divides across machines. *)
+  let time_alerts match_alert =
     time_per_unit ~units:(Array.length alerts) (fun () ->
-        Array.iter (fun alert -> ignore (Partition.process part alert)) alerts)
+        Array.iter (fun alert -> ignore (match_alert alert)) alerts)
   in
+  (* The documents axis: every machine holds all subscriptions and sees
+     1/p of the flow, so one full processor stands for each of them. *)
+  let full_per_doc = time_alerts (Mqp.process full) in
+  let full_memory = Mqp.approx_memory_words full in
+  let row axis partitions ~per_doc ~max_memory =
+    [
+      axis;
+      string_of_int partitions;
+      Printf.sprintf "%.1f" (microseconds per_doc);
+      (* p machines in parallel: on the subscriptions axis every
+         machine sees the full flow, and the sequential measurement
+         sums their work *)
+      Printf.sprintf "%.0f" (float_of_int partitions /. per_doc);
+      Printf.sprintf "%.1f" (megabytes max_memory);
+    ]
+  in
+  let partitions = [ 1; 2; 4; 8 ] in
   let rows =
-    List.concat_map
-      (fun (axis_name, axis) ->
-        List.map
-          (fun partitions ->
-            let part = Partition.create axis ~partitions in
-            Array.iteri (fun id set -> Partition.subscribe part ~id set) events;
-            let per_doc = time_partition part in
-            let memories = Partition.memory_per_partition part in
-            let max_memory = Array.fold_left max 0 memories in
-            (* Per-machine work: on the documents axis each alert
-               visits one partition, so a machine sees 1/p of the
-               flow; on the subscriptions axis every machine sees the
-               full flow but holds 1/p of the structure. *)
-            let per_machine_rate =
-              match axis with
-              | Partition.By_documents ->
-                  float_of_int partitions /. per_doc
-              | Partition.By_subscriptions ->
-                  (* every partition processes all docs, in parallel:
-                     aggregate wall time ~ slowest partition; the
-                     sequential measurement sums them *)
-                  float_of_int partitions /. per_doc
-            in
-            [
-              axis_name;
-              string_of_int partitions;
-              Printf.sprintf "%.1f" (microseconds per_doc);
-              Printf.sprintf "%.0f" per_machine_rate;
-              Printf.sprintf "%.1f" (megabytes max_memory);
-            ])
-          [ 1; 2; 4; 8 ])
-      [ ("documents", Partition.By_documents); ("subscriptions", Partition.By_subscriptions) ]
+    List.map
+      (fun p ->
+        row "documents" p ~per_doc:full_per_doc ~max_memory:full_memory)
+      partitions
+    @ List.map
+        (fun p ->
+          let subsets = Mqp.split full ~parts:p in
+          (* Int.compare, not polymorphic compare: this merge runs once
+             per alert. *)
+          let merged alert =
+            List.sort_uniq Int.compare
+              (Array.fold_left
+                 (fun acc mqp -> List.rev_append (Mqp.process mqp alert) acc)
+                 [] subsets)
+          in
+          row "subscriptions" p ~per_doc:(time_alerts merged)
+            ~max_memory:
+              (Array.fold_left
+                 (fun acc mqp -> max acc (Mqp.approx_memory_words mqp))
+                 0 subsets))
+        partitions
   in
   print_table
     ~title:

@@ -9,7 +9,6 @@
 open Harness
 module Xyleme = Xy_system.Xyleme
 module Parallel = Xy_system.Parallel
-module Partition = Xy_core.Partition
 module Web = Xy_crawler.Synthetic_web
 module Sink = Xy_reporter.Sink
 module Loader = Xy_warehouse.Loader
@@ -146,11 +145,11 @@ let tbl_par_e2e scale =
     List.map
       (fun (domains, axis, label) -> run_config ~scale ~domains ~axis ~label)
       [
-        (1, Partition.By_documents, "domains=1");
-        (2, Partition.By_documents, "domains=2");
-        (4, Partition.By_documents, "domains=4");
-        (8, Partition.By_documents, "domains=8");
-        (4, Partition.By_subscriptions, "subs/domains=4");
+        (1, Parallel.By_documents, "domains=1");
+        (2, Parallel.By_documents, "domains=2");
+        (4, Parallel.By_documents, "domains=4");
+        (8, Parallel.By_documents, "domains=8");
+        (4, Parallel.By_subscriptions, "subs/domains=4");
       ]
   in
   print_table ~title:"batched pipeline rate vs domains (shards = domains)"

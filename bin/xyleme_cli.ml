@@ -197,12 +197,6 @@ let run_simulation ?(trace_every = 0) ?algorithm ?fault_plan
     ?(checkpoint_every = 0) ?kill_after ?(restore = false) ?sync_every
     ?segment_bytes ?slos ?telemetry_port ?serve_port ?(linger = 0.) ?parallel
     ~sites ~days ~subscriptions ~seed () =
-  (* A configuration the system refuses, such as the counting matcher
-     at --domains > 1, is a usage error, not a crash. *)
-  let usage_error msg =
-    Printf.eprintf "xyleme: %s\nTry 'xyleme simulate --help'.\n" msg;
-    exit 2
-  in
   let web = Xy_crawler.Synthetic_web.generate ~seed ~sites ~pages_per_site:8 () in
   let counting_sink, delivered = Xy_reporter.Sink.counting () in
   (* A durable run also writes every delivery into the report ledger
@@ -223,7 +217,6 @@ let run_simulation ?(trace_every = 0) ?algorithm ?fault_plan
         Xy_system.Xyleme.restore ~seed ?algorithm ?fault_plan ~sink ~web
           ?slos ?parallel ?serve_port ?sync_every ?segment_bytes ~dir ()
       with
-      | exception Invalid_argument msg -> usage_error msg
       | Error e ->
           Printf.eprintf "restore failed: %s\n" e;
           exit 1
@@ -244,16 +237,15 @@ let run_simulation ?(trace_every = 0) ?algorithm ?fault_plan
             (Xy_system.Xyleme.steps_done xyleme);
           xyleme
     end
-    else
-      match
+    else begin
+      let xyleme =
         Xy_system.Xyleme.create ~seed ?algorithm ?fault_plan ~sink ~web ?slos
           ?parallel ?serve_port ?durable_dir ?sync_every ?segment_bytes ()
-      with
-      | exception Invalid_argument msg -> usage_error msg
-      | xyleme ->
-          (* the ledger is this command's file: a fresh run clears it *)
-          Option.iter (fun p -> if Sys.file_exists p then Sys.remove p) ledger;
-          xyleme
+      in
+      (* the ledger is this command's file: a fresh run clears it *)
+      Option.iter (fun p -> if Sys.file_exists p then Sys.remove p) ledger;
+      xyleme
+    end
   in
   (* Stderr, not stdout: convergence checks diff the stats lines of a
      served run against a plain one. *)
@@ -591,10 +583,10 @@ let axis_arg =
     & opt
         (enum
            [
-             ("docs", Xy_core.Partition.By_documents);
-             ("subs", Xy_core.Partition.By_subscriptions);
+             ("docs", Xy_system.Parallel.By_documents);
+             ("subs", Xy_system.Parallel.By_subscriptions);
            ])
-        Xy_core.Partition.By_documents
+        Xy_system.Parallel.By_documents
     & info [ "axis" ] ~docv:"AXIS"
         ~doc:
           "Distribution axis of the parallel pipeline (paper §4.2): \

@@ -2,7 +2,6 @@ type t = {
   postings : (int, int list ref) Hashtbl.t;  (** event -> complex ids *)
   arity : (int, int) Hashtbl.t;
   registered : (int, Xy_events.Event_set.t) Hashtbl.t;
-  counters : (int, int) Hashtbl.t;  (** scratch, cleared per match *)
 }
 
 let name = "counting"
@@ -12,7 +11,6 @@ let create () =
     postings = Hashtbl.create 1024;
     arity = Hashtbl.create 1024;
     registered = Hashtbl.create 1024;
-    counters = Hashtbl.create 256;
   }
 
 let add t ~id events =
@@ -49,8 +47,10 @@ let events t ~id =
 
 let iter t f = Hashtbl.iter (fun id events -> f ~id events) t.registered
 
+(* The counters are the call's own, so matching never writes the
+   structure and runs on several domains at once. *)
 let match_set t s =
-  Hashtbl.reset t.counters;
+  let counters = Hashtbl.create 256 in
   let acc = ref [] in
   Array.iter
     (fun code ->
@@ -59,8 +59,8 @@ let match_set t s =
       | Some ids ->
           List.iter
             (fun id ->
-              let count = 1 + Option.value ~default:0 (Hashtbl.find_opt t.counters id) in
-              Hashtbl.replace t.counters id count;
+              let count = 1 + Option.value ~default:0 (Hashtbl.find_opt counters id) in
+              Hashtbl.replace counters id count;
               if count = Hashtbl.find t.arity id then acc := id :: !acc)
             !ids)
     s;

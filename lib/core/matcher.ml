@@ -4,7 +4,7 @@
     ordered set of atomic-event codes, identified by an integer id —
     and answers, for each incoming ordered event set [S], the ids of
     every complex event [c ⊆ S] (§4.1: determine
-    [{i | c_i ⊆ S_j}]).  Three implementations are provided:
+    [{i | c_i ⊆ S_j}]).  Four implementations are provided:
 
     - {!Aes}: the paper's "Atomic Event Sets" hash-tree (§4.2);
     - {!Aes_compact}: the same algorithm over a frozen flat-array
@@ -39,11 +39,12 @@ module type S = sig
 
   (** [iter t f] applies [f] to every registered complex event, in
       unspecified order.  Used for bulk export — e.g. re-freezing a
-      compacted structure or re-partitioning a subscription set. *)
+      compacted structure or splitting a subscription set. *)
   val iter : t -> (id:int -> Xy_events.Event_set.t -> unit) -> unit
 
   (** [match_set t s] is the sorted list of ids of complex events
-      included in [s]. *)
+      included in [s].  It does not write [t], so several domains may
+      match against one structure at once. *)
   val match_set : t -> Xy_events.Event_set.t -> int list
 
   (** [complex_count t] is Card(C). *)

@@ -33,6 +33,7 @@ type metrics = {
 }
 
 type t = {
+  algorithm : algorithm;
   matcher : packed;
   compact : Aes_compact.t option;
       (** the same instance as [matcher] when the algorithm is
@@ -42,8 +43,8 @@ type t = {
   mutable alerts_processed : int;
   mutable notifications_emitted : int;
   mutable mutations : int;
-      (** subscribe/unsubscribe count — a cheap epoch the parallel
-          pipeline uses to invalidate derived per-shard matchers *)
+      (** subscribe/unsubscribe count — a cheap epoch for
+          invalidating a {!split} *)
   metrics : metrics;
 }
 
@@ -63,6 +64,7 @@ let create ?(algorithm = Use_aes) ?(obs = Obs.default) () =
     | Use_counting -> (pack (module Counting), None)
   in
   {
+    algorithm;
     matcher;
     compact;
     batch_listeners = [];
@@ -107,14 +109,26 @@ let iter_complex t f =
   let (Packed ((module M), m)) = t.matcher in
   M.iter m f
 
+(* The subscription axis of §4.2: complex event [id] goes to subset
+   [id mod parts].  Each subset instruments into its own scratch
+   registry, so that it never shadows the processor's metrics. *)
+let split t ~parts =
+  if parts <= 0 then invalid_arg "Mqp.split: parts <= 0";
+  let subsets =
+    Array.init parts (fun _ ->
+        create ~algorithm:t.algorithm ~obs:(Obs.create ()) ())
+  in
+  iter_complex t (fun ~id events ->
+      subscribe subsets.(id mod parts) ~id events);
+  Array.iter freeze subsets;
+  subsets
+
 (* Bare matching against the structure: no metrics, no stats, no
-   listeners.  Safe to call from several domains at once as long as no
-   concurrent subscribe/unsubscribe runs AND the algorithm's
-   [match_set] is read-only (aes, aes-compact, naive; NOT counting,
-   whose scratch counters are part of the structure, so the system
-   keeps counting serial).  The matchers' internal probe counters are
-   plain fields, so concurrent readers may undercount probes; they
-   never corrupt the structure. *)
+   listeners.  Every matcher is read-only under [match_set], so this
+   is safe from several domains at once while no subscribe/unsubscribe
+   runs.  The matchers' internal probe counters are plain fields, so
+   concurrent readers may undercount probes; they never corrupt the
+   structure. *)
 let match_readonly t events =
   let (Packed ((module M), m)) = t.matcher in
   M.match_set m events

@@ -74,12 +74,10 @@ val process : t -> alert -> int list
     the serial totals. *)
 
 (** [match_readonly t events] is the bare sorted match list: no
-    metrics, no stats, no listeners, no span.  Safe to call
-    concurrently from several domains provided no
-    subscribe/unsubscribe runs meanwhile and the algorithm's matcher
-    is read-only under [match_set]: aes, aes-compact and naive are;
-    counting is not (its per-call scratch counters live in the
-    structure), so counting never runs on more than one domain. *)
+    metrics, no stats, no listeners, no span.  Every matcher is
+    read-only under [match_set], so this is safe to call concurrently
+    from several domains provided no subscribe/unsubscribe runs
+    meanwhile. *)
 val match_readonly : t -> Xy_events.Event_set.t -> int list
 
 (** [match_alert t alert] is [(matched, latency)]: {!match_readonly}
@@ -98,14 +96,25 @@ val dispatch_matched :
   t -> alert -> matched:int list -> latency:float -> int list
 
 (** [iter_complex t f] applies [f] to every registered complex event
-    (unspecified order) — bulk export for building derived per-shard
-    matchers. *)
+    (unspecified order) — bulk export, e.g. for an oracle matcher. *)
 val iter_complex : t -> (id:int -> Xy_events.Event_set.t -> unit) -> unit
 
 (** [mutations t] counts subscribes + unsubscribes over the processor's
-    lifetime — a cheap epoch for invalidating matchers derived with
-    {!iter_complex}. *)
+    lifetime — a cheap epoch for invalidating a {!split} or another
+    matcher derived with {!iter_complex}. *)
 val mutations : t -> int
+
+(** [split t ~parts] is the memory axis of the paper's §4.2 ("split
+    the subscriptions into several partitions and assign a Monitoring
+    Query Processor to each block"): [parts] frozen processors of
+    [t]'s algorithm that hold [t]'s complex events between them,
+    complex event [id] in subset [id mod parts].  Each instruments
+    into its own scratch registry.  Matching an event set against
+    every subset and merging the sorted lists gives {!match_readonly}
+    on [t].  The subsets are a copy: later subscribes and
+    unsubscribes on [t] do not reach them ({!mutations} tells when to
+    split again).  Raises [Invalid_argument] on [parts <= 0]. *)
+val split : t -> parts:int -> t array
 
 (** [on_batch t f] installs a batch listener: [f alert matched] is
     called once per processed alert with the full (sorted) match list

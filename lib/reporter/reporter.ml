@@ -213,12 +213,13 @@ let journal_deadline t subscription state =
           Codec.float buf d
       | None -> Codec.bool buf false)
 
+(* The deadline a registration of [spec] starts with: one period from
+   now, when [spec] has a frequency disjunct. *)
+let fresh_deadline t spec =
+  Option.map (fun s -> Xy_util.Clock.now t.clock +. s) (shortest_frequency spec)
+
 let register t ~subscription ~recipient spec =
-  let deadline =
-    Option.map
-      (fun s -> Xy_util.Clock.now t.clock +. s)
-      (shortest_frequency spec)
-  in
+  let deadline = fresh_deadline t spec in
   let state, previous =
     match Hashtbl.find_opt t.subscriptions subscription with
     | Some state ->
@@ -269,13 +270,24 @@ let remove_recipient t ~subscription ~recipient =
       state.recipients <- List.filter (fun r -> r <> recipient) state.recipients
   | None -> ()
 
+(* The [u] op tells replay that the state journaled under this name so
+   far belongs to a registration that is gone: a restore registers the
+   name's latest spec first, and must not hand it its predecessor's
+   state.  The op is committed and synced at once, before the
+   subscription log can record the name's next insert: a restore that
+   found the insert without the op would hand the new registration the
+   old one's state. *)
 let unregister t ~subscription =
   match Hashtbl.find_opt t.subscriptions subscription with
   | Some state ->
       set_buffered t state 0;
       Hashtbl.remove t.subscriptions subscription;
       t.by_name <- None;
-      t.timed <- Names.remove subscription t.timed
+      t.timed <- Names.remove subscription t.timed;
+      emit_op t (fun buf ->
+          Codec.string buf "u";
+          Codec.string buf subscription);
+      commit_now t
   | None -> ()
 
 let tag_count state tag =
@@ -790,6 +802,20 @@ let apply_op t payload =
       let name = Codec.read_string r in
       with_state name (fun state ->
           state.pending_rate_limited <- true;
+          touch t name state)
+  | "u" ->
+      (* The registration that follows starts afresh, its deadline
+         re-armed from the registered spec as [register] would: its
+         own [p] op, if it reached the disk, corrects it. *)
+      let name = Codec.read_string r in
+      with_state name (fun state ->
+          state.buffer <- [];
+          set_buffered t state 0;
+          state.tag_counts <- [];
+          state.last_report_at <- None;
+          state.pending_rate_limited <- false;
+          state.archive <- [];
+          state.periodic_deadline <- fresh_deadline t state.spec;
           touch t name state)
   | "g" ->
       let name = Codec.read_string r in

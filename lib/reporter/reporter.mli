@@ -36,7 +36,13 @@ val add_recipient : t -> subscription:string -> recipient:string -> unit
     recipient (virtual unsubscription); no-op when unknown. *)
 val remove_recipient : t -> subscription:string -> recipient:string -> unit
 
-(** [unregister t ~subscription] drops the buffer, spec and archive. *)
+(** [unregister t ~subscription] drops the buffer, spec and archive,
+    and journals a [u] op: replaying it clears the name's dynamic state
+    (buffer, tag counts, last report time, held-back flag, archive,
+    deadline, re-armed from the spec) but keeps its spec and
+    recipients, so that a restore does not hand a replacement
+    registered under the same name its predecessor's state.  The op is
+    committed through the [commit] hook at once. *)
 val unregister : t -> subscription:string -> unit
 
 (** [notify t ~subscription notification] buffers a notification and
@@ -93,8 +99,8 @@ val archived : t -> subscription:string -> Xy_xml.Types.element list
 (** [set_persistence t ~journal ~commit] attaches the durable hooks:
     [journal] buffers an op into the current transaction, [commit]
     makes the transaction durable ({!redeliver_pending} calls it after
-    acking; the fire path defers to the host instead).  Pass [None] to
-    detach. *)
+    acking, {!unregister} after its op; the fire path defers to the
+    host instead).  Pass [None] to detach. *)
 val set_persistence :
   t -> journal:(string -> unit) option -> commit:(unit -> unit) option -> unit
 

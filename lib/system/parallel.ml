@@ -1,14 +1,23 @@
-module Partition = Xy_core.Partition
 module Obs = Xy_obs.Obs
 module Trace = Xy_trace.Trace
+
+type axis = By_documents | By_subscriptions
 
 type config = {
   domains : int;  (** an upper bound on the pool workers a batch uses *)
   shards : int;  (** subscription subsets under [By_subscriptions] *)
-  axis : Partition.axis;
+  axis : axis;
 }
 
-let default_config = { domains = 1; shards = 1; axis = Partition.By_documents }
+let default_config = { domains = 1; shards = 1; axis = By_documents }
+
+(* The document-flow placement of §4.2: FNV-1a of the URL, folded into
+   [workers].  Pure, so one URL's versions always reach one worker. *)
+let slot_of_url ~workers url =
+  Int64.to_int
+    (Int64.rem
+       (Int64.logand (Xy_util.Hashing.fnv1a64 url) Int64.max_int)
+       (Int64.of_int workers))
 
 let pool_size = max 1 (Domain.recommended_domain_count () - 1)
 let workers (config : config) = min config.domains pool_size
@@ -103,7 +112,7 @@ let run (config : config) ?(obs = Obs.default) ~docs ~kill ~url_of ~trace_of
   let m_respawns = Obs.counter obs ~stage:"fault" "worker_respawns" in
   let k = workers config in
   let slot_of =
-    Array.map (fun d -> Partition.slot_of_url ~partitions:k (url_of d)) docs
+    Array.map (fun d -> slot_of_url ~workers:k (url_of d)) docs
   in
   let cells = Array.init len (fun _ -> Atomic.make None) in
   (* Per slot: the next document index the slot's worker looks at.

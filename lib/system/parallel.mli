@@ -21,18 +21,28 @@
     apply strictly in batch order, so a parallel run is
     observationally identical to the serial loop.
 
-    Both of the paper's §4.2 distribution axes
-    ({!Xy_core.Partition.axis}) are the caller's matching choice:
-    [By_documents] matches each alert against the one shared
-    subscription set, [By_subscriptions] against [shards] disjoint
-    subsets in turn, merging the partial matches. *)
+    Both of the paper's §4.2 distribution axes are the caller's
+    matching choice: [By_documents] matches each alert against the one
+    shared subscription set, [By_subscriptions] against [shards]
+    disjoint subsets ({!Xy_core.Mqp.split}) in turn, merging the
+    partial matches.  Every matcher runs under either axis and any
+    number of domains. *)
+
+(** The paper's two directions of distribution (§4.2). *)
+type axis =
+  | By_documents
+      (** "split the flow of documents": every worker matches against
+          all subscriptions *)
+  | By_subscriptions
+      (** "split the subscriptions": each alert is matched against
+          every subset and the matches are merged *)
 
 type config = {
   domains : int;  (** an upper bound on the pool workers a batch uses *)
   shards : int;
       (** subscription subsets under [By_subscriptions]; unused under
           [By_documents] *)
-  axis : Xy_core.Partition.axis;
+  axis : axis;
 }
 
 (** [domains = 1]: callers treat a single domain as "stay serial". *)

@@ -8,7 +8,6 @@ module Store = Xy_warehouse.Store
 module Chain = Xy_alerters.Chain
 module Alert = Xy_alerters.Alert
 module Mqp = Xy_core.Mqp
-module Partition = Xy_core.Partition
 module Manager = Xy_submgr.Manager
 module Obs = Xy_obs.Obs
 module Trace = Xy_trace.Trace
@@ -54,14 +53,6 @@ type stage = {
    its own stripe of them. *)
 type worker_ctx = { wc_loader : Loader.t; wc_chain : Chain.t }
 
-(* Subscription-axis shard subsets, cached across batches and
-   invalidated by the MQP's subscribe/unsubscribe epoch. *)
-type shard_cache = {
-  sc_shards : int;
-  sc_epoch : int;
-  sc_mqps : Mqp.t array;
-}
-
 type t = {
   obs : Obs.t;
   tracer : Trace.t;
@@ -103,10 +94,14 @@ type t = {
   slo_breached : (string, bool) Hashtbl.t;
       (** last injected status per objective: an SLO document is
           (re-)ingested only when the status flips, not every tick *)
-  algorithm : Mqp.algorithm;
-  mutable parallel : Parallel.config;
-  mutable worker_ctxs : worker_ctx array;
-  mutable shard_cache : shard_cache option;
+  parallel : Parallel.config;
+  worker_ctxs : worker_ctx array Lazy.t;
+      (** forced at the first parallel batch, on this domain:
+          [Chain.create] registers registry listeners and instruments,
+          and neither registry is thread-safe for that *)
+  mutable subsets : (int * Mqp.t array) option;
+      (** the subscription axis's {!Mqp.split} and the
+          {!Mqp.mutations} epoch it was built at *)
   mutable view : (int * T.element) option;
       (** the warehouse view and the store mutation count it was built
           at: the continuous queries due in one tick share one build *)
@@ -409,8 +404,9 @@ let stage_table t =
        must also be a sync barrier: a group-commit batch lost at a
        kill may never contain a delivery intent whose report was sent.
        The fire path itself defers sink invocation to [commit_txn]'s
-       flush; this hook only serves [redeliver_pending] during
-       restore. *)
+       flush; this hook serves [redeliver_pending] during restore and
+       syncs an unregistration's op before the subscription log moves
+       on. *)
     stage "reporter" ~wal_carried:true
       (fun () -> Reporter.snapshot_pieces t.reporter)
       (Reporter.decode_snapshot t.reporter)
@@ -443,7 +439,7 @@ let apply_replay_op t { Durable.stage; payload } =
 (* ------------------------------------------------------------------ *)
 
 let make ?(seed = 1) ?algorithm ?sink ?web ?obs ?tracer ?fault_plan ?slos
-    ?parallel ?serve_config ~durable () =
+    ?(parallel = Parallel.default_config) ?serve_config ~durable () =
   (* Wall-clock latencies: xy_obs itself is zero-dependency, so the
      high-resolution (and never-retreating) timer is installed here,
      where unix is linked — once per process, whatever creates first. *)
@@ -575,10 +571,15 @@ let make ?(seed = 1) ?algorithm ?sink ?web ?obs ?tracer ?fault_plan ?slos
         | None | Some [] -> None
         | Some objectives -> Some (Slo.create objectives));
       slo_breached = Hashtbl.create 8;
-      algorithm = Option.value ~default:Mqp.Use_aes algorithm;
-      parallel = Option.value ~default:Parallel.default_config parallel;
-      worker_ctxs = [||];
-      shard_cache = None;
+      parallel;
+      worker_ctxs =
+        lazy
+          (Array.init (Parallel.workers parallel) (fun _ ->
+               {
+                 wc_loader = Loader.create ~domains ~obs ~store ~clock ();
+                 wc_chain = Chain.create ~obs registry;
+               }));
+      subsets = None;
       view = None;
       serve_cell;
     }
@@ -605,18 +606,9 @@ let make ?(seed = 1) ?algorithm ?sink ?web ?obs ?tracer ?fault_plan ?slos
   t.manager <- Some manager;
   t
 
-(* The counting matcher writes its per-call counters into the
-   structure, so it cannot match on several domains at once. *)
-let check_parallel ?(algorithm = Mqp.Use_aes)
-    ?(parallel = Parallel.default_config) () =
-  if algorithm = Mqp.Use_counting && parallel.Parallel.domains > 1 then
-    invalid_arg "the counting matcher runs serially only (parallel domains > 1)"
-
-(* The checks and configurations [create] and [restore] share, before
-   either touches the directory. *)
-let prepare ?algorithm ?parallel ?serve_port ?serve_config ?sync_every
-    ?segment_bytes () =
-  check_parallel ?algorithm ?parallel ();
+(* The configurations [create] and [restore] share, before either
+   touches the directory. *)
+let prepare ?serve_port ?serve_config ?sync_every ?segment_bytes () =
   let d = Durable.default_config in
   ( (match serve_port with
     | Some port when Option.is_none serve_config -> Some (Serve.config ~port ())
@@ -626,12 +618,6 @@ let prepare ?algorithm ?parallel ?serve_port ?serve_config ?sync_every
       Durable.sync_every = Option.value ~default:d.Durable.sync_every sync_every;
       segment_bytes = Option.value ~default:d.Durable.segment_bytes segment_bytes;
     } )
-
-let parallel_config t = t.parallel
-
-let set_parallel t config =
-  check_parallel ~algorithm:t.algorithm ~parallel:config ();
-  t.parallel <- config
 
 let obs t = t.obs
 let tracer t = t.tracer
@@ -760,8 +746,7 @@ let start t =
 let create ?seed ?algorithm ?sink ?web ?obs ?tracer ?fault_plan ?slos ?parallel
     ?serve_port ?serve_config ?durable_dir ?sync_every ?segment_bytes () =
   let serve_config, config =
-    prepare ?algorithm ?parallel ?serve_port ?serve_config ?sync_every
-      ?segment_bytes ()
+    prepare ?serve_port ?serve_config ?sync_every ?segment_bytes ()
   in
   let durable = Option.map (Durable.open_fresh ~config) durable_dir in
   let t =
@@ -958,45 +943,16 @@ let ingest_missing ?trace t ~url =
    strictly in batch order, so both modes emit the same notifications
    in the same order and journal the same ops. *)
 
-let worker_ctxs t ~workers =
-  if Array.length t.worker_ctxs <> workers then
-    (* Built on this domain: [Chain.create] registers registry
-       listeners and instruments, and neither registry is thread-safe
-       for that.  Rebuilt only when the worker count changes (stale
-       ctx chains stay registered as listeners — idle, they just track
-       subscription changes). *)
-    t.worker_ctxs <-
-      Array.init workers (fun _ ->
-          {
-            wc_loader =
-              Loader.create ~domains:t.domains ~obs:t.obs ~store:t.store
-                ~clock:t.clock ();
-            wc_chain = Chain.create ~obs:t.obs t.registry;
-          });
-  t.worker_ctxs
-
-(* The subscription axis's per-shard subsets (id modulo the shard
-   count), cached until the shard count or the subscription set
-   changes. *)
-let subscription_subsets t ~shards =
+(* The subscription axis's subsets, split again only once the
+   subscription set has changed. *)
+let subscription_subsets t =
   let epoch = Mqp.mutations t.mqp in
-  match t.shard_cache with
-  | Some c when c.sc_shards = shards && c.sc_epoch = epoch -> c.sc_mqps
+  match t.subsets with
+  | Some (at, subsets) when at = epoch -> subsets
   | _ ->
-      (* Scratch registry: subset instruments must not shadow the real
-         processor's metrics. *)
-      let scratch = Obs.create () in
-      let mqps =
-        Array.init shards (fun _ ->
-            Mqp.create ~algorithm:t.algorithm ~obs:scratch ())
-      in
-      Mqp.iter_complex t.mqp (fun ~id events ->
-          Mqp.subscribe
-            mqps.(Partition.slot_of_subscription ~partitions:shards id)
-            ~id events);
-      Array.iter Mqp.freeze mqps;
-      t.shard_cache <- Some { sc_shards = shards; sc_epoch = epoch; sc_mqps = mqps };
-      mqps
+      let subsets = Mqp.split t.mqp ~parts:t.parallel.Parallel.shards in
+      t.subsets <- Some (epoch, subsets);
+      subsets
 
 (* A document's synchronous journey ends with its transaction, sealed
    into the group-commit batch without a sync: the reports it fired
@@ -1038,14 +994,13 @@ let process_batch t ~conclude docs =
        and journals at draw time and neither is multi-domain safe.
        The kill flag rides the document to its worker instead. *)
     let kill = Array.map (fun _ -> Fault.fire t.faults "worker") docs in
-    let ctxs = worker_ctxs t ~workers:(Parallel.workers config) in
+    let ctxs = Lazy.force t.worker_ctxs in
     (* Read-only from every worker: the one subscription set, or the
        subscription axis's subsets, matched in turn and merged. *)
     let matchers =
       match config.Parallel.axis with
-      | Partition.By_documents -> [| t.mqp |]
-      | Partition.By_subscriptions ->
-          subscription_subsets t ~shards:config.Parallel.shards
+      | Parallel.By_documents -> [| t.mqp |]
+      | Parallel.By_subscriptions -> subscription_subsets t
     in
     let match_alert alert =
       let partials, latency =
@@ -1327,8 +1282,7 @@ type restore_info = {
 let restore ?seed ?algorithm ?sink ?web ?obs ?tracer ?fault_plan ?slos
     ?parallel ?serve_port ?serve_config ?sync_every ?segment_bytes ~dir () =
   let serve_config, config =
-    prepare ?algorithm ?parallel ?serve_port ?serve_config ?sync_every
-      ?segment_bytes ()
+    prepare ?serve_port ?serve_config ?sync_every ?segment_bytes ()
   in
   match Durable.open_existing ~config dir with
   | None when Sys.file_exists (Filename.concat dir "MANIFEST") ->

@@ -58,12 +58,10 @@ val monotonic_wall : unit -> float
     out over up to that many pool workers, which load, detect and
     match along the chosen §4.2 [axis] ([shards] subscription subsets
     under [By_subscriptions]).  The default
-    ({!Parallel.default_config}) stays serial.  Either way
-    the observable behaviour is identical — notifications, reports and
-    journal ops come out in the serial order.  Only matchers that are
-    read-only while matching run on several domains: [create] raises
-    [Invalid_argument] for {!Xy_core.Mqp.Use_counting} with
-    [domains > 1].
+    ({!Parallel.default_config}) stays serial.  Either way, and with
+    any [algorithm], the observable behaviour is identical —
+    notifications, reports and journal ops come out in the serial
+    order.
 
     [sync_every] sets the WAL group-commit batch size (transactions
     per fsync, default 32; [1] syncs every commit) and
@@ -95,14 +93,6 @@ val create :
   ?segment_bytes:int ->
   unit ->
   t
-
-(** [parallel_config t] is the pipeline configuration in force;
-    [set_parallel] replaces it (takes effect at the next batch), and
-    raises [Invalid_argument], keeping the old one, for a counting
-    system at [domains > 1]. *)
-val parallel_config : t -> Parallel.config
-
-val set_parallel : t -> Parallel.config -> unit
 
 (** {2 Component access} *)
 
@@ -186,10 +176,16 @@ val durable_dir : t -> string option
 val subscribe :
   t -> owner:string -> text:string -> (string, Xy_submgr.Manager.error) result
 
+(** [unsubscribe t ~name] tears a subscription down.  A durable system
+    syncs the WAL before it returns (one fsync), so that a restore
+    never hands a later subscription of the same name this one's
+    reporter state. *)
 val unsubscribe : t -> name:string -> (unit, Xy_submgr.Manager.error) result
 
 (** [update t ~name ~owner ~text] replaces an installed subscription;
-    the old one survives any validation failure. *)
+    the old one survives any validation failure.  A durable system
+    syncs the WAL between the teardown and the re-install, as
+    {!unsubscribe} does. *)
 val update :
   t -> name:string -> owner:string -> text:string -> (unit, Xy_submgr.Manager.error) result
 
@@ -357,9 +353,8 @@ type restore_info = {
     committed transactions, re-arms in-flight fetches, checkpoints
     into a fresh generation, and re-delivers unacked reports.  The
     configuration arguments must match the original [create] call
-    (they are not persisted) and are checked as [create] checks them.
-    [Error _] when [dir] holds no durable run or its state is damaged
-    beyond the WAL's torn tail. *)
+    (they are not persisted).  [Error _] when [dir] holds no durable
+    run or its state is damaged beyond the WAL's torn tail. *)
 val restore :
   ?seed:int ->
   ?algorithm:Xy_core.Mqp.algorithm ->

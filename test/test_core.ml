@@ -1,5 +1,5 @@
 (* Tests for xy_core: the Atomic Event Sets matcher, its baselines,
-   the MQP wrapper and partitioned processing.  The central oracle is
+   the MQP wrapper and its subscription split.  The central oracle is
    agreement of all three matchers on random workloads. *)
 
 module Event_set = Xy_events.Event_set
@@ -10,7 +10,6 @@ module Aes_compact = Xy_core.Aes_compact
 module Naive = Xy_core.Naive
 module Counting = Xy_core.Counting
 module Mqp = Xy_core.Mqp
-module Partition = Xy_core.Partition
 module Workload = Xy_core.Workload
 
 let checkb = Alcotest.(check bool)
@@ -576,64 +575,46 @@ let test_mqp_algorithm_names () =
   checkb "unknown name rejected" true (Mqp.algorithm_of_name "nope" = None)
 
 (* ------------------------------------------------------------------ *)
-(* Partitioning *)
+(* The subscription split (§4.2's memory axis) *)
 
-let test_partition_by_documents_equivalent () =
+(* Whatever the algorithm and the number of parts, the subsets'
+   merged matches are the whole processor's. *)
+let test_split_matches_whole () =
   let workload = { Workload.card_a = 300; card_c = 200; b = 3; s = 20 } in
-  let reference = Workload.load_mqp workload ~seed:2 in
-  let part = Partition.create Partition.By_documents ~partitions:4 in
-  Array.iteri
-    (fun id events -> Partition.subscribe part ~id events)
-    (Workload.complex_events workload ~seed:2);
   let docs = Workload.document_sets workload ~seed:3 ~count:40 in
-  Array.iteri
-    (fun i events ->
-      let alert =
-        { Mqp.url = Printf.sprintf "http://site%d/" i; events; payload = ""; trace = None; birth = None }
-      in
-      check_ids "same matches" (Mqp.process reference alert)
-        (Partition.process part alert))
-    docs
+  List.iter
+    (fun algorithm ->
+      let whole = Workload.load_mqp ~algorithm workload ~seed:2 in
+      List.iter
+        (fun parts ->
+          let subsets = Mqp.split whole ~parts in
+          checki "parts" parts (Array.length subsets);
+          checki "every complex event in one subset" (Mqp.complex_count whole)
+            (Array.fold_left (fun n m -> n + Mqp.complex_count m) 0 subsets);
+          Array.iter
+            (fun events ->
+              check_ids
+                (Printf.sprintf "%s/%d: same matches"
+                   (Mqp.algorithm_name_of algorithm) parts)
+                (Mqp.match_readonly whole events)
+                (List.sort Int.compare
+                   (List.concat_map
+                      (fun m -> Mqp.match_readonly m events)
+                      (Array.to_list subsets))))
+            docs)
+        [ 1; 2; 4; 8 ])
+    Mqp.algorithms
 
-let test_partition_by_subscriptions_equivalent () =
-  let workload = { Workload.card_a = 300; card_c = 200; b = 3; s = 20 } in
-  let reference = Workload.load_mqp workload ~seed:2 in
-  let part = Partition.create Partition.By_subscriptions ~partitions:4 in
-  Array.iteri
-    (fun id events -> Partition.subscribe part ~id events)
-    (Workload.complex_events workload ~seed:2);
-  let docs = Workload.document_sets workload ~seed:3 ~count:40 in
-  Array.iteri
-    (fun i events ->
-      let alert =
-        { Mqp.url = Printf.sprintf "http://site%d/" i; events; payload = ""; trace = None; birth = None }
-      in
-      check_ids "same matches" (Mqp.process reference alert)
-        (Partition.process part alert))
-    docs
-
-let test_partition_routing () =
-  let part_docs = Partition.create Partition.By_documents ~partitions:4 in
-  let part_subs = Partition.create Partition.By_subscriptions ~partitions:4 in
-  let alert = { Mqp.url = "http://a/"; events = Event_set.of_list [ 1 ]; payload = ""; trace = None; birth = None } in
-  checki "docs axis: one partition" 1 (List.length (Partition.route part_docs alert));
-  checki "subs axis: all partitions" 4
-    (List.length (Partition.route part_subs alert));
-  (* Same URL always routes to the same partition. *)
-  Alcotest.(check (list int)) "stable routing"
-    (Partition.route part_docs alert)
-    (Partition.route part_docs alert)
-
-let test_partition_memory_shrinks () =
+let test_split_memory_shrinks () =
   let workload = { Workload.card_a = 1000; card_c = 2000; b = 3; s = 10 } in
-  let sets = Workload.complex_events workload ~seed:7 in
-  let single = Partition.create Partition.By_subscriptions ~partitions:1 in
-  let split = Partition.create Partition.By_subscriptions ~partitions:4 in
-  Array.iteri (fun id events -> Partition.subscribe single ~id events) sets;
-  Array.iteri (fun id events -> Partition.subscribe split ~id events) sets;
-  let mem_single = (Partition.memory_per_partition single).(0) in
-  let mem_split = Array.fold_left max 0 (Partition.memory_per_partition split) in
-  checkb "per-partition memory drops" true (mem_split * 2 < mem_single)
+  let whole = Workload.load_mqp workload ~seed:7 in
+  let largest =
+    Array.fold_left
+      (fun acc m -> max acc (Mqp.approx_memory_words m))
+      0 (Mqp.split whole ~parts:4)
+  in
+  checkb "largest subset under half the whole" true
+    (largest * 2 < Mqp.approx_memory_words whole)
 
 (* ------------------------------------------------------------------ *)
 (* Registry *)
@@ -736,12 +717,10 @@ let () =
           tc "compact freeze surface" test_mqp_compact_surface;
           tc "algorithm names round-trip" test_mqp_algorithm_names;
         ] );
-      ( "partition",
+      ( "split",
         [
-          tc "by documents equivalent" test_partition_by_documents_equivalent;
-          tc "by subscriptions equivalent" test_partition_by_subscriptions_equivalent;
-          tc "routing" test_partition_routing;
-          tc "memory shrinks" test_partition_memory_shrinks;
+          tc "merged matches equal the whole" test_split_matches_whole;
+          tc "memory shrinks" test_split_memory_shrinks;
         ] );
       ( "registry",
         [

@@ -18,7 +18,6 @@ module Printer = Xy_xml.Printer
 module Parser = Xy_xml.Parser
 module Manager = Xy_submgr.Manager
 module Parallel = Xy_system.Parallel
-module Partition = Xy_core.Partition
 module Loader = Xy_warehouse.Loader
 module Mqp = Xy_core.Mqp
 
@@ -495,7 +494,7 @@ let respawn_run ?fault_plan () =
   let xyleme =
     Xyleme.create ~seed:21 ?fault_plan ~web ~obs
       ~parallel:
-        { Parallel.domains = 2; shards = 3; axis = Partition.By_documents }
+        { Parallel.domains = 2; shards = 3; axis = Parallel.By_documents }
       ()
   in
   for i = 0 to 8 do

@@ -1,10 +1,10 @@
 (* The parallel engine must be observationally identical to the
    serial loop: same notification multiset, same stats, same
-   per-stage counter totals — on both distribution axes, with and
-   without worker-death faults — and a sampled document's trace must
-   stay connected across its domains.  Plus the worker pool's own
-   contract (a raising worker, domains spawned once) and the
-   idempotent wall-clock installation. *)
+   per-stage counter totals — on both distribution axes, with every
+   matcher, with and without worker-death faults — and a sampled
+   document's trace must stay connected across its domains.  Plus the
+   worker pool's own contract (a raising worker, domains spawned once)
+   and the idempotent wall-clock installation. *)
 
 module Xyleme = Xy_system.Xyleme
 module Parallel = Xy_system.Parallel
@@ -13,7 +13,6 @@ module Web = Xy_crawler.Synthetic_web
 module Sink = Xy_reporter.Sink
 module Loader = Xy_warehouse.Loader
 module Mqp = Xy_core.Mqp
-module Partition = Xy_core.Partition
 module Obs = Xy_obs.Obs
 module Trace = Xy_trace.Trace
 
@@ -69,13 +68,13 @@ report when count > 5 atmost weekly|}
    unparseable page the loader quarantines.  Returns the notification
    multiset (sorted), the delivery count, the headline stats and the
    metrics snapshot. *)
-let run_workload ?fault_plan ?parallel ~rounds () =
+let run_workload ?algorithm ?fault_plan ?parallel ~rounds () =
   let sites = 6 in
   let web = Web.generate ~seed:5 ~sites ~pages_per_site:4 () in
   let sink, deliveries = Sink.memory () in
   let obs = Obs.create () in
   let t =
-    Xyleme.create ~seed:11 ~sink ~web ~obs ?fault_plan ?parallel ()
+    Xyleme.create ~seed:11 ?algorithm ~sink ~web ~obs ?fault_plan ?parallel ()
   in
   for i = 0 to 17 do
     match Xyleme.subscribe t ~owner:(Printf.sprintf "u%d" i)
@@ -167,47 +166,30 @@ let parallel ~domains ~shards axis = { Parallel.domains; shards; axis }
 
 let serial_baseline = lazy (run_workload ~rounds:3 ())
 
-let test_equiv_docs_axis () =
+(* Each axis runs the default matcher at two shapes and the counting
+   matcher at one; every matcher returns the same matches, so all of
+   them reproduce the default matcher's serial run. *)
+let check_axis axis ~name shapes =
   let serial = Lazy.force serial_baseline in
   List.iter
-    (fun (domains, shards) ->
+    (fun (algorithm, domains, shards) ->
       check_equiv
-        ~label:(Printf.sprintf "docs/%dx%d" domains shards)
+        ~label:
+          (Printf.sprintf "%s/%dx%d/%s" name domains shards
+             (Mqp.algorithm_name_of algorithm))
         serial
-        (run_workload ~rounds:3
-           ~parallel:(parallel ~domains ~shards Partition.By_documents)
+        (run_workload ~algorithm ~rounds:3
+           ~parallel:(parallel ~domains ~shards axis)
            ()))
-    [ (3, 2); (2, 3) ]
+    shapes
+
+let test_equiv_docs_axis () =
+  check_axis Parallel.By_documents ~name:"docs"
+    [ (Mqp.Use_aes, 3, 2); (Mqp.Use_aes, 2, 3); (Mqp.Use_counting, 2, 2) ]
 
 let test_equiv_subs_axis () =
-  let serial = Lazy.force serial_baseline in
-  List.iter
-    (fun (domains, shards) ->
-      check_equiv
-        ~label:(Printf.sprintf "subs/%dx%d" domains shards)
-        serial
-        (run_workload ~rounds:3
-           ~parallel:(parallel ~domains ~shards Partition.By_subscriptions)
-           ()))
-    [ (2, 3); (3, 2) ]
-
-(* The counting matcher writes per-call counters into its structure,
-   so it never matches on more than one domain: a system refuses a
-   parallel configuration for it, at creation and later. *)
-let test_equiv_counting () =
-  let refused label f =
-    match f () with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.fail (label ^ ": counting accepted at domains > 1")
-  in
-  let config = parallel ~domains:2 ~shards:2 Partition.By_documents in
-  refused "create" (fun () ->
-      Xyleme.create ~algorithm:Mqp.Use_counting ~obs:(Obs.create ())
-        ~parallel:config ());
-  let t = Xyleme.create ~algorithm:Mqp.Use_counting ~obs:(Obs.create ()) () in
-  refused "set_parallel" (fun () -> Xyleme.set_parallel t config);
-  checki "the refused config did not take" 1
-    (Xyleme.parallel_config t).Parallel.domains
+  check_axis Parallel.By_subscriptions ~name:"subs"
+    [ (Mqp.Use_aes, 2, 3); (Mqp.Use_aes, 3, 2); (Mqp.Use_counting, 4, 3) ]
 
 (* Worker-death faults: shards die holding work, the supervisor
    respawns each of them with that work carried over — the output must
@@ -230,33 +212,37 @@ let test_equiv_worker_deaths () =
         (fault_counter run "worker_respawns");
       check_equiv ~label serial run)
     [
-      ("docs/deaths", parallel ~domains:3 ~shards:2 Partition.By_documents);
-      ("subs/deaths", parallel ~domains:2 ~shards:3 Partition.By_subscriptions);
+      ("docs/deaths", parallel ~domains:3 ~shards:2 Parallel.By_documents);
+      ("subs/deaths", parallel ~domains:2 ~shards:3 Parallel.By_subscriptions);
     ]
 
-(* Randomized sweep over the configuration space: any (domains,
-   shards, axis, faults) must reproduce the serial multiset. *)
+(* Randomized sweep over the configuration space: any (matcher,
+   domains, shards, axis, faults) must reproduce the serial multiset
+   of the default matcher, since every matcher returns the same
+   matches. *)
 let qcheck_equiv =
   let gen =
     QCheck.make
-      ~print:(fun (d, s, ax, fault) ->
-        Printf.sprintf "domains=%d shards=%d axis=%s fault=%b" d s
+      ~print:(fun (algorithm, d, s, ax, fault) ->
+        Printf.sprintf "algorithm=%s domains=%d shards=%d axis=%s fault=%b"
+          (Mqp.algorithm_name_of algorithm) d s
           (match ax with
-          | Partition.By_documents -> "docs"
-          | Partition.By_subscriptions -> "subs")
+          | Parallel.By_documents -> "docs"
+          | Parallel.By_subscriptions -> "subs")
           fault)
       QCheck.Gen.(
+        let* algorithm = oneofl Mqp.algorithms in
         let* d = int_range 2 4 in
         let* s = int_range 1 4 in
-        let* ax = oneofl [ Partition.By_documents; Partition.By_subscriptions ] in
+        let* ax = oneofl [ Parallel.By_documents; Parallel.By_subscriptions ] in
         let* fault = bool in
-        return (d, s, ax, fault))
+        return (algorithm, d, s, ax, fault))
   in
   QCheck.Test.make ~name:"parallel = serial for any configuration" ~count:8 gen
-    (fun (domains, shards, axis, fault) ->
+    (fun (algorithm, domains, shards, axis, fault) ->
       let s_notifs, s_deliv, _, _ = Lazy.force serial_baseline in
       let p_notifs, p_deliv, _, _ =
-        run_workload ~rounds:3
+        run_workload ~algorithm ~rounds:3
           ?fault_plan:(if fault then Some [ ("worker", 0.3) ] else None)
           ~parallel:(parallel ~domains ~shards axis)
           ()
@@ -276,7 +262,7 @@ let test_worker_exception () =
     let outcome =
       match
         Parallel.run
-          (parallel ~domains:2 ~shards:1 Partition.By_documents)
+          (parallel ~domains:2 ~shards:1 Parallel.By_documents)
           ~obs:(Obs.create ()) ~docs ~kill:(Array.make 8 false) ~url_of:Fun.id
           ~trace_of:(fun _ -> None)
           ~worker:(fun ~slot:_ url ->
@@ -309,7 +295,7 @@ let test_domains_spawned_once () =
   let sink, _ = Sink.memory () in
   let t =
     Xyleme.create ~seed:3 ~sink ~obs:(Obs.create ())
-      ~parallel:(parallel ~domains:2 ~shards:2 Partition.By_documents)
+      ~parallel:(parallel ~domains:2 ~shards:2 Parallel.By_documents)
       ()
   in
   let batch round =
@@ -340,7 +326,7 @@ let test_trace_propagation () =
   let sink, _ = Sink.memory () in
   let t =
     Xyleme.create ~seed:5 ~sink ~obs:(Obs.create ())
-      ~parallel:(parallel ~domains:2 ~shards:3 Partition.By_documents)
+      ~parallel:(parallel ~domains:2 ~shards:3 Parallel.By_documents)
       ()
   in
   (match
@@ -413,7 +399,6 @@ let () =
         [
           Alcotest.test_case "document axis" `Quick test_equiv_docs_axis;
           Alcotest.test_case "subscription axis" `Quick test_equiv_subs_axis;
-          Alcotest.test_case "counting matcher" `Quick test_equiv_counting;
           Alcotest.test_case "worker deaths" `Quick test_equiv_worker_deaths;
           QCheck_alcotest.to_alcotest qcheck_equiv;
         ] );

@@ -823,6 +823,102 @@ report when %s|}
       Xyleme.run_resumable x' ~days:5. ~step:Clock.day ~fetch_limit:50;
       checki "the restored run finished" 5 (Xyleme.steps_done x')
 
+(* A subscription replaced since the last checkpoint starts afresh in
+   the reporter, restored or not: neither its predecessor's buffer nor
+   its archive survive.  The group-commit batch is large enough that
+   only an explicit sync puts the teardown's reporter op on disk
+   before the restore reads the directory. *)
+let test_restore_resets_replaced_reporter_state () =
+  let module Reporter = Xy_reporter.Reporter in
+  let fresh_web () = Web.generate ~seed:7 ~sites:3 ~pages_per_site:4 () in
+  let text =
+    {|subscription R
+monitoring
+where modified self and URL extends "http://site"
+report when count > 500|}
+  in
+  let resubscribe x = ignore (subscribe_exn x ~owner:"alice" ~text) in
+  let reporter_state x =
+    let r = Xyleme.reporter x in
+    ( Reporter.buffered_count r ~subscription:"R",
+      List.map Xy_xml.Printer.element_to_string
+        (Reporter.archived r ~subscription:"R") )
+  in
+  List.iter
+    (fun (label, replace) ->
+      with_temp_dir @@ fun dir ->
+      let sink, _ = Sink.memory () in
+      let x =
+        Xyleme.create ~seed:7 ~sink ~web:(fresh_web ()) ~durable_dir:dir
+          ~sync_every:1000 ()
+      in
+      resubscribe x;
+      Xyleme.run_resumable x ~days:3. ~step:Clock.day ~fetch_limit:50;
+      ignore (Xyleme.checkpoint x);
+      checkb (label ^ ": notifications buffered before") true
+        (fst (reporter_state x) > 0);
+      (match replace x with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail (Xy_submgr.Manager.error_to_string e));
+      let sink2, _ = Sink.memory () in
+      match
+        Xyleme.restore ~seed:7 ~web:(fresh_web ()) ~sink:sink2
+          ~sync_every:1000 ~dir ()
+      with
+      | Error e -> Alcotest.failf "%s: restore failed: %s" label e
+      | Ok (x', _) ->
+          let live_buffered, live_archive = reporter_state x in
+          let buffered, archive = reporter_state x' in
+          checki (label ^ ": buffered") live_buffered buffered;
+          Alcotest.(check (list string)) (label ^ ": archive") live_archive
+            archive)
+    [
+      ("update", fun x -> Xyleme.update x ~name:"R" ~owner:"alice" ~text);
+      ( "unsubscribe, subscribe",
+        fun x ->
+          Result.map
+            (fun () -> resubscribe x)
+            (Xyleme.unsubscribe x ~name:"R") );
+    ]
+
+(* The other direction of the same replacement: a count-only
+   subscription updated to a daily one.  The update's teardown op is
+   synced, but the new registration's deadline op is still in the
+   unsynced group-commit batch when the restore reads the directory;
+   the restored registration must still be timed, and report. *)
+let test_restore_arms_replaced_deadline () =
+  with_temp_dir @@ fun dir ->
+  let fresh_web () = Web.generate ~seed:7 ~sites:3 ~pages_per_site:4 () in
+  let text report =
+    Printf.sprintf
+      {|subscription R
+monitoring
+where modified self and URL extends "http://site"
+report when %s|}
+      report
+  in
+  let sink, _ = Sink.memory () in
+  let x =
+    Xyleme.create ~seed:7 ~sink ~web:(fresh_web ()) ~durable_dir:dir
+      ~sync_every:1000 ()
+  in
+  ignore (subscribe_exn x ~owner:"alice" ~text:(text "count > 500"));
+  Xyleme.run_resumable x ~days:3. ~step:Clock.day ~fetch_limit:50;
+  ignore (Xyleme.checkpoint x);
+  (match Xyleme.update x ~name:"R" ~owner:"alice" ~text:(text "daily") with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Xy_submgr.Manager.error_to_string e));
+  let sink2, deliveries2 = Sink.memory () in
+  match
+    Xyleme.restore ~seed:7 ~web:(fresh_web ()) ~sink:sink2 ~sync_every:1000
+      ~dir ()
+  with
+  | Error e -> Alcotest.failf "restore failed: %s" e
+  | Ok (x', _) ->
+      Xyleme.run_resumable x' ~days:5. ~step:Clock.day ~fetch_limit:50;
+      checkb "the restored daily subscription reports within two days" true
+        (List.exists (fun d -> d.Sink.subscription = "R") !deliveries2)
+
 (* A crawl batch syncs the WAL once, after its last document, however
    many of its documents fire reports: with group commit out of the
    way, each crawl step adds one [fsync_batch] observation when it
@@ -1206,6 +1302,10 @@ let () =
         [
           tc "restore drops a replaced subscription's deadline"
             test_restore_drops_replaced_deadline;
+          tc "restore resets a replaced subscription's reporter state"
+            test_restore_resets_replaced_reporter_state;
+          tc "restore arms a replaced subscription's deadline"
+            test_restore_arms_replaced_deadline;
           tc "a crawl batch syncs once" test_crawl_batch_syncs_once;
           tc "restore keeps metrics checkpointed without an advance"
             test_restore_keeps_unadvanced_metrics;
