@@ -568,9 +568,16 @@ let domains_arg =
            identical either way")
 
 let shards_arg =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> `Ok n
+    | Some _ | None ->
+        `Error (Printf.sprintf "expected a positive integer, got %S" s)
+  in
+  let positive_int = (parse, Format.pp_print_int) in
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_int) None
     & info [ "shards" ] ~docv:"M"
         ~doc:
           "Number of subscription subsets each alert is matched against \

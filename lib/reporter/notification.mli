@@ -20,9 +20,11 @@ type t = {
   mutable rendered : string option;
       (** memoized codec encoding of the whole notification, built the
           first time the reporter journals or snapshots it (or kept
-          from the bytes it was decoded from); its [n] op copies it and
-          every snapshot frame that holds the notification writes it;
-          construct with [None] *)
+          from the bytes it was decoded from); construct with [None].
+          One alert hands the same value to every subscription it
+          notifies with this tag and select clause, so they all share
+          [rendered]: the alert's [N] op writes it once, and every
+          snapshot frame that holds the notification writes it *)
 }
 
 (** [to_xml t] renders the notification as it appears inside a

@@ -74,6 +74,13 @@ type t = {
   metrics : metrics;
   mutable journal : (string -> unit) option;
   mutable commit : (unit -> unit) option;
+  mutable in_alert : bool;  (** inside {!alert}: the [N] op stays open *)
+  mutable n_values : (Notification.t * int) list;
+      (** the open [N] op's distinct values with their indexes, newest
+          first *)
+  mutable n_entries : (string * int) list;
+      (** the open [N] op's (subscription, value index) entries, newest
+          first *)
 }
 
 let stage = "reporter"
@@ -107,6 +114,9 @@ let create ?(obs = Obs.default) ~clock ~sink () =
       };
     journal = None;
     commit = None;
+    in_alert = false;
+    n_values = [];
+    n_entries = [];
   }
 
 (* Every mutation of a subscription's state ends here: it drops the
@@ -129,25 +139,25 @@ let set_persistence t ~journal ~commit =
   t.journal <- journal;
   t.commit <- commit
 
-let emit_op t encode =
-  match t.journal with
-  | None -> ()
-  | Some emit ->
-      let buf = Buffer.create 128 in
-      encode buf;
-      emit (Buffer.contents buf)
-
 let commit_now t = match t.commit with Some f -> f () | None -> ()
+
+(* Reports and notification bodies are kept printed: one that does not
+   parse back is damage, like any other field that does not decode. *)
+let parse_element s =
+  match Xy_xml.Parser.parse_element s with
+  | element -> element
+  | exception Xy_xml.Parser.Error { message; _ } ->
+      raise (Codec.Malformed ("unparsable XML: " ^ message))
 
 (* Notification bodies are node lists; wrapping them in a throwaway
    element makes the stock printer/parser the codec. *)
 let encode_body body =
   Xy_xml.Printer.element_to_string (T.element "N" body)
 
-let decode_body s = (Xy_xml.Parser.parse_element s).T.children
+let decode_body s = (parse_element s).T.children
 
 (* Notifications are immutable once buffered and may sit in a buffer
-   across many checkpoints: encode one once, the first time its [n] op
+   across many checkpoints: encode one once, the first time an [N] op
    or a snapshot frame needs it, and reuse those bytes from then on. *)
 let encoded (n : Notification.t) =
   match n.Notification.rendered with
@@ -187,6 +197,64 @@ let decode_notification r =
     birth;
     rendered = Some bytes;
   }
+
+(* The open [N] op: each distinct value's encoding once, then one
+   (subscription, value index) entry per buffered notification, in
+   buffering order. *)
+let close_notifications t =
+  match t.journal with
+  | Some emit when t.n_entries <> [] ->
+      let buf = Buffer.create 256 in
+      Codec.string buf "N";
+      Codec.list buf
+        (fun buf (n, _) -> Buffer.add_string buf (encoded n))
+        (List.rev t.n_values);
+      Codec.list buf
+        (fun buf (name, i) ->
+          Codec.string buf name;
+          Codec.int buf i)
+        (List.rev t.n_entries);
+      t.n_values <- [];
+      t.n_entries <- [];
+      emit (Buffer.contents buf)
+  | Some _ | None -> ()
+
+(* A value the open op already holds is referred to by its index:
+   [==], because one alert hands the same value to every subscription
+   it notifies. *)
+let journal_notification t name (n : Notification.t) =
+  if t.journal <> None then begin
+    let index =
+      match List.find_opt (fun (v, _) -> v == n) t.n_values with
+      | Some (_, i) -> i
+      | None ->
+          let i = match t.n_values with (_, i) :: _ -> i + 1 | [] -> 0 in
+          t.n_values <- (n, i) :: t.n_values;
+          i
+    in
+    t.n_entries <- (name, index) :: t.n_entries;
+    if not t.in_alert then close_notifications t
+  end
+
+let alert t f =
+  if t.in_alert || t.journal = None then f ()
+  else begin
+    t.in_alert <- true;
+    Fun.protect f ~finally:(fun () ->
+        t.in_alert <- false;
+        close_notifications t)
+  end
+
+(* Every other op closes the open [N] op first, so the journal holds
+   the effects in the order they happened. *)
+let emit_op t encode =
+  match t.journal with
+  | None -> ()
+  | Some emit ->
+      close_notifications t;
+      let buf = Buffer.create 128 in
+      encode buf;
+      emit (Buffer.contents buf)
 
 let set_buffered t state n =
   t.total_buffered <- t.total_buffered - state.buffered + n;
@@ -399,13 +467,6 @@ let fire ?trace t subscription state =
   let report = T.element "Report" report_body in
   Obs.Histogram.observe t.metrics.m_report_size
     (float_of_int (List.length notifications));
-  (* printed only for the journal's [f] and [F] ops *)
-  let rendered = lazy (Xy_xml.Printer.element_to_string report) in
-  emit_op t (fun buf ->
-      Codec.string buf "f";
-      Codec.string buf subscription;
-      Codec.float buf now;
-      Codec.string buf (Lazy.force rendered));
   apply_fire_state t subscription state ~now ~report;
   (* Intents: one per recipient, each with a fresh global seq. *)
   let targets =
@@ -416,16 +477,21 @@ let fire ?trace t subscription state =
         Hashtbl.replace t.pending seq
           { i_recipient = recipient; i_subscription = subscription;
             i_report = report; i_at = now };
-        emit_op t (fun buf ->
-            Codec.string buf "F";
-            Codec.int buf seq;
-            Codec.string buf recipient;
-            Codec.string buf subscription;
-            Codec.float buf now;
-            Codec.string buf (Lazy.force rendered));
         (seq, recipient))
       state.recipients
   in
+  (* One [f] op: the report, printed once, and every recipient's
+     intent. *)
+  emit_op t (fun buf ->
+      Codec.string buf "f";
+      Codec.string buf subscription;
+      Codec.float buf now;
+      Codec.string buf (Xy_xml.Printer.element_to_string report);
+      Codec.list buf
+        (fun buf (seq, recipient) ->
+          Codec.int buf seq;
+          Codec.string buf recipient)
+        targets);
   List.iter
     (fun (seq, recipient) ->
       t.outbox <-
@@ -455,6 +521,12 @@ let maybe_fire ?trace t subscription state =
     end
   end
 
+let buffer_notification t name state (n : Notification.t) =
+  state.buffer <- n :: state.buffer;
+  set_buffered t state (state.buffered + 1);
+  bump_tag state n.Notification.tag;
+  touch t name state
+
 let notify ?trace t ~subscription notification =
   match Hashtbl.find_opt t.subscriptions subscription with
   | None -> ()
@@ -480,14 +552,8 @@ let notify ?trace t ~subscription notification =
              Codec.string buf subscription)
        end
        else begin
-         state.buffer <- notification :: state.buffer;
-         set_buffered t state (state.buffered + 1);
-         bump_tag state notification.Notification.tag;
-         touch t subscription state;
-         emit_op t (fun buf ->
-             Codec.string buf "n";
-             Codec.string buf subscription;
-             Buffer.add_string buf (encoded notification))
+         buffer_notification t subscription state notification;
+         journal_notification t subscription notification
        end);
       maybe_fire ?trace t subscription state
 
@@ -687,7 +753,7 @@ let decode_snapshot t payload =
         let recipient = Codec.read_string r in
         let subscription = Codec.read_string r in
         let at = Codec.read_float r in
-        let report = Xy_xml.Parser.parse_element (Codec.read_string r) in
+        let report = parse_element (Codec.read_string r) in
         (seq, { i_recipient = recipient; i_subscription = subscription;
                 i_report = report; i_at = at }))
   in
@@ -712,7 +778,7 @@ let decode_snapshot t payload =
         let archive =
           Codec.read_list r (fun r ->
               let at = Codec.read_float r in
-              let report = Xy_xml.Parser.parse_element (Codec.read_string r) in
+              let report = parse_element (Codec.read_string r) in
               (at, report))
         in
         ( name,
@@ -752,16 +818,23 @@ let apply_op t payload =
     | None -> ()
   in
   (match Codec.read_string r with
-  | "n" ->
-      let name = Codec.read_string r in
-      let notification = decode_notification r in
-      t.notifications_received <- t.notifications_received + 1;
-      Obs.Counter.incr t.metrics.m_notifications;
-      with_state name (fun state ->
-          state.buffer <- notification :: state.buffer;
-          set_buffered t state (state.buffered + 1);
-          bump_tag state notification.Notification.tag;
-          touch t name state)
+  | "N" ->
+      let values = Array.of_list (Codec.read_list r decode_notification) in
+      let entries =
+        Codec.read_list r (fun r ->
+            let name = Codec.read_string r in
+            let i = Codec.read_int r in
+            if i < 0 || i >= Array.length values then
+              raise (Codec.Malformed "notification index out of range");
+            (name, values.(i)))
+      in
+      List.iter
+        (fun (name, notification) ->
+          t.notifications_received <- t.notifications_received + 1;
+          Obs.Counter.incr t.metrics.m_notifications;
+          with_state name (fun state ->
+              buffer_notification t name state notification))
+        entries
   | "x" ->
       let _name = Codec.read_string r in
       t.notifications_received <- t.notifications_received + 1;
@@ -771,24 +844,25 @@ let apply_op t payload =
   | "f" ->
       let name = Codec.read_string r in
       let now = Codec.read_float r in
-      let report = Xy_xml.Parser.parse_element (Codec.read_string r) in
-      if Hashtbl.mem t.subscriptions name then
-        with_state name (fun state -> apply_fire_state t name state ~now ~report)
-      else begin
-        (* the subscription is gone, but the report was sent *)
-        t.reports_sent <- t.reports_sent + 1;
-        Obs.Counter.incr t.metrics.m_reports
-      end
-  | "F" ->
-      let seq = Codec.read_int r in
-      let recipient = Codec.read_string r in
-      let subscription = Codec.read_string r in
-      let at = Codec.read_float r in
-      let report = Xy_xml.Parser.parse_element (Codec.read_string r) in
-      Hashtbl.replace t.pending seq
-        { i_recipient = recipient; i_subscription = subscription;
-          i_report = report; i_at = at };
-      if seq >= t.next_seq then t.next_seq <- seq + 1
+      let report = parse_element (Codec.read_string r) in
+      let targets =
+        Codec.read_list r (fun r ->
+            let seq = Codec.read_int r in
+            (seq, Codec.read_string r))
+      in
+      (match Hashtbl.find_opt t.subscriptions name with
+      | Some state -> apply_fire_state t name state ~now ~report
+      | None ->
+          (* the subscription is gone, but the report was sent *)
+          t.reports_sent <- t.reports_sent + 1;
+          Obs.Counter.incr t.metrics.m_reports);
+      List.iter
+        (fun (seq, recipient) ->
+          Hashtbl.replace t.pending seq
+            { i_recipient = recipient; i_subscription = name;
+              i_report = report; i_at = now };
+          if seq >= t.next_seq then t.next_seq <- seq + 1)
+        targets
   | "A" -> Hashtbl.remove t.pending (Codec.read_int r)
   | "p" ->
       let name = Codec.read_string r in

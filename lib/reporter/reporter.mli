@@ -52,6 +52,13 @@ val unregister : t -> subscription:string -> unit
 val notify :
   ?trace:Xy_trace.Trace.ctx -> t -> subscription:string -> Notification.t -> unit
 
+(** [alert t f] runs [f], the dispatch of one alert: the notifications
+    it buffers are journaled as one [N] op, which closes when [f]
+    returns or raises, or earlier, before any other op of the reporter's
+    is journaled.  Outside [alert] each buffered notification is an
+    [N] op of its own.  Nested calls join the open op. *)
+val alert : t -> (unit -> 'a) -> 'a
+
 (** [tick t] evaluates time-based report conditions (periodic [when]
     disjuncts, [atmost] rate release) and garbage-collects expired
     archives.  Call it whenever the virtual clock advanced.
@@ -90,11 +97,17 @@ val archived : t -> subscription:string -> Xy_xml.Types.element list
     inside.  Without a commit hook the outbox is flushed inline and
     delivery stays synchronous.
 
-    Journaling costs each notification one encoding: its {!Notification.t}
-    [rendered] field keeps the bytes, built for its [n] op (or kept
-    from the bytes it was decoded from), and every snapshot frame that
-    holds the notification writes them.  A report is printed only for
-    the journal. *)
+    Journaling costs each notification value one encoding, however
+    many subscriptions buffer it: its {!Notification.t} [rendered]
+    field keeps the bytes, built for the first [N] op that carries it
+    (or kept from the bytes it was decoded from).  An [N] op holds each
+    distinct value's encoding once, then one (subscription, value
+    index) entry per buffered notification, so an alert that notifies
+    many subscriptions with one value pays for one copy; replay decodes
+    each value once, and the subscriptions share it again.  Every
+    snapshot frame that holds a notification writes its cached bytes.
+    A report is printed only for the journal, once per fire: its [f]
+    op carries every recipient's delivery intent. *)
 
 (** [set_persistence t ~journal ~commit] attaches the durable hooks:
     [journal] buffers an op into the current transaction, [commit]
@@ -149,7 +162,9 @@ val decode_snapshot : t -> string -> unit
 
 (** [apply_op t payload] replays one journaled effect.  Replay applies
     recorded effects directly (no condition re-evaluation, no sink
-    deliveries), so it can never double-deliver. *)
+    deliveries), so it can never double-deliver.  Raises
+    {!Xy_util.Codec.Malformed} on damage, an [N] entry's value index
+    out of range and printed XML that does not parse included. *)
 val apply_op : t -> string -> unit
 
 type stats = { notifications_received : int; reports_sent : int; dropped_by_atmost : int }

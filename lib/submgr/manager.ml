@@ -206,12 +206,40 @@ let create ?(policy = Compile.default_policy) ?persist ?(obs = Obs.default)
   in
   (* Batch dispatch: the disjuncts of one monitoring query are
      distinct complex events sharing a dispatch target; a document
-     matching several of them yields a single notification. *)
+     matching several of them yields a single notification.  The
+     subscriptions that share a (tag, select) share one notification
+     value, so its body is materialized and encoded once per alert. *)
   Mqp.on_batch mqp (fun alert matched ->
       let seen = Hashtbl.create 4 in
       let view =
         lazy (view_of_payload ~payload:alert.Mqp.payload ~url:alert.Mqp.url)
       in
+      let values = ref [] in
+      let notification dispatch =
+        (* a sink may advance the clock between two notifications *)
+        let at = Xy_util.Clock.now t.clock in
+        let same ((n : Notification.t), select) =
+          String.equal n.Notification.tag dispatch.d_tag
+          && Float.equal n.Notification.at at
+          && select = dispatch.d_select
+        in
+        match List.find_opt same !values with
+        | Some (n, _) -> n
+        | None ->
+            let n =
+              {
+                Notification.source = Notification.Monitoring;
+                tag = dispatch.d_tag;
+                body = materialize dispatch.d_select (Lazy.force view);
+                at;
+                birth = alert.Mqp.birth;
+                rendered = None;
+              }
+            in
+            values := (n, dispatch.d_select) :: !values;
+            n
+      in
+      Reporter.alert t.reporter @@ fun () ->
       List.iter
         (fun complex_id ->
           match Hashtbl.find_opt t.dispatches complex_id with
@@ -220,17 +248,8 @@ let create ?(policy = Compile.default_policy) ?persist ?(obs = Obs.default)
               let key = (dispatch.d_subscription, dispatch.d_tag) in
               if not (Hashtbl.mem seen key) then begin
                 Hashtbl.replace seen key ();
-                let body = materialize dispatch.d_select (Lazy.force view) in
                 Reporter.notify ?trace:alert.Mqp.trace t.reporter
-                  ~subscription:dispatch.d_subscription
-                  {
-                    Notification.source = Notification.Monitoring;
-                    tag = dispatch.d_tag;
-                    body;
-                    at = Xy_util.Clock.now t.clock;
-                    birth = alert.Mqp.birth;
-                    rendered = None;
-                  };
+                  ~subscription:dispatch.d_subscription (notification dispatch);
                 Trigger.notify ?trace:alert.Mqp.trace t.trigger
                   ~subscription:dispatch.d_subscription ~tag:dispatch.d_tag
               end)

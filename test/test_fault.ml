@@ -993,8 +993,9 @@ let test_restore_refuses_garbage () =
   | Ok _ -> Alcotest.fail "restored from a corrupt snapshot"
 
 (* The at-least-once protocol in isolation: a journaled delivery
-   intent ("F") with no ack is re-sent by redeliver_pending with its
-   original sequence number; acked intents are not. *)
+   intent (a recipient of an "f" op) with no ack is re-sent by
+   redeliver_pending with its original sequence number; acked intents
+   are not. *)
 let test_reporter_redelivers_unacked () =
   let clock = Clock.create () in
   let sink, deliveries = Sink.memory () in
@@ -1003,12 +1004,15 @@ let test_reporter_redelivers_unacked () =
   let report = Xy_xml.Types.(element "Report" [ el "Body" [] ]) in
   let intent seq =
     let buf = Buffer.create 64 in
-    Codec.string buf "F";
-    Codec.int buf seq;
-    Codec.string buf (Printf.sprintf "user%d" seq);
+    Codec.string buf "f";
     Codec.string buf "S";
     Codec.float buf 12.5;
     Codec.string buf (render report);
+    Codec.list buf
+      (fun buf seq ->
+        Codec.int buf seq;
+        Codec.string buf (Printf.sprintf "user%d" seq))
+      [ seq ];
     Buffer.contents buf
   in
   Reporter.apply_op reporter (intent 3);
@@ -1724,7 +1728,16 @@ let test_acked_reports_in_synced_wal () =
                  if stage = "reporter" then
                    let r = Codec.reader payload in
                    match Codec.read_string r with
-                   | "F" -> Hashtbl.replace intents (Codec.read_int r) ()
+                   | "f" ->
+                       let _subscription = Codec.read_string r in
+                       let _at = Codec.read_float r in
+                       let _report = Codec.read_string r in
+                       List.iter
+                         (fun seq -> Hashtbl.replace intents seq ())
+                         (Codec.read_list r (fun r ->
+                              let seq = Codec.read_int r in
+                              ignore (Codec.read_string r);
+                              seq))
                    | _ -> ()))
             txns;
           List.iter

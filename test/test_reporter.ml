@@ -596,11 +596,13 @@ let cached_snapshot_equals_fresh ops =
            && archive r = archive fresh)
          registered true
   in
-  (* The notification bytes of a buffered [n] op are the last of the
-     frame's notification pieces, which follow the frame's head: the
-     name and the buffer length. *)
+  (* A notification buffered outside an alert is an [N] op of one value
+     and one entry.  The value's bytes are the last of the frame's
+     notification pieces, which follow the frame's head: the name and
+     the buffer length. *)
   let in_frame r name emitted =
-    let op_prefix = codec_string "n" ^ codec_string name in
+    let op_prefix = codec_string "N" ^ "1\n" in
+    let op_suffix = "1\n" ^ codec_string name ^ "0\n" in
     let buffered = Reporter.buffered_count r ~subscription:name in
     let head = codec_string name ^ string_of_int buffered ^ "\n" in
     let rec newest = function
@@ -609,12 +611,18 @@ let cached_snapshot_equals_fresh ops =
       | [] -> None
     in
     match
-      List.filter (fun op -> String.starts_with ~prefix:op_prefix op) emitted
+      List.filter
+        (fun op ->
+          String.starts_with ~prefix:op_prefix op
+          && String.ends_with ~suffix:op_suffix op)
+        emitted
     with
     | [ op ] ->
         let skip = String.length op_prefix in
         newest (List.tl (Reporter.snapshot_pieces r))
-        = Some (String.sub op skip (String.length op - skip))
+        = Some
+            (String.sub op skip
+               (String.length op - skip - String.length op_suffix))
     | _ -> false
   in
   let live = ref (Reporter.create ~clock ~sink ()) in
@@ -649,7 +657,9 @@ let cached_snapshot_equals_fresh ops =
           if
             Reporter.buffered_count !live ~subscription:name = buffered + 1
             && not (in_frame !live name emitted)
-          then Alcotest.failf "%s: the n op's bytes are not in the frame" name
+          then
+            Alcotest.failf "%s: the N op's value bytes are not in the frame"
+              name
       | C_tick h ->
           Clock.advance clock (float_of_int h *. hour);
           Reporter.tick !live

@@ -1254,6 +1254,243 @@ let test_view_follows_store_snapshot () =
   checkb "the next run sees the restored documents" true
     (reported_titles deliveries = [ "Nightwatch" ])
 
+(* ------------------------------------------------------------------ *)
+(* Reporter ops: one [N] op per alert, one [f] op per fire *)
+
+module Reporter = Xy_reporter.Reporter
+module Codec = Xy_util.Codec
+
+let codec_string s =
+  let buf = Buffer.create 16 in
+  Codec.string buf s;
+  Buffer.contents buf
+
+(* A system whose reporter journals into [ops] (newest first).  Its
+   commit hook does nothing, so fired reports stay pending intents. *)
+let journaled () =
+  let t, _ = make () in
+  let ops = ref [] in
+  Reporter.set_persistence (Xyleme.reporter t)
+    ~journal:(Some (fun op -> ops := op :: !ops))
+    ~commit:(Some ignore);
+  (t, ops)
+
+(* Each document adds a product: the page is modified and has a new
+   product element, so one alert notifies [Two] under both tags.  Its
+   third notification fires the report, and that is the first of the
+   third alert's two: the [N] op holding it must close before the [f]
+   op, or replay fires the report before buffering it. *)
+let test_replay_across_closed_alert_op () =
+  let t, ops = journaled () in
+  let url = "http://shop.example.org/cat.xml" in
+  let version n =
+    "<c>"
+    ^ String.concat ""
+        (List.init n (Printf.sprintf "<product>p%d</product>"))
+    ^ "</c>"
+  in
+  ignore (Xyleme.ingest t ~url ~content:(version 1) ~kind:Loader.Xml);
+  let text =
+    {|subscription Two
+monitoring
+select <Changed url=URL/>
+where URL extends "http://shop.example.org/" and modified self
+monitoring
+select <Grown url=URL/>
+where URL extends "http://shop.example.org/" and new self\\product
+report when count > 2 archive weekly|}
+  in
+  ignore (subscribe_exn t ~owner:"alice" ~text);
+  for n = 2 to 5 do
+    ignore (Xyleme.ingest t ~url ~content:(version n) ~kind:Loader.Xml)
+  done;
+  let live = Xyleme.reporter t in
+  checki "two reports fired" 2
+    (List.length (Reporter.archived live ~subscription:"Two"));
+  let replayed =
+    Reporter.create ~clock:(Xyleme.clock t) ~sink:(Sink.null ()) ()
+  in
+  (match (Xy_sublang.S_parser.parse text).Xy_sublang.S_ast.report with
+  | Some spec ->
+      Reporter.register replayed ~subscription:"Two" ~recipient:"alice" spec
+  | None -> Alcotest.fail "no report clause");
+  List.iter (Reporter.apply_op replayed) (List.rev !ops);
+  let archive r =
+    List.map Xy_xml.Printer.element_to_string
+      (Reporter.archived r ~subscription:"Two")
+  in
+  checki "buffer" (Reporter.buffered_count live ~subscription:"Two")
+    (Reporter.buffered_count replayed ~subscription:"Two");
+  checkb "archive" true (archive live = archive replayed);
+  checki "pending intents" (Reporter.pending_count live)
+    (Reporter.pending_count replayed);
+  checkb "stats" true (Reporter.stats live = Reporter.stats replayed);
+  (* seqs, intents, tag counts and buffered bytes *)
+  checks "snapshot" (Reporter.encode_snapshot live)
+    (Reporter.encode_snapshot replayed)
+
+(* [name]'s buffered notifications in a snapshot: the pieces after its
+   frame's head, the name and the buffer length. *)
+let buffered_pieces r name =
+  let n = Reporter.buffered_count r ~subscription:name in
+  let head = codec_string name ^ string_of_int n ^ "\n" in
+  let rec find = function
+    | piece :: rest when piece = head -> List.filteri (fun i _ -> i < n) rest
+    | _ :: rest -> find rest
+    | [] -> []
+  in
+  find (List.tl (Reporter.snapshot_pieces r))
+
+(* One alert notifies three subscriptions with the same select: they
+   buffer one value, so their snapshot frames hold its one cached
+   encoding (physically one string), and the alert's one [N] op holds
+   those bytes once. *)
+let test_alert_shares_one_value () =
+  let t, ops = journaled () in
+  let names = [ "A"; "B"; "C" ] in
+  List.iter
+    (fun name ->
+      ignore
+        (subscribe_exn t ~owner:name
+           ~text:
+             (Printf.sprintf
+                {|subscription %s
+monitoring
+select <UpdatedPage url=URL/>
+where URL extends "http://inria.fr/Xy/" and modified self
+report when count > 10|}
+                name)))
+    names;
+  let url = "http://inria.fr/Xy/index.html" in
+  ignore (Xyleme.ingest t ~url ~content:"<page>v1</page>" ~kind:Loader.Xml);
+  ops := [];
+  ignore (Xyleme.ingest t ~url ~content:"<page>v2</page>" ~kind:Loader.Xml);
+  let reporter = Xyleme.reporter t in
+  match List.map (buffered_pieces reporter) names with
+  | [ [ a ]; [ b ]; [ c ] ] ->
+      checkb "one physical value" true (a == b && b == c);
+      let entries =
+        let buf = Buffer.create 32 in
+        Codec.list buf
+          (fun buf name ->
+            Codec.string buf name;
+            Codec.int buf 0)
+          names;
+        Buffer.contents buf
+      in
+      checkb "one N op, the value's bytes once" true
+        (List.filter
+           (fun op -> String.starts_with ~prefix:(codec_string "N") op)
+           !ops
+        = [ codec_string "N" ^ "1\n" ^ a ^ entries ])
+  | _ -> Alcotest.fail "expected one buffered notification each"
+
+(* Reporter ops read back from the disk are checked where they are
+   decoded: a damaged [N] or [f] op (a bad count or index, a field that
+   does not decode, XML that does not parse) fails the restore with an
+   error, and no exception escapes it.  The well-formed op restores. *)
+let test_restore_refuses_damaged_reporter_ops () =
+  let op fields =
+    let buf = Buffer.create 64 in
+    fields buf;
+    Buffer.contents buf
+  in
+  let n_op ~values ~index buf =
+    Codec.string buf "N";
+    Codec.int buf values;
+    for _ = 1 to values do
+      Codec.bool buf true;
+      Codec.string buf "UpdatedPage";
+      Codec.float buf 0.;
+      Codec.bool buf false;
+      Codec.string buf "<N/>"
+    done;
+    Codec.int buf 1;
+    Codec.string buf "S";
+    Codec.int buf index
+  in
+  let f_head buf =
+    Codec.string buf "f";
+    Codec.string buf "S";
+    Codec.float buf 1.;
+    Codec.string buf "<Report/>"
+  in
+  let restored payload =
+    with_temp_dir @@ fun dir ->
+    let sink, _ = Sink.memory () in
+    let t = Xyleme.create ~seed:1 ~sink ~durable_dir:dir () in
+    ignore
+      (subscribe_exn t ~owner:"alice"
+         ~text:
+           {|subscription S
+monitoring
+where URL extends "http://inria.fr/Xy/" and modified self
+report when count > 5|});
+    let info = Xyleme.checkpoint t in
+    let wal =
+      Filename.concat dir (Printf.sprintf "gen-%d.wal" info.Xyleme.generation)
+    in
+    Out_channel.with_open_gen [ Open_wronly; Open_append; Open_binary ] 0o644
+      wal (fun oc ->
+        Xy_durable.Durable.Wal.append_txn oc
+          [ { Xy_durable.Durable.stage = "reporter"; payload } ]);
+    match Xyleme.restore ~seed:1 ~sink ~dir () with
+    | Ok (t', _) ->
+        Ok (Reporter.buffered_count (Xyleme.reporter t') ~subscription:"S")
+    | Error e -> Error e
+  in
+  (match restored (op (n_op ~values:1 ~index:0)) with
+  | Ok buffered -> checki "a well-formed N op is replayed" 1 buffered
+  | Error e -> Alcotest.failf "a well-formed N op: %s" e);
+  List.iter
+    (fun (name, payload) ->
+      match restored payload with
+      | Error e ->
+          checkb (name ^ ": " ^ e) true
+            (String.starts_with ~prefix:"damaged durable state: " e)
+      | Ok _ -> Alcotest.failf "%s: restored" name
+      | exception e ->
+          Alcotest.failf "%s: raised %s" name (Printexc.to_string e))
+    [
+      ("N op, negative value count", op (n_op ~values:(-1) ~index:0));
+      ("N op, index past its values", op (n_op ~values:1 ~index:1));
+      ("N op, negative index", op (n_op ~values:1 ~index:(-1)));
+      ("N op, index into no values", op (n_op ~values:0 ~index:0));
+      ( "f op, negative recipient count",
+        op (fun buf ->
+            f_head buf;
+            Codec.int buf (-2)) );
+      ( "f op, recipient list cut short",
+        op (fun buf ->
+            f_head buf;
+            Codec.int buf 2;
+            Codec.int buf 7;
+            Codec.string buf "alice") );
+      ( "f op, a seq that is no number",
+        op (fun buf ->
+            f_head buf;
+            Codec.int buf 1;
+            Codec.string buf "seven";
+            Codec.string buf "alice") );
+      ( "f op, a report that does not parse",
+        op (fun buf ->
+            Codec.string buf "f";
+            Codec.string buf "S";
+            Codec.float buf 1.;
+            Codec.string buf "<Report><x></Report>";
+            Codec.int buf 0) );
+      ( "N op, a body that does not parse",
+        op (fun buf ->
+            Codec.string buf "N";
+            Codec.int buf 1;
+            Codec.bool buf true;
+            Codec.string buf "UpdatedPage";
+            Codec.float buf 0.;
+            Codec.bool buf false;
+            Codec.string buf "<N";
+            Codec.int buf 0) );
+    ]
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "system"
@@ -1311,5 +1548,12 @@ let () =
             test_restore_keeps_unadvanced_metrics;
           tc "restore after update keeps a continuous query"
             test_restore_after_update_keeps_trigger;
+        ] );
+      ( "reporter ops",
+        [
+          tc "replay across a closed N op" test_replay_across_closed_alert_op;
+          tc "an alert shares one value" test_alert_shares_one_value;
+          tc "restore refuses damaged N and f ops"
+            test_restore_refuses_damaged_reporter_ops;
         ] );
     ]
