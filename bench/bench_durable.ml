@@ -38,17 +38,8 @@ let with_temp_dir f =
 let file_size path =
   if Sys.file_exists path then (Unix.stat path).Unix.st_size else 0
 
-(* The WAL of a generation is segmented: gen-N.wal, gen-N.wal.1, ... *)
 let wal_size dir ~gen =
-  let prefix = Printf.sprintf "gen-%d.wal" gen in
-  Array.fold_left
-    (fun acc name ->
-      if
-        String.length name >= String.length prefix
-        && String.sub name 0 (String.length prefix) = prefix
-      then acc + file_size (Filename.concat dir name)
-      else acc)
-    0 (Sys.readdir dir)
+  file_size (Filename.concat dir (Printf.sprintf "gen-%d.wal" gen))
 
 let sub_text i ~sites =
   Printf.sprintf
@@ -62,9 +53,9 @@ report when count > 2 atmost daily|}
 let tbl_durable scale =
   section "tbl-durable — checkpoint pause and warm-restart time";
   note
-    "a durable run group-commits journalled txns into segmented \
-     gen-N.wal files; the first checkpoint snapshots every stage (cold, \
-     full), later ones re-encode every stage except the WAL-carried \
+    "a durable run group-commits journalled txns into one gen-N.wal \
+     file per generation; the first checkpoint snapshots every stage \
+     (cold, full), later ones re-encode every stage except the WAL-carried \
      reporter, written as a delta on its base payload while its ops \
      stay smaller (steady), while subscription-log compaction runs \
      incrementally inside the crawl loop; restore replays \

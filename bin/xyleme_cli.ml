@@ -194,9 +194,8 @@ let start_telemetry xyleme port =
 
 let run_simulation ?(trace_every = 0) ?algorithm ?fault_plan
     ?(report_clause = "report when count > 5 atmost daily") ?durable_dir
-    ?(checkpoint_every = 0) ?kill_after ?(restore = false) ?sync_every
-    ?segment_bytes ?slos ?telemetry_port ?serve_port ?(linger = 0.) ?parallel
-    ~sites ~days ~subscriptions ~seed () =
+    ?(checkpoint_every = 0) ?kill_after ?(restore = false) ?sync_every ?slos
+    ?telemetry_port ?serve_port ?(linger = 0.) ?parallel ~sites ~days ~subscriptions ~seed () =
   let web = Xy_crawler.Synthetic_web.generate ~seed ~sites ~pages_per_site:8 () in
   let counting_sink, delivered = Xy_reporter.Sink.counting () in
   (* A durable run also writes every delivery into the report ledger
@@ -215,7 +214,7 @@ let run_simulation ?(trace_every = 0) ?algorithm ?fault_plan
       in
       match
         Xy_system.Xyleme.restore ~seed ?algorithm ?fault_plan ~sink ~web
-          ?slos ?parallel ?serve_port ?sync_every ?segment_bytes ~dir ()
+          ?slos ?parallel ?serve_port ?sync_every ~dir ()
       with
       | Error e ->
           Printf.eprintf "restore failed: %s\n" e;
@@ -240,7 +239,7 @@ let run_simulation ?(trace_every = 0) ?algorithm ?fault_plan
     else begin
       let xyleme =
         Xy_system.Xyleme.create ~seed ?algorithm ?fault_plan ~sink ~web ?slos
-          ?parallel ?serve_port ?durable_dir ?sync_every ?segment_bytes ()
+          ?parallel ?serve_port ?durable_dir ?sync_every ()
       in
       (* the ledger is this command's file: a fresh run clears it *)
       Option.iter (fun p -> if Sys.file_exists p then Sys.remove p) ledger;
@@ -495,14 +494,6 @@ let sync_every_arg =
            transactions (1 = sync every commit).  Report deliveries always \
            force a sync first — at-least-once delivery holds at any setting")
 
-let segment_kib_arg =
-  Arg.(
-    value & opt int 4096
-    & info [ "segment-kib" ] ~docv:"KIB"
-        ~doc:
-          "WAL segment rotation threshold in KiB: the log rolls into a new \
-           bounded segment once the current one exceeds $(docv) KiB")
-
 let telemetry_arg =
   Arg.(
     value
@@ -615,8 +606,7 @@ let parallel_of ~domains ~shards ~axis =
 let simulate_cmd =
   let run sites days subscriptions seed algorithm fault_plan verbose
       stats_flag trace_every durable_dir checkpoint_every kill_after restore
-      sync_every segment_kib slos telemetry_port serve_port linger domains
-      shards axis =
+      sync_every slos telemetry_port serve_port linger domains shards axis =
     if verbose then begin
       Logs.set_reporter (Logs.format_reporter ());
       Logs.set_level (Some Logs.Info)
@@ -625,9 +615,9 @@ let simulate_cmd =
     let parallel = parallel_of ~domains ~shards ~axis in
     let xyleme, accepted, delivered =
       run_simulation ~trace_every ~algorithm ?fault_plan ?durable_dir
-        ~checkpoint_every ?kill_after ~restore ~sync_every
-        ~segment_bytes:(segment_kib * 1024) ~slos ?telemetry_port ?serve_port
-        ~linger ?parallel ~sites ~days ~subscriptions ~seed ()
+        ~checkpoint_every ?kill_after ~restore ~sync_every ~slos
+        ?telemetry_port ?serve_port ~linger ?parallel ~sites ~days
+        ~subscriptions ~seed ()
     in
     let stats = Xy_system.Xyleme.stats xyleme in
     Printf.printf "simulated %.0f days over %d sites, %d subscriptions:\n" days
@@ -672,7 +662,7 @@ let simulate_cmd =
       const run $ sites_arg $ days_arg $ subscriptions_arg $ seed_arg
       $ algorithm_arg $ faults_arg $ verbose $ stats_flag $ trace_every
       $ durable_arg $ checkpoint_every_arg $ kill_after_arg $ restore_flag
-      $ sync_every_arg $ segment_kib_arg $ slo_arg $ telemetry_arg
+      $ sync_every_arg $ slo_arg $ telemetry_arg
       $ serve_port_arg $ linger_arg $ domains_arg $ shards_arg $ axis_arg)
 
 (* ------------------------------------------------------------------ *)

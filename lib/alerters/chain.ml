@@ -69,10 +69,6 @@ let create ?extends_impl ?(obs = Obs.default) registry =
           t.epoch <- t.epoch + 1);
   t
 
-let url_alerter t = t.url
-let xml_alerter t = t.xml
-let html_alerter t = t.html
-
 let status_of_loader = function
   | Loader.New -> Atomic.New
   | Loader.Unchanged -> Atomic.Unchanged

@@ -32,10 +32,6 @@ val create :
   Xy_events.Registry.t ->
   t
 
-val url_alerter : t -> Url_alerter.t
-val xml_alerter : t -> Xml_alerter.t
-val html_alerter : t -> Html_alerter.t
-
 (** [process t ~result ~content] runs the chain on one loaded page.
     [None] when no strong event of interest was raised.  A [trace]
     context records detection as an [alerters/detect] span. *)

@@ -12,24 +12,6 @@ let document_sets t ~seed ~count =
   Array.init count (fun _ ->
       Xy_util.Prng.distinct_sorted prng ~bound:t.card_a ~count:t.s)
 
-let zipf_document_sets t ~seed ~count ~alpha =
-  let prng = Xy_util.Prng.create ~seed in
-  Array.init count (fun _ ->
-      (* Draw with replacement under the Zipf law, then dedup; top up
-         uniformly if collisions left the set short. *)
-      let seen = Hashtbl.create (2 * t.s) in
-      let budget = ref (20 * t.s) in
-      while Hashtbl.length seen < t.s && !budget > 0 do
-        decr budget;
-        let code =
-          if !budget > 10 * t.s then
-            Xy_util.Prng.zipf prng ~n:t.card_a ~alpha
-          else Xy_util.Prng.int prng t.card_a
-        in
-        Hashtbl.replace seen code ()
-      done;
-      Xy_events.Event_set.of_list (List.of_seq (Hashtbl.to_seq_keys seen)))
-
 let load_mqp ?algorithm t ~seed =
   let mqp = Mqp.create ?algorithm () in
   let events = complex_events t ~seed in

@@ -24,12 +24,6 @@ val complex_events : t -> seed:int -> Xy_events.Event_set.t array
     of cardinality [s]. *)
 val document_sets : t -> seed:int -> count:int -> Xy_events.Event_set.t array
 
-(** [zipf_document_sets t ~seed ~count ~alpha] draws event sets with a
-    Zipf-skewed event popularity, modelling "thousands of complex
-    events interested in Amazon's url, very few in John Doe's". *)
-val zipf_document_sets :
-  t -> seed:int -> count:int -> alpha:float -> Xy_events.Event_set.t array
-
 (** [load matcher-agnostic]: registers [complex_events] into a fresh
     {!Mqp.t} using ids [0 .. card_c-1]. *)
 val load_mqp : ?algorithm:Mqp.algorithm -> t -> seed:int -> Mqp.t

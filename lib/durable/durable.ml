@@ -6,21 +6,18 @@ module Codec = Xy_util.Codec
 
 (* Durability timings, registered under the [durable] stage once a
    caller hands over a registry ({!set_obs}): checkpoint pauses and
-   group-commit fsync batches as histograms, WAL segment rotations as
-   a counter. *)
+   group-commit fsync batches, as histograms. *)
 type metrics = {
   m_checkpoint_pause : Obs.Histogram.t;
   m_fsync_batch : Obs.Histogram.t;
-  m_rotations : Obs.Counter.t;
 }
 
 type op = { stage : string; payload : string }
 type tail = Record_log.tail = Clean | Torn | Corrupt
 
-type config = { sync_every : int; segment_bytes : int; fsync : bool }
+type config = { sync_every : int; fsync : bool }
 
-let default_config =
-  { sync_every = 32; segment_bytes = 4 * 1024 * 1024; fsync = true }
+let default_config = { sync_every = 32; fsync = true }
 
 (* Generation numbers in file names are parsed strictly: "gen-0x1.snap"
    is not a generation file. *)
@@ -56,14 +53,9 @@ let decode_ops =
 let manifest_path dir = Filename.concat dir "MANIFEST"
 let snap_path dir gen = Filename.concat dir (Printf.sprintf "gen-%d.snap" gen)
 
-(* The WAL of generation N is a sequence of bounded segments:
-   [gen-N.wal] (segment 0), then [gen-N.wal.1], [gen-N.wal.2], ...
-   rotated when a segment outgrows [config.segment_bytes].  Rotation
-   happens only at a sync boundary, so a damaged tail can appear in
-   the final segment only. *)
-let segment_path dir gen seg =
-  if seg = 0 then Filename.concat dir (Printf.sprintf "gen-%d.wal" gen)
-  else Filename.concat dir (Printf.sprintf "gen-%d.wal.%d" gen seg)
+(* The WAL of generation N is one file, grown until the checkpoint
+   that starts generation N+1. *)
+let wal_path dir gen = Filename.concat dir (Printf.sprintf "gen-%d.wal" gen)
 
 module Wal = struct
   let encode_txn ops = Record_log.encode (encode_ops ops)
@@ -73,27 +65,7 @@ module Wal = struct
     Record_log.sync ~fsync:sync oc
 
   let scan path = Record_log.read path ~decode:decode_ops
-
-  (* Scan a whole generation across its segments, stopping at the
-     first damage.  A torn tail is only a crash shape in the *final*
-     segment — rotation happens after a sync, so damage in an earlier
-     segment means bytes were altered in place. *)
-  let scan_generation ~dir ~gen =
-    let rec go seg acc =
-      let path = segment_path dir gen seg in
-      if not (Sys.file_exists path) then (List.concat (List.rev acc), Clean)
-      else
-        let txns, tail = scan path in
-        let next_exists = Sys.file_exists (segment_path dir gen (seg + 1)) in
-        match tail with
-        | Clean when next_exists -> go (seg + 1) (txns :: acc)
-        | Clean -> (List.concat (List.rev (txns :: acc)), Clean)
-        | Torn when next_exists ->
-            (List.concat (List.rev (txns :: acc)), Corrupt)
-        | (Torn | Corrupt) as tail ->
-            (List.concat (List.rev (txns :: acc)), tail)
-    in
-    go 0 []
+  let scan_generation ~dir ~gen = scan (wal_path dir gen)
 end
 
 (* A snapshot section is the stage's payload inline, or a delta: the
@@ -155,7 +127,6 @@ type t = {
   dir : string;
   config : config;
   mutable gen : int;
-  mutable seg : int;  (** current WAL segment index within [gen] *)
   mutable wal : out_channel option;
   mutable txn : op list;  (** reversed *)
   pending : Buffer.t;
@@ -185,7 +156,6 @@ let set_obs t obs =
       {
         m_checkpoint_pause = Obs.histogram obs ~stage:"durable" "checkpoint_pause";
         m_fsync_batch = Obs.histogram obs ~stage:"durable" "fsync_batch";
-        m_rotations = Obs.counter obs ~stage:"durable" "wal_rotations";
       }
 
 let observe_time t select f =
@@ -209,12 +179,13 @@ let ensure_dir dir = if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
 let remove_if path =
   try if Sys.file_exists path then Sys.remove path with Sys_error _ -> ()
 
-let open_segment dir gen seg =
+let open_wal dir gen =
   open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644
-    (segment_path dir gen seg)
+    (wal_path dir gen)
 
 (* Classify a generation file by name: gen-<n>.snap, gen-<n>.snap.tmp,
-   gen-<n>.wal, gen-<n>.wal.<k>. *)
+   gen-<n>.wal, and gen-<n>.wal.<k>, a WAL segment an older build
+   rotated into, which [open_fresh] and [cleanup] still remove. *)
 let parse_gen_file name =
   if String.length name <= 4 || String.sub name 0 4 <> "gen-" then None
   else
@@ -240,7 +211,6 @@ let make ~dir ~config ~gen ~wal =
     dir;
     config;
     gen;
-    seg = 0;
     wal;
     txn = [];
     pending = Buffer.create 4096;
@@ -255,7 +225,7 @@ let make ~dir ~config ~gen ~wal =
 let open_fresh ?(config = default_config) dir =
   ensure_dir dir;
   (* wipe any previous run: a fresh run must not inherit its
-     subscriptions, replay its WAL segments, or trip over orphaned
+     subscriptions, replay its WALs, or trip over orphaned
      generation files a killed checkpoint left behind *)
   Array.iter
     (fun name ->
@@ -267,7 +237,7 @@ let open_fresh ?(config = default_config) dir =
       if matches then remove_if (Filename.concat dir name))
     (try Sys.readdir dir with Sys_error _ -> [||]);
   write_manifest ~fsync:config.fsync dir 0;
-  make ~dir ~config ~gen:0 ~wal:(Some (open_segment dir 0 0))
+  make ~dir ~config ~gen:0 ~wal:(Some (open_wal dir 0))
 
 let open_existing ?(config = default_config) dir =
   match read_manifest dir with
@@ -300,10 +270,7 @@ let discard t =
   Buffer.clear t.pending;
   t.pending_txns <- 0
 
-(* Drain the group-commit batch to the current segment and sync it,
-   rotating to a fresh segment when this one outgrew its bound.
-   Rotation strictly follows a sync, so only a final segment can ever
-   carry a torn tail. *)
+(* Drain the group-commit batch to the WAL and sync it. *)
 let sync_pending t =
   match t.wal with
   | None -> ()
@@ -314,17 +281,7 @@ let sync_pending t =
         Buffer.clear t.pending;
         t.pending_txns <- 0;
         Record_log.sync ~fsync:t.config.fsync oc;
-        t.sync_count <- t.sync_count + 1;
-        if pos_out oc > t.config.segment_bytes then begin
-          fire_fuse t "rotate";
-          (match t.metrics with
-          | Some m -> Obs.Counter.incr m.m_rotations
-          | None -> ());
-          close_out oc;
-          t.seg <- t.seg + 1;
-          t.wal <- Some (open_segment t.dir t.gen t.seg);
-          Record_log.sync_dir ~fsync:t.config.fsync t.dir
-        end
+        t.sync_count <- t.sync_count + 1
 
 let barrier t = sync_pending t
 
@@ -354,7 +311,7 @@ let wal_floor t =
     t.chains t.gen
 
 (* Remove files no longer reachable: snapshots other than the current
-   generation's and the delta bases, WAL segments no delta section
+   generation's and the delta bases, WALs no delta section
    replays from, stale snapshot temps.  Runs after the manifest flip,
    so a kill anywhere in here only leaves garbage a later cleanup (or
    [open_fresh]) retires. *)
@@ -429,8 +386,7 @@ let checkpoint t ~snapshot =
      the flip, so a kill in either window restores cleanly from
      whichever generation the manifest names. *)
   (match t.wal with Some oc -> close_out oc | None -> ());
-  t.wal <- Some (open_segment t.dir next 0);
-  t.seg <- 0;
+  t.wal <- Some (open_wal t.dir next);
   Record_log.sync_dir ~fsync:t.config.fsync t.dir;
   fire_fuse t "wal-created";
   write_manifest ~fsync:t.config.fsync t.dir next;
@@ -492,6 +448,20 @@ let resolve_sections t sections =
   in
   go [] [] sections
 
+(* A generation's committed transactions.  An older build rotated a
+   WAL into [gen-N.wal.1], [gen-N.wal.2], ...: replaying [gen-N.wal]
+   alone would drop the later segments' transactions and still report
+   a clean tail, so such a directory is refused. *)
+let replay_generation t g =
+  let rotated = wal_path t.dir g ^ ".1" in
+  if Sys.file_exists rotated then
+    Error
+      (Printf.sprintf
+         "%s: a WAL segment rotated by an older build, which this build \
+          does not replay"
+         rotated)
+  else Ok (Wal.scan_generation ~dir:t.dir ~gen:g)
+
 (* The stage-filtered transactions a set of delta sections replays on
    top of their base payloads: every op of a delta stage, from the
    WAL of its base generation up to (excluding) the current one, in
@@ -506,13 +476,13 @@ let collect_delta_txns t deltas =
       let rec go g acc =
         if g >= t.gen then Ok (List.concat (List.rev acc))
         else
-          let txns, tail = Wal.scan_generation ~dir:t.dir ~gen:g in
-          match tail with
-          | Corrupt ->
+          match replay_generation t g with
+          | Error _ as e -> e
+          | Ok (_, Corrupt) ->
               Error
                 (Printf.sprintf
                    "delta section WAL: generation %d damaged mid-log" g)
-          | Clean | Torn ->
+          | Ok (txns, (Clean | Torn)) ->
               let live =
                 List.filter_map
                   (fun (stage, base) -> if base <= g then Some stage else None)
@@ -535,14 +505,12 @@ let collect_delta_txns t deltas =
 let load_latest t =
   let ( let* ) = Result.bind in
   let snap = snap_path t.dir t.gen in
-  let* resolved, old_txns =
+  let* resolved, deltas =
     if Sys.file_exists snap then
       Result.map_error (fun e -> "snapshot unreadable: " ^ e)
       @@
       let* sections = Snapshot.load snap in
-      let* resolved, deltas = resolve_sections t sections in
-      let* old_txns = collect_delta_txns t deltas in
-      Ok (resolved, old_txns)
+      resolve_sections t sections
     else if t.gen = 0 then
       (* generation 0 of a run that never checkpointed: empty snapshot *)
       Ok ([], [])
@@ -553,7 +521,8 @@ let load_latest t =
         (Printf.sprintf "damaged MANIFEST: generation %d has no snapshot"
            t.gen)
   in
-  let txns, tail = Wal.scan_generation ~dir:t.dir ~gen:t.gen in
+  let* old_txns = collect_delta_txns t deltas in
+  let* txns, tail = replay_generation t t.gen in
   let txns = old_txns @ txns in
   (* every op byte applied since a chain's base payload counts, so
      the closing checkpoint (and every one after) inlines exactly when
@@ -561,5 +530,4 @@ let load_latest t =
   List.iter (List.iter (count_op t)) txns;
   Ok (resolved, txns, tail)
 
-let wal_segments t = t.seg + 1
 let syncs t = t.sync_count

@@ -1,4 +1,4 @@
-(** Whole-system durability: checkpoints + a segmented, group-committed
+(** Whole-system durability: checkpoints + a group-committed
     write-ahead log.
 
     The paper's Subscription Manager keeps its state in MySQL "for
@@ -16,9 +16,9 @@
       journaled ({!set_wal_carried}) may be a [Delta] reference to the
       earlier generation whose snapshot last wrote it inline, plus the
       WALs retained since.
-    - [gen-N.wal], [gen-N.wal.1], ... — the write-ahead log of
-      operations since generation [N]'s snapshot, as bounded segments
-      rotated at [config.segment_bytes].  Operations are buffered
+    - [gen-N.wal] — the write-ahead log of operations since
+      generation [N]'s snapshot, one file that grows until the next
+      checkpoint starts generation [N+1].  Operations are buffered
       into {e transactions} and appended as single records, so a torn
       tail drops whole transactions, never half of one — that is what
       keeps cross-stage state mutually consistent after a kill.
@@ -55,16 +55,13 @@ type config = {
   sync_every : int;
       (** group-commit batch size: fsync once per this many committed
           transactions (1 = sync every commit) *)
-  segment_bytes : int;
-      (** rotate the WAL to a fresh segment once the current one
-          outgrows this many bytes *)
   fsync : bool;
       (** when false, degrade every fsync to a flush — for tests and
           benches that only model process kills, not power loss *)
 }
 
 val default_config : config
-(** [{ sync_every = 32; segment_bytes = 4 MiB; fsync = true }] *)
+(** [{ sync_every = 32; fsync = true }] *)
 
 (** A snapshot section: the stage's payload inline, or a delta — the
     payload at a base generation plus the stage's journaled ops in the
@@ -83,15 +80,11 @@ module Wal : sig
       of the ops' (stage, payload) pairs. *)
 
   val scan : string -> op list list * tail
-  (** Read back every intact transaction of one segment, in order,
+  (** Read back every intact transaction of one WAL file, in order,
       plus the tail verdict.  A missing file is [([], Clean)]. *)
 
   val scan_generation : dir:string -> gen:int -> op list list * tail
-  (** Concatenate the scans of every segment of generation [gen],
-      stopping at the first damage.  A torn tail in a {e non-final}
-      segment is reported as [Corrupt]: rotation only ever follows a
-      sync, so a genuine crash tail can exist in the last segment
-      only. *)
+  (** {!scan} of generation [gen]'s WAL, [gen-N.wal] in [dir]. *)
 end
 
 module Snapshot : sig
@@ -111,8 +104,9 @@ type t
 
 val open_fresh : ?config:config -> string -> t
 (** Create (or reset) a durable directory for a fresh run: any
-    previous manifest, snapshots, WAL segments (including orphans a
-    killed checkpoint left behind), the subscription log and its
+    previous manifest, snapshots, WALs (including orphans a killed
+    checkpoint left behind, and the [gen-N.wal.K] segments an older
+    build rotated into), the subscription log and its
     compaction temp are removed, and generation 0 starts with an empty
     WAL.  Files of the caller's are left alone. *)
 
@@ -160,17 +154,15 @@ val set_wal_carried : t -> string list -> unit
     here — their delta replay would silently miss those mutations. *)
 
 val set_fuse : t -> (string -> unit) -> unit
-(** Install a hook consulted at checkpoint and rotation boundaries
-    with a label: ["checkpoint-begin"], ["carry-forward"] (only when
-    the checkpoint writes a [Delta] section), ["snapshot-written"],
-    ["wal-created"], ["manifest-committed"], ["rotate"].  Fault
-    injection uses this to kill the process inside every crash
-    window. *)
+(** Install a hook consulted at checkpoint boundaries with a label:
+    ["checkpoint-begin"], ["carry-forward"] (only when the checkpoint
+    writes a [Delta] section), ["snapshot-written"], ["wal-created"],
+    ["manifest-committed"].  Fault injection uses this to kill the
+    process inside every crash window. *)
 
 val set_obs : t -> Xy_obs.Obs.t -> unit
 (** Register durability timings in [obs] under the [durable] stage:
-    [checkpoint_pause] and [fsync_batch] wall-clock histograms, and a
-    [wal_rotations] counter. *)
+    [checkpoint_pause] and [fsync_batch] wall-clock histograms. *)
 
 val checkpoint : t -> snapshot:(string * (unit -> string list)) list -> unit
 (** Commit + barrier, then write snapshot [gen+1]: every stage has its
@@ -194,13 +186,13 @@ val load_latest :
     resolved (each chases exactly one reference: its payload is its
     base generation's), plus the replayable transactions: the delta
     stages' ops from the retained WAL generations first, then the
-    current generation's WAL segments, with the current tail verdict.
-    A brand-new generation 0 with no snapshot file is
+    current generation's WAL, with the current tail verdict.  A
+    brand-new generation 0 with no snapshot file is
     [Ok ([], txns, tail)]; any later generation without one means the
-    manifest is damaged, an error. *)
-
-val wal_segments : t -> int
-(** Segments in the current generation's WAL so far. *)
+    manifest is damaged, an error.  So is a replayed generation with a
+    [gen-N.wal.1]: an older build rotated that WAL into segments, and
+    replaying the first alone would silently drop committed
+    transactions. *)
 
 val syncs : t -> int
 (** fsync batches issued for the WAL (group-commit diagnostics). *)

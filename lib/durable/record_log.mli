@@ -10,7 +10,7 @@
     every field inside the payload as {!Xy_util.Codec} fields, so the
     checksum covers everything a record carries.
 
-    The subscription log, the delivery ledger, WAL segments,
+    The subscription log, the delivery ledger, the WALs,
     snapshots, the [MANIFEST] and the serving surface's wire frames
     are all sequences of these records.  One incremental {!decoder}
     reads them from sockets and files alike; {!read} scans a file to

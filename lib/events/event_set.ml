@@ -12,6 +12,5 @@ let mem = S.mem
 let subset = S.subset
 let union = S.union
 let inter = S.inter
-let remove_code t code = S.diff t [| code |]
 let equal = S.equal
 let pp = S.pp

@@ -16,6 +16,5 @@ val mem : t -> int -> bool
 val subset : t -> t -> bool
 val union : t -> t -> t
 val inter : t -> t -> t
-val remove_code : t -> int -> t
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

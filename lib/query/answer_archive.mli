@@ -4,8 +4,7 @@
     important aspect of a change control system" (paper §2.2).  An
     archive keeps the current answer of a continuous query as an
     XID-labelled tree plus a bounded chain of deltas, so that any
-    retained past answer can be reconstructed — the same mechanism the
-    warehouse uses for documents, applied to query results. *)
+    retained past answer can be reconstructed from the current one. *)
 
 type t
 

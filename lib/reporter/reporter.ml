@@ -37,18 +37,6 @@ type subscription_state = {
           rather than copy them *)
 }
 
-(* A durable delivery intent: journaled and committed *before* the
-   sink is invoked, acknowledged after.  A crash in the window leaves
-   the intent pending; [redeliver_pending] re-delivers it with the
-   same sequence number, so consumers dedup instead of losing the
-   report. *)
-type intent = {
-  i_recipient : string;
-  i_subscription : string;
-  i_report : T.element;
-  i_at : float;
-}
-
 type t = {
   clock : Xy_util.Clock.t;
   sink : Sink.t;
@@ -67,10 +55,9 @@ type t = {
   mutable by_name : (string * subscription_state) array option;
       (** every subscription in name order, the snapshot's order;
           rebuilt only after the subscription set changed *)
-  pending : (int, intent) Hashtbl.t;  (** journaled but unacked *)
-  mutable outbox : Sink.delivery list;
-      (** deliveries whose intents are journaled in the current (still
-          open) transaction, awaiting {!flush_outbox} — newest first *)
+  pending : (int, Sink.delivery) Hashtbl.t;
+      (** by seq: deliveries whose intents are journaled but not yet
+          acknowledged, awaiting {!deliver_pending} *)
   metrics : metrics;
   mutable journal : (string -> unit) option;
   mutable commit : (unit -> unit) option;
@@ -98,7 +85,6 @@ let create ?(obs = Obs.default) ~clock ~sink () =
     timed = Names.empty;
     by_name = None;
     pending = Hashtbl.create 4;
-    outbox = [];
     metrics =
       {
         m_notifications = Obs.counter obs ~stage "notifications";
@@ -399,18 +385,23 @@ let apply_fire_state t subscription state ~now ~report =
   t.reports_sent <- t.reports_sent + 1;
   Obs.Counter.incr t.metrics.m_reports
 
-(* Flush deferred deliveries: invoke the sink for every outbox entry
-   (oldest first — seq order), then acknowledge each intent.  The
-   durable host calls this after the transaction carrying the intents
-   has committed *and synced*; the acks land in the follow-up
-   transaction the host opens. *)
-let flush_outbox t =
-  match List.rev t.outbox with
+let pending_deliveries t =
+  List.sort
+    (fun (a : Sink.delivery) (b : Sink.delivery) -> Int.compare a.seq b.seq)
+    (Hashtbl.fold (fun _ d acc -> d :: acc) t.pending [])
+
+(* Invoke the sink for every pending delivery, in seq order, then
+   acknowledge each one.  The durable host calls this once the
+   transactions carrying the intents are committed *and synced*: after
+   a crawl batch or a single-call entry, and at restart for the
+   intents a crash left unacked.  The acks land in the transaction the
+   host opens next. *)
+let deliver_pending t =
+  match pending_deliveries t with
   | [] -> 0
   | deliveries ->
-      t.outbox <- [];
       Obs.Histogram.time t.metrics.m_delivery_latency (fun () ->
-          List.iter (fun d -> t.sink.Sink.deliver d) deliveries);
+          List.iter t.sink.Sink.deliver deliveries);
       List.iter
         (fun (d : Sink.delivery) ->
           Hashtbl.remove t.pending d.Sink.seq;
@@ -420,22 +411,20 @@ let flush_outbox t =
         deliveries;
       List.length deliveries
 
-let outbox_size t = List.length t.outbox
-
 (* Build and send the report; empties the buffer.
 
    Durability protocol (at-least-once): the fire's state effects and
    one delivery intent per recipient are journaled into the enclosing
-   transaction and the deliveries parked in the outbox; the durable
-   host commits and syncs that transaction as a whole, *then* flushes
-   the outbox and commits the acknowledgements.  A crash anywhere in
-   the window leaves committed intents without acks —
-   [redeliver_pending] re-sends those with the same sequence numbers,
-   and consumers dedup by seq.  Deferring the sink keeps the enclosing
+   transaction and the deliveries left pending; the durable host
+   commits and syncs that transaction as a whole, *then* delivers the
+   pending reports and commits the acknowledgements.  A crash anywhere
+   in the window leaves committed intents without acks, which the
+   restarted host delivers again with the same sequence numbers, and
+   consumers dedup by seq.  Deferring the sink keeps the enclosing
    transaction atomic: a lost group-commit batch can never contain
    *half* of an ingest whose report barrier made the other half
-   durable.  Without a durable host (no commit hook) the outbox is
-   flushed inline — delivery stays synchronous. *)
+   durable.  Without a durable host (no commit hook) the pending
+   reports are delivered inline — delivery stays synchronous. *)
 let fire ?trace t subscription state =
   let span =
     Option.map
@@ -475,8 +464,7 @@ let fire ?trace t subscription state =
         let seq = t.next_seq in
         t.next_seq <- t.next_seq + 1;
         Hashtbl.replace t.pending seq
-          { i_recipient = recipient; i_subscription = subscription;
-            i_report = report; i_at = now };
+          { Sink.seq; recipient; subscription; report; at = now };
         (seq, recipient))
       state.recipients
   in
@@ -492,12 +480,7 @@ let fire ?trace t subscription state =
           Codec.int buf seq;
           Codec.string buf recipient)
         targets);
-  List.iter
-    (fun (seq, recipient) ->
-      t.outbox <-
-        { Sink.seq; recipient; subscription; report; at = now } :: t.outbox)
-    targets;
-  if t.commit = None then ignore (flush_outbox t);
+  if t.commit = None then ignore (deliver_pending t);
   Option.iter
     (Xy_trace.Trace.end_span
        ~attrs:
@@ -622,29 +605,6 @@ let archived t ~subscription =
 
 let pending_count t = Hashtbl.length t.pending
 
-let redeliver_pending t =
-  let intents =
-    List.sort compare
-      (Hashtbl.fold (fun seq i acc -> (seq, i) :: acc) t.pending [])
-  in
-  List.iter
-    (fun (seq, i) ->
-      t.sink.Sink.deliver
-        {
-          Sink.seq;
-          recipient = i.i_recipient;
-          subscription = i.i_subscription;
-          report = i.i_report;
-          at = i.i_at;
-        };
-      Hashtbl.remove t.pending seq;
-      emit_op t (fun buf ->
-          Codec.string buf "A";
-          Codec.int buf seq))
-    intents;
-  if intents <> [] then commit_now t;
-  List.length intents
-
 (* A subscription's frame: its name and buffer length, one piece per
    buffered notification (its cached encoding, oldest first), then the
    rest of its state. *)
@@ -710,14 +670,13 @@ let snapshot_pieces t =
   Codec.int buf t.reports_sent;
   Codec.int buf t.dropped_by_atmost;
   Codec.list buf
-    (fun buf (seq, i) ->
-      Codec.int buf seq;
-      Codec.string buf i.i_recipient;
-      Codec.string buf i.i_subscription;
-      Codec.float buf i.i_at;
-      Codec.string buf (Xy_xml.Printer.element_to_string i.i_report))
-    (List.sort compare
-       (Hashtbl.fold (fun seq i acc -> (seq, i) :: acc) t.pending []));
+    (fun buf (d : Sink.delivery) ->
+      Codec.int buf d.seq;
+      Codec.string buf d.recipient;
+      Codec.string buf d.subscription;
+      Codec.float buf d.at;
+      Codec.string buf (Xy_xml.Printer.element_to_string d.report))
+    (pending_deliveries t);
   let subs = by_name t in
   Codec.int buf (Array.length subs);
   Buffer.contents buf
@@ -754,10 +713,11 @@ let decode_snapshot t payload =
         let subscription = Codec.read_string r in
         let at = Codec.read_float r in
         let report = parse_element (Codec.read_string r) in
-        (seq, { i_recipient = recipient; i_subscription = subscription;
-                i_report = report; i_at = at }))
+        { Sink.seq; recipient; subscription; report; at })
   in
-  List.iter (fun (seq, i) -> Hashtbl.replace t.pending seq i) intents;
+  List.iter
+    (fun (d : Sink.delivery) -> Hashtbl.replace t.pending d.seq d)
+    intents;
   let states =
     Codec.read_list r (fun r ->
         let name = Codec.read_string r in
@@ -859,8 +819,7 @@ let apply_op t payload =
       List.iter
         (fun (seq, recipient) ->
           Hashtbl.replace t.pending seq
-            { i_recipient = recipient; i_subscription = name;
-              i_report = report; i_at = now };
+            { Sink.seq; recipient; subscription = name; report; at = now };
           if seq >= t.next_seq then t.next_seq <- seq + 1)
         targets
   | "A" -> Hashtbl.remove t.pending (Codec.read_int r)

@@ -83,19 +83,20 @@ val archived : t -> subscription:string -> Xy_xml.Types.element list
     Every delivery carries a global, monotonically increasing sequence
     number that survives a warm restart.  The fire path journals one
     delivery *intent* per recipient into the enclosing transaction and
-    parks the delivery in an outbox; the durable host commits the
-    transaction, syncs the WAL, calls {!flush_outbox} (which runs the
-    sink and journals the acknowledgements), and commits again.  A
-    crawl batch commits one transaction per document and syncs once,
-    after its last document, so the outbox collects the whole batch's
-    reports and the sink sees them when the batch ends.  A crash in
-    the window leaves committed, unacked intents that
-    {!redeliver_pending} re-sends with the same sequence numbers —
+    keeps the delivery pending; the durable host commits the
+    transaction, syncs the WAL, calls {!deliver_pending} (which runs
+    the sink and journals the acknowledgements), and commits again.
+    A crawl batch commits one transaction per document and syncs
+    once, after its last document, so the whole batch's reports are
+    pending together and the sink sees them when the batch ends.  A
+    crash in the window leaves committed, unacked intents, which
+    replay makes pending again and the restarted host's
+    {!deliver_pending} re-sends with the same sequence numbers —
     at-least-once delivery, deduplicated by seq.  Deferring the sink
     this way keeps every transaction atomic on disk: the pre-delivery
     sync can never persist half of the transaction a report fired
-    inside.  Without a commit hook the outbox is flushed inline and
-    delivery stays synchronous.
+    inside.  Without a commit hook each fire delivers its reports
+    inline and delivery stays synchronous.
 
     Journaling costs each notification value one encoding, however
     many subscriptions buffer it: its {!Notification.t} [rendered]
@@ -111,28 +112,20 @@ val archived : t -> subscription:string -> Xy_xml.Types.element list
 
 (** [set_persistence t ~journal ~commit] attaches the durable hooks:
     [journal] buffers an op into the current transaction, [commit]
-    makes the transaction durable ({!redeliver_pending} calls it after
-    acking, {!unregister} after its op; the fire path defers to the
-    host instead).  Pass [None] to detach. *)
+    makes the transaction durable ({!unregister} calls it after its
+    op; the fire path defers to the host instead).  Pass [None] to
+    detach. *)
 val set_persistence :
   t -> journal:(string -> unit) option -> commit:(unit -> unit) option -> unit
 
-(** [flush_outbox t] invokes the sink for every parked delivery (in
-    sequence order), journals their acknowledgements into the current
-    transaction, and returns how many were delivered.  The durable
-    host must call it only after every transaction carrying the
-    delivery intents is committed and synced: once per crawl batch,
-    and once per single-call entry (ingest, subscribe, advance...). *)
-val flush_outbox : t -> int
-
-(** [outbox_size t] is the number of deliveries awaiting
-    {!flush_outbox}. *)
-val outbox_size : t -> int
-
-(** [redeliver_pending t] re-delivers every journaled-but-unacked
-    intent (post-crash), acks them, and returns how many were
-    re-sent. *)
-val redeliver_pending : t -> int
+(** [deliver_pending t] invokes the sink for every pending delivery
+    (in sequence order), journals their acknowledgements into the
+    current transaction, and returns how many were delivered.  The
+    durable host must call it only after every transaction carrying
+    the delivery intents is committed and synced: once per crawl
+    batch, once per single-call entry (ingest, subscribe, advance...),
+    and once at restart for the intents replay left unacked. *)
+val deliver_pending : t -> int
 
 (** [pending_count t] is the number of unacked delivery intents. *)
 val pending_count : t -> int

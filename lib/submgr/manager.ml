@@ -527,5 +527,3 @@ let refresh_statements t =
 
 let subscription_refresh t ~name =
   Option.value ~default:[] (Hashtbl.find_opt t.refreshing name)
-
-let complex_event_count t = Hashtbl.length t.dispatches

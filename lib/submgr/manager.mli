@@ -89,7 +89,3 @@ val refresh_statements : t -> (string * float) list
     unknown) — what an unsubscribe or an update must subtract from
     the crawler's refresh ceilings. *)
 val subscription_refresh : t -> name:string -> (string * float) list
-
-(** [complex_event_count t] is the number of live complex events
-    (Card(C) from this manager). *)
-val complex_event_count : t -> int

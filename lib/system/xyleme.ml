@@ -20,11 +20,6 @@ module Sink = Xy_reporter.Sink
 module Slo = Xy_slo.Slo
 module Serve = Xy_serve.Serve
 
-(* The never-retreating wall timer lives in {!Wall} (it is
-   process-global, shared with [Parallel]); the alias keeps this
-   module's historical surface. *)
-let monotonic_wall = Wall.monotonic
-
 (* A durable run's subscription log and its background compaction
    (see [maintenance_step]). *)
 type compaction = {
@@ -105,9 +100,7 @@ type t = {
   mutable view : (int * T.element) option;
       (** the warehouse view and the store mutation count it was built
           at: the continuous queries due in one tick share one build *)
-  serve_cell : Serve.t option ref;
-      (** a cell, not a plain field: the wire sink closes over it
-          before the system record exists *)
+  serve : Serve.t option;
 }
 
 let default_domains () =
@@ -183,10 +176,10 @@ let journal_op t ~stage encode =
       encode buf;
       Durable.journal d ~stage (Buffer.contents buf)
 
-(* Commit the open transaction; when the outbox holds reports (from
-   this transaction or from the sealed ones before it), sync the WAL
-   *before* invoking the sinks (at-least-once: an intent is durable
-   before its report leaves the system) and commit the
+(* Commit the open transaction; when the reporter holds undelivered
+   reports (from this transaction or from the sealed ones before it),
+   sync the WAL *before* invoking the sinks (at-least-once: an intent
+   is durable before its report leaves the system) and commit the
    acknowledgements right after.  A crawl batch calls it once, after
    its last document; the single-call entries once per call.  The sink
    runs only once every transaction carrying an intent is on disk, so
@@ -197,9 +190,9 @@ let commit_txn t =
   | None -> ()
   | Some d ->
       Durable.commit d;
-      if Xy_reporter.Reporter.outbox_size t.reporter > 0 then begin
+      if Xy_reporter.Reporter.pending_count t.reporter > 0 then begin
         Durable.barrier d;
-        ignore (Xy_reporter.Reporter.flush_outbox t.reporter);
+        ignore (Xy_reporter.Reporter.deliver_pending t.reporter);
         Durable.commit d
       end
 
@@ -400,13 +393,10 @@ let stage_table t =
     journaled "queue" (module Xy_crawler.Fetch_queue) t.queue;
     journaled "crawler" (module Xy_crawler.Crawler) t.crawler;
     journaled "trigger" (module Xy_trigger.Trigger_engine) t.trigger;
-    (* The reporter acknowledges deliveries externally, so its commit
-       must also be a sync barrier: a group-commit batch lost at a
-       kill may never contain a delivery intent whose report was sent.
-       The fire path itself defers sink invocation to [commit_txn]'s
-       flush; this hook serves [redeliver_pending] during restore and
-       syncs an unregistration's op before the subscription log moves
-       on. *)
+    (* The reporter's commit hook is also a sync barrier: it syncs an
+       unregistration's op before the subscription log moves on.  The
+       fire path defers sink invocation to [commit_txn], which syncs
+       the intents before it delivers them. *)
     stage "reporter" ~wal_carried:true
       (fun () -> Reporter.snapshot_pieces t.reporter)
       (Reporter.decode_snapshot t.reporter)
@@ -423,7 +413,7 @@ let stage_table t =
   @
   (* the wire pending store: report enqueues and client acks journal
      as ops *)
-  match !(t.serve_cell) with
+  match t.serve with
   | None -> []
   | Some s -> [ journaled serve_stage (module Serve) s ]
 
@@ -489,29 +479,23 @@ let make ?(seed = 1) ?algorithm ?sink ?web ?obs ?tracer ?fault_plan ?slos
   let sink = match sink with Some s -> s | None -> Xy_reporter.Sink.null () in
   (* The wire path rides the normal sink slot: deliveries tee into the
      serving surface, which journals them into its pending store and
-     streams them to whichever client has claimed the recipient.  A
-     cell, because the system record the server lives in does not
-     exist yet. *)
-  let serve_cell =
-    ref
-      (Option.map
-         (fun c -> Serve.create ~obs ~faults:wire_faults ~config:c ())
-         serve_config)
+     streams them to whichever client has claimed the recipient. *)
+  let serve =
+    Option.map
+      (fun c -> Serve.create ~obs ~faults:wire_faults ~config:c ())
+      serve_config
   in
   let sink =
-    match serve_config with
+    match serve with
     | None -> sink
-    | Some _ ->
+    | Some s ->
         Sink.tee sink
           {
             Sink.deliver =
               (fun d ->
-                match !serve_cell with
-                | None -> ()
-                | Some s ->
-                    Serve.deliver s ~seq:d.Sink.seq ~recipient:d.Sink.recipient
-                      ~subscription:d.Sink.subscription ~at:d.Sink.at
-                      ~body:(Xy_xml.Printer.element_to_string d.Sink.report));
+                Serve.deliver s ~seq:d.Sink.seq ~recipient:d.Sink.recipient
+                  ~subscription:d.Sink.subscription ~at:d.Sink.at
+                  ~body:(Xy_xml.Printer.element_to_string d.Sink.report));
           }
   in
   let reporter = Xy_reporter.Reporter.create ~obs ~clock ~sink () in
@@ -581,7 +565,7 @@ let make ?(seed = 1) ?algorithm ?sink ?web ?obs ?tracer ?fault_plan ?slos
                }));
       subsets = None;
       view = None;
-      serve_cell;
+      serve;
     }
   in
   t.stages <- stage_table t;
@@ -608,7 +592,7 @@ let make ?(seed = 1) ?algorithm ?sink ?web ?obs ?tracer ?fault_plan ?slos
 
 (* The configurations [create] and [restore] share, before either
    touches the directory. *)
-let prepare ?serve_port ?serve_config ?sync_every ?segment_bytes () =
+let prepare ?serve_port ?serve_config ?sync_every () =
   let d = Durable.default_config in
   ( (match serve_port with
     | Some port when Option.is_none serve_config -> Some (Serve.config ~port ())
@@ -616,7 +600,6 @@ let prepare ?serve_port ?serve_config ?sync_every ?segment_bytes () =
     {
       d with
       Durable.sync_every = Option.value ~default:d.Durable.sync_every sync_every;
-      segment_bytes = Option.value ~default:d.Durable.segment_bytes segment_bytes;
     } )
 
 let obs t = t.obs
@@ -679,10 +662,10 @@ let unsubscribe t ~name =
    the socket only opens here, once the manager exists to back the
    protocol's mutations. *)
 
-let serve t = !(t.serve_cell)
+let serve t = t.serve
 
 let serve_listen t =
-  match !(t.serve_cell) with
+  match t.serve with
   | None -> ()
   | Some s ->
       Serve.listen s
@@ -709,7 +692,7 @@ let serve_listen t =
    [advance]/[crawl_step]; exposed for driving a server outside a
    run loop. *)
 let serve_pump t =
-  match !(t.serve_cell) with
+  match t.serve with
   | None -> 0
   | Some s ->
       let span name f =
@@ -721,33 +704,38 @@ let serve_pump t =
       if n > 0 then commit_txn t;
       n
 
-let stop_serve ?drain t = Option.iter (Serve.stop ?drain) !(t.serve_cell)
+let stop_serve ?drain t = Option.iter (Serve.stop ?drain) t.serve
 
 (* The last steps of [create] and [restore]: the journal hooks go on,
    committed but unacked delivery intents are re-sent, at least once
    (the wire's pending store, restored already, dedups them by seq),
-   and only then does the socket open.  Returns the number re-sent. *)
+   their acks are committed and synced, and only then does the socket
+   open.  Returns the number re-sent. *)
 let start t =
   Option.iter
     (fun d ->
       List.iter (fun s -> s.attach (Durable.journal d ~stage:s.name)) t.stages;
-      (* every checkpoint/rotation boundary and every wire delivery
-         boundary is a crash window the matrix tests can kill inside *)
+      (* every checkpoint boundary and every wire delivery boundary is
+         a crash window the matrix tests can kill inside *)
       Durable.set_fuse d (fun label -> crash_point t ("durable:" ^ label));
       Option.iter
         (fun s ->
           Serve.set_fuse s (Some (fun label -> crash_point t ("serve:" ^ label))))
-        !(t.serve_cell))
+        t.serve)
     t.durable;
-  let redelivered = Xy_reporter.Reporter.redeliver_pending t.reporter in
+  let redelivered = Xy_reporter.Reporter.deliver_pending t.reporter in
+  if redelivered > 0 then
+    Option.iter
+      (fun d ->
+        Durable.commit d;
+        Durable.barrier d)
+      t.durable;
   serve_listen t;
   redelivered
 
 let create ?seed ?algorithm ?sink ?web ?obs ?tracer ?fault_plan ?slos ?parallel
-    ?serve_port ?serve_config ?durable_dir ?sync_every ?segment_bytes () =
-  let serve_config, config =
-    prepare ?serve_port ?serve_config ?sync_every ?segment_bytes ()
-  in
+    ?serve_port ?serve_config ?durable_dir ?sync_every () =
+  let serve_config, config = prepare ?serve_port ?serve_config ?sync_every () in
   let durable = Option.map (Durable.open_fresh ~config) durable_dir in
   let t =
     make ?seed ?algorithm ?sink ?web ?obs ?tracer ?fault_plan ?slos ?parallel
@@ -919,7 +907,7 @@ let ingest_in_txn ?trace ?birth t ~url ~content ~kind =
   | (Deleted _ | Absent), _ -> assert false (* the page has content *)
 
 (* The public entries commit, as [subscribe] does: an immediate
-   report leaves the outbox before the call returns. *)
+   report is delivered before the call returns. *)
 let ingest ?trace ?birth t ~url ~content ~kind =
   let outcome = ingest_in_txn ?trace ?birth t ~url ~content ~kind in
   commit_txn t;
@@ -956,7 +944,8 @@ let subscription_subsets t =
 
 (* A document's synchronous journey ends with its transaction, sealed
    into the group-commit batch without a sync: the reports it fired
-   wait in the outbox for the batch's one barrier in [process_batch].
+   wait among the reporter's pending deliveries for the batch's one
+   barrier in [process_batch].
    Reports held back by buffering fire from [tick] without
    attribution. *)
 let finish_doc t d =
@@ -1280,10 +1269,8 @@ type restore_info = {
 }
 
 let restore ?seed ?algorithm ?sink ?web ?obs ?tracer ?fault_plan ?slos
-    ?parallel ?serve_port ?serve_config ?sync_every ?segment_bytes ~dir () =
-  let serve_config, config =
-    prepare ?serve_port ?serve_config ?sync_every ?segment_bytes ()
-  in
+    ?parallel ?serve_port ?serve_config ?sync_every ~dir () =
+  let serve_config, config = prepare ?serve_port ?serve_config ?sync_every () in
   match Durable.open_existing ~config dir with
   | None when Sys.file_exists (Filename.concat dir "MANIFEST") ->
       Error (Printf.sprintf "damaged MANIFEST in %s" dir)

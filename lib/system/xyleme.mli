@@ -8,18 +8,11 @@
 
 type t
 
-(** [monotonic_wall ()] is [Unix.gettimeofday] behind a
-    compare-and-swap ratchet: it never retreats, even when NTP steps
-    the wall clock backwards.  {!create} installs it as the xy_obs and
-    xy_trace timer (whose built-in default, [Sys.time], measures CPU
-    seconds and makes blocked I/O invisible). *)
-val monotonic_wall : unit -> float
-
 (** [create ()] wires a fresh registry into every stage: all pipeline
     metrics (crawler, warehouse, alerters, mqp, trigger, reporter,
     submgr, system) land in [obs] (a private {!Xy_obs.Obs.create}d
     registry by default — pass one to share it).
-    The {!monotonic_wall} timer is installed into xy_obs and xy_trace
+    The {!Wall.monotonic} timer is installed into xy_obs and xy_trace
     as a side effect.
 
     [tracer] carries per-document pipeline tracing (default: a fresh
@@ -64,9 +57,9 @@ val monotonic_wall : unit -> float
     order.
 
     [sync_every] sets the WAL group-commit batch size (transactions
-    per fsync, default 32; [1] syncs every commit) and
-    [segment_bytes] the WAL segment rotation threshold — both forwarded
-    into {!Xy_durable.Durable.config}.
+    per fsync, default 32; [1] syncs every commit), forwarded into
+    {!Xy_durable.Durable.config}.  Each generation's WAL is one file
+    that grows until the next {!checkpoint}.
 
     [serve_port] opens the wire-protocol serving surface
     ({!Xy_serve.Serve}) on that TCP port (0 picks an ephemeral one,
@@ -90,7 +83,6 @@ val create :
   ?serve_config:Xy_serve.Serve.config ->
   ?durable_dir:string ->
   ?sync_every:int ->
-  ?segment_bytes:int ->
   unit ->
   t
 
@@ -317,10 +309,10 @@ val run_resumable :
     [system/restarts] counter records the warm restart itself.
 
     Not persisted (documented trade-offs): per-subscription
-    {!Xy_alerters.Result_delta} tracker state, {!Store.history}
-    windows, and SLO sliding-window samples (a restored run's burn
-    rates re-fill from the carried cumulative metrics within one slow
-    window). *)
+    {!Xy_query.Result_delta} tracker state and SLO sliding-window
+    samples (a restored run's burn rates re-fill from the carried
+    cumulative metrics within one slow window).  The warehouse keeps
+    only each document's current version, live or restored. *)
 
 type checkpoint_info = {
   generation : int;  (** the new current generation *)
@@ -354,7 +346,9 @@ type restore_info = {
     into a fresh generation, and re-delivers unacked reports.  The
     configuration arguments must match the original [create] call
     (they are not persisted).  [Error _] when [dir] holds no durable
-    run or its state is damaged beyond the WAL's torn tail. *)
+    run or its state is damaged beyond the WAL's torn tail, and when
+    a WAL it would replay was rotated into segments by an older build
+    ([gen-N.wal.1] exists). *)
 val restore :
   ?seed:int ->
   ?algorithm:Xy_core.Mqp.algorithm ->
@@ -368,7 +362,6 @@ val restore :
   ?serve_port:int ->
   ?serve_config:Xy_serve.Serve.config ->
   ?sync_every:int ->
-  ?segment_bytes:int ->
   dir:string ->
   unit ->
   (t * restore_info, string) result

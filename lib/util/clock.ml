@@ -12,7 +12,6 @@ let set clock time =
   clock.now <- time
 
 let second = 1.
-let minute = 60.
 let hour = 3600.
 let day = 86400.
 let week = 7. *. day

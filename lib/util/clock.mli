@@ -23,7 +23,6 @@ val advance : t -> float -> unit
 val set : t -> float -> unit
 
 val second : float
-val minute : float
 val hour : float
 val day : float
 val week : float

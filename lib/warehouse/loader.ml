@@ -86,7 +86,7 @@ let kind_agrees kind ~content (stored : Meta.kind) =
 (* Same content: refresh the access date only. *)
 let unchanged t old_entry ~now ~doc =
   let meta = { old_entry.Store.meta with Meta.last_accessed = now } in
-  Store.put t.store { Store.meta; tree = old_entry.Store.tree } ~delta:[];
+  Store.put t.store { Store.meta; tree = old_entry.Store.tree };
   Obs.Counter.incr t.metrics.m_unchanged;
   { meta; status = Unchanged; doc; tree = old_entry.Store.tree; delta = [] }
 
@@ -136,7 +136,7 @@ let load_full t ~url ~content ~kind ~now ~signature ~previous =
           version = 1;
         }
       in
-      Store.put t.store { Store.meta; tree } ~delta:[];
+      Store.put t.store { Store.meta; tree };
       Obs.Counter.incr t.metrics.m_new;
       { meta; status = New; doc; tree; delta = [] }
   | Some old_entry ->
@@ -172,7 +172,7 @@ let load_full t ~url ~content ~kind ~now ~signature ~previous =
             version = old_meta.Meta.version + 1;
           }
         in
-        Store.put t.store { Store.meta; tree } ~delta;
+        Store.put t.store { Store.meta; tree };
         Obs.Counter.incr t.metrics.m_updated;
         { meta; status = Updated; doc; tree; delta }
       end

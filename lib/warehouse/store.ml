@@ -3,9 +3,6 @@ type entry = { meta : Meta.t; tree : Xy_xml.Xid.tree option }
 type record = {
   mutable entry : entry;
   gen : Xy_xml.Xid.gen;
-  (* Deltas leading *to* each version: (v, delta from v-1 to v),
-     newest first. *)
-  mutable history : (int * Xy_diff.Delta.t) list;
   mutable printed : (Xy_xml.Xid.tree * string) option;
       (* the snapshot's print of [entry.tree], valid while the stored
          tree is physically this one: an unchanged load keeps its old
@@ -17,9 +14,7 @@ type record = {
 }
 
 type t = {
-  keep_versions : int;
   by_url : (string, record) Hashtbl.t;
-  by_docid : (int, string) Hashtbl.t;
   docids : (string, int) Hashtbl.t;
   dtdids : (string, int) Hashtbl.t;
   mutable next_docid : int;
@@ -34,11 +29,9 @@ type t = {
          compound find-then-put atomicity. *)
 }
 
-let create ?(keep_versions = 10) () =
+let create () =
   {
-    keep_versions;
     by_url = Hashtbl.create 1024;
-    by_docid = Hashtbl.create 1024;
     docids = Hashtbl.create 1024;
     dtdids = Hashtbl.create 64;
     next_docid = 1;
@@ -57,14 +50,9 @@ let locked t f =
       Mutex.unlock t.lock;
       raise e
 
-let find_unlocked t url =
-  Option.map (fun r -> r.entry) (Hashtbl.find_opt t.by_url url)
-
-let find t url = locked t (fun () -> find_unlocked t url)
-
-let find_by_docid t docid =
+let find t url =
   locked t (fun () ->
-      Option.bind (Hashtbl.find_opt t.by_docid docid) (find_unlocked t))
+      Option.map (fun r -> r.entry) (Hashtbl.find_opt t.by_url url))
 
 let mem t url = locked t (fun () -> Hashtbl.mem t.by_url url)
 let document_count t = locked t (fun () -> Hashtbl.length t.by_url)
@@ -94,7 +82,6 @@ let record t url =
               tree = None;
             };
           gen = Xy_xml.Xid.gen ();
-          history = [];
           printed = None;
           fields = None;
         }
@@ -104,31 +91,18 @@ let record t url =
 
 let gen t ~url = locked t (fun () -> (record t url).gen)
 
-let put t entry ~delta =
+let put t entry =
   locked t @@ fun () ->
-  let url = entry.meta.Meta.url in
-  let r = record t url in
+  let r = record t entry.meta.Meta.url in
   t.mutations <- t.mutations + 1;
-  r.entry <- entry;
-  Hashtbl.replace t.by_docid entry.meta.Meta.docid url;
-  if not (Xy_diff.Delta.is_empty delta) || entry.meta.Meta.version = 1 then begin
-    r.history <- (entry.meta.Meta.version, delta) :: r.history;
-    let rec truncate n = function
-      | [] -> []
-      | _ when n = 0 -> []
-      | x :: rest -> x :: truncate (n - 1) rest
-    in
-    r.history <- truncate t.keep_versions r.history
-  end
+  r.entry <- entry
 
 let remove t ~url =
   locked t @@ fun () ->
-  match Hashtbl.find_opt t.by_url url with
-  | None -> ()
-  | Some r ->
-      t.mutations <- t.mutations + 1;
-      Hashtbl.remove t.by_docid r.entry.meta.Meta.docid;
-      Hashtbl.remove t.by_url url
+  if Hashtbl.mem t.by_url url then begin
+    t.mutations <- t.mutations + 1;
+    Hashtbl.remove t.by_url url
+  end
 
 let allocate_docid t ~url =
   locked t @@ fun () ->
@@ -152,33 +126,6 @@ let allocate_dtdid t ~dtd =
       Hashtbl.replace t.dtdids dtd id;
       id
 
-let reconstruct t ~url ~version =
-  locked t @@ fun () ->
-  match Hashtbl.find_opt t.by_url url with
-  | None -> None
-  | Some r -> (
-      match r.entry.tree with
-      | None -> None
-      | Some current ->
-          let current_version = r.entry.meta.Meta.version in
-          if version > current_version || version < 1 then None
-          else begin
-            (* Unwind deltas newest-first until we reach [version]. *)
-            let rec unwind tree past = function
-              | _ when past = version -> Some tree
-              | [] -> None
-              | (v, delta) :: rest ->
-                  if v <> past then None
-                  else
-                    (match
-                       Xy_diff.Apply.apply tree (Xy_diff.Delta.invert delta)
-                     with
-                    | exception Failure _ -> None
-                    | previous -> unwind previous (past - 1) rest)
-            in
-            Option.map Xy_xml.Xid.strip (unwind current current_version r.history)
-          end)
-
 (* Runs [f] under the store lock: callbacks must not re-enter the
    store (every current caller only reads the entry it is handed). *)
 let iter f t = locked t (fun () -> Hashtbl.iter (fun _ r -> f r.entry) t.by_url)
@@ -186,9 +133,7 @@ let iter f t = locked t (fun () -> Hashtbl.iter (fun _ r -> f r.entry) t.by_url)
 (* {2 Durable snapshot}
 
    A snapshot captures every current version (meta + printed tree)
-   and the id-allocation tables.  Delta history is *not* captured:
-   [reconstruct] starts empty after a restore — the archive window
-   refills as new versions arrive.  Trees are re-labelled with fresh
+   and the id-allocation tables.  Trees are re-labelled with fresh
    XIDs on decode; XIDs are process-local identities (every consumer
    strips them before leaving the warehouse), so lineages diverge
    harmlessly. *)
@@ -328,7 +273,6 @@ let decode_snapshot t payload =
   Codec.expect_end r;
   t.mutations <- t.mutations + 1;
   Hashtbl.reset t.by_url;
-  Hashtbl.reset t.by_docid;
   Hashtbl.reset t.docids;
   Hashtbl.reset t.dtdids;
   t.next_docid <- next_docid;
@@ -348,7 +292,5 @@ let decode_snapshot t payload =
             (Some tree, Some (tree, printed))
       in
       rec'.entry <- { meta; tree };
-      rec'.history <- [];
-      rec'.printed <- printed;
-      Hashtbl.replace t.by_docid meta.Meta.docid url)
+      rec'.printed <- printed)
     records

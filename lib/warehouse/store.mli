@@ -1,11 +1,10 @@
-(** The versioned document repository.
+(** The document repository.
 
-    Stands in for Natix (the paper's tree repository): stores the
-    current XID-labelled tree of each warehoused XML document plus a
-    bounded chain of deltas, so that old versions can be reconstructed
-    ("the new version of a document can be constructed based on an old
-    version and the delta" — we store the chain backwards for the
-    archive).  HTML pages are not warehoused; only their signature is
+    Stands in for Natix (the paper's tree repository), as far as
+    monitoring needs it: stores the current XID-labelled tree of each
+    warehoused XML document and its metadata, the one version the
+    {!Loader} diffs the next fetch against.  Earlier versions are not
+    kept.  HTML pages are not warehoused; only their signature is
     kept, in the metadata. *)
 
 type entry = {
@@ -15,18 +14,16 @@ type entry = {
 
 type t
 
-(** [create ~keep_versions ()] — [keep_versions] bounds the delta
-    chain per document (default 10).
+(** [create ()] is an empty store.
 
     Every operation is serialized behind an internal mutex, so the
     parallel crawl pipeline's loader domains can warehouse disjoint
     URLs concurrently.  Compound read-modify-write sequences on a
     *single* URL (find, diff, put) are not made atomic here — callers
     keep them race-free by routing each URL to one worker. *)
-val create : ?keep_versions:int -> unit -> t
+val create : unit -> t
 
 val find : t -> string -> entry option
-val find_by_docid : t -> int -> entry option
 val mem : t -> string -> bool
 val document_count : t -> int
 
@@ -41,9 +38,9 @@ val mutations : t -> int
     it. *)
 val gen : t -> url:string -> Xy_xml.Xid.gen
 
-(** [put t entry ~delta] stores a new current version; [delta] is the
-    change from the previous version (empty for first insertion). *)
-val put : t -> entry -> delta:Xy_diff.Delta.t -> unit
+(** [put t entry] stores [entry] as its URL's current version,
+    replacing the previous one. *)
+val put : t -> entry -> unit
 
 (** [remove t ~url] drops a document (page disappeared). *)
 val remove : t -> url:string -> unit
@@ -62,11 +59,6 @@ val has_docid : t -> url:string -> bool
     identifier. *)
 val allocate_dtdid : t -> dtd:string -> int
 
-(** [reconstruct t ~url ~version] rebuilds an archived version by
-    unwinding deltas from the current tree.  [None] if the version
-    fell off the retained window or the document is unknown/HTML. *)
-val reconstruct : t -> url:string -> version:int -> Xy_xml.Types.element option
-
 (** [iter f t] iterates over current entries, in no fixed order: a
     restored store visits them in another order than the live one. *)
 val iter : (entry -> unit) -> t -> unit
@@ -74,9 +66,7 @@ val iter : (entry -> unit) -> t -> unit
 (** {2 Durability}
 
     A snapshot captures every current version (metadata plus printed
-    tree) and the DOCID/DTDID allocation tables.  Delta history is not
-    captured — {!reconstruct} starts empty after a restore and the
-    archive window refills with new versions.  Trees are re-labelled
+    tree) and the DOCID/DTDID allocation tables.  Trees are re-labelled
     with fresh XIDs on decode (XIDs are process-local; consumers strip
     them before they escape the warehouse). *)
 

@@ -746,13 +746,12 @@ let d_baseline dir =
   x
 
 (* The kill-at-every-point matrix, parameterised over the durable
-   configuration.  [sync_every]/[segment_bytes] tune group commit and
-   segment rotation for the killed runs — the baseline always uses the
-   defaults, so convergence across configurations is itself part of
-   the contract.  Kills are sampled densely over [dense_from,
-   dense_to] and strided beyond it.  Returns the labels of the
-   boundaries killed at. *)
-let crash_matrix ?sync_every ?segment_bytes ?(checkpoint_every = 2)
+   configuration.  [sync_every] tunes group commit for the killed
+   runs — the baseline always uses the default, so convergence across
+   configurations is itself part of the contract.  Kills are sampled
+   densely over [dense_from, dense_to] and strided beyond it.  Returns
+   the labels of the boundaries killed at. *)
+let crash_matrix ?sync_every ?(checkpoint_every = 2)
     ?(dense_from = 1) ~dense_to ~stride () =
   with_temp_dir @@ fun base_dir ->
   let x0 = d_baseline base_dir in
@@ -769,7 +768,7 @@ let crash_matrix ?sync_every ?segment_bytes ?(checkpoint_every = 2)
     with_temp_dir (fun dir ->
         let x =
           Xyleme.create ~seed:d_seed ~web:(d_web ()) ~sink:(d_ledger_sink dir)
-            ~durable_dir:dir ?sync_every ?segment_bytes ()
+            ~durable_dir:dir ?sync_every ()
         in
         d_subscribe x;
         Fault.arm_after (Xyleme.faults x) "crash" !k;
@@ -781,7 +780,7 @@ let crash_matrix ?sync_every ?segment_bytes ?(checkpoint_every = 2)
             crash_labels := label :: !crash_labels;
             match
               Xyleme.restore ~seed:d_seed ~web:(d_web ())
-                ~sink:(d_ledger_sink dir) ~dir ?sync_every ?segment_bytes ()
+                ~sink:(d_ledger_sink dir) ~dir ?sync_every ()
             with
             | Error e -> Alcotest.failf "K=%d: restore failed: %s" !k e
             | Ok (x', _info) ->
@@ -828,16 +827,16 @@ let test_crash_matrix () =
         (List.mem kind kinds))
     [ "advance"; "crawl-start"; "fetch"; "ingest"; "step-end" ]
 
-(* The same matrix under an aggressive durable configuration: segments
-   a few hundred bytes (rotation every few transactions), group commit
-   spanning several transactions, a checkpoint every step.  The dense
-   window is aimed past the initial crawl so kills land *inside* the
-   checkpoint machinery itself: carry-forward construction, the
-   snapshot/WAL/manifest commit windows, and mid-rotation. *)
-let test_crash_matrix_segmented () =
+(* The same matrix under an aggressive durable configuration: group
+   commit spanning several transactions, a checkpoint every step.  The
+   dense window is aimed past the initial crawl so kills land *inside*
+   the checkpoint machinery itself (carry-forward construction, the
+   snapshot/WAL/manifest commit windows) and inside un-synced
+   batches. *)
+let test_crash_matrix_group_commit () =
   let labels =
-    crash_matrix ~sync_every:3 ~segment_bytes:256 ~checkpoint_every:1
-      ~dense_from:45 ~dense_to:130 ~stride:9 ()
+    crash_matrix ~sync_every:3 ~checkpoint_every:1 ~dense_from:45
+      ~dense_to:130 ~stride:9 ()
   in
   checkb "durable boundaries exercised" true
     (List.mem "durable" (kinds_of labels));
@@ -848,7 +847,7 @@ let test_crash_matrix_segmented () =
     [
       "durable:checkpoint-begin"; "durable:carry-forward";
       "durable:snapshot-written"; "durable:wal-created";
-      "durable:manifest-committed"; "durable:rotate";
+      "durable:manifest-committed";
     ]
 
 (* A crash can also leave the WAL itself torn mid-record.  At the scan
@@ -994,7 +993,7 @@ let test_restore_refuses_garbage () =
 
 (* The at-least-once protocol in isolation: a journaled delivery
    intent (a recipient of an "f" op) with no ack is re-sent by
-   redeliver_pending with its original sequence number; acked intents
+   deliver_pending with its original sequence number; acked intents
    are not. *)
 let test_reporter_redelivers_unacked () =
   let clock = Clock.create () in
@@ -1022,7 +1021,7 @@ let test_reporter_redelivers_unacked () =
    Codec.int buf 3;
    Reporter.apply_op reporter (Buffer.contents buf));
   checki "one unacked intent" 1 (Reporter.pending_count reporter);
-  checki "one re-delivery" 1 (Reporter.redeliver_pending reporter);
+  checki "one re-delivery" 1 (Reporter.deliver_pending reporter);
   (match !deliveries with
   | [ d ] ->
       checki "original seq preserved" 7 d.Sink.seq;
@@ -1030,7 +1029,7 @@ let test_reporter_redelivers_unacked () =
       checks "original report" (render report) (render d.Sink.report)
   | ds -> Alcotest.failf "expected 1 delivery, got %d" (List.length ds));
   checki "nothing pending afterwards" 0 (Reporter.pending_count reporter);
-  checki "idempotent" 0 (Reporter.redeliver_pending reporter)
+  checki "idempotent" 0 (Reporter.deliver_pending reporter)
 
 (* Atomic directory publication: a re-delivery of the same sequence
    number overwrites the same file and never duplicates the index
@@ -1227,11 +1226,10 @@ let test_snapshot_sections_roundtrip () =
           "trigger"; "reporter" ]
 
 (* ------------------------------------------------------------------ *)
-(* Group commit, segments, incremental checkpoints (Durable level) *)
+(* Group commit and checkpoints (Durable level) *)
 
 (* fsync degraded to flush: these model process kills, not power loss *)
-let d_config ?(sync_every = 1) ?(segment_bytes = 1 lsl 20) () =
-  { Durable.sync_every; segment_bytes; fsync = false }
+let d_config ?(sync_every = 1) () = { Durable.sync_every; fsync = false }
 
 (* A kill simulated from inside a durable fuse. *)
 exception Killed
@@ -1264,99 +1262,6 @@ let test_group_commit_batch_loss () =
           checks "synced op content" (Printf.sprintf "op%d" (i + 1)) payload
       | _ -> Alcotest.fail "unexpected transaction shape")
     txns
-
-let test_wal_rotation_scan () =
-  with_temp_dir @@ fun dir ->
-  let t =
-    Durable.open_fresh ~config:(d_config ~sync_every:4 ~segment_bytes:512 ()) dir
-  in
-  let n = 60 in
-  for i = 1 to n do
-    Durable.journal t ~stage:"s"
-      (Printf.sprintf "%03d %s" i (String.make 32 'p'));
-    Durable.commit t
-  done;
-  Durable.barrier t;
-  checkb "rotated into several segments" true (Durable.wal_segments t > 2);
-  checkb "second segment exists on disk" true
-    (Sys.file_exists (Filename.concat dir "gen-0.wal.1"));
-  checkb "group commit batched the syncs" true (Durable.syncs t < n);
-  let txns, tail = Durable.Wal.scan_generation ~dir ~gen:0 in
-  checkb "clean across segments" true (tail = Durable.Clean);
-  checki "every txn recovered across segments" n (List.length txns)
-
-let test_segment_damage_classification () =
-  with_temp_dir @@ fun dir ->
-  let txn i = [ { Durable.stage = "s"; payload = Printf.sprintf "op %d" i } ] in
-  let seg_path seg =
-    Filename.concat dir
-      (if seg = 0 then "gen-0.wal" else Printf.sprintf "gen-0.wal.%d" seg)
-  in
-  let write_seg seg txns =
-    let oc = open_out_bin (seg_path seg) in
-    List.iter (Durable.Wal.append_txn ~sync:false oc) txns;
-    close_out oc
-  in
-  write_seg 0 [ txn 0; txn 1 ];
-  write_seg 1 [ txn 2; txn 3 ];
-  write_seg 2 [ txn 4 ];
-  let scan () = Durable.Wal.scan_generation ~dir ~gen:0 in
-  (let txns, tail = scan () in
-   checkb "clean" true (tail = Durable.Clean);
-   checkb "segments concatenated in order" true
-     (txns = [ txn 0; txn 1; txn 2; txn 3; txn 4 ]));
-  (* a short final segment is the ordinary crash shape *)
-  let full2 = In_channel.with_open_bin (seg_path 2) In_channel.input_all in
-  Out_channel.with_open_bin (seg_path 2) (fun oc ->
-      Out_channel.output_string oc
-        (String.sub full2 0 (String.length full2 - 3)));
-  (let txns, tail = scan () in
-   checki "prefix survives a torn tail" 4 (List.length txns);
-   checkb "torn, not corrupt" true (tail = Durable.Torn));
-  Out_channel.with_open_bin (seg_path 2) (fun oc ->
-      Out_channel.output_string oc full2);
-  (* the same truncation in a NON-final segment is damage: rotation
-     only ever follows a sync, so no crash leaves a torn middle *)
-  let full1 = In_channel.with_open_bin (seg_path 1) In_channel.input_all in
-  Out_channel.with_open_bin (seg_path 1) (fun oc ->
-      Out_channel.output_string oc
-        (String.sub full1 0 (String.length full1 - 3)));
-  (let txns, tail = scan () in
-   checki "stops at the damaged segment" 3 (List.length txns);
-   checkb "mid-generation tear is corrupt" true (tail = Durable.Corrupt));
-  Out_channel.with_open_bin (seg_path 1) (fun oc ->
-      Out_channel.output_string oc full1);
-  (* altered bytes mid-segment: corrupt wherever they land *)
-  let b = Bytes.of_string full1 in
-  let pos = Bytes.length b / 2 in
-  Bytes.set b pos (if Bytes.get b pos = 'x' then 'y' else 'x');
-  Out_channel.with_open_bin (seg_path 1) (fun oc ->
-      Out_channel.output_bytes oc b);
-  let txns, tail = scan () in
-  checkb "altered bytes diagnosed corrupt" true (tail = Durable.Corrupt);
-  checkb "only the undamaged prefix returned" true (List.length txns <= 3)
-
-let test_kill_at_rotation () =
-  with_temp_dir @@ fun dir ->
-  let t = Durable.open_fresh ~config:(d_config ~segment_bytes:300 ()) dir in
-  Durable.set_fuse t (fun l -> if l = "rotate" then raise Killed);
-  let killed_at = ref 0 in
-  (try
-     for i = 1 to 1000 do
-       Durable.journal t ~stage:"s" (Printf.sprintf "payload %04d" i);
-       match Durable.commit t with
-       | () -> ()
-       | exception Killed ->
-           killed_at := i;
-           raise Exit
-     done
-   with Exit -> ());
-  checkb "rotation fuse fired mid-stream" true (!killed_at > 0);
-  (* rotation strictly follows a sync: a kill inside the rotation
-     window loses nothing already committed *)
-  let txns, tail = Durable.Wal.scan_generation ~dir ~gen:0 in
-  checkb "clean tail" true (tail = Durable.Clean);
-  checki "every synced txn recovered" !killed_at (List.length txns)
 
 (* Kill inside every window of the checkpoint commit sequence; each
    must leave a directory that restores to the pre-kill state (the
@@ -2045,6 +1950,45 @@ let test_restore_refuses_manifest_without_snapshot () =
         (String.length e >= 16 && String.sub e 0 16 = "damaged MANIFEST")
   | Ok _ -> Alcotest.fail "restored a generation without its snapshot"
 
+(* An older build rotated a generation's WAL into [gen-N.wal.1], ...
+   Replaying [gen-N.wal] alone would drop the later segments' committed
+   transactions and report a clean tail, so restore refuses the
+   directory, whether the segment belongs to the current generation or
+   to a delta section's retained base generation. *)
+let test_restore_refuses_rotated_wal () =
+  let rotated = ref "" in
+  (match
+     damaged_checkpointed_run (fun _ snap ->
+         rotated := Filename.chop_suffix snap ".snap" ^ ".wal.1";
+         write_bytes !rotated "")
+   with
+  | Error e ->
+      checkb "the error names the segment" true
+        (String.starts_with ~prefix:!rotated e)
+  | Ok _ -> Alcotest.fail "restored a generation with a rotated WAL");
+  with_temp_dir @@ fun dir ->
+  let config = d_config () in
+  let t = Durable.open_fresh ~config dir in
+  Durable.set_wal_carried t [ "big" ];
+  let snapshot = [ ("big", fun () -> [ String.make 256 'B' ]) ] in
+  Durable.checkpoint t ~snapshot;
+  Durable.journal t ~stage:"big" "d1";
+  Durable.commit t;
+  Durable.checkpoint t ~snapshot;
+  checkb "gen 2 carries a delta on gen 1" true
+    (Durable.Snapshot.load (Filename.concat dir "gen-2.snap")
+    = Ok [ ("big", Durable.Delta 1) ]);
+  let rotated = Filename.concat dir "gen-1.wal.1" in
+  write_bytes rotated "";
+  match Durable.open_existing ~config dir with
+  | None -> Alcotest.fail "no manifest"
+  | Some t' -> (
+      match Durable.load_latest t' with
+      | Error e ->
+          checkb "the delta base's segment is named" true
+            (String.starts_with ~prefix:rotated e)
+      | Ok _ -> Alcotest.fail "replayed a delta base with a rotated WAL")
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "fault"
@@ -2095,12 +2039,6 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_wal_truncation;
           tc "group commit: a kill loses only the un-synced batch"
             test_group_commit_batch_loss;
-          tc "segmented wal: rotation and cross-segment scan"
-            test_wal_rotation_scan;
-          tc "segmented wal: damage classification"
-            test_segment_damage_classification;
-          tc "kill at rotation: synced txns all recovered"
-            test_kill_at_rotation;
           tc "kill inside every checkpoint window"
             test_kill_in_checkpoint_windows;
           tc "a stage changed without an op is re-encoded"
@@ -2120,6 +2058,8 @@ let () =
             test_restore_refuses_damaged_stage_name;
           tc "restore refuses a MANIFEST naming a missing generation"
             test_restore_refuses_manifest_without_snapshot;
+          tc "restore refuses an older build's rotated wal"
+            test_restore_refuses_rotated_wal;
           tc "reporter re-delivers unacked intents"
             test_reporter_redelivers_unacked;
           tc "directory sink idempotent re-delivery"
@@ -2152,8 +2092,8 @@ let () =
         [
           Alcotest.test_case "kill at every point, restore, equivalence" `Slow
             test_crash_matrix;
-          Alcotest.test_case "segmented config: kill inside the checkpoint"
-            `Slow test_crash_matrix_segmented;
+          Alcotest.test_case "group-commit config: kill inside the checkpoint"
+            `Slow test_crash_matrix_group_commit;
           Alcotest.test_case "acked reports always in the synced wal" `Slow
             test_acked_reports_in_synced_wal;
           Alcotest.test_case "wal truncation: restore, no loss" `Slow

@@ -628,7 +628,7 @@ let test_monotonic_wall () =
      underlying clock steps backwards. *)
   let prev = ref 0. in
   for _ = 1 to 1_000 do
-    let t = Xyleme.monotonic_wall () in
+    let t = Xy_system.Wall.monotonic () in
     checkb "never retreats" true (t >= !prev);
     prev := t
   done;

@@ -152,7 +152,7 @@ let test_load_classifies_domain () =
   check_so "classified" (Some "culture") r.Loader.meta.Meta.domain
 
 let test_docids_stable_dtdids_shared () =
-  let _, store, _, loader = fresh () in
+  let _, _, _, loader = fresh () in
   let r1 =
     Loader.load loader ~url:"a"
       ~content:"<!DOCTYPE c SYSTEM \"http://d/c.dtd\"><c>1</c>" ~kind:Loader.Xml
@@ -168,9 +168,7 @@ let test_docids_stable_dtdids_shared () =
   checkb "distinct docids" true (r1.Loader.meta.Meta.docid <> r2.Loader.meta.Meta.docid);
   checki "docid stable" r1.Loader.meta.Meta.docid r1bis.Loader.meta.Meta.docid;
   Alcotest.(check (option int)) "same dtdid" r1.Loader.meta.Meta.dtdid
-    r2.Loader.meta.Meta.dtdid;
-  checkb "find by docid" true
-    (Store.find_by_docid store r1.Loader.meta.Meta.docid <> None)
+    r2.Loader.meta.Meta.dtdid
 
 let test_loader_validate () =
   let _, _, _, loader = fresh () in
@@ -326,66 +324,7 @@ let test_fast_path_store_state () =
     (Store.allocate_docid store ~url:"a");
   checki "next docid" (b.Loader.meta.Meta.docid + 1)
     (Store.allocate_docid store ~url:"c");
-  checki "documents" 2 (Store.document_count store);
-  checkb "history: v1 reachable" true
-    (Store.reconstruct store ~url:"a" ~version:1 <> None);
-  checkb "history: no v3" true (Store.reconstruct store ~url:"a" ~version:3 = None)
-
-(* ------------------------------------------------------------------ *)
-(* Version reconstruction *)
-
-let test_reconstruct_versions () =
-  let _, store, _, loader = fresh () in
-  let versions =
-    [
-      "<c><p>v1</p></c>";
-      "<c><p>v1</p><p>v2</p></c>";
-      "<c><p>v2</p><q attr=\"z\">v3</q></c>";
-    ]
-  in
-  List.iter
-    (fun content -> ignore (Loader.load loader ~url:"u" ~content ~kind:Loader.Xml))
-    versions;
-  List.iteri
-    (fun i expected ->
-      match Store.reconstruct store ~url:"u" ~version:(i + 1) with
-      | Some e ->
-          Alcotest.check
-            (Alcotest.testable Xy_xml.Printer.pp_element T.equal_element)
-            (Printf.sprintf "version %d" (i + 1))
-            (Xy_xml.Parser.parse_element expected)
-            e
-      | None -> Alcotest.failf "version %d not reconstructible" (i + 1))
-    versions;
-  checkb "version 0 invalid" true (Store.reconstruct store ~url:"u" ~version:0 = None);
-  checkb "future version invalid" true
-    (Store.reconstruct store ~url:"u" ~version:9 = None);
-  checkb "unknown url" true (Store.reconstruct store ~url:"zz" ~version:1 = None)
-
-let test_reconstruct_window_bounded () =
-  let _, store, _, loader = fresh () in
-  let store2 = Store.create ~keep_versions:2 () in
-  ignore store2;
-  (* default window is 10; create more versions than that *)
-  for i = 1 to 15 do
-    ignore
-      (Loader.load loader ~url:"u"
-         ~content:(Printf.sprintf "<c><p>v%d</p></c>" i)
-         ~kind:Loader.Xml)
-  done;
-  checkb "old version dropped" true (Store.reconstruct store ~url:"u" ~version:2 = None);
-  checkb "recent version kept" true
-    (Store.reconstruct store ~url:"u" ~version:14 <> None)
-
-let test_unchanged_fetch_keeps_history () =
-  let _, store, _, loader = fresh () in
-  ignore (Loader.load loader ~url:"u" ~content:"<c>1</c>" ~kind:Loader.Xml);
-  ignore (Loader.load loader ~url:"u" ~content:"<c>2</c>" ~kind:Loader.Xml);
-  (* Re-fetch identical content several times. *)
-  for _ = 1 to 5 do
-    ignore (Loader.load loader ~url:"u" ~content:"<c>2</c>" ~kind:Loader.Xml)
-  done;
-  checkb "v1 still reachable" true (Store.reconstruct store ~url:"u" ~version:1 <> None)
+  checki "documents" 2 (Store.document_count store)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot pieces *)
@@ -466,12 +405,6 @@ let () =
           tc "unchanged = full load" test_fast_path_matches_full_load;
           tc "kind change takes the full path" test_fast_path_kind_change;
           tc "store and dtdid state" test_fast_path_store_state;
-        ] );
-      ( "versions",
-        [
-          tc "reconstruct chain" test_reconstruct_versions;
-          tc "window bounded" test_reconstruct_window_bounded;
-          tc "unchanged keeps history" test_unchanged_fetch_keeps_history;
         ] );
       ("snapshot", [ tc "pieces equal the decoded encoding" test_snapshot_pieces ]);
     ]
