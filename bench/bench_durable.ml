@@ -93,7 +93,7 @@ let tbl_durable scale =
             in
             (* A day of simulated crawling populates the warehouse and
                leaves a realistic WAL for the checkpoint to retire. *)
-            Xyleme.run_resumable xyleme ~days:1. ~step ~fetch_limit:400;
+            Xyleme.run xyleme ~days:1. ~step ~fetch_limit:400;
             let wal_bytes = wal_size dir ~gen:0 in
             (* Cold: the first checkpoint has no base for a delta —
                every stage snapshots inline. *)
@@ -104,7 +104,7 @@ let tbl_durable scale =
                checkpoint again.  Every stage but the reporter is
                re-encoded; this pause is what the pipeline actually
                feels per checkpoint while running. *)
-            Xyleme.run_resumable xyleme ~days:1.25 ~step ~fetch_limit:400;
+            Xyleme.run xyleme ~days:1.25 ~step ~fetch_limit:400;
             let info, ckpt_steady =
               time_once (fun () -> Xyleme.checkpoint xyleme)
             in

@@ -143,12 +143,8 @@ let validate_cmd =
     Term.(const run $ doc)
 
 (* ------------------------------------------------------------------ *)
-(* simulate / stats *)
+(* simulate / serve / stats / trace *)
 
-(* One end-to-end run over the synthetic web; shared by [simulate]
-   (headline numbers, optional snapshot), [stats] (snapshot only) and
-   [trace] (sampled per-document traces; immediate reports so the
-   sampled documents' journeys reach the reporter synchronously). *)
 (* The live telemetry endpoint serves scrapes from a background thread
    while the pipeline runs on this one; every route reads through
    thread-safe snapshots. *)
@@ -192,10 +188,24 @@ let start_telemetry xyleme port =
     (Xy_telemetry.Telemetry.port server);
   server
 
+(* One end-to-end run over the synthetic web; shared by [simulate]
+   (headline numbers, optional snapshot), [serve] (a paced run that
+   [between] stops on a signal), [stats] (snapshot only) and [trace]
+   (sampled per-document traces; immediate reports so the sampled
+   documents' journeys reach the reporter synchronously).  A restored
+   run keeps its subscriptions and resumes the journaled schedule. *)
 let run_simulation ?(trace_every = 0) ?algorithm ?fault_plan
     ?(report_clause = "report when count > 5 atmost daily") ?durable_dir
     ?(checkpoint_every = 0) ?kill_after ?(restore = false) ?sync_every ?slos
-    ?telemetry_port ?serve_port ?(linger = 0.) ?parallel ~sites ~days ~subscriptions ~seed () =
+    ?telemetry_port ?serve_port ?serve_config ?(announce = stderr)
+    ?(linger = 0.) ?parallel ?between ~sites ~days ~subscriptions ~seed () =
+  let need_durable flag =
+    match durable_dir with
+    | Some dir -> dir
+    | None -> prerr_endline (flag ^ " needs --durable DIR"); exit 2
+  in
+  (* an injected kill is only meaningful with a directory to restore *)
+  if kill_after <> None then ignore (need_durable "--kill-after");
   let web = Xy_crawler.Synthetic_web.generate ~seed ~sites ~pages_per_site:8 () in
   let counting_sink, delivered = Xy_reporter.Sink.counting () in
   (* A durable run also writes every delivery into the report ledger
@@ -207,14 +217,10 @@ let run_simulation ?(trace_every = 0) ?algorithm ?fault_plan
   in
   let xyleme =
     if restore then begin
-      let dir =
-        match durable_dir with
-        | Some dir -> dir
-        | None -> prerr_endline "--restore needs --durable DIR"; exit 2
-      in
+      let dir = need_durable "--restore" in
       match
         Xy_system.Xyleme.restore ~seed ?algorithm ?fault_plan ~sink ~web
-          ?slos ?parallel ?serve_port ?sync_every ~dir ()
+          ?slos ?parallel ?serve_port ?serve_config ?sync_every ~dir ()
       with
       | Error e ->
           Printf.eprintf "restore failed: %s\n" e;
@@ -239,18 +245,18 @@ let run_simulation ?(trace_every = 0) ?algorithm ?fault_plan
     else begin
       let xyleme =
         Xy_system.Xyleme.create ~seed ?algorithm ?fault_plan ~sink ~web ?slos
-          ?parallel ?serve_port ?durable_dir ?sync_every ()
+          ?parallel ?serve_port ?serve_config ?durable_dir ?sync_every ()
       in
       (* the ledger is this command's file: a fresh run clears it *)
       Option.iter (fun p -> if Sys.file_exists p then Sys.remove p) ledger;
       xyleme
     end
   in
-  (* Stderr, not stdout: convergence checks diff the stats lines of a
-     served run against a plain one. *)
+  (* [simulate] announces on stderr: convergence checks diff the stats
+     lines of a served run against a plain one. *)
   Option.iter
     (fun s ->
-      Printf.eprintf "serve: wire protocol on port %d\n%!"
+      Printf.fprintf announce "serve: wire protocol on port %d\n%!"
         (Xy_serve.Serve.port s))
     (Xy_system.Xyleme.serve xyleme);
   let telemetry = Option.map (start_telemetry xyleme) telemetry_port in
@@ -278,11 +284,8 @@ where URL extends "http://site%d.example.org/" and modified self
     (fun k -> Xy_fault.Fault.arm_after (Xy_system.Xyleme.faults xyleme) "crash" k)
     kill_after;
   (try
-     if durable_dir = None then
-       Xy_system.Xyleme.run xyleme ~days ~step:(6. *. 3600.) ~fetch_limit:500
-     else
-       Xy_system.Xyleme.run_resumable ~checkpoint_every xyleme ~days
-         ~step:(6. *. 3600.) ~fetch_limit:500
+     Xy_system.Xyleme.run ~checkpoint_every ?between xyleme ~days
+       ~step:(6. *. 3600.) ~fetch_limit:500
    with Xy_fault.Fault.Crash label ->
      (* The injected kill: leave the durable directory exactly as a
         real [kill -9] would — the next invocation restores from it. *)
@@ -475,7 +478,7 @@ let kill_after_arg =
         ~doc:
           "Die (simulated kill -9, discarding the open transaction) at the \
            $(docv)-th crash point of the run — crash testing for \
-           $(b,--durable)")
+           $(b,--durable), which it requires")
 
 let restore_flag =
   Arg.(
@@ -670,91 +673,35 @@ let simulate_cmd =
 
 let serve_cmd =
   let run port sites seed subscriptions algorithm fault_plan verbose
-      telemetry_port durable_dir restore days pace idle_deadline read_deadline
-      max_connections drain =
+      telemetry_port durable_dir kill_after restore days pace idle_deadline
+      read_deadline max_connections drain =
     if verbose then begin
       Logs.set_reporter (Logs.format_reporter ());
       Logs.set_level (Some Logs.Info)
     end;
-    let web =
-      Xy_crawler.Synthetic_web.generate ~seed ~sites ~pages_per_site:8 ()
-    in
     let serve_config =
       Xy_serve.Serve.config ~port ~max_connections ~idle_deadline
         ~read_deadline ~drain ()
     in
-    let xyleme =
-      if restore then begin
-        let dir =
-          match durable_dir with
-          | Some dir -> dir
-          | None ->
-              prerr_endline "--restore needs --durable DIR";
-              exit 2
-        in
-        match
-          Xy_system.Xyleme.restore ~seed ~algorithm ?fault_plan ~web
-            ~serve_config ~dir ()
-        with
-        | Error e ->
-            Printf.eprintf "restore failed: %s\n" e;
-            exit 1
-        | Ok (xyleme, info) ->
-            Printf.printf "restored %s: generation %d, %d subscription(s)\n%!"
-              dir info.Xy_system.Xyleme.generation
-              info.Xy_system.Xyleme.subscriptions_recovered;
-            xyleme
-      end
-      else
-        Xy_system.Xyleme.create ~seed ~algorithm ?fault_plan ~web
-          ~serve_config ?durable_dir ()
-    in
-    (match Xy_system.Xyleme.serve xyleme with
-    | Some s ->
-        Printf.printf "serve: wire protocol on port %d\n%!"
-          (Xy_serve.Serve.port s)
-    | None -> ());
-    (* optional in-process demo subscriptions; wire clients add theirs *)
-    for i = 0 to subscriptions - 1 do
-      let text =
-        Printf.sprintf
-          {|subscription S%d
-monitoring
-select <UpdatedPage url=URL/>
-where URL extends "http://site%d.example.org/" and modified self
-report when immediate|}
-          i (i mod sites)
-      in
-      ignore
-        (Xy_system.Xyleme.subscribe xyleme ~owner:(Printf.sprintf "u%d" i)
-           ~text)
-    done;
-    let telemetry = Option.map (start_telemetry xyleme) telemetry_port in
     let stop_requested = ref false in
     List.iter
       (fun s ->
         Sys.set_signal s (Sys.Signal_handle (fun _ -> stop_requested := true)))
       [ Sys.sigint; Sys.sigterm ];
-    let step = 6. *. 3600. in
-    let steps =
-      if days <= 0. then max_int else int_of_float (ceil (days *. 86400. /. step))
+    let between () =
+      if pace > 0. then Thread.delay pace;
+      not !stop_requested
     in
-    Xy_system.Xyleme.discover xyleme;
-    (try
-       while
-         (not !stop_requested) && Xy_system.Xyleme.steps_done xyleme < steps
-       do
-         Xy_system.Xyleme.advance xyleme ~seconds:step;
-         ignore (Xy_system.Xyleme.crawl_step xyleme ~limit:500);
-         if pace > 0. then Thread.delay pace
-       done
-     with Xy_fault.Fault.Crash label ->
-       Printf.printf "killed by injected crash at %s (step %d)\n%!" label
-         (Xy_system.Xyleme.steps_done xyleme));
-    (* let in-flight acks land before tearing the endpoints down *)
-    ignore (Xy_system.Xyleme.serve_pump xyleme);
-    Option.iter Xy_telemetry.Telemetry.stop telemetry;
-    Xy_system.Xyleme.stop_serve xyleme;
+    (* A durable server checkpoints once a virtual day (4 steps of 6
+       hours), which bounds its WAL. *)
+    let xyleme, _, _ =
+      run_simulation ~algorithm ?fault_plan
+        ~report_clause:"report when immediate" ?durable_dir ~checkpoint_every:4
+        ?kill_after ~restore ?telemetry_port ~serve_config ~announce:stdout
+        ~between ~sites
+        ~days:(if days <= 0. then infinity else days)
+        ~subscriptions ~seed ()
+    in
     print_fault_report xyleme;
     let stats = Xy_system.Xyleme.stats xyleme in
     Printf.printf
@@ -775,8 +722,9 @@ report when immediate|}
       value & opt float 0.
       & info [ "days" ] ~docv:"DAYS"
           ~doc:
-            "Stop after this many virtual days; 0 (the default) runs until \
-             SIGINT/SIGTERM")
+            "Stop once the run has covered this many virtual days since \
+             its first start ($(b,--restore) continues the count); 0 (the \
+             default) runs until SIGINT/SIGTERM")
   in
   let pace =
     Arg.(
@@ -837,8 +785,9 @@ report when immediate|}
           receive report frames over the wire protocol")
     Term.(
       const run $ port $ sites_arg $ seed_arg $ subscriptions $ algorithm_arg
-      $ faults_arg $ verbose $ telemetry_arg $ durable_arg $ restore_flag
-      $ days $ pace $ idle_deadline $ read_deadline $ max_connections $ drain)
+      $ faults_arg $ verbose $ telemetry_arg $ durable_arg $ kill_after_arg
+      $ restore_flag $ days $ pace $ idle_deadline $ read_deadline
+      $ max_connections $ drain)
 
 let stats_cmd =
   let run sites days subscriptions seed algorithm xml =

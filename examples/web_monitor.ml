@@ -70,17 +70,14 @@ report when count > 10 atmost weekly|}
   done;
   Printf.printf "installed %d subscriptions over %d sites\n%!" !accepted !sites;
 
-  (* Crawl for a simulated month, reporting weekly progress. *)
-  Xyleme.discover xyleme;
-  let step = 6. *. 3600. in
-  let steps_per_week = int_of_float (7. *. 86400. /. step) in
+  (* Crawl for a simulated month, reporting weekly progress: [run]'s
+     [days] is the total so far, so each week runs to its end. *)
   let weeks = int_of_float (ceil (!days /. 7.)) in
   let wall_start = Unix.gettimeofday () in
   for week = 1 to weeks do
-    for _ = 1 to steps_per_week do
-      Xyleme.advance xyleme ~seconds:step;
-      ignore (Xyleme.crawl_step xyleme ~limit:500)
-    done;
+    Xyleme.run xyleme
+      ~days:(7. *. float_of_int week)
+      ~step:(6. *. 3600.) ~fetch_limit:500;
     let stats = Xyleme.stats xyleme in
     Printf.printf
       "week %d: fetched=%d stored=%d alerts=%d notifications=%d reports=%d\n%!"

@@ -604,6 +604,7 @@ let archived t ~subscription =
 (* {2 Durable snapshot / replay} *)
 
 let pending_count t = Hashtbl.length t.pending
+let pending_delivery t ~seq = Hashtbl.find_opt t.pending seq
 
 (* A subscription's frame: its name and buffer length, one piece per
    buffered notification (its cached encoding, oldest first), then the

@@ -130,6 +130,12 @@ val deliver_pending : t -> int
 (** [pending_count t] is the number of unacked delivery intents. *)
 val pending_count : t -> int
 
+(** [pending_delivery t ~seq] is the unacked delivery intent with that
+    sequence number.  The sink runs before {!deliver_pending} journals
+    the acks, so a sink that journals its own op per delivery finds
+    the intent here when that op replays. *)
+val pending_delivery : t -> seq:int -> Sink.delivery option
+
 val encode_snapshot : t -> string
 
 (** [snapshot_pieces t] is {!encode_snapshot}'s bytes in pieces, to be

@@ -573,21 +573,12 @@ let stop ?drain t =
 
 (* ---- pipeline-thread interface ---- *)
 
-let journal_enqueue t ~seq ~recipient ~subscription ~at ~body =
-  journal_op t
-    (let buf = Buffer.create (String.length body + 64) in
-     Codec.string buf "P";
-     Codec.string buf recipient;
-     Codec.int buf seq;
-     Codec.string buf subscription;
-     Codec.float buf at;
-     Codec.string buf body;
-     Buffer.contents buf)
-
-let journal_ack t ~recipient ~seq =
+(* An enqueue ([P]) and an ack ([A]) both name (recipient, seq) only:
+   replay takes an enqueued report from the reporter's intent. *)
+let journal_seq t tag ~recipient ~seq =
   journal_op t
     (let buf = Buffer.create 32 in
-     Codec.string buf "A";
+     Codec.string buf tag;
      Codec.string buf recipient;
      Codec.int buf seq;
      Buffer.contents buf)
@@ -605,7 +596,7 @@ let deliver t ~seq ~recipient ~subscription ~at ~body =
   | `Unknown | `Duplicate -> ()
   | `Fresh ->
       fire_fuse t "frame";
-      journal_enqueue t ~seq ~recipient ~subscription ~at ~body;
+      journal_seq t "P" ~recipient ~seq;
       fire_fuse t "frame_written";
       locked t (fun () ->
           match Hashtbl.find_opt t.recipients recipient with
@@ -691,7 +682,7 @@ let pump ?(span = fun _ f -> f ()) t =
       | C_ack (recipient, seq) ->
           span "ack" (fun () ->
               fire_fuse t "ack";
-              journal_ack t ~recipient ~seq;
+              journal_seq t "A" ~recipient ~seq;
               fire_fuse t "acked";
               Obs.Counter.incr t.m_acks;
               apply_ack t ~recipient ~seq))
@@ -757,15 +748,20 @@ let decode_snapshot t payload =
         recipients;
       refresh_pending_gauge t)
 
-let apply_op t payload =
+let apply_op t ~intent payload =
   let r = Codec.reader payload in
   (match Codec.read_string r with
   | "P" ->
       let recipient = Codec.read_string r in
       let seq = Codec.read_int r in
-      let sub = Codec.read_string r in
-      let at = Codec.read_float r in
-      let body = Codec.read_string r in
+      let sub, at, body =
+        match intent seq with
+        | Some report -> report
+        | None ->
+            raise
+              (Codec.Malformed
+                 (Printf.sprintf "serve: delivery %d has no intent" seq))
+      in
       locked t (fun () ->
           let rcp =
             match Hashtbl.find_opt t.recipients recipient with

@@ -21,13 +21,19 @@
 
     {2 Durability}
 
-    The pending store is a durable stage ("serve"): enqueues and acks
-    are journaled through the hook installed with {!set_journal}, the
-    whole store snapshots via {!encode_snapshot}, and
-    {!apply_op}/{!decode_snapshot} rebuild it on restore.  Combined
-    with the reporter's delivery intents this extends the existing
-    at-least-once guarantee across the wire: a report is retired only
-    by a client [ACK]; clients deduplicate by [seq].
+    The pending store is a durable stage ("serve"): enqueues ([P])
+    and acks ([A]) are journaled through the hook installed with
+    {!set_journal}, the whole store snapshots via {!encode_snapshot},
+    and {!apply_op}/{!decode_snapshot} rebuild it on restore.  Both
+    ops name only (recipient, seq): the report itself is already in
+    the reporter's delivery intent for that seq, journaled before the
+    sink runs and acknowledged only after it, so replay takes the
+    report from there.  The snapshot keeps every pending report's
+    subscription, time and body, because the reporter forgets an
+    intent once it is acknowledged.  Combined with those intents this
+    extends the existing at-least-once guarantee across the wire: a
+    report is retired only by a client [ACK]; clients deduplicate by
+    [seq].
 
     {2 Mutation discipline}
 
@@ -148,7 +154,12 @@ val set_fuse : t -> (string -> unit) option -> unit
 
 val encode_snapshot : t -> string
 val decode_snapshot : t -> string -> unit
-val apply_op : t -> string -> unit
+
+(** [apply_op t ~intent op] replays one journaled op.  For a [P] op,
+    [intent seq] is the report's (subscription, time, body); raises
+    {!Xy_util.Codec.Malformed} when it is [None]. *)
+val apply_op :
+  t -> intent:(int -> (string * float * string) option) -> string -> unit
 
 (** {2 Introspection} *)
 

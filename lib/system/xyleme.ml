@@ -168,6 +168,12 @@ let system_stage = "system"
 let warehouse_stage = "warehouse"
 let serve_stage = "serve" (* replay drops its ops when not serving *)
 
+(* A delivery's wire (subscription, time, body).  The live sink tee and
+   the replay of a serve [P] op both build it here, so a restored
+   pending store holds exactly the bytes the live one did. *)
+let wire_report (d : Sink.delivery) =
+  (d.subscription, d.at, Xy_xml.Printer.element_to_string d.report)
+
 let journal_op t ~stage encode =
   match t.durable with
   | None -> ()
@@ -412,10 +418,20 @@ let stage_table t =
   ]
   @
   (* the wire pending store: report enqueues and client acks journal
-     as ops *)
+     as ops; an enqueue's report is replayed from the reporter's
+     intent for its seq *)
   match t.serve with
   | None -> []
-  | Some s -> [ journaled serve_stage (module Serve) s ]
+  | Some s ->
+      let intent seq =
+        Option.map wire_report (Reporter.pending_delivery t.reporter ~seq)
+      in
+      [
+        stage serve_stage
+          (fun () -> [ Serve.encode_snapshot s ])
+          (Serve.decode_snapshot s) ~apply_op:(Serve.apply_op s ~intent)
+          ~attach:(fun j -> Serve.set_journal s (Some j));
+      ]
 
 let snapshot_sections t = List.map (fun s -> (s.name, s.encode)) t.stages
 
@@ -493,9 +509,9 @@ let make ?(seed = 1) ?algorithm ?sink ?web ?obs ?tracer ?fault_plan ?slos
           {
             Sink.deliver =
               (fun d ->
+                let subscription, at, body = wire_report d in
                 Serve.deliver s ~seq:d.Sink.seq ~recipient:d.Sink.recipient
-                  ~subscription:d.Sink.subscription ~at:d.Sink.at
-                  ~body:(Xy_xml.Printer.element_to_string d.Sink.report));
+                  ~subscription ~at ~body);
           }
   in
   let reporter = Xy_reporter.Reporter.create ~obs ~clock ~sink () in
@@ -1214,18 +1230,6 @@ let advance t ~seconds =
   t.mid_step <- true;
   commit_txn t
 
-let run t ~days ~step ~fetch_limit =
-  discover t;
-  let total = days *. 86400. in
-  let steps = int_of_float (ceil (total /. step)) in
-  for _ = 1 to steps do
-    advance t ~seconds:step;
-    ignore (crawl_step t ~limit:fetch_limit)
-  done;
-  (* an orderly completion must not leave the last group-commit batch
-     sitting in memory — a restore of this directory would miss it *)
-  Option.iter Durable.barrier t.durable
-
 (* ------------------------------------------------------------------ *)
 (* Checkpoint & restore *)
 
@@ -1240,23 +1244,35 @@ let checkpoint t =
       t.compacted_since_checkpoint <- 0;
       { generation = Durable.generation d; compacted_records }
 
-(* Same schedule as [run], but driven by the journaled position, so a
-   restored system picks up exactly where the killed one stopped: a
+(* The one stepping loop.  It is driven by the journaled position, so
+   a restored system picks up exactly where the killed one stopped: a
    committed advance is not repeated ([mid_step]), completed steps are
-   not re-crawled ([steps_done]). *)
-let run_resumable ?(checkpoint_every = 0) t ~days ~step ~fetch_limit =
+   not re-crawled ([steps_done]).  [between] runs after every step and
+   ends the run early by answering [false]. *)
+let run ?(checkpoint_every = 0) ?(between = fun () -> true) t ~days ~step
+    ~fetch_limit =
   discover t;
-  let total = days *. 86400. in
-  let steps = int_of_float (ceil (total /. step)) in
-  while t.steps_done < steps do
-    if not t.mid_step then advance t ~seconds:step;
-    ignore (crawl_step t ~limit:fetch_limit);
-    if
-      checkpoint_every > 0
-      && t.steps_done mod checkpoint_every = 0
-      && t.durable <> None
-    then ignore (checkpoint t)
-  done;
+  let steps =
+    if days = infinity then max_int
+    else int_of_float (ceil (days *. 86400. /. step))
+  in
+  let rec loop () =
+    if t.steps_done < steps then begin
+      if not t.mid_step then advance t ~seconds:step;
+      ignore (crawl_step t ~limit:fetch_limit);
+      if
+        checkpoint_every > 0
+        && t.steps_done mod checkpoint_every = 0
+        && t.durable <> None
+      then ignore (checkpoint t);
+      if between () then loop ()
+    end
+  in
+  loop ();
+  (* An orderly end applies the wire acks that arrived during the last
+     step and must not leave the last group-commit batch sitting in
+     memory: a restore of this directory would miss it. *)
+  ignore (serve_pump t);
   Option.iter Durable.barrier t.durable
 
 type restore_info = {

@@ -132,9 +132,9 @@ val serve : t -> Xy_serve.Serve.t option
 
 (** [serve_pump t] applies queued wire mutations (SUBSCRIBE /
     UNSUBSCRIBE / ACK) on the caller's thread and commits the
-    resulting transaction, returning how many were applied.  The run
-    loops call it around every step; drive it directly when serving
-    without stepping. *)
+    resulting transaction, returning how many were applied.  {!run}
+    calls it around every step and once more at its end; drive it
+    directly when serving without stepping. *)
 val serve_pump : t -> int
 
 (** [stop_serve ?drain t] stops the serving surface: no new
@@ -268,17 +268,23 @@ val crawl_step : t -> limit:int -> int
 val advance : t -> seconds:float -> unit
 
 (** [run t ~days ~step ~fetch_limit] alternates [advance] and
-    [crawl_step] for [days] of virtual time. *)
-val run : t -> days:float -> step:float -> fetch_limit:int -> unit
+    [crawl_step] until [steps_done t] reaches the schedule's
+    [ceil (days * 86400 / step)] steps: [days] is the total, counted
+    from step 0, not an amount to add, so a second call on the same
+    system passes the cumulative total.  The position is journaled,
+    so on a {!restore}d system it continues from the step the killed
+    run died in, without repeating a committed [advance].
+    [days = infinity] runs until [between] stops it.
 
-(** [run_resumable t ~days ~step ~fetch_limit] is {!run} driven by the
-    journaled schedule position: on a {!restore}d system it continues
-    from the step the killed run died in (without repeating a
-    committed [advance]); an uninterrupted call behaves exactly like
-    {!run}.  [checkpoint_every] (steps, default [0] = never)
-    checkpoints a durable system as it goes. *)
-val run_resumable :
+    [between] runs after every step (pacing, a stop request); when it
+    answers [false] the run ends there.  [checkpoint_every] (steps,
+    default [0] = never) checkpoints a durable system whenever
+    [steps_done] reaches a multiple of it.  The run ends by applying
+    the queued wire mutations and syncing the WAL, so a restore of a
+    completed run resumes nothing. *)
+val run :
   ?checkpoint_every:int ->
+  ?between:(unit -> bool) ->
   t ->
   days:float ->
   step:float ->

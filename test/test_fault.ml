@@ -694,8 +694,7 @@ report when count > 2 atmost daily|}
   done
 
 let d_run ?checkpoint_every x =
-  Xyleme.run_resumable ?checkpoint_every x ~days:d_days ~step:d_step
-    ~fetch_limit:200
+  Xyleme.run ?checkpoint_every x ~days:d_days ~step:d_step ~fetch_limit:200
 
 (* url + version + content signature of every stored document *)
 let store_fingerprint x =

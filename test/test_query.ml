@@ -265,69 +265,6 @@ let test_result_delta_first_then_changes () =
   | Some current -> checkb "current tracks latest" true (T.equal_element current r2)
   | None -> Alcotest.fail "expected current"
 
-let test_answer_archive_versions () =
-  let archive = Xy_query.Answer_archive.create ~name:"Q" () in
-  Alcotest.(check int) "no version yet" 0 (Xy_query.Answer_archive.version archive);
-  let v1 = parse_xml "<Q><x>1</x></Q>" in
-  let v2 = parse_xml "<Q><x>1</x><x>2</x></Q>" in
-  let v3 = parse_xml "<Q><x>2</x></Q>" in
-  (match Xy_query.Answer_archive.record archive v1 with
-  | Xy_query.Answer_archive.First _ -> ()
-  | _ -> Alcotest.fail "first");
-  (match Xy_query.Answer_archive.record archive v1 with
-  | Xy_query.Answer_archive.Unchanged -> ()
-  | _ -> Alcotest.fail "unchanged");
-  (match Xy_query.Answer_archive.record archive v2 with
-  | Xy_query.Answer_archive.Changed _ -> ()
-  | _ -> Alcotest.fail "changed");
-  ignore (Xy_query.Answer_archive.record archive v3);
-  checki "version 3" 3 (Xy_query.Answer_archive.version archive);
-  let el = Alcotest.testable Printer.pp_element T.equal_element in
-  (match Xy_query.Answer_archive.current archive with
-  | Some current -> Alcotest.check el "current" v3 current
-  | None -> Alcotest.fail "current");
-  List.iteri
-    (fun i expected ->
-      match Xy_query.Answer_archive.reconstruct archive ~version:(i + 1) with
-      | Some answer -> Alcotest.check el (Printf.sprintf "v%d" (i + 1)) expected answer
-      | None -> Alcotest.failf "v%d missing" (i + 1))
-    [ v1; v2; v3 ];
-  checkb "v0 invalid" true
-    (Xy_query.Answer_archive.reconstruct archive ~version:0 = None);
-  checkb "future invalid" true
-    (Xy_query.Answer_archive.reconstruct archive ~version:9 = None)
-
-let test_answer_archive_window () =
-  let archive = Xy_query.Answer_archive.create ~keep:2 ~name:"Q" () in
-  for i = 1 to 6 do
-    ignore
-      (Xy_query.Answer_archive.record archive
-         (parse_xml (Printf.sprintf "<Q><x>%d</x></Q>" i)))
-  done;
-  checkb "old version dropped" true
-    (Xy_query.Answer_archive.reconstruct archive ~version:2 = None);
-  checkb "recent version kept" true
-    (Xy_query.Answer_archive.reconstruct archive ~version:5 <> None)
-
-let test_answer_archive_catchup_delta () =
-  let archive = Xy_query.Answer_archive.create ~name:"Q" () in
-  ignore (Xy_query.Answer_archive.record archive (parse_xml "<Q><x>1</x></Q>"));
-  ignore
-    (Xy_query.Answer_archive.record archive (parse_xml "<Q><x>1</x><x>2</x></Q>"));
-  ignore
-    (Xy_query.Answer_archive.record archive
-       (parse_xml "<Q><x>1</x><x>2</x><x>3</x></Q>"));
-  (* A subscriber at version 1 catches up with one combined delta. *)
-  match Xy_query.Answer_archive.delta_between archive ~from_version:1 with
-  | Some delta ->
-      checks "delta doc" "Q-delta" delta.T.tag;
-      checki "two insertions combined" 2
-        (List.length
-           (List.filter
-              (fun e -> e.T.tag = "inserted")
-              (T.children_elements delta)))
-  | None -> Alcotest.fail "expected a catch-up delta"
-
 let test_result_delta_deletion () =
   let tracker = Result_delta.create ~name:"Q" in
   ignore (Result_delta.update tracker (parse_xml "<Q><x>1</x><x>2</x></Q>"));
@@ -375,8 +312,5 @@ let () =
         [
           tc "first/unchanged/changed" test_result_delta_first_then_changes;
           tc "deletion" test_result_delta_deletion;
-          tc "answer archive versions" test_answer_archive_versions;
-          tc "answer archive window" test_answer_archive_window;
-          tc "answer archive catch-up delta" test_answer_archive_catchup_delta;
         ] );
     ]

@@ -8,6 +8,8 @@
 
 module Frame = Xy_serve.Frame
 module Record_log = Xy_durable.Record_log
+module Durable = Xy_durable.Durable
+module Codec = Xy_util.Codec
 module Serve = Xy_serve.Serve
 module Listener = Xy_serve.Listener
 module Telemetry = Xy_telemetry.Telemetry
@@ -657,11 +659,18 @@ let test_journal_replay_and_snapshot () =
   Serve.set_journal s (Some (fun op -> ops := op :: !ops));
   let c = connect port in
   ignore (hello c);
+  let report seq = ("S", float_of_int seq, Printf.sprintf "<r n=\"%d\"/>" seq) in
   List.iter
     (fun seq ->
-      Serve.deliver s ~seq ~recipient:"u0" ~subscription:"S"
-        ~at:(float_of_int seq) ~body:(Printf.sprintf "<r n=\"%d\"/>" seq))
+      let subscription, at, body = report seq in
+      Serve.deliver s ~seq ~recipient:"u0" ~subscription ~at ~body)
     [ 1; 2; 3 ];
+  (* a [P] op names (recipient, seq) only: replay takes the report from
+     the reporter's intent, played here by the delivered reports *)
+  let apply_op s' =
+    Serve.apply_op s' ~intent:(fun seq ->
+        if List.mem seq [ 1; 2; 3 ] then Some (report seq) else None)
+  in
   for _ = 1 to 3 do
     match recv c with
     | Event (Frame.Report _) -> ()
@@ -676,7 +685,7 @@ let test_journal_replay_and_snapshot () =
   in
   (* the journaled ops alone rebuild the store *)
   let s2 = fresh () in
-  List.iter (Serve.apply_op s2) (List.rev !ops);
+  List.iter (apply_op s2) (List.rev !ops);
   checks "journal replay reproduces the snapshot" snap (Serve.encode_snapshot s2);
   checki "replayed pending" 1 (Serve.pending_total s2);
   (* and the snapshot round-trips *)
@@ -684,7 +693,7 @@ let test_journal_replay_and_snapshot () =
   Serve.decode_snapshot s3 snap;
   checks "snapshot round-trips" snap (Serve.encode_snapshot s3);
   (* replaying a duplicate P op over the restored store is a no-op *)
-  List.iter (Serve.apply_op s3) (List.rev !ops);
+  List.iter (apply_op s3) (List.rev !ops);
   checks "replay over a snapshot dedups" snap (Serve.encode_snapshot s3);
   close_client c
 
@@ -886,10 +895,11 @@ let test_abrupt_disconnect_then_resume () =
   let c = connect (Serve.port s) in
   ignore (hello c);
   ignore (wire_subscribe x c ~text:(site_subscription ()));
-  (* half the run, then the client vanishes without a goodbye *)
+  (* half the run, then the client vanishes without a goodbye; [days]
+     is the cumulative total, so the second call runs bp_days more *)
   Xyleme.run x ~days:(bp_days /. 2.) ~step:eq_step ~fetch_limit:eq_fetch;
   close_client c;
-  Xyleme.run x ~days:bp_days ~step:eq_step ~fetch_limit:eq_fetch;
+  Xyleme.run x ~days:(1.5 *. bp_days) ~step:eq_step ~fetch_limit:eq_fetch;
   (* reconnect: WELCOME advertises the backlog, the writer replays it *)
   let c2 = connect (Serve.port s) in
   let pending = hello c2 in
@@ -919,14 +929,13 @@ let m_fetch = 100
 let m_web () = Web.generate ~seed:m_seed ~sites:1 ~pages_per_site:4 ()
 
 let m_resume x =
-  Xyleme.run_resumable ~checkpoint_every:2 x ~days:m_days ~step:m_step
-    ~fetch_limit:m_fetch
+  Xyleme.run ~checkpoint_every:2 x ~days:m_days ~step:m_step ~fetch_limit:m_fetch
 
 (* Half the schedule, an ack exchange, then the rest: the mid-run
    drain guarantees the serve:ack/acked boundaries are consulted while
    the fuse is still live. *)
 let m_drive x s c received =
-  Xyleme.run_resumable ~checkpoint_every:2 x ~days:(m_days /. 2.) ~step:m_step
+  Xyleme.run ~checkpoint_every:2 x ~days:(m_days /. 2.) ~step:m_step
     ~fetch_limit:m_fetch;
   drain_reports ~pump:(fun () -> Xyleme.serve_pump x) s c received;
   m_resume x;
@@ -1000,6 +1009,80 @@ let test_serve_crash_matrix () =
       checkb (Printf.sprintf "killed at %s" boundary) true
         (List.mem boundary !labels))
     [ "serve:frame"; "serve:frame_written"; "serve:ack"; "serve:acked" ]
+
+(* ------------------------------------------------------------------ *)
+(* The serve stage's journal: an enqueue names (recipient, seq), and
+   its report comes from the reporter's intent at replay. *)
+
+(* The committed ops of [dir]'s latest generation, read without
+   restoring (which would checkpoint the directory). *)
+let committed_ops dir =
+  let d = Option.get (Durable.open_existing dir) in
+  match Durable.load_latest d with
+  | Ok (_, txns, _) -> List.concat txns
+  | Error e -> Alcotest.failf "load %s: %s" dir e
+
+(* The matrix's workload, uninterrupted and never checkpointed, so
+   the one generation's WAL holds every op; the system keeps serving. *)
+let m_served ~dir =
+  let x =
+    Xyleme.create ~seed:m_seed ~web:(m_web ()) ~durable_dir:dir ~serve_port:0 ()
+  in
+  let s, c = m_connect x in
+  ignore (wire_subscribe x c ~text:(site_subscription ~name:"Wm" ()));
+  Xyleme.run x ~days:m_days ~step:m_step ~fetch_limit:m_fetch;
+  let received = Hashtbl.create 64 in
+  drain_reports ~pump:(fun () -> Xyleme.serve_pump x) s c received;
+  close_client c;
+  (x, received)
+
+let test_enqueue_ops_carry_no_report () =
+  with_temp_dir @@ fun dir ->
+  let x, received = m_served ~dir in
+  Xyleme.stop_serve x;
+  checkb "the client received reports" true (Hashtbl.length received > 0);
+  let enqueues =
+    List.filter_map
+      (fun { Durable.stage; payload } ->
+        let r = Codec.reader payload in
+        if stage = "serve" && Codec.read_string r = "P" then Some r
+        else None)
+      (committed_ops dir)
+  in
+  checki "one P op per delivered report" (Hashtbl.length received)
+    (List.length enqueues);
+  List.iter
+    (fun r ->
+      ignore (Codec.read_string r);
+      ignore (Codec.read_int r);
+      match Codec.expect_end r with
+      | () -> ()
+      | exception Codec.Malformed _ ->
+          Alcotest.fail "a P op carries more than (recipient, seq)")
+    enqueues
+
+let test_restore_refuses_enqueue_without_intent () =
+  with_temp_dir @@ fun dir ->
+  let x, _ = m_served ~dir in
+  (* a P op for a seq the reporter never fired, committed and synced
+     by one more step of the run *)
+  let s = Option.get (Xyleme.serve x) in
+  let c = connect (Serve.port s) in
+  ignore (hello c);
+  Serve.deliver s ~seq:1_000_000 ~recipient:"u0" ~subscription:"Wm" ~at:0.
+    ~body:"<Report/>";
+  Xyleme.run x ~days:(m_days +. 1.) ~step:m_step ~fetch_limit:m_fetch;
+  close_client c;
+  Xyleme.stop_serve x;
+  match Xyleme.restore ~seed:m_seed ~web:(m_web ()) ~serve_port:0 ~dir () with
+  | Ok (x', _) ->
+      Xyleme.stop_serve x';
+      Alcotest.fail "restore accepted a P op with no intent"
+  | Error e ->
+      checkb
+        (Printf.sprintf "refused as damaged (%s)" e)
+        true
+        (String.starts_with ~prefix:"damaged durable state: " e)
 
 (* ------------------------------------------------------------------ *)
 (* Listener regression (the shared accept-loop hardening) *)
@@ -1169,6 +1252,13 @@ let () =
         ] );
       ( "crash matrix",
         [ tc "kill at every boundary over the wire" test_serve_crash_matrix ] );
+      ( "journal",
+        [
+          tc "enqueue ops carry recipient and seq only"
+            test_enqueue_ops_carry_no_report;
+          tc "restore refuses an enqueue without an intent"
+            test_restore_refuses_enqueue_without_intent;
+        ] );
       ( "listener",
         [
           tc "rebind released port" test_listener_rebind;

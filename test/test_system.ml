@@ -763,7 +763,7 @@ let test_restore_carries_metrics () =
 monitoring
 where modified self and URL extends "http://site"
 report when count > 2 atmost daily|});
-  Xyleme.run_resumable x ~days:2. ~step:day_step ~fetch_limit:50;
+  Xyleme.run x ~days:2. ~step:day_step ~fetch_limit:50;
   ignore (Xyleme.checkpoint x);
   let fetched_before =
     Obs.Snapshot.counter_value (Obs.snapshot obs1) ~stage:"crawler" "fetches"
@@ -783,7 +783,7 @@ report when count > 2 atmost daily|});
       in
       checkb "cumulative counter carried" true (carried >= fetched_before);
       (* The carried metrics keep counting as the run resumes. *)
-      Xyleme.run_resumable x' ~days:3. ~step:day_step ~fetch_limit:50;
+      Xyleme.run x' ~days:3. ~step:day_step ~fetch_limit:50;
       let after =
         Obs.Snapshot.counter_value (Obs.snapshot obs2) ~stage:"crawler" "fetches"
       in
@@ -810,7 +810,7 @@ report when %s|}
     Xyleme.create ~seed:7 ~sink ~web:(fresh_web ()) ~durable_dir:dir ()
   in
   ignore (subscribe_exn x ~owner:"alice" ~text:(text "daily"));
-  Xyleme.run_resumable x ~days:2. ~step:Clock.day ~fetch_limit:50;
+  Xyleme.run x ~days:2. ~step:Clock.day ~fetch_limit:50;
   ignore (Xyleme.checkpoint x);
   (match Xyleme.update x ~name:"D" ~owner:"alice" ~text:(text "count > 2") with
   | Ok () -> ()
@@ -820,7 +820,7 @@ report when %s|}
   match Xyleme.restore ~seed:7 ~web:(fresh_web ()) ~sink:sink2 ~dir () with
   | Error e -> Alcotest.failf "restore failed: %s" e
   | Ok (x', _) ->
-      Xyleme.run_resumable x' ~days:5. ~step:Clock.day ~fetch_limit:50;
+      Xyleme.run x' ~days:5. ~step:Clock.day ~fetch_limit:50;
       checki "the restored run finished" 5 (Xyleme.steps_done x')
 
 (* A subscription replaced since the last checkpoint starts afresh in
@@ -853,7 +853,7 @@ report when count > 500|}
           ~sync_every:1000 ()
       in
       resubscribe x;
-      Xyleme.run_resumable x ~days:3. ~step:Clock.day ~fetch_limit:50;
+      Xyleme.run x ~days:3. ~step:Clock.day ~fetch_limit:50;
       ignore (Xyleme.checkpoint x);
       checkb (label ^ ": notifications buffered before") true
         (fst (reporter_state x) > 0);
@@ -903,7 +903,7 @@ report when %s|}
       ~sync_every:1000 ()
   in
   ignore (subscribe_exn x ~owner:"alice" ~text:(text "count > 500"));
-  Xyleme.run_resumable x ~days:3. ~step:Clock.day ~fetch_limit:50;
+  Xyleme.run x ~days:3. ~step:Clock.day ~fetch_limit:50;
   ignore (Xyleme.checkpoint x);
   (match Xyleme.update x ~name:"R" ~owner:"alice" ~text:(text "daily") with
   | Ok () -> ()
@@ -915,7 +915,7 @@ report when %s|}
   with
   | Error e -> Alcotest.failf "restore failed: %s" e
   | Ok (x', _) ->
-      Xyleme.run_resumable x' ~days:5. ~step:Clock.day ~fetch_limit:50;
+      Xyleme.run x' ~days:5. ~step:Clock.day ~fetch_limit:50;
       checkb "the restored daily subscription reports within two days" true
         (List.exists (fun d -> d.Sink.subscription = "R") !deliveries2)
 
@@ -1011,7 +1011,7 @@ report when immediate|}
         ~sync_every:1 ()
     in
     ignore (subscribe_exn x ~owner:"curator" ~text);
-    Xyleme.run_resumable x ~days:1. ~step:Clock.day ~fetch_limit:50;
+    Xyleme.run x ~days:1. ~step:Clock.day ~fetch_limit:50;
     ignore (Xyleme.checkpoint x);
     (match Xyleme.update x ~name:"Museums" ~owner:"curator" ~text with
     | Ok () -> ()
@@ -1023,7 +1023,7 @@ report when immediate|}
     with_temp_dir @@ fun dir ->
     let x = prefix dir in
     let before = runs x in
-    Xyleme.run_resumable x ~days:6. ~step:Clock.day ~fetch_limit:50;
+    Xyleme.run x ~days:6. ~step:Clock.day ~fetch_limit:50;
     runs x - before
   in
   checkb "the uninterrupted run evaluates the query" true (uninterrupted > 0);
@@ -1038,7 +1038,7 @@ report when immediate|}
       checki "the trigger survives the restore" 1
         (List.length (Trigger.deadlines (Xyleme.trigger x')));
       let before = runs x' in
-      Xyleme.run_resumable x' ~days:6. ~step:Clock.day ~fetch_limit:50;
+      Xyleme.run x' ~days:6. ~step:Clock.day ~fetch_limit:50;
       checki "periodic runs after the restore" uninterrupted (runs x' - before)
 
 (* ------------------------------------------------------------------ *)

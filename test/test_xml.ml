@@ -1,11 +1,10 @@
-(* Tests for xy_xml: lexer/parser/printer round-trips, paths,
-   post-order streams, XIDs, DTD identification. *)
+(* Tests for xy_xml: lexer/parser/printer round-trips, paths, XIDs,
+   DTD identification. *)
 
 module T = Xy_xml.Types
 module Parser = Xy_xml.Parser
 module Printer = Xy_xml.Printer
 module Path = Xy_xml.Path
-module Postorder = Xy_xml.Postorder
 module Xid = Xy_xml.Xid
 module Dtd = Xy_xml.Dtd
 
@@ -373,42 +372,6 @@ let test_path_errors () =
   fails "a b/c"
 
 (* ------------------------------------------------------------------ *)
-(* Post-order *)
-
-let test_postorder_order () =
-  let e = parse "<a><b>x</b><c/></a>" in
-  let items = Postorder.to_list e in
-  let render (level, item) =
-    match item with
-    | Postorder.Tag t -> Printf.sprintf "%d:<%s>" level t
-    | Postorder.Data d -> Printf.sprintf "%d:%s" level d
-  in
-  Alcotest.(check (list string)) "postfix traversal"
-    [ "2:x"; "1:<b>"; "1:<c>"; "0:<a>" ]
-    (List.map render items)
-
-let test_postorder_parent_after_children () =
-  let e = parse "<r><a><b/><c/></a><d/></r>" in
-  let seen = ref [] in
-  Postorder.iter
-    (fun ~level item ->
-      ignore level;
-      match item with Postorder.Tag t -> seen := t :: !seen | Postorder.Data _ -> ())
-    e;
-  let order = List.rev !seen in
-  let index tag =
-    let rec go i = function
-      | [] -> Alcotest.fail (tag ^ " missing")
-      | x :: _ when x = tag -> i
-      | _ :: rest -> go (i + 1) rest
-    in
-    go 0 order
-  in
-  checkb "b before a" true (index "b" < index "a");
-  checkb "c before a" true (index "c" < index "a");
-  checkb "a before r" true (index "a" < index "r")
-
-(* ------------------------------------------------------------------ *)
 (* XIDs *)
 
 let test_xid_postorder_property () =
@@ -679,11 +642,6 @@ let () =
           tc "self//" test_path_self_descendant;
           tc "to_string roundtrip" test_path_roundtrip;
           tc "syntax errors" test_path_errors;
-        ] );
-      ( "postorder",
-        [
-          tc "order with levels" test_postorder_order;
-          tc "children before parents" test_postorder_parent_after_children;
         ] );
       ( "xid",
         [
