@@ -56,8 +56,7 @@ let create ?extends_impl ?(obs = Obs.default) registry =
           m_memo_hits = Obs.counter obs ~stage "memo_hits";
           m_memo_invalidated = Obs.counter obs ~stage "memo_invalidated";
           m_detect_latency = Obs.histogram obs ~stage "detect_latency";
-          m_events_per_doc =
-            Obs.histogram ~buckets:Obs.size_buckets obs ~stage "events_per_doc";
+          m_events_per_doc = Obs.histogram obs ~stage "events_per_doc";
         };
     }
   in

@@ -76,10 +76,8 @@ let create ?(algorithm = Use_aes) ?(obs = Obs.default) () =
         m_alerts = Obs.counter obs ~stage "alerts";
         m_notifications = Obs.counter obs ~stage "notifications";
         m_match_latency = Obs.histogram obs ~stage "match_latency";
-        m_batch_size =
-          Obs.histogram ~buckets:Obs.size_buckets obs ~stage "batch_size";
-        m_events_per_alert =
-          Obs.histogram ~buckets:Obs.size_buckets obs ~stage "events_per_alert";
+        m_batch_size = Obs.histogram obs ~stage "batch_size";
+        m_events_per_alert = Obs.histogram obs ~stage "events_per_alert";
         m_complex = Obs.gauge obs ~stage "complex_events";
       };
   }

@@ -92,9 +92,7 @@ let create ?(obs = Obs.default) ?clock ?tracer ?(faults = Fault.none)
         changed = Obs.counter obs ~stage "changed";
         unchanged = Obs.counter obs ~stage "unchanged";
         fetch_latency = Obs.histogram obs ~stage "fetch_latency";
-        detection_lag =
-          Obs.histogram obs ~stage "detection_lag"
-            ~buckets:Obs.staleness_buckets;
+        detection_lag = Obs.histogram obs ~stage "detection_lag";
         watermark_age = Obs.gauge obs ~stage "staleness_watermark_age";
         watermark_pending = Obs.gauge obs ~stage "staleness_pending_changes";
       };

@@ -57,8 +57,8 @@ val default_retry : retry_policy
     [clock] binds the system's virtual clock for staleness accounting
     (without it, the web's own {!Synthetic_web.vnow} serves): each
     successful fetch of a changed page records birth → now in the
-    [crawler/detection_lag] histogram ({!Xy_obs.Obs.staleness_buckets}),
-    and {!update_watermark} maintains the
+    [crawler/detection_lag] histogram (virtual seconds), and
+    {!update_watermark} maintains the
     [crawler/staleness_watermark_age] and
     [crawler/staleness_pending_changes] gauges. *)
 val create :

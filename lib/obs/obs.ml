@@ -80,43 +80,73 @@ module Gauge = struct
 end
 
 module Histogram = struct
+  (* One layout for every histogram, computed from the value's float
+     bits rather than chosen by the caller: 16 log-linear sub-buckets
+     per power of two over (2^-30, 2^40], so a bucket's upper bound is
+     within 1/16 of any value in it.  That spans sub-µs latencies,
+     multi-month staleness and 10^6-element sizes alike.  Buckets are
+     (lo, hi], so every power of two is an exact boundary.  Bucket 0
+     holds zero and negative values, bucket 1 (0, 2^-30], the last
+     bucket everything above 2^40 (and nan). *)
+  let sub_bits = 4
+  let min_exp = -30
+  let max_exp = 40
+  let shift = 52 - sub_bits
+
+  (* the biased exponent and sub-bucket bits of 2^min_exp *)
+  let floor_key = (min_exp + 1023) lsl sub_bits
+
+  let spans = (max_exp - min_exp) lsl sub_bits
+  let buckets = spans + 3
+
+  let index v =
+    if v > 0. then
+      (* the predecessor's bits put a bucket's upper bound inside it *)
+      let k =
+        Int64.(to_int (shift_right_logical (pred (bits_of_float v)) shift))
+        - floor_key
+      in
+      if k < 0 then 1 else if k < spans then k + 2 else buckets - 1
+    else if v <= 0. then 0
+    else buckets - 1
+
+  let upper_bound i =
+    if i = 0 then 0.
+    else if i >= buckets - 1 then infinity
+    else Int64.(float_of_bits (shift_left (of_int (floor_key + i - 1)) shift))
+
   (* Per-stripe bucket counts live in a stripe-private array (separate
-     heap block per domain — no false sharing), and the running
-     sum/max pair in a stripe-private unboxed float array, so one
-     [observe] is a handful of plain array accesses. *)
+     heap block per domain — no false sharing), allocated on the
+     stripe's first observe, and the running sum/min/max in a
+     stripe-private unboxed float array, so one [observe] is a handful
+     of plain array accesses. *)
   type t = {
-    bounds : float array;  (** ascending upper bounds *)
-    counts : int array array;  (** per stripe: one count per bound, + overflow *)
-    accs : float array array;  (** per stripe: [|sum; max|] *)
+    counts : int array array;  (** per stripe: [||] until first used *)
+    accs : float array array;  (** per stripe: [|sum; min; max|] *)
   }
 
-  let make bounds =
-    let n = Array.length bounds in
-    for i = 1 to n - 1 do
-      if bounds.(i - 1) >= bounds.(i) then
-        invalid_arg "Obs.histogram: bucket bounds must be strictly ascending"
-    done;
-    {
-      bounds;
-      counts = Array.init stripes (fun _ -> Array.make (n + 1) 0);
-      accs = Array.init stripes (fun _ -> [| 0.; neg_infinity |]);
-    }
+  let fresh_acc _ = [| 0.; infinity; neg_infinity |]
+  let make () =
+    { counts = Array.make stripes [||]; accs = Array.init stripes fresh_acc }
 
-  let bucket_index bounds v =
-    (* at most a couple of dozen buckets: the linear scan beats a
-       binary search on branch-predictable small arrays *)
-    let n = Array.length bounds in
-    let rec go i = if i >= n || v <= bounds.(i) then i else go (i + 1) in
-    go 0
+  let stripe_counts t s =
+    let counts = Array.unsafe_get t.counts s in
+    if Array.length counts > 0 then counts
+    else begin
+      let counts = Array.make buckets 0 in
+      t.counts.(s) <- counts;
+      counts
+    end
 
   let observe t v =
     let s = stripe () in
-    let counts = Array.unsafe_get t.counts s in
-    let i = bucket_index t.bounds v in
+    let counts = stripe_counts t s in
+    let i = index v in
     Array.unsafe_set counts i (Array.unsafe_get counts i + 1);
     let acc = Array.unsafe_get t.accs s in
     Array.unsafe_set acc 0 (Array.unsafe_get acc 0 +. v);
-    if v > Array.unsafe_get acc 1 then Array.unsafe_set acc 1 v
+    if v < Array.unsafe_get acc 1 then Array.unsafe_set acc 1 v;
+    if v > Array.unsafe_get acc 2 then Array.unsafe_set acc 2 v
 
   let time t f =
     (* Clamp at zero: a non-monotonic timer (NTP step, or the default
@@ -134,15 +164,14 @@ module Histogram = struct
 
   (* Warm-restart carry: fold previously captured totals back into the
      calling domain's stripe.  Meant for single-threaded restore. *)
-  let inject t ~counts ~sum ~max_value =
+  let inject t ~counts ~sum ~min_value ~max_value =
     let s = stripe () in
-    let mine = t.counts.(s) in
-    if Array.length counts <> Array.length mine then
-      invalid_arg "Obs.Histogram.inject: bucket layouts differ";
-    Array.iteri (fun i c -> mine.(i) <- mine.(i) + c) counts;
+    let mine = stripe_counts t s in
+    List.iter (fun (i, c) -> mine.(i) <- mine.(i) + c) counts;
     let acc = t.accs.(s) in
     acc.(0) <- acc.(0) +. sum;
-    if max_value > acc.(1) then acc.(1) <- max_value
+    if min_value < acc.(1) then acc.(1) <- min_value;
+    if max_value > acc.(2) then acc.(2) <- max_value
 
   let count t =
     Array.fold_left
@@ -151,46 +180,36 @@ module Histogram = struct
 
   let sum t = Array.fold_left (fun acc a -> acc +. a.(0)) 0. t.accs
 
-  (* Merge the stripes: (per-bucket counts, total, sum, max). *)
+  (* Merge the stripes: (the non-empty buckets as ascending (bucket,
+     count) pairs, total, sum, min, max). *)
   let totals t =
-    let n = Array.length t.bounds in
-    let counts = Array.make (n + 1) 0 in
-    Array.iter
-      (fun stripe_counts ->
-        Array.iteri (fun i c -> counts.(i) <- counts.(i) + c) stripe_counts)
-      t.counts;
-    let sum = ref 0. and max_value = ref neg_infinity in
+    let used =
+      List.filter (fun c -> Array.length c > 0) (Array.to_list t.counts)
+    in
+    let counts = ref [] and count = ref 0 in
+    for i = buckets - 1 downto 0 do
+      let c =
+        List.fold_left (fun n counts -> n + Array.unsafe_get counts i) 0 used
+      in
+      if c > 0 then begin
+        counts := (i, c) :: !counts;
+        count := !count + c
+      end
+    done;
+    let sum = ref 0. in
+    let min_value = ref infinity and max_value = ref neg_infinity in
     Array.iter
       (fun a ->
         sum := !sum +. a.(0);
-        if a.(1) > !max_value then max_value := a.(1))
+        if a.(1) < !min_value then min_value := a.(1);
+        if a.(2) > !max_value then max_value := a.(2))
       t.accs;
-    (counts, Array.fold_left ( + ) 0 counts, !sum, !max_value)
+    (!counts, !count, !sum, !min_value, !max_value)
+
+  let reset t =
+    Array.fill t.counts 0 stripes [||];
+    Array.iteri (fun s _ -> t.accs.(s) <- fresh_acc s) t.accs
 end
-
-(* ------------------------------------------------------------------ *)
-(* Bucket layouts *)
-
-let exponential_buckets ~start ~factor ~count =
-  if start <= 0. || factor <= 1. || count <= 0 then
-    invalid_arg "Obs.exponential_buckets";
-  let bounds = Array.make count start in
-  for i = 1 to count - 1 do
-    bounds.(i) <- bounds.(i - 1) *. factor
-  done;
-  bounds
-
-(* 1µs … ~128s *)
-let latency_buckets = exponential_buckets ~start:1e-6 ~factor:2. ~count:28
-
-(* 1 … 10⁶ *)
-let size_buckets = exponential_buckets ~start:1. ~factor:10. ~count:7
-
-(* 1s … ~97 days: virtual-clock staleness (detection / notification
-   lag).  Change lifetimes span seconds (a hot page fetched next step)
-   to months (a cold page under a starved fetch budget), so the decade
-   coverage must be much wider than [latency_buckets]. *)
-let staleness_buckets = exponential_buckets ~start:1. ~factor:2. ~count:24
 
 (* ------------------------------------------------------------------ *)
 (* Registry *)
@@ -236,9 +255,9 @@ let gauge t ~stage name =
     ~make:(fun () -> M_gauge (Gauge.make ()))
     ~extract:(function M_gauge g -> Some g | _ -> None)
 
-let histogram ?(buckets = latency_buckets) t ~stage name =
+let histogram t ~stage name =
   intern t ~stage name ~kind:"histogram"
-    ~make:(fun () -> M_histogram (Histogram.make buckets))
+    ~make:(fun () -> M_histogram (Histogram.make ()))
     ~extract:(function M_histogram h -> Some h | _ -> None)
 
 (* ------------------------------------------------------------------ *)
@@ -246,12 +265,15 @@ let histogram ?(buckets = latency_buckets) t ~stage name =
 
 module Snapshot = struct
   type histogram = {
-    bounds : float array;
-    counts : int array;
+    counts : (int * int) list;
     count : int;
     sum : float;
+    min_value : float;
     max_value : float;
   }
+
+  let buckets = Histogram.buckets
+  let upper_bound = Histogram.upper_bound
 
   type value = Counter of int | Gauge of float | Histogram of histogram
   type entry = { stage : string; name : string; value : value }
@@ -261,34 +283,41 @@ module Snapshot = struct
 
   let key e = (e.stage, e.name)
 
+  (* Two lists sorted by [key], with the elements of equal keys
+     combined: entries by (stage, name), buckets by index. *)
+  let rec merge_sorted key combine xs ys =
+    match xs, ys with
+    | [], rest | rest, [] -> rest
+    | x :: xs', y :: ys' ->
+        let c = compare (key x) (key y) in
+        if c < 0 then x :: merge_sorted key combine xs' ys
+        else if c > 0 then y :: merge_sorted key combine xs ys'
+        else combine x y :: merge_sorted key combine xs' ys'
+
   let merge_value a b =
     match a, b with
     | Counter x, Counter y -> Counter (x + y)
     | Gauge x, Gauge y -> Gauge (Float.max x y)
     | Histogram x, Histogram y ->
-        if x.bounds <> y.bounds then
-          invalid_arg "Obs.Snapshot.merge: histogram bucket layouts differ";
         Histogram
           {
-            bounds = x.bounds;
-            counts = Array.map2 ( + ) x.counts y.counts;
+            counts =
+              merge_sorted fst
+                (fun (i, a) (_, b) -> (i, a + b))
+                x.counts y.counts;
             count = x.count + y.count;
             sum = x.sum +. y.sum;
+            min_value = Float.min x.min_value y.min_value;
             max_value = Float.max x.max_value y.max_value;
           }
     | _ -> invalid_arg "Obs.Snapshot.merge: instrument kinds differ"
 
   let merge a b =
-    let rec go xs ys =
-      match xs, ys with
-      | [], rest | rest, [] -> rest
-      | x :: xs', y :: ys' ->
-          let c = compare (key x) (key y) in
-          if c < 0 then x :: go xs' ys
-          else if c > 0 then y :: go xs ys'
-          else { x with value = merge_value x.value y.value } :: go xs' ys'
-    in
-    { at = Float.max a.at b.at; entries = go a.entries b.entries }
+    let combine x y = { x with value = merge_value x.value y.value } in
+    {
+      at = Float.max a.at b.at;
+      entries = merge_sorted key combine a.entries b.entries;
+    }
 
   let find t ~stage name =
     List.find_map
@@ -302,16 +331,21 @@ module Snapshot = struct
     if h.count = 0 then nan
     else begin
       let rank = Float.max 1. (Float.of_int h.count *. q) in
-      let n = Array.length h.bounds in
-      let rec go i cumulative =
-        if i >= n then h.max_value
-        else
-          let cumulative = cumulative + h.counts.(i) in
-          if Float.of_int cumulative >= rank then h.bounds.(i)
-          else go (i + 1) cumulative
+      let rec go cumulative = function
+        | [] -> buckets - 1
+        | [ (i, _) ] -> i
+        | (i, c) :: rest ->
+            let cumulative = cumulative + c in
+            if Float.of_int cumulative >= rank then i else go cumulative rest
       in
-      go 0 0
+      Float.min h.max_value
+        (Float.max h.min_value (upper_bound (go 0 h.counts)))
     end
+
+  let count_le h x =
+    List.fold_left
+      (fun n (i, c) -> if upper_bound i <= x then n + c else n)
+      0 h.counts
 
   (* -------------------------------------------------------------- *)
   (* Renderers *)
@@ -391,13 +425,12 @@ module Snapshot = struct
               (escape e.name) h.count (float_attr h.sum)
               (float_attr (if h.count = 0 then 0. else h.max_value))
               (q 0.5) (q 0.95) (q 0.99);
-            Array.iteri
-              (fun i c ->
-                let le =
-                  if i < Array.length h.bounds then float_attr h.bounds.(i)
-                  else "+inf"
-                in
-                if c > 0 then add "      <bucket le=\"%s\" count=\"%d\"/>\n" le c)
+            List.iter
+              (fun (i, c) ->
+                add "      <bucket le=\"%s\" count=\"%d\"/>\n"
+                  (if i = buckets - 1 then "+inf"
+                   else float_attr (upper_bound i))
+                  c)
               h.counts;
             add "    </histogram>\n")
       t.entries;
@@ -420,9 +453,11 @@ let snapshot t =
           | M_counter c -> Snapshot.Counter (Counter.value c)
           | M_gauge g -> Snapshot.Gauge (Gauge.value g)
           | M_histogram h ->
-              let counts, count, sum, max_value = Histogram.totals h in
+              let counts, count, sum, min_value, max_value =
+                Histogram.totals h
+              in
               Snapshot.Histogram
-                { Snapshot.bounds = h.Histogram.bounds; counts; count; sum; max_value }
+                { Snapshot.counts; count; sum; min_value; max_value }
         in
         { Snapshot.stage; name; value })
       metrics
@@ -443,9 +478,8 @@ let absorb t (s : Snapshot.t) =
       | Snapshot.Counter n -> Counter.add (counter t ~stage name) n
       | Snapshot.Gauge v -> Gauge.set (gauge t ~stage name) v
       | Snapshot.Histogram h ->
-          Histogram.inject
-            (histogram ~buckets:h.Snapshot.bounds t ~stage name)
-            ~counts:h.Snapshot.counts ~sum:h.Snapshot.sum
+          Histogram.inject (histogram t ~stage name) ~counts:h.Snapshot.counts
+            ~sum:h.Snapshot.sum ~min_value:h.Snapshot.min_value
             ~max_value:h.Snapshot.max_value)
     s.Snapshot.entries
 
@@ -456,14 +490,6 @@ let reset t =
       match metric with
       | M_counter c -> cells_reset c
       | M_gauge g -> Gauge.set g 0.
-      | M_histogram h ->
-          Array.iter
-            (fun counts -> Array.fill counts 0 (Array.length counts) 0)
-            h.Histogram.counts;
-          Array.iter
-            (fun a ->
-              a.(0) <- 0.;
-              a.(1) <- neg_infinity)
-            h.Histogram.accs)
+      | M_histogram h -> Histogram.reset h)
     t.table;
   Mutex.unlock t.lock

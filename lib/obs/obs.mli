@@ -4,7 +4,10 @@
     pages/day with millions of subscriptions on a single PC" (§1), an
     MQP at "several thousand sets of atomic events per second" (§4.2)
     — so every pipeline stage carries monotonic counters, gauges and
-    fixed-bucket latency histograms keyed by [(stage, name)].
+    histograms keyed by [(stage, name)].  Every histogram shares one
+    computed log-linear layout: 16 buckets per power of two over
+    (2^-30, 2^40], so a quantile is within 1/16 of the sample it
+    estimates, whatever the unit (seconds, sizes, virtual lag).
 
     The accumulation path is lock-free and safe across OCaml domains:
     each metric keeps an array of per-domain cells (each live domain
@@ -68,13 +71,6 @@ module Histogram : sig
 
   val count : t -> int
   val sum : t -> float
-
-  (** [inject t ~counts ~sum ~max_value] folds previously captured
-      totals back in (warm-restart carry).  [counts] must match the
-      instrument's bucket layout (bounds + overflow).  Not
-      thread-safe: restore-time use only. *)
-  val inject :
-    t -> counts:int array -> sum:float -> max_value:float -> unit
 end
 
 (** [counter t ~stage name] returns the counter registered under
@@ -84,38 +80,32 @@ val counter : t -> stage:string -> string -> Counter.t
 
 val gauge : t -> stage:string -> string -> Gauge.t
 
-(** [histogram ?buckets t ~stage name] — [buckets] are ascending
-    upper bounds; an implicit [+inf] bucket is appended.  Defaults to
-    {!latency_buckets}. *)
-val histogram : ?buckets:float array -> t -> stage:string -> string -> Histogram.t
-
-(** {2 Bucket layouts} *)
-
-(** [exponential_buckets ~start ~factor ~count] — [start, start·f,
-    start·f², …]. *)
-val exponential_buckets : start:float -> factor:float -> count:int -> float array
-
-(** 1µs … ~100s, log-spaced (for wall-clock latencies in seconds). *)
-val latency_buckets : float array
-
-(** 1 … 10⁶, log-spaced (for sizes: batch sizes, events per doc,
-    queue depths). *)
-val size_buckets : float array
-
-(** 1s … ~97 days, log-spaced (for virtual-clock staleness: detection
-    and notification lag of web changes). *)
-val staleness_buckets : float array
+(** [histogram t ~stage name] — as {!counter}, for a histogram in the
+    one layout (see {!Snapshot.upper_bound}). *)
+val histogram : t -> stage:string -> string -> Histogram.t
 
 (** {2 Snapshots} *)
 
 module Snapshot : sig
   type histogram = {
-    bounds : float array;  (** ascending upper bounds *)
-    counts : int array;  (** one per bound, plus the +inf overflow *)
+    counts : (int * int) list;
+        (** the non-empty buckets, as (bucket, count) pairs in ascending
+            bucket order; a bucket indexes the layout ({!upper_bound}) *)
     count : int;
     sum : float;
+    min_value : float;  (** [infinity] when empty *)
     max_value : float;  (** [neg_infinity] when empty *)
   }
+
+  (** The number of buckets in the one layout. *)
+  val buckets : int
+
+  (** [upper_bound i] is bucket [i]'s inclusive upper bound: [0.] for
+      bucket 0 (zero and negative values), [2^-30] for bucket 1, then
+      16 log-linear bounds per power of two up to [2^40], and
+      [infinity] for the last bucket.  Every power of two in
+      [[2^-30, 2^40]] is a bound. *)
+  val upper_bound : int -> float
 
   type value = Counter of int | Gauge of float | Histogram of histogram
   type entry = { stage : string; name : string; value : value }
@@ -128,9 +118,9 @@ module Snapshot : sig
   val empty : t
 
   (** [merge a b] combines two snapshots (e.g. taken from partitioned
-      sub-systems): counters add, histograms add pointwise (bucket
-      layouts must agree), gauges keep the maximum.  Associative and
-      commutative, with {!empty} as identity. *)
+      sub-systems): counters add, histograms add pointwise, gauges
+      keep the maximum.  Associative and commutative, with {!empty}
+      as identity. *)
   val merge : t -> t -> t
 
   val find : t -> stage:string -> string -> value option
@@ -139,9 +129,17 @@ module Snapshot : sig
   val counter_value : t -> stage:string -> string -> int
 
   (** [quantile h q] estimates the [q]-quantile (0 ≤ q ≤ 1) of a
-      histogram from its buckets: the smallest upper bound covering
-      the rank, the recorded max for the overflow bucket. *)
+      histogram from its buckets: the upper bound of the bucket
+      covering the rank, clamped to [[min_value, max_value]].  It is
+      at least the exact ⌈q·n⌉-th sample and at most that sample ×
+      (1 + 1/16), or [2^-30] for smaller samples.  [nan] when
+      empty. *)
   val quantile : histogram -> float -> float
+
+  (** [count_le h x] is the number of samples in the buckets whose
+      upper bound is at most [x]: exact when [x] is a bucket bound,
+      such as any power of two in the layout's range. *)
+  val count_le : histogram -> float -> int
 
   (** Grouped, human-readable rendering. *)
   val pp : Format.formatter -> t -> unit

@@ -29,12 +29,6 @@ type subscription_state = {
       (** the when-condition fired but atmost-frequency held it back *)
   mutable archive : (float * T.element) list;  (** (sent_at, report) *)
   mutable is_timed : bool;  (** a member of the reporter's [timed] set *)
-  mutable frame : string list option;
-      (** cached snapshot-section pieces for this subscription,
-          invalidated by every state mutation — at 10^5 subscriptions
-          only the handful touched since the last checkpoint re-encode,
-          and those refer to their notifications' cached encodings
-          rather than copy them *)
 }
 
 type t = {
@@ -92,11 +86,8 @@ let create ?(obs = Obs.default) ~clock ~sink () =
         m_dropped = Obs.counter obs ~stage "dropped_by_atmost";
         m_buffer_depth = Obs.gauge obs ~stage "buffer_depth";
         m_delivery_latency = Obs.histogram obs ~stage "delivery_latency";
-        m_report_size =
-          Obs.histogram ~buckets:Obs.size_buckets obs ~stage "report_size";
-        m_notification_lag =
-          Obs.histogram ~buckets:Obs.staleness_buckets obs ~stage
-            "notification_lag";
+        m_report_size = Obs.histogram obs ~stage "report_size";
+        m_notification_lag = Obs.histogram obs ~stage "notification_lag";
       };
     journal = None;
     commit = None;
@@ -105,12 +96,10 @@ let create ?(obs = Obs.default) ~clock ~sink () =
     n_entries = [];
   }
 
-(* Every mutation of a subscription's state ends here: it drops the
-   cached snapshot frame and keeps [t.timed] exact.  The flag turns the
-   common case, a buffered notification, into a comparison rather than
-   a set operation. *)
+(* Every mutation of a subscription's state ends here: it keeps
+   [t.timed] exact.  The flag turns the common case, a buffered
+   notification, into a comparison rather than a set operation. *)
 let touch t name state =
-  state.frame <- None;
   let timed =
     state.periodic_deadline <> None || state.pending_rate_limited
     || state.archive <> []
@@ -296,7 +285,6 @@ let register t ~subscription ~recipient spec =
             pending_rate_limited = false;
             archive = [];
             is_timed = false;
-            frame = None;
           }
         in
         Hashtbl.replace t.subscriptions subscription state;
@@ -640,18 +628,6 @@ let encode_frame (name, state) =
        (fun pieces n -> encoded n :: pieces)
        [ Buffer.contents buf ] state.buffer
 
-(* The per-subscription section pieces, cached until the next
-   mutation: this is what keeps the checkpoint pause bounded —
-   re-encoding all 10^5 states dominates the stall otherwise, while
-   only the ones touched since the last checkpoint actually changed. *)
-let state_frame ((_, state) as sub) =
-  match state.frame with
-  | Some pieces -> pieces
-  | None ->
-      let pieces = encode_frame sub in
-      state.frame <- Some pieces;
-      pieces
-
 (* By name, so that equal reporters encode to equal bytes. *)
 let by_name t =
   match t.by_name with
@@ -663,7 +639,8 @@ let by_name t =
       subs
 
 (* The section as a header piece followed by each subscription's
-   cached frame pieces, written in order without being joined. *)
+   frame pieces, written in order without being joined.  The reporter
+   is WAL-carried, so this runs only when a delta chain starts. *)
 let snapshot_pieces t =
   let buf = Buffer.create 1024 in
   Codec.int buf t.next_seq;
@@ -681,7 +658,7 @@ let snapshot_pieces t =
   let subs = by_name t in
   Codec.int buf (Array.length subs);
   Buffer.contents buf
-  :: Array.fold_right (fun sub pieces -> state_frame sub @ pieces) subs []
+  :: Array.fold_right (fun sub pieces -> encode_frame sub @ pieces) subs []
 
 let encode_snapshot t = String.concat "" (snapshot_pieces t)
 

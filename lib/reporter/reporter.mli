@@ -142,8 +142,8 @@ val encode_snapshot : t -> string
     written in order: a header, then one frame per subscription in name
     order.  A frame is the subscription's fields around one piece per
     buffered notification, its cached encoding, shared rather than
-    copied.  A frame is cached until its subscription's next mutation,
-    and the name order until the subscription set changes. *)
+    copied.  The name order is cached until the subscription set
+    changes. *)
 val snapshot_pieces : t -> string list
 
 (** [decode_snapshot t payload] restores global counters, the delivery

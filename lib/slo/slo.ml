@@ -11,10 +11,9 @@
    Sampling is cumulative-delta: each [observe] appends the
    histogram's lifetime (total, good) pair; a window's bad fraction is
    the difference between now and the newest sample at or before the
-   window's left edge.  Bucketed counting rounds the threshold up to
-   its covering bucket bound — declare thresholds on bucket boundaries
-   (powers of two for {!Xy_obs.Obs.staleness_buckets}) for exact
-   accounting. *)
+   window's left edge.  Bucketed counting takes a threshold between
+   bucket bounds as the bound below it — declare thresholds on bucket
+   bounds (every power of two is one) for exact accounting. *)
 
 module Obs = Xy_obs.Obs
 
@@ -68,18 +67,6 @@ let locked t f =
       Mutex.unlock t.lock;
       raise e
 
-(* Good samples = cumulative count of buckets whose upper bound covers
-   the threshold (the threshold rounds up to a bucket boundary). *)
-let count_good (h : Obs.Snapshot.histogram) ~threshold =
-  let good = ref 0 in
-  Array.iteri
-    (fun i c ->
-      if i < Array.length h.Obs.Snapshot.bounds
-         && h.Obs.Snapshot.bounds.(i) <= threshold
-      then good := !good + c)
-    h.Obs.Snapshot.counts;
-  !good
-
 let observe t ~now snapshot =
   locked t @@ fun () ->
   List.iter
@@ -90,7 +77,7 @@ let observe t ~now snapshot =
           Obs.Snapshot.find snapshot ~stage:o.o_stage o.o_metric
         with
         | Some (Obs.Snapshot.Histogram h) ->
-            (h.Obs.Snapshot.count, count_good h ~threshold:o.o_threshold)
+            (h.Obs.Snapshot.count, Obs.Snapshot.count_le h o.o_threshold)
         | Some _ | None -> (0, 0)
       in
       let sample = { s_at = now; s_total = total; s_good = good } in

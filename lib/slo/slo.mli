@@ -11,10 +11,9 @@
     or past the objective's limit.
 
     The engine is mutex-guarded: a telemetry thread may read
-    {!reports} while the simulation thread ticks.  Thresholds round up
-    to the covering histogram bucket bound — declare them on bucket
-    boundaries (powers of two for {!Xy_obs.Obs.staleness_buckets}) for
-    exact accounting. *)
+    {!reports} while the simulation thread ticks.  A threshold between
+    histogram bucket bounds acts as the bound below it (at most 1/16
+    lower); every power of two is a bound, so it counts exactly. *)
 
 type objective = {
   o_name : string;

@@ -318,9 +318,13 @@ let encode_obs t =
           Codec.float buf v
       | Obs.Snapshot.Histogram h ->
           Codec.int buf 2;
-          Codec.list buf Codec.float (Array.to_list h.Obs.Snapshot.bounds);
-          Codec.list buf Codec.int (Array.to_list h.Obs.Snapshot.counts);
+          Codec.list buf
+            (fun buf (i, c) ->
+              Codec.int buf i;
+              Codec.int buf c)
+            h.Obs.Snapshot.counts;
           Codec.float buf h.Obs.Snapshot.sum;
+          Codec.float buf h.Obs.Snapshot.min_value;
           Codec.float buf h.Obs.Snapshot.max_value)
     s.Obs.Snapshot.entries;
   Buffer.contents buf
@@ -336,13 +340,23 @@ let decode_obs t payload =
           | 0 -> Obs.Snapshot.Counter (Codec.read_int r)
           | 1 -> Obs.Snapshot.Gauge (Codec.read_float r)
           | 2 ->
-              let bounds = Array.of_list (Codec.read_list r Codec.read_float) in
-              let counts = Array.of_list (Codec.read_list r Codec.read_int) in
+              (* non-empty buckets in ascending order, inside the layout *)
+              let last = ref (-1) in
+              let counts =
+                Codec.read_list r (fun r ->
+                    let i = Codec.read_int r in
+                    let c = Codec.read_int r in
+                    if i <= !last || i >= Obs.Snapshot.buckets || c <= 0 then
+                      raise (Codec.Malformed "bad histogram bucket");
+                    last := i;
+                    (i, c))
+              in
               let sum = Codec.read_float r in
+              let min_value = Codec.read_float r in
               let max_value = Codec.read_float r in
-              let count = Array.fold_left ( + ) 0 counts in
+              let count = List.fold_left (fun n (_, c) -> n + c) 0 counts in
               Obs.Snapshot.Histogram
-                { Obs.Snapshot.bounds; counts; count; sum; max_value }
+                { Obs.Snapshot.counts; count; sum; min_value; max_value }
           | k -> raise (Codec.Malformed (Printf.sprintf "unknown metric kind %d" k))
         in
         { Obs.Snapshot.stage; name; value })

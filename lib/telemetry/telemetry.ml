@@ -195,18 +195,18 @@ let prometheus_of_snapshot (snapshot : Obs.Snapshot.t) =
           add "%s{stage=\"%s\"} %s\n" name stage (prom_float v)
       | Obs.Snapshot.Histogram h ->
           declare name "histogram";
-          let cumulative = ref 0 in
-          Array.iteri
-            (fun i c ->
-              cumulative := !cumulative + c;
-              let le =
-                if i < Array.length h.Obs.Snapshot.bounds then
-                  prom_float h.Obs.Snapshot.bounds.(i)
-                else "+Inf"
-              in
-              add "%s_bucket{stage=\"%s\",le=\"%s\"} %d\n" name stage le
-                !cumulative)
-            h.Obs.Snapshot.counts;
+          (* one cumulative series per power of two, which are bucket
+             bounds and so exact, then +Inf; the quantile gauges below
+             carry the layout's full precision *)
+          for i = 0 to Obs.Snapshot.buckets - 1 do
+            let bound = Obs.Snapshot.upper_bound i in
+            if fst (Float.frexp bound) = 0.5 then
+              add "%s_bucket{stage=\"%s\",le=\"%.17g\"} %d\n" name stage
+                bound
+                (Obs.Snapshot.count_le h bound)
+          done;
+          add "%s_bucket{stage=\"%s\",le=\"+Inf\"} %d\n" name stage
+            h.Obs.Snapshot.count;
           add "%s_sum{stage=\"%s\"} %s\n" name stage
             (prom_float h.Obs.Snapshot.sum);
           add "%s_count{stage=\"%s\"} %d\n" name stage h.Obs.Snapshot.count;

@@ -1942,6 +1942,41 @@ let test_restore_refuses_damaged_stage_name () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "restored past a damaged stage name"
 
+(* The metrics section names buckets by index: one past the layout
+   is damaged state, not an exception. *)
+let test_restore_refuses_bad_histogram_bucket () =
+  match
+    damaged_checkpointed_run (fun _ snap ->
+        let sections =
+          match Durable.Snapshot.load snap with
+          | Ok sections -> sections
+          | Error e -> Alcotest.fail e
+        in
+        let buf = Buffer.create 64 in
+        Codec.list buf
+          (fun buf bucket ->
+            Codec.string buf "s";
+            Codec.string buf "h";
+            Codec.int buf 2;
+            Codec.list buf
+              (fun buf (i, c) ->
+                Codec.int buf i;
+                Codec.int buf c)
+              [ (bucket, 1) ];
+            List.iter (Codec.float buf) [ 1.; 1.; 1. ])
+          [ Obs.Snapshot.buckets ];
+        Durable.Snapshot.write snap
+          (List.map
+             (fun (stage, section) ->
+               if stage = "obs" then (stage, Durable.Inline (Buffer.contents buf))
+               else (stage, section))
+             sections))
+  with
+  | Error e ->
+      checkb "the error names damaged state" true
+        (String.starts_with ~prefix:"damaged durable state" e)
+  | Ok _ -> Alcotest.fail "restored a histogram bucket past the layout"
+
 let test_restore_refuses_manifest_without_snapshot () =
   match damaged_checkpointed_run (fun _ snap -> Sys.remove snap) with
   | Error e ->
@@ -2055,6 +2090,8 @@ let () =
           tc "restore refuses garbage" test_restore_refuses_garbage;
           tc "restore refuses a damaged stage name"
             test_restore_refuses_damaged_stage_name;
+          tc "restore refuses a histogram bucket past the layout"
+            test_restore_refuses_bad_histogram_bucket;
           tc "restore refuses a MANIFEST naming a missing generation"
             test_restore_refuses_manifest_without_snapshot;
           tc "restore refuses an older build's rotated wal"

@@ -41,25 +41,6 @@ let test_kind_mismatch_rejected () =
   (* The same name under another stage is a distinct key. *)
   ignore (Obs.gauge obs ~stage:"other" "x")
 
-let test_histogram_buckets () =
-  let obs = Obs.create () in
-  let h = Obs.histogram ~buckets:[| 1.; 10.; 100. |] obs ~stage:"s" "lat" in
-  List.iter (Obs.Histogram.observe h) [ 0.5; 1.0; 5.; 50.; 1000. ];
-  checki "count" 5 (Obs.Histogram.count h);
-  checkf "sum" 1056.5 (Obs.Histogram.sum h);
-  match Obs.Snapshot.find (Obs.snapshot obs) ~stage:"s" "lat" with
-  | Some (Obs.Snapshot.Histogram hist) ->
-      (* upper bounds are inclusive: 1.0 lands in the first bucket *)
-      checkb "bucket assignment" true (hist.Obs.Snapshot.counts = [| 2; 1; 1; 1 |]);
-      checkf "max" 1000. hist.Obs.Snapshot.max_value
-  | _ -> Alcotest.fail "histogram missing from snapshot"
-
-let test_histogram_rejects_bad_bounds () =
-  let obs = Obs.create () in
-  match Obs.histogram ~buckets:[| 2.; 1. |] obs ~stage:"s" "bad" with
-  | _ -> Alcotest.fail "descending bounds must be rejected"
-  | exception Invalid_argument _ -> ()
-
 let test_histogram_time () =
   let obs = Obs.create () in
   let h = Obs.histogram obs ~stage:"s" "span" in
@@ -70,13 +51,6 @@ let test_histogram_time () =
   | () -> Alcotest.fail "exception must propagate"
   | exception Failure _ -> ());
   checki "sample recorded on exception" 2 (Obs.Histogram.count h)
-
-let test_exponential_buckets () =
-  checkb "geometric" true
-    (Obs.exponential_buckets ~start:1. ~factor:2. ~count:4 = [| 1.; 2.; 4.; 8. |]);
-  match Obs.exponential_buckets ~start:0. ~factor:2. ~count:4 with
-  | _ -> Alcotest.fail "non-positive start must be rejected"
-  | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots *)
@@ -97,17 +71,70 @@ let test_snapshot_sorted_and_lookup () =
   checki "absent is zero" 0 (Obs.Snapshot.counter_value snapshot ~stage:"a" "nope");
   checkb "find absent" true (Obs.Snapshot.find snapshot ~stage:"c" "x" = None)
 
-let test_quantile () =
+let histogram_of samples =
   let obs = Obs.create () in
-  let h = Obs.histogram ~buckets:[| 1.; 2.; 4. |] obs ~stage:"s" "q" in
-  List.iter (Obs.Histogram.observe h) [ 1.; 2.; 4.; 8. ];
+  List.iter (Obs.Histogram.observe (Obs.histogram obs ~stage:"s" "q")) samples;
   match Obs.Snapshot.find (Obs.snapshot obs) ~stage:"s" "q" with
-  | Some (Obs.Snapshot.Histogram hist) ->
-      checkf "p25 covers first bucket" 1. (Obs.Snapshot.quantile hist 0.25);
-      checkf "p50" 2. (Obs.Snapshot.quantile hist 0.5);
-      (* the overflow bucket answers with the recorded max *)
-      checkf "p100 is the max" 8. (Obs.Snapshot.quantile hist 1.0)
+  | Some (Obs.Snapshot.Histogram hist) -> hist
   | _ -> Alcotest.fail "histogram missing"
+
+let test_quantile () =
+  (* powers of two are bucket bounds, so they come back exact *)
+  let hist = histogram_of [ 1.; 2.; 4.; 8. ] in
+  checkf "p25 covers first bucket" 1. (Obs.Snapshot.quantile hist 0.25);
+  checkf "p50" 2. (Obs.Snapshot.quantile hist 0.5);
+  checkf "p100 is the max" 8. (Obs.Snapshot.quantile hist 1.0);
+  (* 0.3 lies in (0.296875, 0.3125]: its bound, within 1/16 *)
+  let hist = histogram_of [ 0.3; 0.3; 10. ] in
+  checkf "p50 is the covering bound" 0.3125 (Obs.Snapshot.quantile hist 0.5);
+  checkf "clamped to the max" 10. (Obs.Snapshot.quantile hist 0.99);
+  let zeros = histogram_of [ 0.; 0.; 0. ] in
+  List.iter
+    (fun q ->
+      checkf "a histogram of zeros reports 0" 0. (Obs.Snapshot.quantile zeros q))
+    [ 0.5; 0.99; 1. ];
+  checkb "empty is nan" true
+    (Float.is_nan (Obs.Snapshot.quantile { zeros with count = 0 } 0.5))
+
+(* Property: over samples from zero and sub-ns up to 10^9, every
+   quantile lies in [min, max] and between the exact ceil(q n)-th
+   sample and that sample x (1 + 1/16), or the layout's 2^-30 floor. *)
+let qcheck_quantile_precision =
+  let sample =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, return 0.);
+          (1, map (fun f -> f *. 1e-9) (float_bound_exclusive 1.));
+          (6, map (fun e -> 10. ** e) (float_range (-12.) 9.));
+        ])
+  in
+  let gen =
+    QCheck.make
+      ~print:QCheck.Print.(list float)
+      QCheck.Gen.(list_size (int_range 1 200) sample)
+  in
+  let floor = ldexp 1. (-30) in
+  QCheck.Test.make ~name:"quantile within 1/16 of the exact sample" ~count:300
+    gen (fun samples ->
+      let hist = histogram_of samples in
+      let sorted = Array.of_list (List.sort compare samples) in
+      let n = Array.length sorted in
+      hist.Obs.Snapshot.count = n
+      && hist.Obs.Snapshot.min_value = sorted.(0)
+      && hist.Obs.Snapshot.max_value = sorted.(n - 1)
+      && List.for_all
+           (fun q ->
+             let v = Obs.Snapshot.quantile hist q in
+             let rank =
+               max 1 (int_of_float (Float.ceil (float_of_int n *. q)))
+             in
+             let exact = sorted.(rank - 1) in
+             v >= hist.Obs.Snapshot.min_value
+             && v <= hist.Obs.Snapshot.max_value
+             && v >= exact
+             && v <= Float.max (exact *. (1. +. (1. /. 16.))) floor)
+           [ 0.; 0.01; 0.25; 0.5; 0.9; 0.95; 0.99; 1. ])
 
 let snapshot_of pairs =
   let obs = Obs.create () in
@@ -135,7 +162,7 @@ let test_merge_gauge_and_histogram () =
   let build v =
     let obs = Obs.create () in
     Obs.Gauge.set (Obs.gauge obs ~stage:"s" "g") v;
-    Obs.Histogram.observe (Obs.histogram ~buckets:[| 1.; 2. |] obs ~stage:"s" "h") v;
+    Obs.Histogram.observe (Obs.histogram obs ~stage:"s" "h") v;
     Obs.snapshot obs
   in
   let merged = Obs.Snapshot.merge (build 0.5) (build 1.5) in
@@ -146,7 +173,10 @@ let test_merge_gauge_and_histogram () =
   | Some (Obs.Snapshot.Histogram h) ->
       checki "histogram counts add" 2 h.Obs.Snapshot.count;
       checkf "sums add" 2. h.Obs.Snapshot.sum;
-      checkb "pointwise buckets" true (h.Obs.Snapshot.counts = [| 1; 1; 0 |])
+      checkf "min of mins" 0.5 h.Obs.Snapshot.min_value;
+      checkf "max of maxes" 1.5 h.Obs.Snapshot.max_value;
+      checkf "pointwise buckets: p50" 0.5 (Obs.Snapshot.quantile h 0.5);
+      checkf "pointwise buckets: p100" 1.5 (Obs.Snapshot.quantile h 1.)
   | _ -> Alcotest.fail "histogram missing"
 
 let test_reset () =
@@ -208,25 +238,23 @@ let test_absorb_restores_counts () =
   let a = Obs.create () in
   Obs.Counter.add (Obs.counter a ~stage:"s" "n") 7;
   Obs.Gauge.set (Obs.gauge a ~stage:"s" "depth") 3.5;
-  let h = Obs.histogram ~buckets:[| 1.; 10. |] a ~stage:"s" "lat" in
+  let h = Obs.histogram a ~stage:"s" "lat" in
   List.iter (Obs.Histogram.observe h) [ 0.5; 5.; 50. ];
   let b = Obs.create () in
   Obs.Counter.incr (Obs.counter b ~stage:"s" "n");
   Obs.absorb b (Obs.snapshot a);
   checki "counter adds" 8 (Obs.Snapshot.counter_value (Obs.snapshot b) ~stage:"s" "n");
-  (match Obs.Snapshot.find (Obs.snapshot b) ~stage:"s" "lat" with
-  | Some (Obs.Snapshot.Histogram hist) ->
-      checkb "bucket counts carried" true
-        (hist.Obs.Snapshot.counts = [| 1; 1; 1 |]);
-      checkf "sum carried" 55.5 hist.Obs.Snapshot.sum;
-      checkf "max carried" 50. hist.Obs.Snapshot.max_value
-  | _ -> Alcotest.fail "histogram missing after absorb");
-  (* Mismatched bucket layouts must be rejected, not silently mixed. *)
-  let c = Obs.create () in
-  ignore (Obs.histogram ~buckets:[| 2.; 4.; 8. |] c ~stage:"s" "lat");
-  match Obs.absorb c (Obs.snapshot a) with
-  | () -> Alcotest.fail "layout mismatch must be rejected"
-  | exception Invalid_argument _ -> ()
+  let hist snapshot =
+    match Obs.Snapshot.find snapshot ~stage:"s" "lat" with
+    | Some (Obs.Snapshot.Histogram hist) -> hist
+    | _ -> Alcotest.fail "histogram missing after absorb"
+  in
+  let source = hist (Obs.snapshot a) and carried = hist (Obs.snapshot b) in
+  checkb "bucket counts carried" true
+    (carried.Obs.Snapshot.counts = source.Obs.Snapshot.counts);
+  checkf "sum carried" 55.5 carried.Obs.Snapshot.sum;
+  checkf "min carried" 0.5 carried.Obs.Snapshot.min_value;
+  checkf "max carried" 50. carried.Obs.Snapshot.max_value
 
 (* ------------------------------------------------------------------ *)
 (* Domains *)
@@ -236,7 +264,7 @@ let test_parallel_domains_exact () =
      accumulation loses nothing. *)
   let obs = Obs.create () in
   let c = Obs.counter obs ~stage:"par" "n" in
-  let h = Obs.histogram ~buckets:[| 0.5; 1.5 |] obs ~stage:"par" "v" in
+  let h = Obs.histogram obs ~stage:"par" "v" in
   let per_domain = 10_000 and domains = 4 in
   let spawned =
     Array.init domains (fun _ ->
@@ -324,8 +352,7 @@ let qcheck_partitioned_merge_exact =
       Obs.Counter.add (Obs.counter obs ~stage:"q" (Printf.sprintf "c%d" key)) magnitude
     else
       Obs.Histogram.observe
-        (Obs.histogram ~buckets:[| 1.; 4.; 16. |] obs ~stage:"q"
-           (Printf.sprintf "h%d" key))
+        (Obs.histogram obs ~stage:"q" (Printf.sprintf "h%d" key))
         (float_of_int magnitude)
   in
   let gen =
@@ -372,17 +399,15 @@ let () =
           tc "counter" test_counter;
           tc "gauge" test_gauge;
           tc "kind mismatch" test_kind_mismatch_rejected;
-          tc "histogram buckets" test_histogram_buckets;
-          tc "histogram bad bounds" test_histogram_rejects_bad_bounds;
           tc "histogram time" test_histogram_time;
           tc "timer clamp" test_timer_clamp;
           tc "absorb" test_absorb_restores_counts;
-          tc "exponential buckets" test_exponential_buckets;
         ] );
       ( "snapshot",
         [
           tc "sorted + lookup" test_snapshot_sorted_and_lookup;
           tc "quantile" test_quantile;
+          QCheck_alcotest.to_alcotest qcheck_quantile_precision;
           tc "merge algebra" test_merge_algebra;
           tc "merge gauge/histogram" test_merge_gauge_and_histogram;
           tc "reset" test_reset;

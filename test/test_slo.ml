@@ -62,8 +62,8 @@ let test_parse_rejects () =
 (* ------------------------------------------------------------------ *)
 (* Burn-rate judgement *)
 
-(* One objective over a private registry: threshold 8s (a bucket
-   bound of [staleness_buckets]), 90% target, 1h fast / 6h slow
+(* One objective over a private registry: threshold 8s (a power of
+   two, so a bucket bound), 90% target, 1h fast / 6h slow
    windows, burn limit 2.  The error budget is 0.1, so burn = 10 x
    bad fraction: >= 20% bad in both windows breaches. *)
 let objective =
@@ -80,7 +80,7 @@ let objective =
 
 let harness () =
   let obs = Obs.create () in
-  let h = Obs.histogram ~buckets:Obs.staleness_buckets obs ~stage:"s" "lag" in
+  let h = Obs.histogram obs ~stage:"s" "lag" in
   let slo = Slo.create [ objective ] in
   (obs, h, slo)
 
@@ -139,6 +139,19 @@ let test_blip_does_not_breach () =
   | _ -> Alcotest.fail "expected one report");
   checkb "blip is not a breach" false (breached reports)
 
+(* A threshold at a power of two is a bucket bound: a sample equal to
+   it is good, the next float above it bad. *)
+let test_power_of_two_threshold_exact () =
+  let obs, h, slo = harness () in
+  ignore (Slo.tick slo ~now:0. (Obs.snapshot obs));
+  List.iter (Obs.Histogram.observe h)
+    [ 0.; 7.9; 8.; 8.; Float.succ 8.; 8.4; 1e6 ];
+  match Slo.tick slo ~now:hour (Obs.snapshot obs) with
+  | [ r ] ->
+      checki "total" 7 r.Slo.r_total;
+      checki "good: exactly the samples <= 8" 4 r.Slo.r_good
+  | _ -> Alcotest.fail "expected one report"
+
 let test_no_samples_no_breach () =
   let obs, _, slo = harness () in
   (* A metric with no traffic must not divide by zero or breach. *)
@@ -183,6 +196,8 @@ let () =
           tc "sustained badness" test_sustained_badness_breaches;
           tc "blip" test_blip_does_not_breach;
           tc "no samples" test_no_samples_no_breach;
+          tc "power-of-two threshold counts exactly"
+            test_power_of_two_threshold_exact;
         ] );
       ( "json", [ tc "shape" test_json_shape ] );
     ]

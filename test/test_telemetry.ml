@@ -19,7 +19,7 @@ let sample_snapshot () =
   let obs = Obs.create () in
   Obs.Counter.add (Obs.counter obs ~stage:"crawler" "documents_fetched") 42;
   Obs.Gauge.set (Obs.gauge obs ~stage:"reporter" "buffer_depth") 3.;
-  let h = Obs.histogram ~buckets:[| 1.; 10. |] obs ~stage:"mqp" "lat" in
+  let h = Obs.histogram obs ~stage:"mqp" "lat" in
   List.iter (Obs.Histogram.observe h) [ 0.5; 5.; 50. ];
   Obs.snapshot obs
 
@@ -36,7 +36,7 @@ let test_prometheus_shape () =
     (contains ~sub:"xyleme_buffer_depth{stage=\"reporter\"} 3" text);
   checkb "cumulative buckets" true
     (contains ~sub:"xyleme_lat_bucket{stage=\"mqp\",le=\"1\"} 1" text
-    && contains ~sub:"xyleme_lat_bucket{stage=\"mqp\",le=\"10\"} 2" text
+    && contains ~sub:"xyleme_lat_bucket{stage=\"mqp\",le=\"8\"} 2" text
     && contains ~sub:"xyleme_lat_bucket{stage=\"mqp\",le=\"+Inf\"} 3" text);
   checkb "histogram count" true
     (contains ~sub:"xyleme_lat_count{stage=\"mqp\"} 3" text);
@@ -66,6 +66,53 @@ let test_prometheus_shape () =
               | Some _ -> ()
               | None -> Alcotest.failf "unparseable value in: %s" line))
     (String.split_on_char '\n' text)
+
+(* The [le] series: one per power of two the layout spans (2^-30 to
+   2^40), each counting exactly the samples at or below it, strictly
+   increasing and cumulative, ending in +Inf equal to [_count]. *)
+let test_histogram_le_series () =
+  let samples = [ 0.; 1e-12; 3e-7; 0.5; 5.; 64.; 64.5; 3e6; 2e12 ] in
+  let obs = Obs.create () in
+  let h = Obs.histogram obs ~stage:"mqp" "lat" in
+  List.iter (Obs.Histogram.observe h) samples;
+  let text = Telemetry.prometheus_of_snapshot (Obs.snapshot obs) in
+  let prefix = "xyleme_lat_bucket{stage=\"mqp\",le=\"" in
+  let series =
+    List.filter_map
+      (fun line ->
+        let n = String.length prefix in
+        if String.length line > n && String.sub line 0 n = prefix then
+          let close = String.index_from line n '"' in
+          let le = String.sub line n (close - n) in
+          let count =
+            String.sub line (close + 3) (String.length line - close - 3)
+          in
+          Some
+            ( float_of_string (if le = "+Inf" then "inf" else le),
+              int_of_string count )
+        else None)
+      (String.split_on_char '\n' text)
+  in
+  checki "one series per power of two, plus +Inf" 72 (List.length series);
+  List.iteri
+    (fun i (le, count) ->
+      if i < 71 then
+        checkb
+          (Printf.sprintf "le %d is 2^%d" i (i - 30))
+          true
+          (le = ldexp 1. (i - 30));
+      checki
+        (Printf.sprintf "le=%g counts the samples at or below it" le)
+        (List.length (List.filter (fun v -> v <= le) samples))
+        count)
+    series;
+  checkb "ends in +Inf" true (fst (List.nth series 71) = infinity);
+  checkb "+Inf equals _count" true
+    (contains
+       ~sub:
+         (Printf.sprintf "xyleme_lat_count{stage=\"mqp\"} %d"
+            (List.length samples))
+       text)
 
 (* ------------------------------------------------------------------ *)
 (* The live endpoint *)
@@ -180,7 +227,11 @@ let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "telemetry"
     [
-      ("prometheus", [ tc "exposition shape" test_prometheus_shape ]);
+      ( "prometheus",
+        [
+          tc "exposition shape" test_prometheus_shape;
+          tc "histogram le series" test_histogram_le_series;
+        ] );
       ( "endpoint",
         [
           tc "scrape" test_endpoint_scrape;
