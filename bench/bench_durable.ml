@@ -56,8 +56,8 @@ let tbl_durable scale =
     "a durable run group-commits journalled txns into one gen-N.wal \
      file per generation; the first checkpoint snapshots every stage \
      (cold, full), later ones re-encode every stage except the WAL-carried \
-     reporter, written as a delta on its base payload while its ops \
-     stay smaller (steady), while subscription-log compaction runs \
+     reporter, written as a delta on its base payload while the WAL \
+     since stays smaller (steady), while subscription-log compaction runs \
      incrementally inside the crawl loop; restore replays \
      subscriptions + snapshot + WAL and re-arms in-flight work";
   let sites = 8 in

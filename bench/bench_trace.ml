@@ -67,7 +67,6 @@ let tbl_trace_overhead scale =
     Array.iter Domain.join domains;
     Unix.gettimeofday () -. start
   in
-  Trace.set_timer Unix.gettimeofday;
   let configurations =
     [
       ("no tracer", None);

@@ -122,7 +122,6 @@ let tracer = Xy_trace.Trace.create ~capacity:64 ~sample_every:0 ~seed:97 ()
 
 let enable_tracing () =
   trace_enabled := true;
-  Xy_trace.Trace.set_timer Unix.gettimeofday;
   Xy_trace.Trace.set_sampling tracer ~every:100
 
 let emit_traces ~label =

@@ -97,7 +97,6 @@ let () =
           ids;
         List.filter (fun (id, _) -> List.mem id ids) experiments
   in
-  Xy_obs.Obs.set_timer Unix.gettimeofday;
   Xy_obs.Obs.reset Xy_obs.Obs.default;
   List.iter
     (fun (id, run) ->

@@ -303,8 +303,8 @@ where URL extends "http://site%d.example.org/" and modified self
     if Option.is_some (Xy_system.Xyleme.serve xyleme) then begin
       (* keep draining wire mutations so late subscribers and acks are
          honoured while the endpoints linger *)
-      let deadline = Unix.gettimeofday () +. linger in
-      while Unix.gettimeofday () < deadline do
+      let deadline = Xy_obs.Obs.now () +. linger in
+      while Xy_obs.Obs.now () < deadline do
         ignore (Xy_system.Xyleme.serve_pump xyleme);
         Thread.delay 0.05
       done

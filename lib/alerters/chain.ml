@@ -38,11 +38,11 @@ type t = {
 
 let stage = "alerters"
 
-let create ?extends_impl ?(obs = Obs.default) registry =
+let create ?(obs = Obs.default) registry =
   let t =
     {
       registry;
-      url = Url_alerter.create ?extends_impl registry;
+      url = Url_alerter.create registry;
       xml = Xml_alerter.create registry;
       html = Html_alerter.create registry;
       memo = Hashtbl.create 1024;

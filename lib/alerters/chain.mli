@@ -26,11 +26,7 @@ type t
     conditions changed, events-per-doc and detect-latency histograms)
     are registered under the [alerters] stage of [obs] (default
     {!Xy_obs.Obs.default}). *)
-val create :
-  ?extends_impl:Url_alerter.extends_impl ->
-  ?obs:Xy_obs.Obs.t ->
-  Xy_events.Registry.t ->
-  t
+val create : ?obs:Xy_obs.Obs.t -> Xy_events.Registry.t -> t
 
 (** [process t ~result ~content] runs the chain on one loaded page.
     [None] when no strong event of interest was raised.  A [trace]

@@ -118,10 +118,11 @@ module Snapshot = struct
 end
 
 (* A WAL-carried stage's delta chain: the generation whose snapshot
-   holds its last inline payload, that payload's size, and the op
-   bytes journaled since — the chain ends once they outgrow the
+   holds its last inline payload, that payload's size, and the WAL
+   bytes written since, every stage's as framed, because the chain
+   keeps whole WAL files — the chain ends once they outgrow the
    payload. *)
-type chain = { base : int; base_bytes : int; mutable op_bytes : int }
+type chain = { base : int; base_bytes : int; mutable wal_bytes : int }
 
 type t = {
   dir : string;
@@ -252,15 +253,7 @@ let set_wal_carried t stages =
   Hashtbl.reset t.wal_carried;
   List.iter (fun s -> Hashtbl.replace t.wal_carried s ()) stages
 
-let count_op t { stage; payload } =
-  match Hashtbl.find_opt t.chains stage with
-  | Some c -> c.op_bytes <- c.op_bytes + String.length payload
-  | None -> ()
-
-let journal t ~stage payload =
-  let op = { stage; payload } in
-  t.txn <- op :: t.txn;
-  count_op t op
+let journal t ~stage payload = t.txn <- { stage; payload } :: t.txn
 
 let discard t =
   (* A simulated kill: the transaction in progress and the un-synced
@@ -270,18 +263,21 @@ let discard t =
   Buffer.clear t.pending;
   t.pending_txns <- 0
 
-(* Drain the group-commit batch to the WAL and sync it. *)
+(* Drain the group-commit batch to the WAL and sync it.  The bytes
+   count toward every chain: each keeps the current WAL. *)
 let sync_pending t =
   match t.wal with
   | None -> ()
   | Some oc ->
-      if Buffer.length t.pending > 0 then
+      let n = Buffer.length t.pending in
+      if n > 0 then
         observe_time t (fun m -> m.m_fsync_batch) @@ fun () ->
         Buffer.output_buffer oc t.pending;
         Buffer.clear t.pending;
         t.pending_txns <- 0;
         Record_log.sync ~fsync:t.config.fsync oc;
-        t.sync_count <- t.sync_count + 1
+        t.sync_count <- t.sync_count + 1;
+        Hashtbl.iter (fun _ c -> c.wal_bytes <- c.wal_bytes + n) t.chains
 
 let barrier t = sync_pending t
 
@@ -303,11 +299,11 @@ let commit t =
       if t.pending_txns >= t.config.sync_every then sync_pending t
 
 (* The eldest WAL generation a delta section still replays from: a
-   chain with journaled ops needs every WAL from its base generation
-   onward. *)
+   chain with WAL bytes since its base needs every WAL from its base
+   generation onward. *)
 let wal_floor t =
   Hashtbl.fold
-    (fun _ c floor -> if c.op_bytes > 0 then min c.base floor else floor)
+    (fun _ c floor -> if c.wal_bytes > 0 then min c.base floor else floor)
     t.chains t.gen
 
 (* Remove files no longer reachable: snapshots other than the current
@@ -338,20 +334,21 @@ let checkpoint t ~snapshot =
   fire_fuse t "checkpoint-begin";
   let next = t.gen + 1 in
   (* Every stage encodes a fresh payload, except a WAL-carried stage
-     whose chain's op bytes are still under its base payload: it
+     whose chain's WAL bytes are still under its base payload: it
      writes a delta, whose base payload plus the retained WALs
      reconstruct it, so the checkpoint pause does not pay for
-     re-encoding it.  A chain ends (fresh inline payload) once its op
-     bytes outgrow the base payload, bounding both restore replay and
-     WAL retention at about twice the stage's churn.  Each section:
-     its stage, its chain after this checkpoint, and its record's
+     re-encoding it.  A chain ends (fresh inline payload) once the WAL
+     bytes written since its base outgrow the base payload, so the
+     WAL it keeps, and restore reads, stays under the base payload's
+     size plus one checkpoint interval's WAL.  Each section: its
+     stage, its chain after this checkpoint, and its record's
      parts. *)
   let sections =
     List.map
       (fun (stage, encode) ->
         let wal_carried = Hashtbl.mem t.wal_carried stage in
         match Hashtbl.find_opt t.chains stage with
-        | Some c when wal_carried && c.op_bytes < c.base_bytes ->
+        | Some c when wal_carried && c.wal_bytes < c.base_bytes ->
             (stage, Some c, Snapshot.parts (stage, Delta c.base))
         | _ ->
             let pieces = encode () in
@@ -360,7 +357,7 @@ let checkpoint t ~snapshot =
             in
             let chain =
               if wal_carried then
-                Some { base = next; base_bytes = len; op_bytes = 0 }
+                Some { base = next; base_bytes = len; wal_bytes = 0 }
               else None
             in
             (stage, chain, Snapshot.inline_parts stage ~len pieces))
@@ -368,7 +365,7 @@ let checkpoint t ~snapshot =
   in
   (* Ops journaled from here on (the fuses below consult the crash
      fault point, whose draw is itself journaled) land in the next
-     generation's WAL and count against the new chains. *)
+     generation's WAL and count toward the new chains. *)
   Hashtbl.reset t.chains;
   List.iter
     (fun (stage, chain, _) ->
@@ -399,7 +396,7 @@ let checkpoint t ~snapshot =
    payloads; each base generation loads once.  Also seeds [chains]
    with every section's base generation and payload size, so the next
    checkpoint's delta policy keeps its threshold ([load_latest] adds
-   the replayed op bytes; the checkpoint drops the chains of stages
+   the retained WAL bytes; the checkpoint drops the chains of stages
    that are not WAL-carried).  Returns the resolved payloads plus the
    delta stages with their base generations. *)
 let resolve_sections t sections =
@@ -432,7 +429,7 @@ let resolve_sections t sections =
   in
   let seed stage base payload =
     Hashtbl.replace t.chains stage
-      { base; base_bytes = String.length payload; op_bytes = 0 }
+      { base; base_bytes = String.length payload; wal_bytes = 0 }
   in
   let rec go acc deltas = function
     | [] -> Ok (List.rev acc, List.rev deltas)
@@ -524,10 +521,19 @@ let load_latest t =
   let* old_txns = collect_delta_txns t deltas in
   let* txns, tail = replay_generation t t.gen in
   let txns = old_txns @ txns in
-  (* every op byte applied since a chain's base payload counts, so
-     the closing checkpoint (and every one after) inlines exactly when
-     the policy says the chain outgrew its base *)
-  List.iter (List.iter (count_op t)) txns;
+  (* a chain's count is the size of the WAL files it keeps, so the
+     closing checkpoint (and every one after) inlines when the
+     uninterrupted run would have *)
+  let wal_size g =
+    try (Unix.stat (wal_path t.dir g)).Unix.st_size
+    with Unix.Unix_error _ -> 0
+  in
+  Hashtbl.iter
+    (fun _ c ->
+      for g = c.base to t.gen do
+        c.wal_bytes <- c.wal_bytes + wal_size g
+      done)
+    t.chains;
   Ok (resolved, txns, tail)
 
 let syncs t = t.sync_count

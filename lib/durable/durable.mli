@@ -123,8 +123,7 @@ val subscription_log_path : t -> string
 (** Where the subscription log lives inside a durable directory. *)
 
 val journal : t -> stage:string -> string -> unit
-(** Add an op to the transaction in progress.  A WAL-carried stage's
-    op bytes count toward its delta chain. *)
+(** Add an op to the transaction in progress. *)
 
 val commit : t -> unit
 (** Seal the transaction in progress into the group-commit batch; the
@@ -147,9 +146,13 @@ val set_wal_carried : t -> string list -> unit
     base), later checkpoints write it as a [Delta] section — base
     payload by reference plus the retained WALs since — instead of
     re-encoding it, so the checkpoint pause does not pay for the
-    stage's size.  The chain self-bounds: once the op bytes journaled
-    since the base outgrow the base payload, the next checkpoint
-    writes a fresh inline payload and the retained WALs are released.
+    stage's size.  The chain self-bounds: the retained WALs hold
+    every stage's ops, so once the WAL bytes written since the base
+    (all stages, as framed) outgrow the base payload, the next
+    checkpoint writes a fresh inline payload and the retained WALs
+    are released.  The WAL a chain keeps, and restore replays, stays
+    under its base payload's size plus one checkpoint interval's
+    WAL.
     Stages that mutate without journaling an op must not be declared
     here — their delta replay would silently miss those mutations. *)
 
@@ -167,9 +170,9 @@ val set_obs : t -> Xy_obs.Obs.t -> unit
 val checkpoint : t -> snapshot:(string * (unit -> string list)) list -> unit
 (** Commit + barrier, then write snapshot [gen+1]: every stage has its
     thunk run and its payload written inline — except a WAL-carried
-    stage with a base whose op bytes since are still under the base
-    payload's size, which writes a [Delta] reference to its base
-    generation.  A thunk returns its payload as pieces, written in
+    stage with a base whose WAL bytes since (every stage's) are still
+    under the base payload's size, which writes a [Delta] reference to
+    its base generation.  A thunk returns its payload as pieces, written in
     order under the section's one checksum and never joined, so a
     stage can hand over cached encodings; a single-string stage
     returns one piece.  A loaded section is one string ({!Inline}).

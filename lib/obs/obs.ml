@@ -12,9 +12,10 @@
    slightly stale stripe values — the usual statistical-counter
    contract. *)
 
-let now_fn : (unit -> float) ref = ref Sys.time
-let set_timer f = now_fn := f
-let now () = !now_fn ()
+(* CLOCK_MONOTONIC through a C stub (obs_clock.c): nanosecond
+   resolution, and it never steps back. *)
+external now : unit -> (float[@unboxed]) = "xy_obs_now" "xy_obs_now_unboxed"
+[@@noalloc]
 
 let stripes = 64 (* power of two *)
 
@@ -44,30 +45,43 @@ let stripe () =
   if s >= 0 then s else acquire_stripe ()
 
 (* ------------------------------------------------------------------ *)
-(* Cells: padded so each stripe's live slot sits on its own cache line
-   (8 words = 64 bytes), preventing false sharing between domains. *)
+(* Cells: each stripe's are a heap block of their own, allocated on
+   the stripe's first write and written by one domain only, so they
+   need no padding against false sharing, and a snapshot folds only
+   the stripes in use. *)
 
-let pad = 8
+let unused_cells () = Array.make stripes [||]
+let reset_cells per_stripe = Array.fill per_stripe 0 stripes [||]
 
-let make_cells () = Array.make (stripes * pad) 0
-
-let cells_add cells n =
-  let i = stripe () * pad in
-  Array.unsafe_set cells i (Array.unsafe_get cells i + n)
-
-let cells_total cells = Array.fold_left ( + ) 0 cells
-let cells_reset cells = Array.fill cells 0 (Array.length cells) 0
+let stripe_cells (per_stripe : int array array) s ~len =
+  let cells = Array.unsafe_get per_stripe s in
+  if Array.length cells > 0 then cells
+  else begin
+    let cells = Array.make len 0 in
+    per_stripe.(s) <- cells;
+    cells
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Instruments *)
 
 module Counter = struct
-  type t = int array
+  type t = int array array  (** per stripe: one cell, [||] until used *)
 
-  let make () = make_cells ()
-  let add t n = cells_add t n
+  let make = unused_cells
+
+  let add t n =
+    let cell = stripe_cells t (stripe ()) ~len:1 in
+    Array.unsafe_set cell 0 (Array.unsafe_get cell 0 + n)
+
   let incr t = add t 1
-  let value t = cells_total t
+
+  let value t =
+    Array.fold_left
+      (fun acc cell -> if Array.length cell > 0 then acc + cell.(0) else acc)
+      0 t
+
+  let reset = reset_cells
 end
 
 module Gauge = struct
@@ -115,11 +129,9 @@ module Histogram = struct
     else if i >= buckets - 1 then infinity
     else Int64.(float_of_bits (shift_left (of_int (floor_key + i - 1)) shift))
 
-  (* Per-stripe bucket counts live in a stripe-private array (separate
-     heap block per domain — no false sharing), allocated on the
-     stripe's first observe, and the running sum/min/max in a
-     stripe-private unboxed float array, so one [observe] is a handful
-     of plain array accesses. *)
+  (* Per-stripe bucket counts live in the stripe's cells, and the
+     running sum/min/max in a stripe-private unboxed float array, so
+     one [observe] is a handful of plain array accesses. *)
   type t = {
     counts : int array array;  (** per stripe: [||] until first used *)
     accs : float array array;  (** per stripe: [|sum; min; max|] *)
@@ -127,16 +139,9 @@ module Histogram = struct
 
   let fresh_acc _ = [| 0.; infinity; neg_infinity |]
   let make () =
-    { counts = Array.make stripes [||]; accs = Array.init stripes fresh_acc }
+    { counts = unused_cells (); accs = Array.init stripes fresh_acc }
 
-  let stripe_counts t s =
-    let counts = Array.unsafe_get t.counts s in
-    if Array.length counts > 0 then counts
-    else begin
-      let counts = Array.make buckets 0 in
-      t.counts.(s) <- counts;
-      counts
-    end
+  let stripe_counts t s = stripe_cells t.counts s ~len:buckets
 
   let observe t v =
     let s = stripe () in
@@ -149,17 +154,14 @@ module Histogram = struct
     if v > Array.unsafe_get acc 2 then Array.unsafe_set acc 2 v
 
   let time t f =
-    (* Clamp at zero: a non-monotonic timer (NTP step, or the default
-       [Sys.time] CPU clock racing a wall-clock installed mid-run) must
-       never record a negative duration — it would poison [sum]. *)
     let start = now () in
     match f () with
     | result ->
-        observe t (Float.max 0. (now () -. start));
+        observe t (now () -. start);
         result
     | exception e ->
         let bt = Printexc.get_raw_backtrace () in
-        observe t (Float.max 0. (now () -. start));
+        observe t (now () -. start);
         Printexc.raise_with_backtrace e bt
 
   (* Warm-restart carry: fold previously captured totals back into the
@@ -207,7 +209,7 @@ module Histogram = struct
     (!counts, !count, !sum, !min_value, !max_value)
 
   let reset t =
-    Array.fill t.counts 0 stripes [||];
+    reset_cells t.counts;
     Array.iteri (fun s _ -> t.accs.(s) <- fresh_acc s) t.accs
 end
 
@@ -488,7 +490,7 @@ let reset t =
   Hashtbl.iter
     (fun _ metric ->
       match metric with
-      | M_counter c -> cells_reset c
+      | M_counter c -> Counter.reset c
       | M_gauge g -> Gauge.set g 0.
       | M_histogram h -> Histogram.reset h)
     t.table;

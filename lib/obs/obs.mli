@@ -16,18 +16,21 @@
     stages create their metrics once at construction time and only
     touch cells afterwards.
 
-    The library depends on nothing but the standard library.  Wall
-    clocks are injected: callers that link [unix] should install
-    [Unix.gettimeofday] with {!set_timer} (the [Sys.time] default has
-    coarse resolution). *)
+    The library depends on nothing but the standard library and one C
+    stub, the clock below. *)
 
 (** {2 Time source} *)
 
-(** [set_timer f] installs the wall-clock used by {!Histogram.time}
-    and snapshot timestamps.  Defaults to [Sys.time]. *)
-val set_timer : (unit -> float) -> unit
-
-val now : unit -> float
+(** [now ()] is the process's one wall clock: [CLOCK_MONOTONIC] in
+    seconds, with nanosecond resolution, read by {!Histogram.time},
+    snapshot timestamps, trace spans and every deadline in the system.
+    It never steps back, so a difference of two readings is never
+    negative, but it counts from an arbitrary origin (typically boot):
+    subtract two readings, never compare one with calendar time.
+    Declared [external] and [[@@noalloc]], so a native call is one C
+    call returning an unboxed float, without allocation. *)
+external now : unit -> (float[@unboxed]) = "xy_obs_now" "xy_obs_now_unboxed"
+[@@noalloc]
 
 (** {2 Registries} *)
 
@@ -65,7 +68,7 @@ module Histogram : sig
   (** [observe t v] records one sample. *)
   val observe : t -> float -> unit
 
-  (** [time t f] runs [f] and records its wall-clock duration (also
+  (** [time t f] runs [f] and records its duration on {!now} (also
       on exception). *)
   val time : t -> (unit -> 'a) -> 'a
 
@@ -112,6 +115,8 @@ module Snapshot : sig
 
   type t = {
     at : float;
+        (** {!now} when the snapshot was taken: seconds from an
+            arbitrary monotonic origin, not calendar time *)
     entries : entry list;  (** sorted by [(stage, name)] *)
   }
 

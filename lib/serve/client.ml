@@ -13,6 +13,7 @@
 let log_src = Logs.Src.create "xy.serve.client" ~doc:"Supervised wire client"
 
 module Log = (val Logs.src_log log_src)
+module Obs = Xy_obs.Obs
 module Prng = Xy_util.Prng
 module Record_log = Xy_durable.Record_log
 
@@ -22,28 +23,26 @@ type config = {
   id : string;
   backoff_initial : float;
   backoff_max : float;
-  jitter : float;
   ping_interval : float;
   pong_deadline : float;
-  max_frame : int;
   seed : int;
 }
 
 let config ?(host = "127.0.0.1") ?(backoff_initial = 0.05) ?(backoff_max = 2.)
-    ?(jitter = 0.25) ?(ping_interval = 5.) ?(pong_deadline = 10.)
-    ?(max_frame = Record_log.default_max_frame) ?(seed = 42) ~port ~id () =
+    ?(ping_interval = 5.) ?(pong_deadline = 10.) ?(seed = 42) ~port ~id () =
   {
     host;
     port;
     id;
     backoff_initial;
     backoff_max;
-    jitter;
     ping_interval;
     pong_deadline;
-    max_frame;
     seed;
   }
+
+(* Each backoff delay is spread uniformly by +/- this fraction. *)
+let jitter = 0.25
 
 type report = { seq : int; subscription : string; at : float; body : string }
 
@@ -100,7 +99,7 @@ let rec poll_until ~deadline p =
   match p () with
   | Some v -> Some v
   | None ->
-      if Unix.gettimeofday () >= deadline then None
+      if Obs.now () >= deadline then None
       else begin
         Thread.delay poll_tick;
         poll_until ~deadline p
@@ -200,8 +199,8 @@ let dial t =
     (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
     Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.05;
     write_all fd (Frame.encode_request (Frame.Hello t.cfg.id));
-    let dec = Record_log.decoder ~max_frame:t.cfg.max_frame () in
-    let deadline = Unix.gettimeofday () +. 5. in
+    let dec = Record_log.decoder () in
+    let deadline = Obs.now () +. 5. in
     let rec await () =
       match Record_log.next dec with
       | Ok (Some payload) -> (
@@ -221,7 +220,7 @@ let dial t =
           | Ok _ -> await ()
           | Error msg -> `Failed msg)
       | Ok None ->
-          if Unix.gettimeofday () >= deadline then `Failed "handshake timeout"
+          if Obs.now () >= deadline then `Failed "handshake timeout"
           else (
             match Record_log.fill dec (Unix.read fd) with
             | exception
@@ -292,7 +291,7 @@ let session t fd dec =
       Queue.transfer t.inflight replay;
       Queue.transfer t.pending replay;
       Queue.transfer replay t.pending);
-  let last_ping = ref (Unix.gettimeofday ()) in
+  let last_ping = ref (Obs.now ()) in
   let awaiting_pong = ref None in
   let flush_pending () =
     let ops =
@@ -313,7 +312,7 @@ let session t fd dec =
       ops
   in
   let maybe_ping () =
-    let now = Unix.gettimeofday () in
+    let now = Obs.now () in
     (match !awaiting_pong with
     | Some t0 when t.cfg.pong_deadline > 0. && now -. t0 > t.cfg.pong_deadline
       ->
@@ -367,9 +366,8 @@ let backoff_delay t n =
     Float.min t.cfg.backoff_max
       (t.cfg.backoff_initial *. Float.pow 2. (float_of_int n))
   in
-  let j = Float.max 0. (Float.min 1. t.cfg.jitter) in
-  (* uniform in [base*(1-j), base*(1+j)] *)
-  base *. (1. -. j +. Prng.float t.prng (2. *. j))
+  (* uniform in [base*(1-jitter), base*(1+jitter)] *)
+  base *. (1. -. jitter +. Prng.float t.prng (2. *. jitter))
 
 let supervisor t =
   let failures = ref 0 in
@@ -430,14 +428,14 @@ let connect ?on_report cfg =
   t
 
 let wait_connected ?(timeout = 5.) t =
-  let deadline = Unix.gettimeofday () +. timeout in
+  let deadline = Obs.now () +. timeout in
   poll_until ~deadline (fun () -> if t.connected then Some () else None)
   <> None
 
 let submit t kind ~timeout =
   let op = { kind; result = None; sends = 0 } in
   locked t (fun () -> Queue.push op t.pending);
-  let deadline = Unix.gettimeofday () +. timeout in
+  let deadline = Obs.now () +. timeout in
   match poll_until ~deadline (fun () -> op.result) with
   | Some r -> r
   | None -> Error "timeout"

@@ -24,12 +24,11 @@ type config = {
   port : int;
   id : string;  (** recipient identity bound by [HELLO] *)
   backoff_initial : float;  (** first retry delay, seconds *)
-  backoff_max : float;  (** retry delay ceiling, seconds *)
-  jitter : float;  (** +/- fraction applied to each delay, [0..1] *)
+  backoff_max : float;  (** retry delay ceiling, seconds; each delay is
+                            spread by +/- 25% *)
   ping_interval : float;  (** seconds between keepalive [PING]s; [0.] off *)
   pong_deadline : float;  (** declare the link dead after this long
                               without a [PONG]; [0.] off *)
-  max_frame : int;
   seed : int;  (** jitter PRNG seed (determinism in tests) *)
 }
 
@@ -37,10 +36,8 @@ val config :
   ?host:string ->
   ?backoff_initial:float ->
   ?backoff_max:float ->
-  ?jitter:float ->
   ?ping_interval:float ->
   ?pong_deadline:float ->
-  ?max_frame:int ->
   ?seed:int ->
   port:int ->
   id:string ->

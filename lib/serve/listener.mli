@@ -26,11 +26,9 @@ type t
 
     [admit] is the admission-control gate, consulted once per
     accepted connection: when it returns [false] the connection is
-    {e shed} — [shed fd addr] may write a best-effort rejection (an
-    [ERR busy] frame, an HTTP 503), then the listener closes [fd]
-    without ever calling [handle], and counts it in {!sheds}.  Both
-    the wire-protocol server and the telemetry endpoint share this
-    machinery.
+    {e shed} — [shed fd addr] may write a best-effort rejection (the
+    wire server's [ERR busy] frame), then the listener closes [fd]
+    without ever calling [handle], and counts it in {!sheds}.
 
     Transient accept failures — [EMFILE]/[ENFILE] descriptor
     exhaustion, [ENOMEM], [ECONNABORTED] — no longer kill the accept

@@ -11,7 +11,6 @@ type config = {
   port : int;
   backlog : int;
   outbox : int;
-  max_frame : int;
   max_connections : int;
   retry_after : float;
   idle_deadline : float;
@@ -20,15 +19,13 @@ type config = {
 }
 
 let config ?(host = "127.0.0.1") ?(backlog = 128) ?(outbox = 64)
-    ?(max_frame = Record_log.default_max_frame) ?(max_connections = 0)
-    ?(retry_after = 1.) ?(idle_deadline = 300.) ?(read_deadline = 30.)
-    ?(drain = 0.5) ~port () =
+    ?(max_connections = 0) ?(retry_after = 1.) ?(idle_deadline = 300.)
+    ?(read_deadline = 30.) ?(drain = 0.5) ~port () =
   {
     host;
     port;
     backlog;
     outbox;
-    max_frame;
     max_connections;
     retry_after;
     idle_deadline;
@@ -303,7 +300,7 @@ let writer_loop t ss =
         match write_all t ss.s_fd data with
         | () ->
             Obs.Counter.incr t.m_sent;
-            Obs.Histogram.observe t.m_send_lag (Unix.gettimeofday () -. wall);
+            Obs.Histogram.observe t.m_send_lag (Obs.now () -. wall);
             finish_write ();
             loop ()
         | exception _ ->
@@ -355,7 +352,7 @@ let handle_request t ss req =
              and while no session existed the peer's absence is what
              kept these queued — that window is accounted by the
              [reconnects]/[evictions] counters, not as send lag. *)
-          let now = Unix.gettimeofday () in
+          let now = Obs.now () in
           r.r_unacked <- Imap.map (fun e -> { e with e_wall = now }) r.r_unacked;
           r.r_session <- Some ss;
           enqueue_resp ss
@@ -381,7 +378,7 @@ let handle_request t ss req =
       | Some id -> locked t (fun () -> Queue.push (C_ack (id, seq)) t.commands))
 
 let reader_loop t ss =
-  let dec = Record_log.decoder ~max_frame:t.cfg.max_frame () in
+  let dec = Record_log.decoder () in
   (* The liveness deadlines ride the receive timeout: the blocking
      read returns EAGAIN every tick, and the tick handler decides
      whether the peer is merely quiet or dead. *)
@@ -405,7 +402,7 @@ let reader_loop t ss =
         poison t ss (Record_log.error_to_string e);
         false
   in
-  let overdue deadline since = deadline > 0. && Unix.gettimeofday () -. since > deadline in
+  let overdue deadline since = deadline > 0. && Obs.now () -. since > deadline in
   let rec loop () =
     match Record_log.fill dec (Chaos.read t.chaos ss.s_fd) with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
@@ -430,7 +427,7 @@ let reader_loop t ss =
     | exception _ -> locked t (fun () -> close_session t ss)
     | 0 -> locked t (fun () -> close_session t ss)
     | _ ->
-        ss.s_last_read <- Unix.gettimeofday ();
+        ss.s_last_read <- Obs.now ();
         if drain () then begin
           (if Record_log.buffered dec = 0 then ss.s_partial_since <- None
            else
@@ -462,7 +459,7 @@ let on_accept t fd addr =
       s_closed = false;
       s_poisoned = false;
       s_refs = 2;
-      s_last_read = Unix.gettimeofday ();
+      s_last_read = Obs.now ();
       s_partial_since = None;
       s_writing = false;
       s_cond = Condition.create ();
@@ -547,19 +544,19 @@ let stop ?drain t =
        redelivered on the next HELLO, exactly as a crash would leave
        it. *)
     Obs.Counter.incr t.m_drains;
-    let started = Unix.gettimeofday () in
+    let started = Obs.now () in
     let deadline = started +. budget in
     let rec wait () =
       let flushed =
         locked t (fun () -> List.for_all (session_flushed t) t.sessions)
       in
-      if (not flushed) && Unix.gettimeofday () < deadline then begin
+      if (not flushed) && Obs.now () < deadline then begin
         Thread.delay 0.01;
         wait ()
       end
     in
     wait ();
-    Obs.Gauge.set t.m_drain_seconds (Unix.gettimeofday () -. started)
+    Obs.Gauge.set t.m_drain_seconds (Obs.now () -. started)
   end;
   let threads =
     locked t (fun () ->
@@ -608,7 +605,7 @@ let deliver t ~seq ~recipient ~subscription ~at ~body =
                     e_subscription = subscription;
                     e_at = at;
                     e_body = body;
-                    e_wall = Unix.gettimeofday ();
+                    e_wall = Obs.now ();
                   }
                   r.r_unacked;
               Obs.Counter.incr t.m_enqueued;
@@ -729,7 +726,7 @@ let decode_snapshot t payload =
                   e_subscription = sub;
                   e_at = at;
                   e_body = body;
-                  e_wall = Unix.gettimeofday ();
+                  e_wall = Obs.now ();
                 } ))
         in
         (id, floor, entries))
@@ -780,7 +777,7 @@ let apply_op t ~intent payload =
                   e_subscription = sub;
                   e_at = at;
                   e_body = body;
-                  e_wall = Unix.gettimeofday ();
+                  e_wall = Obs.now ();
                 }
                 rcp.r_unacked;
           refresh_pending_gauge t)

@@ -70,7 +70,6 @@ type config = {
   port : int;  (** 0 picks an ephemeral port *)
   backlog : int;  (** accept backlog *)
   outbox : int;  (** max unacknowledged reports in flight per client *)
-  max_frame : int;  (** largest accepted request payload, bytes *)
   max_connections : int;  (** admission ceiling; [0] = unlimited *)
   retry_after : float;  (** hint (seconds) carried by [ERR busy] *)
   idle_deadline : float;  (** evict after this long without bytes; [0.] off *)
@@ -82,7 +81,6 @@ val config :
   ?host:string ->
   ?backlog:int ->
   ?outbox:int ->
-  ?max_frame:int ->
   ?max_connections:int ->
   ?retry_after:float ->
   ?idle_deadline:float ->

@@ -51,7 +51,6 @@ type metrics = {
 }
 
 type t = {
-  policy : Compile.policy;
   mutable persist : Xy_durable.Record_log.t option;
   mutable superseded : int;
       (** records of the persisted log a compaction would drop, over
@@ -176,11 +175,10 @@ let materialize select view =
 
 (* ------------------------------------------------------------------ *)
 
-let create ?(policy = Compile.default_policy) ?persist ?(obs = Obs.default)
-    ~clock ~registry ~mqp ~trigger ~reporter ~run_query () =
+let create ?persist ?(obs = Obs.default) ~clock ~registry ~mqp ~trigger
+    ~reporter ~run_query () =
   let t =
     {
-      policy;
       persist;
       superseded = 0;
       clock;
@@ -309,7 +307,7 @@ let subscribe_unmetered t ~owner ~text =
   | ast -> (
       if Hashtbl.mem t.subscriptions ast.S.name then Error (Duplicate ast.S.name)
       else
-        match Compile.validate ~policy:t.policy ast with
+        match Compile.validate ast with
         | exception Compile.Rejected reason -> Error (Rejected reason)
         | compiled ->
             (* Virtual targets must exist. *)
@@ -448,7 +446,7 @@ let update t ~name ~owner ~text =
                  (Printf.sprintf "update of %s declares subscription %s" name
                     ast.S.name))
           else
-            match Compile.validate ~policy:t.policy ast with
+            match Compile.validate ast with
             | exception Compile.Rejected reason -> Error (Rejected reason)
             | _compiled -> (
                 match

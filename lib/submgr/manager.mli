@@ -24,9 +24,10 @@ val error_to_string : error -> string
 
 (** Management metrics (subscribed/rejected/unsubscribed/recovered
     counters, live-subscription gauge) are registered under the
-    [submgr] stage of [obs] (default {!Xy_obs.Obs.default}). *)
+    [submgr] stage of [obs] (default {!Xy_obs.Obs.default}).
+    Subscriptions are validated against
+    {!Xy_sublang.S_compile.default_policy}. *)
 val create :
-  ?policy:Xy_sublang.S_compile.policy ->
   ?persist:Xy_durable.Record_log.t ->
   ?obs:Xy_obs.Obs.t ->
   clock:Xy_util.Clock.t ->

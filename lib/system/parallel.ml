@@ -106,7 +106,6 @@ let run (config : config) ?(obs = Obs.default) ~docs ~kill ~url_of ~trace_of
   if config.domains <= 0 then invalid_arg "Parallel.run: domains <= 0";
   let len = Array.length docs in
   if Array.length kill <> len then invalid_arg "Parallel.run: kill length";
-  Wall.install_timers ();
   (* registered here, on the caller's domain *)
   let m_deaths = Obs.counter obs ~stage:"fault" "worker_deaths" in
   let m_respawns = Obs.counter obs ~stage:"fault" "worker_respawns" in
@@ -124,7 +123,7 @@ let run (config : config) ?(obs = Obs.default) ~docs ~kill ~url_of ~trace_of
   let failure = Atomic.make None in
   let fail e = ignore (Atomic.compare_and_set failure None (Some e)) in
   let failed () = Option.is_some (Atomic.get failure) in
-  let handed_at = Trace.now () in
+  let handed_at = Obs.now () in
   let rec walk slot =
     let idx = cursor.(slot) in
     if idx >= len || failed () then true
@@ -146,7 +145,7 @@ let run (config : config) ?(obs = Obs.default) ~docs ~kill ~url_of ~trace_of
           Trace.record ctx ~stage:"bus" ~name:"wait"
             ~attrs:[ ("bus", "handoff") ]
             ~start_wall:handed_at
-            ~dur_wall:(Trace.now () -. handed_at)
+            ~dur_wall:(Obs.now () -. handed_at)
             ())
         (trace_of doc);
       Atomic.set cells.(idx) (Some (worker ~slot doc));

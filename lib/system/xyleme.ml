@@ -405,8 +405,9 @@ let stage_table t =
     stage "web"
       (fun () -> [ Web.encode_snapshot t.web ])
       (Web.decode_snapshot t.web);
-    (* The warehouse and the reporter hand over cached pieces:
-       per-document fields and prints, per-subscription frames. *)
+    (* The warehouse and the reporter hand over pieces: per-document
+       fields and cached prints, per-subscription frames around cached
+       notification encodings. *)
     stage warehouse_stage
       (fun () -> Store.snapshot_pieces t.store)
       (Store.decode_snapshot t.store) ~apply_op:(apply_warehouse_op t);
@@ -460,10 +461,6 @@ let apply_replay_op t { Durable.stage; payload } =
 
 let make ?(seed = 1) ?algorithm ?sink ?web ?obs ?tracer ?fault_plan ?slos
     ?(parallel = Parallel.default_config) ?serve_config ~durable () =
-  (* Wall-clock latencies: xy_obs itself is zero-dependency, so the
-     high-resolution (and never-retreating) timer is installed here,
-     where unix is linked — once per process, whatever creates first. *)
-  Wall.install_timers ();
   let obs = match obs with Some o -> o | None -> Obs.create () in
   (* The failure schedule shares the system seed: one (seed, spec)
      pair pins the whole run, faults included.  A durable system

@@ -12,8 +12,6 @@ type t
     metrics (crawler, warehouse, alerters, mqp, trigger, reporter,
     submgr, system) land in [obs] (a private {!Xy_obs.Obs.create}d
     registry by default — pass one to share it).
-    The {!Wall.monotonic} timer is installed into xy_obs and xy_trace
-    as a side effect.
 
     [tracer] carries per-document pipeline tracing (default: a fresh
     {!Xy_trace.Trace.create}d tracer with sampling disabled — enable

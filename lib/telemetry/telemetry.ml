@@ -113,30 +113,9 @@ let handle routes fd =
   in
   write_response fd response
 
-(* Telemetry shares the wire server's admission machinery: a scrape
-   arriving while the process is over its connection budget gets a
-   proper 503 with a Retry-After, not a silent RST. *)
-let shed_response retry_after fd _addr =
-  let body = "over capacity, retry later\n" in
-  let head =
-    Printf.sprintf
-      "HTTP/1.1 503 Service Unavailable\r\n\
-       Content-Type: text/plain\r\n\
-       Content-Length: %d\r\n\
-       Retry-After: %d\r\n\
-       Connection: close\r\n\
-       \r\n"
-      (String.length body)
-      (int_of_float (Float.max 1. (Float.ceil retry_after)))
-  in
-  let payload = head ^ body in
-  try ignore (Unix.write_substring fd payload 0 (String.length payload))
-  with Unix.Unix_error _ -> ()
-
-let start ?(host = "127.0.0.1") ?admit ?(retry_after = 1.) ~port ~routes () =
-  let shed = Option.map (fun _ -> shed_response retry_after) admit in
+let start ?(host = "127.0.0.1") ~port ~routes () =
   let listener =
-    Xy_serve.Listener.start ~host ~backlog:16 ~port ?admit ?shed
+    Xy_serve.Listener.start ~host ~backlog:16 ~port
       ~handle:(fun client _addr ->
         (try handle routes client with _ -> ());
         try Unix.close client with Unix.Unix_error _ -> ())

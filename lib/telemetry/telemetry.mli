@@ -17,8 +17,6 @@ type t
 
 val start :
   ?host:string ->
-  ?admit:(unit -> bool) ->
-  ?retry_after:float ->
   port:int ->
   routes:(string * (unit -> response)) list ->
   unit ->
@@ -27,10 +25,6 @@ val start :
     serves [routes] (path → handler; handlers run on the accept
     thread and must be thread-safe) from a background thread.
     [~port:0] picks an ephemeral port — read it back with {!port}.
-    [admit] is the shared admission gate ({!Xy_serve.Listener}): a
-    scrape arriving while it returns [false] is answered with [503]
-    plus a [Retry-After: <retry_after>] header (default 1 s) and
-    closed, and counted in the listener's shed counter.
     Raises [Unix.Unix_error] if the bind fails. *)
 
 val port : t -> int

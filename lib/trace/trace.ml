@@ -4,9 +4,7 @@
    take the lock, so the steady-state cost of tracing is the [ctx
    option] match in each stage. *)
 
-let now_fn : (unit -> float) ref = ref Sys.time
-let set_timer f = now_fn := f
-let now () = !now_fn ()
+module Obs = Xy_obs.Obs
 
 type span = {
   sp_stage : string;
@@ -48,15 +46,14 @@ type ctx = {
   c_start_virtual : float;
 }
 
-let create ?(capacity = 256) ?(sample_every = 0) ?(seed = 1)
-    ?(virtual_clock = fun () -> 0.) () =
+let create ?(capacity = 256) ?(sample_every = 0) ?(seed = 1) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity <= 0";
   if sample_every < 0 then invalid_arg "Trace.create: sample_every < 0";
   {
     lock = Mutex.create ();
     prng = Xy_util.Prng.create ~seed;
     every = sample_every;
-    virtual_clock;
+    virtual_clock = (fun () -> 0.);
     pending = Hashtbl.create 16;
     ring = Array.make capacity None;
     ring_pos = 0;
@@ -93,7 +90,7 @@ let start_always t ~root =
     c_tracer = t;
     c_id = id;
     c_root = root;
-    c_start_wall = now ();
+    c_start_wall = Obs.now ();
     c_start_virtual = t.virtual_clock ();
   }
 
@@ -120,7 +117,7 @@ let begin_span ctx ~stage ~name =
     h_ctx = ctx;
     h_stage = stage;
     h_name = name;
-    h_start_wall = now ();
+    h_start_wall = Obs.now ();
     h_start_virtual = ctx.c_tracer.virtual_clock ();
   }
 
@@ -140,11 +137,9 @@ let end_span ?(attrs = []) handle =
       sp_stage = handle.h_stage;
       sp_name = handle.h_name;
       sp_start_wall = handle.h_start_wall;
-      (* Clamped: a non-monotonic timer must not produce a negative
-         span that would drag [tr_dur_wall] and breakdowns below the
-         truth. *)
-      sp_dur_wall = Float.max 0. (now () -. handle.h_start_wall);
+      sp_dur_wall = Obs.now () -. handle.h_start_wall;
       sp_start_virtual = handle.h_start_virtual;
+      (* Clamped: replay may set the virtual clock back. *)
       sp_dur_virtual =
         Float.max 0. (t.virtual_clock () -. handle.h_start_virtual);
       sp_attrs = attrs;

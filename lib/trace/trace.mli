@@ -16,7 +16,7 @@
     option match per stage.
 
     Spans record their stage, start and duration on both clocks (the
-    virtual simulation {!Xy_util.Clock} and the injected wall timer),
+    virtual simulation {!Xy_util.Clock} and {!Xy_obs.Obs.now}),
     and key attributes (url, event counts, report size).  Completed
     traces are retained in a bounded ring buffer and exported as JSONL
     or as an XML [<trace>] document via the existing printer.
@@ -27,20 +27,17 @@
 
 (** {2 Wall clock}
 
-    Like {!Xy_obs.Obs.set_timer}: the tracer is stdlib-only, callers
-    that link [unix] should install [Unix.gettimeofday].  Defaults to
-    [Sys.time]. *)
-
-val set_timer : (unit -> float) -> unit
-
-val now : unit -> float
+    Wall times are {!Xy_obs.Obs.now} readings: [CLOCK_MONOTONIC]
+    seconds from an arbitrary origin, so a [*_dur_wall] is never
+    negative and a [*_start_wall] (exported as [start_wall] as it is)
+    orders spans but is not calendar time. *)
 
 (** {2 Spans and traces} *)
 
 type span = {
   sp_stage : string;  (** pipeline stage, e.g. ["mqp"] *)
   sp_name : string;  (** operation, e.g. ["match"] *)
-  sp_start_wall : float;
+  sp_start_wall : float;  (** {!Xy_obs.Obs.now} at span start *)
   sp_dur_wall : float;
   sp_start_virtual : float;  (** simulation time at span start *)
   sp_dur_virtual : float;
@@ -63,16 +60,10 @@ type t
 (** [create ()] — [sample_every] is the 1-in-N sampling rate ([0],
     the default, disables tracing entirely; [1] traces every
     document); [capacity] bounds the completed-trace ring buffer
-    (default 256, oldest evicted); [seed] feeds the sampling PRNG;
-    [virtual_clock] supplies simulation time for span timestamps
-    (default: constantly [0.]). *)
-val create :
-  ?capacity:int ->
-  ?sample_every:int ->
-  ?seed:int ->
-  ?virtual_clock:(unit -> float) ->
-  unit ->
-  t
+    (default 256, oldest evicted); [seed] feeds the sampling PRNG.
+    Span virtual times read constantly [0.] until
+    {!set_virtual_clock} binds a simulation clock. *)
+val create : ?capacity:int -> ?sample_every:int -> ?seed:int -> unit -> t
 
 val sample_every : t -> int
 

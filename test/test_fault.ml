@@ -1553,6 +1553,46 @@ let test_delta_closing_checkpoint () =
       in
       checkb "d1 replays exactly once" true (ops = [ "d1" ])
 
+(* A chain keeps whole WAL files, so every stage's bytes in them
+   count toward it: another stage's ops alone end the chain, live and
+   after a restore, whose count starts at the kept files' sizes. *)
+let test_delta_chain_counts_every_stage () =
+  with_temp_dir @@ fun dir ->
+  let config = d_config () in
+  let base = String.make 256 'B' in
+  let snapshot = [ ("big", fun () -> [ base ]); ("small", fun () -> [ "sv" ]) ] in
+  let big gen =
+    match
+      Durable.Snapshot.load (Filename.concat dir (Printf.sprintf "gen-%d.snap" gen))
+    with
+    | Error e -> Alcotest.fail e
+    | Ok sections -> List.assoc "big" sections
+  in
+  let journal_small t n =
+    Durable.journal t ~stage:"small" (String.make n 's');
+    Durable.commit t
+  in
+  let t = Durable.open_fresh ~config dir in
+  Durable.set_wal_carried t [ "big" ];
+  Durable.checkpoint t ~snapshot;
+  journal_small t 100;
+  Durable.checkpoint t ~snapshot;
+  checkb "under the base: a delta" true (big 2 = Durable.Delta 1);
+  journal_small t 200;
+  Durable.checkpoint t ~snapshot;
+  checkb "other stages' WAL bytes outgrew the base: inline" true
+    (big 3 = Durable.Inline base);
+  journal_small t 300;
+  Durable.barrier t;
+  let t' = Option.get (Durable.open_existing ~config dir) in
+  Durable.set_wal_carried t' [ "big" ];
+  (match Durable.load_latest t' with
+  | Error e -> Alcotest.fail e
+  | Ok _ -> ());
+  Durable.checkpoint t' ~snapshot;
+  checkb "restored count is the kept WAL's size: inline" true
+    (big 4 = Durable.Inline base)
+
 (* Delta correctness property: over ANY dirty interleaving, restoring
    with every stage WAL-carried (deltas) yields the same applied state
    as restoring with none (inline/From only).  Payloads of 1-12 bytes
@@ -2084,6 +2124,8 @@ let () =
             test_delta_kill_windows;
           tc "delta survives the closing checkpoint"
             test_delta_closing_checkpoint;
+          tc "a delta chain counts every stage's WAL bytes"
+            test_delta_chain_counts_every_stage;
           QCheck_alcotest.to_alcotest qcheck_delta_equals_full;
           tc "snapshot sections roundtrip" test_snapshot_sections_roundtrip;
           tc "restore completed run" test_restore_completed_run;

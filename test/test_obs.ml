@@ -209,27 +209,26 @@ let test_renderers_smoke () =
   | _ -> ()
   | exception Xy_xml.Parser.Error _ -> Alcotest.fail "snapshot XML unparseable"
 
-let test_timer_clamp () =
-  (* Regression: the default [Sys.time] timer measures CPU seconds,
-     so a wall-clock installed mid-run (or an NTP step) can make
-     [now () -. start] negative.  [Histogram.time] must clamp the
-     duration at zero rather than poison the sum. *)
-  let ticks = ref [ 100.; 40. ] in
-  (* goes backwards *)
-  Obs.set_timer (fun () ->
-      match !ticks with
-      | t :: rest ->
-          ticks := rest;
-          t
-      | [] -> 0.);
-  Fun.protect
-    ~finally:(fun () -> Obs.set_timer Sys.time)
-    (fun () ->
-      let obs = Obs.create () in
-      let h = Obs.histogram obs ~stage:"s" "lat" in
-      Obs.Histogram.time h (fun () -> ());
-      checki "observation recorded" 1 (Obs.Histogram.count h);
-      checkf "negative duration clamped to zero" 0. (Obs.Histogram.sum h))
+let test_clock () =
+  (* [Obs.now] is CLOCK_MONOTONIC: it never decreases, on any domain,
+     and it advances across a sleep, so it reads wall time rather than
+     CPU time. *)
+  let never_decreases () =
+    let ok = ref true and prev = ref (Obs.now ()) in
+    for _ = 1 to 100_000 do
+      let t = Obs.now () in
+      if t < !prev then ok := false;
+      prev := t
+    done;
+    !ok
+  in
+  let other = Domain.spawn never_decreases in
+  let here = never_decreases () in
+  checkb "never decreases on either of two domains" true
+    (Domain.join other && here);
+  let before = Obs.now () in
+  Unix.sleepf 0.02;
+  checkb "advances across a 20 ms sleep" true (Obs.now () -. before >= 0.02)
 
 let test_absorb_restores_counts () =
   (* The warm-restart carry: a snapshot of one registry absorbed into
@@ -400,7 +399,7 @@ let () =
           tc "gauge" test_gauge;
           tc "kind mismatch" test_kind_mismatch_rejected;
           tc "histogram time" test_histogram_time;
-          tc "timer clamp" test_timer_clamp;
+          tc "clock" test_clock;
           tc "absorb" test_absorb_restores_counts;
         ] );
       ( "snapshot",

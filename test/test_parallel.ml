@@ -4,11 +4,10 @@
    matcher, with and without worker-death faults — and a sampled
    document's trace must stay connected across its domains.  Plus the
    worker pool's own contract (a raising worker, domains spawned once)
-   and the idempotent wall-clock installation. *)
+   and the one wall clock every domain reads. *)
 
 module Xyleme = Xy_system.Xyleme
 module Parallel = Xy_system.Parallel
-module Wall = Xy_system.Wall
 module Web = Xy_crawler.Synthetic_web
 module Sink = Xy_reporter.Sink
 module Loader = Xy_warehouse.Loader
@@ -18,17 +17,6 @@ module Trace = Xy_trace.Trace
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
-
-(* ------------------------------------------------------------------ *)
-(* Wall clock *)
-
-let test_wall_idempotent () =
-  Wall.install_timers ();
-  Wall.install_timers ();
-  (* second call is a no-op, not an error *)
-  let t1 = Wall.monotonic () in
-  let t2 = Wall.monotonic () in
-  checkb "never retreats" true (t2 >= t1)
 
 (* ------------------------------------------------------------------ *)
 (* Serial ≡ parallel equivalence *)
@@ -385,6 +373,57 @@ report when immediate|}
         true
         (List.mem_assoc tr.Trace.tr_root !sampled))
     traces
+
+(* ------------------------------------------------------------------ *)
+(* Wall clock *)
+
+(* No entry point installs a timer: [Obs] and [Trace] read the one
+   process clock, [Obs.now], on every domain, and creating a system or
+   running its parallel batches leaves that clock as it was.  Across
+   two systems' batches, the caller's readings never retreat and every
+   span the pool workers record lies within the readings around its
+   own batch. *)
+let test_wall_idempotent () =
+  let batch seed =
+    let sink, _ = Sink.memory () in
+    let t =
+      Xyleme.create ~seed ~sink ~obs:(Obs.create ())
+        ~parallel:(parallel ~domains:2 ~shards:2 Parallel.By_documents)
+        ()
+    in
+    let tracer = Xyleme.tracer t in
+    Xyleme.ingest_batch t
+      (List.init 6 (fun i ->
+           let url = Printf.sprintf "http://wall.example.org/%d-%d.xml" seed i in
+           { Xyleme.bd_url = url;
+             bd_content = Some (Printf.sprintf "<page><p>v%d</p></page>" i);
+             bd_kind = Loader.Xml;
+             bd_trace = Some (Trace.start_always tracer ~root:url);
+             bd_birth = None }));
+    Trace.traces tracer
+  in
+  let within lo hi traces =
+    traces <> []
+    && List.for_all
+         (fun tr ->
+           List.exists (fun sp -> sp.Trace.sp_stage = "bus") tr.Trace.tr_spans
+           && List.for_all
+                (fun sp ->
+                  lo <= sp.Trace.sp_start_wall
+                  && sp.Trace.sp_dur_wall >= 0.
+                  && sp.Trace.sp_start_wall +. sp.Trace.sp_dur_wall <= hi)
+                tr.Trace.tr_spans)
+         traces
+  in
+  let t0 = Obs.now () in
+  let first = batch 1 in
+  let t1 = Obs.now () in
+  let second = batch 2 in
+  let t2 = Obs.now () in
+  checkb "never retreats" true (t0 <= t1 && t1 <= t2);
+  checkb "first system's worker spans within its batch" true (within t0 t1 first);
+  checkb "second system's worker spans within its batch" true
+    (within t1 t2 second)
 
 (* ------------------------------------------------------------------ *)
 

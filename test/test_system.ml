@@ -623,17 +623,24 @@ module Obs = Xy_obs.Obs
 module Slo = Xy_slo.Slo
 
 let test_monotonic_wall () =
-  (* The timer installed into xy_obs/xy_trace at [create]: wall-clock
-     scale, and ratcheted so it can never retreat even if the
-     underlying clock steps backwards. *)
-  let prev = ref 0. in
+  (* The clock xy_obs and xy_trace read ([Obs.now], CLOCK_MONOTONIC),
+     which also stamps a system registry's snapshots: it never
+     retreats, and it is wall time, not CPU seconds (a snapshot stamp
+     advances across a sleep). *)
+  let obs = Obs.create () in
+  let sink, _ = Sink.memory () in
+  ignore (Xyleme.create ~seed:3 ~sink ~obs ());
+  let prev = ref neg_infinity in
   for _ = 1 to 1_000 do
-    let t = Xy_system.Wall.monotonic () in
+    let t = Obs.now () in
     checkb "never retreats" true (t >= !prev);
     prev := t
   done;
-  (* seconds-since-epoch, not CPU seconds *)
-  checkb "wall-clock scale" true (!prev > 1e9)
+  let before = (Obs.snapshot obs).Obs.Snapshot.at in
+  checkb "snapshot stamp never retreats" true (before >= !prev);
+  Unix.sleepf 0.01;
+  let after = (Obs.snapshot obs).Obs.Snapshot.at in
+  checkb "wall time, not CPU seconds" true (after -. before >= 0.01)
 
 let day_step = 6. *. 3600.
 
