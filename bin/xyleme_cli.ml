@@ -163,10 +163,11 @@ let start_telemetry xyleme port =
               let stats = Xy_system.Xyleme.stats xyleme in
               Xy_telemetry.Telemetry.json
                 (Printf.sprintf
-                   {|{"status":"ok","steps_done":%d,"restarts":%d,"virtual_now":%g,"documents_fetched":%d,"documents_stored":%d,"notifications":%d,"reports":%d}|}
+                   {|{"status":"ok","steps_done":%d,"restarts":%d,"virtual_now":%s,"documents_fetched":%d,"documents_stored":%d,"notifications":%d,"reports":%d}|}
                    (Xy_system.Xyleme.steps_done xyleme)
                    (Xy_system.Xyleme.restarts xyleme)
-                   (Xy_util.Clock.now (Xy_system.Xyleme.clock xyleme))
+                   (Xy_obs.Obs.Export.json_number
+                      (Xy_util.Clock.now (Xy_system.Xyleme.clock xyleme)))
                    stats.Xy_system.Xyleme.documents_fetched
                    stats.Xy_system.Xyleme.documents_stored
                    stats.Xy_system.Xyleme.notifications
@@ -814,7 +815,7 @@ let stats_cmd =
 (* trace *)
 
 let trace_cmd =
-  let run sites days subscriptions seed algorithm every k jsonl xml =
+  let run sites days subscriptions seed algorithm every k jsonl =
     let xyleme, _, _ =
       run_simulation ~trace_every:every ~algorithm
         ~report_clause:"report when immediate" ~sites ~days ~subscriptions
@@ -822,7 +823,6 @@ let trace_cmd =
     in
     let tracer = Xy_system.Xyleme.tracer xyleme in
     if jsonl then print_string (Xy_trace.Trace.to_jsonl_string tracer)
-    else if xml then print_string (Xy_trace.Trace.to_xml_string tracer)
     else begin
       print_trace_summary tracer;
       Printf.printf "\nslowest traces (end-to-end journeys first):\n";
@@ -846,12 +846,6 @@ let trace_cmd =
       value & flag
       & info [ "jsonl" ] ~doc:"Dump retained traces as JSON Lines instead")
   in
-  let xml =
-    Arg.(
-      value & flag
-      & info [ "xml" ]
-          ~doc:"Dump retained traces as a <traces> XML document instead")
-  in
   Cmd.v
     (Cmd.info "trace"
        ~doc:
@@ -860,7 +854,7 @@ let trace_cmd =
           their per-stage latency breakdown")
     Term.(
       const run $ sites_arg $ days_arg $ subscriptions_arg $ seed_arg
-      $ algorithm_arg $ every $ k $ jsonl $ xml)
+      $ algorithm_arg $ every $ k $ jsonl)
 
 let () =
   let doc = "Xyleme change monitoring (SIGMOD 2001 reproduction)" in

@@ -47,7 +47,7 @@ let spec =
       Arg.Set_int await_reports,
       "N wait for N distinct report frames (default 1; 0 skips waiting)" );
     ("--timeout", Arg.Set_float timeout, "SECONDS overall deadline (default 60)");
-    ("--status", Arg.Set status, " request STATUS and print the health XML");
+    ("--status", Arg.Set status, " request STATUS and print the <metrics> XML");
     ( "--ping-interval",
       Arg.Set_float ping_interval,
       "SECONDS keepalive PING period (default 5; 0 disables — the server \

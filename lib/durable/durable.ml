@@ -15,9 +15,9 @@ type metrics = {
 type op = { stage : string; payload : string }
 type tail = Record_log.tail = Clean | Torn | Corrupt
 
-type config = { sync_every : int; fsync : bool }
+type config = { sync_every : int }
 
-let default_config = { sync_every = 32; fsync = true }
+let default_config = { sync_every = 32 }
 
 (* Generation numbers in file names are parsed strictly: "gen-0x1.snap"
    is not a generation file. *)
@@ -60,9 +60,9 @@ let wal_path dir gen = Filename.concat dir (Printf.sprintf "gen-%d.wal" gen)
 module Wal = struct
   let encode_txn ops = Record_log.encode (encode_ops ops)
 
-  let append_txn ?(sync = true) oc ops =
+  let append_txn oc ops =
     output_string oc (encode_txn ops);
-    Record_log.sync ~fsync:sync oc
+    Record_log.sync oc
 
   let scan path = Record_log.read path ~decode:decode_ops
   let scan_generation ~dir ~gen = scan (wal_path dir gen)
@@ -105,8 +105,8 @@ module Snapshot = struct
     | "D" -> (stage, Delta (Codec.read_int r))
     | kind -> raise (Codec.Malformed ("unknown section kind " ^ kind))
 
-  let write ?fsync path sections =
-    Record_log.write_file ?fsync path (List.map parts sections)
+  let write path sections =
+    Record_log.write_file path (List.map parts sections)
 
   let load path =
     if not (Sys.file_exists path) then Error (path ^ ": no such snapshot")
@@ -170,10 +170,10 @@ let read_manifest dir =
   | [ gen ], Clean -> Some gen
   | _ -> None
 
-let write_manifest ?fsync dir gen =
+let write_manifest dir gen =
   let buf = Buffer.create 16 in
   Codec.int buf gen;
-  Record_log.write_file ?fsync (manifest_path dir) [ [ Buffer.contents buf ] ]
+  Record_log.write_file (manifest_path dir) [ [ Buffer.contents buf ] ]
 
 let ensure_dir dir = if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
 
@@ -237,7 +237,7 @@ let open_fresh ?(config = default_config) dir =
       in
       if matches then remove_if (Filename.concat dir name))
     (try Sys.readdir dir with Sys_error _ -> [||]);
-  write_manifest ~fsync:config.fsync dir 0;
+  write_manifest dir 0;
   make ~dir ~config ~gen:0 ~wal:(Some (open_wal dir 0))
 
 let open_existing ?(config = default_config) dir =
@@ -275,7 +275,7 @@ let sync_pending t =
         Buffer.output_buffer oc t.pending;
         Buffer.clear t.pending;
         t.pending_txns <- 0;
-        Record_log.sync ~fsync:t.config.fsync oc;
+        Record_log.sync oc;
         t.sync_count <- t.sync_count + 1;
         Hashtbl.iter (fun _ c -> c.wal_bytes <- c.wal_bytes + n) t.chains
 
@@ -373,7 +373,7 @@ let checkpoint t ~snapshot =
     sections;
   if Hashtbl.fold (fun _ c delta -> delta || c.base <> next) t.chains false then
     fire_fuse t "carry-forward";
-  Record_log.write_file ~fsync:t.config.fsync (snap_path t.dir next)
+  Record_log.write_file (snap_path t.dir next)
     (List.map (fun (_, _, parts) -> parts) sections);
   fire_fuse t "snapshot-written";
   (* Create the next generation's WAL *before* the manifest names the
@@ -384,9 +384,9 @@ let checkpoint t ~snapshot =
      whichever generation the manifest names. *)
   (match t.wal with Some oc -> close_out oc | None -> ());
   t.wal <- Some (open_wal t.dir next);
-  Record_log.sync_dir ~fsync:t.config.fsync t.dir;
+  Record_log.sync_dir t.dir;
   fire_fuse t "wal-created";
-  write_manifest ~fsync:t.config.fsync t.dir next;
+  write_manifest t.dir next;
   fire_fuse t "manifest-committed";
   t.gen <- next;
   cleanup t;

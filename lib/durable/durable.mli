@@ -55,13 +55,10 @@ type config = {
   sync_every : int;
       (** group-commit batch size: fsync once per this many committed
           transactions (1 = sync every commit) *)
-  fsync : bool;
-      (** when false, degrade every fsync to a flush — for tests and
-          benches that only model process kills, not power loss *)
 }
 
 val default_config : config
-(** [{ sync_every = 32; fsync = true }] *)
+(** [{ sync_every = 32 }] *)
 
 (** A snapshot section: the stage's payload inline, or a delta — the
     payload at a base generation plus the stage's journaled ops in the
@@ -74,10 +71,10 @@ type section = Inline of string | Delta of int
 (** {2 Low-level files} (exposed for the crash-matrix tests) *)
 
 module Wal : sig
-  val append_txn : ?sync:bool -> out_channel -> op list -> unit
-  (** Append one transaction record; [sync] (default true) flushes
-      and fsyncs.  The record's payload is the {!Xy_util.Codec} list
-      of the ops' (stage, payload) pairs. *)
+  val append_txn : out_channel -> op list -> unit
+  (** Append one transaction record, then flush and fsync.  The
+      record's payload is the {!Xy_util.Codec} list of the ops'
+      (stage, payload) pairs. *)
 
   val scan : string -> op list list * tail
   (** Read back every intact transaction of one WAL file, in order,
@@ -88,7 +85,7 @@ module Wal : sig
 end
 
 module Snapshot : sig
-  val write : ?fsync:bool -> string -> (string * section) list -> unit
+  val write : string -> (string * section) list -> unit
   (** Write sections to [path] atomically (temp file, fsync, rename,
       directory fsync), one record per section: the {!Xy_util.Codec}
       fields (stage, [S], payload) inline, (stage, [D], generation)

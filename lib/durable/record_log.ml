@@ -217,37 +217,35 @@ let size t = if t.dead then 0 else out_channel_length t.channel
 let remove_quietly path =
   try if Sys.file_exists path then Sys.remove path with Sys_error _ -> ()
 
-let sync_dir ?(fsync = true) dir =
-  if fsync then
-    match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-    | exception Unix.Unix_error _ -> ()
-    | fd ->
-        (try Unix.fsync fd with Unix.Unix_error _ -> ());
-        Unix.close fd
+let sync_dir dir =
+  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
+  | exception Unix.Unix_error _ -> ()
+  | fd ->
+      (try Unix.fsync fd with Unix.Unix_error _ -> ());
+      Unix.close fd
 
 (* An atomic temp+rename survives a process kill but not a power loss
    unless the file's bytes were fsynced before the rename and the
-   directory entry after it; [fsync:false] (tests, benches that only
-   model kills) degrades both to flushes. *)
-let sync ?(fsync = true) oc =
+   directory entry after it. *)
+let sync oc =
   flush oc;
-  if fsync then Unix.fsync (Unix.descr_of_out_channel oc)
+  Unix.fsync (Unix.descr_of_out_channel oc)
 
-let write_file ?(fsync = true) path records =
+let write_file path records =
   let temp = path ^ ".tmp" in
   let oc =
     open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 temp
   in
   (try
      List.iter (output_parts oc) records;
-     sync ~fsync oc;
+     sync oc;
      close_out oc
    with e ->
      close_out_noerr oc;
      remove_quietly temp;
      raise e);
   Sys.rename temp path;
-  sync_dir ~fsync (Filename.dirname path)
+  sync_dir (Filename.dirname path)
 
 (* {2 Compaction} *)
 

@@ -116,20 +116,19 @@ val is_dead : t -> bool
 (** [size t] is the file's current size in bytes ([0] when dead). *)
 val size : t -> int
 
-(** [sync ?fsync oc] flushes [oc] and fsyncs its file (only flushes
-    with [~fsync:false]). *)
-val sync : ?fsync:bool -> out_channel -> unit
+(** [sync oc] flushes [oc] and fsyncs its file. *)
+val sync : out_channel -> unit
 
-(** [sync_dir ?fsync dir] fsyncs the directory entry list of [dir]
-    (a no-op with [~fsync:false]); errors are ignored. *)
-val sync_dir : ?fsync:bool -> string -> unit
+(** [sync_dir dir] fsyncs the directory entry list of [dir]; errors
+    are ignored. *)
+val sync_dir : string -> unit
 
-(** [write_file ?fsync path records] atomically replaces [path] with
+(** [write_file path records] atomically replaces [path] with
     [records], each given as the parts its payload concatenates (the
     checksum is folded over the parts, so a large payload is never
     copied into a wrapping one): temp file, fsync, rename, directory
-    fsync.  [~fsync:false] degrades both fsyncs to flushes. *)
-val write_file : ?fsync:bool -> string -> string list list -> unit
+    fsync. *)
+val write_file : string -> string list list -> unit
 
 (** {2 Compaction}
 

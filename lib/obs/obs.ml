@@ -263,6 +263,48 @@ let histogram t ~stage name =
     ~extract:(function M_histogram h -> Some h | _ -> None)
 
 (* ------------------------------------------------------------------ *)
+(* Export encoding *)
+
+module Export = struct
+  (* A decimal of at most 15 significant digits survives a trip
+     through a double (DBL_DIG), so %.15g is the shortest form whenever
+     one that short exists, and prints an integer below 1e15 without
+     an exponent; %.17g always reads back. *)
+  let number v =
+    if Float.is_nan v then "NaN"
+    else if v = infinity then "+Inf"
+    else if v = neg_infinity then "-Inf"
+    else
+      let exact precision =
+        let s = Printf.sprintf "%.*g" precision v in
+        if float_of_string s = v then Some s else None
+      in
+      match List.find_map exact [ 15; 16 ] with
+      | Some s -> s
+      | None -> Printf.sprintf "%.17g" v
+
+  let json_number v = if Float.is_finite v then number v else "null"
+
+  let json_string s =
+    let buffer = Buffer.create (String.length s + 2) in
+    Buffer.add_char buffer '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buffer "\\\""
+        | '\\' -> Buffer.add_string buffer "\\\\"
+        | '\n' -> Buffer.add_string buffer "\\n"
+        | '\r' -> Buffer.add_string buffer "\\r"
+        | '\t' -> Buffer.add_string buffer "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buffer c)
+      s;
+    Buffer.add_char buffer '"';
+    Buffer.contents buffer
+end
+
+(* ------------------------------------------------------------------ *)
 (* Snapshots *)
 
 module Snapshot = struct
@@ -397,12 +439,11 @@ module Snapshot = struct
       s;
     Buffer.contents buffer
 
-  let float_attr v = Printf.sprintf "%.6g" v
-
   let to_xml_string t =
+    let number = Export.number in
     let buffer = Buffer.create 1024 in
     let add fmt = Printf.ksprintf (Buffer.add_string buffer) fmt in
-    add "<metrics at=\"%s\">\n" (float_attr t.at);
+    add "<metrics at=\"%s\">\n" (number t.at);
     let last_stage = ref None in
     let close_stage () =
       if !last_stage <> None then add "  </stage>\n"
@@ -418,21 +459,19 @@ module Snapshot = struct
         | Counter n -> add "    <counter name=\"%s\" value=\"%d\"/>\n" (escape e.name) n
         | Gauge v ->
             add "    <gauge name=\"%s\" value=\"%s\"/>\n" (escape e.name)
-              (float_attr v)
+              (number v)
         | Histogram h ->
-            let q p = float_attr (if h.count = 0 then 0. else quantile h p) in
+            let q p = number (if h.count = 0 then 0. else quantile h p) in
             add
               "    <histogram name=\"%s\" count=\"%d\" sum=\"%s\" max=\"%s\" \
                p50=\"%s\" p95=\"%s\" p99=\"%s\">\n"
-              (escape e.name) h.count (float_attr h.sum)
-              (float_attr (if h.count = 0 then 0. else h.max_value))
+              (escape e.name) h.count (number h.sum)
+              (number (if h.count = 0 then 0. else h.max_value))
               (q 0.5) (q 0.95) (q 0.99);
             List.iter
               (fun (i, c) ->
                 add "      <bucket le=\"%s\" count=\"%d\"/>\n"
-                  (if i = buckets - 1 then "+inf"
-                   else float_attr (upper_bound i))
-                  c)
+                  (number (upper_bound i)) c)
               h.counts;
             add "    </histogram>\n")
       t.entries;

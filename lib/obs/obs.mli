@@ -32,6 +32,31 @@
 external now : unit -> (float[@unboxed]) = "xy_obs_now" "xy_obs_now_unboxed"
 [@@noalloc]
 
+(** {2 Export encoding}
+
+    How every machine-readable export writes a value: the Prometheus
+    text, the [<metrics>] XML of {!Snapshot.to_xml_string}, the trace
+    JSONL, the JSON endpoints and the SLO documents all print numbers
+    and JSON strings through this module and nowhere else.  A number
+    reads back to the float that was exported, so two {!now}
+    readings a nanosecond apart stay apart in every export. *)
+
+module Export : sig
+  (** [number v] is the shortest of [%.15g], [%.16g] and [%.17g]
+      that reads back to [v] exactly: an integer below 1e15 prints
+      without an exponent (["1209601"]).  Non-finite values print as
+      Prometheus spells them: ["+Inf"], ["-Inf"], ["NaN"]. *)
+  val number : float -> string
+
+  (** [json_number v] is [number v] for a finite [v], else ["null"]:
+      JSON has no spelling for infinities and NaN. *)
+  val json_number : float -> string
+
+  (** [json_string s] is [s] as a quoted JSON string, with double
+      quotes, backslashes and every control character escaped. *)
+  val json_string : string -> string
+end
+
 (** {2 Registries} *)
 
 type t
@@ -149,7 +174,9 @@ module Snapshot : sig
   (** Grouped, human-readable rendering. *)
   val pp : Format.formatter -> t -> unit
 
-  (** [<metrics>] document with one [<stage>] child per stage. *)
+  (** [<metrics>] document with one [<stage>] child per stage.  Every
+      number is an {!Export.number}, so the document's [at] attribute
+      reads back to the snapshot's [at] exactly. *)
   val to_xml_string : t -> string
 end
 

@@ -361,7 +361,7 @@ let handle_request t ss req =
       let xml =
         match t.callbacks with
         | Some cb -> cb.cb_status ()
-        | None -> "<health/>"
+        | None -> "<metrics/>"
       in
       locked t (fun () ->
           enqueue_resp ss (Frame.encode_event (Frame.Status_reply xml)))

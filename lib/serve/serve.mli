@@ -94,7 +94,9 @@ type callbacks = {
   cb_subscribe : owner:string -> text:string -> (string, string) result;
       (** register a subscription; [Ok name] on success *)
   cb_unsubscribe : string -> (unit, string) result;
-  cb_status : unit -> string;  (** health XML for [STATUS]; thread-safe *)
+  cb_status : unit -> string;
+      (** the XML document [STATUS] returns (the system's [<metrics>]
+          snapshot); thread-safe *)
 }
 
 (** [create ~obs ?faults ~config ()] builds the server state (pending

@@ -198,7 +198,7 @@ let parse_duration s =
       | _ -> (1., s)
     in
     match float_of_string_opt digits with
-    | Some v when v > 0. -> Ok (v *. scale)
+    | Some v when v > 0. && Float.is_finite (v *. scale) -> Ok (v *. scale)
     | Some _ | None -> fail ()
 
 let ( let* ) = Result.bind
@@ -211,7 +211,7 @@ let parse spec =
         match String.split_on_char ':' spec with
         | [ _; _; _; _; burn ] -> (
             match float_of_string_opt burn with
-            | Some b when b > 0. -> Ok b
+            | Some b when b > 0. && Float.is_finite b -> Ok b
             | Some _ | None -> fail "bad burn limit %S" burn)
         | _ -> Ok default_burn_limit
       in
@@ -220,7 +220,7 @@ let parse spec =
         | None -> fail "expected METRIC<=THRESHOLD in %S" slo
         | Some (path, bound) -> (
             match float_of_string_opt bound with
-            | Some v when v > 0. -> Ok (path, v)
+            | Some v when v > 0. && Float.is_finite v -> Ok (path, v)
             | Some _ | None -> fail "bad threshold %S" bound)
       in
       let* stage, metric =
@@ -266,32 +266,17 @@ let parse spec =
 (* ------------------------------------------------------------------ *)
 (* JSON rendering (the /slo endpoint). *)
 
-let json_escape s =
-  let buffer = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buffer "\\\""
-      | '\\' -> Buffer.add_string buffer "\\\\"
-      | '\n' -> Buffer.add_string buffer "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buffer c)
-    s;
-  Buffer.contents buffer
-
-let json_float v = Printf.sprintf "%.6g" v
-
 let report_to_json r =
+  let open Obs.Export in
   let o = r.r_objective in
   Printf.sprintf
-    "{\"name\":\"%s\",\"stage\":\"%s\",\"metric\":\"%s\",\"threshold\":%s,\"target\":%s,\"fast_window\":%s,\"slow_window\":%s,\"burn_limit\":%s,\"at\":%s,\"total\":%d,\"good\":%d,\"fast_burn\":%s,\"slow_burn\":%s,\"breached\":%b}"
-    (json_escape o.o_name) (json_escape o.o_stage) (json_escape o.o_metric)
-    (json_float o.o_threshold) (json_float o.o_target)
-    (json_float o.o_fast_window)
-    (json_float o.o_slow_window)
-    (json_float o.o_burn_limit) (json_float r.r_at) r.r_total r.r_good
-    (json_float r.r_fast_burn) (json_float r.r_slow_burn) r.r_breached
+    "{\"name\":%s,\"stage\":%s,\"metric\":%s,\"threshold\":%s,\"target\":%s,\"fast_window\":%s,\"slow_window\":%s,\"burn_limit\":%s,\"at\":%s,\"total\":%d,\"good\":%d,\"fast_burn\":%s,\"slow_burn\":%s,\"breached\":%b}"
+    (json_string o.o_name) (json_string o.o_stage) (json_string o.o_metric)
+    (json_number o.o_threshold) (json_number o.o_target)
+    (json_number o.o_fast_window)
+    (json_number o.o_slow_window)
+    (json_number o.o_burn_limit) (json_number r.r_at) r.r_total r.r_good
+    (json_number r.r_fast_burn) (json_number r.r_slow_burn) r.r_breached
 
 let reports_to_json reports =
   "[" ^ String.concat "," (List.map report_to_json reports) ^ "]"

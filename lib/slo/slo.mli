@@ -68,10 +68,16 @@ val spec_grammar : string
 
 val default_burn_limit : float
 
-(** [parse spec] reads the grammar above. *)
+(** [parse spec] reads the grammar above.  The threshold, both
+    windows and the burn limit must be positive and finite ([inf],
+    [infinity] and [nan] are refused), and the target strictly between
+    0 and 1. *)
 val parse : string -> (objective, string) result
 
-(** {2 JSON rendering} (the telemetry [/slo] endpoint) *)
+(** {2 JSON rendering} (the telemetry [/slo] endpoint)
+
+    Numbers and strings go through {!Xy_obs.Obs.Export}, so a
+    non-finite value would print as [null], never as a bare [inf]. *)
 
 val report_to_json : report -> string
 

@@ -300,102 +300,102 @@ let install_continuous t ~subscription (c : S.continuous) =
         action);
   trigger_id
 
-let subscribe_unmetered t ~owner ~text =
+(* Parse and validate a subscription text without touching any state.
+   [replacing] names the subscription an update replaces: the text must
+   declare that name, where a fresh subscription's name must be free.
+   Either way a virtual target must be installed and must not be the
+   subscription itself. *)
+let validate t ?replacing text =
   match Xy_sublang.S_parser.parse text with
   | exception Xy_sublang.S_parser.Error { line; message } ->
       Error (Parse_error (Printf.sprintf "line %d: %s" line message))
   | ast -> (
-      if Hashtbl.mem t.subscriptions ast.S.name then Error (Duplicate ast.S.name)
-      else
-        match Compile.validate ast with
-        | exception Compile.Rejected reason -> Error (Rejected reason)
-        | compiled ->
-            (* Virtual targets must exist. *)
-            let missing_virtual =
-              List.find_opt
-                (fun (target, _) -> not (Hashtbl.mem t.subscriptions target))
-                ast.S.virtuals
+      let name = ast.S.name in
+      match replacing with
+      | None when Hashtbl.mem t.subscriptions name -> Error (Duplicate name)
+      | Some old when name <> old ->
+          Error
+            (Parse_error
+               (Printf.sprintf "update of %s declares subscription %s" old name))
+      | None | Some _ -> (
+          match Compile.validate ast with
+          | exception Compile.Rejected reason -> Error (Rejected reason)
+          | compiled -> (
+              match
+                List.find_opt
+                  (fun (target, _) ->
+                    target = name || not (Hashtbl.mem t.subscriptions target))
+                  ast.S.virtuals
+              with
+              | Some (target, _) -> Error (Unknown target)
+              | None -> Ok (ast, compiled))))
+
+(* Install a validated subscription and count it. *)
+let install t ~owner ~text (ast, compiled) =
+  (* 1. Register atomic events and complex events: one complex event
+     per disjunct, all sharing the monitoring query's dispatch. *)
+  let conditions = ref [] in
+  let complex_ids =
+    List.concat_map
+      (fun (cm : Compile.monitoring) ->
+        List.map
+          (fun disjunct ->
+            let codes =
+              List.map
+                (fun condition ->
+                  conditions := condition :: !conditions;
+                  Registry.register t.registry condition)
+                disjunct
             in
-            (match missing_virtual with
-            | Some (target, _) -> Error (Unknown target)
-            | None ->
-                (* 1. Register atomic events and complex events: one
-                   complex event per disjunct, all sharing the
-                   monitoring query's dispatch. *)
-                let conditions = ref [] in
-                let complex_ids =
-                  List.concat_map
-                    (fun (cm : Compile.monitoring) ->
-                      List.map
-                        (fun disjunct ->
-                          let codes =
-                            List.map
-                              (fun condition ->
-                                conditions := condition :: !conditions;
-                                Registry.register t.registry condition)
-                              disjunct
-                          in
-                          let id = t.next_complex_id in
-                          t.next_complex_id <- id + 1;
-                          Mqp.subscribe t.mqp ~id (Event_set.of_list codes);
-                          Hashtbl.replace t.dispatches id
-                            {
-                              d_subscription = ast.S.name;
-                              d_tag = cm.Compile.cm_name;
-                              d_select = cm.Compile.cm_select;
-                            };
-                          id)
-                        cm.Compile.cm_disjuncts)
-                    compiled
-                in
-                (* 2. Reporter registration. *)
-                let report = Option.value ~default:default_report ast.S.report in
-                Reporter.register t.reporter ~subscription:ast.S.name
-                  ~recipient:owner report;
-                (* 3. Continuous queries. *)
-                let trigger_ids =
-                  List.map (install_continuous t ~subscription:ast.S.name)
-                    ast.S.continuous
-                in
-                (* 4. Virtual registrations. *)
-                (match ast.S.virtuals with
-                | [] -> ()
-                | virtuals ->
-                    Hashtbl.replace t.linking ast.S.name
-                      (List.map
-                         (fun (target, _query) ->
-                           Reporter.add_recipient t.reporter
-                             ~subscription:target ~recipient:owner;
-                           (target, owner))
-                         virtuals));
-                Hashtbl.replace t.subscriptions ast.S.name
-                  {
-                    owner;
-                    text;
-                    ast;
-                    complex_ids;
-                    conditions = !conditions;
-                    trigger_ids;
-                  };
-                (match ast.S.refresh with
-                | [] -> ()
-                | refresh ->
-                    Hashtbl.replace t.refreshing ast.S.name
-                      (List.map
-                         (fun r -> (r.S.r_url, S.seconds r.S.r_freq))
-                         refresh));
-                (match t.persist with
-                | Some log ->
-                    Persist.append_insert log ~name:ast.S.name ~owner ~text
-                | None -> ());
-                Ok ast.S.name))
+            let id = t.next_complex_id in
+            t.next_complex_id <- id + 1;
+            Mqp.subscribe t.mqp ~id (Event_set.of_list codes);
+            Hashtbl.replace t.dispatches id
+              {
+                d_subscription = ast.S.name;
+                d_tag = cm.Compile.cm_name;
+                d_select = cm.Compile.cm_select;
+              };
+            id)
+          cm.Compile.cm_disjuncts)
+      compiled
+  in
+  (* 2. Reporter registration. *)
+  let report = Option.value ~default:default_report ast.S.report in
+  Reporter.register t.reporter ~subscription:ast.S.name ~recipient:owner
+    report;
+  (* 3. Continuous queries. *)
+  let trigger_ids =
+    List.map (install_continuous t ~subscription:ast.S.name) ast.S.continuous
+  in
+  (* 4. Virtual registrations. *)
+  (match ast.S.virtuals with
+  | [] -> ()
+  | virtuals ->
+      Hashtbl.replace t.linking ast.S.name
+        (List.map
+           (fun (target, _query) ->
+             Reporter.add_recipient t.reporter ~subscription:target
+               ~recipient:owner;
+             (target, owner))
+           virtuals));
+  Hashtbl.replace t.subscriptions ast.S.name
+    { owner; text; ast; complex_ids; conditions = !conditions; trigger_ids };
+  (match ast.S.refresh with
+  | [] -> ()
+  | refresh ->
+      Hashtbl.replace t.refreshing ast.S.name
+        (List.map (fun r -> (r.S.r_url, S.seconds r.S.r_freq)) refresh));
+  (match t.persist with
+  | Some log -> Persist.append_insert log ~name:ast.S.name ~owner ~text
+  | None -> ());
+  Obs.Counter.incr t.metrics.m_subscribed;
+  Obs.Gauge.set_int t.metrics.m_live (Hashtbl.length t.subscriptions);
+  ast.S.name
 
 let subscribe t ~owner ~text =
-  match subscribe_unmetered t ~owner ~text with
-  | Ok _ as ok ->
-      Obs.Counter.incr t.metrics.m_subscribed;
-      Obs.Gauge.set_int t.metrics.m_live (Hashtbl.length t.subscriptions);
-      ok
+  match validate t text with
+  | Ok valid -> Ok (install t ~owner ~text valid)
   | Error _ as err ->
       Obs.Counter.incr t.metrics.m_rejected;
       err
@@ -432,46 +432,24 @@ let unsubscribe t ~name =
       Ok ()
 
 let update t ~name ~owner ~text =
-  match Hashtbl.find_opt t.subscriptions name with
-  | None -> Error (Unknown name)
-  | Some _ -> (
-      (* Validate the replacement before touching anything. *)
-      match Xy_sublang.S_parser.parse text with
-      | exception Xy_sublang.S_parser.Error { line; message } ->
-          Error (Parse_error (Printf.sprintf "line %d: %s" line message))
-      | ast -> (
-          if ast.S.name <> name then
-            Error
-              (Parse_error
-                 (Printf.sprintf "update of %s declares subscription %s" name
-                    ast.S.name))
-          else
-            match Compile.validate ast with
-            | exception Compile.Rejected reason -> Error (Rejected reason)
-            | _compiled -> (
-                match
-                  List.find_opt
-                    (fun (target, _) ->
-                      target = name || not (Hashtbl.mem t.subscriptions target))
-                    ast.S.virtuals
-                with
-                | Some (target, _) -> Error (Unknown target)
-                | None ->
-                    (* neither step can fail (the name is installed, the
-                       text validated); still, surface an error *)
-                    Result.bind (unsubscribe t ~name) @@ fun () ->
-                    Result.map
-                      (fun _ ->
-                        (* the teardown dropped the recipients its
-                           virtual dependents had added *)
-                        Hashtbl.iter
-                          (fun _ ->
-                            List.iter (fun (target, recipient) ->
-                                if target = name then
-                                  Reporter.add_recipient t.reporter
-                                    ~subscription:name ~recipient))
-                          t.linking)
-                      (subscribe t ~owner ~text))))
+  if not (Hashtbl.mem t.subscriptions name) then Error (Unknown name)
+  else
+    (* Validate the replacement before touching anything. *)
+    Result.bind (validate t ~replacing:name text) @@ fun valid ->
+    (* cannot fail: the name is installed *)
+    Result.map
+      (fun () ->
+        ignore (install t ~owner ~text valid);
+        (* the teardown dropped the recipients its virtual dependents
+           had added *)
+        Hashtbl.iter
+          (fun _ ->
+            List.iter (fun (target, recipient) ->
+                if target = name then
+                  Reporter.add_recipient t.reporter ~subscription:name
+                    ~recipient))
+          t.linking)
+      (unsubscribe t ~name)
 
 let recover t path =
   (* Replayed inserts must not be re-appended to the log. *)

@@ -1,72 +1,18 @@
-module Obs = Xy_obs.Obs
-module Trace = Xy_trace.Trace
 module T = Xy_xml.Types
 
-let health_url = "xyleme://self/metrics.xml"
-let traces_url = "xyleme://self/traces.xml"
+let number = Xy_obs.Obs.Export.number
 
 let markers v =
   let rec grow acc threshold =
     if threshold > v || threshold > 1e9 then List.rev acc
     else
-      let marker = Printf.sprintf "over_%.0f" threshold in
-      grow (marker :: acc) (threshold *. 10.)
+      grow (("over_" ^ number threshold) :: acc) (threshold *. 10.)
   in
   grow [] 1.
 
 (* "12 over_1 over_10": the value itself first, then its markers, all
    plain words the subscription language's [contains] can test. *)
-let value_text v =
-  let rendered =
-    if Float.is_integer v && Float.abs v < 1e15 then
-      Printf.sprintf "%.0f" v
-    else Printf.sprintf "%g" v
-  in
-  String.concat " " (rendered :: markers v)
-
-let metric_value = function
-  | Obs.Snapshot.Counter n -> float_of_int n
-  | Obs.Snapshot.Gauge v -> v
-  | Obs.Snapshot.Histogram h -> float_of_int h.Obs.Snapshot.count
-
-let health_document ~snapshot =
-  let children =
-    List.map
-      (fun entry ->
-        let tag =
-          entry.Obs.Snapshot.stage ^ "_" ^ entry.Obs.Snapshot.name
-        in
-        T.el tag [ T.text (value_text (metric_value entry.Obs.Snapshot.value)) ])
-      snapshot.Obs.Snapshot.entries
-  in
-  T.element "health"
-    ~attrs:[ ("at", Printf.sprintf "%g" snapshot.Obs.Snapshot.at) ]
-    children
-
-let traces_document tracer =
-  let counts =
-    [
-      T.el "traces_started"
-        [ T.text (value_text (float_of_int (Trace.started tracer))) ];
-      T.el "traces_completed"
-        [ T.text (value_text (float_of_int (Trace.completed tracer))) ];
-    ]
-  in
-  let stages =
-    List.map
-      (fun stat ->
-        let total_ms = stat.Trace.st_total_wall *. 1e3 in
-        T.el
-          ("trace_" ^ stat.Trace.st_stage)
-          ~attrs:
-            [
-              ("spans", string_of_int stat.Trace.st_spans);
-              ("max_ms", Printf.sprintf "%.3f" (stat.Trace.st_max_wall *. 1e3));
-            ]
-          [ T.text (value_text (Float.round total_ms)) ])
-      (Trace.summary tracer)
-  in
-  T.element "trace_summary" (counts @ stages)
+let value_text v = String.concat " " (number v :: markers v)
 
 (* One document per objective: its URL is stable, so a subscription on
    [URL extends "xyleme://self/slo/"] sees every status transition as a
@@ -80,10 +26,10 @@ let slo_document (r : Xy_slo.Slo.report) =
     ~attrs:
       [
         ("name", o.Xy_slo.Slo.o_name);
-        ("at", Printf.sprintf "%g" r.Xy_slo.Slo.r_at);
-        ("objective", Printf.sprintf "%g of %s/%s within %gs"
-           o.Xy_slo.Slo.o_target o.Xy_slo.Slo.o_stage o.Xy_slo.Slo.o_metric
-           o.Xy_slo.Slo.o_threshold);
+        ("at", number r.Xy_slo.Slo.r_at);
+        ("objective", Printf.sprintf "%s of %s/%s within %ss"
+           (number o.Xy_slo.Slo.o_target) o.Xy_slo.Slo.o_stage
+           o.Xy_slo.Slo.o_metric (number o.Xy_slo.Slo.o_threshold));
       ]
     [
       (* the word the alerting subscription tests with [contains] *)
@@ -96,12 +42,6 @@ let slo_document (r : Xy_slo.Slo.report) =
       T.el "window_good"
         [ T.text (value_text (float_of_int r.Xy_slo.Slo.r_good)) ];
     ]
-
-let health_content ~snapshot =
-  Xy_xml.Printer.element_to_string ~indent:2 (health_document ~snapshot) ^ "\n"
-
-let traces_content tracer =
-  Xy_xml.Printer.element_to_string ~indent:2 (traces_document tracer) ^ "\n"
 
 let slo_content report =
   Xy_xml.Printer.element_to_string ~indent:2 (slo_document report) ^ "\n"

@@ -1,50 +1,32 @@
 (** Xyleme monitoring itself.
 
     The paper's system is its own best use case: system health is just
-    more XML data on (a virtual) web.  This module renders the
-    {!Xy_obs} snapshot and the {!Xy_trace} summaries as XML documents
-    under the [xyleme://self/] scheme; {!Xyleme.inject_self_monitor}
-    feeds them through the *unmodified* pipeline — loader, alerters,
-    MQP, reporter — so operators watch Xyleme with ordinary
-    subscriptions, e.g.
+    more XML data on (a virtual) web.  Each freshness objective
+    ({!Xy_slo.Slo}) gets one document under [xyleme://self/slo/],
+    rendered here.  [Xyleme.advance] evaluates the objectives and feeds
+    a document whose status flipped through the *unmodified* pipeline
+    — loader, alerters, MQP, reporter — so operators watch Xyleme with
+    ordinary subscriptions, e.g.
 
     {v
-subscription ReporterBacklog
+subscription FreshnessPager
 monitoring
-where modified self\\reporter_buffer_depth contains "over_1000"
-  and URL extends "xyleme://self/"
+where URL extends "xyleme://self/slo/"
+  and modified self\\status contains "breached"
 report when immediate
     v}
 
     Numeric thresholds work through the word-based condition language
-    via {e decade markers}: a metric element's text carries its value
+    via {e decade markers}: a number element's text carries its value
     plus one marker word per power of ten it reaches ([over_1]
     [over_10] [over_100] …), so [contains "over_1000"] is exactly
     "value ≥ 1000".  Since word matching is exact, [over_10] does not
-    fire for [over_100]. *)
-
-val health_url : string
-(** ["xyleme://self/metrics.xml"] *)
-
-val traces_url : string
-(** ["xyleme://self/traces.xml"] *)
+    fire for [over_100].  Values print with
+    {!Xy_obs.Obs.Export.number}. *)
 
 (** [markers v] is the decade-marker words for value [v], smallest
     first ([[]] when [v < 1]). *)
 val markers : float -> string list
-
-(** [health_document ~snapshot] is a [<health>] element with one child
-    per metric, tagged [<stage>_<name>] (e.g.
-    [<reporter_buffer_depth>]); the text is the metric's value
-    followed by its decade markers.  Histograms contribute their
-    sample count. *)
-val health_document : snapshot:Xy_obs.Obs.Snapshot.t -> Xy_xml.Types.element
-
-(** [traces_document tracer] is a [<trace_summary>] element: sampled
-    trace counts plus one [trace_<stage>] child per pipeline stage
-    seen in the completed-trace ring, carrying the stage's total wall
-    milliseconds (and decade markers thereof). *)
-val traces_document : Xy_trace.Trace.t -> Xy_xml.Types.element
 
 (** [slo_url name] is ["xyleme://self/slo/<name>.xml"] — one stable
     URL per objective, so a subscription on
@@ -57,8 +39,6 @@ val slo_url : string -> string
     tallies with decade markers. *)
 val slo_document : Xy_slo.Slo.report -> Xy_xml.Types.element
 
-(** Serialized forms of the documents, ready for {!Xyleme.ingest}. *)
-val health_content : snapshot:Xy_obs.Obs.Snapshot.t -> string
-
-val traces_content : Xy_trace.Trace.t -> string
+(** [slo_content report] is {!slo_document} serialized, ready for
+    ingest. *)
 val slo_content : Xy_slo.Slo.report -> string

@@ -625,7 +625,6 @@ let prepare ?serve_port ?serve_config ?sync_every () =
     | Some port when Option.is_none serve_config -> Some (Serve.config ~port ())
     | _ -> serve_config),
     {
-      d with
       Durable.sync_every = Option.value ~default:d.Durable.sync_every sync_every;
     } )
 
@@ -709,8 +708,7 @@ let serve_listen t =
                 | Ok () -> Ok ()
                 | Error e -> Error (Manager.error_to_string e));
             cb_status =
-              (fun () ->
-                Self_monitor.health_content ~snapshot:(Obs.snapshot t.obs));
+              (fun () -> Obs.Snapshot.to_xml_string (Obs.snapshot t.obs));
           }
 
 (* Apply queued wire mutations (SUBSCRIBE/UNSUBSCRIBE/ACK) on the
@@ -1053,29 +1051,6 @@ let process_batch t ~conclude docs =
 (* Public batch entry (bench, tests): the crawler is not involved, so
    fetched-state bookkeeping ([conclude]) is skipped. *)
 let ingest_batch t docs = process_batch t ~conclude:false docs
-
-(* Xyleme monitors itself: render the current metrics snapshot and
-   trace summary as XML and push them through the ordinary ingest
-   path, as if fetched from [xyleme://self/].  Health subscriptions
-   then ride the unmodified language/alerters/MQP/reporter. *)
-let inject_self_monitor_in_txn t =
-  let snapshot = Obs.snapshot t.obs in
-  let health =
-    ingest_in_txn t ~url:Self_monitor.health_url
-      ~content:(Self_monitor.health_content ~snapshot)
-      ~kind:Loader.Xml
-  in
-  let traces =
-    ingest_in_txn t ~url:Self_monitor.traces_url
-      ~content:(Self_monitor.traces_content t.tracer)
-      ~kind:Loader.Xml
-  in
-  (health, traces)
-
-let inject_self_monitor t =
-  let outcomes = inject_self_monitor_in_txn t in
-  commit_txn t;
-  outcomes
 
 (* Evaluate the SLO objectives against the live metrics and ingest an
    SLO document for every objective whose status flipped (first

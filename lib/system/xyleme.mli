@@ -62,9 +62,10 @@ type t
     [serve_port] opens the wire-protocol serving surface
     ({!Xy_serve.Serve}) on that TCP port (0 picks an ephemeral one,
     read it back via {!serve}): remote clients SUBSCRIBE/UNSUBSCRIBE,
-    poll STATUS, and receive streamed report frames they acknowledge
-    by delivery seq.  Deliveries tee into the wire path without
-    disturbing [sink].  [serve_config] gives full control (host,
+    poll STATUS (answered with the [<metrics>] document of
+    {!Xy_obs.Obs.Snapshot.to_xml_string}), and receive streamed report
+    frames they acknowledge by delivery seq.  Deliveries tee into the
+    wire path without disturbing [sink].  [serve_config] gives full control (host,
     backlog, per-client outbox window, frame-size cap) and wins over
     [serve_port]. *)
 val create :
@@ -242,13 +243,6 @@ type batch_doc = {
     batch syncs the WAL once, after its last document; only then do
     the batch's reports reach the sinks. *)
 val ingest_batch : t -> batch_doc list -> unit
-
-(** [inject_self_monitor t] renders the current metrics snapshot and
-    trace summary ({!Self_monitor}) and ingests them as documents
-    under [xyleme://self/], returning the two outcomes
-    [(health, traces)].  Health subscriptions fire through the normal
-    pipeline. *)
-val inject_self_monitor : t -> ingest_outcome * ingest_outcome
 
 (** {2 The crawl loop} *)
 

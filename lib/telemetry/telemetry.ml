@@ -144,11 +144,8 @@ let sanitize name =
       | _ -> '_')
     name
 
-let prom_float v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.9g" v
-
 let prometheus_of_snapshot (snapshot : Obs.Snapshot.t) =
+  let number = Obs.Export.number in
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let typed = Hashtbl.create 32 in
@@ -171,7 +168,7 @@ let prometheus_of_snapshot (snapshot : Obs.Snapshot.t) =
           add "%s{stage=\"%s\"} %d\n" name stage n
       | Obs.Snapshot.Gauge v ->
           declare name "gauge";
-          add "%s{stage=\"%s\"} %s\n" name stage (prom_float v)
+          add "%s{stage=\"%s\"} %s\n" name stage (number v)
       | Obs.Snapshot.Histogram h ->
           declare name "histogram";
           (* one cumulative series per power of two, which are bucket
@@ -180,14 +177,14 @@ let prometheus_of_snapshot (snapshot : Obs.Snapshot.t) =
           for i = 0 to Obs.Snapshot.buckets - 1 do
             let bound = Obs.Snapshot.upper_bound i in
             if fst (Float.frexp bound) = 0.5 then
-              add "%s_bucket{stage=\"%s\",le=\"%.17g\"} %d\n" name stage
-                bound
+              add "%s_bucket{stage=\"%s\",le=\"%s\"} %d\n" name stage
+                (number bound)
                 (Obs.Snapshot.count_le h bound)
           done;
           add "%s_bucket{stage=\"%s\",le=\"+Inf\"} %d\n" name stage
             h.Obs.Snapshot.count;
           add "%s_sum{stage=\"%s\"} %s\n" name stage
-            (prom_float h.Obs.Snapshot.sum);
+            (number h.Obs.Snapshot.sum);
           add "%s_count{stage=\"%s\"} %d\n" name stage h.Obs.Snapshot.count;
           (* bucket-estimated quantiles, precomputed for dashboards
              that do not run histogram_quantile *)
@@ -199,7 +196,7 @@ let prometheus_of_snapshot (snapshot : Obs.Snapshot.t) =
                 if h.Obs.Snapshot.count = 0 then 0.
                 else Obs.Snapshot.quantile h q
               in
-              add "%s{stage=\"%s\"} %s\n" gauge stage (prom_float v))
+              add "%s{stage=\"%s\"} %s\n" gauge stage (number v))
             [ (0.5, "p50"); (0.95, "p95"); (0.99, "p99") ])
     snapshot.Obs.Snapshot.entries;
   Buffer.contents buf

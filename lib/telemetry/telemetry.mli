@@ -38,4 +38,5 @@ val prometheus_of_snapshot : Xy_obs.Obs.Snapshot.t -> string
     format.  Metric names are [xyleme_<name>] with a [stage] label;
     counters gain a [_total] suffix; histograms emit cumulative
     [_bucket{le=...}] series plus [_sum]/[_count] and bucket-estimated
-    [_p50]/[_p95]/[_p99] gauges. *)
+    [_p50]/[_p95]/[_p99] gauges.  Values and [le] labels print with
+    {!Xy_obs.Obs.Export.number}. *)

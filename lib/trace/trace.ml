@@ -287,88 +287,31 @@ let summary t =
 (* ------------------------------------------------------------------ *)
 (* Export *)
 
-let json_escape s =
-  let buffer = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buffer "\\\""
-      | '\\' -> Buffer.add_string buffer "\\\\"
-      | '\n' -> Buffer.add_string buffer "\\n"
-      | '\r' -> Buffer.add_string buffer "\\r"
-      | '\t' -> Buffer.add_string buffer "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buffer c)
-    s;
-  Buffer.contents buffer
-
-let json_float v = Printf.sprintf "%.9g" v
-
 let span_to_json s =
+  let open Obs.Export in
   let attrs =
     String.concat ","
-      (List.map
-         (fun (k, v) ->
-           Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-         s.sp_attrs)
+      (List.map (fun (k, v) -> json_string k ^ ":" ^ json_string v) s.sp_attrs)
   in
   Printf.sprintf
-    "{\"stage\":\"%s\",\"name\":\"%s\",\"start_wall\":%s,\"dur_wall\":%s,\"start_virtual\":%s,\"dur_virtual\":%s,\"attrs\":{%s}}"
-    (json_escape s.sp_stage) (json_escape s.sp_name)
-    (json_float s.sp_start_wall) (json_float s.sp_dur_wall)
-    (json_float s.sp_start_virtual) (json_float s.sp_dur_virtual) attrs
+    "{\"stage\":%s,\"name\":%s,\"start_wall\":%s,\"dur_wall\":%s,\"start_virtual\":%s,\"dur_virtual\":%s,\"attrs\":{%s}}"
+    (json_string s.sp_stage) (json_string s.sp_name)
+    (json_number s.sp_start_wall) (json_number s.sp_dur_wall)
+    (json_number s.sp_start_virtual) (json_number s.sp_dur_virtual) attrs
 
 let trace_to_jsonl trace =
+  let open Obs.Export in
   Printf.sprintf
-    "{\"id\":%d,\"root\":\"%s\",\"start_wall\":%s,\"dur_wall\":%s,\"start_virtual\":%s,\"spans\":[%s]}"
-    trace.tr_id (json_escape trace.tr_root)
-    (json_float trace.tr_start_wall)
-    (json_float trace.tr_dur_wall)
-    (json_float trace.tr_start_virtual)
+    "{\"id\":%d,\"root\":%s,\"start_wall\":%s,\"dur_wall\":%s,\"start_virtual\":%s,\"spans\":[%s]}"
+    trace.tr_id (json_string trace.tr_root)
+    (json_number trace.tr_start_wall)
+    (json_number trace.tr_dur_wall)
+    (json_number trace.tr_start_virtual)
     (String.concat "," (List.map span_to_json trace.tr_spans))
 
 let to_jsonl_string t =
   String.concat ""
     (List.map (fun trace -> trace_to_jsonl trace ^ "\n") (traces_oldest_first t))
-
-module T = Xy_xml.Types
-
-let float_attr v = Printf.sprintf "%.9g" v
-
-let span_to_xml s =
-  T.element "span"
-    ~attrs:
-      [
-        ("stage", s.sp_stage);
-        ("name", s.sp_name);
-        ("start_wall", float_attr s.sp_start_wall);
-        ("dur_wall", float_attr s.sp_dur_wall);
-        ("start_virtual", float_attr s.sp_start_virtual);
-        ("dur_virtual", float_attr s.sp_dur_virtual);
-      ]
-    (List.map
-       (fun (k, v) -> T.el "attr" ~attrs:[ ("name", k); ("value", v) ] [])
-       s.sp_attrs)
-
-let trace_to_xml trace =
-  T.element "trace"
-    ~attrs:
-      [
-        ("id", string_of_int trace.tr_id);
-        ("root", trace.tr_root);
-        ("start_wall", float_attr trace.tr_start_wall);
-        ("dur_wall", float_attr trace.tr_dur_wall);
-        ("start_virtual", float_attr trace.tr_start_virtual);
-      ]
-    (List.map (fun s -> T.Element (span_to_xml s)) trace.tr_spans)
-
-let to_xml_string t =
-  let root =
-    T.element "traces"
-      (List.map (fun trace -> T.Element (trace_to_xml trace)) (traces_oldest_first t))
-  in
-  Xy_xml.Printer.element_to_string ~indent:2 root ^ "\n"
 
 (* ------------------------------------------------------------------ *)
 (* Pretty rendering *)

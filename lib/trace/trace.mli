@@ -5,9 +5,9 @@
     spend its time?".  A sampled document receives a trace context at
     fetch time; the context propagates with the document through
     crawler → loader → alerters → MQP → trigger engine → reporter,
-    and rides messages across {!Xy_system.Bus} queues and the
-    parallel pipeline's domains, so cross-domain queue wait is
-    attributed to a [bus.wait] span of the same trace.
+    and crosses the parallel pipeline's domains with it, so a worker's
+    wait for its hand-off is attributed to a [bus/wait] span of the
+    same trace.
 
     Sampling is deterministic (1-in-N via {!Xy_util.Prng}), so a
     simulation replayed from the same seed samples the same documents.
@@ -18,8 +18,8 @@
     Spans record their stage, start and duration on both clocks (the
     virtual simulation {!Xy_util.Clock} and {!Xy_obs.Obs.now}),
     and key attributes (url, event counts, report size).  Completed
-    traces are retained in a bounded ring buffer and exported as JSONL
-    or as an XML [<trace>] document via the existing printer.
+    traces are retained in a bounded ring buffer and exported as JSONL,
+    the one trace export.
 
     The library is safe across OCaml domains: span completion and
     trace retirement take a tracer-internal lock, which only sampled
@@ -29,8 +29,9 @@
 
     Wall times are {!Xy_obs.Obs.now} readings: [CLOCK_MONOTONIC]
     seconds from an arbitrary origin, so a [*_dur_wall] is never
-    negative and a [*_start_wall] (exported as [start_wall] as it is)
-    orders spans but is not calendar time. *)
+    negative and a [*_start_wall] orders spans but is not calendar
+    time.  The export prints both exactly ({!Xy_obs.Obs.Export}), so
+    spans a nanosecond apart keep distinct [start_wall]s. *)
 
 (** {2 Spans and traces} *)
 
@@ -79,7 +80,7 @@ val set_virtual_clock : t -> (unit -> float) -> unit
 
     A context is an immutable handle naming one sampled document's
     trace; it is designed to ride inside pipeline messages (alerts,
-    bus envelopes) across domains.  Pipeline stages receive a
+    batch documents) across domains.  Pipeline stages receive a
     [ctx option] and pay nothing when it is [None]. *)
 
 type ctx
@@ -123,7 +124,7 @@ val wrap :
 
 (** [record ctx ~stage ~name ~start_wall ~dur_wall] files a span
     retroactively — the producing side only kept timestamps (e.g. a
-    bus enqueue instant measured on another domain).  Virtual start is
+    hand-off instant measured on another domain).  Virtual start is
     the tracer's current simulation time, virtual duration [0.]. *)
 val record :
   ctx ->
@@ -170,23 +171,20 @@ type stage_stat = {
     ring, largest total first. *)
 val summary : t -> stage_stat list
 
-(** {2 Export} *)
+(** {2 Export}
 
-(** [trace_to_jsonl trace] is one JSON object on one line. *)
+    JSON Lines is the one machine encoding of traces: the telemetry
+    endpoint's [/traces] and [xyleme_cli trace --jsonl] serve it.
+    Numbers and strings go through {!Xy_obs.Obs.Export}. *)
+
+(** [trace_to_jsonl trace] is one JSON object on one line: [id],
+    [root], [start_wall], [dur_wall], [start_virtual] and [spans], each
+    span with [stage], [name], its four times and an [attrs] object. *)
 val trace_to_jsonl : trace -> string
 
 (** [to_jsonl_string t] is one line per completed trace, oldest
     first. *)
 val to_jsonl_string : t -> string
-
-(** [trace_to_xml trace] is a [<trace>] element (spans as [<span>]
-    children with [<attr>] grandchildren), printable with
-    {!Xy_xml.Printer}. *)
-val trace_to_xml : trace -> Xy_xml.Types.element
-
-(** [to_xml_string t] is a [<traces>] document of every completed
-    trace, oldest first. *)
-val to_xml_string : t -> string
 
 (** [pp_trace] renders one trace for the terminal: header, span table
     and per-stage breakdown. *)

@@ -1227,8 +1227,7 @@ let test_snapshot_sections_roundtrip () =
 (* ------------------------------------------------------------------ *)
 (* Group commit and checkpoints (Durable level) *)
 
-(* fsync degraded to flush: these model process kills, not power loss *)
-let d_config ?(sync_every = 1) () = { Durable.sync_every; fsync = false }
+let d_config ?(sync_every = 1) () = { Durable.sync_every }
 
 (* A kill simulated from inside a durable fuse. *)
 exception Killed
@@ -1917,7 +1916,7 @@ let test_flip_wal () =
     ]
   in
   Out_channel.with_open_bin path (fun oc ->
-      List.iter (Durable.Wal.append_txn ~sync:false oc) txns);
+      List.iter (Durable.Wal.append_txn oc) txns);
   flip_every_byte path (fun pos ->
       if not (is_prefix (fst (Durable.Wal.scan path)) txns) then
         Alcotest.failf "byte %d: altered transaction read" pos)
@@ -1930,7 +1929,7 @@ let test_flip_snapshot () =
       ("queue", Durable.Delta 2);
     ]
   in
-  Durable.Snapshot.write ~fsync:false path sections;
+  Durable.Snapshot.write path sections;
   checkb "snapshot roundtrip" true (Durable.Snapshot.load path = Ok sections);
   flip_every_byte path (fun pos ->
       match Durable.Snapshot.load path with

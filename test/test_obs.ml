@@ -1,6 +1,8 @@
 (* Tests for xy_obs: instrument laws, registry interning, snapshot
    algebra (merge is associative/commutative with [empty] as identity),
-   and exactness of the striped accumulation under parallel domains. *)
+   the export encoder (numbers read back exactly, JSON strings escape
+   what they must, and the trace JSONL keeps microsecond starts), and
+   exactness of the striped accumulation under parallel domains. *)
 
 module Obs = Xy_obs.Obs
 
@@ -204,9 +206,13 @@ let test_renderers_smoke () =
   let xml = Obs.Snapshot.to_xml_string snapshot in
   checkb "xml counter" true
     (Xy_query.Eval.word_contains ~word:"alerts" xml);
-  (* the XML renderer must emit a well-formed document *)
+  (* the XML renderer must emit a well-formed document whose [at]
+     reads back to the snapshot's own *)
   match Xy_xml.Parser.parse xml with
-  | _ -> ()
+  | doc ->
+      checkb "at reads back exactly" true
+        (Option.map float_of_string (Xy_xml.Types.attr doc.Xy_xml.Types.root "at")
+        = Some snapshot.Obs.Snapshot.at)
   | exception Xy_xml.Parser.Error _ -> Alcotest.fail "snapshot XML unparseable"
 
 let test_clock () =
@@ -389,6 +395,134 @@ let qcheck_partitioned_merge_exact =
       forward.Obs.Snapshot.entries = expected
       && backward.Obs.Snapshot.entries = expected)
 
+(* ------------------------------------------------------------------ *)
+(* Export encoding *)
+
+(* Finite doubles from their bit patterns, plus the values a printer
+   gets wrong: signed zeros, subnormals, integers and the 1e15 edge. *)
+let qcheck_number_reads_back =
+  let finite =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map Int64.float_of_bits ui64);
+          (2, map float_of_int (int_range (-2_000_000) 2_000_000));
+          (1, map (fun f -> f *. ldexp 1. (-1022)) (float_bound_exclusive 1.));
+          ( 1,
+            oneofl
+              [ 0.; -0.; 5e-324; -5e-324; 1e15 -. 1.; 1e15; 1e15 +. 1.;
+                0.1; 1. /. 3.; 54179.557712345; ldexp 1. (-30); max_float ] );
+        ])
+  in
+  QCheck.Test.make ~name:"number reads back to the same float" ~count:20_000
+    (QCheck.make ~print:(Printf.sprintf "%h") finite)
+    (fun v ->
+      QCheck.assume (Float.is_finite v);
+      let s = Obs.Export.number v in
+      Int64.equal
+        (Int64.bits_of_float (float_of_string s))
+        (Int64.bits_of_float v)
+      && Obs.Export.json_number v = s
+      (* an integer below 1e15 prints as plain digits *)
+      && ((not (Float.is_integer v && Float.abs v < 1e15))
+         || String.for_all (fun c -> c = '-' || (c >= '0' && c <= '9')) s))
+
+let test_number_forms () =
+  let checks = Alcotest.(check string) in
+  checks "shortest exact form" "54179.557712345"
+    (Obs.Export.number 54179.557712345);
+  checks "integer without exponent" "1209601" (Obs.Export.number 1209601.);
+  checks "1e15 + 1 keeps its last digit" "1000000000000001"
+    (Obs.Export.number (1e15 +. 1.));
+  checks "0.1" "0.1" (Obs.Export.number 0.1);
+  checks "+Inf" "+Inf" (Obs.Export.number infinity);
+  checks "-Inf" "-Inf" (Obs.Export.number neg_infinity);
+  checks "NaN" "NaN" (Obs.Export.number nan);
+  checks "json infinity" "null" (Obs.Export.json_number infinity);
+  checks "json nan" "null" (Obs.Export.json_number nan)
+
+(* A strict JSON string reader: quotes around, no raw control
+   character or quote inside, only the escapes JSON defines. *)
+let read_json_string s =
+  let n = String.length s in
+  if n < 2 || s.[0] <> '"' || s.[n - 1] <> '"' then None
+  else
+    let out = Buffer.create n in
+    let rec go i =
+      if i = n - 1 then Some (Buffer.contents out)
+      else
+        match s.[i] with
+        | '"' -> None
+        | c when Char.code c < 0x20 -> None
+        | '\\' when i + 1 < n - 1 -> (
+            match s.[i + 1] with
+            | ('"' | '\\' | '/') as c ->
+                Buffer.add_char out c;
+                go (i + 2)
+            | 'n' -> Buffer.add_char out '\n'; go (i + 2)
+            | 'r' -> Buffer.add_char out '\r'; go (i + 2)
+            | 't' -> Buffer.add_char out '\t'; go (i + 2)
+            | 'b' -> Buffer.add_char out '\b'; go (i + 2)
+            | 'f' -> Buffer.add_char out '\012'; go (i + 2)
+            | 'u' when i + 5 < n - 1 -> (
+                match int_of_string_opt ("0x" ^ String.sub s (i + 2) 4) with
+                | Some code when code < 0x100 ->
+                    Buffer.add_char out (Char.chr code);
+                    go (i + 6)
+                | _ -> None)
+            | _ -> None)
+        | '\\' -> None
+        | c ->
+            Buffer.add_char out c;
+            go (i + 1)
+    in
+    go 1
+
+let qcheck_json_string_reads_back =
+  let byte = QCheck.Gen.(map Char.chr (int_range 0 255)) in
+  QCheck.Test.make ~name:"json_string escapes quotes, backslashes, controls"
+    ~count:2_000
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(
+         oneof
+           [
+             string_size ~gen:byte (int_range 0 40);
+             string_size
+               ~gen:(oneofl ('"' :: '\\' :: List.init 32 Char.chr))
+               (int_range 0 40);
+           ]))
+    (fun s -> read_json_string (Obs.Export.json_string s) = Some s)
+
+(* Spans a microsecond apart, 38,000 s from the monotonic origin (a
+   host up for ten hours): the JSONL export must keep them apart. *)
+let test_trace_jsonl_start_walls_exact () =
+  let module Trace = Xy_trace.Trace in
+  let tracer = Trace.create ~sample_every:1 () in
+  let ctx = Trace.start_always tracer ~root:"http://a.example/\"q\"" in
+  let starts = List.init 5 (fun i -> 38_000. +. (float_of_int i *. 1e-6)) in
+  List.iter
+    (fun start_wall ->
+      Trace.record ctx ~stage:"s" ~name:"n" ~start_wall ~dur_wall:1e-7 ())
+    starts;
+  Trace.finish ctx;
+  let line = Trace.to_jsonl_string tracer in
+  (* every number after a "start_wall": key, the trace's own first *)
+  let key = "\"start_wall\":" in
+  let k = String.length key in
+  let rec values i acc =
+    if i + k > String.length line then List.rev acc
+    else if String.sub line i k <> key then values (i + 1) acc
+    else
+      let stop = String.index_from line (i + k) ',' in
+      values stop
+        (float_of_string (String.sub line (i + k) (stop - i - k)) :: acc)
+  in
+  match values 0 [] with
+  | _trace :: spans ->
+      Alcotest.(check (list (float 0.))) "every start_wall reads back" starts
+        spans
+  | [] -> Alcotest.fail "no start_wall exported"
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "obs"
@@ -411,6 +545,13 @@ let () =
           tc "merge gauge/histogram" test_merge_gauge_and_histogram;
           tc "reset" test_reset;
           tc "renderers" test_renderers_smoke;
+        ] );
+      ( "export",
+        [
+          QCheck_alcotest.to_alcotest qcheck_number_reads_back;
+          tc "number forms" test_number_forms;
+          QCheck_alcotest.to_alcotest qcheck_json_string_reads_back;
+          tc "trace jsonl start_wall exact" test_trace_jsonl_start_walls_exact;
         ] );
       ( "domains",
         [

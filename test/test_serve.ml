@@ -823,6 +823,26 @@ let test_wire_equivalence_under_faults () =
     (in_proc = baseline);
   checkb "faulted wire deliveries equal the sink's" true (over_wire = baseline)
 
+(* A served system answers STATUS with its metrics snapshot: the one
+   [<metrics>] document that [stats --xml] prints. *)
+let test_status_is_metrics_document () =
+  let x = Xyleme.create ~seed:eq_seed ~web:(eq_web ()) ~serve_port:0 () in
+  Fun.protect ~finally:(fun () -> Xyleme.stop_serve x) @@ fun () ->
+  Xyleme.run x ~days:1. ~step:eq_step ~fetch_limit:eq_fetch;
+  let c = connect (Serve.port (Option.get (Xyleme.serve x))) in
+  ignore (hello c);
+  send c Frame.Status;
+  (match recv c with
+  | Event (Frame.Status_reply xml) ->
+      let root = (Xy_xml.Parser.parse xml).Xy_xml.Types.root in
+      checks "root element" "metrics" root.Xy_xml.Types.tag;
+      checkb "the crawler's stage is reported" true
+        (List.exists
+           (fun stage -> Xy_xml.Types.attr stage "name" = Some "crawler")
+           (Xy_xml.Types.children_elements root))
+  | _ -> Alcotest.fail "expected a STATUS reply");
+  close_client c
+
 (* ------------------------------------------------------------------ *)
 (* Slow clients and abrupt disconnects (system level) *)
 
@@ -1223,6 +1243,8 @@ let () =
           tc "pipelined requests" test_pipelined_requests;
           tc "ack before hello" test_ack_before_hello;
           tc "hello rebind evicts" test_hello_rebind_evicts;
+          tc "a served system's status is its metrics document"
+            test_status_is_metrics_document;
         ] );
       ( "adversarial",
         [

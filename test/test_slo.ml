@@ -57,7 +57,19 @@ let test_parse_rejects () =
   rejects "n:s/m<=1:0:1d/7d";
   (* fast window must not exceed slow *)
   rejects "n:s/m<=1:0.9:7d/1d";
-  rejects "n:s/m<=1:0.9:1w/2w"
+  rejects "n:s/m<=1:0.9:1w/2w";
+  (* non-finite numbers, in every numeric field *)
+  List.iter
+    (fun v ->
+      rejects (Printf.sprintf "n:s/m<=%s:0.9:1d/7d" v);
+      rejects (Printf.sprintf "n:s/m<=1:%s:1d/7d" v);
+      rejects (Printf.sprintf "n:s/m<=1:0.9:%s/7d" v);
+      rejects (Printf.sprintf "n:s/m<=1:0.9:1d/%s" v);
+      rejects (Printf.sprintf "n:s/m<=1:0.9:1d/%sd" v);
+      rejects (Printf.sprintf "n:s/m<=1:0.9:1d/7d:%s" v))
+    [ "inf"; "infinity"; "nan" ];
+  (* a finite window that overflows once scaled to seconds *)
+  rejects "n:s/m<=1:0.9:1d/1e308d"
 
 (* ------------------------------------------------------------------ *)
 (* Burn-rate judgement *)

@@ -554,69 +554,6 @@ report when immediate|});
   | _ -> Alcotest.fail "expected two completed traces"
 
 (* ------------------------------------------------------------------ *)
-(* Self-monitoring: system health as ordinary monitored documents *)
-
-(* The acceptance scenario: an operator subscribes to the system's own
-   health pages with the unmodified subscription language, and the
-   subscription fires through the normal loader → alerters → MQP →
-   reporter path — no side channel. *)
-let test_self_monitor_subscription_fires () =
-  let sink, deliveries = Sink.memory () in
-  let t = Xyleme.create ~seed:42 ~sink () in
-  ignore
-    (subscribe_exn t ~owner:"operator"
-       ~text:
-         {|subscription SelfHealth
-monitoring
-select <HealthAlert url=URL/>
-where URL extends "xyleme://self/" and modified self
-report when immediate|});
-  (* Decade-marker words turn the numeric text into thresholds the
-     word predicate can test: "over_1" appears once the warehouse has
-     loaded at least one document. *)
-  ignore
-    (subscribe_exn t ~owner:"operator"
-       ~text:
-         {|subscription WarehouseGrowth
-monitoring
-where modified self\\warehouse_loaded_new contains "over_1"
-  and URL extends "xyleme://self/metrics"
-report when immediate|});
-  (* First injection: the health pages are new, nothing is modified
-     yet. *)
-  let h1, _ = Xyleme.inject_self_monitor t in
-  checkb "health page alerted the processor" true h1.Xyleme.alerted;
-  checki "new pages do not fire modified-self" 0 (List.length !deliveries);
-  (* The injection itself moved the metrics (two documents loaded), so
-     the second health page differs from the first: modified-self and
-     the over_1 threshold both fire. *)
-  let h2, _ = Xyleme.inject_self_monitor t in
-  checkb "second health page matched" true (h2.Xyleme.matched <> []);
-  let fired =
-    List.sort_uniq compare
-      (List.map (fun d -> d.Sink.subscription) !deliveries)
-  in
-  Alcotest.(check (list string))
-    "both health subscriptions reported"
-    [ "SelfHealth"; "WarehouseGrowth" ]
-    fired;
-  (* The report body names the self URL, like any monitored page. *)
-  List.iter
-    (fun d ->
-      if d.Sink.subscription = "SelfHealth" then
-        match T.children_elements d.Sink.report with
-        | [ alert ] ->
-            checks "tag" "HealthAlert" alert.T.tag;
-            checkb "self url" true
-              (match T.attr alert "url" with
-              | Some url ->
-                  String.length url >= 14
-                  && String.sub url 0 14 = "xyleme://self/"
-              | None -> false)
-        | _ -> Alcotest.fail "expected one HealthAlert")
-    !deliveries
-
-(* ------------------------------------------------------------------ *)
 (* Freshness: staleness accounting, SLO alerting, metric carry *)
 
 module Obs = Xy_obs.Obs
@@ -1526,7 +1463,6 @@ let () =
             test_restore_keeps_virtual_dependent;
           tc "stats" test_stats_consistency;
           tc "trace covers pipeline" test_trace_covers_pipeline;
-          tc "self-monitor subscription" test_self_monitor_subscription_fires;
         ] );
       ("memo", [ QCheck_alcotest.to_alcotest qcheck_memo_equals_fresh_chain ]);
       ( "warehouse view",
