@@ -30,16 +30,28 @@ let decoding f payload =
   Codec.expect_end r;
   v
 
-(* A transaction is one record: the list of its (stage, payload)
-   ops. *)
-let encode_ops ops =
-  let buf = Buffer.create 256 in
-  Codec.list buf
-    (fun buf { stage; payload } ->
-      Codec.string buf stage;
-      Codec.string buf payload)
-    ops;
-  Buffer.contents buf
+(* A transaction is one record whose payload is the Codec list of its
+   ops' (stage, payload) pairs.  As parts: the count, then for each op
+   its fields up to the payload's bytes (a Codec string is its length
+   field, then the raw bytes), then those bytes, so the record's
+   checksum folds over them and no payload is copied before it lands
+   in the group-commit batch. *)
+let txn_parts ops =
+  let fields fill =
+    let buf = Buffer.create 32 in
+    fill buf;
+    Buffer.contents buf
+  in
+  fields (fun buf -> Codec.int buf (List.length ops))
+  :: List.concat_map
+       (fun { stage; payload } ->
+         [
+           fields (fun buf ->
+               Codec.string buf stage;
+               Codec.int buf (String.length payload));
+           payload;
+         ])
+       ops
 
 let decode_ops =
   decoding @@ fun r ->
@@ -58,10 +70,8 @@ let snap_path dir gen = Filename.concat dir (Printf.sprintf "gen-%d.snap" gen)
 let wal_path dir gen = Filename.concat dir (Printf.sprintf "gen-%d.wal" gen)
 
 module Wal = struct
-  let encode_txn ops = Record_log.encode (encode_ops ops)
-
   let append_txn oc ops =
-    output_string oc (encode_txn ops);
+    Record_log.output_record oc (txn_parts ops);
     Record_log.sync oc
 
   let scan path = Record_log.read path ~decode:decode_ops
@@ -294,7 +304,7 @@ let commit t =
              closing checkpoint; until then commits must not land in
              the old generation's (possibly torn) log *)
           invalid_arg "Durable.commit: no open WAL (restore not finished?)");
-      Buffer.add_string t.pending (Wal.encode_txn ops);
+      Record_log.add_record t.pending (txn_parts ops);
       t.pending_txns <- t.pending_txns + 1;
       if t.pending_txns >= t.config.sync_every then sync_pending t
 

@@ -1,22 +1,114 @@
 module Fault = Xy_fault.Fault
-module Hashing = Xy_util.Hashing
 
 (* {2 Records} *)
 
-let checksum = Hashing.signature
+(* The record checksum, 64 bits folded over the payload's
+   little-endian 8-byte words: each word is xored into the state,
+   which is then multiplied by an odd constant and xor-shifted.  Both
+   steps are bijections of the state and the xor is one of the word,
+   so two payloads of one length that differ in a single word, in any
+   of its bits, always end in different states.  The trailing
+   [n mod 8] bytes make a last, zero-padded word, and the length comes
+   after it.  The parts are folded as one stream, a word may straddle
+   two of them, so a checksum over parts is the checksum of their
+   concatenation without building it.  Int64 locals stay unboxed in
+   the loops; a part costs two boxes. *)
+let seed = 0x243f6a8885a308d3L
+let odd = 0x9e3779b97f4a7c15L
+
+let[@inline] mix h w =
+  let h = Int64.mul (Int64.logxor h w) odd in
+  Int64.logxor h (Int64.shift_right_logical h 32)
+
+let sum parts =
+  (* [w]: the [k] bytes of a word the parts so far left unfinished;
+     [n]: their total length *)
+  let rec go h w k n = function
+    | [] -> mix (mix h w) (Int64.of_int n)
+    | s :: rest ->
+        let len = String.length s in
+        let h = ref h and w = ref w and k = ref k and i = ref 0 in
+        while !i < len do
+          if !k = 0 && !i + 8 <= len then begin
+            h := mix !h (String.get_int64_le s !i);
+            i := !i + 8
+          end
+          else begin
+            let byte = Int64.of_int (Char.code (String.unsafe_get s !i)) in
+            w := Int64.logor !w (Int64.shift_left byte (8 * !k));
+            incr i;
+            incr k;
+            if !k = 8 then begin
+              h := mix !h !w;
+              w := 0L;
+              k := 0
+            end
+          end
+        done;
+        go !h !w !k (n + len) rest
+  in
+  go seed 0L 0 0 parts
+
+let hex_digit = "0123456789abcdef"
+
+let put_hex b pos h =
+  for i = 0 to 15 do
+    let nibble = Int64.to_int (Int64.shift_right_logical h (60 - (4 * i))) in
+    Bytes.unsafe_set b (pos + i) hex_digit.[nibble land 0xf]
+  done
+
+let checksum payload =
+  let b = Bytes.create 16 in
+  put_hex b 0 (sum [ payload ]);
+  Bytes.unsafe_to_string b
+
+(* The header line names its checksum by its tag: [W] for the word
+   checksum above, [X] for the byte-serial FNV-1a that older builds
+   wrote, which this build recognizes only to refuse it by name. *)
+let tag = "W"
+let older_tag = "X"
 let default_max_frame = 16 * 1024 * 1024
 
-(* "X " + decimal length + " " + 16 hex digits.  A header that grows
-   past this without a newline cannot become valid. *)
-let header_max = 2 + 19 + 1 + 16
+(* tag + " " + decimal length + " " + 16 hex digits.  A header that
+   grows past this without a newline cannot become valid. *)
+let header_max = 1 + 1 + 19 + 1 + 16
+
+(* The header of a payload whose length prints as [digits] and whose
+   checksum is [h], written at the start of [b]: [String.length
+   digits + 20] bytes. *)
+let put_header b digits h =
+  let n = String.length digits in
+  Bytes.unsafe_set b 0 tag.[0];
+  Bytes.unsafe_set b 1 ' ';
+  Bytes.blit_string digits 0 b 2 n;
+  Bytes.unsafe_set b (n + 2) ' ';
+  put_hex b (n + 3) h;
+  Bytes.unsafe_set b (n + 19) '\n'
+
+let header parts =
+  let len = List.fold_left (fun n part -> n + String.length part) 0 parts in
+  let digits = string_of_int len in
+  let b = Bytes.create (String.length digits + 20) in
+  put_header b digits (sum parts);
+  Bytes.unsafe_to_string b
 
 let encode payload =
-  Printf.sprintf "X %d %s\n%s\n" (String.length payload) (checksum payload)
-    payload
+  let len = String.length payload in
+  let digits = string_of_int len in
+  let at = String.length digits + 20 in
+  let b = Bytes.create (at + len + 1) in
+  put_header b digits (sum [ payload ]);
+  Bytes.blit_string payload 0 b at len;
+  Bytes.unsafe_set b (at + len) '\n';
+  Bytes.unsafe_to_string b
 
-let output_parts oc parts =
-  let len = List.fold_left (fun n part -> n + String.length part) 0 parts in
-  Printf.fprintf oc "X %d %s\n" len (Hashing.signature_parts parts);
+let add_record buf parts =
+  Buffer.add_string buf (header parts);
+  List.iter (Buffer.add_string buf) parts;
+  Buffer.add_char buf '\n'
+
+let output_record oc parts =
+  output_string oc (header parts);
   List.iter (output_string oc) parts;
   output_char oc '\n'
 
@@ -26,12 +118,15 @@ let output_parts oc parts =
    header is parsed, [want] holds the whole record's size so [fill]
    can reserve it in one go. *)
 
-type error = Bad_header of string | Oversize of int | Bad_crc
+type error = Bad_header of string | Oversize of int | Bad_crc | Older_format
 
 let error_to_string = function
   | Bad_header h -> Printf.sprintf "bad frame header %S" h
   | Oversize n -> Printf.sprintf "frame length %d exceeds maximum" n
   | Bad_crc -> "frame checksum mismatch"
+  | Older_format ->
+      "frame in the older record format (X header, FNV-1a checksum), which \
+       this build does not read"
 
 type decoder = {
   max_frame : int;
@@ -109,8 +204,11 @@ let next d =
           else Ok None
       | Some nl -> (
           let header = Bytes.sub_string d.buf d.start (nl - d.start) in
+          (* An older record is framed like a current one; it is
+             refused once whole, where its checksum would be read. *)
           match String.split_on_char ' ' header with
-          | [ "X"; len_s; crc ] when String.length crc = 16 -> (
+          | [ t; len_s; crc ]
+            when (t = tag || t = older_tag) && String.length crc = 16 -> (
               match Xy_util.Parse.decimal_int len_s with
               | None -> fail d (Bad_header header)
               | Some len when len > d.max_frame -> fail d (Oversize len)
@@ -122,6 +220,7 @@ let next d =
                   end
                   else if Bytes.get d.buf (nl + 1 + len) <> '\n' then
                     fail d Bad_crc
+                  else if t = older_tag then fail d Older_format
                   else
                     let payload = Bytes.sub_string d.buf (nl + 1) len in
                     if not (String.equal (checksum payload) crc) then
@@ -153,7 +252,7 @@ let rec pull d ic =
       if fill d (input ic) > 0 then pull d ic
       else Stop (if buffered d = 0 then Clean else Torn)
   | Error (Oversize _) -> Stop Torn
-  | Error (Bad_header _ | Bad_crc) -> Stop Corrupt
+  | Error (Bad_header _ | Bad_crc | Older_format) -> Stop Corrupt
 
 let read path ~decode =
   match open_in_bin path with
@@ -170,6 +269,20 @@ let read path ~decode =
             | exception Xy_util.Codec.Malformed _ -> (List.rev acc, Corrupt))
       in
       go []
+
+let older_format path =
+  match open_in_bin path with
+  | exception Sys_error _ -> false
+  | ic ->
+      Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+      let d = file_decoder ic in
+      let rec first () =
+        match next d with
+        | Error Older_format -> true
+        | Ok None when fill d (input ic) > 0 -> first ()
+        | Ok _ | Error _ -> false
+      in
+      first ()
 
 (* {2 Writing files} *)
 
@@ -237,7 +350,7 @@ let write_file path records =
     open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 temp
   in
   (try
-     List.iter (output_parts oc) records;
+     List.iter (output_record oc) records;
      sync oc;
      close_out oc
    with e ->

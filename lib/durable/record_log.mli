@@ -2,13 +2,18 @@
 
     A record is
 
-    {v X <payload_len> <crc>\n<payload>\n v}
+    {v W <payload_len> <checksum>\n<payload>\n v}
 
-    — an ASCII header with a strict decimal length and a 16-hex-digit
-    FNV-1a checksum ({!Xy_util.Hashing.signature}) over the payload,
-    then the raw payload bytes and a trailing newline.  Callers store
-    every field inside the payload as {!Xy_util.Codec} fields, so the
-    checksum covers everything a record carries.
+    — an ASCII header with a strict decimal length and the payload's
+    16-hex-digit {!checksum}, then the raw payload bytes and a
+    trailing newline.  Callers store every field inside the payload
+    as {!Xy_util.Codec} fields, so the checksum covers everything a
+    record carries.
+
+    The tag names the checksum.  Older builds wrote [X] records,
+    checksummed with byte-serial FNV-1a: this build frames them but
+    refuses them as {!Older_format}, so a directory or a peer from
+    such a build is told apart from damage, never read.
 
     The subscription log, the delivery ledger, the WALs,
     snapshots, the [MANIFEST] and the serving surface's wire frames
@@ -20,12 +25,27 @@
 
 (** {2 Records} *)
 
-(** [checksum payload] is the 16-hex-digit signature carried in the
-    header. *)
+(** [checksum payload] is the 16-hex-digit checksum carried in the
+    header: 64 bits folded over the payload's little-endian 8-byte
+    words, then its trailing [n mod 8] bytes as one zero-padded word,
+    then its length.  Each fold step is a bijection of the state, so
+    two payloads of one length that differ within one word always
+    differ here. *)
 val checksum : string -> string
 
-(** [encode payload] is the complete record. *)
+(** [encode payload] is the complete record, built in one block: the
+    payload is copied once. *)
 val encode : string -> string
+
+(** [add_record buf parts] appends the record whose payload is the
+    concatenation of [parts], without building it: the checksum is
+    folded over the parts, then the header and each part are
+    appended.  The bytes equal [encode (String.concat "" parts)]. *)
+val add_record : Buffer.t -> string list -> unit
+
+(** [output_record oc parts] writes the same bytes as [add_record] to
+    [oc]. *)
+val output_record : out_channel -> string list -> unit
 
 (** Largest payload a socket decoder accepts by default: 16 MiB. *)
 val default_max_frame : int
@@ -33,9 +53,13 @@ val default_max_frame : int
 (** {2 Incremental decoding} *)
 
 type error =
-  | Bad_header of string  (** header line is not [X <len> <crc>] *)
+  | Bad_header of string  (** header line is not [W <len> <checksum>] *)
   | Oversize of int  (** declared length exceeds the maximum *)
   | Bad_crc  (** checksum mismatch or missing trailer *)
+  | Older_format
+      (** a whole, well-framed record in the format older builds wrote
+          ([X] header, FNV-1a checksum), whose checksum this build
+          does not compute *)
 
 val error_to_string : error -> string
 
@@ -79,8 +103,8 @@ type tail =
           are intact *)
   | Corrupt
       (** a full-length record failed its checksum, its framing or its
-          [decode] — bytes were damaged in place; records after it are
-          lost *)
+          [decode] — bytes were damaged in place, or the record is
+          in the {!Older_format}; records after it are lost *)
 
 (** [read path ~decode] decodes every intact record of [path] in
     order, stopping at the first damage, plus the tail verdict.  A
@@ -88,6 +112,11 @@ type tail =
     [Corrupt]; one whose declared length runs past the end of the
     file counts as [Torn].  A missing file is [([], Clean)]. *)
 val read : string -> decode:(string -> 'a) -> 'a list * tail
+
+(** [older_format path] is true when the first record of [path] is
+    whole and in the {!Older_format}: the file was written by an
+    older build, not damaged. *)
+val older_format : string -> bool
 
 (** {2 Writing files} *)
 

@@ -143,15 +143,19 @@ module Histogram = struct
 
   let stripe_counts t s = stripe_cells t.counts s ~len:buckets
 
+  (* The min and max move before the bucket count: {!totals} folds
+     only the buckets between them, so a count must not land outside
+     the bounds it has been seen with (up to the staleness a reader on
+     another domain may see anyway). *)
   let observe t v =
     let s = stripe () in
     let counts = stripe_counts t s in
     let i = index v in
-    Array.unsafe_set counts i (Array.unsafe_get counts i + 1);
     let acc = Array.unsafe_get t.accs s in
     Array.unsafe_set acc 0 (Array.unsafe_get acc 0 +. v);
     if v < Array.unsafe_get acc 1 then Array.unsafe_set acc 1 v;
-    if v > Array.unsafe_get acc 2 then Array.unsafe_set acc 2 v
+    if v > Array.unsafe_get acc 2 then Array.unsafe_set acc 2 v;
+    Array.unsafe_set counts i (Array.unsafe_get counts i + 1)
 
   let time t f =
     let start = now () in
@@ -183,21 +187,17 @@ module Histogram = struct
   let sum t = Array.fold_left (fun acc a -> acc +. a.(0)) 0. t.accs
 
   (* Merge the stripes: (the non-empty buckets as ascending (bucket,
-     count) pairs, total, sum, min, max). *)
+     count) pairs, total, sum, min, max).  [index] is monotonic, so
+     every sample but NaN lies in a bucket from [index min] to
+     [index max]; NaN moves neither bound and lands in the overflow
+     bucket, which is folded too.  The fold visits 16 buckets per
+     power of two between the bounds, from bucket 0 once a sample was
+     zero or negative: 50 to 800 of the layout's 1,123 buckets for
+     the histograms a benchmark [monitor] run fills. *)
   let totals t =
     let used =
       List.filter (fun c -> Array.length c > 0) (Array.to_list t.counts)
     in
-    let counts = ref [] and count = ref 0 in
-    for i = buckets - 1 downto 0 do
-      let c =
-        List.fold_left (fun n counts -> n + Array.unsafe_get counts i) 0 used
-      in
-      if c > 0 then begin
-        counts := (i, c) :: !counts;
-        count := !count + c
-      end
-    done;
     let sum = ref 0. in
     let min_value = ref infinity and max_value = ref neg_infinity in
     Array.iter
@@ -206,6 +206,21 @@ module Histogram = struct
         if a.(1) < !min_value then min_value := a.(1);
         if a.(2) > !max_value then max_value := a.(2))
       t.accs;
+    let counts = ref [] and count = ref 0 in
+    let fold i =
+      let c =
+        List.fold_left (fun n counts -> n + Array.unsafe_get counts i) 0 used
+      in
+      if c > 0 then begin
+        counts := (i, c) :: !counts;
+        count := !count + c
+      end
+    in
+    let overflow = buckets - 1 in
+    fold overflow;
+    for i = min (index !max_value) (overflow - 1) downto index !min_value do
+      fold i
+    done;
     (!counts, !count, !sum, !min_value, !max_value)
 
   let reset t =

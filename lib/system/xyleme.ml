@@ -1273,8 +1273,16 @@ type restore_info = {
 let restore ?seed ?algorithm ?sink ?web ?obs ?tracer ?fault_plan ?slos
     ?parallel ?serve_port ?serve_config ?sync_every ~dir () =
   let serve_config, config = prepare ?serve_port ?serve_config ?sync_every () in
+  let manifest = Filename.concat dir "MANIFEST" in
   match Durable.open_existing ~config dir with
-  | None when Sys.file_exists (Filename.concat dir "MANIFEST") ->
+  | None when Record_log.older_format manifest ->
+      Error
+        (Printf.sprintf
+           "%s was written by an older build: its records are in the older \
+            record format (X header, FNV-1a checksum), which this build \
+            does not read"
+           dir)
+  | None when Sys.file_exists manifest ->
       Error (Printf.sprintf "damaged MANIFEST in %s" dir)
   | None -> Error (Printf.sprintf "no durable run in %s (missing MANIFEST)" dir)
   | Some d -> (

@@ -344,9 +344,12 @@ type restore_info = {
     into a fresh generation, and re-delivers unacked reports.  The
     configuration arguments must match the original [create] call
     (they are not persisted).  [Error _] when [dir] holds no durable
-    run or its state is damaged beyond the WAL's torn tail, and when
+    run or its state is damaged beyond the WAL's torn tail, when
     a WAL it would replay was rotated into segments by an older build
-    ([gen-N.wal.1] exists). *)
+    ([gen-N.wal.1] exists), and when its [MANIFEST] is in the record
+    format older builds wrote ({!Xy_durable.Record_log.Older_format}):
+    the error names that format, and nothing of the directory is
+    restored. *)
 val restore :
   ?seed:int ->
   ?algorithm:Xy_core.Mqp.algorithm ->

@@ -1,4 +1,5 @@
-(** Minimal field codec for durable snapshots and WAL operations.
+(** Minimal field codec for durable snapshots, WAL operations and
+    wire frames.
 
     Every stateful stage serialises its state with these helpers so
     the durability layer ({!Xy_durable.Durable}) stays generic: a
@@ -10,7 +11,11 @@
       including infinities and nan),
     - bools as ["0\n"]/["1\n"],
     - strings length-prefixed as ["%d\n%s"] (raw bytes, no
-      terminator — payloads may contain anything). *)
+      terminator — payloads may contain anything).
+
+    The writers produce exactly the bytes of [string_of_int] and
+    [Printf.sprintf "%h"], built by hand without either; each call
+    works in a block of its own, so any thread may call them. *)
 
 (** {2 Writing} *)
 
@@ -32,7 +37,13 @@ exception Malformed of string
     functions raise {!Malformed} when the input does not parse. *)
 val reader : string -> reader
 
+(** [read_int r] reads an optional ['-'] and then ASCII decimal
+    digits only, as {!Parse.digits} does: the [0x]/[0o]/[0b] prefixes,
+    [_] separators and ['+'] that [int_of_string] accepts, an empty
+    field, a lone ['-'] and a value outside [[min_int, max_int]] are
+    {!Malformed}. *)
 val read_int : reader -> int
+
 val read_float : reader -> float
 val read_bool : reader -> bool
 val read_string : reader -> string

@@ -2,9 +2,8 @@ let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
 (* 64-bit FNV-1a on the native int representation.  The obvious
-   [Int64] loop boxes two values per input byte, which matters once
-   multi-megabyte snapshot sections are checksummed on the checkpoint
-   pause path.  The prime is 2^40 + 0x1b3, so with [h] split into
+   [Int64] loop boxes two values per input byte, and every page the
+   loader stores pays for its signature.  The prime is 2^40 + 0x1b3, so with [h] split into
    32-bit halves (hi, lo):
 
      h * prime mod 2^64
@@ -24,12 +23,10 @@ let fnv_fold (hi, lo) s =
   done;
   (!hi, !lo)
 
-let fnv_init = (0xcbf29ce4, 0x84222325)
-
 let to_int64 (hi, lo) =
   Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)
 
-let fnv1a64 s = to_int64 (fnv_fold fnv_init s)
+let fnv1a64 s = to_int64 (fnv_fold (0xcbf29ce4, 0x84222325) s)
 
 (* Reference implementation, kept for the equivalence property test. *)
 let fnv1a64_boxed s =
@@ -42,11 +39,6 @@ let fnv1a64_boxed s =
   !h
 
 let signature s = Printf.sprintf "%016Lx" (fnv1a64 s)
-
-(* FNV-1a is a left fold over bytes, so hashing the parts in turn
-   equals hashing their concatenation — without building it. *)
-let signature_parts parts =
-  Printf.sprintf "%016Lx" (to_int64 (List.fold_left fnv_fold fnv_init parts))
 
 let combine h1 h2 =
   Int64.mul (Int64.logxor h1 (Int64.add h2 0x9e3779b97f4a7c15L)) fnv_prime

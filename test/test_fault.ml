@@ -2062,6 +2062,50 @@ let test_restore_refuses_rotated_wal () =
             (String.starts_with ~prefix:rotated e)
       | Ok _ -> Alcotest.fail "replayed a delta base with a rotated WAL")
 
+(* The record framing older builds wrote: an X header carrying the
+   payload's byte-serial FNV-1a. *)
+let older_record payload =
+  Printf.sprintf "X %d %s\n%s\n" (String.length payload)
+    (Xy_util.Hashing.signature payload)
+    payload
+
+let read_dir dir =
+  List.map
+    (fun name ->
+      (name, In_channel.with_open_bin (Filename.concat dir name) In_channel.input_all))
+    (List.sort compare (Array.to_list (Sys.readdir dir)))
+
+(* A directory written by an older build: every record file re-framed
+   as it wrote them (the payloads' bytes are the same).  Restore
+   refuses it by naming the format, and leaves every file as it was:
+   it neither starts fresh nor restores part of it. *)
+let test_restore_refuses_older_record_format () =
+  with_temp_dir @@ fun dir ->
+  let x = Xyleme.create ~seed:d_seed ~web:(d_web ()) ~durable_dir:dir () in
+  d_subscribe x;
+  d_run x;
+  ignore (Xyleme.checkpoint x);
+  List.iter
+    (fun (name, _) ->
+      let path = Filename.concat dir name in
+      let records, tail = Record_log.read path ~decode:Fun.id in
+      checkb (name ^ " reads clean") true (tail = Record_log.Clean);
+      write_bytes path (String.concat "" (List.map older_record records)))
+    (read_dir dir);
+  let before = read_dir dir in
+  checkb "the MANIFEST is in the older format" true
+    (Record_log.older_format (Filename.concat dir "MANIFEST"));
+  (match Xyleme.restore ~seed:d_seed ~web:(d_web ()) ~dir () with
+  | Error e ->
+      let mention = "older record format" in
+      let rec names i =
+        i + String.length mention <= String.length e
+        && (String.sub e i (String.length mention) = mention || names (i + 1))
+      in
+      if not (names 0) then Alcotest.failf "error does not name the format: %s" e
+  | Ok _ -> Alcotest.fail "restored a directory in the older record format");
+  checkb "every file left as it was" true (read_dir dir = before)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "fault"
@@ -2137,6 +2181,8 @@ let () =
             test_restore_refuses_manifest_without_snapshot;
           tc "restore refuses an older build's rotated wal"
             test_restore_refuses_rotated_wal;
+          tc "restore refuses an older build's record format by name"
+            test_restore_refuses_older_record_format;
           tc "reporter re-delivers unacked intents"
             test_reporter_redelivers_unacked;
           tc "directory sink idempotent re-delivery"

@@ -395,6 +395,67 @@ let qcheck_partitioned_merge_exact =
       forward.Obs.Snapshot.entries = expected
       && backward.Obs.Snapshot.entries = expected)
 
+(* A snapshot folds only the buckets between the min's and the max's,
+   plus the overflow bucket.  Property: its counts equal a full fold,
+   each sample counted in the bucket the layout's bounds give it,
+   over zero, negatives, subnormals, infinities and NaN (which moves
+   neither bound), observed from two domains and carried in by
+   [absorb], which injects bucket counts with their min and max. *)
+let qcheck_bounded_fold_is_full =
+  let overflow = Obs.Snapshot.buckets - 1 in
+  let bucket v =
+    if Float.is_nan v then overflow
+    else if v <= 0. then 0
+    else
+      (* the first bucket whose inclusive upper bound covers [v] *)
+      let rec search lo hi =
+        if lo = hi then lo
+        else
+          let mid = (lo + hi) / 2 in
+          if v <= Obs.Snapshot.upper_bound mid then search lo mid
+          else search (mid + 1) hi
+      in
+      search 1 overflow
+  in
+  let full samples =
+    let counts = Array.make Obs.Snapshot.buckets 0 in
+    List.iter (fun v -> counts.(bucket v) <- counts.(bucket v) + 1) samples;
+    List.filter (fun (_, c) -> c > 0) (List.mapi (fun i c -> (i, c)) (Array.to_list counts))
+  in
+  let sample =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map (fun e -> 10. ** e) (float_range (-12.) 14.));
+          (1, map (fun e -> -.(10. ** e)) (float_range (-3.) 3.));
+          ( 2,
+            oneofl
+              [
+                0.; -0.; infinity; neg_infinity; nan; -.nan; 5e-324;
+                Float.min_float; ldexp 1. (-30); ldexp 1. 40; 1e300;
+              ] );
+        ])
+  in
+  let samples = QCheck.Gen.(list_size (0 -- 30) sample) in
+  QCheck.Test.make ~name:"bounded bucket fold = full fold" ~count:100
+    (QCheck.make
+       ~print:QCheck.Print.(triple (list float) (list float) (list float))
+       QCheck.Gen.(triple samples samples samples))
+    (fun (mine, theirs, carried) ->
+      let observe obs = List.iter (Obs.Histogram.observe (Obs.histogram obs ~stage:"s" "h")) in
+      let obs = Obs.create () in
+      observe obs mine;
+      Domain.join (Domain.spawn (fun () -> observe obs theirs));
+      let earlier = Obs.create () in
+      observe earlier carried;
+      Obs.absorb obs (Obs.snapshot earlier);
+      let expected = full (mine @ theirs @ carried) in
+      match Obs.Snapshot.find (Obs.snapshot obs) ~stage:"s" "h" with
+      | Some (Obs.Snapshot.Histogram h) ->
+          h.Obs.Snapshot.counts = expected
+          && h.Obs.Snapshot.count = List.length (mine @ theirs @ carried)
+      | _ -> expected = [])
+
 (* ------------------------------------------------------------------ *)
 (* Export encoding *)
 
@@ -559,5 +620,6 @@ let () =
           tc "exact when domain ids collide" test_colliding_domain_ids_exact;
           tc "partitioned snapshots merge" test_partitioned_snapshots_merge;
           QCheck_alcotest.to_alcotest qcheck_partitioned_merge_exact;
+          QCheck_alcotest.to_alcotest qcheck_bounded_fold_is_full;
         ] );
     ]

@@ -257,7 +257,7 @@ let test_frame_bad_crc_poisons () =
 let test_frame_missing_trailer () =
   let payload = "p" in
   let frame =
-    Printf.sprintf "X %d %s\n%sX" (String.length payload)
+    Printf.sprintf "W %d %s\n%sX" (String.length payload)
       (Record_log.checksum payload) payload
   in
   match decode_one frame with
@@ -265,7 +265,7 @@ let test_frame_missing_trailer () =
   | _ -> Alcotest.fail "missing trailer newline not diagnosed"
 
 let test_frame_oversize () =
-  (match decode_one "X 99999999999 0123456789abcdef\n" with
+  (match decode_one "W 99999999999 0123456789abcdef\n" with
   | Error (Record_log.Oversize n) ->
       checkb "declared length" true (n = 99999999999)
   | _ -> Alcotest.fail "oversize declaration accepted");
@@ -282,12 +282,12 @@ let test_frame_bad_headers () =
     | _ -> Alcotest.failf "header %S accepted" h
   in
   bad "Y 3 0123456789abcdef\n";
-  bad "X abc 0123456789abcdef\n";
-  bad "X 3 short\n";
-  bad "X 3\n";
+  bad "W abc 0123456789abcdef\n";
+  bad "W 3 short\n";
+  bad "W 3\n";
   bad "GET / HTTP/1.1\n";
-  bad "X 0x10 0123456789abcdef\n";
-  bad "X -1 0123456789abcdef\n";
+  bad "W 0x10 0123456789abcdef\n";
+  bad "W -1 0123456789abcdef\n";
   (* a header that can no longer become valid is rejected even
      without a newline *)
   let d = Record_log.decoder () in
@@ -472,7 +472,7 @@ let test_adversarial_oversize () =
   with_serve @@ fun _s port _obs ->
   with_victim port @@ fun () ->
   let c = connect port in
-  send_raw c "X 99999999999 0123456789abcdef\n";
+  send_raw c "W 99999999999 0123456789abcdef\n";
   expect_err_close c;
   close_client c
 

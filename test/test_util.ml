@@ -1,11 +1,14 @@
 (* Tests for xy_util: simulated clock, PRNG, sorted integer sets,
-   content hashing. *)
+   content hashing, the field codec; and the byte kernels under every
+   durable record, the record checksum and framing. *)
 
 module Clock = Xy_util.Clock
 module Prng = Xy_util.Prng
 module Sorted_ints = Xy_util.Sorted_ints
 module Hashing = Xy_util.Hashing
 module Parse = Xy_util.Parse
+module Codec = Xy_util.Codec
+module Record_log = Xy_durable.Record_log
 
 let check = Alcotest.check
 let checkb = Alcotest.(check bool)
@@ -282,6 +285,175 @@ let test_decimal_rejects_overflow () =
   check d "max_int + 1" None (Parse.decimal_int over);
   check d "way past" None (Parse.decimal_int "99999999999999999999")
 
+(* ------------------------------------------------------------------ *)
+(* Codec: the writers' bytes and the strict int reader *)
+
+let field write v =
+  let buf = Buffer.create 32 in
+  write buf v;
+  Buffer.contents buf
+
+let read read s = read (Codec.reader s)
+
+let gen_bits64 =
+  QCheck.Gen.(
+    map2
+      (fun hi lo -> Int64.(logor (shift_left (of_int hi) 32) (of_int lo)))
+      (int_bound 0xffff_ffff) (int_bound 0xffff_ffff))
+
+(* Uniform 64-bit patterns hit every exponent, NaN payloads of either
+   sign included; the listed ones are the edges uniform draws miss. *)
+let gen_float =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map Int64.float_of_bits gen_bits64);
+        ( 2,
+          oneofl
+            [
+              0.; -0.; 1.; -1.; 0.1; 1.5; 17.; infinity; neg_infinity; nan;
+              -.nan; Float.min_float; -.Float.min_float; Float.max_float;
+              -.Float.max_float; Int64.float_of_bits 1L;
+              Int64.float_of_bits 0x000f_ffff_ffff_ffffL;
+              Int64.float_of_bits 0x8000_0000_0000_0001L;
+              Int64.float_of_bits 0x7ff0_0000_0000_0001L;
+              Int64.float_of_bits 0xfff0_0000_0000_0001L;
+            ] );
+        (2, map float_of_int (int_range (-100_000) 100_000));
+      ])
+
+let qcheck_float_bytes =
+  QCheck.Test.make ~name:"float writes the bytes of %h and reads back"
+    ~count:20_000
+    (QCheck.make ~print:(Printf.sprintf "%h") gen_float)
+    (fun f ->
+      let bytes = field Codec.float f in
+      let back = read Codec.read_float bytes in
+      String.equal bytes (Printf.sprintf "%h\n" f)
+      &&
+      if Float.is_nan f then Float.is_nan back
+      else Int64.equal (Int64.bits_of_float back) (Int64.bits_of_float f))
+
+let gen_int =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map Int64.to_int gen_bits64);
+        (3, int_range (-1000) 1000);
+        (1, oneofl [ min_int; max_int; min_int + 1; max_int - 1; 0; -1; 9; 10 ]);
+      ])
+
+let qcheck_int_bytes =
+  QCheck.Test.make ~name:"int writes the bytes of string_of_int and reads back"
+    ~count:20_000
+    (QCheck.make ~print:string_of_int gen_int)
+    (fun i ->
+      let bytes = field Codec.int i in
+      String.equal bytes (string_of_int i ^ "\n") && read Codec.read_int bytes = i)
+
+let test_read_int_strict () =
+  let malformed s =
+    match read Codec.read_int (s ^ "\n") with
+    | exception Codec.Malformed _ -> ()
+    | i -> Alcotest.failf "%S read as %d" s i
+  in
+  List.iter malformed
+    [
+      "0x10"; "1_0"; "+3"; "-0x1"; "0b11"; "0o7"; ""; "-"; "--1"; " 1"; "1 ";
+      "12a"; "99999999999999999999"; "-99999999999999999999";
+      "4611686018427387904" (* max_int + 1 *);
+      "-4611686018427387905" (* min_int - 1 *);
+    ];
+  (match read Codec.read_int "12" with
+  | exception Codec.Malformed _ -> ()
+  | i -> Alcotest.failf "an unterminated field read as %d" i);
+  let r = Codec.reader "-4611686018427387904\n4611686018427387903\n007\n" in
+  check Alcotest.int "min_int" min_int (Codec.read_int r);
+  check Alcotest.int "max_int" max_int (Codec.read_int r);
+  check Alcotest.int "leading zeros" 7 (Codec.read_int r);
+  checkb "every byte read" true (Codec.at_end r)
+
+(* ------------------------------------------------------------------ *)
+(* Records: the checksum over parts, bit flips and truncation *)
+
+(* A record written from parts is the record of their concatenation,
+   whatever the cuts: empty parts, and cuts inside a word. *)
+let qcheck_checksum_parts =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (string_size ~gen:char (0 -- 80))
+        (list_size (0 -- 12) (oneof [ return 0; 1 -- 9; 0 -- 80 ])))
+  in
+  QCheck.Test.make ~name:"record over parts = record over their concatenation"
+    ~count:5_000
+    (QCheck.make
+       ~print:(fun (s, cuts) ->
+         Printf.sprintf "%S cut at %s" s
+           (String.concat "," (List.map string_of_int cuts)))
+       gen)
+    (fun (s, cuts) ->
+      (* cut [s] at the given sizes, clamped, with empty parts kept *)
+      let rec split pos = function
+        | [] -> [ String.sub s pos (String.length s - pos) ]
+        | n :: rest ->
+            let n = min n (String.length s - pos) in
+            String.sub s pos n :: split (pos + n) rest
+      in
+      let buf = Buffer.create 128 in
+      Record_log.add_record buf (split 0 cuts);
+      String.equal (Buffer.contents buf) (Record_log.encode s))
+
+(* 43 bytes: five whole words and a 3-byte tail, so a checksum that
+   skipped the trailing [n mod 8] bytes would miss flips there. *)
+let sample_payload =
+  let buf = Buffer.create 64 in
+  Codec.string buf "warehouse";
+  Codec.int buf (-42);
+  Codec.float buf 0.1;
+  Codec.string buf "tail!";
+  Buffer.contents buf
+
+let decodes record =
+  let d = Record_log.decoder () in
+  Record_log.feed d record;
+  match Record_log.next d with Ok (Some payload) -> Some payload | _ -> None
+
+let test_record_flips_and_truncations () =
+  check Alcotest.int "payload length" 43 (String.length sample_payload);
+  let record = Record_log.encode sample_payload in
+  check Alcotest.(option string) "intact" (Some sample_payload) (decodes record);
+  String.iteri
+    (fun pos c ->
+      for bit = 0 to 7 do
+        let b = Bytes.of_string record in
+        Bytes.set b pos (Char.chr (Char.code c lxor (1 lsl bit)));
+        match decodes (Bytes.to_string b) with
+        | None -> ()
+        | Some _ -> Alcotest.failf "byte %d bit %d: flipped record accepted" pos bit
+      done)
+    record;
+  for cut = 0 to String.length record - 1 do
+    match decodes (String.sub record 0 cut) with
+    | None -> ()
+    | Some _ -> Alcotest.failf "cut %d: truncated record accepted" cut
+  done
+
+(* The framing older builds wrote, an X header with the payload's
+   byte-serial FNV-1a: refused by name once whole, never read. *)
+let test_record_older_format () =
+  let older =
+    Printf.sprintf "X %d %s\n%s\n" (String.length sample_payload)
+      (Hashing.signature sample_payload)
+      sample_payload
+  in
+  let d = Record_log.decoder () in
+  Record_log.feed d (String.sub older 0 (String.length older - 1));
+  checkb "incomplete until whole" true (Record_log.next d = Ok None);
+  Record_log.feed d "\n";
+  checkb "refused as the older format" true
+    (Record_log.next d = Error Record_log.Older_format)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "util"
@@ -330,5 +502,18 @@ let () =
           tc "decimal accepts" test_decimal_accepts;
           tc "decimal rejects leniencies" test_decimal_rejects_leniencies;
           tc "decimal rejects overflow" test_decimal_rejects_overflow;
+        ] );
+      ( "codec",
+        [
+          QCheck_alcotest.to_alcotest qcheck_float_bytes;
+          QCheck_alcotest.to_alcotest qcheck_int_bytes;
+          tc "read_int is strict" test_read_int_strict;
+        ] );
+      ( "record",
+        [
+          QCheck_alcotest.to_alcotest qcheck_checksum_parts;
+          tc "every bit flip and truncation is refused"
+            test_record_flips_and_truncations;
+          tc "the older format is refused by name" test_record_older_format;
         ] );
     ]
