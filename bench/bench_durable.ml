@@ -4,9 +4,10 @@
    are (a) how long a checkpoint stalls the pipeline — separated into
    the *cold* first checkpoint (a full snapshot of every stage) and
    the *steady-state* pause (every stage re-encoded except the
-   WAL-carried reporter, written as a delta on its base payload; log
-   compaction amortised into the crawl loop) — and (b) how long a
-   warm restart takes before the crawler is fetching again. *)
+   WAL-carried reporter, written as a delta on its base payload) —
+   (b) how long a warm restart takes before the crawler is fetching
+   again, and (c) the pause of the one checkpoint that also rewrites
+   the subscription log, once half the population has been updated. *)
 
 open Harness
 module Xyleme = Xy_system.Xyleme
@@ -57,9 +58,11 @@ let tbl_durable scale =
      file per generation; the first checkpoint snapshots every stage \
      (cold, full), later ones re-encode every stage except the WAL-carried \
      reporter, written as a delta on its base payload while the WAL \
-     since stays smaller (steady), while subscription-log compaction runs \
-     incrementally inside the crawl loop; restore replays \
-     subscriptions + snapshot + WAL and re-arms in-flight work";
+     since stays smaller (steady); restore replays subscriptions + \
+     snapshot + WAL and re-arms in-flight work; a checkpoint rewrites \
+     the subscription log once its superseded records number at least \
+     its live subscriptions (compact: after N/2 updates on the restored \
+     system)";
   let sites = 8 in
   let step = 6. *. 3600. in
   let rows =
@@ -120,12 +123,31 @@ let tbl_durable scale =
                   Xyleme.restore ~seed:11 ~sink ~web ~obs:(Obs.create ()) ~dir
                     ())
             in
-            let ri =
+            let restored, ri =
               match restored with
-              | Ok (_, ri) -> ri
+              | Ok r -> r
               | Error e -> failwith ("restore failed: " ^ e)
             in
             assert (ri.Xyleme.subscriptions_recovered = n);
+            (* Updating half the population supersedes n records, as
+               many as stay live: the next checkpoint must rewrite the
+               subscription log. *)
+            let mgr = Xyleme.manager restored in
+            for i = 0 to (n / 2) - 1 do
+              match
+                Manager.update mgr
+                  ~name:(Printf.sprintf "D%d" i)
+                  ~owner:(Printf.sprintf "u%d" i)
+                  ~text:(sub_text i ~sites)
+              with
+              | Ok () -> ()
+              | Error e -> failwith (Manager.error_to_string e)
+            done;
+            let compacted, ckpt_compact =
+              time_once (fun () -> Xyleme.checkpoint restored)
+            in
+            assert (compacted.Xyleme.compacted_records = 2 * (n / 2));
+            let log_bytes = file_size (Filename.concat dir "subscriptions.log") in
             record_mqp
               ~name:(Printf.sprintf "tbl-durable/checkpoint@%d" n)
               ~docs_per_sec:(1. /. ckpt_steady)
@@ -145,6 +167,13 @@ let tbl_durable scale =
               ~name:(Printf.sprintf "tbl-durable/restart@%d" n)
               ~docs_per_sec:(float_of_int n /. restart_wall)
               ~memory_words:(wal_bytes / 8) ();
+            (* the rewriting checkpoint's pause, in milliseconds, as the
+               pause rows carry theirs; the rewritten log's size *)
+            record_mqp
+              ~name:(Printf.sprintf "tbl-durable/compact@%d" n)
+              ~docs_per_sec:(1. /. ckpt_compact)
+              ~probes_per_doc:(ckpt_compact *. 1e3)
+              ~memory_words:(log_bytes / 8) ();
             [
               string_of_int n;
               Printf.sprintf "%.0f" (float_of_int n /. load_wall);
@@ -154,6 +183,7 @@ let tbl_durable scale =
               Printf.sprintf "%d" (wal_bytes / 1024);
               Printf.sprintf "%.1f" (restart_wall *. 1e3);
               Printf.sprintf "%.0f" (float_of_int n /. restart_wall);
+              Printf.sprintf "%.1f" (ckpt_compact *. 1e3);
             ]))
       (sub_counts scale)
   in
@@ -168,6 +198,7 @@ let tbl_durable scale =
         "wal KiB";
         "restart ms";
         "restart subs/s";
+        "rewrite ckpt ms";
       ]
     rows
 

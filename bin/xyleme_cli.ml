@@ -624,8 +624,8 @@ let simulate_cmd =
         ~subscriptions ~seed ()
     in
     let stats = Xy_system.Xyleme.stats xyleme in
-    Printf.printf "simulated %.0f days over %d sites, %d subscriptions:\n" days
-      sites accepted;
+    Printf.printf "simulated %s days over %d sites, %d subscriptions:\n"
+      (Xy_obs.Obs.Export.number days) sites accepted;
     Printf.printf "  fetched %d, stored %d, alerts %d, notifications %d, reports %d (%d deliveries)\n"
       stats.Xy_system.Xyleme.documents_fetched
       stats.Xy_system.Xyleme.documents_stored stats.Xy_system.Xyleme.alerts_sent

@@ -308,7 +308,9 @@ let fetches t = t.fetches
 let encode_snapshot t =
   let buf = Buffer.create 256 in
   let sorted table =
-    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [])
+    List.sort
+      (fun (a, _) (b, _) -> String.compare a b)
+      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [])
   in
   let pair buf (k, v) =
     Codec.string buf k;

@@ -62,15 +62,18 @@ module Codec = Xy_util.Codec
 
 let set_journal t emit = t.journal <- emit
 
-let encode_entry url entry =
-  let buf = Buffer.create 64 in
+let add_entry buf url entry =
   Codec.string buf url;
   Codec.bool buf true;
   Codec.float buf entry.refresh_period;
   Codec.float buf entry.ceiling;
   Codec.bool buf entry.live;
   Codec.bool buf entry.queued;
-  Codec.float buf entry.deadline;
+  Codec.float buf entry.deadline
+
+let encode_entry url entry =
+  let buf = Buffer.create 64 in
+  add_entry buf url entry;
   Buffer.contents buf
 
 let encode_removal url =
@@ -311,12 +314,11 @@ let view t =
 let encode_snapshot t =
   let buf = Buffer.create 1024 in
   let entries =
-    List.sort compare
+    List.sort
+      (fun (a, _) (b, _) -> String.compare a b)
       (Hashtbl.fold (fun url e acc -> (url, e) :: acc) t.entries [])
   in
-  Codec.list buf
-    (fun buf (url, e) -> Buffer.add_string buf (encode_entry url e))
-    entries;
+  Codec.list buf (fun buf (url, e) -> add_entry buf url e) entries;
   Buffer.contents buf
 
 let apply_encoded t reader =

@@ -115,6 +115,8 @@ val view : t -> view list
     entry post-state after every mutation. *)
 val set_journal : t -> (string -> unit) option -> unit
 
+(** [encode_snapshot t] lists every entry in [String.compare] order
+    of its URL, so the bytes depend only on the queue's contents. *)
 val encode_snapshot : t -> string
 
 (** [decode_snapshot t payload] replaces the queue's entries and heap

@@ -103,9 +103,11 @@ val open_fresh : ?config:config -> string -> t
 (** Create (or reset) a durable directory for a fresh run: any
     previous manifest, snapshots, WALs (including orphans a killed
     checkpoint left behind, and the [gen-N.wal.K] segments an older
-    build rotated into), the subscription log and its
-    compaction temp are removed, and generation 0 starts with an empty
-    WAL.  Files of the caller's are left alone. *)
+    build rotated into), the subscription log and the
+    [subscriptions.log.compact] temp a killed rewrite of it
+    ({!Record_log.rewrite}) leaves are removed, and generation 0
+    starts with an empty WAL.  Files of the caller's are left
+    alone. *)
 
 val open_existing : ?config:config -> string -> t option
 (** Attach to a durable directory left by a previous run.  [None] if

@@ -134,9 +134,6 @@ type decoder = {
   mutable start : int;
   mutable stop : int;
   mutable want : int;
-  mutable last : int;
-      (** where the record {!next} returned last began — compaction
-          copies its raw bytes from there *)
   mutable poisoned : error option;
 }
 
@@ -147,7 +144,6 @@ let make_decoder ~max_frame ~size =
     start = 0;
     stop = 0;
     want = 0;
-    last = 0;
     poisoned = None;
   }
 
@@ -226,7 +222,6 @@ let next d =
                     if not (String.equal (checksum payload) crc) then
                       fail d Bad_crc
                     else begin
-                      d.last <- d.start;
                       d.start <- d.start + total;
                       d.want <- 0;
                       Ok (Some payload)
@@ -324,8 +319,7 @@ let append t payload =
   end
 
 let close t = close_out t.channel
-
-let size t = if t.dead then 0 else out_channel_length t.channel
+let path t = t.path
 
 let remove_quietly path =
   try if Sys.file_exists path then Sys.remove path with Sys_error _ -> ()
@@ -344,149 +338,40 @@ let sync oc =
   flush oc;
   Unix.fsync (Unix.descr_of_out_channel oc)
 
-let write_file path records =
-  let temp = path ^ ".tmp" in
+(* Write [records] to [temp] through an append channel, fsync it and
+   rename it over [path]; the channel is returned open at the end of
+   the new file.  On failure the temp is removed and [path] is left as
+   it was. *)
+let replace ~temp path records =
   let oc =
-    open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 temp
+    open_out_gen
+      [ Open_wronly; Open_append; Open_creat; Open_trunc; Open_binary ]
+      0o644 temp
   in
   (try
      List.iter (output_record oc) records;
      sync oc;
-     close_out oc
+     Sys.rename temp path
    with e ->
      close_out_noerr oc;
      remove_quietly temp;
      raise e);
-  Sys.rename temp path;
-  sync_dir (Filename.dirname path)
+  sync_dir (Filename.dirname path);
+  oc
 
-(* {2 Compaction} *)
+let write_file path records =
+  close_out (replace ~temp:(path ^ ".tmp") path records)
 
-module Compaction = struct
-  type phase = Indexing | Writing of out_channel
-
-  type task = {
-    log : t;
-    key : string -> string * bool;
-    temp : string;
-    ic : in_channel;
-    mutable dec : decoder;
-    last : (string, int) Hashtbl.t;  (** key -> ordinal of its last record *)
-    mutable ordinal : int;
-    mutable total : int;  (** records indexed *)
-    mutable kept : int;
-    mutable limit : int;  (** byte offset where indexing stopped *)
-    mutable phase : phase;
-  }
-
-  type progress = Running | Finished of int | Abandoned
-
-  let start ~key log =
-    if log.dead then None
-    else
-      match open_in_bin log.path with
-      | exception Sys_error _ -> None
-      | ic ->
-          let temp = log.path ^ ".compact" in
-          (* an earlier task that crashed or was abandoned may have
-             left its temp behind *)
-          remove_quietly temp;
-          Some
-            {
-              log;
-              key;
-              temp;
-              ic;
-              dec = file_decoder ic;
-              last = Hashtbl.create 1024;
-              ordinal = 0;
-              total = 0;
-              kept = 0;
-              limit = 0;
-              phase = Indexing;
-            }
-
-  let abandon task =
-    close_in_noerr task.ic;
-    (match task.phase with Writing oc -> close_out_noerr oc | Indexing -> ());
-    remove_quietly task.temp;
-    Abandoned
-
-  let finish task oc =
-    (* Records appended since indexing stopped are newer than every
-       survivor; copy them verbatim. *)
-    flush task.log.channel;
-    seek_in task.ic task.limit;
-    let buf = Bytes.create 65536 in
-    let rec copy () =
-      let n = input task.ic buf 0 (Bytes.length buf) in
-      if n > 0 then begin
-        output oc buf 0 n;
-        copy ()
-      end
-    in
-    copy ();
-    close_in task.ic;
-    sync oc;
-    close_out oc;
-    Sys.rename task.temp task.log.path;
-    sync_dir (Filename.dirname task.log.path);
-    (* the live channel still points at the replaced file *)
-    let old = task.log.channel in
-    task.log.channel <- open_append task.log.path;
-    close_out_noerr old;
-    Finished (task.total - task.kept)
-
-  let rec index task n =
-    if n = 0 then Running
-    else
-      match pull task.dec task.ic with
-      | Stop (Torn | Corrupt) -> abandon task
-      | Stop Clean ->
-          task.limit <- pos_in task.ic;
-          seek_in task.ic 0;
-          task.dec <- make_decoder ~max_frame:task.limit ~size:65536;
-          task.phase <-
-            Writing
-              (open_out_gen
-                 [ Open_wronly; Open_creat; Open_trunc; Open_binary ]
-                 0o644 task.temp);
-          task.ordinal <- 0;
-          Running
-      | Record payload ->
-          let key, survives = task.key payload in
-          if survives then Hashtbl.replace task.last key task.ordinal
-          else Hashtbl.remove task.last key;
-          task.ordinal <- task.ordinal + 1;
-          task.total <- task.total + 1;
-          index task (n - 1)
-
-  let rec write task oc n =
-    if task.ordinal >= task.total then finish task oc
-    else if n = 0 then Running
-    else
-      match pull task.dec task.ic with
-      | Stop _ -> abandon task
-      | Record payload ->
-          let key, _ = task.key payload in
-          if Hashtbl.find_opt task.last key = Some task.ordinal then begin
-            let d = task.dec in
-            output oc d.buf d.last (d.start - d.last);
-            task.kept <- task.kept + 1
-          end;
-          task.ordinal <- task.ordinal + 1;
-          write task oc (n - 1)
-
-  let step task ~budget =
-    if task.log.dead then abandon task
-    else
-      match
-        match task.phase with
-        | Indexing -> index task budget
-        | Writing oc -> write task oc budget
-      with
-      | progress -> progress
-      | exception
-          (Sys_error _ | Unix.Unix_error _ | Xy_util.Codec.Malformed _) ->
-          abandon task
-end
+let rewrite t payloads =
+  (not t.dead)
+  &&
+  match
+    replace ~temp:(t.path ^ ".compact") t.path
+      (List.map (fun payload -> [ payload ]) payloads)
+  with
+  | exception (Sys_error _ | Unix.Unix_error _) -> false
+  | oc ->
+      (* the old channel still points at the replaced file *)
+      close_out_noerr t.channel;
+      t.channel <- oc;
+      true

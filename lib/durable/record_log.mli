@@ -20,8 +20,7 @@
     are all sequences of these records.  One incremental {!decoder}
     reads them from sockets and files alike; {!read} scans a file to
     a {!tail} verdict; one append handle ({!t}) carries the write
-    fault points; one bounded-slice {!Compaction} rewrites a log
-    keeping the last record per key. *)
+    fault points, and {!rewrite} replaces its file whole. *)
 
 (** {2 Records} *)
 
@@ -142,8 +141,8 @@ val close : t -> unit
 (** [is_dead t] — a [torn_write] fault has "crashed" this handle. *)
 val is_dead : t -> bool
 
-(** [size t] is the file's current size in bytes ([0] when dead). *)
-val size : t -> int
+(** [path t] is the file [t] appends to. *)
+val path : t -> string
 
 (** [sync oc] flushes [oc] and fsyncs its file. *)
 val sync : out_channel -> unit
@@ -159,41 +158,12 @@ val sync_dir : string -> unit
     fsync. *)
 val write_file : string -> string list list -> unit
 
-(** {2 Compaction}
-
-    Rewrites a log keeping, for each key, only its last record — and
-    that only if it survives — a bounded number of records at a time
-    so it can interleave with appends:
-
-    - indexing reads every record and notes each key's last ordinal
-      and where reading stopped;
-    - writing streams the surviving records' raw bytes into
-      [<path>.compact];
-    - the finishing step copies everything appended past the indexing
-      stop verbatim (it is newer than every survivor, so
-      last-record-wins still holds), fsyncs, renames the temp into
-      place, fsyncs the directory and reopens the handle's channel.
-
-    Damage found while reading, a dead handle, and any [Sys_error] or
-    [Unix_error] (a full disk, a directory squatting on the temp
-    path) abandon the task: the temp is removed and the log is left
-    exactly as it was, still appendable. *)
-module Compaction : sig
-  type task
-
-  type progress =
-    | Running  (** call {!step} again *)
-    | Finished of int  (** compacted; the count of records dropped *)
-    | Abandoned  (** the log is left exactly as it was *)
-
-  (** [start ~key log] begins a compaction of [log].  [key payload]
-      is the record's key and whether its last record survives
-      ([false] for a deletion).  [None] when the log is dead or
-      unreadable.  A stale temp from an earlier task is removed
-      first. *)
-  val start : key:(string -> string * bool) -> t -> task option
-
-  (** [step task ~budget] processes up to [budget] records.  After
-      [Finished] or [Abandoned] the task is spent. *)
-  val step : task -> budget:int -> progress
-end
+(** [rewrite t payloads] replaces [t]'s file with one record per
+    payload, in order, and reopens [t] on the new file: the records
+    go to the temp [<path>.compact] (truncated first, so a temp an
+    earlier rewrite left behind is never appended to), which is
+    fsynced and renamed into place before the directory is fsynced.
+    [false] when [t] is dead or writing failed (a full disk, a
+    directory squatting on the temp path): the temp is removed, the
+    file is left exactly as it was and [t] still appends to it. *)
+val rewrite : t -> string list -> bool

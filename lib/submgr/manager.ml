@@ -53,8 +53,7 @@ type metrics = {
 type t = {
   mutable persist : Xy_durable.Record_log.t option;
   mutable superseded : int;
-      (** records of the persisted log a compaction would drop, over
-          its lifetime *)
+      (** records of the persisted log a rewrite would drop *)
   clock : Xy_util.Clock.t;
   registry : Registry.t;
   mqp : Mqp.t;
@@ -495,6 +494,11 @@ let subscription_names t =
 
 let subscription_count t = Hashtbl.length t.subscriptions
 let superseded_records t = t.superseded
+
+let rewrite_log t =
+  let dropped = Option.bind t.persist Persist.rewrite in
+  if dropped <> None then t.superseded <- 0;
+  dropped
 
 let refresh_statements t =
   Hashtbl.fold

@@ -69,12 +69,18 @@ val recover : t -> string -> int
 val subscription_names : t -> string list
 val subscription_count : t -> int
 
-(** [superseded_records t] counts, over the manager's lifetime, the
-    records of its persisted log that a compaction would drop: those
-    {!recover}'s replay dropped, and two per persisted unsubscribe
-    since (the delete and the insert it cancels; an {!update} is one
-    of these). *)
+(** [superseded_records t] counts the records of the persisted log
+    that a rewrite would drop: those {!recover}'s replay dropped, and
+    two per persisted unsubscribe since (the delete and the insert it
+    cancels; an {!update} is one of these), back to [0] after each
+    {!rewrite_log}. *)
 val superseded_records : t -> int
+
+(** [rewrite_log t] rewrites the persisted log to the records a
+    replay installs ({!Persist.rewrite}) and returns the number of
+    records dropped; [None] when there is no log or it was left as it
+    was. *)
+val rewrite_log : t -> int option
 
 (** [refresh_statements t] aggregates the refresh clauses of all live
     subscriptions: [(url, period_seconds)], for the crawler.  "In our

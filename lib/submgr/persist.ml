@@ -40,11 +40,6 @@ let append_insert log ~name ~owner ~text =
 
 let append_delete log ~name = Record_log.append log (encode (Delete name))
 
-let key payload =
-  match decode payload with
-  | Insert { name; _ } -> (name, true)
-  | Delete name -> (name, false)
-
 let scan path = Record_log.read path ~decode
 let read_all path = fst (scan path)
 
@@ -52,21 +47,24 @@ let read_all path = fst (scan path)
    re-insert (and the deletes themselves): only each name's last
    record matters, and it survives iff it is an insert.  One indexed
    pass instead of a rescan-the-tail per record — recovery is hot at
-   10^5 subscriptions. *)
-let survivors records =
+   10^5 subscriptions.  [record_of] lets a rewrite keep each record's
+   payload beside it. *)
+let survivors_by record_of items =
   let last = Hashtbl.create 1024 in
   List.iteri
-    (fun i record ->
-      match record with
+    (fun i item ->
+      match record_of item with
       | Insert { name; _ } -> Hashtbl.replace last name i
       | Delete name -> Hashtbl.remove last name)
-    records;
+    items;
   List.filteri
-    (fun i record ->
-      match record with
+    (fun i item ->
+      match record_of item with
       | Insert { name; _ } -> Hashtbl.find_opt last name = Some i
       | Delete _ -> false)
-    records
+    items
+
+let survivors records = survivors_by Fun.id records
 
 let replay_counting path =
   let records = read_all path in
@@ -74,3 +72,15 @@ let replay_counting path =
   (live, List.length records - List.length live)
 
 let replay path = fst (replay_counting path)
+
+let rewrite log =
+  match
+    Record_log.read (Record_log.path log) ~decode:(fun payload ->
+        (decode payload, payload))
+  with
+  | _, (Torn | Corrupt) -> None
+  | items, Clean ->
+      let kept = survivors_by fst items in
+      if Record_log.rewrite log (List.map snd kept) then
+        Some (List.length items - List.length kept)
+      else None

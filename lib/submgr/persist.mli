@@ -5,8 +5,8 @@
     with a {!Xy_durable.Record_log}: every accepted subscription (as
     source text) and every deletion is appended as one record, and
     recovery replays the log.  A torn or damaged tail is detected by
-    the record log and ignored.  The log is compacted with
-    {!Xy_durable.Record_log.Compaction} and {!key}. *)
+    the record log and ignored.  {!rewrite} drops the records a
+    replay would drop. *)
 
 type record =
   | Insert of { name : string; owner : string; text : string }
@@ -17,19 +17,28 @@ val append_insert :
 
 val append_delete : Xy_durable.Record_log.t -> name:string -> unit
 
-(** [key payload] is a record's compaction key: its subscription
-    name, and whether the record survives when it is the name's last
-    (an insert does, a delete does not). *)
-val key : string -> string * bool
+(** [survivors records] is what recovery installs from a log holding
+    [records]: each name's last record when it is an insert, in log
+    order (an [Insert] cancelled by a later [Delete] or superseded by
+    a later [Insert] is dropped, as is every [Delete]). *)
+val survivors : record list -> record list
 
-(** [replay path] reads the log and returns the surviving records in
-    order (an [Insert] cancelled by a later [Delete] is dropped).
+(** [replay path] is the {!survivors} of the log's intact records.
     Returns [[]] for a missing file. *)
 val replay : string -> record list
 
 (** [replay_counting path] is [replay path] and the number of records
-    it dropped: the superseded records a compaction would remove. *)
+    it dropped: the superseded records a {!rewrite} would remove. *)
 val replay_counting : string -> record list * int
+
+(** [rewrite log] replaces the log's file with its {!survivors}, as
+    their original payloads in log order — what a replay installs,
+    record for record — and reopens [log] on it
+    ({!Xy_durable.Record_log.rewrite}); [Some dropped] is the number
+    of records it dropped.  [None] when [log] is dead, the file does
+    not scan [Clean] or the write failed: the file is left exactly as
+    it was and [log] still appends to it. *)
+val rewrite : Xy_durable.Record_log.t -> int option
 
 (** [read_all path] returns every raw record, including superseded
     ones (for inspection/tests). *)

@@ -14,20 +14,10 @@ module Trace = Xy_trace.Trace
 module Fault = Xy_fault.Fault
 module Durable = Xy_durable.Durable
 module Codec = Xy_util.Codec
-module Persist = Xy_submgr.Persist
 module Record_log = Xy_durable.Record_log
 module Sink = Xy_reporter.Sink
 module Slo = Xy_slo.Slo
 module Serve = Xy_serve.Serve
-
-(* A durable run's subscription log and its background compaction
-   (see [maintenance_step]). *)
-type compaction = {
-  log : Record_log.t;
-  mutable floor : int;
-  mutable dropped : int;  (** records dropped by its compactions so far *)
-  mutable task : Record_log.Compaction.task option;  (** in flight *)
-}
 
 (* One durable stage: its checkpoint section (encoded by a thunk,
    which [Durable.checkpoint] runs unless the stage is WAL-carried and
@@ -71,8 +61,6 @@ type t = {
   mutable alerts_sent : int;
   durable : Durable.t option;
   mutable stages : stage list;  (** set right after creation *)
-  compaction : compaction option;  (** present when durable *)
-  mutable compacted_since_checkpoint : int;
   mutable steps_done : int;
   mutable mid_step : bool;
       (** an [advance] has committed since the last completed
@@ -568,9 +556,6 @@ let make ?(seed = 1) ?algorithm ?sink ?web ?obs ?tracer ?fault_plan ?slos
       alerts_sent = 0;
       durable;
       stages = [];
-      compaction =
-        Option.map (fun log -> { log; floor = 0; dropped = 0; task = None }) persist;
-      compacted_since_checkpoint = 0;
       steps_done = 0;
       mid_step = false;
       m_ingested = Obs.counter obs ~stage:"system" "ingested";
@@ -820,7 +805,7 @@ let alert_of = function
   | Loaded (_, alert) | Deleted alert -> alert
   | Absent | Quarantined _ -> None
 
-let mqp_alert_of (alert : Alert.t) ~trace ~birth =
+let mqp_alert ?trace ?birth (alert : Alert.t) =
   {
     Mqp.url = alert.Alert.url;
     events = alert.Alert.events;
@@ -844,7 +829,7 @@ let load_doc t ~loader ~chain d =
         | Some meta ->
             Deleted
               (Option.map
-                 (mqp_alert_of ~trace:d.bd_trace ~birth:None)
+                 (mqp_alert ?trace:d.bd_trace)
                  (Chain.process_deleted ?trace:d.bd_trace chain ~meta ~tree)))
     | Some content -> (
         match
@@ -856,7 +841,7 @@ let load_doc t ~loader ~chain d =
             Loaded
               ( result.Loader.status,
                 Option.map
-                  (mqp_alert_of ~trace:d.bd_trace ~birth:d.bd_birth)
+                  (mqp_alert ?trace:d.bd_trace ?birth:d.bd_birth)
                   (Chain.process ?trace:d.bd_trace chain ~result ~content) ))
   in
   (loaded, Obs.now () -. t0)
@@ -1088,48 +1073,6 @@ let slo_reports t =
 
 let discover t = Xy_crawler.Crawler.discover t.crawler
 
-(* ------------------------------------------------------------------ *)
-(* Background compaction of the subscription log: a bounded slice of
-   the rewrite runs at the end of every crawl step (wholesale
-   compaction inside [checkpoint] would dominate its pause).  A task
-   starts once the log holds superseded records, exceeds the floor
-   size and has doubled since its last compaction; finishing or giving
-   up sets the floor, so the next attempt waits until the log doubles
-   again.  An insert-only log is never rewritten: there is nothing to
-   drop. *)
-
-let maintenance_budget = 2048
-let compaction_min_bytes = 64 * 1024
-
-let maintenance_step t =
-  match t.compaction with
-  | None -> ()
-  | Some c -> (
-      let settle () =
-        c.floor <- Record_log.size c.log;
-        c.task <- None
-      in
-      match c.task with
-      | Some task -> (
-          match Record_log.Compaction.step task ~budget:maintenance_budget with
-          | Record_log.Compaction.Running -> ()
-          | Record_log.Compaction.Finished dropped ->
-              t.compacted_since_checkpoint <-
-                t.compacted_since_checkpoint + dropped;
-              c.dropped <- c.dropped + dropped;
-              settle ()
-          | Record_log.Compaction.Abandoned -> settle ())
-      | None ->
-          let size = Record_log.size c.log in
-          if
-            Manager.superseded_records (manager t) > c.dropped
-            && size >= compaction_min_bytes
-            && size >= 2 * c.floor
-          then (
-            match Record_log.Compaction.start ~key:Persist.key c.log with
-            | Some _ as task -> c.task <- task
-            | None -> settle ()))
-
 (* One crawl step, decomposed into transactions so that a kill at any
    boundary loses at most the unit in progress and the unsynced
    group-commit batch, whole transactions either way:
@@ -1185,7 +1128,6 @@ let crawl_step t ~limit =
       Codec.int buf t.steps_done;
       Codec.float buf (Xy_util.Clock.now t.clock));
   commit_txn t;
-  maintenance_step t;
   (* drain client acks promptly so delivery windows reopen between
      steps, not only at the next advance *)
   ignore (serve_pump t);
@@ -1221,13 +1163,28 @@ let advance t ~seconds =
 
 type checkpoint_info = { generation : int; compacted_records : int }
 
+(* Every checkpoint, restore's closing one included, then keeps the
+   subscription log in check: it is rewritten to what a replay
+   installs once the records superseded since its last rewrite (an
+   unsubscribe's delete and the insert it cancels; an update is one
+   of these) number at least its live subscriptions.  A rewrite thus
+   drops at least as many records as it keeps, and an insert-only log
+   is never rewritten.  A rewrite that cannot run (a dead handle, a
+   log that does not scan clean, a failed write) leaves the log as it
+   was, and the checkpoint stands.  Returns the records dropped. *)
+let checkpoint_durable t d =
+  Durable.checkpoint d ~snapshot:(snapshot_sections t);
+  let m = manager t in
+  let superseded = Manager.superseded_records m in
+  if superseded > 0 && superseded >= Manager.subscription_count m then
+    Option.value ~default:0 (Manager.rewrite_log m)
+  else 0
+
 let checkpoint t =
   match t.durable with
   | None -> invalid_arg "Xyleme.checkpoint: created without ~durable_dir"
   | Some d ->
-      Durable.checkpoint d ~snapshot:(snapshot_sections t);
-      let compacted_records = t.compacted_since_checkpoint in
-      t.compacted_since_checkpoint <- 0;
+      let compacted_records = checkpoint_durable t d in
       { generation = Durable.generation d; compacted_records }
 
 (* The one stepping loop.  It is driven by the journaled position, so
@@ -1327,7 +1284,7 @@ let restore ?seed ?algorithm ?sink ?web ?obs ?tracer ?fault_plan ?slos
                  WAL, which journaling needs.  It re-encodes the
                  queue the re-arming just mutated; the reporter keeps
                  its delta chain. *)
-              Durable.checkpoint d ~snapshot:(snapshot_sections t);
+              ignore (checkpoint_durable t d);
               (* 6. Hooks, re-sends, socket. *)
               let info =
                 {

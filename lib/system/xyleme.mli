@@ -216,6 +216,15 @@ val ingest :
 (** [ingest_missing t ~url] handles a page that disappeared. *)
 val ingest_missing : ?trace:Xy_trace.Trace.ctx -> t -> url:string -> unit
 
+(** [mqp_alert ?trace ?birth alert] is the processor's alert for what
+    the alerter chain detected in one document: its URL, its events,
+    its payload printed with {!Xy_alerters.Alert.payload_string}, and
+    the document's tracing context and change birth time ({!ingest}'s
+    [trace] and [birth]).  Every ingest path builds its alerts with
+    it. *)
+val mqp_alert :
+  ?trace:Xy_trace.Trace.ctx -> ?birth:float -> Xy_alerters.Alert.t -> Xy_core.Mqp.alert
+
 (** {2 Batch ingestion — the parallel pipeline}
 
     One crawl step's fetches form a batch.  With a [parallel]
@@ -315,17 +324,23 @@ val run :
 type checkpoint_info = {
   generation : int;  (** the new current generation *)
   compacted_records : int;
-      (** subscription-log records dropped by background compaction
-          since the previous checkpoint *)
+      (** subscription-log records this checkpoint's rewrite dropped
+          ([0] when the log was not rewritten) *)
 }
 
 (** [checkpoint t] snapshots every stage into the next generation and
     starts a fresh WAL.  Each stage is re-encoded, except the
     reporter, which is written as a delta on its last inline payload
     while the ops it journaled since are smaller than that payload
-    ({!Xy_durable.Durable.set_wal_carried}).  Log compaction does NOT
-    run here: it proceeds in the background, a bounded slice per crawl
-    step.  Raises [Invalid_argument] on a non-durable system. *)
+    ({!Xy_durable.Durable.set_wal_carried}).  Then the subscription
+    log is rewritten to what a replay installs
+    ({!Xy_submgr.Persist.rewrite}) once the records superseded since
+    its last rewrite number at least its live subscriptions, so a
+    rewrite drops at least as many records as it keeps and an
+    insert-only log is never rewritten; {!restore}'s closing
+    checkpoint applies the same rule.  A rewrite that cannot run
+    leaves the log as it was, and the checkpoint stands.  Raises
+    [Invalid_argument] on a non-durable system. *)
 val checkpoint : t -> checkpoint_info
 
 type restore_info = {

@@ -297,6 +297,51 @@ let test_queue_penalize_respects_bounds () =
   checkb "boost ceiling caps demotion" true
     (Queue.period queue ~url:"u" = Some 50.)
 
+(* The snapshot lists entries in [String.compare] order of their URLs,
+   whatever order they were added in, and decoding it into a fresh
+   queue re-encodes the same bytes. *)
+let test_queue_snapshot_order () =
+  let clock = Clock.create () in
+  let queue = Queue.create ~initial_period:100. ~clock () in
+  let urls =
+    List.init 40 (fun i ->
+        Printf.sprintf "http://%s.example.org/%s%d"
+          (if i mod 3 = 0 then "Site" else "site")
+          (String.make (i mod 4) 'p') (i * 7 mod 40))
+  in
+  let prng = Xy_util.Prng.create ~seed:17 in
+  let shuffled = Array.of_list urls in
+  for i = Array.length shuffled - 1 downto 1 do
+    let j = Xy_util.Prng.int prng (i + 1) in
+    let tmp = shuffled.(i) in
+    shuffled.(i) <- shuffled.(j);
+    shuffled.(j) <- tmp
+  done;
+  Array.iter (fun url -> Queue.add queue ~url) shuffled;
+  ignore (Queue.pop_due queue ~limit:5);
+  let bytes = Queue.encode_snapshot queue in
+  let r = Xy_util.Codec.reader bytes in
+  let encoded =
+    Xy_util.Codec.read_list r (fun r ->
+        let url = Xy_util.Codec.read_string r in
+        ignore (Xy_util.Codec.read_bool r);
+        ignore (Xy_util.Codec.read_float r);
+        ignore (Xy_util.Codec.read_float r);
+        ignore (Xy_util.Codec.read_bool r);
+        ignore (Xy_util.Codec.read_bool r);
+        ignore (Xy_util.Codec.read_float r);
+        url)
+  in
+  Xy_util.Codec.expect_end r;
+  Alcotest.(check (list string))
+    "entries in String.compare order"
+    (List.sort_uniq String.compare urls)
+    encoded;
+  let copy = Queue.create ~initial_period:100. ~clock () in
+  Queue.decode_snapshot copy bytes;
+  Alcotest.(check string) "decode then encode: same bytes" bytes
+    (Queue.encode_snapshot copy)
+
 let test_queue_model_random () =
   (* Model-based test: the queue against a naive reference that keeps
      (url, deadline, period) in a list.  Random add/boost/fetch/advance
@@ -427,6 +472,7 @@ let () =
           tc "penalize demotes, never drops" test_queue_penalize_demotes;
           tc "penalize respects bounds" test_queue_penalize_respects_bounds;
           tc "model-based random" test_queue_model_random;
+          tc "snapshot in URL order" test_queue_snapshot_order;
         ] );
       ( "crawler",
         [

@@ -1695,94 +1695,9 @@ let test_acked_reports_in_synced_wal () =
   checkb "some kill landed after deliveries" true !saw_reports
 
 (* ------------------------------------------------------------------ *)
-(* Background (incremental) compaction *)
+(* Subscription-log rewrites at a checkpoint *)
 
-let test_persist_compaction_incremental () =
-  with_temp @@ fun path ->
-  let log = Record_log.open_log path in
-  for i = 0 to 199 do
-    Persist.append_insert log
-      ~name:(Printf.sprintf "s%d" (i mod 20))
-      ~owner:"o"
-      ~text:(Printf.sprintf "text %d" i)
-  done;
-  Persist.append_delete log ~name:"s0";
-  match Record_log.Compaction.start ~key:Persist.key log with
-  | None -> Alcotest.fail "start refused a live log"
-  | Some task ->
-      let steps = ref 0 in
-      let dropped = ref (-1) in
-      let raced = ref false in
-      while !dropped < 0 do
-        incr steps;
-        (* an append racing the task: it lands past the indexing limit
-           and must survive the swap verbatim *)
-        if !steps = 2 && not !raced then begin
-          raced := true;
-          Persist.append_insert log ~name:"late" ~owner:"o" ~text:"late text"
-        end;
-        match Record_log.Compaction.step task ~budget:16 with
-        | Record_log.Compaction.Running -> ()
-        | Record_log.Compaction.Finished n -> dropped := n
-        | Record_log.Compaction.Abandoned ->
-            Alcotest.fail "abandoned a clean log"
-      done;
-      checkb "took several bounded steps" true (!steps > 5);
-      checkb "dropped the superseded records" true (!dropped > 150);
-      let _, tail = Persist.scan path in
-      checkb "compacted log scans clean" true (tail = Persist.Clean);
-      let live = Persist.replay path in
-      checki "survivors: 19 live names + the racing append" 20
-        (List.length live);
-      checkb "racing append survived" true
-        (List.exists
-           (function Persist.Insert { name = "late"; _ } -> true | _ -> false)
-           live);
-      checkb "deleted name stayed deleted" true
-        (not
-           (List.exists
-              (function Persist.Insert { name = "s0"; _ } -> true | _ -> false)
-              live));
-      (* the live channel was re-opened onto the compacted file *)
-      Persist.append_insert log ~name:"after" ~owner:"o" ~text:"t";
-      checkb "log still accepts appends after the swap" true
-        (List.exists
-           (function Persist.Insert { name = "after"; _ } -> true | _ -> false)
-           (Persist.replay path));
-      Record_log.close log
-
-let test_persist_compaction_damage () =
-  with_temp @@ fun path ->
-  let log = Record_log.open_log path in
-  for i = 0 to 49 do
-    Persist.append_insert log
-      ~name:(Printf.sprintf "s%d" (i mod 5))
-      ~owner:"o" ~text:"t"
-  done;
-  let original = In_channel.with_open_bin path In_channel.input_all in
-  let b = Bytes.of_string original in
-  let pos = Bytes.length b / 2 in
-  Bytes.set b pos (if Bytes.get b pos = 'x' then 'y' else 'x');
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
-  (match Record_log.Compaction.start ~key:Persist.key log with
-  | None -> Alcotest.fail "start refused"
-  | Some task ->
-      let rec drive () =
-        match Record_log.Compaction.step task ~budget:8 with
-        | Record_log.Compaction.Running -> drive ()
-        | p -> p
-      in
-      (match drive () with
-      | Record_log.Compaction.Abandoned -> ()
-      | _ -> Alcotest.fail "compaction must abandon a damaged log"));
-  checks "damaged log left exactly as it was" (Bytes.to_string b)
-    (In_channel.with_open_bin path In_channel.input_all);
-  checkb "no temp left behind" true
-    (not (Sys.file_exists (path ^ ".compact")));
-  Record_log.close log
-
-(* Subscription [C<i>] of the compaction tests: 600 of them take the
-   log past the compaction threshold. *)
+(* Subscription [C<i>] of the rewrite tests. *)
 let compaction_text i =
   Printf.sprintf
     {|subscription C%d
@@ -1803,35 +1718,110 @@ let compaction_update x i =
   | Ok () -> ()
   | Error e -> Alcotest.failf "update C%d: %s" i (Manager.error_to_string e)
 
-(* A compaction that cannot write its temp (here a directory squats
-   on it; a full disk takes the same path) is abandoned in the
-   background: crawling goes on and the log stays whole and
-   appendable. *)
-let test_compaction_failure_spares_the_crawl () =
+let durable_system dir =
+  Xyleme.create ~seed:d_seed ~web:(d_web ()) ~sink:(d_ledger_sink dir)
+    ~durable_dir:dir ()
+
+let restore_system dir =
+  match
+    Xyleme.restore ~seed:d_seed ~web:(d_web ()) ~sink:(d_ledger_sink dir) ~dir
+      ()
+  with
+  | Ok (x, info) -> (x, info)
+  | Error e -> Alcotest.failf "restore failed: %s" e
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let copy_dir src dst =
+  Array.iter
+    (fun name ->
+      let path = Filename.concat src name in
+      if not (Sys.is_directory path) then
+        Out_channel.with_open_bin (Filename.concat dst name) (fun oc ->
+            Out_channel.output_string oc (read_file path)))
+    (Sys.readdir src)
+
+let inserts_name name records =
+  List.exists
+    (function Persist.Insert { name = n; _ } -> n = name | Persist.Delete _ -> false)
+    records
+
+(* 20 subscriptions, re-inserted 9 times each by updates, then one
+   unsubscribed: the checkpoint rewrites the log to the 19 live ones,
+   and a subscribe after the swap lands in the new file. *)
+let test_rewrite_at_checkpoint () =
   with_temp_dir @@ fun dir ->
-  let x =
-    Xyleme.create ~seed:d_seed ~web:(d_web ()) ~sink:(d_ledger_sink dir)
-      ~durable_dir:dir ()
-  in
+  let x = durable_system dir in
+  for i = 0 to 199 do
+    if i < 20 then compaction_subscribe x i else compaction_update x (i mod 20)
+  done;
+  (match Xyleme.unsubscribe x ~name:"C0" with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Manager.error_to_string e));
+  let log = Filename.concat dir "subscriptions.log" in
+  let before = Persist.read_all log in
+  checki "dropped the superseded records" 362
+    (Xyleme.checkpoint x).Xyleme.compacted_records;
+  let records, tail = Persist.scan log in
+  checkb "rewritten log scans clean" true (tail = Persist.Clean);
+  checkb "rewritten log = what a replay installed" true
+    (records = Persist.survivors before);
+  checki "survivors: 19 live names" 19 (List.length records);
+  checkb "deleted name stayed deleted" false (inserts_name "C0" records);
+  checkb "no temp left behind" false (Sys.file_exists (log ^ ".compact"));
+  (* the live handle was re-opened onto the rewritten file *)
+  compaction_subscribe x 200;
+  checkb "log still accepts appends after the swap" true
+    (inserts_name "C200" (Persist.replay log))
+
+(* A log that does not scan clean is never rewritten, however many of
+   its records are superseded. *)
+let test_rewrite_spares_damage () =
+  with_temp_dir @@ fun dir ->
+  let x = durable_system dir in
+  for i = 0 to 49 do
+    if i < 5 then compaction_subscribe x i else compaction_update x (i mod 5)
+  done;
+  let log = Filename.concat dir "subscriptions.log" in
+  let b = Bytes.of_string (read_file log) in
+  let pos = Bytes.length b / 2 in
+  Bytes.set b pos (if Bytes.get b pos = 'x' then 'y' else 'x');
+  Out_channel.with_open_bin log (fun oc -> Out_channel.output_bytes oc b);
+  checki "nothing dropped" 0 (Xyleme.checkpoint x).Xyleme.compacted_records;
+  checks "damaged log left exactly as it was" (Bytes.to_string b)
+    (read_file log);
+  checkb "no temp left behind" true (not (Sys.file_exists (log ^ ".compact")))
+
+(* A rewrite that cannot write its temp (here a directory squats on
+   it; a full disk takes the same path) leaves the log whole and
+   appendable, and the checkpoint stands. *)
+let test_rewrite_failure_spares_the_checkpoint () =
+  with_temp_dir @@ fun dir ->
+  let x = durable_system dir in
   Unix.mkdir (Filename.concat dir "subscriptions.log.compact") 0o755;
   for i = 0 to 599 do
     compaction_subscribe x i
   done;
+  (* 600 superseded records, as many as the live subscriptions *)
+  for i = 0 to 299 do
+    compaction_update x i
+  done;
   let log = Filename.concat dir "subscriptions.log" in
-  checkb "log past the compaction threshold" true
-    ((Unix.stat log).Unix.st_size > 64 * 1024);
-  (* superseded records, so that a compaction starts *)
-  compaction_update x 0;
+  let before = read_file log in
   for _ = 1 to 3 do
     ignore (Xyleme.crawl_step x ~limit:20)
   done;
+  let info = Xyleme.checkpoint x in
+  checki "the checkpoint committed" 1 info.Xyleme.generation;
+  checki "nothing dropped" 0 info.Xyleme.compacted_records;
+  checks "log left exactly as it was" before (read_file log);
   compaction_subscribe x 600;
   checki "log whole and appendable" 601 (List.length (Persist.replay log))
 
-(* An insert-only log has nothing to drop: however far past the
-   threshold, no compaction starts and the log is never rewritten.
-   One update leaves two superseded records, and the compaction that
-   then runs drops exactly those. *)
+(* An insert-only log has nothing to drop: however large, it is never
+   rewritten.  Nor is a log whose superseded records are fewer than
+   its live subscriptions: one update of 600 leaves two.  300 updates
+   supersede 600, and the next checkpoint drops exactly those. *)
 let test_compaction_needs_superseded_records () =
   with_temp_dir @@ fun dir ->
   let x =
@@ -1856,11 +1846,129 @@ let test_compaction_needs_superseded_records () =
   for _ = 1 to 4 do
     ignore (Xyleme.crawl_step x ~limit:20)
   done;
-  checkb "the log was rewritten" true (inode () <> before);
-  checki "the update's two records dropped" 2
+  checki "one update is not worth a rewrite" 0
     (Xyleme.checkpoint x).Xyleme.compacted_records;
+  checkb "the log was still not rewritten" true (inode () = before);
+  for i = 1 to 299 do
+    compaction_update x i
+  done;
+  checki "the 300 updates' 600 records dropped" 600
+    (Xyleme.checkpoint x).Xyleme.compacted_records;
+  checkb "the log was rewritten" true (inode () <> before);
   checki "one record per subscription left" 600
     (List.length (Persist.read_all log))
+
+(* A rewrite killed before its rename leaves a partial temp behind:
+   restore reads only the log, a fresh run's [open_fresh] removes the
+   temp, and the next rewrite truncates it instead of appending. *)
+let test_rewrite_killed_before_rename () =
+  with_temp_dir @@ fun dir ->
+  with_temp_dir @@ fun restored ->
+  with_temp_dir @@ fun fresh ->
+  let x = durable_system dir in
+  for i = 0 to 9 do
+    compaction_subscribe x i
+  done;
+  for i = 0 to 9 do
+    compaction_update x i
+  done;
+  let log = Filename.concat dir "subscriptions.log" in
+  let temp = log ^ ".compact" in
+  let survivors = Persist.survivors (Persist.read_all log) in
+  (* the first survivors written whole, the next one cut short *)
+  let partial = Record_log.open_log temp in
+  List.iteri
+    (fun i -> function
+      | Persist.Insert { name; owner; text } when i < 4 ->
+          Persist.append_insert partial ~name ~owner ~text
+      | _ -> ())
+    survivors;
+  Record_log.close partial;
+  let torn = Record_log.encode (String.make 200 'w') in
+  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 temp (fun oc ->
+      Out_channel.output_string oc (String.sub torn 0 100));
+  copy_dir dir restored;
+  copy_dir dir fresh;
+  let y, info = restore_system restored in
+  checki "restore recovered every subscription" 10
+    info.Xyleme.subscriptions_recovered;
+  checkb "the same subscriptions" true
+    (subscription_set y = subscription_set x);
+  ignore (Xy_durable.Durable.open_fresh fresh);
+  checkb "open_fresh removed the temp" false
+    (Sys.file_exists (Filename.concat fresh "subscriptions.log.compact"));
+  checki "the next rewrite drops the 20 superseded records" 20
+    (Xyleme.checkpoint x).Xyleme.compacted_records;
+  checkb "no temp left behind" false (Sys.file_exists temp);
+  checkb "the log holds the survivors alone" true
+    (Persist.read_all log = survivors)
+
+(* Random subscribe, unsubscribe and update sequences with
+   checkpoints: after every checkpoint, the log replays to the
+   survivors of what it held before (and, when rewritten, holds
+   exactly those); at the end, a restore of a copy recovers the live
+   system's subscriptions. *)
+type sub_op = Sub of int | Unsub of int | Upd of int | Ckpt
+
+let show_sub_op = function
+  | Sub i -> Printf.sprintf "sub C%d" i
+  | Unsub i -> Printf.sprintf "unsub C%d" i
+  | Upd i -> Printf.sprintf "upd C%d" i
+  | Ckpt -> "checkpoint"
+
+let gen_sub_ops =
+  QCheck.Gen.(
+    list_size (5 -- 40)
+      (frequency
+         [
+           (4, map (fun i -> Sub i) (0 -- 5));
+           (2, map (fun i -> Unsub i) (0 -- 5));
+           (3, map (fun i -> Upd i) (0 -- 5));
+           (2, return Ckpt);
+         ]))
+
+let test_rewrites_keep_recovery () =
+  let rewrites = ref 0 in
+  let prop ops =
+    with_temp_dir @@ fun dir ->
+    with_temp_dir @@ fun copy ->
+    let x = durable_system dir in
+    let log = Filename.concat dir "subscriptions.log" in
+    let checkpoint () =
+      let before = Persist.read_all log in
+      let dropped = (Xyleme.checkpoint x).Xyleme.compacted_records in
+      if dropped > 0 then incr rewrites;
+      Persist.replay log = Persist.survivors before
+      && Persist.read_all log
+         = if dropped > 0 then Persist.survivors before else before
+    in
+    let name i = Printf.sprintf "C%d" i in
+    let step ok = function
+      | Sub i ->
+          ignore (Xyleme.subscribe x ~owner:"u" ~text:(compaction_text i));
+          ok
+      | Unsub i ->
+          ignore (Xyleme.unsubscribe x ~name:(name i));
+          ok
+      | Upd i ->
+          ignore
+            (Xyleme.update x ~name:(name i) ~owner:"u" ~text:(compaction_text i));
+          ok
+      | Ckpt -> checkpoint () && ok
+    in
+    let ok = List.fold_left step true ops && checkpoint () in
+    copy_dir dir copy;
+    let y, _ = restore_system copy in
+    ok && subscription_set y = subscription_set x
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 35 |])
+    (QCheck.Test.make ~name:"rewrites never change what restore recovers"
+       ~count:100
+       (QCheck.make
+          ~print:(fun ops -> String.concat "; " (List.map show_sub_op ops))
+          gen_sub_ops)
+       prop);
+  checkb "some generated case rewrote" true (!rewrites > 0)
 
 (* Flip the low bit of each byte of [path] in turn, calling [check]
    on every damaged copy; the file is restored afterwards. *)
@@ -2194,14 +2302,16 @@ let () =
         ] );
       ( "compaction",
         [
-          tc "subscription log: incremental and append-safe"
-            test_persist_compaction_incremental;
-          tc "subscription log: abandons on damage"
-            test_persist_compaction_damage;
-          tc "a failing compaction spares the crawl"
-            test_compaction_failure_spares_the_crawl;
+          tc "subscription log: rewritten at a checkpoint, append-safe"
+            test_rewrite_at_checkpoint;
+          tc "subscription log: abandons on damage" test_rewrite_spares_damage;
+          tc "a failing rewrite spares the checkpoint"
+            test_rewrite_failure_spares_the_checkpoint;
           tc "only superseded records start a compaction"
             test_compaction_needs_superseded_records;
+          tc "a rewrite killed before its rename" test_rewrite_killed_before_rename;
+          tc "rewrites never change what restore recovers"
+            test_rewrites_keep_recovery;
         ] );
       ( "bit flips",
         [

@@ -67,25 +67,13 @@ let test_persist_torn_tail_ignored () =
   | _ -> Alcotest.fail "torn tail must be ignored");
   Sys.remove path
 
-(* Drive an incremental compaction of a subscription log to its end,
-   one record per step. *)
-let compact log =
-  match Record_log.Compaction.start ~key:Persist.key log with
-  | None -> Alcotest.fail "compaction did not start"
-  | Some task ->
-      let rec drive () =
-        match Record_log.Compaction.step task ~budget:1 with
-        | Record_log.Compaction.Running -> drive ()
-        | progress -> progress
-      in
-      drive ()
-
+(* Rewrite a subscription log to its survivors, as a checkpoint does. *)
 let compact_path path =
   let log = Record_log.open_log path in
   Fun.protect ~finally:(fun () -> Record_log.close log) @@ fun () ->
-  match compact log with
-  | Record_log.Compaction.Finished dropped -> dropped
-  | _ -> Alcotest.fail "compaction abandoned a clean log"
+  match Persist.rewrite log with
+  | Some dropped -> dropped
+  | None -> Alcotest.fail "the rewrite left a clean log as it was"
 
 let test_persist_compact () =
   let path = temp_path () in
@@ -199,9 +187,9 @@ let test_persist_compact_truncates_stale_temp () =
   let log = Record_log.open_log path in
   Persist.append_insert log ~name:"A" ~owner:"o" ~text:"keep";
   Record_log.close log;
-  (* A compaction that crashed before its rename leaves a valid temp
+  (* A rewrite that crashed before its rename leaves a valid temp
      behind; appending to it would duplicate its records into the
-     compacted log. *)
+     rewritten log. *)
   let stale = Record_log.open_log (path ^ ".compact") in
   Persist.append_insert stale ~name:"GHOST" ~owner:"crashed" ~text:"stale";
   Record_log.close stale;
@@ -219,12 +207,15 @@ let test_persist_compact_failure_leaves_log_intact () =
   let log = Record_log.open_log path in
   Persist.append_insert log ~name:"A" ~owner:"o" ~text:"keep";
   let temp = path ^ ".compact" in
-  (* A directory at the temp path makes the compaction fail before it
+  (* A directory at the temp path makes the rewrite fail before it
      can write anything. *)
   Unix.mkdir temp 0o755;
-  (match compact log with
-  | Record_log.Compaction.Abandoned -> ()
-  | _ -> Alcotest.fail "compaction must abandon when it cannot write its temp");
+  let before = In_channel.with_open_bin path In_channel.input_all in
+  (match Persist.rewrite log with
+  | None -> ()
+  | Some _ -> Alcotest.fail "a rewrite that cannot write its temp must not report one");
+  checks "log left exactly as it was" before
+    (In_channel.with_open_bin path In_channel.input_all);
   (* the live log is intact and still takes appends *)
   Persist.append_insert log ~name:"B" ~owner:"o" ~text:"after";
   Record_log.close log;

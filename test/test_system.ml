@@ -1204,6 +1204,47 @@ let test_view_follows_store_snapshot () =
 module Reporter = Xy_reporter.Reporter
 module Codec = Xy_util.Codec
 
+(* [Xyleme.mqp_alert] is the alert the ingest path hands the
+   processor: a batch listener receives exactly [mqp_alert] of what
+   the alerter chain of a twin system detects in the same load. *)
+let test_mqp_alert_is_the_ingest_alert () =
+  let text =
+    {|subscription MyXyleme
+monitoring
+select <UpdatedPage url=URL/>
+where URL extends "http://inria.fr/Xy/" and modified self
+report when immediate|}
+  in
+  let t, _ = make () and twin, _ = make () in
+  ignore (subscribe_exn t ~owner:"alice" ~text);
+  ignore (subscribe_exn twin ~owner:"alice" ~text);
+  let received = ref [] in
+  Xy_core.Mqp.on_batch (Xyleme.mqp t) (fun alert _ ->
+      received := alert :: !received);
+  let url = "http://inria.fr/Xy/index.html" in
+  let expected =
+    List.filter_map
+      (fun content ->
+        ignore (Xyleme.ingest t ~url ~content ~kind:Loader.Xml);
+        let result =
+          Loader.load (Xyleme.loader twin) ~url ~content ~kind:Loader.Xml
+        in
+        Option.map Xyleme.mqp_alert
+          (Chain.process (Xyleme.chain twin) ~result ~content))
+      [ "<page>v1</page>"; "<page>v2</page>" ]
+  in
+  let view (a : Xy_core.Mqp.alert) =
+    ( a.url,
+      Xy_events.Event_set.to_list a.events,
+      a.payload,
+      Option.is_none a.trace,
+      a.birth )
+  in
+  checki "the twin's chain detected both loads" 2 (List.length expected);
+  checki "the matching load reached the listener" 1 (List.length !received);
+  checkb "the listener's alert = mqp_alert of the twin's detection" true
+    (List.map view !received = List.map view (List.tl expected))
+
 let codec_string s =
   let buf = Buffer.create 16 in
   Codec.string buf s;
@@ -1459,6 +1500,8 @@ let () =
           tc "warehouse view" test_warehouse_view_shape;
           tc "persistence roundtrip" test_persistence_roundtrip;
           tc "durable ingest delivers" test_durable_ingest_delivers;
+          tc "ingest hands the processor mqp_alert"
+            test_mqp_alert_is_the_ingest_alert;
           tc "restore keeps a virtual dependent"
             test_restore_keeps_virtual_dependent;
           tc "stats" test_stats_consistency;
