@@ -3,6 +3,7 @@
      xyleme check <subscription-file>     validate a subscription
      xyleme query -q <query> <doc.xml>    run a query against a document
      xyleme diff <old.xml> <new.xml>      XID delta between two versions
+     xyleme validate <doc.xml>            check against its internal DTD
      xyleme simulate [...]                run the synthetic-web monitor *)
 
 open Cmdliner
@@ -143,7 +144,7 @@ let validate_cmd =
     Term.(const run $ doc)
 
 (* ------------------------------------------------------------------ *)
-(* simulate / serve / stats / trace *)
+(* simulate — the one command that runs the monitor *)
 
 (* The live telemetry endpoint serves scrapes from a background thread
    while the pipeline runs on this one; every route reads through
@@ -185,149 +186,17 @@ let start_telemetry xyleme port =
         ]
       ()
   in
-  Printf.printf "telemetry: http://127.0.0.1:%d (/metrics /health /slo /traces)\n%!"
+  Printf.eprintf "telemetry: http://127.0.0.1:%d (/metrics /health /slo /traces)\n%!"
     (Xy_telemetry.Telemetry.port server);
   server
 
-(* One end-to-end run over the synthetic web; shared by [simulate]
-   (headline numbers, optional snapshot), [serve] (a paced run that
-   [between] stops on a signal), [stats] (snapshot only) and [trace]
-   (sampled per-document traces; immediate reports so the sampled
-   documents' journeys reach the reporter synchronously).  A restored
-   run keeps its subscriptions and resumes the journaled schedule. *)
-let run_simulation ?(trace_every = 0) ?algorithm ?fault_plan
-    ?(report_clause = "report when count > 5 atmost daily") ?durable_dir
-    ?(checkpoint_every = 0) ?kill_after ?(restore = false) ?sync_every ?slos
-    ?telemetry_port ?serve_port ?serve_config ?(announce = stderr)
-    ?(linger = 0.) ?parallel ?between ~sites ~days ~subscriptions ~seed () =
-  let need_durable flag =
-    match durable_dir with
-    | Some dir -> dir
-    | None -> prerr_endline (flag ^ " needs --durable DIR"); exit 2
-  in
-  (* an injected kill is only meaningful with a directory to restore *)
-  if kill_after <> None then ignore (need_durable "--kill-after");
-  let web = Xy_crawler.Synthetic_web.generate ~seed ~sites ~pages_per_site:8 () in
-  let counting_sink, delivered = Xy_reporter.Sink.counting () in
-  (* A durable run also writes every delivery into the report ledger
-     it keeps in its directory — the artifact two runs are diffed by. *)
-  let ledger = Option.map (fun dir -> Filename.concat dir "reports.log") durable_dir in
-  let sink =
-    Option.fold ledger ~none:counting_sink ~some:(fun path ->
-        Xy_reporter.Sink.tee counting_sink (Xy_reporter.Sink.ledger ~path ()))
-  in
-  let xyleme =
-    if restore then begin
-      let dir = need_durable "--restore" in
-      match
-        Xy_system.Xyleme.restore ~seed ?algorithm ?fault_plan ~sink ~web
-          ?slos ?parallel ?serve_port ?serve_config ?sync_every ~dir ()
-      with
-      | Error e ->
-          Printf.eprintf "restore failed: %s\n" e;
-          exit 1
-      | Ok (xyleme, info) ->
-          Printf.printf
-            "restored %s: generation %d, %d subscription(s), %d txn(s) \
-             replayed (WAL tail %s), %d fetch(es) re-queued, %d report(s) \
-             re-delivered; resuming at step %d\n"
-            dir info.Xy_system.Xyleme.generation
-            info.Xy_system.Xyleme.subscriptions_recovered
-            info.Xy_system.Xyleme.txns_replayed
-            (match info.Xy_system.Xyleme.wal_tail with
-            | Xy_durable.Durable.Clean -> "clean"
-            | Xy_durable.Durable.Torn -> "torn"
-            | Xy_durable.Durable.Corrupt -> "corrupt")
-            info.Xy_system.Xyleme.requeued_fetches
-            info.Xy_system.Xyleme.redelivered_reports
-            (Xy_system.Xyleme.steps_done xyleme);
-          xyleme
-    end
-    else begin
-      let xyleme =
-        Xy_system.Xyleme.create ~seed ?algorithm ?fault_plan ~sink ~web ?slos
-          ?parallel ?serve_port ?serve_config ?durable_dir ?sync_every ()
-      in
-      (* the ledger is this command's file: a fresh run clears it *)
-      Option.iter (fun p -> if Sys.file_exists p then Sys.remove p) ledger;
-      xyleme
-    end
-  in
-  (* [simulate] announces on stderr: convergence checks diff the stats
-     lines of a served run against a plain one. *)
-  Option.iter
-    (fun s ->
-      Printf.fprintf announce "serve: wire protocol on port %d\n%!"
-        (Xy_serve.Serve.port s))
-    (Xy_system.Xyleme.serve xyleme);
-  let telemetry = Option.map (start_telemetry xyleme) telemetry_port in
-  if trace_every > 0 then
-    Xy_trace.Trace.set_sampling (Xy_system.Xyleme.tracer xyleme)
-      ~every:trace_every;
-  let accepted = ref 0 in
-  if not restore then
-    for i = 0 to subscriptions - 1 do
-      let text =
-        Printf.sprintf
-          {|subscription S%d
-monitoring
-select <UpdatedPage url=URL/>
-where URL extends "http://site%d.example.org/" and modified self
-%s|}
-          i (i mod sites) report_clause
-      in
-      match Xy_system.Xyleme.subscribe xyleme ~owner:(Printf.sprintf "u%d" i) ~text with
-      | Ok _ -> incr accepted
-      | Error _ -> ()
-    done
-  else accepted := Xy_submgr.Manager.subscription_count (Xy_system.Xyleme.manager xyleme);
-  Option.iter
-    (fun k -> Xy_fault.Fault.arm_after (Xy_system.Xyleme.faults xyleme) "crash" k)
-    kill_after;
-  (try
-     Xy_system.Xyleme.run ~checkpoint_every ?between xyleme ~days
-       ~step:(6. *. 3600.) ~fetch_limit:500
-   with Xy_fault.Fault.Crash label ->
-     (* The injected kill: leave the durable directory exactly as a
-        real [kill -9] would — the next invocation restores from it. *)
-     Printf.printf
-       "killed by injected crash at %s (step %d); restart with --restore\n"
-       label
-       (Xy_system.Xyleme.steps_done xyleme));
-  if
-    linger > 0.
-    && (telemetry <> None || Option.is_some (Xy_system.Xyleme.serve xyleme))
-  then begin
-    if telemetry <> None then
-      Printf.printf "telemetry: serving for another %.0fs (scrape now)\n%!"
-        linger;
-    if Option.is_some (Xy_system.Xyleme.serve xyleme) then begin
-      (* keep draining wire mutations so late subscribers and acks are
-         honoured while the endpoints linger *)
-      let deadline = Xy_obs.Obs.now () +. linger in
-      while Xy_obs.Obs.now () < deadline do
-        ignore (Xy_system.Xyleme.serve_pump xyleme);
-        Thread.delay 0.05
-      done
-    end
-    else Thread.delay linger
-  end;
-  Option.iter Xy_telemetry.Telemetry.stop telemetry;
-  Xy_system.Xyleme.stop_serve xyleme;
-  (xyleme, !accepted, !delivered)
-
-let print_snapshot ~xml xyleme =
-  let snapshot = Xy_obs.Obs.snapshot (Xy_system.Xyleme.obs xyleme) in
-  if xml then print_string (Xy_obs.Obs.Snapshot.to_xml_string snapshot)
-  else Format.printf "%a@." Xy_obs.Obs.Snapshot.pp snapshot
-
 (* The freeze/delta lifecycle of the compact matcher, shown whenever
    the processor runs `--algorithm aes-compact`. *)
-let print_compact_stats xyleme =
+let print_compact_stats out xyleme =
   match Xy_core.Mqp.compact_stats (Xy_system.Xyleme.mqp xyleme) with
   | None -> ()
   | Some cs ->
-      Printf.printf
+      Printf.fprintf out
         "aes-compact: frozen %d complex event(s) in %d cell(s) / %d mark(s) \
          (%d words); delta %d, tombstones %d; %d freeze(s), refreeze \
          threshold %d\n"
@@ -338,24 +207,27 @@ let print_compact_stats xyleme =
         cs.Xy_core.Aes_compact.tombstones cs.Xy_core.Aes_compact.refreezes
         cs.Xy_core.Aes_compact.refreeze_threshold
 
-let print_trace_summary tracer =
-  Printf.printf "traces: %d sampled, %d completed (ring keeps the last %d)\n"
+let print_trace_summary out tracer =
+  Printf.fprintf out "traces: %d sampled, %d completed (ring keeps the last %d)\n"
     (Xy_trace.Trace.started tracer)
     (Xy_trace.Trace.completed tracer)
     (List.length (Xy_trace.Trace.traces tracer));
   match Xy_trace.Trace.summary tracer with
   | [] -> ()
   | stats ->
-      Printf.printf "per-stage totals over retained traces:\n";
+      Printf.fprintf out "per-stage totals over retained traces:\n";
       List.iter
         (fun s ->
-          Printf.printf "  %-12s %6d span(s)  total %9.3f ms  max %8.3f ms\n"
+          Printf.fprintf out "  %-12s %6d span(s)  total %9.3f ms  max %8.3f ms\n"
             s.Xy_trace.Trace.st_stage s.Xy_trace.Trace.st_spans
             (s.Xy_trace.Trace.st_total_wall *. 1e3)
             (s.Xy_trace.Trace.st_max_wall *. 1e3))
         stats
 
-let print_slowest ~k tracer =
+(* The five slowest retained traces.  Complete fetch→alert→match→report
+   journeys — the critical path the paper's throughput claim is about —
+   lead; whatever else was slowest pads the list. *)
+let print_slowest ppf tracer =
   let stages trace =
     List.sort_uniq compare
       (List.map (fun s -> s.Xy_trace.Trace.sp_stage) trace.Xy_trace.Trace.tr_spans)
@@ -365,22 +237,60 @@ let print_slowest ~k tracer =
       (fun stage -> List.mem stage (stages trace))
       [ "crawler"; "alerters"; "mqp"; "reporter" ]
   in
-  (* Lead with complete fetch→alert→match→report journeys — the
-     critical path the paper's throughput claim is about — then pad
-     with whatever else was slowest. *)
   let full, partial =
     List.partition end_to_end (Xy_trace.Trace.slowest tracer ~k:max_int)
   in
-  let shown = List.filteri (fun i _ -> i < k) (full @ partial) in
-  List.iter (fun trace -> Format.printf "%a@." Xy_trace.Trace.pp_trace trace) shown
+  Format.fprintf ppf "@.slowest traces (end-to-end journeys first):@.";
+  List.iteri
+    (fun i trace -> if i < 5 then Format.fprintf ppf "%a@." Xy_trace.Trace.pp_trace trace)
+    (full @ partial)
 
-let sites_arg = Arg.(value & opt int 8 & info [ "sites" ] ~docv:"N")
-let days_arg = Arg.(value & opt float 14. & info [ "days" ] ~docv:"D")
+let print_fault_report out xyleme =
+  let faults = Xy_system.Xyleme.faults xyleme in
+  let wire = Xy_system.Xyleme.wire_faults xyleme in
+  if Xy_fault.Fault.active faults || Xy_fault.Fault.active wire then begin
+    Printf.fprintf out "faults injected:";
+    List.iter
+      (fun (point, _) ->
+        (* pipeline points draw from one injector, wire points from
+           the serving surface's; a point fires in exactly one *)
+        let count =
+          Xy_fault.Fault.injected faults point
+          + Xy_fault.Fault.injected wire point
+        in
+        if count > 0 then Printf.fprintf out " %s=%d" point count)
+      Xy_fault.Fault.points;
+    Printf.fprintf out "\n";
+    let snapshot = Xy_obs.Obs.snapshot (Xy_system.Xyleme.obs xyleme) in
+    let fault_counters =
+      List.filter_map
+        (fun entry ->
+          match entry with
+          | { Xy_obs.Obs.Snapshot.stage = "fault"; name;
+              value = Xy_obs.Obs.Snapshot.Counter v } -> Some (name, v)
+          | _ -> None)
+        snapshot.Xy_obs.Obs.Snapshot.entries
+    in
+    if fault_counters <> [] then begin
+      Printf.fprintf out "recovery:";
+      List.iter
+        (fun (name, v) -> Printf.fprintf out " %s=%d" name v)
+        fault_counters;
+      Printf.fprintf out "\n"
+    end
+  end
 
-let subscriptions_arg =
-  Arg.(value & opt int 100 & info [ "subscriptions" ] ~docv:"N")
-
-let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED")
+let print_slo_reports out xyleme =
+  List.iter
+    (fun (r : Xy_slo.Slo.report) ->
+      Printf.fprintf out
+        "slo %s: %s (fast burn %.2f, slow burn %.2f, %d/%d good in slow \
+         window)\n"
+        r.Xy_slo.Slo.r_objective.Xy_slo.Slo.o_name
+        (if r.Xy_slo.Slo.r_breached then "BREACHED" else "ok")
+        r.Xy_slo.Slo.r_fast_burn r.Xy_slo.Slo.r_slow_burn
+        r.Xy_slo.Slo.r_good r.Xy_slo.Slo.r_total)
+    (Xy_system.Xyleme.slo_reports xyleme)
 
 let faults_arg =
   let parse s =
@@ -405,41 +315,6 @@ let faults_arg =
            (require $(b,--serve)): conn_drop, partial_write, net_delay, \
            net_mangle")
 
-let print_fault_report xyleme =
-  let faults = Xy_system.Xyleme.faults xyleme in
-  let wire = Xy_system.Xyleme.wire_faults xyleme in
-  if Xy_fault.Fault.active faults || Xy_fault.Fault.active wire then begin
-    Printf.printf "faults injected:";
-    List.iter
-      (fun (point, _) ->
-        (* pipeline points draw from one injector, wire points from
-           the serving surface's; a point fires in exactly one *)
-        let count =
-          Xy_fault.Fault.injected faults point
-          + Xy_fault.Fault.injected wire point
-        in
-        if count > 0 then Printf.printf " %s=%d" point count)
-      Xy_fault.Fault.points;
-    print_newline ();
-    let snapshot = Xy_obs.Obs.snapshot (Xy_system.Xyleme.obs xyleme) in
-    let fault_counters =
-      List.filter_map
-        (fun entry ->
-          match entry with
-          | { Xy_obs.Obs.Snapshot.stage = "fault"; name;
-              value = Xy_obs.Obs.Snapshot.Counter v } -> Some (name, v)
-          | _ -> None)
-        snapshot.Xy_obs.Obs.Snapshot.entries
-    in
-    if fault_counters <> [] then begin
-      Printf.printf "recovery:";
-      List.iter
-        (fun (name, v) -> Printf.printf " %s=%d" name v)
-        fault_counters;
-      print_newline ()
-    end
-  end
-
 let algorithm_arg =
   let algorithms =
     List.map
@@ -454,81 +329,6 @@ let algorithm_arg =
           "Matching algorithm for the query processor: $(b,aes) (the paper's \
            hash-tree), $(b,aes-compact) (frozen flat arrays + delta \
            overlay), $(b,naive) or $(b,counting)")
-
-let durable_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "durable" ] ~docv:"DIR"
-        ~doc:
-          "Run durably: checkpoint + write-ahead log under $(docv), report \
-           deliveries ledgered to $(docv)/reports.log.  A killed run is \
-           resumed with $(b,--restore)")
-
-let checkpoint_every_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "checkpoint-every" ] ~docv:"N"
-        ~doc:"Checkpoint the durable run every $(docv) steps (0 = never)")
-
-let kill_after_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "kill-after" ] ~docv:"K"
-        ~doc:
-          "Die (simulated kill -9, discarding the open transaction) at the \
-           $(docv)-th crash point of the run — crash testing for \
-           $(b,--durable), which it requires")
-
-let restore_flag =
-  Arg.(
-    value & flag
-    & info [ "restore" ]
-        ~doc:
-          "Warm-restart from the $(b,--durable) directory instead of \
-           starting fresh, and finish the remaining steps")
-
-let sync_every_arg =
-  Arg.(
-    value & opt int 32
-    & info [ "sync-every" ] ~docv:"N"
-        ~doc:
-          "WAL group-commit batch size: fsync once per $(docv) committed \
-           transactions (1 = sync every commit).  Report deliveries always \
-           force a sync first — at-least-once delivery holds at any setting")
-
-let telemetry_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "telemetry" ] ~docv:"PORT"
-        ~doc:
-          "Serve live telemetry on http://127.0.0.1:$(docv) while the run \
-           executes: $(b,/metrics) (Prometheus text), $(b,/health) and \
-           $(b,/slo) (JSON), $(b,/traces) (JSONL).  Port 0 picks an \
-           ephemeral port (printed at startup)")
-
-let serve_port_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "serve" ] ~docv:"PORT"
-        ~doc:
-          "Serve the wire protocol on TCP port $(docv) while the run \
-           executes: remote clients HELLO/SUBSCRIBE/UNSUBSCRIBE/STATUS over \
-           CRC-framed messages and receive streamed report frames they ACK \
-           by delivery seq.  Port 0 picks an ephemeral port (printed on \
-           stderr at startup)")
-
-let linger_arg =
-  Arg.(
-    value & opt float 0.
-    & info [ "linger" ] ~docv:"SECONDS"
-        ~doc:
-          "Keep the $(b,--telemetry) and $(b,--serve) endpoints up for \
-           $(docv) wall-clock seconds after the run finishes, so the final \
-           state can be scraped and late clients served")
 
 let slo_arg =
   let parse s =
@@ -550,17 +350,6 @@ let slo_arg =
            $(b,notify:reporter/notification_lag<=86400:0.95:1d/4d:1).  \
            Evaluated every virtual step; a breach ingests an SLO document \
            at xyleme://self/slo/NAME.xml through the normal pipeline")
-
-let domains_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Run each crawl step's fetches through up to $(docv) pool \
-           workers (load, detect and match; capped at one fewer than the \
-           host's cores) while this domain reports in batch order; 1 \
-           keeps the serial loop.  Notifications and reports are \
-           identical either way")
 
 let shards_arg =
   let parse s =
@@ -607,45 +396,212 @@ let parallel_of ~domains ~shards ~axis =
         axis;
       }
 
+(* One virtual step is six hours: a virtual day is 4 steps. *)
+let step = 6. *. 3600.
+
+(* One run over the synthetic web: create the system (or restore it),
+   seed the demo subscriptions on a fresh run, step it with
+   [Xyleme.run] until [--days] or SIGINT/SIGTERM, then report.  Every
+   announcement goes to stderr, so a served run's stdout equals the
+   plain run's; a machine document (--xml, --jsonl) owns stdout alone,
+   and the run's report then goes to stderr too. *)
 let simulate_cmd =
   let run sites days subscriptions seed algorithm fault_plan verbose
-      stats_flag trace_every durable_dir checkpoint_every kill_after restore
-      sync_every slos telemetry_port serve_port linger domains shards axis =
+      stats_flag trace_every output durable_dir checkpoint_every kill_after
+      restore sync_every slos telemetry_port serve_port linger pace
+      idle_deadline read_deadline max_connections drain domains shards axis =
     if verbose then begin
       Logs.set_reporter (Logs.format_reporter ());
       Logs.set_level (Some Logs.Info)
     end;
-    let trace_every = Option.value ~default:0 trace_every in
-    let parallel = parallel_of ~domains ~shards ~axis in
-    let xyleme, accepted, delivered =
-      run_simulation ~trace_every ~algorithm ?fault_plan ?durable_dir
-        ~checkpoint_every ?kill_after ~restore ~sync_every ~slos
-        ?telemetry_port ?serve_port ~linger ?parallel ~sites ~days
-        ~subscriptions ~seed ()
+    let refuse message =
+      prerr_endline message;
+      exit 2
     in
+    let need_durable flag =
+      match durable_dir with
+      | Some dir -> dir
+      | None -> refuse (flag ^ " needs --durable DIR")
+    in
+    if days < 0. then
+      refuse "--days takes a positive number of days, or 0 to run until stopped";
+    (* an injected kill is only meaningful with a directory to restore *)
+    if kill_after <> None then ignore (need_durable "--kill-after");
+    (match output with
+    | `Xml when not stats_flag -> refuse "--xml needs --stats"
+    | `Jsonl when trace_every = None -> refuse "--jsonl needs --trace"
+    | `Text | `Xml | `Jsonl -> ());
+    let out = if output = `Text then stdout else stderr in
+    let ppf = Format.formatter_of_out_channel out in
+    (* A signal stops the run at the next step boundary, so a durable
+       directory is left synced and restorable. *)
+    let stop_requested = ref false in
+    List.iter
+      (fun s ->
+        Sys.set_signal s (Sys.Signal_handle (fun _ -> stop_requested := true)))
+      [ Sys.sigint; Sys.sigterm ];
+    let web = Xy_crawler.Synthetic_web.generate ~seed ~sites ~pages_per_site:8 () in
+    let counting_sink, delivered = Xy_reporter.Sink.counting () in
+    (* A durable run also writes every delivery into the report ledger
+       it keeps in its directory — the artifact two runs are diffed by. *)
+    let ledger = Option.map (fun dir -> Filename.concat dir "reports.log") durable_dir in
+    let sink =
+      Option.fold ledger ~none:counting_sink ~some:(fun path ->
+          Xy_reporter.Sink.tee counting_sink (Xy_reporter.Sink.ledger ~path ()))
+    in
+    let serve_config =
+      Option.map
+        (fun port ->
+          Xy_serve.Serve.config ~port ~max_connections ~idle_deadline
+            ~read_deadline ~drain ())
+        serve_port
+    in
+    let parallel = parallel_of ~domains ~shards ~axis in
+    let xyleme =
+      if restore then begin
+        let dir = need_durable "--restore" in
+        match
+          Xy_system.Xyleme.restore ~seed ~algorithm ?fault_plan ~sink ~web ~slos
+            ?parallel ?serve_config ~sync_every ~dir ()
+        with
+        | Error e ->
+            Printf.eprintf "restore failed: %s\n" e;
+            exit 1
+        | Ok (xyleme, info) ->
+            Printf.fprintf out
+              "restored %s: generation %d, %d subscription(s), %d txn(s) \
+               replayed (WAL tail %s), %d fetch(es) re-queued, %d report(s) \
+               re-delivered; resuming at step %d\n"
+              dir info.Xy_system.Xyleme.generation
+              info.Xy_system.Xyleme.subscriptions_recovered
+              info.Xy_system.Xyleme.txns_replayed
+              (match info.Xy_system.Xyleme.wal_tail with
+              | Xy_durable.Durable.Clean -> "clean"
+              | Xy_durable.Durable.Torn -> "torn"
+              | Xy_durable.Durable.Corrupt -> "corrupt")
+              info.Xy_system.Xyleme.requeued_fetches
+              info.Xy_system.Xyleme.redelivered_reports
+              (Xy_system.Xyleme.steps_done xyleme);
+            xyleme
+      end
+      else begin
+        let xyleme =
+          Xy_system.Xyleme.create ~seed ~algorithm ?fault_plan ~sink ~web ~slos
+            ?parallel ?serve_config ?durable_dir ~sync_every ()
+        in
+        (* the ledger is this command's file: a fresh run clears it *)
+        Option.iter (fun p -> if Sys.file_exists p then Sys.remove p) ledger;
+        xyleme
+      end
+    in
+    Option.iter
+      (fun s ->
+        Printf.eprintf "serve: wire protocol on port %d\n%!"
+          (Xy_serve.Serve.port s))
+      (Xy_system.Xyleme.serve xyleme);
+    let telemetry = Option.map (start_telemetry xyleme) telemetry_port in
+    Option.iter
+      (fun every ->
+        Xy_trace.Trace.set_sampling (Xy_system.Xyleme.tracer xyleme) ~every)
+      trace_every;
+    let accepted = ref 0 in
+    if not restore then
+      for i = 0 to subscriptions - 1 do
+        let text =
+          Printf.sprintf
+            {|subscription S%d
+monitoring
+select <UpdatedPage url=URL/>
+where URL extends "http://site%d.example.org/" and modified self
+report when count > 5 atmost daily|}
+            i (i mod sites)
+        in
+        match Xy_system.Xyleme.subscribe xyleme ~owner:(Printf.sprintf "u%d" i) ~text with
+        | Ok _ -> incr accepted
+        | Error _ -> ()
+      done
+    else accepted := Xy_submgr.Manager.subscription_count (Xy_system.Xyleme.manager xyleme);
+    Option.iter
+      (fun k -> Xy_fault.Fault.arm_after (Xy_system.Xyleme.faults xyleme) "crash" k)
+      kill_after;
+    let between () =
+      if pace > 0. then Thread.delay pace;
+      not !stop_requested
+    in
+    (try
+       Xy_system.Xyleme.run ~checkpoint_every ~between xyleme
+         ~days:(if days = 0. then infinity else days)
+         ~step ~fetch_limit:500
+     with Xy_fault.Fault.Crash label ->
+       (* The injected kill: leave the durable directory exactly as a
+          real [kill -9] would — the next invocation restores from it. *)
+       Printf.fprintf out
+         "killed by injected crash at %s (step %d); restart with --restore\n"
+         label
+         (Xy_system.Xyleme.steps_done xyleme));
+    if
+      linger > 0.
+      && (telemetry <> None || Option.is_some (Xy_system.Xyleme.serve xyleme))
+    then begin
+      Printf.eprintf "endpoints stay up for another %ss\n%!"
+        (Xy_obs.Obs.Export.number linger);
+      (* keep draining wire mutations so late subscribers and acks are
+         honoured while the endpoints linger *)
+      let deadline = Xy_obs.Obs.now () +. linger in
+      while Xy_obs.Obs.now () < deadline && not !stop_requested do
+        ignore (Xy_system.Xyleme.serve_pump xyleme);
+        Thread.delay 0.05
+      done
+    end;
+    Option.iter Xy_telemetry.Telemetry.stop telemetry;
+    Xy_system.Xyleme.stop_serve xyleme;
     let stats = Xy_system.Xyleme.stats xyleme in
-    Printf.printf "simulated %s days over %d sites, %d subscriptions:\n"
-      (Xy_obs.Obs.Export.number days) sites accepted;
-    Printf.printf "  fetched %d, stored %d, alerts %d, notifications %d, reports %d (%d deliveries)\n"
-      stats.Xy_system.Xyleme.documents_fetched
+    Printf.fprintf out
+      "simulated %s days over %d sites, %d subscriptions: fetched %d, stored \
+       %d, alerts %d, notifications %d, reports %d (%d deliveries)\n"
+      (Xy_obs.Obs.Export.number
+         (float_of_int (Xy_system.Xyleme.steps_done xyleme) *. step /. 86400.))
+      sites !accepted stats.Xy_system.Xyleme.documents_fetched
       stats.Xy_system.Xyleme.documents_stored stats.Xy_system.Xyleme.alerts_sent
       stats.Xy_system.Xyleme.notifications stats.Xy_system.Xyleme.reports
-      delivered;
-    print_compact_stats xyleme;
-    print_fault_report xyleme;
-    List.iter
-      (fun (r : Xy_slo.Slo.report) ->
-        Printf.printf
-          "slo %s: %s (fast burn %.2f, slow burn %.2f, %d/%d good in slow \
-           window)\n"
-          r.Xy_slo.Slo.r_objective.Xy_slo.Slo.o_name
-          (if r.Xy_slo.Slo.r_breached then "BREACHED" else "ok")
-          r.Xy_slo.Slo.r_fast_burn r.Xy_slo.Slo.r_slow_burn
-          r.Xy_slo.Slo.r_good r.Xy_slo.Slo.r_total)
-      (Xy_system.Xyleme.slo_reports xyleme);
-    if stats_flag then print_snapshot ~xml:false xyleme;
-    if trace_every > 0 then print_trace_summary (Xy_system.Xyleme.tracer xyleme)
+      !delivered;
+    print_compact_stats out xyleme;
+    print_fault_report out xyleme;
+    print_slo_reports out xyleme;
+    if stats_flag then begin
+      let snapshot = Xy_obs.Obs.snapshot (Xy_system.Xyleme.obs xyleme) in
+      if output = `Xml then print_string (Xy_obs.Obs.Snapshot.to_xml_string snapshot)
+      else Format.fprintf ppf "%a@." Xy_obs.Obs.Snapshot.pp snapshot
+    end;
+    if trace_every <> None then begin
+      let tracer = Xy_system.Xyleme.tracer xyleme in
+      if output = `Jsonl then print_string (Xy_trace.Trace.to_jsonl_string tracer)
+      else begin
+        print_trace_summary out tracer;
+        print_slowest ppf tracer
+      end
+    end
   in
+  let sites = Arg.(value & opt int 8 & info [ "sites" ] ~docv:"N") in
+  let days =
+    Arg.(
+      value & opt float 14.
+      & info [ "days" ] ~docv:"D"
+          ~doc:
+            "Stop once the run has covered $(docv) virtual days since its \
+             first start ($(b,--restore) continues the count); 0 runs until \
+             SIGINT/SIGTERM.  Either signal stops any run at the next step \
+             boundary")
+  in
+  let subscriptions =
+    Arg.(
+      value & opt int 100
+      & info [ "subscriptions" ] ~docv:"N"
+          ~doc:
+            "Seed $(docv) in-process demo subscriptions on a fresh run (wire \
+             clients register their own)")
+  in
+  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED") in
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log pipeline events") in
   let stats_flag =
     Arg.(
@@ -659,209 +615,172 @@ let simulate_cmd =
       & info [ "trace" ] ~docv:"N"
           ~doc:
             "Trace 1-in-$(docv) fetched documents (default 100) and print \
-             the per-stage span summary after the run")
+             the per-stage span summary and the five slowest journeys after \
+             the run")
   in
-  Cmd.v (Cmd.info "simulate" ~doc:"Run the monitor over a synthetic web")
-    Term.(
-      const run $ sites_arg $ days_arg $ subscriptions_arg $ seed_arg
-      $ algorithm_arg $ faults_arg $ verbose $ stats_flag $ trace_every
-      $ durable_arg $ checkpoint_every_arg $ kill_after_arg $ restore_flag
-      $ sync_every_arg $ slo_arg $ telemetry_arg
-      $ serve_port_arg $ linger_arg $ domains_arg $ shards_arg $ axis_arg)
-
-(* ------------------------------------------------------------------ *)
-(* serve — run the monitor as a long-lived wire-protocol server *)
-
-let serve_cmd =
-  let run port sites seed subscriptions algorithm fault_plan verbose
-      telemetry_port durable_dir kill_after restore days pace idle_deadline
-      read_deadline max_connections drain =
-    if verbose then begin
-      Logs.set_reporter (Logs.format_reporter ());
-      Logs.set_level (Some Logs.Info)
-    end;
-    let serve_config =
-      Xy_serve.Serve.config ~port ~max_connections ~idle_deadline
-        ~read_deadline ~drain ()
-    in
-    let stop_requested = ref false in
-    List.iter
-      (fun s ->
-        Sys.set_signal s (Sys.Signal_handle (fun _ -> stop_requested := true)))
-      [ Sys.sigint; Sys.sigterm ];
-    let between () =
-      if pace > 0. then Thread.delay pace;
-      not !stop_requested
-    in
-    (* A durable server checkpoints once a virtual day (4 steps of 6
-       hours), which bounds its WAL. *)
-    let xyleme, _, _ =
-      run_simulation ~algorithm ?fault_plan
-        ~report_clause:"report when immediate" ?durable_dir ~checkpoint_every:4
-        ?kill_after ~restore ?telemetry_port ~serve_config ~announce:stdout
-        ~between ~sites
-        ~days:(if days <= 0. then infinity else days)
-        ~subscriptions ~seed ()
-    in
-    print_fault_report xyleme;
-    let stats = Xy_system.Xyleme.stats xyleme in
-    Printf.printf
-      "served %d step(s): fetched %d, stored %d, notifications %d, reports %d\n"
-      (Xy_system.Xyleme.steps_done xyleme)
-      stats.Xy_system.Xyleme.documents_fetched
-      stats.Xy_system.Xyleme.documents_stored
-      stats.Xy_system.Xyleme.notifications stats.Xy_system.Xyleme.reports
-  in
-  let port =
+  let output =
     Arg.(
-      value & opt int 9110
-      & info [ "port" ] ~docv:"PORT"
-          ~doc:"TCP port for the wire protocol (0 picks an ephemeral port)")
+      value
+      & vflag `Text
+          [
+            ( `Xml,
+              info [ "xml" ]
+                ~doc:
+                  "Print the $(b,--stats) snapshot as one XML document, the \
+                   only output on stdout" );
+            ( `Jsonl,
+              info [ "jsonl" ]
+                ~doc:
+                  "Print the $(b,--trace) traces as JSON Lines, the only \
+                   output on stdout" );
+          ])
   in
-  let days =
+  let durable =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "durable" ] ~docv:"DIR"
+          ~doc:
+            "Run durably: checkpoint + write-ahead log under $(docv), report \
+             deliveries ledgered to $(docv)/reports.log.  A killed run is \
+             resumed with $(b,--restore)")
+  in
+  let checkpoint_every =
+    Arg.(
+      value & opt int 4
+      & info [ "checkpoint-every" ] ~docv:"N"
+          ~doc:
+            "Checkpoint the durable run every $(docv) steps (4 steps are one \
+             virtual day, which bounds the WAL; 0 = never)")
+  in
+  let kill_after =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "kill-after" ] ~docv:"K"
+          ~doc:
+            "Die (simulated kill -9, discarding the open transaction) at the \
+             $(docv)-th crash point of the run — crash testing for \
+             $(b,--durable), which it requires")
+  in
+  let restore =
+    Arg.(
+      value & flag
+      & info [ "restore" ]
+          ~doc:
+            "Warm-restart from the $(b,--durable) directory instead of \
+             starting fresh, and finish the remaining steps")
+  in
+  let sync_every =
+    Arg.(
+      value & opt int 32
+      & info [ "sync-every" ] ~docv:"N"
+          ~doc:
+            "WAL group-commit batch size: fsync once per $(docv) committed \
+             transactions (1 = sync every commit).  Report deliveries always \
+             force a sync first — at-least-once delivery holds at any setting")
+  in
+  let telemetry =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "telemetry" ] ~docv:"PORT"
+          ~doc:
+            "Serve live telemetry on http://127.0.0.1:$(docv) while the run \
+             executes: $(b,/metrics) (Prometheus text), $(b,/health) and \
+             $(b,/slo) (JSON), $(b,/traces) (JSONL).  Port 0 picks an \
+             ephemeral port (printed on stderr at startup)")
+  in
+  let serve_port =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "serve" ] ~docv:"PORT"
+          ~doc:
+            "Serve the wire protocol on TCP port $(docv) while the run \
+             executes: remote clients HELLO/SUBSCRIBE/UNSUBSCRIBE/STATUS over \
+             CRC-framed messages and receive streamed report frames they ACK \
+             by delivery seq.  Port 0 picks an ephemeral port (printed on \
+             stderr at startup)")
+  in
+  let linger =
     Arg.(
       value & opt float 0.
-      & info [ "days" ] ~docv:"DAYS"
+      & info [ "linger" ] ~docv:"SECONDS"
           ~doc:
-            "Stop once the run has covered this many virtual days since \
-             its first start ($(b,--restore) continues the count); 0 (the \
-             default) runs until SIGINT/SIGTERM")
+            "Keep the $(b,--telemetry) and $(b,--serve) endpoints up for \
+             $(docv) wall-clock seconds after the run finishes, so the final \
+             state can be scraped and late clients served")
   in
   let pace =
     Arg.(
-      value & opt float 0.05
+      value & opt float 0.
       & info [ "pace" ] ~docv:"SECONDS"
           ~doc:
             "Wall-clock sleep between virtual steps, so wire clients get \
-             scheduled; 0 free-runs")
-  in
-  let subscriptions =
-    Arg.(
-      value & opt int 0
-      & info [ "subscriptions" ] ~docv:"N"
-          ~doc:
-            "Seed $(docv) in-process demo subscriptions (wire clients \
-             normally register their own)")
-  in
-  let verbose =
-    Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log pipeline events")
+             scheduled; 0 (the default) free-runs")
   in
   let idle_deadline =
     Arg.(
       value & opt float 300.
       & info [ "idle-deadline" ] ~docv:"SECONDS"
           ~doc:
-            "Evict a client that has sent no bytes (not even a PING) for \
-             $(docv); 0 disables eviction")
+            "With $(b,--serve): evict a client that has sent no bytes (not \
+             even a PING) for $(docv); 0 disables eviction")
   in
   let read_deadline =
     Arg.(
       value & opt float 30.
       & info [ "read-deadline" ] ~docv:"SECONDS"
           ~doc:
-            "Close a client that leaves a frame incomplete for $(docv) \
-             (slow-loris guard); 0 disables")
+            "With $(b,--serve): close a client that leaves a frame \
+             incomplete for $(docv) (slow-loris guard); 0 disables")
   in
   let max_connections =
     Arg.(
       value & opt int 0
       & info [ "max-connections" ] ~docv:"N"
           ~doc:
-            "Admission ceiling: shed connections beyond $(docv) with an \
-             $(b,ERR busy) retry hint; 0 (the default) is unlimited")
+            "With $(b,--serve): admission ceiling, shedding connections \
+             beyond $(docv) with an $(b,ERR busy) retry hint; 0 (the \
+             default) is unlimited")
   in
   let drain =
     Arg.(
       value & opt float 0.5
       & info [ "drain" ] ~docv:"SECONDS"
           ~doc:
-            "Graceful-drain budget on shutdown: give writers up to $(docv) \
-             to flush queued report frames before closing sessions")
+            "With $(b,--serve): graceful-drain budget on shutdown, giving \
+             writers up to $(docv) to flush queued report frames before \
+             closing sessions")
   in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Run the monitor as a long-lived server: the synthetic web evolves \
-          one step per $(b,--pace), and remote clients subscribe and \
-          receive report frames over the wire protocol")
-    Term.(
-      const run $ port $ sites_arg $ seed_arg $ subscriptions $ algorithm_arg
-      $ faults_arg $ verbose $ telemetry_arg $ durable_arg $ kill_after_arg
-      $ restore_flag $ days $ pace $ idle_deadline $ read_deadline
-      $ max_connections $ drain)
-
-let stats_cmd =
-  let run sites days subscriptions seed algorithm xml =
-    let xyleme, _, _ =
-      run_simulation ~algorithm ~sites ~days ~subscriptions ~seed ()
-    in
-    print_snapshot ~xml xyleme;
-    if not xml then print_compact_stats xyleme
-  in
-  let xml =
-    Arg.(value & flag & info [ "xml" ] ~doc:"Emit the snapshot as XML")
-  in
-  Cmd.v
-    (Cmd.info "stats"
-       ~doc:
-         "Run the monitor over a synthetic web and print the per-stage \
-          metrics snapshot (counters, gauges, latency histograms); with \
-          --algorithm aes-compact also the matcher's freeze/delta statistics")
-    Term.(
-      const run $ sites_arg $ days_arg $ subscriptions_arg $ seed_arg
-      $ algorithm_arg $ xml)
-
-(* ------------------------------------------------------------------ *)
-(* trace *)
-
-let trace_cmd =
-  let run sites days subscriptions seed algorithm every k jsonl =
-    let xyleme, _, _ =
-      run_simulation ~trace_every:every ~algorithm
-        ~report_clause:"report when immediate" ~sites ~days ~subscriptions
-        ~seed ()
-    in
-    let tracer = Xy_system.Xyleme.tracer xyleme in
-    if jsonl then print_string (Xy_trace.Trace.to_jsonl_string tracer)
-    else begin
-      print_trace_summary tracer;
-      Printf.printf "\nslowest traces (end-to-end journeys first):\n";
-      print_slowest ~k tracer
-    end
-  in
-  let days_arg = Arg.(value & opt float 3. & info [ "days" ] ~docv:"D") in
-  let every =
+  let domains =
     Arg.(
       value & opt int 1
-      & info [ "every" ] ~docv:"N"
-          ~doc:"Sample 1-in-$(docv) fetched documents (default: every one)")
-  in
-  let k =
-    Arg.(
-      value & opt int 5
-      & info [ "k" ] ~docv:"K" ~doc:"Print the $(docv) slowest traces")
-  in
-  let jsonl =
-    Arg.(
-      value & flag
-      & info [ "jsonl" ] ~doc:"Dump retained traces as JSON Lines instead")
+      & info [ "domains" ] ~docv:"N"
+          ~doc:
+            "Run each crawl step's fetches through up to $(docv) pool \
+             workers (load, detect and match; capped at one fewer than the \
+             host's cores) while this domain reports in batch order; 1 \
+             keeps the serial loop.  Notifications and reports are \
+             identical either way")
   in
   Cmd.v
-    (Cmd.info "trace"
+    (Cmd.info "simulate"
        ~doc:
-         "Run the monitor over a synthetic web with per-document tracing and \
-          print the slowest sampled fetch→alert→match→report journeys with \
-          their per-stage latency breakdown")
+         "Run the monitor over a synthetic web: for $(b,--days), or until \
+          SIGINT/SIGTERM, optionally durable, served over the wire protocol, \
+          traced and scraped live")
     Term.(
-      const run $ sites_arg $ days_arg $ subscriptions_arg $ seed_arg
-      $ algorithm_arg $ every $ k $ jsonl)
+      const run $ sites $ days $ subscriptions $ seed $ algorithm_arg
+      $ faults_arg $ verbose $ stats_flag $ trace_every $ output $ durable
+      $ checkpoint_every $ kill_after $ restore $ sync_every $ slo_arg
+      $ telemetry $ serve_port $ linger $ pace $ idle_deadline $ read_deadline
+      $ max_connections $ drain $ domains $ shards_arg $ axis_arg)
 
 let () =
   let doc = "Xyleme change monitoring (SIGMOD 2001 reproduction)" in
   exit
     (Cmd.eval
        (Cmd.group (Cmd.info "xyleme" ~doc)
-          [
-            check_cmd; query_cmd; diff_cmd; validate_cmd; simulate_cmd;
-            serve_cmd; stats_cmd; trace_cmd;
-          ]))
+          [ check_cmd; query_cmd; diff_cmd; validate_cmd; simulate_cmd ]))

@@ -1,6 +1,6 @@
 (* wire_client — a subscriber speaking the serving-surface protocol,
    used by the CI smoke jobs and handy for poking a running
-   `xyleme serve` by hand.
+   `xyleme simulate --serve PORT` by hand.
 
      wire_client --port 9110 --id u0 --site 0 --await-reports 1
 

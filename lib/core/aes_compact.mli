@@ -46,7 +46,7 @@ val probes : t -> int
 val reset_probes : t -> unit
 
 (** Structure statistics, for the memory/bench experiments and the
-    [xyleme stats] surface. *)
+    line [xyleme simulate --algorithm aes-compact] prints. *)
 type compact_stats = {
   frozen_complex : int;  (** complex events in the frozen layout *)
   frozen_cells : int;

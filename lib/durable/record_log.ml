@@ -291,7 +291,27 @@ type t = {
 let open_append path =
   open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path
 
+(* Where [path]'s intact records end when its tail is torn: the start
+   of the incomplete final record, which no reader ever returned.
+   [None] for a missing, clean or corrupt file. *)
+let torn_tail path =
+  match open_in_bin path with
+  | exception Sys_error _ -> None
+  | ic ->
+      Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+      let d = file_decoder ic in
+      let rec go () =
+        match pull d ic with
+        | Record _ -> go ()
+        | Stop Torn -> Some (pos_in ic - buffered d)
+        | Stop (Clean | Corrupt) -> None
+      in
+      go ()
+
+(* A record appended behind a torn tail would sit where no reader gets
+   past the fragment, so the fragment goes first. *)
 let open_log ?(faults = Fault.none) path =
+  Option.iter (Unix.truncate path) (torn_tail path);
   { path; channel = open_append path; faults; dead = false }
 
 let is_dead t = t.dead

@@ -123,7 +123,10 @@ val older_format : string -> bool
 type t
 
 (** [open_log ?faults path] opens (or creates) [path] and keeps an
-    append channel open: one write and flush per record.
+    append channel open: one write and flush per record.  A [Torn]
+    tail is cut back to the end of the last whole record first, so
+    what is appended reads back after the intact prefix; a [Corrupt]
+    file is left as it is.
 
     [faults] (default {!Xy_fault.Fault.none}) arms two failure points:
     [torn_write] cuts an append short and kills the handle — the

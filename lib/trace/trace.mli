@@ -174,7 +174,8 @@ val summary : t -> stage_stat list
 (** {2 Export}
 
     JSON Lines is the one machine encoding of traces: the telemetry
-    endpoint's [/traces] and [xyleme_cli trace --jsonl] serve it.
+    endpoint's [/traces] and [xyleme_cli simulate --trace --jsonl]
+    serve it.
     Numbers and strings go through {!Xy_obs.Obs.Export}. *)
 
 (** [trace_to_jsonl trace] is one JSON object on one line: [id],

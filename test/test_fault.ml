@@ -322,7 +322,9 @@ let firstn n list = List.filteri (fun i _ -> i < n) list
    log at EVERY byte offset; scan must return exactly the records
    whose bytes survived in full, diagnose Clean exactly at record
    boundaries and Torn everywhere else — and never Corrupt, never
-   raise. *)
+   raise.  Reopened and appended to, the log then reads back those
+   records plus the new one, Clean: the torn fragment is cut, not
+   buried. *)
 let test_truncate_every_offset () =
   with_temp @@ fun path ->
   with_temp @@ fun truncated ->
@@ -330,6 +332,7 @@ let test_truncate_every_offset () =
   let full = In_channel.with_open_bin path In_channel.input_all in
   checki "log length accounted" (String.length full)
     (List.nth bounds (List.length bounds - 1));
+  let extra = Persist.Insert { name = "s4"; owner = "dave"; text = "after the cut" } in
   for cut = 0 to String.length full do
     write_bytes truncated (String.sub full 0 cut);
     let records, tail = Persist.scan truncated in
@@ -341,7 +344,54 @@ let test_truncate_every_offset () =
       if cut = 0 || List.mem cut bounds then Persist.Clean else Persist.Torn
     in
     if tail <> expected_tail then
-      Alcotest.failf "cut %d: wrong tail diagnosis" cut
+      Alcotest.failf "cut %d: wrong tail diagnosis" cut;
+    let log = Record_log.open_log truncated in
+    Persist.append_insert log ~name:"s4" ~owner:"dave" ~text:"after the cut";
+    Record_log.close log;
+    let records, tail = Persist.scan truncated in
+    if records <> firstn complete sample_records @ [ extra ] || tail <> Persist.Clean
+    then Alcotest.failf "cut %d: the append after reopening does not read back" cut
+  done
+
+(* The delivery ledger reopens the same way.  A ledger sink opens its
+   file with [Record_log.open_log] and appends one record per
+   delivery, so each cut of three deliveries is reopened, the fourth
+   appended, and the ledger must read back the whole deliveries before
+   the cut plus the fourth, Clean. *)
+let test_ledger_truncate_every_offset () =
+  with_temp @@ fun path ->
+  with_temp @@ fun truncated ->
+  let sink = Sink.ledger ~path () in
+  let report = Xy_xml.Types.(element "Report" [ el "Body" [] ]) in
+  List.iter
+    (fun seq ->
+      sink.Sink.deliver
+        { Sink.seq; recipient = "r"; subscription = "S"; report; at = 1.5 })
+    [ 1; 2; 10; 11 ];
+  let payloads, _ = Record_log.read path ~decode:Fun.id in
+  let entries, _ = Sink.read_ledger path in
+  let records = List.map Record_log.encode (firstn 3 payloads) in
+  let full = String.concat "" records in
+  let bounds =
+    List.rev
+      (snd
+         (List.fold_left
+            (fun (n, acc) r ->
+              let n = n + String.length r in
+              (n, n :: acc))
+            (0, []) records))
+  in
+  for cut = 0 to String.length full do
+    write_bytes truncated (String.sub full 0 cut);
+    let complete = List.length (List.filter (fun b -> b <= cut) bounds) in
+    let log = Record_log.open_log truncated in
+    Record_log.append log (List.nth payloads 3);
+    Record_log.close log;
+    let read, tail = Sink.read_ledger truncated in
+    if
+      read <> firstn complete entries @ [ List.nth entries 3 ]
+      || tail <> Record_log.Clean
+    then Alcotest.failf "cut %d: the delivery after reopening does not read back" cut
   done
 
 (* In-place damage is not a torn tail: flip every payload byte of
@@ -1792,6 +1842,28 @@ let test_rewrite_spares_damage () =
     (read_file log);
   checkb "no temp left behind" true (not (Sys.file_exists (log ^ ".compact")))
 
+(* A restore that recovers the intact prefix of a torn log appends
+   after that prefix, not behind the fragment: a subscription made
+   after the restore survives the next one, and the log scans Clean. *)
+let test_appends_after_a_torn_tail () =
+  with_temp_dir @@ fun dir ->
+  let x = durable_system dir in
+  compaction_subscribe x 0;
+  ignore (Xyleme.checkpoint x);
+  let log = Filename.concat dir "subscriptions.log" in
+  let torn = Record_log.encode (String.make 64 'w') in
+  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 log (fun oc ->
+      Out_channel.output_string oc (String.sub torn 0 (String.length torn / 2)));
+  let y, info = restore_system dir in
+  checki "the first restore recovers C0" 1 info.Xyleme.subscriptions_recovered;
+  compaction_subscribe y 1;
+  ignore (Xyleme.checkpoint y);
+  let z, info = restore_system dir in
+  checki "the second restore recovers C0 and C1" 2
+    info.Xyleme.subscriptions_recovered;
+  checkb "C0 and C1" true (subscription_set z = [ "C0"; "C1" ]);
+  checkb "the log scans Clean" true (snd (Persist.scan log) = Persist.Clean)
+
 (* A rewrite that cannot write its temp (here a directory squats on
    it; a full disk takes the same path) leaves the log whole and
    appendable, and the checkpoint stands. *)
@@ -2245,6 +2317,7 @@ let () =
       ( "persist",
         [
           tc "truncate at every offset" test_truncate_every_offset;
+          tc "ledger truncate at every offset" test_ledger_truncate_every_offset;
           tc "corrupt every payload byte" test_corrupt_every_payload_byte;
           tc "torn_write fault point" test_torn_write_fault_point;
           tc "short_write fault point" test_short_write_fault_point;
@@ -2305,6 +2378,8 @@ let () =
           tc "subscription log: rewritten at a checkpoint, append-safe"
             test_rewrite_at_checkpoint;
           tc "subscription log: abandons on damage" test_rewrite_spares_damage;
+          tc "subscription log: appends after a torn tail survive restore"
+            test_appends_after_a_torn_tail;
           tc "a failing rewrite spares the checkpoint"
             test_rewrite_failure_spares_the_checkpoint;
           tc "only superseded records start a compaction"

@@ -824,7 +824,7 @@ let test_wire_equivalence_under_faults () =
   checkb "faulted wire deliveries equal the sink's" true (over_wire = baseline)
 
 (* A served system answers STATUS with its metrics snapshot: the one
-   [<metrics>] document that [stats --xml] prints. *)
+   [<metrics>] document that [simulate --stats --xml] prints. *)
 let test_status_is_metrics_document () =
   let x = Xyleme.create ~seed:eq_seed ~web:(eq_web ()) ~serve_port:0 () in
   Fun.protect ~finally:(fun () -> Xyleme.stop_serve x) @@ fun () ->
