@@ -185,7 +185,12 @@ let write_manifest dir gen =
   Codec.int buf gen;
   Record_log.write_file (manifest_path dir) [ [ Buffer.contents buf ] ]
 
-let ensure_dir dir = if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
+(* Missing parents are made first, as [mkdir -p] does. *)
+let rec ensure_dir dir =
+  if not (Sys.file_exists dir) then begin
+    ensure_dir (Filename.dirname dir);
+    Sys.mkdir dir 0o755
+  end
 
 let remove_if path =
   try if Sys.file_exists path then Sys.remove path with Sys_error _ -> ()

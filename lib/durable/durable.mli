@@ -100,7 +100,8 @@ end
 type t
 
 val open_fresh : ?config:config -> string -> t
-(** Create (or reset) a durable directory for a fresh run: any
+(** Create (or reset) a durable directory for a fresh run, making its
+    missing parent directories too: any
     previous manifest, snapshots, WALs (including orphans a killed
     checkpoint left behind, and the [gen-N.wal.K] segments an older
     build rotated into), the subscription log and the

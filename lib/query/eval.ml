@@ -33,21 +33,24 @@ let words_of text =
   flush_word ();
   List.rev !words
 
-let word_contains ~word text =
-  let word = String.lowercase_ascii word and text = String.lowercase_ascii text in
+(* Whether [word] is at [text.[i]], ignoring ASCII case: both are read
+   in place. *)
+let rec matches_at ~word text i k =
+  k = String.length word
+  || Char.lowercase_ascii text.[i + k] = Char.lowercase_ascii word.[k]
+     && matches_at ~word text i (k + 1)
+
+(* Whether [word] occurs at or after [text.[i]], starting and ending at
+   a word boundary.  Nothing is allocated. *)
+let rec word_from ~word text i =
   let wlen = String.length word and tlen = String.length text in
-  if wlen = 0 then false
-  else
-    let rec scan i =
-      if i + wlen > tlen then false
-      else if
-        String.sub text i wlen = word
-        && (i = 0 || not (is_word_char text.[i - 1]))
-        && (i + wlen = tlen || not (is_word_char text.[i + wlen]))
-      then true
-      else scan (i + 1)
-    in
-    scan 0
+  i + wlen <= tlen
+  && ((i = 0 || not (is_word_char text.[i - 1]))
+      && matches_at ~word text i 0
+      && (i + wlen = tlen || not (is_word_char text.[i + wlen]))
+     || word_from ~word text (i + 1))
+
+let word_contains ~word text = word <> "" && word_from ~word text 0
 
 (* Evaluate an operand to a list of values under element bindings. *)
 let eval_operand env bindings operand =
@@ -147,7 +150,7 @@ let equal_node a b =
   | T.Pi (ta, ca), T.Pi (tb, cb) -> ta = tb && ca = cb
   | _, _ -> false
 
-let dedup_nodes nodes =
+let distinct nodes =
   let rec go seen = function
     | [] -> []
     | node :: rest ->
@@ -166,6 +169,39 @@ let eval query env =
         else [])
       candidate_bindings
   in
-  if query.Ast.distinct then dedup_nodes results else results
+  if query.Ast.distinct then distinct results else results
+
+(* With no pseudo-variables, an operand without a variable is a path
+   from the context itself, which spans every document. *)
+let from_context = function
+  | Ast.O_path (None, _) -> true
+  | Ast.O_path (Some _, _) | Ast.O_const _ -> false
+
+let rec construct_from_context = function
+  | Ast.K_text _ -> false
+  | Ast.K_operand op -> from_context op
+  | Ast.K_element (_, attrs, children) ->
+      List.exists (fun (_, op) -> from_context op) attrs
+      || List.exists construct_from_context children
+
+let condition_from_context = function
+  | Ast.C_contains (op, _) -> from_context op
+  | Ast.C_eq (a, b) | Ast.C_neq (a, b) -> from_context a || from_context b
+
+(* The first binding's first step picks one domain element and its
+   second the nodes of that domain's documents, so every binding, and
+   every operand rooted at one, stays inside one document. *)
+let by_document (query : Ast.t) =
+  match query.Ast.from with
+  | { Ast.base = None; path = { Path.axis = Path.Child; tag = Some domain } :: _ :: _; _ }
+    :: rest
+    when List.for_all (fun b -> b.Ast.base <> None) rest
+         && not (List.exists condition_from_context query.Ast.where)
+         && not
+              (match query.Ast.select with
+              | Ast.S_operand op -> from_context op
+              | Ast.S_construct k -> construct_from_context k) ->
+      Some domain
+  | _ -> None
 
 let eval_wrapped ~name query env = T.element name (eval query env)

@@ -26,6 +26,23 @@ exception Unbound_variable of string
     the paper's report queries deduplicate explicitly). *)
 val eval : Ast.t -> env -> Xy_xml.Types.node list
 
+(** [distinct nodes] drops every node equal to an earlier one, keeping
+    first occurrences in order: what [select distinct] applies to an
+    answer. *)
+val distinct : Xy_xml.Types.node list -> Xy_xml.Types.node list
+
+(** [by_document query] is [Some domain] when [query], evaluated with no
+    pseudo-variables over a view whose children are domain elements,
+    decomposes by document: its first [from] binding has no base and a
+    path of at least two steps starting with the named child step
+    [domain], every other binding starts at a variable, and no [where]
+    or [select] operand is a path from the context.  Its answer is then
+    the concatenation, in the view's document order, of its answers
+    over one-document views of [domain]'s documents, passed through
+    {!distinct} when the query is [distinct].  [None] for any other
+    query. *)
+val by_document : Ast.t -> string option
+
 (** [eval_wrapped ~name query env] wraps the results in a [<name>]
     element, the shape continuous-query notifications carry. *)
 val eval_wrapped : name:string -> Ast.t -> env -> Xy_xml.Types.element

@@ -399,6 +399,15 @@ let deliver_pending t =
         deliveries;
       List.length deliveries
 
+(* A copy of [node] that shares no element with it.  Buffered bodies
+   can share elements (a continuous query answers an unchanged document
+   with the same value every run), and paths drop an element they reach
+   twice.  A restored reporter parses every body afresh, so a report
+   query runs over copies to read what a restored one reads. *)
+let rec unshared = function
+  | T.Element e -> T.Element { e with T.children = List.map unshared e.T.children }
+  | (T.Text _ | T.Cdata _ | T.Comment _ | T.Pi _) as node -> node
+
 (* Build and send the report; empties the buffer.
 
    Durability protocol (at-least-once): the fire's state effects and
@@ -435,13 +444,15 @@ let fire ?trace t subscription state =
       | None -> ())
     notifications;
   let body = List.concat_map Notification.to_xml notifications in
-  let notifications_doc = T.element "Notifications" body in
   let report_body =
     match state.spec.S.r_query with
     | None -> body
-    | Some query -> Xy_query.Eval.eval query (Xy_query.Eval.env notifications_doc)
+    | Some query ->
+        Xy_query.Eval.eval query
+          (Xy_query.Eval.env (T.element "Notifications" (List.map unshared body)))
   in
   let report = T.element "Report" report_body in
+  let printed = lazy (Xy_xml.Printer.element_to_string report) in
   Obs.Histogram.observe t.metrics.m_report_size
     (float_of_int (List.length notifications));
   apply_fire_state t subscription state ~now ~report;
@@ -452,7 +463,7 @@ let fire ?trace t subscription state =
         let seq = t.next_seq in
         t.next_seq <- t.next_seq + 1;
         Hashtbl.replace t.pending seq
-          { Sink.seq; recipient; subscription; report; at = now };
+          { Sink.seq; recipient; subscription; report; printed; at = now };
         (seq, recipient))
       state.recipients
   in
@@ -462,7 +473,7 @@ let fire ?trace t subscription state =
       Codec.string buf "f";
       Codec.string buf subscription;
       Codec.float buf now;
-      Codec.string buf (Xy_xml.Printer.element_to_string report);
+      Codec.string buf (Lazy.force printed);
       Codec.list buf
         (fun buf (seq, recipient) ->
           Codec.int buf seq;
@@ -653,7 +664,7 @@ let snapshot_pieces t =
       Codec.string buf d.recipient;
       Codec.string buf d.subscription;
       Codec.float buf d.at;
-      Codec.string buf (Xy_xml.Printer.element_to_string d.report))
+      Codec.string buf (Lazy.force d.printed))
     (pending_deliveries t);
   let subs = by_name t in
   Codec.int buf (Array.length subs);
@@ -690,8 +701,10 @@ let decode_snapshot t payload =
         let recipient = Codec.read_string r in
         let subscription = Codec.read_string r in
         let at = Codec.read_float r in
-        let report = parse_element (Codec.read_string r) in
-        { Sink.seq; recipient; subscription; report; at })
+        let printed = Codec.read_string r in
+        let report = parse_element printed in
+        let printed = Lazy.from_val printed in
+        { Sink.seq; recipient; subscription; report; printed; at })
   in
   List.iter
     (fun (d : Sink.delivery) -> Hashtbl.replace t.pending d.seq d)
@@ -782,7 +795,9 @@ let apply_op t payload =
   | "f" ->
       let name = Codec.read_string r in
       let now = Codec.read_float r in
-      let report = parse_element (Codec.read_string r) in
+      let printed = Codec.read_string r in
+      let report = parse_element printed in
+      let printed = Lazy.from_val printed in
       let targets =
         Codec.read_list r (fun r ->
             let seq = Codec.read_int r in
@@ -797,7 +812,7 @@ let apply_op t payload =
       List.iter
         (fun (seq, recipient) ->
           Hashtbl.replace t.pending seq
-            { Sink.seq; recipient; subscription = name; report; at = now };
+            { Sink.seq; recipient; subscription = name; report; printed; at = now };
           if seq >= t.next_seq then t.next_seq <- seq + 1)
         targets
   | "A" -> Hashtbl.remove t.pending (Codec.read_int r)

@@ -3,6 +3,7 @@ type delivery = {
   recipient : string;
   subscription : string;
   report : Xy_xml.Types.element;
+  printed : string Lazy.t;
   at : float;
 }
 

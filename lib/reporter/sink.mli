@@ -16,6 +16,11 @@ type delivery = {
   recipient : string;
   subscription : string;
   report : Xy_xml.Types.element;
+  printed : string Lazy.t;
+      (** [report] as {!Xy_xml.Printer.element_to_string} prints it:
+          printed at most once for all of a report's deliveries, and
+          kept as read when a delivery is decoded.  The reporter
+          journals these bytes and the wire carries them. *)
   at : float;  (** virtual delivery time *)
 }
 

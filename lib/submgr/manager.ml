@@ -59,7 +59,9 @@ type t = {
   mqp : Mqp.t;
   trigger : Trigger.t;
   reporter : Reporter.t;
-  run_query : QAst.t -> T.node list;
+  runner : QAst.t -> unit -> T.node list;
+      (** a continuous query's evaluation, made once per installed
+          query: what it caches goes with it *)
   subscriptions : (string, installed) Hashtbl.t;
   refreshing : (string, (string * float) list) Hashtbl.t;
       (** the refresh statements of the subscriptions that have any *)
@@ -175,7 +177,7 @@ let materialize select view =
 (* ------------------------------------------------------------------ *)
 
 let create ?persist ?(obs = Obs.default) ~clock ~registry ~mqp ~trigger
-    ~reporter ~run_query () =
+    ~reporter ~runner () =
   let t =
     {
       persist;
@@ -185,7 +187,7 @@ let create ?persist ?(obs = Obs.default) ~clock ~registry ~mqp ~trigger
       mqp;
       trigger;
       reporter;
-      run_query;
+      runner;
       subscriptions = Hashtbl.create 64;
       refreshing = Hashtbl.create 16;
       linking = Hashtbl.create 16;
@@ -262,8 +264,9 @@ let install_continuous t ~subscription (c : S.continuous) =
     if c.S.c_delta then Some (Xy_query.Result_delta.create ~name:c.S.c_name)
     else None
   in
+  let run = t.runner c.S.c_query in
   let action () =
-    let nodes = t.run_query c.S.c_query in
+    let nodes = run () in
     let result = T.element c.S.c_name nodes in
     let body =
       match tracker with

@@ -26,7 +26,12 @@ val error_to_string : error -> string
     counters, live-subscription gauge) are registered under the
     [submgr] stage of [obs] (default {!Xy_obs.Obs.default}).
     Subscriptions are validated against
-    {!Xy_sublang.S_compile.default_policy}. *)
+    {!Xy_sublang.S_compile.default_policy}.
+
+    [runner query] is called once when a continuous query is installed
+    and returns the function each of its runs calls for its answer.
+    Whatever that function keeps between runs lives with the installed
+    query: an unsubscribe or an update drops it. *)
 val create :
   ?persist:Xy_durable.Record_log.t ->
   ?obs:Xy_obs.Obs.t ->
@@ -35,7 +40,7 @@ val create :
   mqp:Xy_core.Mqp.t ->
   trigger:Xy_trigger.Trigger_engine.t ->
   reporter:Xy_reporter.Reporter.t ->
-  run_query:(Xy_query.Ast.t -> Xy_xml.Types.node list) ->
+  runner:(Xy_query.Ast.t -> unit -> Xy_xml.Types.node list) ->
   unit ->
   t
 

@@ -38,6 +38,17 @@ type stage = {
    its own stripe of them. *)
 type worker_ctx = { wc_loader : Loader.t; wc_chain : Chain.t }
 
+(* What the continuous queries run on one store state share: each
+   domain's documents, the whole warehouse view, built only for a query
+   that does not split by document, and the one-document views built so
+   far, by URL. *)
+type documents = {
+  d_at : int;  (** the {!Store.mutations} count they were taken at *)
+  d_by_domain : (string * (string * Xy_xml.Xid.tree) list) list Lazy.t;
+  d_view : T.element Lazy.t;
+  d_views : (string, T.element) Hashtbl.t;
+}
+
 type t = {
   obs : Obs.t;
   tracer : Trace.t;
@@ -85,9 +96,9 @@ type t = {
   mutable subsets : (int * Mqp.t array) option;
       (** the subscription axis's {!Mqp.split} and the
           {!Mqp.mutations} epoch it was built at *)
-  mutable view : (int * T.element) option;
-      (** the warehouse view and the store mutation count it was built
-          at: the continuous queries due in one tick share one build *)
+  mutable documents : documents option;
+      (** what the continuous queries of one tick share, dropped when
+          the tick ends *)
   serve : Serve.t option;
 }
 
@@ -101,10 +112,20 @@ let default_domains () =
   Xy_warehouse.Domains.register_keyword domains ~keyword:"Member" ~domain:"people";
   domains
 
-(* Domains in name order, each holding its documents in URL order: the
-   view is a function of the store's contents, not of its hashtable
-   order, which differs after a warm restart. *)
-let build_warehouse_view store =
+let domain_of meta =
+  Option.value ~default:"unclassified" meta.Xy_warehouse.Meta.domain
+
+(* A document's nodes in its domain's element: spliced when the
+   document root already carries the domain name, so that
+   [culture/museum] resolves. *)
+let spliced domain tree =
+  let root = Xy_xml.Xid.strip tree in
+  if root.T.tag = domain then root.T.children else [ T.Element root ]
+
+(* Each domain's (URL, tree) pairs, domains in name order and documents
+   in URL order: a function of the store's contents, not of its
+   hashtable order, which differs after a warm restart. *)
+let documents_by_domain store =
   let docs = ref [] in
   Store.iter
     (fun entry ->
@@ -112,39 +133,87 @@ let build_warehouse_view store =
       | None -> ()
       | Some tree ->
           let meta = entry.Store.meta in
-          let domain =
-            Option.value ~default:"unclassified" meta.Xy_warehouse.Meta.domain
-          in
-          docs := ((domain, meta.Xy_warehouse.Meta.url), tree) :: !docs)
+          docs := (domain_of meta, meta.Xy_warehouse.Meta.url, tree) :: !docs)
     store;
-  let nodes domain tree =
-    let root = Xy_xml.Xid.strip tree in
-    (* Splice when the document root already carries the domain name,
-       so that [culture/museum] resolves. *)
-    if root.T.tag = domain then root.T.children else [ T.Element root ]
+  let order (d1, u1, _) (d2, u2, _) =
+    match String.compare d1 d2 with 0 -> String.compare u1 u2 | c -> c
   in
   (* Walk the documents last to first, prepending. *)
-  List.sort (fun (a, _) (b, _) -> compare b a) !docs
+  List.sort (fun a b -> order b a) !docs
   |> List.fold_left
-       (fun groups ((domain, _), tree) ->
+       (fun groups (domain, url, tree) ->
          match groups with
-         | (d, children) :: rest when d = domain ->
-             (d, nodes domain tree @ children) :: rest
-         | _ -> (domain, nodes domain tree) :: groups)
+         | (d, docs) :: rest when d = domain -> (d, (url, tree) :: docs) :: rest
+         | _ -> (domain, [ (url, tree) ]) :: groups)
        []
-  |> List.map (fun (domain, children) -> T.el domain children)
+
+let build_warehouse_view by_domain =
+  List.map
+    (fun (domain, docs) ->
+      T.el domain (List.concat_map (fun (_, tree) -> spliced domain tree) docs))
+    by_domain
   |> T.element "warehouse"
 
 (* The trees are immutable, so every query until the next store
-   mutation can share one view. *)
-let warehouse_view t =
+   mutation can share what is built from them.  Made at the first query
+   of a tick and dropped when the tick ends. *)
+let documents t =
   let count = Store.mutations t.store in
-  match t.view with
-  | Some (built_at, view) when built_at = count -> view
+  match t.documents with
+  | Some d when d.d_at = count -> d
   | Some _ | None ->
-      let view = build_warehouse_view t.store in
-      t.view <- Some (count, view);
+      let by_domain = lazy (documents_by_domain t.store) in
+      let d =
+        {
+          d_at = count;
+          d_by_domain = by_domain;
+          d_view = lazy (build_warehouse_view (Lazy.force by_domain));
+          d_views = Hashtbl.create 64;
+        }
+      in
+      t.documents <- Some d;
+      d
+
+let warehouse_view t = Lazy.force (documents t).d_view
+
+(* The warehouse view of one document of [domain], as
+   [build_warehouse_view] splices it. *)
+let document_view d ~domain url tree =
+  match Hashtbl.find_opt d.d_views url with
+  | Some view -> view
+  | None ->
+      let view = T.element "warehouse" [ T.el domain (spliced domain tree) ] in
+      Hashtbl.replace d.d_views url view;
       view
+
+(* A query that decomposes by document keeps each document's answer
+   with the tree it was computed from, and re-evaluates only the
+   documents whose stored tree is no longer physically that one (an
+   unchanged load keeps the old tree); any other query is evaluated
+   over the whole view. *)
+let query_runner t query =
+  let module Eval = Xy_query.Eval in
+  match Eval.by_document query with
+  | None -> fun () -> Eval.eval query (Eval.env (warehouse_view t))
+  | Some domain ->
+      let answers = ref (Hashtbl.create 0) in
+      fun () ->
+        let d = documents t in
+        let previous = !answers and current = Hashtbl.create 256 in
+        let answer (url, tree) =
+          let nodes =
+            match Hashtbl.find_opt previous url with
+            | Some (answered, nodes) when answered == tree -> nodes
+            | Some _ | None ->
+                Eval.eval query (Eval.env (document_view d ~domain url tree))
+          in
+          Hashtbl.replace current url (tree, nodes);
+          nodes
+        in
+        let docs = List.assoc_opt domain (Lazy.force d.d_by_domain) in
+        let nodes = List.concat_map answer (Option.value ~default:[] docs) in
+        answers := current;
+        if query.Xy_query.Ast.distinct then Eval.distinct nodes else nodes
 
 (* ------------------------------------------------------------------ *)
 (* Durable plumbing.  Every durable stage is declared once, in
@@ -157,10 +226,10 @@ let warehouse_stage = "warehouse"
 let serve_stage = "serve" (* replay drops its ops when not serving *)
 
 (* A delivery's wire (subscription, time, body).  The live sink tee and
-   the replay of a serve [P] op both build it here, so a restored
-   pending store holds exactly the bytes the live one did. *)
-let wire_report (d : Sink.delivery) =
-  (d.subscription, d.at, Xy_xml.Printer.element_to_string d.report)
+   the replay of a serve [P] op both build it here, from the report's
+   one print, so a restored pending store holds exactly the bytes the
+   live one did. *)
+let wire_report (d : Sink.delivery) = (d.subscription, d.at, Lazy.force d.printed)
 
 let journal_op t ~stage encode =
   match t.durable with
@@ -576,7 +645,7 @@ let make ?(seed = 1) ?algorithm ?sink ?web ?obs ?tracer ?fault_plan ?slos
                  wc_chain = Chain.create ~obs registry;
                }));
       subsets = None;
-      view = None;
+      documents = None;
       serve;
     }
   in
@@ -592,12 +661,9 @@ let make ?(seed = 1) ?algorithm ?sink ?web ?obs ?tracer ?fault_plan ?slos
            (fun s -> if s.wal_carried then Some s.name else None)
            t.stages))
     durable;
-  let run_query query =
-    Xy_query.Eval.eval query (Xy_query.Eval.env (warehouse_view t))
-  in
   let manager =
-    Manager.create ?persist ~obs ~clock ~registry ~mqp ~trigger
-      ~reporter ~run_query ()
+    Manager.create ?persist ~obs ~clock ~registry ~mqp ~trigger ~reporter
+      ~runner:(query_runner t) ()
   in
   t.manager <- Some manager;
   t
@@ -1153,6 +1219,7 @@ let advance t ~seconds =
   (* ages the oldest still-undetected change just produced *)
   Xy_crawler.Crawler.update_watermark t.crawler;
   Xy_trigger.Trigger_engine.tick t.trigger;
+  t.documents <- None;
   Xy_reporter.Reporter.tick t.reporter;
   evaluate_slos t;
   t.mid_step <- true;

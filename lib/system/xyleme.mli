@@ -384,16 +384,30 @@ val restore :
 
 (** {2 Warehouse view} *)
 
-(** [warehouse_view t] is the integrated view continuous queries run
-    over: a [<warehouse>] element with one child per semantic domain
-    (documents whose root tag equals the domain name are spliced, so
-    the paper's [culture/museum] paths resolve), plus
+(** [warehouse_view t] is the integrated view continuous queries are
+    answered over: a [<warehouse>] element with one child per semantic
+    domain (documents whose root tag equals the domain name are
+    spliced, so the paper's [culture/museum] paths resolve), plus
     [<unclassified>].  Domains appear in name order and, within each,
     documents in URL order, so a restored system answers continuous
-    queries in the same order as an uninterrupted one.  The view is
-    built once per {!Xy_warehouse.Store.mutations} count and shared by
-    every query until the store changes again. *)
+    queries in the same order as an uninterrupted one.  Only the
+    queries {!query_runner} cannot split by document are evaluated
+    over it.  It is built at most once per
+    {!Xy_warehouse.Store.mutations} count, and dropped when an
+    {!advance} tick ends. *)
 val warehouse_view : t -> Xy_xml.Types.element
+
+(** [query_runner t query] is how every installed continuous query is
+    answered: each call returns nodes equal to those
+    {!Xy_query.Eval.eval} returns for [query] over {!warehouse_view} at
+    that moment.  A query that
+    {!Xy_query.Eval.by_document} splits keeps each document's answer
+    with the stored tree it came from and re-evaluates only the
+    documents whose tree is no longer physically that one, over a view
+    of the one document; the stripped documents are shared by the
+    queries of one {!advance} tick.  Any other query is evaluated over
+    {!warehouse_view}. *)
+val query_runner : t -> Xy_query.Ast.t -> unit -> Xy_xml.Types.node list
 
 type stats = {
   documents_fetched : int;

@@ -53,25 +53,41 @@ let rec descendants (e : Types.element) =
   let children = Types.children_elements e in
   List.concat_map (fun child -> child :: descendants child) children
 
+(* The child elements [step] names, in one pass over the children. *)
+let rec matching_children step = function
+  | [] -> []
+  | Types.Element e :: rest when step_matches step e ->
+      e :: matching_children step rest
+  | _ :: rest -> matching_children step rest
+
 let apply_step step context =
   match step.axis with
-  | Child -> List.filter (step_matches step) (Types.children_elements context)
+  | Child -> matching_children step context.Types.children
   | Descendant -> List.filter (step_matches step) (descendants context)
 
+(* A list without repeats, the usual case, is returned as it is. *)
 let dedup_physical nodes =
+  let rec repeats = function
+    | [] -> false
+    | node :: rest -> List.memq node rest || repeats rest
+  in
   let rec go seen = function
     | [] -> []
     | node :: rest ->
         if List.memq node seen then go seen rest
         else node :: go (node :: seen) rest
   in
-  go [] nodes
+  if repeats nodes then go [] nodes else nodes
 
 let select path element =
   let rec go contexts = function
     | [] -> contexts
     | step :: rest ->
-        let next = List.concat_map (apply_step step) contexts in
+        let next =
+          match contexts with
+          | [ context ] -> apply_step step context
+          | _ -> List.concat_map (apply_step step) contexts
+        in
         go (dedup_physical next) rest
   in
   go [ element ] path

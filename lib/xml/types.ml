@@ -30,18 +30,23 @@ let children_elements e =
     (function Element child -> Some child | Text _ | Cdata _ | Comment _ | Pi _ -> None)
     e.children
 
+(* A lone text child is the text itself: no buffer. *)
 let text_content e =
-  let buf = Buffer.create 64 in
-  let rec go node =
-    match node with
-    | Text s | Cdata s ->
-        if Buffer.length buf > 0 then Buffer.add_char buf ' ';
-        Buffer.add_string buf s
-    | Element child -> List.iter go child.children
-    | Comment _ | Pi _ -> ()
-  in
-  List.iter go e.children;
-  Buffer.contents buf
+  match e.children with
+  | [] -> ""
+  | [ (Text s | Cdata s) ] -> s
+  | children ->
+      let buf = Buffer.create 64 in
+      let rec go node =
+        match node with
+        | Text s | Cdata s ->
+            if Buffer.length buf > 0 then Buffer.add_char buf ' ';
+            Buffer.add_string buf s
+        | Element child -> List.iter go child.children
+        | Comment _ | Pi _ -> ()
+      in
+      List.iter go children;
+      Buffer.contents buf
 
 let direct_text e =
   let buf = Buffer.create 32 in

@@ -363,10 +363,11 @@ let test_ledger_truncate_every_offset () =
   with_temp @@ fun truncated ->
   let sink = Sink.ledger ~path () in
   let report = Xy_xml.Types.(element "Report" [ el "Body" [] ]) in
+  let printed = lazy (Xy_xml.Printer.element_to_string report) in
   List.iter
     (fun seq ->
       sink.Sink.deliver
-        { Sink.seq; recipient = "r"; subscription = "S"; report; at = 1.5 })
+        { Sink.seq; recipient = "r"; subscription = "S"; report; printed; at = 1.5 })
     [ 1; 2; 10; 11 ];
   let payloads, _ = Record_log.read path ~decode:Fun.id in
   let entries, _ = Sink.read_ledger path in
@@ -1088,8 +1089,9 @@ let test_directory_sink_idempotent_redelivery () =
   with_temp_dir @@ fun root ->
   let sink = Sink.directory ~root () in
   let report = Xy_xml.Types.(element "Report" [ el "Body" [] ]) in
+  let printed = lazy (Xy_xml.Printer.element_to_string report) in
   let d seq =
-    { Sink.seq; recipient = "r"; subscription = "S"; report; at = 1. }
+    { Sink.seq; recipient = "r"; subscription = "S"; report; printed; at = 1. }
   in
   sink.Sink.deliver (d 1);
   sink.Sink.deliver (d 2);
@@ -2073,10 +2075,11 @@ let test_flip_ledger () =
   with_temp @@ fun path ->
   let sink = Sink.ledger ~path () in
   let report = Xy_xml.Types.(element "Report" [ el "Body" [] ]) in
+  let printed = lazy (Xy_xml.Printer.element_to_string report) in
   List.iter
     (fun seq ->
       sink.Sink.deliver
-        { Sink.seq; recipient = "r"; subscription = "S"; report; at = 1.5 })
+        { Sink.seq; recipient = "r"; subscription = "S"; report; printed; at = 1.5 })
     [ 1; 2; 10 ];
   let written, _ = Sink.read_ledger path in
   checki "ledger written" 3 (List.length written);

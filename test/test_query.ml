@@ -239,6 +239,105 @@ let test_word_contains () =
   checkb "empty word" false (Eval.word_contains ~word:"" "anything");
   checkb "missing" false (Eval.word_contains ~word:"sgml" "we like xml")
 
+(* [word_contains] as it was defined before it scanned in place: a
+   lowered copy of both strings, compared by [String.sub] at every
+   position.  The reference the property below holds it to. *)
+let reference_word_contains ~word text =
+  let is_word_char c =
+    (c >= 'a' && c <= 'z')
+    || (c >= 'A' && c <= 'Z')
+    || (c >= '0' && c <= '9')
+    || c = '_' || Char.code c >= 0x80
+  in
+  let word = String.lowercase_ascii word and text = String.lowercase_ascii text in
+  let wlen = String.length word and tlen = String.length text in
+  if wlen = 0 then false
+  else
+    let rec scan i =
+      if i + wlen > tlen then false
+      else if
+        String.sub text i wlen = word
+        && (i = 0 || not (is_word_char text.[i - 1]))
+        && (i + wlen = tlen || not (is_word_char text.[i + wlen]))
+      then true
+      else scan (i + 1)
+    in
+    scan 0
+
+(* Texts over upper and lower case, digits, [_], spaces, punctuation
+   and bytes >= 0x80; words drawn empty, as the whole text, as a piece
+   of it with its case flipped (phrases of several words included), or
+   at random. *)
+let word_in_text =
+  let open QCheck.Gen in
+  let byte =
+    frequency
+      [
+        (6, oneofl [ 'a'; 'b'; 'A'; 'B'; 'z'; 'Z' ]);
+        (2, oneofl [ '0'; '9'; '_' ]);
+        (3, oneofl [ ' '; ' '; '-'; '.'; '!' ]);
+        (1, map Char.chr (int_range 0x80 0xff));
+      ]
+  in
+  let text = string_size ~gen:byte (0 -- 20) in
+  let flip s =
+    String.map
+      (fun c ->
+        if Char.lowercase_ascii c = c then Char.uppercase_ascii c
+        else Char.lowercase_ascii c)
+      s
+  in
+  let piece text =
+    let n = String.length text in
+    int_bound n >>= fun i ->
+    int_bound (n - i) >>= fun len ->
+    bool >|= fun flipped ->
+    let s = String.sub text i len in
+    if flipped then flip s else s
+  in
+  text >>= fun text ->
+  frequency
+    [
+      (1, return "");
+      (1, return text);
+      (6, piece text);
+      (2, string_size ~gen:byte (1 -- 4));
+    ]
+  >|= fun word -> (word, text)
+
+let qcheck_word_contains =
+  QCheck.Test.make ~name:"word_contains = its reference" ~count:2000
+    (QCheck.make ~print:(fun (w, t) -> Printf.sprintf "word %S in %S" w t) word_in_text)
+    (fun (word, text) ->
+      Eval.word_contains ~word text = reference_word_contains ~word text)
+
+(* ------------------------------------------------------------------ *)
+(* Which queries split by document *)
+
+let test_by_document () =
+  let domain text = Eval.by_document (Parser.parse text) in
+  let check_domain name expected text =
+    Alcotest.(check (option string)) name expected (domain text)
+  in
+  check_domain "document roots of a domain" (Some "commerce")
+    {|select p/name from commerce/catalog c, c/product p where p/desc contains "red"|};
+  check_domain "a descendant second step" (Some "commerce")
+    "select distinct p from commerce//product p";
+  check_domain "a construct over variables" (Some "culture")
+    "select <t n=m/name>p/title</t> from culture/museum m, m/painting p";
+  check_domain "a one-step first binding" None "select c from commerce c";
+  check_domain "a descendant first step" None "select c from self//catalog c";
+  check_domain "a wildcard first step" None "select c from self/*/catalog c";
+  check_domain "a second binding from the view" None
+    "select m from commerce/catalog c, culture/museum m";
+  check_domain "a where operand from the view" None
+    {|select c from commerce/catalog c where commerce//desc contains "red"|};
+  check_domain "a select operand from the view" None
+    "select commerce/catalog from commerce/catalog c";
+  check_domain "a construct attribute from the view" None
+    "select <t n=culture/museum/name/> from commerce/catalog c";
+  check_domain "no from clause" None "select //title"
+
 (* ------------------------------------------------------------------ *)
 (* Result deltas *)
 
@@ -307,7 +406,12 @@ let () =
           tc "distinct" test_eval_distinct;
           tc "distinct preserves order" test_eval_distinct_preserves_order;
         ] );
-      ("word-contains", [ tc "semantics" test_word_contains ]);
+      ( "word-contains",
+        [
+          tc "semantics" test_word_contains;
+          QCheck_alcotest.to_alcotest qcheck_word_contains;
+        ] );
+      ("by-document", [ tc "decomposable queries" test_by_document ]);
       ( "result delta",
         [
           tc "first/unchanged/changed" test_result_delta_first_then_changes;

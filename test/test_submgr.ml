@@ -247,12 +247,12 @@ let make_env ?persist () =
   let sink, deliveries = Sink.memory () in
   let reporter = Reporter.create ~clock ~sink () in
   let env_ref = ref None in
-  let run_query _q =
+  let runner _q () =
     (match !env_ref with Some e -> e.queries_run <- e.queries_run + 1 | None -> ());
     [ T.el "site" ~attrs:[ ("url", "http://www.yahoo.com") ] [] ]
   in
   let manager =
-    Manager.create ?persist ~clock ~registry ~mqp ~trigger ~reporter ~run_query ()
+    Manager.create ?persist ~clock ~registry ~mqp ~trigger ~reporter ~runner ()
   in
   let env =
     { clock; registry; mqp; trigger; reporter; deliveries; manager; queries_run = 0 }

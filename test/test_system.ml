@@ -985,6 +985,71 @@ report when immediate|}
       Xyleme.run x' ~days:6. ~step:Clock.day ~fetch_limit:50;
       checki "periodic runs after the restore" uninterrupted (runs x' - before)
 
+(* A durable system answers a daily continuous query over three
+   catalog pages and is killed once the query's per-document answers
+   are cached and a page has changed since.  The restored system starts
+   with no cached answers and must report what the uninterrupted one
+   reports. *)
+let test_restore_answers_continuous_query () =
+  let text =
+    {|subscription Shop
+continuous RedProducts
+select p/name
+from commerce/catalog c, c/product p
+where p/desc contains "red"
+try daily
+report when immediate|}
+  in
+  let url i = Printf.sprintf "http://shop.example.org/%d.xml" i in
+  let load x i desc =
+    ignore
+      (Xyleme.ingest x ~url:(url i) ~kind:Loader.Xml
+         ~content:
+           (Printf.sprintf
+              "<catalog><product><name>p%d</name><desc>%s</desc></product><product><name>q%d</name><desc>red</desc></product></catalog>"
+              i desc i))
+  in
+  (* up to the kill: one run warms the cache, then page 1 changes *)
+  let prefix dir =
+    let sink, deliveries = Sink.memory () in
+    let x = Xyleme.create ~seed:5 ~sink ~durable_dir:dir ~sync_every:1 () in
+    ignore (subscribe_exn x ~owner:"o" ~text);
+    List.iter (fun i -> load x i "red") [ 0; 1; 2 ];
+    Xyleme.advance x ~seconds:(Clock.day +. 1.);
+    ignore (Xyleme.checkpoint x);
+    load x 1 "blue";
+    (x, deliveries)
+  in
+  let rest x =
+    Xyleme.advance x ~seconds:Clock.day;
+    load x 2 "green";
+    Xyleme.advance x ~seconds:Clock.day
+  in
+  (* by seq, re-deliveries dropped *)
+  let reports deliveries =
+    List.sort_uniq compare
+      (List.map
+         (fun d -> (d.Sink.seq, Xy_xml.Printer.element_to_string d.Sink.report))
+         deliveries)
+  in
+  let expected =
+    with_temp_dir @@ fun dir ->
+    let x, deliveries = prefix dir in
+    rest x;
+    reports !deliveries
+  in
+  checki "one report per run" 3 (List.length expected);
+  with_temp_dir @@ fun dir ->
+  let _killed, before = prefix dir in
+  let sink, after = Sink.memory () in
+  match Xyleme.restore ~seed:5 ~sink ~sync_every:1 ~dir () with
+  | Error e -> Alcotest.failf "restore failed: %s" e
+  | Ok (x, _) ->
+      rest x;
+      Alcotest.(check (list (pair int string)))
+        "the restored run reports what the uninterrupted one does" expected
+        (reports (!before @ !after))
+
 (* ------------------------------------------------------------------ *)
 (* The alerter chain's memo of unchanged pages *)
 
@@ -1197,6 +1262,179 @@ let test_view_follows_store_snapshot () =
   Xyleme.advance t ~seconds:Clock.day;
   checkb "the next run sees the restored documents" true
     (reported_titles deliveries = [ "Nightwatch" ])
+
+(* ------------------------------------------------------------------ *)
+(* Continuous queries answered per document: after every step of a
+   random edit stream, each query's runner (made once, so its cached
+   answers carry over) answers what a full evaluation over the
+   warehouse view answers. *)
+
+type inc_op =
+  | Load of int * string  (** page, content *)
+  | Reload of int  (** the page's current content again: its tree stays *)
+  | Drop of int  (** the page disappears *)
+  | Snapshot  (** the store decodes its own snapshot: every tree is new *)
+
+let inc_url page = Printf.sprintf "http://inc.example/%d.xml" page
+
+(* Catalogs (commerce), catalogs inside a spliced <commerce> root, an
+   empty <commerce> (unclassified, not spliced), museums inside a
+   spliced <culture> root, and unclassified notes. *)
+let inc_content =
+  let open QCheck.Gen in
+  let word = oneofl [ "red"; "Red car"; "blue"; "green"; "red_car" ] in
+  let name = oneofl [ "a"; "b"; "c" ] in
+  let product =
+    map3
+      (Printf.sprintf "<product><name>%s</name><desc>%s</desc><price>%d</price></product>")
+      name word (int_bound 2)
+  in
+  let catalog =
+    map2
+      (fun n ps -> Printf.sprintf "<catalog><name>%s</name>%s</catalog>" n (String.concat "" ps))
+      name
+      (list_size (0 -- 3) product)
+  in
+  let painting = map (Printf.sprintf "<painting><title>%s</title></painting>") name in
+  let museum =
+    map2
+      (fun a ps -> Printf.sprintf "<museum><address>%s</address>%s</museum>" a (String.concat "" ps))
+      (oneofl [ "Amsterdam"; "Paris" ])
+      (list_size (0 -- 2) painting)
+  in
+  let wrapped tag n g =
+    map (fun parts -> Printf.sprintf "<%s>%s</%s>" tag (String.concat "" parts) tag) (list_size n g)
+  in
+  frequency
+    [
+      (4, catalog);
+      (2, wrapped "commerce" (0 -- 2) catalog);
+      (2, wrapped "culture" (1 -- 2) museum);
+      (1, map (Printf.sprintf "<note><item>%s</item></note>") word);
+    ]
+
+let inc_pages = 5
+
+let inc_ops =
+  let open QCheck.Gen in
+  let page = int_bound (inc_pages - 1) in
+  let op =
+    frequency
+      [
+        (5, map2 (fun p c -> Load (p, c)) page inc_content);
+        (3, map (fun p -> Reload p) page);
+        (1, map (fun p -> Drop p) page);
+        (1, return Snapshot);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat "; "
+        (List.map
+           (function
+             | Load (p, c) -> Printf.sprintf "load %d %s" p c
+             | Reload p -> Printf.sprintf "reload %d" p
+             | Drop p -> Printf.sprintf "drop %d" p
+             | Snapshot -> "snapshot")
+           ops))
+    (list_size (1 -- 25) op)
+
+(* The first five split by document; the others take the full
+   evaluation: a one-step first binding (twice), an operand rooted at
+   the view, and two bindings rooted at the view. *)
+let inc_queries =
+  List.map Xy_query.Parser.parse
+    [
+      {|select p/name from commerce/catalog c, c/product p where p/desc contains "red"|};
+      {|select distinct p/name from commerce/catalog c, c/product p|};
+      {|select <item name=p/name>p/price</item> from commerce//product p where p/price != "1"|};
+      {|select p/title from culture/museum m, m/painting p where m/address contains "Amsterdam"|};
+      {|select n from unclassified/note n|};
+      {|select c from commerce c|};
+      {|select p/name from commerce c, c/catalog/product p where c//desc contains "blue"|};
+      {|select p/name from commerce/catalog c, c/product p where commerce//desc contains "blue"|};
+      {|select m/address from commerce/catalog c, culture/museum m|};
+    ]
+
+(* Without this the property could pass with every query falling back. *)
+let test_inc_queries_split () =
+  Alcotest.(check (list bool))
+    "the first five split" [ true; true; true; true; true; false; false; false; false ]
+    (List.map (fun q -> Xy_query.Eval.by_document q <> None) inc_queries)
+
+let incremental_equals_full ops =
+  let t, _ = make () in
+  let runners = List.map (fun q -> (q, Xyleme.query_runner t q)) inc_queries in
+  let contents = Array.make inc_pages None in
+  let printed nodes =
+    String.concat ""
+      (List.map
+         (function
+           | T.Element e -> Xy_xml.Printer.element_to_string e
+           | T.Text s | T.Cdata s -> s
+           | T.Comment _ | T.Pi _ -> "")
+         nodes)
+  in
+  let load page content =
+    contents.(page) <- Some content;
+    ignore (Xyleme.ingest t ~url:(inc_url page) ~content ~kind:Loader.Xml)
+  in
+  List.for_all
+    (fun op ->
+      (match op with
+      | Load (p, c) -> load p c
+      | Reload p -> Option.iter (load p) contents.(p)
+      | Drop p ->
+          contents.(p) <- None;
+          Xyleme.ingest_missing t ~url:(inc_url p)
+      | Snapshot ->
+          let store = Xyleme.store t in
+          Store.decode_snapshot store (Store.encode_snapshot store));
+      let view = Xyleme.warehouse_view t in
+      List.for_all
+        (fun (q, run) ->
+          printed (run ()) = printed (Xy_query.Eval.eval q (Xy_query.Eval.env view)))
+        runners)
+    ops
+
+(* Two daily runs of a continuous query, the first catalog unchanged
+   between them: the second run's answer for it is the first run's
+   value.  A report query over both notifications still lists each
+   run's names, as it would over notifications parsed afresh. *)
+let test_report_query_over_reused_answers () =
+  let t, deliveries = make () in
+  let catalog names =
+    Printf.sprintf "<catalog>%s</catalog>"
+      (String.concat ""
+         (List.map (Printf.sprintf "<product><name>%s</name></product>") names))
+  in
+  let load url names =
+    ignore (Xyleme.ingest t ~url ~content:(catalog names) ~kind:Loader.Xml)
+  in
+  load "http://a.example.org/a.xml" [ "a1"; "a2" ];
+  load "http://b.example.org/b.xml" [ "b1" ];
+  ignore
+    (subscribe_exn t ~owner:"o"
+       ~text:
+         {|subscription Names
+continuous Products
+select p/name
+from commerce/catalog c, c/product p
+try daily
+report select //name when count > 1|});
+  Xyleme.advance t ~seconds:(Clock.day +. 1.);
+  load "http://b.example.org/b.xml" [ "b2" ];
+  Xyleme.advance t ~seconds:Clock.day;
+  match !deliveries with
+  | [ d ] ->
+      checks "both runs' names"
+        "<Report><name>a1</name><name>a2</name><name>b1</name><name>a1</name><name>a2</name><name>b2</name></Report>"
+        (Xy_xml.Printer.element_to_string d.Sink.report)
+  | _ -> Alcotest.fail "expected one report"
+
+let qcheck_incremental_equals_full =
+  QCheck.Test.make ~name:"per-document answers = full evaluation" ~count:200
+    ~long_factor:50 inc_ops incremental_equals_full
 
 (* ------------------------------------------------------------------ *)
 (* Reporter ops: one [N] op per alert, one [f] op per fire *)
@@ -1513,6 +1751,10 @@ let () =
           tc "restore keeps document order" test_restored_view_order;
           tc "removed page leaves the view" test_view_drops_removed_page;
           tc "store snapshot refreshes the view" test_view_follows_store_snapshot;
+          tc "the property's queries split as listed" test_inc_queries_split;
+          QCheck_alcotest.to_alcotest qcheck_incremental_equals_full;
+          tc "a report query keeps each run's reused answers"
+            test_report_query_over_reused_answers;
         ] );
       ( "freshness",
         [
@@ -1534,6 +1776,8 @@ let () =
             test_restore_keeps_unadvanced_metrics;
           tc "restore after update keeps a continuous query"
             test_restore_after_update_keeps_trigger;
+          tc "a restored continuous query answers as the uninterrupted one"
+            test_restore_answers_continuous_query;
         ] );
       ( "reporter ops",
         [
