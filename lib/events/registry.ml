@@ -1,10 +1,10 @@
 type code = int
 
-type entry = { code : code; mutable refs : int }
+type entry = { code : code; condition : Atomic.t; mutable refs : int }
 
 type t = {
   by_condition : (Atomic.t, entry) Hashtbl.t;
-  by_code : (code, Atomic.t) Hashtbl.t;
+  by_code : (code, entry) Hashtbl.t;
   mutable next_code : code;
   mutable listeners :
     ([ `Added of code * Atomic.t | `Removed of code * Atomic.t ] -> unit) list;
@@ -28,20 +28,21 @@ let register t condition =
   | None ->
       let code = t.next_code in
       t.next_code <- code + 1;
-      Hashtbl.replace t.by_condition condition { code; refs = 1 };
-      Hashtbl.replace t.by_code code condition;
+      let entry = { code; condition; refs = 1 } in
+      Hashtbl.replace t.by_condition condition entry;
+      Hashtbl.replace t.by_code code entry;
       notify t (`Added (code, condition));
       code
 
-let release t condition =
-  match Hashtbl.find_opt t.by_condition condition with
+let release t code =
+  match Hashtbl.find_opt t.by_code code with
   | None -> raise Not_found
   | Some entry ->
       entry.refs <- entry.refs - 1;
       if entry.refs <= 0 then begin
-        Hashtbl.remove t.by_condition condition;
-        Hashtbl.remove t.by_code entry.code;
-        notify t (`Removed (entry.code, condition));
+        Hashtbl.remove t.by_condition entry.condition;
+        Hashtbl.remove t.by_code code;
+        notify t (`Removed (code, entry.condition));
         true
       end
       else false
@@ -49,7 +50,8 @@ let release t condition =
 let find t condition =
   Option.map (fun entry -> entry.code) (Hashtbl.find_opt t.by_condition condition)
 
-let condition t code = Hashtbl.find_opt t.by_code code
+let condition t code =
+  Option.map (fun entry -> entry.condition) (Hashtbl.find_opt t.by_code code)
 
 let refcount t condition =
   match Hashtbl.find_opt t.by_condition condition with
@@ -57,5 +59,5 @@ let refcount t condition =
   | Some entry -> entry.refs
 
 let cardinal t = Hashtbl.length t.by_condition
-let iter f t = Hashtbl.iter f t.by_code
+let iter f t = Hashtbl.iter (fun code entry -> f code entry.condition) t.by_code
 let on_change t listener = t.listeners <- listener :: t.listeners

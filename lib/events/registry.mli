@@ -19,10 +19,12 @@ val create : unit -> t
     atomic events the Monitoring Query Processor requires. *)
 val register : t -> Atomic.t -> code
 
-(** [release t condition] decrements the reference count; when it
-    drops to zero the code is retired.  Returns [true] when retired.
-    Raises [Not_found] if the condition was never registered. *)
-val release : t -> Atomic.t -> bool
+(** [release t code] gives back one registration of [code]'s
+    condition: a holder keeps the codes it registered, not its own copy
+    of each condition.  When the reference count drops to zero the
+    code is retired.  Returns [true] when retired.  Raises [Not_found]
+    if [code] is not live. *)
+val release : t -> code -> bool
 
 (** [find t condition] is the code of a live condition, if any. *)
 val find : t -> Atomic.t -> code option

@@ -509,6 +509,25 @@ let buffer_notification t name state (n : Notification.t) =
   bump_tag state n.Notification.tag;
   touch t name state
 
+(* Buffer [notification], or drop it when [atmost] caps the buffer. *)
+let intake t subscription state notification =
+  let capped =
+    match state.spec.S.r_atmost with
+    | Some (S.At_count n) -> state.buffered >= n
+    | Some (S.At_frequency _) | None -> false
+  in
+  if capped then begin
+    t.dropped_by_atmost <- t.dropped_by_atmost + 1;
+    Obs.Counter.incr t.metrics.m_dropped;
+    emit_op t (fun buf ->
+        Codec.string buf "x";
+        Codec.string buf subscription)
+  end
+  else begin
+    buffer_notification t subscription state notification;
+    journal_notification t subscription notification
+  end
+
 let notify ?trace t ~subscription notification =
   match Hashtbl.find_opt t.subscriptions subscription with
   | None -> ()
@@ -517,26 +536,13 @@ let notify ?trace t ~subscription notification =
       Obs.Counter.incr t.metrics.m_notifications;
       (* The buffering span stops before [maybe_fire] so an immediate
          report shows up as its own [reporter/report] span rather than
-         inflating [notify]. *)
-      (Xy_trace.Trace.wrap trace ~stage ~name:"notify"
-         ~attrs:[ ("subscription", subscription) ]
-      @@ fun () ->
-       let capped =
-         match state.spec.S.r_atmost with
-         | Some (S.At_count n) -> state.buffered >= n
-         | Some (S.At_frequency _) | None -> false
-       in
-       if capped then begin
-         t.dropped_by_atmost <- t.dropped_by_atmost + 1;
-         Obs.Counter.incr t.metrics.m_dropped;
-         emit_op t (fun buf ->
-             Codec.string buf "x";
-             Codec.string buf subscription)
-       end
-       else begin
-         buffer_notification t subscription state notification;
-         journal_notification t subscription notification
-       end);
+         inflating [notify].  Untraced intake builds no span closure. *)
+      (match trace with
+      | None -> intake t subscription state notification
+      | Some _ ->
+          Xy_trace.Trace.wrap trace ~stage ~name:"notify"
+            ~attrs:[ ("subscription", subscription) ]
+          @@ fun () -> intake t subscription state notification);
       maybe_fire ?trace t subscription state
 
 let gc_archive t subscription state =

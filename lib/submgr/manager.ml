@@ -1,6 +1,5 @@
 module S = Xy_sublang.S_ast
 module Compile = Xy_sublang.S_compile
-module Atomic = Xy_events.Atomic
 module Registry = Xy_events.Registry
 module Event_set = Xy_events.Event_set
 module Mqp = Xy_core.Mqp
@@ -24,23 +23,46 @@ let error_to_string = function
   | Duplicate name -> "duplicate subscription: " ^ name
   | Unknown name -> "unknown subscription: " ^ name
 
-(* Everything needed to tear one subscription down. *)
+(* What tearing one subscription down reads, and nothing else: the
+   text stays in the subscription log, which a restore re-parses. *)
 type installed = {
-  owner : string;
-  text : string;
-  ast : S.t;
-  complex_ids : int list;
-  conditions : Atomic.t list;  (** to release, with multiplicity *)
+  complex_ids : int array;
+  codes : Registry.code array;  (** to release, with multiplicity *)
   trigger_ids : string list;
 }
 
-(* Per complex event: how to turn a processor notification into a
-   reporter notification. *)
-type dispatch = {
-  d_subscription : string;
-  d_tag : string;
-  d_select : QAst.select option;
-}
+(* How a monitoring query turns a processor notification into a
+   reporter notification: shared by every subscription with an equal
+   one, so two targets are equal exactly when they are [==]. *)
+type target = { tag : string; select : QAst.select option }
+
+(* The dispatch of one complex event. *)
+type dispatch = { d_subscription : string; d_target : target }
+
+(* One copy of each part that subscriptions hold in common: report
+   specs, dispatch targets and recipient names.  The sets are weak: a
+   part goes with the last subscription that holds it. *)
+module Share (V : sig
+  type t
+end) =
+Weak.Make (struct
+  type t = V.t
+
+  let equal = ( = )
+  let hash = Hashtbl.hash_param 50 100
+end)
+
+module Reports = Share (struct
+  type t = S.report
+end)
+
+module Targets = Share (struct
+  type t = target
+end)
+
+module Names = Share (String)
+
+type shared = { reports : Reports.t; targets : Targets.t; names : Names.t }
 
 type metrics = {
   m_subscribed : Obs.Counter.t;
@@ -69,6 +91,7 @@ type t = {
       (** the virtual links (target subscription, recipient) of the
           subscriptions that have any *)
   dispatches : (int, dispatch) Hashtbl.t;
+  shared : shared;
   mutable next_complex_id : int;
   metrics : metrics;
 }
@@ -164,7 +187,7 @@ let view_of_payload ~payload ~url =
     default = default_body ~url payload_elem;
   }
 
-let materialize select view =
+let materialize { select; _ } view =
   match select with
   | None -> view.default
   | Some (QAst.S_operand op) -> (
@@ -192,6 +215,12 @@ let create ?persist ?(obs = Obs.default) ~clock ~registry ~mqp ~trigger
       refreshing = Hashtbl.create 16;
       linking = Hashtbl.create 16;
       dispatches = Hashtbl.create 256;
+      shared =
+        {
+          reports = Reports.create 16;
+          targets = Targets.create 16;
+          names = Names.create 16;
+        };
       next_complex_id = 0;
       metrics =
         {
@@ -206,8 +235,8 @@ let create ?persist ?(obs = Obs.default) ~clock ~registry ~mqp ~trigger
   (* Batch dispatch: the disjuncts of one monitoring query are
      distinct complex events sharing a dispatch target; a document
      matching several of them yields a single notification.  The
-     subscriptions that share a (tag, select) share one notification
-     value, so its body is materialized and encoded once per alert. *)
+     subscriptions that share a target share one notification value,
+     so its body is materialized and encoded once per alert. *)
   Mqp.on_batch mqp (fun alert matched ->
       let seen = Hashtbl.create 4 in
       let view =
@@ -217,10 +246,8 @@ let create ?persist ?(obs = Obs.default) ~clock ~registry ~mqp ~trigger
       let notification dispatch =
         (* a sink may advance the clock between two notifications *)
         let at = Xy_util.Clock.now t.clock in
-        let same ((n : Notification.t), select) =
-          String.equal n.Notification.tag dispatch.d_tag
-          && Float.equal n.Notification.at at
-          && select = dispatch.d_select
+        let same ((n : Notification.t), target) =
+          target == dispatch.d_target && Float.equal n.Notification.at at
         in
         match List.find_opt same !values with
         | Some (n, _) -> n
@@ -228,14 +255,14 @@ let create ?persist ?(obs = Obs.default) ~clock ~registry ~mqp ~trigger
             let n =
               {
                 Notification.source = Notification.Monitoring;
-                tag = dispatch.d_tag;
-                body = materialize dispatch.d_select (Lazy.force view);
+                tag = dispatch.d_target.tag;
+                body = materialize dispatch.d_target (Lazy.force view);
                 at;
                 birth = alert.Mqp.birth;
                 rendered = None;
               }
             in
-            values := (n, dispatch.d_select) :: !values;
+            values := (n, dispatch.d_target) :: !values;
             n
       in
       Reporter.alert t.reporter @@ fun () ->
@@ -244,13 +271,14 @@ let create ?persist ?(obs = Obs.default) ~clock ~registry ~mqp ~trigger
           match Hashtbl.find_opt t.dispatches complex_id with
           | None -> ()
           | Some dispatch ->
-              let key = (dispatch.d_subscription, dispatch.d_tag) in
+              let key = (dispatch.d_subscription, dispatch.d_target.tag) in
               if not (Hashtbl.mem seen key) then begin
                 Hashtbl.replace seen key ();
                 Reporter.notify ?trace:alert.Mqp.trace t.reporter
                   ~subscription:dispatch.d_subscription (notification dispatch);
                 Trigger.notify ?trace:alert.Mqp.trace t.trigger
-                  ~subscription:dispatch.d_subscription ~tag:dispatch.d_tag
+                  ~subscription:dispatch.d_subscription
+                  ~tag:dispatch.d_target.tag
               end)
         matched);
   t
@@ -334,36 +362,35 @@ let validate t ?replacing text =
 
 (* Install a validated subscription and count it. *)
 let install t ~owner ~text (ast, compiled) =
+  let owner = Names.merge t.shared.names owner in
   (* 1. Register atomic events and complex events: one complex event
      per disjunct, all sharing the monitoring query's dispatch. *)
-  let conditions = ref [] in
+  let all_codes = ref [] in
   let complex_ids =
     List.concat_map
       (fun (cm : Compile.monitoring) ->
+        let d_target =
+          Targets.merge t.shared.targets
+            { tag = cm.Compile.cm_name; select = cm.Compile.cm_select }
+        in
         List.map
           (fun disjunct ->
-            let codes =
-              List.map
-                (fun condition ->
-                  conditions := condition :: !conditions;
-                  Registry.register t.registry condition)
-                disjunct
-            in
+            let codes = List.map (Registry.register t.registry) disjunct in
+            all_codes := List.rev_append codes !all_codes;
             let id = t.next_complex_id in
             t.next_complex_id <- id + 1;
             Mqp.subscribe t.mqp ~id (Event_set.of_list codes);
             Hashtbl.replace t.dispatches id
-              {
-                d_subscription = ast.S.name;
-                d_tag = cm.Compile.cm_name;
-                d_select = cm.Compile.cm_select;
-              };
+              { d_subscription = ast.S.name; d_target };
             id)
           cm.Compile.cm_disjuncts)
       compiled
   in
   (* 2. Reporter registration. *)
-  let report = Option.value ~default:default_report ast.S.report in
+  let report =
+    Reports.merge t.shared.reports
+      (Option.value ~default:default_report ast.S.report)
+  in
   Reporter.register t.reporter ~subscription:ast.S.name ~recipient:owner
     report;
   (* 3. Continuous queries. *)
@@ -382,7 +409,11 @@ let install t ~owner ~text (ast, compiled) =
              (target, owner))
            virtuals));
   Hashtbl.replace t.subscriptions ast.S.name
-    { owner; text; ast; complex_ids; conditions = !conditions; trigger_ids };
+    {
+      complex_ids = Array.of_list complex_ids;
+      codes = Array.of_list !all_codes;
+      trigger_ids;
+    };
   (match ast.S.refresh with
   | [] -> ()
   | refresh ->
@@ -406,14 +437,14 @@ let unsubscribe t ~name =
   match Hashtbl.find_opt t.subscriptions name with
   | None -> Error (Unknown name)
   | Some installed ->
-      List.iter
+      Array.iter
         (fun id ->
           Mqp.unsubscribe t.mqp ~id;
           Hashtbl.remove t.dispatches id)
         installed.complex_ids;
-      List.iter
-        (fun condition -> ignore (Registry.release t.registry condition))
-        installed.conditions;
+      Array.iter
+        (fun code -> ignore (Registry.release t.registry code))
+        installed.codes;
       List.iter (fun id -> Trigger.cancel t.trigger ~id) installed.trigger_ids;
       List.iter
         (fun (target, recipient) ->

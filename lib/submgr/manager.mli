@@ -46,7 +46,14 @@ val create :
 
 (** [subscribe t ~owner ~text] parses, validates and installs a
     subscription; returns its name.  The subscription is persisted
-    (when a log is attached) only after successful installation. *)
+    (when a log is attached) only after successful installation.
+
+    The manager keeps of it only what {!unsubscribe} reads: its
+    complex-event ids, the registry codes of its atomic conditions and
+    its trigger ids; the text is kept by the persisted log alone.  Its
+    report spec, dispatch targets (tag and select) and recipient name
+    are held once for all the subscriptions with equal ones, in weak
+    sets that drop a part with its last subscription. *)
 val subscribe : t -> owner:string -> text:string -> (string, error) result
 
 (** [unsubscribe t ~name] tears a subscription down: complex events

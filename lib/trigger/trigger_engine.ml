@@ -115,18 +115,21 @@ let cancel t ~id =
     t.notification_triggers
 
 let notify ?trace t ~subscription ~tag =
-  match Hashtbl.find_opt t.notification_triggers (subscription, tag) with
-  | None -> ()
-  | Some actions ->
-      List.iter
-        (fun (id, action) ->
-          t.notification_runs <- t.notification_runs + 1;
-          Obs.Counter.incr t.metrics.m_notification_runs;
-          Xy_trace.Trace.wrap trace ~stage ~name:"action"
-            ~attrs:[ ("trigger", id); ("subscription", subscription) ]
-          @@ fun () -> Obs.Histogram.time t.metrics.m_action_latency action)
-        (List.rev !actions);
-      journal_runs t
+  (* Most systems install no notification-triggered query: then no key
+     is built or hashed. *)
+  if Hashtbl.length t.notification_triggers > 0 then
+    match Hashtbl.find_opt t.notification_triggers (subscription, tag) with
+    | None -> ()
+    | Some actions ->
+        List.iter
+          (fun (id, action) ->
+            t.notification_runs <- t.notification_runs + 1;
+            Obs.Counter.incr t.metrics.m_notification_runs;
+            Xy_trace.Trace.wrap trace ~stage ~name:"action"
+              ~attrs:[ ("trigger", id); ("subscription", subscription) ]
+            @@ fun () -> Obs.Histogram.time t.metrics.m_action_latency action)
+          (List.rev !actions);
+        journal_runs t
 
 let tick t =
   Obs.Counter.incr t.metrics.m_ticks;

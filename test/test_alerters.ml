@@ -141,7 +141,7 @@ let test_url_dynamic_removal impl () =
   let code = Registry.register registry cond in
   check_codes "indexed" [ code ]
     (Url_alerter.detect alerter ~meta:(meta ~url:"http://a/x" ()) ~status:Atomic.New);
-  ignore (Registry.release registry cond);
+  ignore (Registry.release registry code);
   check_codes "retired" []
     (Url_alerter.detect alerter ~meta:(meta ~url:"http://a/x" ()) ~status:Atomic.New);
   checki "count" 0 (Url_alerter.condition_count alerter)
@@ -588,7 +588,7 @@ let test_chain_memo_follows_registry () =
       checki (label ^ ": re-read once") 1 (alerters_count obs "memo_invalidated");
       check_codes (label ^ ": from the memo") [ site; code ] (fetch ());
       checki (label ^ ": memo hit") 2 (hits ());
-      ignore (Registry.release registry camera);
+      ignore (Registry.release registry code);
       check_codes (label ^ ": retired word stops") [ site ] (fetch ());
       let exact = Registry.register registry (Atomic.Url_equals url) in
       check_codes (label ^ ": url condition") [ site; exact ] (fetch ());

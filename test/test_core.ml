@@ -634,8 +634,8 @@ let test_registry_refcount_retire () =
   let code = Registry.register r cond in
   ignore (Registry.register r cond);
   checki "refcount 2" 2 (Registry.refcount r cond);
-  checkb "not retired yet" false (Registry.release r cond);
-  checkb "retired" true (Registry.release r cond);
+  checkb "not retired yet" false (Registry.release r code);
+  checkb "retired" true (Registry.release r code);
   Alcotest.(check (option int)) "code gone" None (Registry.find r cond);
   Alcotest.(check bool) "reverse gone" true (Registry.condition r code = None)
 
@@ -646,8 +646,8 @@ let test_registry_notifies_listeners () =
   let cond = Atomic.Has_tag "product" in
   let code = Registry.register r cond in
   ignore (Registry.register r cond);
-  ignore (Registry.release r cond);
-  ignore (Registry.release r cond);
+  ignore (Registry.release r code);
+  ignore (Registry.release r code);
   match List.rev !log with
   | [ `Added (c1, _); `Removed (c2, _) ] ->
       checki "added code" code c1;

@@ -593,6 +593,185 @@ report when immediate|});
   checki "report delivered after recovery" 1 (List.length !(env2.deliveries));
   Sys.remove path
 
+(* ------------------------------------------------------------------ *)
+(* Teardown leaves nothing behind *)
+
+(* A subscription drawn from a small vocabulary: its select, its
+   disjuncts (a strong condition and up to two more, strong or weak),
+   its report clause and whether it carries a continuous query.  The
+   last select and the last report are the subscription's own; the
+   others are shared by every subscription that draws them. *)
+type spec = {
+  select : int;
+  disjuncts : (int * int list) list;
+  report : int;
+  continuous : bool;
+}
+
+type op = Subscribe of int * spec | Unsubscribe of int | Update of int * spec
+
+let strong_conditions =
+  [|
+    {|URL extends "http://a.example.org/"|};
+    {|URL extends "http://b.example.org/"|};
+    {|self contains "camera"|};
+    {|domain = "commerce"|};
+    {|self\\price|};
+  |]
+
+let any_conditions = Array.append strong_conditions [| "modified self"; "new self" |]
+
+let spec_text slot spec =
+  let select =
+    match spec.select with
+    | 0 -> ""
+    | 1 -> "select <UpdatedPage url=URL/>\n"
+    | 2 -> "select <Hit/>\n"
+    | _ -> Printf.sprintf "select <Own%d url=URL/>\n" slot
+  in
+  let disjunct (first, more) =
+    String.concat " and "
+      (strong_conditions.(first) :: List.map (fun i -> any_conditions.(i)) more)
+  in
+  let report =
+    match spec.report with
+    | 0 -> "report when count > 3 atmost weekly"
+    | 1 -> "report when immediate"
+    | _ -> Printf.sprintf "report when count > %d" (slot + 10)
+  in
+  Printf.sprintf "subscription S%d\nmonitoring\n%swhere %s\n%s%s" slot select
+    (String.concat " or " (List.map disjunct spec.disjuncts))
+    (if spec.continuous then "continuous Q\nselect //site\ntry daily\n" else "")
+    report
+
+(* What the manager registers for a text: one condition per disjunct
+   that names it. *)
+let spec_conditions slot spec =
+  let ast = Xy_sublang.S_parser.parse (spec_text slot spec) in
+  List.concat_map
+    (fun (m : Xy_sublang.S_compile.monitoring) ->
+      List.concat m.Xy_sublang.S_compile.cm_disjuncts)
+    (Xy_sublang.S_compile.validate ast)
+
+let slots = 6
+
+let gen_ops =
+  let open QCheck.Gen in
+  let spec =
+    let* select = 0 -- 3 in
+    let* disjuncts =
+      list_size (1 -- 3)
+        (pair
+           (0 -- (Array.length strong_conditions - 1))
+           (list_size (0 -- 2) (0 -- (Array.length any_conditions - 1))))
+    in
+    let* report = 0 -- 2 in
+    let+ continuous = frequency [ (1, return true); (4, return false) ] in
+    { select; disjuncts; report; continuous }
+  in
+  let op =
+    frequency
+      [
+        (5, map2 (fun i s -> Subscribe (i, s)) (0 -- (slots - 1)) spec);
+        (2, map (fun i -> Unsubscribe i) (0 -- (slots - 1)));
+        (2, map2 (fun i s -> Update (i, s)) (0 -- (slots - 1)) spec);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat "\n"
+        (List.map
+           (function
+             | Subscribe (i, s) -> "subscribe:\n" ^ spec_text i s
+             | Unsubscribe i -> Printf.sprintf "unsubscribe S%d" i
+             | Update (i, s) -> "update:\n" ^ spec_text i s)
+           ops))
+    (list_size (1 -- 30) op)
+
+let teardown_leaves_nothing ops =
+  let env = make_env () in
+  (* the model: the conditions of every live subscription *)
+  let live = Array.make slots None in
+  let seen = ref [] in
+  let unexpected what = function
+    | Ok _ -> QCheck.Test.fail_reportf "%s: unexpected success" what
+    | Error e -> QCheck.Test.fail_reportf "%s: %s" what (Manager.error_to_string e)
+  in
+  let install slot spec =
+    let conditions = spec_conditions slot spec in
+    seen := List.rev_append conditions !seen;
+    live.(slot) <- Some conditions
+  in
+  let model_count condition =
+    Array.fold_left
+      (fun n -> function
+        | None -> n
+        | Some conditions ->
+            n + List.length (List.filter (Atomic.equal condition) conditions))
+      0 live
+  in
+  let check_counts () =
+    List.iter
+      (fun condition ->
+        let expected = model_count condition
+        and actual = Registry.refcount env.registry condition in
+        if expected <> actual then
+          QCheck.Test.fail_reportf "refcount of %s: %d, model %d"
+            (Atomic.to_string condition) actual expected)
+      !seen;
+    let distinct = List.sort_uniq Atomic.compare !seen in
+    let referenced = List.filter (fun c -> model_count c > 0) distinct in
+    if Registry.cardinal env.registry <> List.length referenced then
+      QCheck.Test.fail_reportf "%d live codes, model %d"
+        (Registry.cardinal env.registry) (List.length referenced)
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Subscribe (slot, spec) -> (
+          match
+            Manager.subscribe env.manager ~owner:(Printf.sprintf "o%d" (slot mod 2))
+              ~text:(spec_text slot spec)
+          with
+          | Ok _ when live.(slot) = None -> install slot spec
+          | Error (Manager.Duplicate _) when live.(slot) <> None -> ()
+          | r -> unexpected "subscribe" r)
+      | Unsubscribe slot -> (
+          match Manager.unsubscribe env.manager ~name:(Printf.sprintf "S%d" slot) with
+          | Ok () when live.(slot) <> None -> live.(slot) <- None
+          | Error (Manager.Unknown _) when live.(slot) = None -> ()
+          | r -> unexpected "unsubscribe" r)
+      | Update (slot, spec) -> (
+          match
+            Manager.update env.manager ~name:(Printf.sprintf "S%d" slot)
+              ~owner:(Printf.sprintf "o%d" (slot mod 2))
+              ~text:(spec_text slot spec)
+          with
+          | Ok () when live.(slot) <> None -> install slot spec
+          | Error (Manager.Unknown _) when live.(slot) = None -> ()
+          | r -> unexpected "update" r));
+      check_counts ())
+    ops;
+  Array.iteri
+    (fun slot conditions ->
+      if conditions <> None then begin
+        (match Manager.unsubscribe env.manager ~name:(Printf.sprintf "S%d" slot) with
+        | Ok () -> ()
+        | r -> unexpected "final unsubscribe" r);
+        live.(slot) <- None
+      end)
+    live;
+  check_counts ();
+  Registry.cardinal env.registry = 0
+  && Mqp.complex_count env.mqp = 0
+  && Trigger.deadlines env.trigger = []
+  && List.length (Reporter.snapshot_pieces env.reporter) = 1
+  && Manager.subscription_count env.manager = 0
+
+let qcheck_teardown_leaves_nothing =
+  QCheck.Test.make ~name:"teardown leaves nothing behind" ~count:200
+    ~long_factor:50 gen_ops teardown_leaves_nothing
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "submgr"
@@ -637,4 +816,5 @@ let () =
         ] );
       ("refresh", [ tc "statements" test_refresh_statements ]);
       ("recovery", [ tc "replay" test_recovery ]);
+      ("teardown", [ QCheck_alcotest.to_alcotest qcheck_teardown_leaves_nothing ]);
     ]

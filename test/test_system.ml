@@ -1714,6 +1714,90 @@ report when count > 5|});
             Codec.int buf 0) );
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Bytes per subscription *)
+
+(* The four kinds of subscription the benchmark's ingest population
+   draws (bench/xybench/gen.ml), each scoped to one of 300 sites. *)
+let bench_words = [| "camera"; "television"; "radio"; "laptop"; "phone"; "lens" |]
+
+let bench_text i =
+  let host = Printf.sprintf "http://site%d.example.org/" (i * 37 mod 300) in
+  let word = bench_words.(i mod Array.length bench_words) in
+  let monitoring =
+    match i mod 4 with
+    | 0 ->
+        Printf.sprintf
+          "select <UpdatedPage url=URL/>\nwhere URL extends \"%s\" and modified self"
+          host
+    | 1 ->
+        Printf.sprintf
+          "where new self\\\\product contains \"%s\" and URL extends \"%s\"" word
+          host
+    | 2 -> Printf.sprintf "where self contains \"%s\" and URL extends \"%s\"" word host
+    | _ ->
+        Printf.sprintf
+          "where domain = \"commerce\" and modified self and self\\\\price and URL \
+           extends \"%s\""
+          host
+  in
+  Printf.sprintf "subscription S%d\nmonitoring\n%s\nreport when count > 20 atmost weekly"
+    i monitoring
+
+(* The live words the system reaches.  A part that only a weak set
+   holds is not counted: the collector frees it. *)
+let live_words t =
+  Gc.full_major ();
+  Obj.reachable_words (Obj.repr t)
+
+let population = 2_000
+
+(* Subscribe [population] texts from [first] on, owned by [owner i]. *)
+let subscribe_population t ~first ~owner =
+  for i = first to first + population - 1 do
+    ignore (subscribe_exn t ~owner:(owner i) ~text:(bench_text i))
+  done
+
+let unsubscribe_population t ~first =
+  for i = first to first + population - 1 do
+    match Xyleme.unsubscribe t ~name:(Printf.sprintf "S%d" i) with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail (Xy_submgr.Manager.error_to_string e)
+  done
+
+(* A subscription keeps what its teardown reads and shares what it has
+   in common with others: 59.4 words each when this guard was set. *)
+let test_words_per_subscription () =
+  let t = Xyleme.create () in
+  let start = live_words t in
+  subscribe_population t ~first:0 ~owner:(fun i -> Printf.sprintf "c%d" (i mod 2));
+  let per_subscription =
+    float_of_int (live_words t - start) /. float_of_int population
+  in
+  if per_subscription > 1.25 *. 59.4 then
+    Alcotest.failf "%.1f live words per subscription, above 1.25 x 59.4"
+      per_subscription;
+  unsubscribe_population t ~first:0
+
+(* Unsubscribing a population leaves the heap where it was.  Hash
+   tables keep the bucket arrays they grew, so the start is taken after
+   one population came and went; each population has its own recipient
+   names, so parts that outlived their subscriptions would add up.  A
+   round ends with a full collection, which empties the weak set's
+   slots for the next round. *)
+let test_unsubscribed_parts_are_freed () =
+  let t = Xyleme.create () in
+  let round first =
+    subscribe_population t ~first ~owner:(fun i -> Printf.sprintf "r%d" i);
+    unsubscribe_population t ~first;
+    live_words t
+  in
+  let start = round 0 in
+  ignore (round population);
+  let finish = round (2 * population) in
+  if float_of_int finish > 1.05 *. float_of_int start then
+    Alcotest.failf "live heap %d words after teardown, %d before" finish start
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "system"
@@ -1785,5 +1869,10 @@ let () =
           tc "an alert shares one value" test_alert_shares_one_value;
           tc "restore refuses damaged N and f ops"
             test_restore_refuses_damaged_reporter_ops;
+        ] );
+      ( "subscriptions",
+        [
+          tc "live words per subscription" test_words_per_subscription;
+          tc "teardown frees the shared parts" test_unsubscribed_parts_are_freed;
         ] );
     ]

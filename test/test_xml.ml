@@ -189,6 +189,144 @@ let gen_tree : T.element QCheck.arbitrary =
   in
   make ~print:(Printer.element_to_string ~indent:2) (tree_gen 3)
 
+(* The printer as it was before it stopped allocating per node, kept as
+   the reference its output must equal byte for byte. *)
+module Reference_printer = struct
+  let escape_generic ~quotes s =
+    let needs_escape = function
+      | '&' | '<' | '>' -> true
+      | '"' | '\'' -> quotes
+      | _ -> false
+    in
+    if String.exists needs_escape s then begin
+      let buf = Buffer.create (String.length s + 8) in
+      String.iter
+        (fun c ->
+          match c with
+          | '&' -> Buffer.add_string buf "&amp;"
+          | '<' -> Buffer.add_string buf "&lt;"
+          | '>' -> Buffer.add_string buf "&gt;"
+          | '"' when quotes -> Buffer.add_string buf "&quot;"
+          | '\'' when quotes -> Buffer.add_string buf "&apos;"
+          | c -> Buffer.add_char buf c)
+        s;
+      Buffer.contents buf
+    end
+    else s
+
+  let escape_text = escape_generic ~quotes:false
+  let escape_attr = escape_generic ~quotes:true
+
+  let has_text_child e =
+    List.exists
+      (function T.Text _ | T.Cdata _ -> true | _ -> false)
+      e.T.children
+
+  let element_to_string ?indent root =
+    let buf = Buffer.create 256 in
+    let pad level =
+      match indent with
+      | None -> ()
+      | Some n ->
+          if Buffer.length buf > 0 then Buffer.add_char buf '\n';
+          Buffer.add_string buf (String.make (level * n) ' ')
+    in
+    let add_attrs attrs =
+      List.iter
+        (fun (name, value) ->
+          Buffer.add_char buf ' ';
+          Buffer.add_string buf name;
+          Buffer.add_string buf "=\"";
+          Buffer.add_string buf (escape_attr value);
+          Buffer.add_char buf '"')
+        attrs
+    in
+    let rec go level ~pretty e =
+      if pretty then pad level;
+      Buffer.add_char buf '<';
+      Buffer.add_string buf e.T.tag;
+      add_attrs e.T.attrs;
+      if e.T.children = [] then Buffer.add_string buf "/>"
+      else begin
+        Buffer.add_char buf '>';
+        let mixed = has_text_child e in
+        let child_pretty = pretty && not mixed in
+        List.iter
+          (fun node ->
+            match node with
+            | T.Element child -> go (level + 1) ~pretty:child_pretty child
+            | T.Text s -> Buffer.add_string buf (escape_text s)
+            | T.Cdata s ->
+                Buffer.add_string buf "<![CDATA[";
+                Buffer.add_string buf s;
+                Buffer.add_string buf "]]>"
+            | T.Comment s ->
+                if child_pretty then pad (level + 1);
+                Buffer.add_string buf "<!--";
+                Buffer.add_string buf s;
+                Buffer.add_string buf "-->"
+            | T.Pi (target, content) ->
+                if child_pretty then pad (level + 1);
+                Buffer.add_string buf "<?";
+                Buffer.add_string buf target;
+                Buffer.add_char buf ' ';
+                Buffer.add_string buf content;
+                Buffer.add_string buf "?>")
+          e.T.children;
+        if child_pretty then pad level;
+        Buffer.add_string buf "</";
+        Buffer.add_string buf e.T.tag;
+        Buffer.add_char buf '>'
+      end
+    in
+    go 0 ~pretty:(indent <> None) root;
+    Buffer.contents buf
+end
+
+(* Trees with every node kind, markup characters in texts and attribute
+   values, and empty elements, printed with or without an indent. *)
+let gen_printable : (int option * T.element) QCheck.arbitrary =
+  let open QCheck.Gen in
+  let chars = "ab &<>\"' \n\xc3\xa9" in
+  let str = string_size ~gen:(oneofl (List.init (String.length chars) (String.get chars))) (0 -- 12) in
+  let rec tree depth =
+    let* tag = oneofl [ "a"; "b"; "product"; "ns:t" ] in
+    let* attrs = list_size (0 -- 3) (pair (oneofl [ "id"; "url"; "q" ]) str) in
+    let attrs = List.sort_uniq (fun (a, _) (b, _) -> compare a b) attrs in
+    let leaf =
+      [
+        (3, map (fun s -> T.Text s) str);
+        (1, map (fun s -> T.Cdata s) str);
+        (1, map (fun s -> T.Comment s) str);
+        (1, map2 (fun t c -> T.Pi (t, c)) (oneofl [ "pi"; "xml-stylesheet" ]) str);
+      ]
+    in
+    let node =
+      if depth = 0 then frequency leaf
+      else frequency ((4, map (fun e -> T.Element e) (tree (depth - 1))) :: leaf)
+    in
+    let+ children = list_size (0 -- 4) node in
+    T.element tag ~attrs children
+  in
+  QCheck.make
+    ~print:(fun (indent, e) ->
+      Printf.sprintf "indent=%s %S"
+        (match indent with None -> "none" | Some n -> string_of_int n)
+        (Reference_printer.element_to_string e))
+    (pair (opt (0 -- 3)) (0 -- 3 >>= tree))
+
+let qcheck_printer_equals_reference =
+  QCheck.Test.make ~name:"printer = reference printer" ~count:500 gen_printable
+    (fun (indent, e) ->
+      String.equal
+        (Printer.element_to_string ?indent e)
+        (Reference_printer.element_to_string ?indent e)
+      && String.equal
+           (Printer.doc_to_string ?indent (T.doc e))
+           ("<?xml version=\"1.0\"?>"
+           ^ (if indent = None then "" else "\n")
+           ^ Reference_printer.element_to_string ?indent e))
+
 let qcheck_tests =
   [
     QCheck.Test.make ~name:"print/parse roundtrip" ~count:300 gen_tree (fun e ->
@@ -241,6 +379,7 @@ let qcheck_tests =
           | exception _ -> ok := false
         done;
         !ok);
+    qcheck_printer_equals_reference;
   ]
 
 (* Table-driven malformed corpus: each entry must be *rejected* — a
